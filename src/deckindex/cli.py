@@ -184,8 +184,8 @@ def cmd_map_analyze(config: RunConfig) -> int:
         payload["note"] = "pipeline stops: the map is not tame"
         _emit(config, payload, charts)
         return 0
-    records = find_fixed_points(model, config.radius
-                                if model.variant == "analytic" else 0)
+    radius = config.radius if model.variant == "analytic" else 0
+    records = find_fixed_points(model, radius)
     fd = PeriodicComplex(model.complex).fundamental_domain()
     n = model.complex.dimension
     for r in records:
@@ -193,11 +193,12 @@ def cmd_map_analyze(config: RunConfig) -> int:
             r.index = local_index(model, r)
             r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
     payload["fixed_points"] = [r.to_document(model.group) for r in records]
-    payload["fixed_points_per_domain"] = len(find_fixed_points(model, 0))
-    cls = lefschetz_class(model, report=report)
+    payload["fixed_points_per_domain"] = len(records) if radius == 0 else \
+        len(find_fixed_points(model, 0))
+    cls = lefschetz_class(model, fd=fd, report=report)
     payload.update(_class_analysis(config, cls, {}, charts))
     if model.equivariant:
-        payload["oracle"] = equivariant_oracle_check(model, report=report)
+        payload["oracle"] = equivariant_oracle_check(model, report=report, cls=cls)
     _emit(config, payload, charts)
     return 0
 
@@ -205,7 +206,7 @@ def cmd_map_analyze(config: RunConfig) -> int:
 def cmd_field_analyze(config: RunConfig) -> int:
     from .fixpoint import ingest_index_data
     from .vectorfield import (field_index, field_model_from_document,
-                              field_tameness_check, find_zeros, index_class,
+                              field_tameness_check, find_zeros,
                               poincare_hopf_check)
     doc = _load_document(config.inputs[0])
     charts: dict = {}
@@ -233,13 +234,13 @@ def cmd_field_analyze(config: RunConfig) -> int:
             r.index = field_index(model, r)
             r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
     payload["zeros"] = [r.to_document(model.group) for r in records]
-    ph = poincare_hopf_check(model)
+    ph = poincare_hopf_check(model, report=report)
     payload["euler_characteristic"] = ph["euler_characteristic"]
     payload["index_class"] = ph["index_class"]
     payload["difference_certificate"] = ph["certificate"].to_document()
     payload["consistent"] = ph["consistent"]
     payload["interpretation"] = ph["interpretation"]
-    cls = index_class(model)
+    cls = ph["class_function"]
     ball = sorted(model.group.ball(min(3, model.group.ball_budget)),
                   key=model.group.sort_key)
     charts["index_class.svg"] = ("per-coset index sums over ball(3)",

@@ -10,6 +10,7 @@ certified, e.g. for Jacobian determinants at exact fixed points.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import mpmath
@@ -65,12 +66,16 @@ def lambdify_vector(components, dim: int):
 
 
 def lambdify_matrix(matrix, dim: int):
+    """Numeric matrix function: a (k, dim) array of points to (k, rows, cols)."""
     import numpy as np
     vs = variables(dim)
     rows = [[sympy.lambdify(vs, e, modules="numpy") for e in row] for row in matrix]
 
-    def jac(point):
-        return np.array([[float(fn(*point)) for fn in row] for row in rows])
+    def jac(points):
+        cols = [points[:, i] for i in range(dim)]
+        return np.stack([np.stack([np.broadcast_to(fn(*cols), points.shape[0])
+                                   for fn in row], axis=1)
+                         for row in rows], axis=1).astype(float)
 
     return jac
 
@@ -118,28 +123,46 @@ def _to_interval(expr, subs):
     raise InputError(f"cannot certify expression node {expr!r}")
 
 
+@functools.lru_cache(maxsize=256)
+def _expanded(expr):
+    """``expand_trig(expand(expr))``, computed once per expression."""
+    return sympy.expand_trig(sympy.expand(expr))
+
+
+def _interval_sign(expr, subs, prec: int):
+    """Sign proved by a ``prec``-bit enclosure, or None if it contains 0."""
+    with mpmath.workprec(prec):
+        interval = _to_interval(_expanded(expr), subs)
+        if interval.a > 0:
+            return 1
+        if interval.b < 0:
+            return -1
+    return None
+
+
 def certified_sign(expr, point: dict) -> int:
     """Sign of an expression at an exact rational point: -1, 0 or +1.
 
-    Tries symbolic exact-zero detection first, then interval arithmetic at
-    increasing precision.  Raises when the sign stays ambiguous, which only
+    A 60-bit interval enclosure that excludes 0 proves the sign outright.
+    Otherwise symbolic exact-zero detection runs, then interval arithmetic
+    at 120 and 240 bits.  Raises when the sign stays ambiguous, which only
     happens for values extremely close to (but not provably at) zero.
     """
     subs = {v: Fraction(val) for v, val in point.items()}
+    try:
+        sign = _interval_sign(expr, subs, 60)
+    except InputError:
+        sign = None  # uncertifiable node: let the exact-zero test run first
+    if sign is not None:
+        return sign
     exact = sympy.simplify(expr.subs({v: sympy.Rational(f.numerator, f.denominator)
                                       for v, f in subs.items()}))
     if exact == 0:
         return 0
-    for prec in (60, 120, 240):
-        with mpmath.workprec(prec):
-            try:
-                interval = _to_interval(sympy.expand_trig(sympy.expand(expr)), subs)
-            except InputError:
-                raise
-            if interval.a > 0:
-                return 1
-            if interval.b < 0:
-                return -1
+    for prec in (120, 240):
+        sign = _interval_sign(expr, subs, prec)
+        if sign is not None:
+            return sign
     raise InputError(f"sign of {expr} at {point} is ambiguous at 240 bits; "
                      "shrink the isolation radius or simplify the model")
 

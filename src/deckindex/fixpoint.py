@@ -6,11 +6,15 @@ Two map models are supported.
 * Analytic (Euclidean covers of flat tori over Z^n): the map is
   ``f(x) = x + d(x)`` with a Z^n-periodic closed-form displacement given by
   exact expressions.  Fixed points are located by damped Newton iteration
-  from a deterministic grid, snapped to small-denominator rationals and
-  verified symbolically; completeness at grid resolution is a documented
-  heuristic, exact afterwards.  An override replaces the displacement on a
-  single period cell ``w + [0,1)^n`` of the cover (finitely many
-  translates); authors must keep the seam continuous.
+  from a deterministic grid, all starts in lockstep, snapped to
+  small-denominator rationals and verified symbolically; completeness at
+  grid resolution is a documented heuristic, exact afterwards.  An override
+  replaces the displacement on a single period cell ``w + [0,1)^n`` of the
+  cover (finitely many translates); authors must keep the seam continuous.
+  Each model keeps one shared analysis: the zeros of a (component set,
+  window) pair are searched once and a window's host records are resolved
+  once, so the tameness check, the fixed-point listing, the index class and
+  the oracle all read the same results.
 
 * Simplicial (complexes realized with exact rational coordinates): the map
   sends a barycentric subdivision of the quotient simplicially into the
@@ -19,6 +23,9 @@ Two map models are supported.
   recommendation to subdivide once more.  Non-equivariant perturbations of
   simplicial maps are supported on trivial-deck covers, where they amount
   to replacing vertex images.
+
+Host cells over Z^n are found from a per-complex table holding each top
+cell's exact inverse barycentric matrix and bounding box.
 
 Local indices use the classical convention: the index of a fixed point is
 the degree of ``x - f(x)``, i.e. ``sign det(I - Df)`` at nondegenerate
@@ -31,7 +38,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +121,12 @@ class AnalyticModel:
     ``index_matrix_sign`` distinguishes the two uses: a fixed point of
     ``x + d(x)`` has index sign det(-Dd), a field zero has index
     sign det(Dv).
+
+    The model keeps its analysis: the zeros of each (component set,
+    window) pair are searched at most once, and the host records of each
+    window are resolved once; both caches hand out copies.  Component
+    sets are keyed by ``None`` (the unoverridden expressions) or by the
+    position of an override.
     """
 
     variant = "analytic"
@@ -146,6 +160,10 @@ class AnalyticModel:
                 "components": comps,
                 "jacobian": exprs.jacobian(comps, self.dim),
             })
+        self._numerics: dict = {}      # (kind, component key) -> callable
+        self._index_dets: dict = {}    # component key -> sympy determinant
+        self._zeros: dict = {}         # (component key, window) -> zero list
+        self._records: dict = {}       # (component key, window) -> records
         self.validate_bound()
 
     @property
@@ -155,31 +173,47 @@ class AnalyticModel:
     def override_translates(self):
         return [ov["translate"] for ov in self.overrides]
 
-    def has_override(self, window) -> bool:
-        return any(ov["translate"] == window for ov in self.overrides)
+    def component_key(self, window, plain: bool = False):
+        """Which component set applies in ``window``: None or an override position."""
+        if not plain:
+            for i, ov in enumerate(self.overrides):
+                if ov["translate"] == window:
+                    return i
+        return None
+
+    def _component_set(self, key):
+        if key is None:
+            return self.components, self.jac
+        ov = self.overrides[key]
+        return ov["components"], ov["jacobian"]
 
     def components_for_window(self, window):
-        for ov in self.overrides:
-            if ov["translate"] == window:
-                return ov["components"], ov["jacobian"]
-        return self.components, self.jac
+        return self._component_set(self.component_key(window))
 
     def window_of(self, position):
         return tuple(int(math.floor(float(c))) for c in position)
 
     # -- numeric plumbing ----------------------------------------------------
 
-    def _numeric(self, components):
-        return exprs.lambdify_vector(components, self.dim)
+    def _numeric(self, key):
+        """Vectorized float evaluation of a component set, lambdified once."""
+        if ("f", key) not in self._numerics:
+            self._numerics["f", key] = exprs.lambdify_vector(
+                self._component_set(key)[0], self.dim)
+        return self._numerics["f", key]
 
-    def _numeric_jac(self, jac):
-        return exprs.lambdify_matrix(jac, self.dim)
+    def _numeric_jac(self, key):
+        """Stacked float Jacobians of a component set, lambdified once."""
+        if ("j", key) not in self._numerics:
+            self._numerics["j", key] = exprs.lambdify_matrix(
+                self._component_set(key)[1], self.dim)
+        return self._numerics["j", key]
 
     def validate_bound(self, samples: int = 33) -> None:
         axes = [np.linspace(0.0, 1.0, samples, endpoint=False)] * self.dim
         pts = np.array(list(itertools.product(*axes)))
-        for comps in [self.components] + [ov["components"] for ov in self.overrides]:
-            f = self._numeric(comps)
+        for key in [None] + list(range(len(self.overrides))):
+            f = self._numeric(key)
             worst = float(np.sqrt((f(pts) ** 2).sum(axis=1)).max())
             if worst > float(self.bound) * (1 + 1e-9):
                 raise InputError(f"declared bound {self.bound} violated on the "
@@ -190,58 +224,37 @@ class AnalyticModel:
     def zeros_in_window(self, window=None, plain: bool = False):
         """Zeros inside one period cell ``window + [0,1)^n``.
 
-        Damped Newton from a 32^n grid of starts, deduplicated on the
-        torus, snapped to small-denominator rationals and verified
+        Damped Newton runs from a 32^n grid of starts in lockstep: every
+        iteration solves all open starts' Newton systems in one stacked
+        ``np.linalg.solve``, and each start halves its own step (at most
+        20 times) until its residual max-norm drops.  A start stops after
+        60 iterations, below residual 1e-13, or when its step finds no
+        descent.  Converged points are deduplicated on the torus in start
+        order, snapped to small-denominator rationals and verified
         symbolically when possible.  With ``plain=True`` the unoverridden
         expressions are used regardless of the window.
+
+        The search runs once per (component set, window); later calls
+        return a copy of the cached list.
         """
         if window is None:
             window = self.group.identity()
-        if plain:
-            components, jac = self.components, self.jac
-        else:
-            components, jac = self.components_for_window(window)
-        f = self._numeric(components)
-        jf = self._numeric_jac(jac)
+        key = (self.component_key(window, plain), tuple(window))
+        if key not in self._zeros:
+            self._zeros[key] = self._search_zeros(key[0], window)
+        return list(self._zeros[key])
+
+    def _search_zeros(self, key, window):
+        components, _ = self._component_set(key)
         base = np.array([float(x) for x in window])
         axes = [np.linspace(0.0, 1.0, self.grid, endpoint=False)
                 + 0.5 / self.grid] * self.dim
         starts = np.array(list(itertools.product(*axes))) + base
-        values = f(starts)
-        locals_found = []
-        for start, v0 in zip(starts, values):
-            x, fx = start.copy(), v0
-            norm = float(np.abs(fx).max())
-            for _ in range(60):
-                if norm < 1e-13:
-                    break
-                try:
-                    step = np.linalg.solve(jf(x), fx)
-                except np.linalg.LinAlgError:
-                    break
-                lam, improved = 1.0, False
-                for _ in range(20):
-                    xn = x - lam * step
-                    fn = f(xn[None, :])[0]
-                    if float(np.abs(fn).max()) < norm:
-                        x, fx = xn, fn
-                        norm = float(np.abs(fx).max())
-                        improved = True
-                        break
-                    lam /= 2
-                if not improved:
-                    break
-            if norm >= 1e-13:
-                continue
-            local = np.mod(x - base, 1.0)
-            local = np.where(local > 1.0 - 1e-9, 0.0, local)
-            locals_found.append(tuple(local))
-        unique = []
-        for z in locals_found:
-            if not any(max(min(abs(a - b), 1 - abs(a - b))
-                           for a, b in zip(z, w)) < 1e-7 for w in unique):
-                unique.append(z)
-        if len(unique) > 4 * self.grid:
+        x = _lockstep_newton(self._numeric(key), self._numeric_jac(key), starts)
+        local = np.mod(x - base, 1.0)
+        local = np.where(local > 1.0 - 1e-9, 0.0, local)
+        unique = _dedup_on_torus(local, limit=4 * self.grid)
+        if unique is None:
             raise TamenessError("zero set is not isolated at grid resolution "
                                 "(Newton converges on a cluster)")
         out = []
@@ -258,29 +271,43 @@ class AnalyticModel:
                         False))
         return out
 
+    def window_records(self, window, plain: bool = False):
+        """Host records of the zeros in ``window``, resolved once per window.
+
+        Windows that use the unoverridden expressions translate the base
+        window's records: an interior record keeps its cell and isolation
+        radius with a translated deck element, an on-face record is
+        re-resolved (its tie-break is not translation-invariant).
+        """
+        window = tuple(window)
+        key = (self.component_key(window, plain), window)
+        if key not in self._records:
+            ident = self.group.identity()
+            if key[0] is None and window != ident:
+                self._records[key] = [
+                    _translate_record(self.complex, r, window)
+                    for r in self.window_records(ident, plain=True)]
+            else:
+                self._records[key] = [
+                    resolve_record(self.complex, pos, exact)
+                    for pos, exact in self.zeros_in_window(window, plain)]
+        return [replace(r) for r in self._records[key]]
+
     def local_index_at(self, position, exact: bool, window=None,
                        plain: bool = False) -> int:
         """Index at a zero via the certified Jacobian determinant sign."""
         if window is None:
             window = self.window_of(position)
-        if plain:
-            _, jac = self.components, self.jac
-        else:
-            _, jac = self.components_for_window(window)
+        key = self.component_key(window, plain)
         if exact:
-            import sympy
-            m = sympy.Matrix(jac)
-            if self.index_matrix_sign < 0:
-                m = -m
             point = dict(zip(exprs.variables(self.dim), map(Fraction, position)))
-            sign = exprs.certified_sign(m.det(), point)
+            sign = exprs.certified_sign(self._index_det(key), point)
             if sign == 0:
                 raise InputError("degenerate analytic zero: the Jacobian "
                                  "determinant vanishes; demand a smaller "
                                  "isolation radius or simplify the model")
             return sign
-        jf = self._numeric_jac(jac)
-        m = jf(np.array([float(c) for c in position]))
+        m = self._numeric_jac(key)(np.array([[float(c) for c in position]]))[0]
         if self.index_matrix_sign < 0:
             m = -m
         d = float(np.linalg.det(m))
@@ -289,19 +316,96 @@ class AnalyticModel:
                              "non-exact zero; demand a smaller isolation radius")
         return 1 if d > 0 else -1
 
+    def _index_det(self, key):
+        """det(index_matrix_sign * Jacobian) of a component set, built once."""
+        if key not in self._index_dets:
+            import sympy
+            m = sympy.Matrix(self._component_set(key)[1])
+            if self.index_matrix_sign < 0:
+                m = -m
+            self._index_dets[key] = m.det()
+        return self._index_dets[key]
+
     def norms_at(self, points: np.ndarray) -> np.ndarray:
         """Displacement/field norms at float samples, override-aware."""
+        windows = np.floor(points).astype(int)
+        keys = np.full(len(points), -1)
+        # the first override of a window wins, as in components_for_window
+        for i in reversed(range(len(self.overrides))):
+            inside = (windows == self.overrides[i]["translate"]).all(axis=1)
+            keys[inside] = i
         out = np.empty(len(points))
-        buckets: dict = {}
-        for i, p in enumerate(points):
-            w = tuple(int(math.floor(c)) for c in p)
-            buckets.setdefault(w if self.has_override(w) else None, []).append(i)
-        for w, idxs in buckets.items():
-            comps = self.components if w is None else self.components_for_window(w)[0]
-            f = self._numeric(comps)
-            sel = np.array(idxs)
+        for k in np.unique(keys):
+            sel = keys == k
+            f = self._numeric(None if k < 0 else int(k))
             out[sel] = np.sqrt((f(points[sel]) ** 2).sum(axis=1))
         return out
+
+
+def _lockstep_newton(f, jf, starts):
+    """Damped Newton from every start at once; returns, in start order, the
+    final iterates of the starts that converged below residual 1e-13."""
+    x = starts.copy()
+    fx = f(x)
+    norm = np.abs(fx).max(axis=1)
+    open_ = ~(norm < 1e-13)
+    for _ in range(60):
+        active = np.flatnonzero(open_)
+        if not len(active):
+            break
+        step, solved = _stacked_solve(jf(x[active]), fx[active])
+        open_[active[~solved]] = False
+        active, step = active[solved], step[solved]
+        lam = np.ones(len(active))
+        searching = np.ones(len(active), dtype=bool)
+        for _ in range(20):
+            s = np.flatnonzero(searching)
+            if not len(s):
+                break
+            xn = x[active[s]] - lam[s, None] * step[s]
+            fn = f(xn)
+            nn = np.abs(fn).max(axis=1)
+            better = nn < norm[active[s]]
+            won = active[s[better]]
+            x[won], fx[won], norm[won] = xn[better], fn[better], nn[better]
+            searching[s[better]] = False
+            lam[s[~better]] /= 2
+        open_[active[searching]] = False          # no descent: give up
+        open_[active] &= ~(norm[active] < 1e-13)   # converged: stop
+    return x[~(norm >= 1e-13)]
+
+
+def _stacked_solve(matrices, rhs):
+    """Solve each system; singular systems are reported, not raised."""
+    try:
+        return np.linalg.solve(matrices, rhs[..., None])[..., 0], \
+            np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(rhs)
+        ok = np.ones(len(rhs), dtype=bool)
+        for i, (m, b) in enumerate(zip(matrices, rhs)):
+            try:
+                out[i] = np.linalg.solve(m, b)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return out, ok
+
+
+def _dedup_on_torus(points, limit: int, tol: float = 1e-7):
+    """First representatives, in order, of points within ``tol`` on the torus.
+
+    Returns None once more than ``limit`` representatives appear.
+    """
+    unique = []
+    rest = points
+    while len(rest):
+        z = rest[0]
+        unique.append(tuple(z))
+        if len(unique) > limit:
+            return None
+        d = np.abs(rest - z)
+        rest = rest[np.minimum(d, 1 - d).max(axis=1) >= tol]
+    return unique
 
 
 class AnalyticMapModel(AnalyticModel):
@@ -445,7 +549,11 @@ def subdivided_automorphism(model: SimplicialMapModel) -> SimplicialMapModel:
 def locate_host_cells(q: QuotientComplex, position, exact: bool):
     """Cover top cells containing an exact Euclidean point.
 
-    Returns ``(deck, top index, 'interior'|'boundary')`` triples.
+    Returns ``(deck, top index, 'interior'|'boundary')`` triples.  Over
+    Z^n with full-dimensional cells the per-cell table of
+    :func:`_host_table` is used: a translate is a candidate only when the
+    point lies in the cell's bounding box, and a candidate's barycentric
+    coordinates are one exact matrix-vector product.
     """
     if not exact:
         return []
@@ -459,19 +567,64 @@ def locate_host_cells(q: QuotientComplex, position, exact: bool):
                 out.append((group.identity(), idx, status))
         return out
     pos = [Fraction(c) for c in position]
+    table = _host_table(q)
+    if table is None:
+        for idx in q.cells(n):
+            verts = q.realize(n, idx)
+            ranges = []
+            for i in range(n):
+                lo = min(v[i] for v in verts)
+                hi = max(v[i] for v in verts)
+                ranges.append(range(math.floor(pos[i] - hi), math.ceil(pos[i] - lo) + 1))
+            for g in itertools.product(*ranges):
+                shifted = tuple(p - Fraction(t) for p, t in zip(pos, g))
+                status = point_in_simplex(shifted, verts)
+                if status != "outside":
+                    out.append((tuple(g), idx, status))
+        return out
+    for idx, inverse, lo, hi in table:
+        # the translates g whose cell box lo + g .. hi + g holds the point
+        ranges = [range(math.ceil(p - h), math.floor(p - l) + 1)
+                  for p, l, h in zip(pos, lo, hi)]
+        for g in itertools.product(*ranges):
+            shifted = [p - t for p, t in zip(pos, g)] + [1]
+            lam = [sum(a * b for a, b in zip(row, shifted)) for row in inverse]
+            if any(c < 0 for c in lam):
+                continue
+            out.append((g, idx, "boundary" if any(c == 0 for c in lam)
+                        else "interior"))
+    return out
+
+
+_HOST_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _host_table(q: QuotientComplex):
+    """Per top cell of a Z^n complex: (index, exact inverse of the
+    barycentric matrix, box low corner, box high corner), built once per
+    complex; None when some top cell is not a full-dimensional simplex."""
+    if q not in _HOST_TABLES:
+        _HOST_TABLES[q] = _build_host_table(q)
+    return _HOST_TABLES[q]
+
+
+def _build_host_table(q: QuotientComplex):
+    n = q.dimension
+    table = []
     for idx in q.cells(n):
         verts = q.realize(n, idx)
-        ranges = []
-        for i in range(n):
-            lo = min(v[i] for v in verts)
-            hi = max(v[i] for v in verts)
-            ranges.append(range(math.floor(pos[i] - hi), math.ceil(pos[i] - lo) + 1))
-        for g in itertools.product(*ranges):
-            shifted = tuple(p - Fraction(t) for p, t in zip(pos, g))
-            status = point_in_simplex(shifted, verts)
-            if status != "outside":
-                out.append((tuple(g), idx, status))
-    return out
+        if len(verts[0]) != n:
+            return None
+        # barycentric coordinates l solve [vertices as columns; 1 ... 1] l = [p; 1]
+        matrix = [[v[i] for v in verts] for i in range(n)] + [[1] * (n + 1)]
+        columns = [solve_linear(matrix, [int(i == j) for i in range(n + 1)])
+                   for j in range(n + 1)]
+        if any(status != "unique" for status, _ in columns):
+            return None
+        inverse = [[col[i] for _, col in columns] for i in range(n + 1)]
+        table.append((idx, inverse, [min(v[i] for v in verts) for i in range(n)],
+                      [max(v[i] for v in verts) for i in range(n)]))
+    return table
 
 
 def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecord:
@@ -488,6 +641,21 @@ def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecor
                                 on_face=True, isolation=None)
     return FixedPointRecord(position=position, exact=exact, host=None,
                             on_face=True, isolation=None)
+
+
+def _translate_record(q: QuotientComplex, record: FixedPointRecord, g):
+    """The record of a zero moved by the lattice translation g.
+
+    An interior host moves with the point and keeps its isolation radius;
+    other records are resolved afresh.
+    """
+    position = _translate_zero(record.position, record.exact, g)
+    if record.on_face or record.host is None:
+        return resolve_record(q, position, record.exact)
+    h, idx = record.host
+    return FixedPointRecord(position=position, exact=record.exact,
+                            host=(q.group.multiply(h, g), idx), on_face=False,
+                            isolation=record.isolation)
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +684,10 @@ def _translate_zero(z, exact, g):
 
 
 def _find_analytic(model: AnalyticModel, radius: int):
-    q = model.complex
     group = model.group
-    base = model.zeros_in_window(group.identity(), plain=True)
     records = []
     for g in sorted(group.ball(radius), key=group.sort_key):
-        if model.has_override(g):
-            zeros = model.zeros_in_window(g)
-        else:
-            zeros = [(_translate_zero(z, exact, g), exact) for z, exact in base]
-        for position, exact in zeros:
-            records.append(resolve_record(q, position, exact))
+        records.extend(model.window_records(g))
     return records
 
 
@@ -657,14 +818,8 @@ def _materialized_zero_set(model, records):
     for w in windows:
         for shift in itertools.product((-1, 0, 1), repeat=model.dim):
             sampled.add(tuple(a + b for a, b in zip(w, shift)))
-    base = model.zeros_in_window(group.identity(), plain=True)
-    pts = []
-    for w in sorted(sampled):
-        if model.has_override(w):
-            zs = model.zeros_in_window(w)
-        else:
-            zs = [(_translate_zero(z, exact, w), exact) for z, exact in base]
-        pts.extend([[float(c) for c in z] for z, _ in zs])
+    pts = [[float(c) for c in r.position]
+           for w in sorted(sampled) for r in model.window_records(w)]
     return np.array(pts) if pts else np.empty((0, model.dim))
 
 
@@ -724,8 +879,10 @@ def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessRe
                 extra = [w for w in model.override_translates()
                          if w != model.group.identity()]
                 for w in extra:
-                    records.extend(resolve_record(model.complex, pos, exact)
-                                   for pos, exact in model.zeros_in_window(w))
+                    records.extend(model.window_records(w))
+        # reads the unoverridden window's zeros even when an override
+        # replaces them at the identity, so a failed search shows up here
+        zero_set = _materialized_zero_set(model, records)
     except TamenessError as e:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=[str(e)])
@@ -769,7 +926,6 @@ def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessRe
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=witnesses + ["no positive isolation radius"])
 
-    zero_set = _materialized_zero_set(model, records)
     eps_float = None
     for attempt in (1, 2):
         pts, disp = _sample_displacement(model, grid * attempt)
@@ -840,23 +996,35 @@ def lefschetz_class(model, fd=None, report: TamenessReport | None = None) -> Cla
             constant += local_index(model, r)
         return ClassFunction(group, constant, {})
 
-    # analytic over Z^n
-    base = model.zeros_in_window(group.identity(), plain=True)
+    return analytic_index_class(model, fd)
+
+
+def analytic_index_class(model: AnalyticModel, fd) -> ClassFunction:
+    """Index class of an analytic map or field from the model's analysis.
+
+    The unoverridden expressions' per-window index total is the constant
+    part; an overridden window contributes, per coset, its zeros' indices
+    minus those of the unoverridden zeros it replaces.  Whether a map or a
+    field is meant comes in through ``model.index_matrix_sign``.
+    """
+    group = model.group
+    n = model.complex.dimension
+
+    def coset_of(record):
+        return fd.coset_of_cell(record.host[0], n, record.host[1])
+
     constant = 0
-    for z, exact in base:
-        rec = resolve_record(model.complex, z, exact)
+    for rec in model.window_records(group.identity(), plain=True):
         if rec.on_face or rec.host is None:
             raise TamenessError("equivariant zero lacks a strong-tameness witness")
         constant += model.local_index_at(rec.position, rec.exact, plain=True)
     finite: dict = {}
     for w in model.override_translates():
-        for z, exact in [(_translate_zero(z, e, w), e) for z, e in base]:
-            rec = resolve_record(model.complex, z, exact)
+        for rec in model.window_records(w, plain=True):
             idx = model.local_index_at(rec.position, rec.exact, plain=True)
             c = coset_of(rec)
             finite[c] = finite.get(c, 0) - idx
-        for z, exact in model.zeros_in_window(w):
-            rec = resolve_record(model.complex, z, exact)
+        for rec in model.window_records(w):
             if rec.on_face or rec.host is None:
                 raise TamenessError("override zero lacks a strong-tameness witness")
             idx = model.local_index_at(rec.position, rec.exact, window=w)
@@ -876,17 +1044,20 @@ def ingest_index_data(doc: dict):
     return f, note
 
 
-def equivariant_oracle_check(model, report: TamenessReport | None = None) -> dict:
+def equivariant_oracle_check(model, report: TamenessReport | None = None,
+                             cls: ClassFunction | None = None) -> dict:
     """Compare the class constant with the classical alternating trace.
 
     Only equivariant models descend to the quotient.  A displacement-form
     analytic map is homotopic to the identity on the quotient, whose
     Lefschetz number is the Euler characteristic; a simplicial model is
     traced on rational homology through its subdivision chain equivalence.
+    ``cls`` is the model's Lefschetz class when the caller already has it.
     """
     if not model.equivariant:
         raise InputError("oracle comparison needs an equivariant map")
-    cls = lefschetz_class(model, report=report)
+    if cls is None:
+        cls = lefschetz_class(model, report=report)
     if isinstance(model.group, FiniteGroup):
         values = {cls.value(g) for g in model.group.elements()}
         if len(values) != 1:

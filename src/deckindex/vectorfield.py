@@ -24,6 +24,7 @@ from .fixpoint import (
     AnalyticModel,
     FixedPointRecord,
     TamenessReport,
+    analytic_index_class,
     resolve_record,
     tameness_check,
 )
@@ -264,45 +265,24 @@ def index_class(model, fd=None, report: TamenessReport | None = None) -> ClassFu
             finite[r.coset] = finite.get(r.coset, 0) + r.index
         return ClassFunction(group, 0, finite)
 
-    # analytic field over Z^n: constant part from the plain field, finite
-    # part from overridden windows
-    base = model.zeros_in_window(model.group.identity(), plain=True)
-    constant = 0
-    for z, exact in base:
-        rec = resolve_record(model.complex, z, exact)
-        if rec.on_face or rec.host is None:
-            raise TamenessError("equivariant zero lacks a strong-tameness witness")
-        constant += model.local_index_at(rec.position, rec.exact, plain=True)
-    finite: dict = {}
-    from .fixpoint import _translate_zero
-    for w in model.override_translates():
-        for z, exact in [(_translate_zero(z, e, w), e) for z, e in base]:
-            rec = resolve_record(model.complex, z, exact)
-            idx = model.local_index_at(rec.position, rec.exact, plain=True)
-            c = fd.coset_of_cell(rec.host[0], n, rec.host[1])
-            finite[c] = finite.get(c, 0) - idx
-        for z, exact in model.zeros_in_window(w):
-            rec = resolve_record(model.complex, z, exact)
-            if rec.on_face or rec.host is None:
-                raise TamenessError("override zero lacks a strong-tameness witness")
-            idx = model.local_index_at(rec.position, rec.exact, window=w)
-            c = fd.coset_of_cell(rec.host[0], n, rec.host[1])
-            finite[c] = finite.get(c, 0) + idx
-    return ClassFunction(group, constant, finite)
+    return analytic_index_class(model, fd)
 
 
-def poincare_hopf_check(model, decide=None) -> dict:
+def poincare_hopf_check(model, decide=None,
+                        report: TamenessReport | None = None) -> dict:
     """Compare the index class with chi(quotient) times the constant one.
 
     Forms ind(v) - chi * 1 as a class function and submits it to the class
     decision procedure.  With exact arithmetic a nonzero verdict can only
     mean the input model violates the theorem's hypotheses, and the report
-    flags it as an input-model error.
+    flags it as an input-model error.  ``report`` is the tameness verdict
+    that gates the index class (checked afresh when omitted); the class
+    itself is returned under ``class_function``.
     """
     from .ufh import decide_class
     if decide is None:
         decide = decide_class
-    cls = index_class(model)
+    cls = index_class(model, report=report)
     chi = euler_characteristic(model.complex)
     difference = cls - ClassFunction(model.group, chi, {})
     cert = decide(model.group, difference)
@@ -310,6 +290,7 @@ def poincare_hopf_check(model, decide=None) -> dict:
     return {
         "euler_characteristic": chi,
         "index_class": cls.to_document(),
+        "class_function": cls,
         "difference": difference.to_document(),
         "certificate": cert,
         "consistent": consistent,

@@ -1,0 +1,203 @@
+"""The analytic model's shared analysis against plain references.
+
+``_scalar_zeros_in_window`` is the per-start damped Newton loop the search
+is defined by: each start iterates on its own, with at most 60 Newton
+steps, at most 20 step halvings per step, acceptance on a strict drop of
+the residual max-norm and a stop below 1e-13.  The lockstep search must
+return exactly the same (position, exact) list, floats bit for bit.
+``_brute_force_hosts`` tests every nearby translate of every top cell
+with ``point_in_simplex``; the table-driven host location must agree.
+"""
+
+from fractions import Fraction
+import itertools
+
+import numpy as np
+import pytest
+import sympy
+
+from deckindex import exprs
+from deckindex.fixpoint import (AnalyticMapModel, locate_host_cells,
+                                map_model_from_document, resolve_record)
+from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
+from deckindex.geometry import point_in_simplex
+from deckindex.vectorfield import (field_model_from_document,
+                                   field_tameness_check, find_zeros,
+                                   index_class, poincare_hopf_check)
+
+
+def _scalar_zeros_in_window(model, window, plain=False):
+    if plain:
+        components, jac = model.components, model.jac
+    else:
+        components, jac = model.components_for_window(window)
+    vs = exprs.variables(model.dim)
+    f = exprs.lambdify_vector(components, model.dim)
+    entries = [[sympy.lambdify(vs, e, modules="numpy") for e in row] for row in jac]
+
+    def jf(point):
+        return np.array([[float(fn(*point)) for fn in row] for row in entries])
+
+    base = np.array([float(x) for x in window])
+    axes = [np.linspace(0.0, 1.0, model.grid, endpoint=False)
+            + 0.5 / model.grid] * model.dim
+    starts = np.array(list(itertools.product(*axes))) + base
+    found = []
+    for start, v0 in zip(starts, f(starts)):
+        x, fx = start.copy(), v0
+        norm = float(np.abs(fx).max())
+        for _ in range(60):
+            if norm < 1e-13:
+                break
+            try:
+                step = np.linalg.solve(jf(x), fx)
+            except np.linalg.LinAlgError:
+                break
+            lam, improved = 1.0, False
+            for _ in range(20):
+                xn = x - lam * step
+                fn = f(xn[None, :])[0]
+                if float(np.abs(fn).max()) < norm:
+                    x, fx = xn, fn
+                    norm = float(np.abs(fx).max())
+                    improved = True
+                    break
+                lam /= 2
+            if not improved:
+                break
+        if norm >= 1e-13:
+            continue
+        local = np.mod(x - base, 1.0)
+        local = np.where(local > 1.0 - 1e-9, 0.0, local)
+        found.append(tuple(local))
+    unique = []
+    for z in found:
+        if not any(max(min(abs(a - b), 1 - abs(a - b))
+                       for a, b in zip(z, w)) < 1e-7 for w in unique):
+            unique.append(z)
+    out = []
+    for z in sorted(unique):
+        snapped = [exprs.snap_to_rational(c) for c in z]
+        if all(s is not None for s in snapped):
+            point = {v: s + Fraction(w) for v, s, w in zip(vs, snapped, window)}
+            if exprs.is_exact_zero_vector(components, point):
+                out.append((tuple(s + Fraction(w) for s, w in zip(snapped, window)),
+                            True))
+                continue
+        out.append((tuple(float(c) + float(w) for c, w in zip(z, window)), False))
+    return out
+
+
+def _torus_model(components, bound="2"):
+    return AnalyticMapModel(fixture_complex("torus"), components, Fraction(bound))
+
+
+def _assert_same(model, window, plain=False):
+    expected = _scalar_zeros_in_window(model, window, plain)
+    got = model.zeros_in_window(window, plain=plain)
+    assert got == expected
+    # floats must agree bit for bit, not just compare equal
+    assert [tuple(map(repr, p)) for p, _ in got] == \
+        [tuple(map(repr, p)) for p, _ in expected]
+    return got
+
+
+def test_sin_map_base_window():
+    model = map_model_from_document(fixture_document("sin-map"))
+    got = _assert_same(model, (0, 0), plain=True)
+    assert len(got) == 4 and all(exact for _, exact in got)
+
+
+def test_sin_field_override_window():
+    model = field_model_from_document(fixture_document("sin-field-override"))
+    w = model.override_translates()[0]
+    got = _assert_same(model, w)
+    assert len(got) == 8
+
+
+def test_irrational_zeros():
+    model = _torus_model(["sin(2*pi*x) - 1/3", "sin(2*pi*y) - 1/5"])
+    got = _assert_same(model, (0, 0))
+    assert len(got) == 4 and not any(exact for _, exact in got)
+    _assert_same(model, (2, -1))
+
+
+def test_singular_jacobian_at_some_starts():
+    # the second row of the Jacobian, 2y - 17/32, vanishes exactly on the
+    # starts with y = 17/64, so their first Newton system is singular
+    model = _torus_model(["sin(2*pi*x)", "(y - 17/64)**2 - 1/100"])
+    got = _assert_same(model, (0, 0))
+    assert len(got) == 4
+
+
+def test_everywhere_singular_jacobian_finds_nothing():
+    model = _torus_model(["sin(2*pi*x)", "1/3"])
+    assert _assert_same(model, (0, 0)) == []
+
+
+def test_cached_list_is_a_copy():
+    model = map_model_from_document(fixture_document("sin-map"))
+    first = model.zeros_in_window((0, 0), plain=True)
+    first.clear()
+    assert len(model.zeros_in_window((0, 0), plain=True)) == 4
+    records = model.window_records((1, 0))
+    records[0].index = 7
+    records.pop()
+    again = model.window_records((1, 0))
+    assert len(again) == 4 and again[0].index is None
+
+
+def test_translated_records_match_fresh_resolution():
+    model = map_model_from_document(fixture_document("sin-map"))
+    for g in [(1, 0), (-2, 1), (0, -1)]:
+        fresh = [resolve_record(model.complex, pos, True)
+                 for pos, _ in model.zeros_in_window(g, plain=True)]
+        assert model.window_records(g) == fresh
+
+
+def test_pipeline_searches_each_window_once(monkeypatch):
+    model = field_model_from_document(fixture_document("sin-field-override"))
+    calls = []
+    search = model._search_zeros
+    monkeypatch.setattr(model, "_search_zeros",
+                        lambda key, window: calls.append((key, window)) or
+                        search(key, window))
+    report = field_tameness_check(model, grid=32)
+    find_zeros(model, 2)
+    poincare_hopf_check(model, report=report)
+    index_class(model, report=report)
+    w = model.override_translates()[0]
+    assert sorted(calls, key=repr) == [(0, w), (None, (0, 0))]
+
+
+def _brute_force_hosts(q, position):
+    # the torus cells span coordinates in (-1, 2), so a hosting translate g
+    # has floor(c) - 2 <= g <= floor(c) + 1 in every coordinate c
+    n = q.dimension
+    near = [range(int(c // 1) - 2, int(c // 1) + 2) for c in position]
+    out = []
+    for idx in q.cells(n):
+        verts = q.realize(n, idx)
+        for g in itertools.product(*near):
+            shifted = tuple(p - t for p, t in zip(position, g))
+            status = point_in_simplex(shifted, verts)
+            if status != "outside":
+                out.append((g, idx, status))
+    return out
+
+
+@pytest.mark.parametrize("offset", [(Fraction(1, 5), Fraction(1, 9)), (0, 0)])
+def test_table_host_location_matches_brute_force(offset):
+    q = torus_grid(3, offset)
+    sixths = [Fraction(a, 6) for a in range(6)]
+    thirds = sixths[::2]
+    # grid points, vertex-aligned points far out, and generic points
+    points = [(x, y) for x in sixths for y in sixths]
+    points += [(x + offset[0] - 1, y + offset[1] + 2) for x in thirds for y in thirds]
+    points += [(x + Fraction(1, 17), y + Fraction(1, 29)) for x in thirds for y in thirds]
+    statuses = set()
+    for p in points:
+        hosts = locate_host_cells(q, p, True)
+        assert hosts == _brute_force_hosts(q, p)
+        statuses.update(h[2] for h in hosts)
+    assert statuses == {"interior", "boundary"}

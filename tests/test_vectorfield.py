@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from deckindex.errors import TamenessError
+from deckindex.fixpoint import TamenessReport
 from deckindex.fixtures import fixture_document
 from deckindex.vectorfield import (
     field_index,
@@ -153,3 +154,11 @@ class TestPoincareHopf:
             "components": ["-sin(2*pi*x)", "-sin(2*pi*y)"], "bound": "2"})
         assert poincare_hopf_check(negated)["consistent"] == \
             poincare_hopf_check(sin_field)["consistent"]
+
+    def test_given_report_gates_the_class(self, sin_field):
+        refused = TamenessReport(delta=None, epsilon=None, verdict="not tame")
+        with pytest.raises(TamenessError, match="not tame"):
+            poincare_hopf_check(sin_field, report=refused)
+        out = poincare_hopf_check(sin_field,
+                                  report=field_tameness_check(sin_field, grid=32))
+        assert out["class_function"].to_document() == out["index_class"]
