@@ -10,8 +10,9 @@ The package is organized around six core modules:
   finite quotient data with deck-labeled edges, lazy cover expansion,
   fundamental domains and barycentric subdivision;
 * :mod:`deckindex.chains` -- periodic (co)chains, boundary, cap product,
-  fundamental cycles, projection to class functions, and exact rational
-  homology of the quotient as a classical oracle;
+  fundamental cycles, projection to class functions, rational Betti
+  numbers of the quotient, and the chain-level Hopf trace as the
+  classical Lefschetz oracle;
 * :mod:`deckindex.ufh` -- Folner search, isoperimetric probes, bounding
   1-chains and uniform-capacity flow certificates deciding vanishing in
   the coinvariant quotient of bounded functions;

@@ -68,11 +68,6 @@ class PeriodicChain:
     def value(self, g, idx: int) -> int:
         return self.equivariant.get(idx, 0) + self.exceptional.get((g, idx), 0)
 
-    def support_bound(self) -> int:
-        eq = max(map(abs, self.equivariant.values()), default=0)
-        ex = max(map(abs, self.exceptional.values()), default=0)
-        return eq + ex
-
     def _same_shape(self, other):
         if self.complex is not other.complex or self.degree != other.degree:
             raise InputError("chains live on different complexes or degrees")
@@ -396,11 +391,15 @@ class ClassFunction:
 
     @classmethod
     def from_document(cls, group: MarkedGroup, doc: dict) -> "ClassFunction":
-        finite = {}
-        for word, v in doc.get("finite", []) or []:
-            g = group.parse_word(word)
-            finite[g] = finite.get(g, 0) + int(v)
-        return cls(group, int(doc.get("constant", 0)), finite)
+        try:
+            finite = {}
+            for word, v in doc.get("finite", []) or []:
+                g = group.parse_word(word)
+                finite[g] = finite.get(g, 0) + int(v)
+            constant = int(doc.get("constant", 0))
+        except (TypeError, ValueError) as e:
+            raise InputError(f"malformed class function document: {e}")
+        return cls(group, constant, finite)
 
 
 def project_to_group(c: PeriodicChain, fd) -> ClassFunction:
@@ -422,183 +421,71 @@ def project_to_group(c: PeriodicChain, fd) -> ClassFunction:
 
 
 # ---------------------------------------------------------------------------
-# Classical homology of the quotient (exact rational oracle)
+# Classical oracle: Betti numbers and the Hopf trace of the quotient
 
 
 @dataclass
 class HomologyData:
     betti: list
     boundary_matrices: list  # boundary_matrices[k]: rows (k-1)-cells x cols k-cells
-    cycle_bases: list        # cycle_bases[k]: list of homology generator vectors
 
 
-class _Span:
-    """Incrementally maintained row-echelon basis of a rational span."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []  # (pivot_col, normalized_vector)
-
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for piv, row in self.rows:
-            if v[piv]:
-                f = v[piv]
-                for i in range(piv, self.dim):
-                    v[i] -= f * row[i]
-        return v
-
-    def add(self, vec) -> bool:
-        """Insert a vector; True when the rank grew."""
-        v = self.reduce(vec)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
-        inv = Fraction(1) / v[piv]
-        v = [x * inv for x in v]
-        self.rows.append((piv, v))
-        self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
-def _solve_in_span(basis_vectors, target):
-    """Coefficients expressing target in the rational span, or None."""
-    if not basis_vectors:
-        return None if any(target) else []
-    rows = len(target)
-    aug = [[Fraction(basis_vectors[j][i]) for j in range(len(basis_vectors))]
-           + [Fraction(target[i])] for i in range(rows)]
-    ncols = len(basis_vectors)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for rr in range(r, rows):
-            if aug[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(rows):
-            if rr != r and aug[rr][col]:
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
-        pivots.append(col)
-        r += 1
-    for rr in range(r, rows):
-        if aug[rr][ncols]:
-            return None
-    coeffs = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        coeffs[col] = aug[i][ncols]
-    return coeffs
-
-
-def _nullspace(matrix, ncols):
-    """Basis of the rational nullspace of a (rows x ncols) matrix."""
-    if not matrix:
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    m = [list(map(Fraction, r)) for r in matrix]
-    rows = len(m)
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for rr in range(r, rows):
-            if m[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][col]:
-                f = m[rr][col]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for col, rr in pivots.items():
-            v[col] = -m[rr][fc]
-        basis.append(v)
-    return basis
+def _boundary_columns(q: QuotientComplex, k: int) -> list:
+    """The k-th boundary of the quotient as sparse columns, one per k-cell."""
+    columns = []
+    for idx in q.cells(k):
+        col: dict = {}
+        for fidx, fsign, _ in q.face_data(k, idx):
+            col[fidx] = col.get(fidx, 0) + fsign
+        columns.append(_prune(col))
+    return columns
 
 
 def boundary_matrix(q: QuotientComplex, k: int):
     """Integer matrix of the k-th simplicial boundary of the quotient."""
-    rows = q.count(k - 1)
-    cols = q.count(k)
-    mat = [[0] * cols for _ in range(rows)]
-    for idx in q.cells(k):
-        for fidx, fsign, _ in q.face_data(k, idx):
-            mat[fidx][idx] += fsign
+    mat = [[0] * q.count(k) for _ in range(q.count(k - 1))]
+    for idx, col in enumerate(_boundary_columns(q, k)):
+        for fidx, c in col.items():
+            mat[fidx][idx] = c
     return mat
 
 
+def _rank(columns) -> int:
+    """Rank over Q of sparse integer columns by exact column reduction.
+
+    A reduced column is kept under its largest row (its pivot); each new
+    column is reduced against the kept pivots until it vanishes or reaches
+    a free pivot.  Boundary columns have k+1 entries, so fill-in stays small.
+    """
+    pivots: dict = {}
+    for col in columns:
+        col = {r: Fraction(c) for r, c in col.items()}
+        while col:
+            low = max(col)
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                break
+            f = col[low] / other[low]
+            for r, c in other.items():
+                v = col.get(r, 0) - f * c
+                if v:
+                    col[r] = v
+                else:
+                    col.pop(r, None)
+    return len(pivots)
+
+
 def quotient_homology(q: QuotientComplex) -> HomologyData:
-    """Rational homology of the quotient by exact row reduction."""
+    """Rational Betti numbers of the quotient.
+
+    b_k = c_k - rank d_k - rank d_(k+1), with the ranks from :func:`_rank`.
+    """
     n = q.dimension
+    ranks = [0] + [_rank(_boundary_columns(q, k)) for k in range(1, n + 1)] + [0]
+    betti = [q.count(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
     mats = [None] + [boundary_matrix(q, k) for k in range(1, n + 1)]
-    betti = []
-    bases = []
-    for k in range(n + 1):
-        ck = q.count(k)
-        if k == 0:
-            cycles = _nullspace([], ck)
-        else:
-            cycles = _nullspace(mats[k], ck)
-        if k < n:
-            bmat = mats[k + 1]
-            boundaries = []
-            for j in range(q.count(k + 1)):
-                col = [Fraction(bmat[i][j]) for i in range(ck)]
-                boundaries.append(col)
-        else:
-            boundaries = []
-        # choose cycle representatives extending a basis of the boundaries
-        chosen = []
-        span = _Span(ck)
-        for col in boundaries:
-            span.add(col)
-        for z in cycles:
-            if span.add(z):
-                chosen.append(z)
-        betti.append(len(chosen))
-        bases.append(chosen)
-    return HomologyData(betti=betti, boundary_matrices=mats, cycle_bases=bases)
-
-
-def homology_class_coordinates(q: QuotientComplex, hom: HomologyData, k: int, vector):
-    """Coordinates of a k-cycle in the chosen homology basis."""
-    ck = q.count(k)
-    boundaries = []
-    if k < q.dimension:
-        bmat = hom.boundary_matrices[k + 1]
-        for j in range(q.count(k + 1)):
-            boundaries.append([Fraction(bmat[i][j]) for i in range(ck)])
-    basis = boundaries + hom.cycle_bases[k]
-    coeffs = _solve_in_span(basis, vector)
-    if coeffs is None:
-        raise InternalError("vector is not a cycle modulo boundaries")
-    return coeffs[len(boundaries):]
+    return HomologyData(betti=betti, boundary_matrices=mats)
 
 
 def lefschetz_number_quotient(q: QuotientComplex, fbar) -> int:
@@ -607,30 +494,15 @@ def lefschetz_number_quotient(q: QuotientComplex, fbar) -> int:
     ``fbar`` is a chain-mappable simplicial model: an object exposing
     ``chain_image(k, idx) -> list[(target_idx, coeff)]`` on the chains of
     ``q`` (compositions with subdivision chain maps are handled by the
-    caller).  The trace is taken on rational homology, degree by degree.
+    caller).  By the Hopf trace formula the alternating trace of a chain
+    map equals the alternating trace on rational homology, so the number
+    is read off the diagonal of the chain map.
     """
-    hom = quotient_homology(q)
     total = 0
     for k in range(q.dimension + 1):
-        basis = hom.cycle_bases[k]
-        if not basis:
-            continue
-        images = []
-        for z in basis:
-            img = [Fraction(0)] * q.count(k)
-            for idx, coeff in enumerate(z):
-                if not coeff:
-                    continue
-                for tgt, c in fbar.chain_image(k, idx):
-                    img[tgt] += coeff * c
-            images.append(img)
-        trace = Fraction(0)
-        for i, img in enumerate(images):
-            coords = homology_class_coordinates(q, hom, k, img)
-            trace += coords[i]
-        if trace.denominator != 1:
-            raise InternalError("non-integral homology trace")
-        total += (-1) ** k * int(trace)
+        trace = sum(c for idx in q.cells(k)
+                    for tgt, c in fbar.chain_image(k, idx) if tgt == idx)
+        total += (-1) ** k * trace
     return total
 
 

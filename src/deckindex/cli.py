@@ -64,8 +64,16 @@ def _load_document(ref: str) -> dict:
             return fixture_document(name)
         except InputError:
             return {"complex": fixture_complex(name).to_document()}
-    with open(ref, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(ref, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read {ref}: {e.strerror or e}")
+    except ValueError as e:  # undecodable bytes or malformed JSON
+        raise InputError(f"{ref} is not a UTF-8 JSON document: {e}")
+    if not isinstance(doc, dict):
+        raise InputError(f"{ref} must hold a JSON object")
+    return doc
 
 
 def _emit(config: RunConfig, payload: dict, charts=None) -> dict:
@@ -252,12 +260,14 @@ def cmd_field_analyze(config: RunConfig) -> int:
 
 def cmd_amenability(config: RunConfig) -> int:
     doc = _load_document(config.inputs[0])
-    group = group_from_document(doc.get("group", doc))
+    # a bare group block, or the group of a class or complex document
+    block = doc.get("complex", doc).get("group", doc)
+    group = group_from_document(block)
     radii = list(range(1, config.radius + 1))
     graph = CayleyGraph(group)
     probe = isoperimetric_probe(graph, radii)
     payload = {
-        "group": doc.get("group", doc),
+        "group": block,
         "kind": group.kind,
         "amenable_kind": group.amenable,
         "isoperimetric": [{"radius": r["radius"], "ball": r["ball"],
@@ -300,7 +310,7 @@ def cmd_amenability(config: RunConfig) -> int:
 
 def cmd_decide_class(config: RunConfig) -> int:
     doc = _load_document(config.inputs[0])
-    group = group_from_document(doc["group"])
+    group = group_from_document(doc.get("group"))
     f = ClassFunction.from_document(group, doc)
     charts: dict = {}
     payload = _class_analysis(config, f, {"mode": "decide-class"}, charts)

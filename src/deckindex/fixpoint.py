@@ -808,19 +808,36 @@ def _simplicial_index(model: SimplicialMapModel, record: FixedPointRecord) -> in
 # Tameness
 
 
-def _materialized_zero_set(model, records):
-    """Concrete zero positions near the sampled windows, as floats."""
-    if not isinstance(model, AnalyticModel):
-        return np.array([[float(c) for c in r.position] for r in records])
+def _analytic_cover(model):
+    """The zeros an analytic tameness check certifies, and the zeros around them.
+
+    Returns ``(records, cover)``: the records of the identity and override
+    windows, and ``cover``, which lists those records first and then the
+    records of every neighbouring window.  Each window is solved with its
+    own expressions, so an override window's zeros are never paired with
+    the base zeros it replaces.
+    """
     group = model.group
-    windows = {group.identity()} | set(model.override_translates())
-    sampled = set(windows)
-    for w in windows:
+    owned = {group.identity()} | set(model.override_translates())
+    windows = set(owned)
+    for w in owned:
         for shift in itertools.product((-1, 0, 1), repeat=model.dim):
-            sampled.add(tuple(a + b for a, b in zip(w, shift)))
-    pts = [[float(c) for c in r.position]
-           for w in sorted(sampled) for r in model.window_records(w)]
-    return np.array(pts) if pts else np.empty((0, model.dim))
+            windows.add(tuple(a + b for a, b in zip(w, shift)))
+    records, others = [], []
+    for w in sorted(windows):
+        (records if w in owned else others).extend(model.window_records(w))
+    return records, records + others
+
+
+def _periodic_cover(model, records):
+    """Positions of the records followed by their unit lattice translates."""
+    positions = [r.position for r in records]
+    if not isinstance(model.group, FreeAbelianGroup) or not records:
+        return positions
+    shifts = [s for s in itertools.product((-1, 0, 1), repeat=len(positions[0]))
+              if any(s)]
+    return positions + [tuple(c + Fraction(x) for c, x in zip(p, s))
+                        for s in shifts for p in positions]
 
 
 def _sample_displacement(model, grid: int):
@@ -864,28 +881,28 @@ def _round_down(x: float) -> Fraction:
 def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessReport:
     """Verify isolation, displacement gap and host containment.
 
-    delta is the largest certified radius: half the minimum pairwise
-    distance among fixed points (periodicity-aware), capped by every
-    point's exact distance to its host-simplex boundary.  epsilon is the
-    minimum sampled displacement outside the delta-balls, rounded down to
-    a rational; the grid refines once when the minimum is suspiciously
-    small.  Sampling is a documented heuristic; the zero set itself is
-    exact wherever the model permits.
+    delta is the largest certified radius: half the minimum distance from
+    a fixed point to any other fixed point of the cover (the zeros of the
+    neighbouring windows for analytic models, unit lattice translates
+    otherwise), capped by every point's exact distance to its
+    host-simplex boundary.  epsilon is the minimum sampled displacement
+    outside the delta-balls, rounded down to a rational; the grid refines
+    once when the minimum is suspiciously small.  Sampling is a documented
+    heuristic; the zero set itself is exact wherever the model permits.
     """
+    cover = None
     try:
-        if records is None:
+        if isinstance(model, AnalyticModel):
+            # solves the unoverridden windows around an overridden identity
+            # too, so a failed search shows up here
+            records, cover = _analytic_cover(model)
+        elif records is None:
             records = find_fixed_points(model, 0)
-            if isinstance(model, AnalyticModel):
-                extra = [w for w in model.override_translates()
-                         if w != model.group.identity()]
-                for w in extra:
-                    records.extend(model.window_records(w))
-        # reads the unoverridden window's zeros even when an override
-        # replaces them at the identity, so a failed search shows up here
-        zero_set = _materialized_zero_set(model, records)
     except TamenessError as e:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=[str(e)])
+    zero_set = np.array([[float(c) for c in r.position]
+                         for r in (records if cover is None else cover)])
     if not records:
         _, disp = _sample_displacement(model, grid)
         eps = _round_down(float(disp.min())) if len(disp) else Fraction(0)
@@ -899,19 +916,13 @@ def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessRe
                          "exact containment")
 
     pair2 = None
-    exact_pts = [r.position for r in records if r.exact]
-    if len(exact_pts) == len(records):
-        periodic = isinstance(model.group, FreeAbelianGroup)
-        shifts = list(itertools.product((-1, 0, 1), repeat=len(exact_pts[0]))) \
-            if periodic else [tuple(0 for _ in exact_pts[0])]
-        for i, p in enumerate(exact_pts):
-            for j, qpt in enumerate(exact_pts):
-                for shift in shifts:
-                    if i == j and all(x == 0 for x in shift):
-                        continue
-                    moved = tuple(c + Fraction(x) for c, x in zip(qpt, shift))
-                    d2 = squared_distance_point_point(p, moved)
-                    pair2 = d2 if pair2 is None else min(pair2, d2)
+    if all(r.exact for r in records):
+        # both position lists start with the records, in order
+        positions = _periodic_cover(model, records) if cover is None else \
+            [r.position for r in cover if r.exact]
+        pair2 = min((squared_distance_point_point(p, positions[j])
+                     for i, p in enumerate(positions[:len(records)])
+                     for j in range(len(positions)) if j != i), default=None)
     if pair2 is not None and pair2 == 0:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=["coincident fixed points"])
@@ -1050,8 +1061,9 @@ def equivariant_oracle_check(model, report: TamenessReport | None = None,
 
     Only equivariant models descend to the quotient.  A displacement-form
     analytic map is homotopic to the identity on the quotient, whose
-    Lefschetz number is the Euler characteristic; a simplicial model is
-    traced on rational homology through its subdivision chain equivalence.
+    Lefschetz number is the Euler characteristic; a simplicial model's
+    number is the Hopf trace of its chain map composed with the
+    subdivision chain equivalence.
     ``cls`` is the model's Lefschetz class when the caller already has it.
     """
     if not model.equivariant:
@@ -1071,8 +1083,8 @@ def equivariant_oracle_check(model, report: TamenessReport | None = None,
                   "quotient; its Lefschetz number is the Euler characteristic")
     else:
         oracle = lefschetz_number_quotient(model.complex, model.quotient_chain_map())
-        method = ("alternating trace on rational homology via the subdivision "
-                  "chain equivalence")
+        method = ("Hopf trace: alternating trace of the chain map via the "
+                  "subdivision chain equivalence")
     return {
         "class_constant": int(constant),
         "classical_lefschetz_number": int(oracle),

@@ -167,15 +167,6 @@ class GraphChain:
         if self.edges[(u, v)] == 0:
             del self.edges[(u, v)]
 
-    def boundary_at(self, v) -> int:
-        total = 0
-        for (a, b), c in self.edges.items():
-            if b == v:
-                total += c
-            if a == v:
-                total -= c
-        return total
-
     def boundary(self) -> dict:
         out: dict = {}
         for (a, b), c in self.edges.items():
@@ -185,9 +176,6 @@ class GraphChain:
 
     def max_coefficient(self) -> int:
         return max(map(abs, self.edges.values()), default=0)
-
-    def support_vertices(self) -> set:
-        return {x for e in self.edges for x in e}
 
 
 def _geodesic_ray_step(group: MarkedGroup, v):

@@ -32,8 +32,6 @@ from .fixpoint import find_fixed_points as _find_for_model
 from .geometry import det, pl_degree_on_diamond, solve_linear
 from .groups import FiniteGroup
 
-ZeroRecord = FixedPointRecord
-
 
 class AnalyticFieldModel(AnalyticModel):
     """Closed-form Z^n-periodic vector field on a flat-torus cover."""
@@ -151,7 +149,7 @@ def _find_pl_zeros(model: PLFieldModel):
     return records
 
 
-def field_index(model, record: ZeroRecord) -> int:
+def field_index(model, record: FixedPointRecord) -> int:
     """Degree of the field direction map on a small sphere around a zero."""
     if record.on_face or record.host is None:
         raise InputError("field index needs a strong-tameness witness")
@@ -162,7 +160,7 @@ def field_index(model, record: ZeroRecord) -> int:
     raise InputError("unknown field model")
 
 
-def _pl_field_index(model: PLFieldModel, record: ZeroRecord) -> int:
+def _pl_field_index(model: PLFieldModel, record: FixedPointRecord) -> int:
     q = model.complex
     n = q.dimension
     g, idx = record.host
@@ -215,10 +213,6 @@ class _PLAdapter:
         self.complex = model.complex
         self.bound = model.bound
         self.source = model.complex  # sampled like a simplicial model
-
-    def _lifted_image_positions_for_sampling(self, idx):
-        chart = self.model._charts[idx]
-        return chart
 
     # tameness_check samples simplicial models through
     # _lifted_image_positions; provide field-norm sampling directly instead

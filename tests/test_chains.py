@@ -16,9 +16,14 @@ from deckindex.chains import (
     quotient_homology,
     random_chain,
 )
-from deckindex.complexes import PeriodicComplex
+from deckindex.complexes import (
+    PeriodicComplex,
+    barycentric_subdivide,
+    euler_characteristic,
+)
 from deckindex.errors import InputError, OrientationError
 from deckindex.fixtures import (
+    FIXTURE_BUILDERS,
     csaszar_torus,
     genus2_surface,
     klein_grid,
@@ -272,6 +277,31 @@ class TestHomology:
         for i in range(rows):
             for j in range(cols):
                 assert sum(b1[i][k] * b2[k][j] for k in range(inner)) == 0
+
+
+class TestBettiEulerRelation:
+    BETTI = {"tetrahedron": [1, 0, 1], "octahedron": [1, 0, 1],
+             "torus": [1, 2, 1], "csaszar": [1, 2, 1], "klein": [1, 1, 0],
+             "genus2": [1, 4, 1]}
+
+    def test_every_fixture_is_listed(self):
+        assert set(self.BETTI) == set(FIXTURE_BUILDERS)
+
+    @pytest.mark.parametrize("name", sorted(BETTI))
+    def test_shipped_complex(self, name):
+        q = FIXTURE_BUILDERS[name]()
+        betti = quotient_homology(q).betti
+        assert betti == self.BETTI[name]
+        assert sum((-1) ** k * b for k, b in enumerate(betti)) == \
+            euler_characteristic(q)
+
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_subdivided_octahedron(self, times):
+        q = barycentric_subdivide(OCTA, times).complex
+        betti = quotient_homology(q).betti
+        assert betti == [1, 0, 1]
+        assert sum((-1) ** k * b for k, b in enumerate(betti)) == \
+            euler_characteristic(q) == 2
 
 
 class TestLefschetzNumberQuotient:

@@ -139,6 +139,15 @@ class TestAmenability:
         assert report["folner"][0]["ratio"] == "0"
 
 
+    def test_complex_fixture_reads_its_group(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["amenability", "fixture:torus", "--radius", "3",
+                     "--out", out]) == 0
+        report = _read_report(out)["report"]
+        assert report["kind"] == "free-abelian"
+        assert report["group"]["kind"] == "free-abelian"
+
+
 class TestDecideClass:
     def test_document_round(self, tmp_path):
         doc = {"group": {"kind": "free-abelian", "rank": 2},
@@ -181,6 +190,34 @@ class TestExitCodes:
         # radius 40 exceeds the free-group ball budget
         assert main(["amenability", path, "--radius", "40",
                      "--out", str(tmp_path / "out")]) == 2
+
+
+    def test_malformed_json_is_input_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert main(["map-analyze", str(path)]) == 1
+
+    def test_undecodable_bytes_are_input_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"kind": "free"}')
+        assert main(["amenability", str(path)]) == 1
+
+    def test_missing_file_is_input_error(self, tmp_path):
+        assert main(["validate", str(tmp_path / "absent.json")]) == 1
+
+    def test_non_object_document_is_input_error(self, tmp_path):
+        path = _write(tmp_path, "list.json", [1, 2])
+        assert main(["decide-class", path]) == 1
+
+    def test_non_integer_constant_is_input_error(self, tmp_path):
+        path = _write(tmp_path, "c.json",
+                      {"group": {"kind": "free-abelian", "rank": 1},
+                       "constant": "x", "finite": []})
+        assert main(["decide-class", path]) == 1
+
+    def test_class_without_group_is_input_error(self, tmp_path):
+        path = _write(tmp_path, "c.json", {"constant": 1, "finite": []})
+        assert main(["decide-class", path]) == 1
 
 
 class TestSubdivideFlag:

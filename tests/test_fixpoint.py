@@ -236,6 +236,38 @@ class TestOracle:
                                          model.quotient_chain_map()) == 0
 
 
+def _subdivided(model, times):
+    for _ in range(times):
+        model = subdivided_automorphism(model)
+    return model
+
+
+class TestOracleUnderSubdivision:
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    def test_antipodal(self, antipodal_model, times):
+        out = equivariant_oracle_check(_subdivided(antipodal_model, times))
+        assert out["equal"]
+        assert out["classical_lefschetz_number"] == 0
+        assert out["method"].startswith("Hopf trace")
+
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    def test_rotation(self, rotation_model, times):
+        # once subdivided, the rotation fixes face barycentres, which are
+        # vertices, so its own class is refused; the unsubdivided class is
+        # the one the subdivided map must match
+        cls = lefschetz_class(rotation_model)
+        out = equivariant_oracle_check(_subdivided(rotation_model, times), cls=cls)
+        assert out["equal"]
+        assert out["classical_lefschetz_number"] == 2
+
+    def test_reflection_after_one_subdivision(self):
+        from deckindex.chains import lefschetz_number_quotient
+        model = _subdivided(
+            map_model_from_document(fixture_document("octahedron-reflection")), 1)
+        assert lefschetz_number_quotient(model.complex,
+                                         model.quotient_chain_map()) == 0
+
+
 class TestIndexData:
     def test_connected_sum_document(self):
         f, note = ingest_index_data(fixture_document("connected-sum-index"))

@@ -4,7 +4,7 @@ import pytest
 
 from deckindex.errors import TamenessError
 from deckindex.fixpoint import TamenessReport
-from deckindex.fixtures import fixture_document
+from deckindex.fixtures import fixture_document, overridden_sin_field_document
 from deckindex.vectorfield import (
     field_index,
     field_model_from_document,
@@ -129,6 +129,18 @@ class TestTameness:
     def test_polar_field_strongly_tame(self, polar_field):
         report = field_tameness_check(polar_field)
         assert report.verdict == "strongly tame"
+
+
+class TestOverrideNextToBaseWindow:
+    # the override window's own lattice-point zero must not be paired with
+    # the base zero the override replaces
+    @pytest.mark.parametrize("translate", ["a", "-b", "a b"])
+    def test_strongly_tame_and_consistent(self, translate):
+        model = field_model_from_document(overridden_sin_field_document(translate))
+        report = field_tameness_check(model, grid=32)
+        assert report.verdict == "strongly tame"
+        assert len(find_zeros(model, 2)) == 56
+        assert poincare_hopf_check(model, report=report)["consistent"]
 
 
 class TestPoincareHopf:
