@@ -29,7 +29,7 @@ from .chains import ClassFunction
 from .complexes import PeriodicComplex, QuotientComplex, validate_quotient
 from .errors import DeckIndexError, InputError
 from .fixtures import fixture_complex, fixture_document
-from .groups import group_from_document
+from .groups import group_from_document, group_to_document
 from .ufh import CayleyGraph, decide_class, flow_certificate, isoperimetric_probe
 
 
@@ -134,22 +134,27 @@ def _apply_subdivision(model, times: int):
         return model
     from .complexes import barycentric_subdivide
     from .fixpoint import AnalyticModel, SimplicialMapModel, subdivided_automorphism
-    from .vectorfield import AnalyticFieldModel
     if isinstance(model, AnalyticModel):
         sub = barycentric_subdivide(model.complex, times).complex
-        cls = AnalyticFieldModel if isinstance(model, AnalyticFieldModel) \
-            else type(model)
         overrides = [{"translate": ov["translate"],
                       "components": [str(c) for c in ov["components"]]}
                      for ov in model.overrides]
-        return cls(sub, [str(c) for c in model.components], model.bound,
-                   overrides=overrides, grid=model.grid)
+        return type(model)(sub, [str(c) for c in model.components], model.bound,
+                           overrides=overrides, grid=model.grid)
     if isinstance(model, SimplicialMapModel):
         out = model
         for _ in range(times):
             out = subdivided_automorphism(out)
         return out
     raise InputError("subdivision refinement is unsupported for this model")
+
+
+def _class_chart(f: ClassFunction):
+    """Chart of a class function's values over ball(3)."""
+    ball = sorted(f.group.ball(min(3, f.group.ball_budget)), key=f.group.sort_key)
+    return ("per-coset index sums over ball(3)",
+            [f.group.format_element(g) or "e" for g in ball],
+            [f.value(g) for g in ball])
 
 
 def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
@@ -159,10 +164,7 @@ def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
     payload["class_function"] = f.to_document()
     payload["certificate"] = cert.to_document()
     payload["narrative"] = _certificate_narrative(f.group, f, cert)
-    ball = sorted(f.group.ball(min(3, f.group.ball_budget)), key=f.group.sort_key)
-    labels = [f.group.format_element(g) or "e" for g in ball]
-    charts["class_function.svg"] = ("per-coset index sums over ball(3)",
-                                    labels, [f.value(g) for g in ball])
+    charts["class_function.svg"] = _class_chart(f)
     if cert.verdict == "nonzero-by-mean":
         rows = cert.payload["averages"]
         charts["folner_averages.svg"] = (
@@ -171,97 +173,82 @@ def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
     return payload
 
 
-def cmd_map_analyze(config: RunConfig) -> int:
-    from .fixpoint import (equivariant_oracle_check, find_fixed_points,
-                           ingest_index_data, lefschetz_class, local_index,
-                           map_model_from_document, tameness_check)
+def cmd_analyze(config: RunConfig) -> int:
+    """map-analyze and field-analyze: one pipeline for maps and fields.
+
+    The command picks the document reader.  From there the model's index
+    sign picks the pipeline's public entry points, the report keys
+    (``fixed_points`` or ``zeros``) and the report tail: the class
+    decision and the classical oracle for a map, the Poincare-Hopf check
+    for a field.
+    """
+    from . import fixpoint, vectorfield
     doc = _load_document(config.inputs[0])
     charts: dict = {}
     if _looks_like_index_data(doc):
-        f, note = ingest_index_data(doc)
+        f, note = fixpoint.ingest_index_data(doc)
         payload = _class_analysis(config, f, {"mode": "index-data",
                                               "provenance": note}, charts)
         _emit(config, payload, charts)
         return 0
-    model = _apply_subdivision(map_model_from_document(doc), config.subdivide)
-    report = tameness_check(model, grid=max(config.grid, 32))
-    payload = {"mode": "map", "variant": model.variant,
+    read = fixpoint.map_model_from_document if config.command == "map-analyze" \
+        else vectorfield.field_model_from_document
+    model = _apply_subdivision(read(doc), config.subdivide)
+    is_map = model.index_matrix_sign < 0
+    # looked up at call time, so that wrappers installed on the modules apply
+    if is_map:
+        mode, zeros_key = "map", "fixed_points"
+        tameness, find, index = (fixpoint.tameness_check,
+                                 fixpoint.find_fixed_points, fixpoint.local_index)
+    else:
+        mode, zeros_key = "field", "zeros"
+        tameness, find, index = (vectorfield.field_tameness_check,
+                                 vectorfield.find_zeros, vectorfield.field_index)
+    report = tameness(model, grid=max(config.grid, 32))
+    payload = {"mode": mode, "variant": model.variant,
                "subdivision_refinement": config.subdivide,
                "tameness": report.to_document()}
     if report.verdict == "not tame":
-        payload["note"] = "pipeline stops: the map is not tame"
+        payload["note"] = f"pipeline stops: the {mode} is not tame"
         _emit(config, payload, charts)
         return 0
     radius = config.radius if model.variant == "analytic" else 0
-    records = find_fixed_points(model, radius)
+    records = find(model, radius)
     fd = PeriodicComplex(model.complex).fundamental_domain()
     n = model.complex.dimension
     for r in records:
         if not r.on_face and r.host is not None:
-            r.index = local_index(model, r)
+            r.index = index(model, r)
             r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
-    payload["fixed_points"] = [r.to_document(model.group) for r in records]
-    payload["fixed_points_per_domain"] = len(records) if radius == 0 else \
-        len(find_fixed_points(model, 0))
-    cls = lefschetz_class(model, fd=fd, report=report)
-    payload.update(_class_analysis(config, cls, {}, charts))
-    if model.equivariant:
-        payload["oracle"] = equivariant_oracle_check(model, report=report, cls=cls)
-    _emit(config, payload, charts)
-    return 0
-
-
-def cmd_field_analyze(config: RunConfig) -> int:
-    from .fixpoint import ingest_index_data
-    from .vectorfield import (field_index, field_model_from_document,
-                              field_tameness_check, find_zeros,
-                              poincare_hopf_check)
-    doc = _load_document(config.inputs[0])
-    charts: dict = {}
-    if _looks_like_index_data(doc):
-        f, note = ingest_index_data(doc)
-        payload = _class_analysis(config, f, {"mode": "index-data",
-                                              "provenance": note}, charts)
-        _emit(config, payload, charts)
-        return 0
-    model = _apply_subdivision(field_model_from_document(doc), config.subdivide)
-    report = field_tameness_check(model, grid=max(config.grid, 32))
-    payload = {"mode": "field", "variant": model.variant,
-               "subdivision_refinement": config.subdivide,
-               "tameness": report.to_document()}
-    if report.verdict == "not tame":
-        payload["note"] = "pipeline stops: the field is not tame"
-        _emit(config, payload, charts)
-        return 0
-    records = find_zeros(model, config.radius
-                         if model.variant == "analytic" else 0)
-    fd = PeriodicComplex(model.complex).fundamental_domain()
-    n = model.complex.dimension
-    for r in records:
-        if not r.on_face and r.host is not None:
-            r.index = field_index(model, r)
-            r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
-    payload["zeros"] = [r.to_document(model.group) for r in records]
-    ph = poincare_hopf_check(model, report=report)
-    payload["euler_characteristic"] = ph["euler_characteristic"]
-    payload["index_class"] = ph["index_class"]
-    payload["difference_certificate"] = ph["certificate"].to_document()
-    payload["consistent"] = ph["consistent"]
-    payload["interpretation"] = ph["interpretation"]
-    cls = ph["class_function"]
-    ball = sorted(model.group.ball(min(3, model.group.ball_budget)),
-                  key=model.group.sort_key)
-    charts["index_class.svg"] = ("per-coset index sums over ball(3)",
-                                 [model.group.format_element(g) or "e" for g in ball],
-                                 [cls.value(g) for g in ball])
+    payload[zeros_key] = [r.to_document(model.group) for r in records]
+    if is_map:
+        payload["fixed_points_per_domain"] = len(records) if radius == 0 else \
+            len(find(model, 0))
+        cls = fixpoint.lefschetz_class(model, fd=fd, report=report)
+        payload.update(_class_analysis(config, cls, {}, charts))
+        if model.equivariant:
+            payload["oracle"] = fixpoint.equivariant_oracle_check(
+                model, report=report, cls=cls)
+    else:
+        ph = vectorfield.poincare_hopf_check(model, report=report)
+        for key in ("euler_characteristic", "index_class", "consistent",
+                    "interpretation"):
+            payload[key] = ph[key]
+        payload["difference_certificate"] = ph["certificate"].to_document()
+        charts["index_class.svg"] = _class_chart(ph["class_function"])
     _emit(config, payload, charts)
     return 0
 
 
 def cmd_amenability(config: RunConfig) -> int:
     doc = _load_document(config.inputs[0])
-    # a bare group block, or the group of a class or complex document
-    block = doc.get("complex", doc).get("group", doc)
+    # a bare group block, or the group of a class, complex, map or field
+    # document; a document naming its complex by fixture reads that group
+    if "fixture" in doc and "complex" not in doc:
+        from .fixpoint import resolve_complex_reference
+        block = group_to_document(resolve_complex_reference(doc).group)
+    else:
+        block = doc.get("complex", doc).get("group", doc)
     group = group_from_document(block)
     radii = list(range(1, config.radius + 1))
     graph = CayleyGraph(group)
@@ -470,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 COMMANDS = {
     "validate": cmd_validate,
-    "map-analyze": cmd_map_analyze,
-    "field-analyze": cmd_field_analyze,
+    "map-analyze": cmd_analyze,
+    "field-analyze": cmd_analyze,
     "amenability": cmd_amenability,
     "decide-class": cmd_decide_class,
     "selftest": cmd_selftest,

@@ -1,7 +1,18 @@
 """Bounded-displacement self-maps of a periodic cover: fixed points,
-local indices, tameness verification and the bounded index class.
+local indices, tameness verification and the bounded index class, in
+stages shared with vector fields.
 
-Two map models are supported.
+A fixed point of ``x + d(x)`` is a zero of the displacement d, and the
+index class of a field v is the Lefschetz class of ``x + v`` with the index
+sign flipped.  So maps and fields run one pipeline: the shared stages
+:func:`solve_zeros`, :func:`zero_index`, :func:`check_tameness` and
+:func:`assemble_class` take any model that carries ``index_matrix_sign``,
+-1 for a map and +1 for a field.  The public names of the map pipeline
+(``find_fixed_points``, ``local_index``, ``tameness_check``,
+``lefschetz_class``) and of the field pipeline (in ``vectorfield``) call
+these stages.
+
+Two kinds of model are supported.
 
 * Analytic (Euclidean covers of flat tori over Z^n): the map is
   ``f(x) = x + d(x)`` with a Z^n-periodic closed-form displacement given by
@@ -16,22 +27,28 @@ Two map models are supported.
   once, so the tameness check, the fixed-point listing, the index class and
   the oracle all read the same results.
 
-* Simplicial (complexes realized with exact rational coordinates): the map
-  sends a barycentric subdivision of the quotient simplicially into the
-  quotient; fixed points of the affine realization are solved exactly in
-  rationals, and solutions on simplex faces are rejected with a
-  recommendation to subdivide once more.  Non-equivariant perturbations of
-  simplicial maps are supported on trivial-deck covers, where they amount
-  to replacing vertex images.
+* Affine-cell (complexes realized with exact rational coordinates): a
+  simplicial map sends a barycentric subdivision of the quotient
+  simplicially into the quotient; a PL field (``vectorfield``) interpolates
+  one vector per vertex.  Both expose, through ``affine_cell``, each source
+  top cell's vertex positions and vertex vectors: the displacements
+  ``T_j - S_j`` of a map, the projected vertex vectors of a field.  One
+  code path solves the affine zero equation exactly in rationals per cell,
+  rejects zeros on simplex faces, takes indices from the exact chart
+  determinant and samples norms on a barycentric grid.  Non-equivariant
+  perturbations of simplicial maps are supported on trivial-deck covers,
+  where they amount to replacing vertex images.
 
 Host cells over Z^n are found from a per-complex table holding each top
 cell's exact inverse barycentric matrix and bounding box.
 
-Local indices use the classical convention: the index of a fixed point is
-the degree of ``x - f(x)``, i.e. ``sign det(I - Df)`` at nondegenerate
-points.  The sign is certified by interval arithmetic for analytic models
-and computed in exact rationals for affine pieces; degenerate affine
-pieces fall back to an exact PL winding number.
+The index of an isolated zero is the degree of ``sign * d`` around it,
+``sign det(sign * Dd)`` at nondegenerate points, with ``sign`` the model's
+``index_matrix_sign``.  For a map this is the classical convention, the
+degree of ``x - f(x)``, i.e. ``sign det(I - Df)``; for a field it is
+``sign det Dv``.  The sign is certified by interval arithmetic for analytic
+models and computed in exact rationals for affine pieces; degenerate
+affine pieces fall back to an exact PL winding number.
 """
 
 from __future__ import annotations
@@ -408,10 +425,6 @@ def _dedup_on_torus(points, limit: int, tol: float = 1e-7):
     return unique
 
 
-class AnalyticMapModel(AnalyticModel):
-    index_matrix_sign = -1
-
-
 # ---------------------------------------------------------------------------
 # Simplicial models
 
@@ -420,6 +433,7 @@ class SimplicialMapModel:
     """Simplicial map from an iterated subdivision of the quotient into it."""
 
     variant = "simplicial"
+    index_matrix_sign = -1
 
     def __init__(self, complex: QuotientComplex, subdivision: int,
                  vertex_images: dict, overrides=None):
@@ -482,12 +496,25 @@ class SimplicialMapModel:
                         f"map is not simplicial: image of source cell "
                         f"{self.source.simplex(k, idx)} spans no simplex")
 
-    def image_position(self, source_vid: int, lift_deck):
-        deck_shift, w = self.vertex_images[source_vid]
-        g = self.group.multiply(lift_deck, deck_shift)
-        vec = self.complex.translation_vector(g)
-        return tuple(Fraction(c) + t for c, t in
-                     zip(self.complex.coordinates[w], vec))
+    def affine_cell(self, idx: int, lift_deck):
+        """Vertex ids, exact positions S_j and displacements T_j - S_j of
+        the source top cell ``idx`` lifted to ``lift_deck``.
+
+        Each image T_j is lifted along the cell's edge labels, so the
+        images of one cell lie in one lift of the target cell.
+        """
+        src = self.source
+        s = src.simplex(src.dimension, idx)
+        positions = src.realize(src.dimension, idx, lift_deck)
+        vectors = []
+        for v, p in zip(s, positions):
+            shift = src.group.identity() if v == s[0] else src.edge_label(s[0], v)
+            deck_shift, w = self.vertex_images[v]
+            g = self.group.multiply(self.group.multiply(lift_deck, shift), deck_shift)
+            image = (Fraction(c) + t for c, t in
+                     zip(self.complex.coordinates[w], self.complex.translation_vector(g)))
+            vectors.append(tuple(t - c for t, c in zip(image, p)))
+        return s, positions, vectors
 
     def quotient_chain_map(self):
         """Chain-image callable on the quotient for the classical trace."""
@@ -643,6 +670,12 @@ def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecor
                             on_face=True, isolation=None)
 
 
+def _translate_zero(z, exact, g):
+    if exact:
+        return tuple(Fraction(c) + Fraction(t) for c, t in zip(z, g))
+    return tuple(float(c) + float(t) for c, t in zip(z, g))
+
+
 def _translate_record(q: QuotientComplex, record: FixedPointRecord, g):
     """The record of a zero moved by the lattice translation g.
 
@@ -659,149 +692,141 @@ def _translate_record(q: QuotientComplex, record: FixedPointRecord, g):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point search
+# Zeros: the shared stage and the map pipeline's entry point
+
+# How messages name a model and its zeros, by index_matrix_sign: the model,
+# one zero, and the witness of an affine cell whose zero set is not isolated.
+_WORDING = {
+    -1: ("map", "fixed point", "fixed-point set is not isolated: the affine "
+         "equation on source cell {} is singular (identity-like map)"),
+    1: ("field", "field zero", "zero set is not isolated on cell {}"),
+}
+
+
+def solve_zeros(model, radius: int = 0):
+    """Zeros of a map's displacement or of a field over all translates with
+    deck coordinate in ball(radius).
+
+    Analytic models search one period cell and translate the result,
+    re-solving overridden windows; affine-cell models solve the affine
+    zero equation exactly in rationals per source top cell.  Indices are
+    attached separately by :func:`zero_index`.
+    """
+    group = model.group
+    ball = sorted(group.ball(radius), key=group.sort_key)
+    if isinstance(model, AnalyticModel):
+        return [r for g in ball for r in model.window_records(g)]
+    q = model.complex
+    period = _affine_zeros(model)
+    records = []
+    for g in ball:
+        vec = q.translation_vector(g)
+        records.extend(resolve_record(q, tuple(p + t for p, t in zip(z, vec)), True)
+                       for z in period)
+    return records
 
 
 def find_fixed_points(model, radius: int = 0):
-    """Fixed points over all translates with deck coordinate in ball(radius).
+    """Fixed points over all translates with deck coordinate in ball(radius),
+    indices detached; see :func:`solve_zeros`."""
+    return solve_zeros(model, radius)
 
-    Analytic models search one period cell and translate the result,
-    re-solving overridden windows; simplicial models solve the affine
-    fixed-point equation exactly in rationals per source top cell.
-    Indices are attached separately by :func:`local_index`.
+
+def _affine_zeros(model):
+    """Exact zeros of the affine pieces of the identity lift, in cell order.
+
+    On each source top cell the zero is the point with barycentric
+    coordinates l solving sum(l_j W_j) = 0, sum(l) = 1, for the cell's
+    vertex vectors W_j.
     """
-    if isinstance(model, AnalyticModel):
-        return _find_analytic(model, radius)
-    if isinstance(model, SimplicialMapModel):
-        return _find_simplicial(model, radius)
-    raise InputError("unknown map model")
-
-
-def _translate_zero(z, exact, g):
-    if exact:
-        return tuple(Fraction(c) + Fraction(t) for c, t in zip(z, g))
-    return tuple(float(c) + float(t) for c, t in zip(z, g))
-
-
-def _find_analytic(model: AnalyticModel, radius: int):
-    group = model.group
-    records = []
-    for g in sorted(group.ball(radius), key=group.sort_key):
-        records.extend(model.window_records(g))
-    return records
-
-
-def _solve_affine_fixed_point(source_pos, image_pos):
-    """Barycentric solution of sum(l_i (T_i - S_i)) = 0, sum l = 1."""
-    k = len(source_pos)
-    d = len(source_pos[0])
-    matrix = [[image_pos[j][i] - source_pos[j][i] for j in range(k)]
-              for i in range(d)]
-    matrix.append([Fraction(1)] * k)
-    rhs = [Fraction(0)] * d + [Fraction(1)]
-    return solve_linear(matrix, rhs)
-
-
-def _lifted_image_positions(model: SimplicialMapModel, idx: int, lift_deck):
     src = model.source
-    s = src.simplex(src.dimension, idx)
-    source_pos = src.realize(src.dimension, idx, lift_deck)
-    image_pos = []
-    for v in s:
-        shift = src.group.identity() if v == s[0] else src.edge_label(s[0], v)
-        image_pos.append(model.image_position(v, model.group.multiply(lift_deck, shift)))
-    return s, source_pos, image_pos
-
-
-def _find_simplicial(model: SimplicialMapModel, radius: int):
-    src = model.source
-    q = model.complex
-    group = model.group
     n = src.dimension
-    ident = group.identity()
-    period = []
+    _, zero, not_isolated = _WORDING[model.index_matrix_sign]
+    out = []
     for idx in src.cells(n):
-        s, source_pos, image_pos = _lifted_image_positions(model, idx, ident)
-        status, lam = _solve_affine_fixed_point(source_pos, image_pos)
+        s, positions, vectors = model.affine_cell(idx, model.group.identity())
+        d = len(positions[0])
+        matrix = [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)]
+        status, lam = solve_linear(matrix, [Fraction(0)] * d + [Fraction(1)])
         if status == "none":
             continue
         if status == "infinite":
-            raise TamenessError(
-                f"fixed-point set is not isolated: the affine equation on "
-                f"source cell {s} is singular (identity-like map)")
+            raise TamenessError(not_isolated.format(s))
         if any(c < 0 for c in lam):
             continue
         if any(c == 0 for c in lam):
+            # a subdivision's (n-1)-skeleton contains the old one, so a
+            # fixed barycentre of a subdivided automorphism stays a vertex
             raise InputError(
-                "fixed point lies on a simplex face: strong tameness is "
-                "violated; apply one more barycentric subdivision of the map")
-        position = tuple(sum(lam[j] * source_pos[j][i] for j in range(len(s)))
-                         for i in range(len(source_pos[0])))
-        period.append(position)
-    records = []
-    for g in sorted(group.ball(radius), key=group.sort_key):
-        vec = q.translation_vector(g)
-        for position in period:
-            shifted = tuple(p + t for p, t in zip(position, vec))
-            records.append(resolve_record(q, shifted, True))
-    return records
+                f"{zero} lies on a simplex face: strong tameness is violated; "
+                f"perturb the vertex data to move it into a cell interior "
+                f"(subdividing keeps a point of a face on a face)")
+        out.append(tuple(sum(l * p[i] for l, p in zip(lam, positions))
+                         for i in range(d)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Local indices
+
+
+def zero_index(model, record: FixedPointRecord) -> int:
+    """Index of an isolated, simplex-interior zero: the degree of
+    ``sign * d`` around it for the displacement or field d and the model's
+    ``index_matrix_sign``."""
+    if record.on_face or record.host is None:
+        raise InputError("local index needs a strong-tameness witness "
+                         f"(simplex-interior {_WORDING[model.index_matrix_sign][1]})")
+    if isinstance(model, AnalyticModel):
+        return model.local_index_at(record.position, record.exact)
+    return _affine_index(model, record)
 
 
 def local_index(model, record: FixedPointRecord) -> int:
-    """Local fixed-point index at an isolated, simplex-interior point."""
-    if record.on_face or record.host is None:
-        raise InputError("local index needs a strong-tameness witness "
-                         "(simplex-interior fixed point)")
-    if isinstance(model, AnalyticModel):
-        return model.local_index_at(record.position, record.exact)
-    if isinstance(model, SimplicialMapModel):
-        return _simplicial_index(model, record)
-    raise InputError("unknown map model")
+    """Local fixed-point index at an isolated, simplex-interior point;
+    see :func:`zero_index`."""
+    return zero_index(model, record)
 
 
-def _simplicial_index(model: SimplicialMapModel, record: FixedPointRecord) -> int:
+def _affine_index(model, record: FixedPointRecord) -> int:
+    """Index from the chart of the source cell around the zero.
+
+    With ``c_j`` the chart coordinates of the vertex vectors, the index
+    field in the chart is ``u(x) = sign * (c_0 + M x)`` with columns
+    ``M_j = c_j - c_0``: its determinant sign, or an exact PL winding
+    number when the piece is degenerate.
+    """
     src = model.source
     n = src.dimension
+    sign = model.index_matrix_sign
     interior = [h for h in locate_host_cells(src, record.position, True)
                 if h[2] == "interior"]
     if not interior:
-        raise InputError("fixed point is not interior to a source cell")
+        raise InputError(f"{_WORDING[sign][1]} is not interior to a source cell")
     g, idx, _ = interior[0]
-    s, source_pos, image_pos = _lifted_image_positions(model, idx, g)
-    d = len(source_pos[0])
-    basis = [[source_pos[j + 1][i] - source_pos[0][i] for j in range(n)]
+    _, positions, vectors = model.affine_cell(idx, g)
+    d = len(positions[0])
+    basis = [[positions[j + 1][i] - positions[0][i] for j in range(n)]
              for i in range(d)]
-    chart_cols = []
-    for j in range(1, n + 1):
-        target = [image_pos[j][i] - image_pos[0][i] for i in range(d)]
-        status, col = solve_linear(basis, target)
+    cols = []
+    for w in vectors:
+        status, col = solve_linear(basis, list(w))
         if status != "unique":
-            raise InternalError("image of the host cell leaves its plane at an "
-                                "interior fixed point")
-        chart_cols.append(col)
-    a_matrix = [[chart_cols[j][i] for j in range(n)] for i in range(n)]
-    i_minus_a = [[(1 if i == j else 0) - a_matrix[i][j] for j in range(n)]
-                 for i in range(n)]
-    d_val = det(i_minus_a)
-    if d_val > 0:
-        return 1
-    if d_val < 0:
-        return -1
-    # degenerate affine piece: exact winding number of x - f(x) in the chart
-    bary = barycentric_coordinates(record.position, source_pos)
-    p_chart = tuple(bary[j + 1] for j in range(n))
-    shift0 = [image_pos[0][i] - source_pos[0][i] for i in range(d)]
-    status, b_chart = solve_linear(basis, shift0)
-    if status != "unique":
-        raise InternalError("degenerate chart for the PL fallback")
+            raise InternalError("a vertex vector of the host cell leaves its "
+                                "plane at an interior zero")
+        cols.append(col)
+    m = [[sign * (cols[j + 1][i] - cols[0][i]) for j in range(n)] for i in range(n)]
+    d_val = det(m)
+    if d_val != 0:
+        return 1 if d_val > 0 else -1
+    bary = barycentric_coordinates(record.position, positions)
 
-    def u_affine(chart_point):
-        fx = [b_chart[i] + sum(a_matrix[i][j] * chart_point[j] for j in range(n))
-              for i in range(n)]
-        return tuple(chart_point[i] - fx[i] for i in range(n))
+    def u_affine(x):
+        return tuple(sign * cols[0][i] + sum(m[i][j] * x[j] for j in range(n))
+                     for i in range(n))
 
     margin = min(min(bary), Fraction(1, 4))
-    return pl_degree_on_diamond(u_affine, p_chart, margin / 2)
+    return pl_degree_on_diamond(u_affine, tuple(bary[1:]), margin / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -840,10 +865,13 @@ def _periodic_cover(model, records):
                         for s in shifts for p in positions]
 
 
-def _sample_displacement(model, grid: int):
-    """Float positions and displacement norms on a deterministic grid."""
-    if hasattr(model, "sample"):
-        return model.sample(grid)
+def _sample_norms(model, grid: int):
+    """Float positions and displacement or field norms on a deterministic grid.
+
+    Affine-cell models are sampled at the interior points of a barycentric
+    grid on each source top cell; each norm is taken from the exact vector
+    converted to float once.
+    """
     if isinstance(model, AnalyticModel):
         axes = [np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid] * model.dim
         pts = np.array(list(itertools.product(*axes)))
@@ -853,24 +881,21 @@ def _sample_displacement(model, grid: int):
         return all_pts, model.norms_at(all_pts)
     src = model.source
     n = src.dimension
-    pts, disp = [], []
+    pts, norms = [], []
     per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
-    ident = model.group.identity()
     for idx in src.cells(n):
-        s, source_pos, image_pos = _lifted_image_positions(model, idx, ident)
+        _, positions, vectors = model.affine_cell(idx, model.group.identity())
+        d = len(positions[0])
         for combo in itertools.product(range(1, per_cell), repeat=n):
             if sum(combo) >= per_cell:
                 continue
-            lam = [per_cell - sum(combo)] + list(combo)
-            x = [float(sum(Fraction(lam[j], per_cell) * source_pos[j][i]
-                           for j in range(len(s))))
-                 for i in range(len(source_pos[0]))]
-            fx = [float(sum(Fraction(lam[j], per_cell) * image_pos[j][i]
-                            for j in range(len(s))))
-                  for i in range(len(source_pos[0]))]
-            pts.append(x)
-            disp.append(math.dist(x, fx))
-    return np.array(pts), np.array(disp)
+            lam = [Fraction(per_cell - sum(combo), per_cell)] + \
+                [Fraction(c, per_cell) for c in combo]
+            pts.append([float(sum(l * p[i] for l, p in zip(lam, positions)))
+                        for i in range(d)])
+            w = [sum(l * v[i] for l, v in zip(lam, vectors)) for i in range(d)]
+            norms.append(math.sqrt(float(sum(c * c for c in w))))
+    return np.array(pts), np.array(norms)
 
 
 def _round_down(x: float) -> Fraction:
@@ -878,17 +903,17 @@ def _round_down(x: float) -> Fraction:
     return Fraction(max(0, math.floor(x * scale)), scale)
 
 
-def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessReport:
-    """Verify isolation, displacement gap and host containment.
+def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
+    """Verify isolation, displacement or field norm gap and host containment.
 
     delta is the largest certified radius: half the minimum distance from
-    a fixed point to any other fixed point of the cover (the zeros of the
-    neighbouring windows for analytic models, unit lattice translates
-    otherwise), capped by every point's exact distance to its
-    host-simplex boundary.  epsilon is the minimum sampled displacement
-    outside the delta-balls, rounded down to a rational; the grid refines
-    once when the minimum is suspiciously small.  Sampling is a documented
-    heuristic; the zero set itself is exact wherever the model permits.
+    a zero to any other zero of the cover (the zeros of the neighbouring
+    windows for analytic models, unit lattice translates otherwise),
+    capped by every point's exact distance to its host-simplex boundary.
+    epsilon is the minimum sampled norm outside the delta-balls, rounded
+    down to a rational; the grid refines once when the minimum is
+    suspiciously small.  Sampling is a documented heuristic; the zero set
+    itself is exact wherever the model permits.
     """
     cover = None
     try:
@@ -896,15 +921,15 @@ def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessRe
             # solves the unoverridden windows around an overridden identity
             # too, so a failed search shows up here
             records, cover = _analytic_cover(model)
-        elif records is None:
-            records = find_fixed_points(model, 0)
+        else:
+            records = solve_zeros(model, 0)
     except TamenessError as e:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=[str(e)])
     zero_set = np.array([[float(c) for c in r.position]
                          for r in (records if cover is None else cover)])
     if not records:
-        _, disp = _sample_displacement(model, grid)
+        _, disp = _sample_norms(model, grid)
         eps = _round_down(float(disp.min())) if len(disp) else Fraction(0)
         return TamenessReport(delta=None, epsilon=eps, verdict="strongly tame",
                               strongly_fixed_point_free=True)
@@ -939,7 +964,7 @@ def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessRe
 
     eps_float = None
     for attempt in (1, 2):
-        pts, disp = _sample_displacement(model, grid * attempt)
+        pts, disp = _sample_norms(model, grid * attempt)
         if len(zero_set):
             diff = pts[:, None, :] - zero_set[None, :, :]
             dist = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
@@ -963,26 +988,36 @@ def tameness_check(model, records=None, grid: int = TAMENESS_GRID) -> TamenessRe
                           verdict=verdict, witnesses=witnesses)
 
 
+def tameness_check(model, grid: int = TAMENESS_GRID) -> TamenessReport:
+    """Verify isolation, displacement gap and host containment of a map;
+    see :func:`check_tameness`."""
+    return check_tameness(model, grid)
+
+
 # ---------------------------------------------------------------------------
 # The index class
 
 
-def lefschetz_class(model, fd=None, report: TamenessReport | None = None) -> ClassFunction:
-    """Per-coset fixed-point index sums as a bounded class function.
+def assemble_class(model, fd=None, report: TamenessReport | None = None) -> ClassFunction:
+    """Per-coset index sums of a map or field as a bounded class function.
 
-    Requires strong tameness.  The equivariant behaviour contributes the
-    per-period index total to the constant part; overridden windows
-    contribute their per-coset deviation to the finite part.  Deck
-    coordinates of fixed points resolve to cosets through the fundamental
-    domain, boundary ties broken toward the least coset (interior points
-    never tie).
+    Requires strong tameness; ``report`` is the verdict that gates the
+    class (checked afresh when omitted).  Over a finite deck the class is
+    the per-coset index sum of the zeros.  Over Z^n the equivariant
+    behaviour contributes the per-period index total to the constant part;
+    an overridden analytic window contributes, per coset, its zeros'
+    indices minus those of the unoverridden zeros it replaces.  Deck
+    coordinates of zeros resolve to cosets through the fundamental domain,
+    boundary ties broken toward the least coset (interior points never
+    tie).
     """
     if report is None:
-        report = tameness_check(model)
+        report = check_tameness(model)
     if not report.strongly_tame:
-        raise TamenessError("index class refused: the map is not strongly tame "
-                            f"(verdict: {report.verdict}; witnesses: "
-                            f"{report.witnesses})")
+        raise TamenessError(f"index class refused: the "
+                            f"{_WORDING[model.index_matrix_sign][0]} is not "
+                            f"strongly tame (verdict: {report.verdict}; "
+                            f"witnesses: {report.witnesses})")
     group = model.group
     if fd is None:
         fd = PeriodicComplex(model.complex).fundamental_domain()
@@ -993,43 +1028,22 @@ def lefschetz_class(model, fd=None, report: TamenessReport | None = None) -> Cla
     def coset_of(record):
         return fd.coset_of_cell(record.host[0], n, record.host[1])
 
-    if isinstance(group, FiniteGroup):
-        finite: dict = {}
-        for r in find_fixed_points(model, 0):
-            r.index = local_index(model, r)
-            r.coset = coset_of(r)
-            finite[r.coset] = finite.get(r.coset, 0) + r.index
+    finite: dict = {}
+    if not isinstance(model, AnalyticModel):
+        records = solve_zeros(model, 0)
+        if not isinstance(group, FiniteGroup):
+            # affine-cell models over Z^n are equivariant
+            return ClassFunction(group, sum(zero_index(model, r) for r in records), {})
+        for r in records:
+            c = coset_of(r)
+            finite[c] = finite.get(c, 0) + zero_index(model, r)
         return ClassFunction(group, 0, finite)
-
-    if isinstance(model, SimplicialMapModel):
-        constant = 0
-        for r in find_fixed_points(model, 0):
-            constant += local_index(model, r)
-        return ClassFunction(group, constant, {})
-
-    return analytic_index_class(model, fd)
-
-
-def analytic_index_class(model: AnalyticModel, fd) -> ClassFunction:
-    """Index class of an analytic map or field from the model's analysis.
-
-    The unoverridden expressions' per-window index total is the constant
-    part; an overridden window contributes, per coset, its zeros' indices
-    minus those of the unoverridden zeros it replaces.  Whether a map or a
-    field is meant comes in through ``model.index_matrix_sign``.
-    """
-    group = model.group
-    n = model.complex.dimension
-
-    def coset_of(record):
-        return fd.coset_of_cell(record.host[0], n, record.host[1])
 
     constant = 0
     for rec in model.window_records(group.identity(), plain=True):
         if rec.on_face or rec.host is None:
             raise TamenessError("equivariant zero lacks a strong-tameness witness")
         constant += model.local_index_at(rec.position, rec.exact, plain=True)
-    finite: dict = {}
     for w in model.override_translates():
         for rec in model.window_records(w, plain=True):
             idx = model.local_index_at(rec.position, rec.exact, plain=True)
@@ -1042,6 +1056,12 @@ def analytic_index_class(model: AnalyticModel, fd) -> ClassFunction:
             c = coset_of(rec)
             finite[c] = finite.get(c, 0) + idx
     return ClassFunction(group, constant, finite)
+
+
+def lefschetz_class(model, fd=None, report: TamenessReport | None = None) -> ClassFunction:
+    """Per-coset fixed-point index sums as a bounded class function;
+    see :func:`assemble_class`."""
+    return assemble_class(model, fd, report)
 
 
 def ingest_index_data(doc: dict):
@@ -1108,9 +1128,9 @@ def map_model_from_document(doc: dict, complex_resolver=None):
     if variant == "analytic":
         overrides = [{"translate": ov["translate"], "components": ov["components"]}
                      for ov in doc.get("overrides", [])]
-        return AnalyticMapModel(q, doc["components"], Fraction(str(doc["bound"])),
-                                overrides=overrides,
-                                grid=int(doc.get("grid", NEWTON_GRID)))
+        return AnalyticModel(q, doc["components"], Fraction(str(doc["bound"])),
+                             overrides=overrides,
+                             grid=int(doc.get("grid", NEWTON_GRID)))
     if variant == "simplicial":
         vid = {name: i for i, name in enumerate(q.vertices)}
 

@@ -1,35 +1,35 @@
 """Periodic vector fields: zeros, local indices, the index class and the
 Euler-characteristic consistency check.
 
-Analytic fields reuse the fixed-point localization machinery with the
-field itself in place of a displacement (a zero's index is
-``sign det Dv``).  PL fields on realized finite complexes are given by one
-vector per vertex; inside each top simplex the vertex vectors are
-projected into the simplex plane and interpolated affinely, so zeros and
-indices are exact rational computations per chart.
+The index class of a field v is the Lefschetz class of ``x + v`` with the
+index sign flipped, so fields run the shared stages of
+:mod:`deckindex.fixpoint` with ``index_matrix_sign = +1``: a zero's index
+is ``sign det Dv``.  Analytic fields are analytic models with that sign.
+PL fields on realized finite complexes are given by one vector per vertex;
+inside each top simplex the vertex vectors are projected into the simplex
+plane and interpolated affinely, and these projected vectors are the
+vertex vectors the shared affine-cell path works with, so zeros and
+indices are exact rational computations per chart.  The functions below
+are the field pipeline's entry points into those stages.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
 
-import numpy as np
-
 from .chains import ClassFunction
-from .complexes import PeriodicComplex, QuotientComplex, euler_characteristic
-from .errors import InputError, InternalError, TamenessError
+from .complexes import QuotientComplex, euler_characteristic
+from .errors import InputError
 from .fixpoint import (
     AnalyticModel,
     FixedPointRecord,
     TamenessReport,
-    analytic_index_class,
-    resolve_record,
-    tameness_check,
+    assemble_class,
+    check_tameness,
+    resolve_complex_reference,
+    solve_zeros,
+    zero_index,
 )
-from .fixpoint import find_fixed_points as _find_for_model
-from .geometry import det, pl_degree_on_diamond, solve_linear
 from .groups import FiniteGroup
 
 
@@ -48,6 +48,8 @@ class PLFieldModel:
     """
 
     variant = "pl"
+    index_matrix_sign = +1  # index of a zero is sign det Dv
+    equivariant = True
 
     def __init__(self, complex: QuotientComplex, vertex_vectors: dict, bound):
         if complex.coordinates is None:
@@ -55,211 +57,78 @@ class PLFieldModel:
         if not (isinstance(complex.group, FiniteGroup) and complex.group.order == 1):
             raise InputError("PL fields are supported on trivial-deck covers; "
                              "periodic fields use the analytic model")
-        self.complex = complex
+        self.complex = self.source = complex
         self.group = complex.group
         self.vertex_vectors = {int(v): tuple(Fraction(str(c)) for c in vec)
                                for v, vec in vertex_vectors.items()}
         if set(self.vertex_vectors) != set(range(complex.count(0))):
             raise InputError("vertex vectors must cover exactly the vertices")
         self.bound = Fraction(str(bound))
-        self.equivariant = True
-        self._charts = {}
-        for idx in complex.cells(complex.dimension):
-            self._charts[idx] = self._chart(idx)
+        self._projected = {idx: self._project(idx)
+                           for idx in complex.cells(complex.dimension)}
         self.validate_bound()
 
-    def _chart(self, idx):
+    def _project(self, idx):
+        """The vertex vectors of top cell ``idx``, projected into its plane."""
         q = self.complex
         n = q.dimension
         verts = q.realize(n, idx)
         d = len(verts[0])
-        basis = [[verts[j + 1][i] - verts[0][i] for j in range(n)] for i in range(d)]
-        if n == 2 and d == 3:
-            u = [verts[1][i] - verts[0][i] for i in range(3)]
-            v = [verts[2][i] - verts[0][i] for i in range(3)]
-            normal = (u[1] * v[2] - u[2] * v[1],
-                      u[2] * v[0] - u[0] * v[2],
-                      u[0] * v[1] - u[1] * v[0])
-        elif n == d:
-            normal = None
-        else:
+        vectors = [self.vertex_vectors[v] for v in q.simplex(n, idx)]
+        if n == d:
+            return vectors
+        if not (n == 2 and d == 3):
             raise InputError("PL fields support surfaces in R^3 or full-"
                              "dimensional complexes")
-        projected = []
-        for v_id in q.simplex(n, idx):
-            w = self.vertex_vectors[v_id]
-            if normal is not None:
-                nn = sum(x * x for x in normal)
-                coeff = sum(a * b for a, b in zip(w, normal)) / nn
-                w = tuple(a - coeff * b for a, b in zip(w, normal))
-            projected.append(w)
-        return {"verts": verts, "basis": basis, "vectors": projected}
+        u = [verts[1][i] - verts[0][i] for i in range(3)]
+        v = [verts[2][i] - verts[0][i] for i in range(3)]
+        normal = (u[1] * v[2] - u[2] * v[1],
+                  u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0])
+        nn = sum(x * x for x in normal)
+        out = []
+        for w in vectors:
+            coeff = sum(a * b for a, b in zip(w, normal)) / nn
+            out.append(tuple(a - coeff * b for a, b in zip(w, normal)))
+        return out
 
     def validate_bound(self):
-        for idx, chart in self._charts.items():
-            for w in chart["vectors"]:
+        for idx, vectors in self._projected.items():
+            for w in vectors:
                 if sum(c * c for c in w) > self.bound ** 2:
                     raise InputError(f"declared bound {self.bound} violated by a "
                                      f"projected vertex vector on cell {idx}")
 
-    def field_in_chart(self, idx, lam):
-        """Interpolated field value for barycentric coordinates lam."""
-        vectors = self._charts[idx]["vectors"]
-        d = len(vectors[0])
-        return tuple(sum(lam[j] * vectors[j][i] for j in range(len(vectors)))
-                     for i in range(d))
+    def affine_cell(self, idx: int, lift_deck):
+        """Vertex ids, exact positions and projected vertex vectors of the
+        top cell ``idx`` lifted to ``lift_deck``."""
+        n = self.complex.dimension
+        return (self.complex.simplex(n, idx),
+                self.complex.realize(n, idx, lift_deck), self._projected[idx])
 
 
 def find_zeros(model, radius: int = 0):
-    """Zeros of the field over translates in ball(radius), indices detached."""
-    if isinstance(model, AnalyticFieldModel):
-        return _find_for_model(model, radius)
-    if isinstance(model, PLFieldModel):
-        return _find_pl_zeros(model)
-    raise InputError("unknown field model")
-
-
-def _find_pl_zeros(model: PLFieldModel):
-    q = model.complex
-    n = q.dimension
-    records = []
-    for idx in q.cells(n):
-        chart = model._charts[idx]
-        vectors = chart["vectors"]
-        k = n + 1
-        d = len(vectors[0])
-        matrix = [[vectors[j][i] for j in range(k)] for i in range(d)]
-        matrix.append([Fraction(1)] * k)
-        rhs = [Fraction(0)] * d + [Fraction(1)]
-        status, lam = solve_linear(matrix, rhs)
-        if status == "none":
-            continue
-        if status == "infinite":
-            raise TamenessError(f"zero set is not isolated on cell "
-                                f"{q.simplex(n, idx)}")
-        if any(c < 0 for c in lam):
-            continue
-        if any(c == 0 for c in lam):
-            raise InputError("field zero lies on a simplex face: strong "
-                             "tameness is violated; subdivide the complex")
-        verts = chart["verts"]
-        position = tuple(sum(lam[j] * verts[j][i] for j in range(k))
-                         for i in range(d))
-        records.append(resolve_record(q, position, True))
-    return records
+    """Zeros of the field over translates in ball(radius), indices detached;
+    see :func:`deckindex.fixpoint.solve_zeros`."""
+    return solve_zeros(model, radius)
 
 
 def field_index(model, record: FixedPointRecord) -> int:
-    """Degree of the field direction map on a small sphere around a zero."""
-    if record.on_face or record.host is None:
-        raise InputError("field index needs a strong-tameness witness")
-    if isinstance(model, AnalyticFieldModel):
-        return model.local_index_at(record.position, record.exact)
-    if isinstance(model, PLFieldModel):
-        return _pl_field_index(model, record)
-    raise InputError("unknown field model")
-
-
-def _pl_field_index(model: PLFieldModel, record: FixedPointRecord) -> int:
-    q = model.complex
-    n = q.dimension
-    g, idx = record.host
-    chart = model._charts[idx]
-    verts, basis, vectors = chart["verts"], chart["basis"], chart["vectors"]
-    # express the affine field in chart coordinates s (lam_1..lam_n)
-    cols = []
-    for j in range(n + 1):
-        status, col = solve_linear(basis, list(vectors[j]))
-        if status != "unique":
-            raise InternalError("projected vertex vector leaves the chart plane")
-        cols.append(col)
-    # v(s) = cols[0] + sum_j s_j (cols[j+1] - cols[0])
-    a_matrix = [[cols[j + 1][i] - cols[0][i] for j in range(n)] for i in range(n)]
-    d_val = det(a_matrix)
-    if d_val > 0:
-        return 1
-    if d_val < 0:
-        return -1
-    from .geometry import barycentric_coordinates
-    bary = barycentric_coordinates(record.position, verts)
-    p_chart = tuple(bary[j + 1] for j in range(n))
-
-    def v_affine(chart_point):
-        return tuple(cols[0][i] + sum(a_matrix[i][j] * chart_point[j]
-                                      for j in range(n)) for i in range(n))
-
-    margin = min(min(bary), Fraction(1, 4))
-    return pl_degree_on_diamond(v_affine, p_chart, margin / 2)
+    """Degree of the field direction map on a small sphere around a zero;
+    see :func:`deckindex.fixpoint.zero_index`."""
+    return zero_index(model, record)
 
 
 def field_tameness_check(model, grid: int = 64) -> TamenessReport:
-    """Tameness of the field: isolation, norm gap, host containment."""
-    if isinstance(model, AnalyticFieldModel):
-        return tameness_check(model, grid=grid)
-    try:
-        records = _find_pl_zeros(model)
-    except TamenessError as e:
-        return TamenessReport(delta=None, epsilon=None, verdict="not tame",
-                              witnesses=[str(e)])
-    return tameness_check(_PLAdapter(model), records=records, grid=grid)
-
-
-class _PLAdapter:
-    """Adapter exposing the sampling surface tameness_check expects."""
-
-    def __init__(self, model: PLFieldModel):
-        self.model = model
-        self.group = model.group
-        self.complex = model.complex
-        self.bound = model.bound
-        self.source = model.complex  # sampled like a simplicial model
-
-    # tameness_check samples simplicial models through
-    # _lifted_image_positions; provide field-norm sampling directly instead
-    def sample(self, grid):
-        q = self.model.complex
-        n = q.dimension
-        pts, norms = [], []
-        per_cell = max(3, int(round(grid / max(1.0, q.count(n) ** 0.5))))
-        for idx in q.cells(n):
-            chart = self.model._charts[idx]
-            verts = chart["verts"]
-            for combo in itertools.product(range(1, per_cell), repeat=n):
-                if sum(combo) >= per_cell:
-                    continue
-                lam = [Fraction(per_cell - sum(combo), per_cell)] + \
-                    [Fraction(c, per_cell) for c in combo]
-                x = [float(sum(lam[j] * verts[j][i] for j in range(len(verts))))
-                     for i in range(len(verts[0]))]
-                v = self.model.field_in_chart(idx, lam)
-                pts.append(x)
-                norms.append(math.sqrt(float(sum(c * c for c in v))))
-        return np.array(pts), np.array(norms)
+    """Tameness of the field: isolation, norm gap, host containment; see
+    :func:`deckindex.fixpoint.check_tameness`."""
+    return check_tameness(model, grid)
 
 
 def index_class(model, fd=None, report: TamenessReport | None = None) -> ClassFunction:
-    """Per-coset signed zero counts as a bounded class function."""
-    if report is None:
-        report = field_tameness_check(model)
-    if report.verdict == "not tame":
-        raise TamenessError("index class refused: the field is not tame "
-                            f"(witnesses: {report.witnesses})")
-    group = model.group
-    if fd is None:
-        fd = PeriodicComplex(model.complex).fundamental_domain()
-    if report.strongly_fixed_point_free:
-        return ClassFunction(group, 0, {})
-    n = model.complex.dimension
-
-    if isinstance(model, PLFieldModel):
-        finite: dict = {}
-        for r in _find_pl_zeros(model):
-            r.index = _pl_field_index(model, r)
-            r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
-            finite[r.coset] = finite.get(r.coset, 0) + r.index
-        return ClassFunction(group, 0, finite)
-
-    return analytic_index_class(model, fd)
+    """Per-coset signed zero counts as a bounded class function; see
+    :func:`deckindex.fixpoint.assemble_class`."""
+    return assemble_class(model, fd, report)
 
 
 def poincare_hopf_check(model, decide=None,
@@ -301,7 +170,6 @@ def poincare_hopf_check(model, decide=None,
 
 
 def field_model_from_document(doc: dict, complex_resolver=None):
-    from .fixpoint import resolve_complex_reference
     q = resolve_complex_reference(doc, complex_resolver)
     variant = doc.get("variant")
     if variant == "analytic":

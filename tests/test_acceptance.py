@@ -25,7 +25,7 @@ from deckindex.chains import (
 from deckindex.complexes import PeriodicComplex, barycentric_subdivide
 from deckindex.errors import DeckIndexError
 from deckindex.fixpoint import (
-    AnalyticMapModel,
+    AnalyticModel,
     equivariant_oracle_check,
     ingest_index_data,
     lefschetz_class,
@@ -250,14 +250,14 @@ def test_criterion_7_stability_suite():
     sub_torus = barycentric_subdivide(torus_grid(), 1).complex
 
     sin_model = map_model_from_document(fixture_document("sin-map"))
-    sin_fine = AnalyticMapModel(sub_torus, ["sin(2*pi*x)/5", "sin(2*pi*y)/5"],
-                                Fraction(2, 5))
+    sin_fine = AnalyticModel(sub_torus, ["sin(2*pi*x)/5", "sin(2*pi*y)/5"],
+                             Fraction(2, 5))
     ok1 = lefschetz_class(sin_fine) == lefschetz_class(sin_model)
 
     scaled = map_model_from_document(fixture_document("sin-map-scaled"))
-    scaled_fine = AnalyticMapModel(sub_torus,
-                                   ["(3/10)*sin(2*pi*x)", "(3/10)*sin(2*pi*y)"],
-                                   Fraction(1, 2))
+    scaled_fine = AnalyticModel(sub_torus,
+                                ["(3/10)*sin(2*pi*x)", "(3/10)*sin(2*pi*y)"],
+                                Fraction(1, 2))
     ok2 = lefschetz_class(scaled_fine) == lefschetz_class(scaled)
 
     antipodal = map_model_from_document(fixture_document("octahedron-antipodal"))

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from deckindex.cli import main
 from deckindex.fixtures import fixture_complex, fixture_document
 from deckindex.reports import canonical_json
@@ -147,6 +149,16 @@ class TestAmenability:
         assert report["kind"] == "free-abelian"
         assert report["group"]["kind"] == "free-abelian"
 
+    @pytest.mark.parametrize("fixture", ["sin-map", "sin-field-override"])
+    def test_fixture_named_complex_reads_its_group(self, fixture, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["amenability", f"fixture:{fixture}", "--radius", "3",
+                     "--out", out]) == 0
+        torus = str(tmp_path / "torus")
+        assert main(["amenability", "fixture:torus", "--radius", "3",
+                     "--out", torus]) == 0
+        assert _read_report(out)["report"] == _read_report(torus)["report"]
+
 
 class TestDecideClass:
     def test_document_round(self, tmp_path):
@@ -218,6 +230,22 @@ class TestExitCodes:
     def test_class_without_group_is_input_error(self, tmp_path):
         path = _write(tmp_path, "c.json", {"constant": 1, "finite": []})
         assert main(["decide-class", path]) == 1
+
+    @pytest.mark.parametrize("constant,value", [(1.5, 2), (1, 2.7), (1.5, 2.7)])
+    def test_fractional_number_is_input_error(self, constant, value, tmp_path):
+        path = _write(tmp_path, "c.json",
+                      {"group": {"kind": "free-abelian", "rank": 1},
+                       "constant": constant, "finite": [["a", value]]})
+        assert main(["decide-class", path]) == 1
+
+    def test_integral_float_is_accepted(self, tmp_path):
+        path = _write(tmp_path, "c.json",
+                      {"group": {"kind": "free-abelian", "rank": 1},
+                       "constant": 2.0, "finite": [["a", 3.0]]})
+        out = str(tmp_path / "out")
+        assert main(["decide-class", path, "--out", out]) == 0
+        assert _read_report(out)["report"]["class_function"] == \
+            {"constant": 2, "finite": [["a", 3]]}
 
 
 class TestSubdivideFlag:

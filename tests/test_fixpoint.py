@@ -174,19 +174,19 @@ class TestLefschetzClass:
 class TestStability:
     def test_sin_class_stable_under_subdivision(self, sin_model):
         from deckindex.complexes import barycentric_subdivide
-        from deckindex.fixpoint import AnalyticMapModel
+        from deckindex.fixpoint import AnalyticModel
         sub = barycentric_subdivide(torus_grid(), 1).complex
-        finer = AnalyticMapModel(sub, ["sin(2*pi*x)/5", "sin(2*pi*y)/5"],
-                                 Fraction(2, 5))
+        finer = AnalyticModel(sub, ["sin(2*pi*x)/5", "sin(2*pi*y)/5"],
+                              Fraction(2, 5))
         assert lefschetz_class(finer) == lefschetz_class(sin_model)
 
     def test_scaled_sin_class_stable_under_subdivision(self):
         from deckindex.complexes import barycentric_subdivide
-        from deckindex.fixpoint import AnalyticMapModel
+        from deckindex.fixpoint import AnalyticModel
         scaled = map_model_from_document(fixture_document("sin-map-scaled"))
         sub = barycentric_subdivide(torus_grid(), 1).complex
-        finer = AnalyticMapModel(sub, ["(3/10)*sin(2*pi*x)", "(3/10)*sin(2*pi*y)"],
-                                 Fraction(1, 2))
+        finer = AnalyticModel(sub, ["(3/10)*sin(2*pi*x)", "(3/10)*sin(2*pi*y)"],
+                              Fraction(1, 2))
         assert lefschetz_class(finer) == lefschetz_class(scaled)
 
     def test_rotation_subdivision_hits_face_rejection(self, rotation_model):
@@ -195,6 +195,14 @@ class TestStability:
         pushed = subdivided_automorphism(rotation_model)
         with pytest.raises(InputError, match="simplex face"):
             find_fixed_points(pushed, 0)
+
+    def test_face_rejection_does_not_advise_subdividing(self, rotation_model):
+        # the subdivided rotation's fixed points are vertices of every
+        # further subdivision, so the refusal must not recommend one
+        pushed = subdivided_automorphism(rotation_model)
+        with pytest.raises(InputError, match="lies on a simplex face") as e:
+            find_fixed_points(pushed, 0)
+        assert "one more barycentric subdivision" not in str(e.value)
 
     def test_antipodal_class_stable_under_subdivision(self, antipodal_model):
         pushed = subdivided_automorphism(antipodal_model)

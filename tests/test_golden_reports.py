@@ -1,8 +1,9 @@
-"""Golden reports: the analytic pipelines' report.json bytes are pinned.
+"""Golden reports: the map and field pipelines' report.json bytes are pinned.
 
 The digests below are the sha256 of ``report.json`` as written by
-``deckindex <command> fixture:<name> --out <dir>``.  A change that moves
-any of them changes what users see and must say why.
+``deckindex <command> fixture:<name> [flags] --out <dir>``, keyed by
+(command, fixture, *flags).  A change that moves any of them changes what
+users see and must say why.
 """
 
 import hashlib
@@ -23,6 +24,18 @@ GOLDEN = {
         "66cc5b0657ebaa491d1dbf6657f93bddee8c0d40579cdad69b465450ccc406b8",
     ("field-analyze", "sin-field-override"):
         "4dcb8e46a313422bb219907230fe05d6d13ecc5dcb2aa37b21b19bc95b216066",
+    ("map-analyze", "octahedron-antipodal"):
+        "fe5b8ab8c4b091318eca4e617c4bb203360f7d849cd082fde83200d75f61ffa0",
+    ("map-analyze", "octahedron-rotation"):
+        "b2d0d492e50d0b71a0e6ce01969e2340b548ac5b2bc69088c26ac1cdb34d1e28",
+    ("map-analyze", "octahedron-reflection"):
+        "d599ac8aeaf31c79245bed565680a8fa4fbc4dd59020182c323022a15ce86e61",
+    ("map-analyze", "octahedron-identity"):
+        "d599ac8aeaf31c79245bed565680a8fa4fbc4dd59020182c323022a15ce86e61",
+    ("map-analyze", "octahedron-antipodal", "--subdivide", "1"):
+        "d0b1be8c33effb1a3d474e3f9b3e23ecd1baf7901592a90fba3768f33a2f4a16",
+    ("field-analyze", "octahedron-polar-field"):
+        "df4ae4a4ea144d2582fa7355f11fb3aba82a960111e059fc8c0cb3e4a4fcfbdb",
 }
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -33,11 +46,12 @@ def _digest(out_dir):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("command,fixture", sorted(GOLDEN))
-def test_report_bytes_unchanged(command, fixture, tmp_path):
+@pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
+def test_report_bytes_unchanged(key, tmp_path):
+    command, fixture, *flags = key
     out = str(tmp_path / "out")
-    assert main([command, f"fixture:{fixture}", "--out", out]) == 0
-    assert _digest(out) == GOLDEN[command, fixture]
+    assert main([command, f"fixture:{fixture}", *flags, "--out", out]) == 0
+    assert _digest(out) == GOLDEN[key]
 
 
 def test_report_bytes_independent_of_hash_seed(tmp_path):

@@ -17,7 +17,7 @@ import pytest
 import sympy
 
 from deckindex import exprs
-from deckindex.fixpoint import (AnalyticMapModel, locate_host_cells,
+from deckindex.fixpoint import (AnalyticModel, locate_host_cells,
                                 map_model_from_document, resolve_record)
 from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
 from deckindex.geometry import point_in_simplex
@@ -89,7 +89,7 @@ def _scalar_zeros_in_window(model, window, plain=False):
 
 
 def _torus_model(components, bound="2"):
-    return AnalyticMapModel(fixture_complex("torus"), components, Fraction(bound))
+    return AnalyticModel(fixture_complex("torus"), components, Fraction(bound))
 
 
 def _assert_same(model, window, plain=False):
