@@ -28,8 +28,8 @@ class TamenessError(InputError):
 class ResourceError(DeckIndexError):
     """A configured budget would be exceeded (exit code 2).
 
-    The message always names the budget flag so the caller knows which
-    knob to turn.
+    The message always names the budget flag or document field, so the
+    caller knows which knob to turn.
     """
 
     exit_code = 2

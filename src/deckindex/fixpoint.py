@@ -47,8 +47,9 @@ The index of an isolated zero is the degree of ``sign * d`` around it,
 ``index_matrix_sign``.  For a map this is the classical convention, the
 degree of ``x - f(x)``, i.e. ``sign det(I - Df)``; for a field it is
 ``sign det Dv``.  The sign is certified by interval arithmetic for analytic
-models and computed in exact rationals for affine pieces; degenerate
-affine pieces fall back to an exact PL winding number.
+models and computed in exact rationals for affine pieces.  An affine
+piece yields a zero only when that zero is unique, so its chart is never
+degenerate.
 """
 
 from __future__ import annotations
@@ -66,9 +67,7 @@ from .chains import ClassFunction, lefschetz_number_quotient
 from .complexes import PeriodicComplex, QuotientComplex, barycentric_subdivide, euler_characteristic
 from .errors import InputError, InternalError, TamenessError
 from .geometry import (
-    barycentric_coordinates,
     det,
-    pl_degree_on_diamond,
     point_in_simplex,
     simplex_boundary_squared_distance,
     solve_linear,
@@ -793,8 +792,8 @@ def _affine_index(model, record: FixedPointRecord) -> int:
 
     With ``c_j`` the chart coordinates of the vertex vectors, the index
     field in the chart is ``u(x) = sign * (c_0 + M x)`` with columns
-    ``M_j = c_j - c_0``: its determinant sign, or an exact PL winding
-    number when the piece is degenerate.
+    ``M_j = c_j - c_0``: its determinant sign.  Zeros reach here only as
+    the unique zero of their piece, so the determinant is never 0.
     """
     src = model.source
     n = src.dimension
@@ -817,16 +816,9 @@ def _affine_index(model, record: FixedPointRecord) -> int:
         cols.append(col)
     m = [[sign * (cols[j + 1][i] - cols[0][i]) for j in range(n)] for i in range(n)]
     d_val = det(m)
-    if d_val != 0:
-        return 1 if d_val > 0 else -1
-    bary = barycentric_coordinates(record.position, positions)
-
-    def u_affine(x):
-        return tuple(sign * cols[0][i] + sum(m[i][j] * x[j] for j in range(n))
-                     for i in range(n))
-
-    margin = min(min(bary), Fraction(1, 4))
-    return pl_degree_on_diamond(u_affine, tuple(bary[1:]), margin / 2)
+    if d_val == 0:
+        raise InternalError("degenerate chart at a unique interior zero")
+    return 1 if d_val > 0 else -1
 
 
 # ---------------------------------------------------------------------------

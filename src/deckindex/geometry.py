@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and small PL-degree computations."""
+"""Exact rational linear algebra and simplex geometry."""
 
 from __future__ import annotations
 
@@ -167,73 +167,3 @@ def sqrt_lower_bound(value: Fraction, bits: int = 40) -> Fraction:
     num = value.numerator * scale * scale
     root = math.isqrt(num // value.denominator)
     return Fraction(root, scale)
-
-
-def winding_number_2d(polygon_values) -> int:
-    """Winding number around the origin of a closed rational polygon.
-
-    ``polygon_values`` lists the vertices (u_0, ..., u_{m-1}); edges join
-    consecutive vertices cyclically and must not pass through the origin.
-    Counted by signed crossings of the positive x-axis.
-    """
-    m = len(polygon_values)
-    for v in polygon_values:
-        if v[0] == 0 and v[1] == 0:
-            raise InputError("polygon passes through the origin")
-    total = 0
-    for i in range(m):
-        x1, y1 = polygon_values[i]
-        x2, y2 = polygon_values[(i + 1) % m]
-        if y1 == 0 and y2 == 0:
-            if x1 < 0 and x2 < 0:
-                continue
-            if (x1 < 0) != (x2 < 0):
-                raise InputError("edge passes through the origin")
-            continue
-        if y1 == 0 or y2 == 0:
-            # vertex on the axis: count half crossings consistently by
-            # nudging the axis infinitesimally upward
-            pass
-        if (y1 < 0 and y2 >= 0) or (y1 >= 0 and y2 < 0):
-            # crossing the x-axis; find the sign of x at the crossing
-            tden = y2 - y1
-            xc = x1 + (x2 - x1) * (Fraction(0) - y1) / tden
-            if xc == 0:
-                raise InputError("edge passes through the origin")
-            if xc > 0:
-                total += 1 if y2 > y1 else -1
-    return total
-
-
-def pl_degree_on_diamond(u_affine, center, radius: Fraction) -> int:
-    """Degree of an affine map around an isolated zero at center (n = 2).
-
-    ``u_affine(p)`` returns the exact value of the displacement at p.  The
-    map is evaluated on the diamond |x - center|_1 = radius; a deterministic
-    sequence of shrinking radii handles accidental axis hits.
-    """
-    n = len(center)
-    if n != 2:
-        raise InputError("PL degree fallback implemented for dimension 2")
-    for attempt in range(8):
-        rad = radius / (1 + attempt)
-        pts = [
-            (center[0] + rad, center[1]),
-            (center[0], center[1] + rad),
-            (center[0] - rad, center[1]),
-            (center[0], center[1] - rad),
-        ]
-        # refine each side to avoid long-edge degeneracies
-        ring = []
-        for i in range(4):
-            a = pts[i]
-            b = pts[(i + 1) % 4]
-            ring.append(a)
-            ring.append(tuple((x + y) / 2 for x, y in zip(a, b)))
-        try:
-            values = [u_affine(p) for p in ring]
-            return winding_number_2d(values)
-        except InputError:
-            continue
-    raise InputError("degree computation ambiguous: displacement vanishes on "
-                     "every probe sphere; repeat with a smaller isolation radius")

@@ -18,12 +18,17 @@ string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
 All groups are immutable after construction and safe to share between
-threads.
+threads; the only state added later is the element of each signed
+generator, derived once on first use.
+
+:class:`IndexedBall` numbers a ball's elements in BFS order, so the flow
+networks and the isoperimetric probe work on integer ids.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, ResourceError
 
@@ -118,8 +123,12 @@ class MarkedGroup:
     def distance(self, a, b) -> int:
         return self.length(self.multiply(self.inverse(a), b))
 
+    @cached_property
+    def _token_elements(self) -> dict:
+        return {t: self.element_of([t]) for t in self._signed_tokens()}
+
     def multiply_token(self, a, token: Token):
-        return self.multiply(a, self.element_of([token]))
+        return self.multiply(a, self._token_elements[token])
 
     # -- balls -------------------------------------------------------------
 
@@ -133,7 +142,8 @@ class MarkedGroup:
         if radius > self.ball_budget:
             raise ResourceError(
                 f"radius {radius} exceeds the ball budget {self.ball_budget} "
-                f"for kind {self.kind!r}; raise it with --radius")
+                f"for kind {self.kind!r}; raise 'ball_budget' in the group "
+                "document")
 
     def ball_with_distances(self, radius: int) -> dict:
         """Exact word-metric ball as ``{element: distance}``."""
@@ -465,13 +475,68 @@ class FiniteGroup(MarkedGroup):
         return (self.table, self.generator_ids, self.generator_names)
 
 
-def cyclic_group(order: int) -> FiniteGroup:
+def cyclic_group(order: int, ball_budget: int = 64) -> FiniteGroup:
     table = [[(i + j) % order for j in range(order)] for i in range(order)]
-    return FiniteGroup(table, generator_ids=[1 % order], names=["t"])
+    return FiniteGroup(table, generator_ids=[1 % order], names=["t"],
+                       ball_budget=ball_budget)
 
 
-def trivial_group() -> FiniteGroup:
-    return FiniteGroup([[0]], generator_ids=[0], names=["e"])
+def trivial_group(ball_budget: int = 64) -> FiniteGroup:
+    return FiniteGroup([[0]], generator_ids=[0], names=["e"],
+                       ball_budget=ball_budget)
+
+
+# ---------------------------------------------------------------------------
+# Indexed balls
+
+
+class IndexedBall:
+    """Word-metric ball whose elements carry integer ids in BFS order.
+
+    ``elements[i]`` is the element with id ``i`` and ``dist[i]`` its word
+    length.  Ids grow with the distance, so for every ``r <= radius`` the
+    ball of radius ``r`` is the id prefix ``range(ends[r])``.
+    ``rows[k][i]`` is the id of ``elements[i]`` times the k-th signed
+    generator token (in ``_signed_tokens`` order), or -1 when that product
+    lies outside the ball.  ``outside`` counts the distinct outside
+    products, which form the sphere of radius ``radius + 1``.
+    """
+
+    def __init__(self, group: MarkedGroup, radius: int):
+        group.check_radius(radius)
+        tokens = group._signed_tokens()
+        ids = {group.identity(): 0}
+        elements = [group.identity()]
+        dist = [0]
+        rows: list[list[int]] = [[] for _ in tokens]
+        outside = set()
+        i = 0
+        while i < len(elements):
+            g, d = elements[i], dist[i]
+            for row, t in zip(rows, tokens):
+                h = group.multiply_token(g, t)
+                j = ids.get(h)
+                if j is None:
+                    if d == radius:
+                        outside.add(h)
+                        j = -1
+                    else:
+                        j = ids[h] = len(elements)
+                        elements.append(h)
+                        dist.append(d + 1)
+                row.append(j)
+            i += 1
+        ends = [0] * (radius + 1)
+        for d in dist:
+            ends[d] += 1
+        for r in range(1, radius + 1):
+            ends[r] += ends[r - 1]
+        self.radius = radius
+        self.elements = elements
+        self.dist = dist
+        self.rows = rows
+        self.ends = ends
+        self.outside = len(outside)
 
 
 # ---------------------------------------------------------------------------
@@ -566,27 +631,27 @@ def group_from_document(doc: dict) -> MarkedGroup:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("group block must be an object with a 'kind' tag")
     kind = doc["kind"]
-    budget = doc.get("ball_budget")
+    # each constructor keeps its own default budget unless the document
+    # states one
+    budget = {} if doc.get("ball_budget") is None else \
+        {"ball_budget": int(doc["ball_budget"])}
     if kind == "free-abelian":
-        g = FreeAbelianGroup(int(doc["rank"]), names=doc.get("generators"))
-    elif kind == "free":
-        g = FreeGroup(int(doc["rank"]), names=doc.get("generators"))
-    elif kind == "surface":
-        g = SurfaceGroup(int(doc["genus"]), names=doc.get("generators"))
-    elif kind == "finite":
+        return FreeAbelianGroup(int(doc["rank"]), names=doc.get("generators"),
+                                **budget)
+    if kind == "free":
+        return FreeGroup(int(doc["rank"]), names=doc.get("generators"), **budget)
+    if kind == "surface":
+        return SurfaceGroup(int(doc["genus"]), names=doc.get("generators"),
+                            **budget)
+    if kind == "finite":
         if "cyclic" in doc:
-            g = cyclic_group(int(doc["cyclic"]))
-        elif "trivial" in doc:
-            g = trivial_group()
-        else:
-            g = FiniteGroup(doc["table"], generator_ids=doc.get("generator_ids"),
-                            names=doc.get("generators"))
-    else:
-        raise InputError(f"unsupported group kind {kind!r}; supported kinds: "
-                         "free-abelian, free, surface, finite")
-    if budget is not None:
-        g.ball_budget = int(budget)
-    return g
+            return cyclic_group(int(doc["cyclic"]), **budget)
+        if "trivial" in doc:
+            return trivial_group(**budget)
+        return FiniteGroup(doc["table"], generator_ids=doc.get("generator_ids"),
+                           names=doc.get("generators"), **budget)
+    raise InputError(f"unsupported group kind {kind!r}; supported kinds: "
+                     "free-abelian, free, surface, finite")
 
 
 def group_to_document(group: MarkedGroup) -> dict:

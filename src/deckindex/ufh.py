@@ -19,12 +19,13 @@ boundary or the averages from scratch and compares exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import ClassFunction
 from .errors import InputError, InternalError, ResourceError
-from .groups import FiniteGroup, MarkedGroup, folner_average
+from .groups import FiniteGroup, IndexedBall, MarkedGroup, folner_average
 
 
 class BoundedGeometryGraph:
@@ -44,10 +45,15 @@ class BoundedGeometryGraph:
 
 
 class CayleyGraph(BoundedGeometryGraph):
-    """Cayley graph of a marked group with its standard generators."""
+    """Cayley graph of a marked group with its standard generators.
+
+    The graph keeps the largest :class:`IndexedBall` asked of it; that ball
+    serves every smaller radius, since a ball is a prefix of the BFS order.
+    """
 
     def __init__(self, group: MarkedGroup):
         self.group = group
+        self._ball: IndexedBall | None = None
 
     def neighbors(self, v):
         return [self.group.multiply_token(v, t) for t in self.group._signed_tokens()]
@@ -58,8 +64,12 @@ class CayleyGraph(BoundedGeometryGraph):
     def ball(self, radius: int):
         return self.group.ball(radius)
 
-    def ball_with_distances(self, radius: int):
-        return self.group.ball_with_distances(radius)
+    def indexed_ball(self, radius: int) -> IndexedBall:
+        """An indexed ball of radius at least ``radius``."""
+        self.group.check_radius(radius)
+        if self._ball is None or self._ball.radius < radius:
+            self._ball = IndexedBall(self.group, radius)
+        return self._ball
 
     def sort_key(self, v):
         return self.group.sort_key(v)
@@ -130,18 +140,24 @@ def folner_search(group: MarkedGroup, delta: Fraction, r: int = 1,
                         "(--radius budget for the scheme search)")
 
 
-def isoperimetric_probe(graph: BoundedGeometryGraph, radii) -> list:
-    """Exact outer vertex-boundary ratios |dB_r| / |B_r| per radius."""
+def isoperimetric_probe(graph: CayleyGraph, radii) -> list:
+    """Exact outer vertex-boundary ratios |dB_r| / |B_r| per radius.
+
+    The outer boundary of B_r is the sphere S_{r+1}, read from the graph's
+    indexed ball: its next sphere below the ball's radius, its outside
+    products at that radius.
+    """
+    radii = sorted(radii)
+    if not radii:
+        return []
+    graph.group.check_radius(radii[0])  # a negative radius is no prefix
+    ball = graph.indexed_ball(radii[-1])
     rows = []
-    for r in sorted(radii):
-        ball = graph.ball(r)
-        boundary = set()
-        for v in ball:
-            for w in graph.neighbors(v):
-                if w not in ball:
-                    boundary.add(w)
-        rows.append({"radius": r, "ball": len(ball), "boundary": len(boundary),
-                     "ratio": Fraction(len(boundary), len(ball))})
+    for r in radii:
+        size = ball.ends[r]
+        boundary = ball.ends[r + 1] - size if r < ball.radius else ball.outside
+        rows.append({"radius": r, "ball": size, "boundary": boundary,
+                     "ratio": Fraction(boundary, size)})
     return rows
 
 
@@ -256,50 +272,66 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction, margin: int = 6):
 
 
 # ---------------------------------------------------------------------------
-# Exact integral max-flow (augmenting paths)
+# Exact integral max-flow (Dinic's blocking flows, warm-started)
+
+FLOW_RADIUS_BUDGET = 10
 
 
-class _FlowNetwork:
-    def __init__(self):
-        self.adj: dict = {}
+def _max_flow(adj, head, cap, s: int, t: int) -> int:
+    """Raise the s-t flow held in the residual ``cap`` to a maximum.
 
-    def add_arc(self, u, v, cap: int):
-        self.adj.setdefault(u, {}).setdefault(v, 0)
-        self.adj.setdefault(v, {}).setdefault(u, 0)
-        self.adj[u][v] += cap
-
-    def max_flow(self, s, t):
-        """Edmonds-Karp; returns (value, flow dict on ordered pairs)."""
-        residual = {u: dict(vs) for u, vs in self.adj.items()}
-        flow: dict = {}
-        total = 0
+    Dinic's algorithm: BFS levels over arcs with residual capacity, then a
+    blocking flow along level-increasing arcs by an iterative DFS with one
+    current-arc pointer per vertex.  Arcs come in pairs ``a``, ``a ^ 1``;
+    ``head[a]`` is the target of arc ``a`` and ``adj[v]`` lists the arcs
+    leaving ``v``.  ``cap`` is updated in place; returns the added value.
+    """
+    n = len(adj)
+    added = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue and level[t] < 0:
+            v = queue.popleft()
+            lv = level[v] + 1
+            for a in adj[v]:
+                if cap[a] > 0 and level[head[a]] < 0:
+                    level[head[a]] = lv
+                    queue.append(head[a])
+        if level[t] < 0:
+            return added
+        pointer = [0] * n
+        path: list[int] = []
+        v = s
         while True:
-            parent = {s: None}
-            queue = [s]
-            while queue and t not in parent:
-                u = queue.pop(0)
-                for v, cap in residual[u].items():
-                    if cap > 0 and v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-            if t not in parent:
-                return total, flow
-            # bottleneck
-            path = []
-            v = t
-            while parent[v] is not None:
-                path.append((parent[v], v))
-                v = parent[v]
-            aug = min(residual[u][v] for u, v in path)
-            for u, v in path:
-                residual[u][v] -= aug
-                residual[v][u] += aug
-                flow[(u, v)] = flow.get((u, v), 0) + aug
-                if flow.get((v, u), 0) and flow[(u, v)]:
-                    cancel = min(flow[(u, v)], flow[(v, u)])
-                    flow[(u, v)] -= cancel
-                    flow[(v, u)] -= cancel
-            total += aug
+            if v == t:
+                push = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                added += push
+                # resume from the tail of the first saturated arc
+                k = next(k for k, a in enumerate(path) if cap[a] == 0)
+                del path[k:]
+                v = head[path[-1]] if path else s
+                continue
+            arcs = adj[v]
+            i = pointer[v]
+            nxt = level[v] + 1
+            while i < len(arcs) and (cap[arcs[i]] == 0
+                                     or level[head[arcs[i]]] != nxt):
+                i += 1
+            pointer[v] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                v = head[arcs[i]]
+            elif v == s:
+                break
+            else:
+                level[v] = -1  # dead end for the rest of this phase
+                v = head[path.pop() ^ 1]
+                pointer[v] += 1
 
 
 @dataclass
@@ -311,8 +343,115 @@ class FlowResult:
     chain: GraphChain | None
 
 
-def flow_certificate(graph: BoundedGeometryGraph, c: ClassFunction, radius: int,
-                     capacity: int, radius_budget: int = 10,
+class _BallFlows:
+    """The two commodities' flow networks on ball(radius) of a Cayley graph.
+
+    Vertex ids are the indexed ball's ids below ``ends[radius]``; the source
+    and the sink come after them.  The first arc pairs are the ball edges,
+    each arc with the uniform capacity; then one source arc per inner vertex
+    where c is nonzero, and one sink arc per sphere vertex.  Both
+    commodities share the arcs and keep separate residuals.  The network
+    starts at capacity 0; :meth:`raise_to` adds to both arcs of every ball
+    edge and resumes from the current residual, since a feasible flow stays
+    feasible as capacities grow.
+    """
+
+    def __init__(self, graph: CayleyGraph, c: ClassFunction, radius: int):
+        ball = graph.indexed_ball(radius)
+        n = ball.ends[radius]
+        inner = ball.ends[radius - 1] if radius > 0 else 0
+        if inner == n:
+            raise InputError("sphere is empty; the graph is too small for this radius")
+        source, sink = n, n + 1
+        adj: list[list[int]] = [[] for _ in range(n + 2)]
+        head: list[int] = []
+
+        def arc_pair(u, v):
+            adj[u].append(len(head))
+            head.append(v)
+            adj[v].append(len(head))
+            head.append(u)
+
+        for i in range(n):
+            seen = []
+            for row in ball.rows:
+                j = row[i]
+                if i < j < n and j not in seen:
+                    seen.append(j)
+                    arc_pair(i, j)
+        self.edge_arcs = len(head)
+        values = [c.value(ball.elements[i]) for i in range(inner)]
+        supplied = [i for i in range(inner) if values[i]]
+        for i in supplied:
+            arc_pair(source, i)
+        for i in range(inner, n):
+            arc_pair(i, sink)
+        sources = slice(self.edge_arcs, self.edge_arcs + 2 * len(supplied), 2)
+        sinks = slice(sources.stop, len(head), 2)
+        unbounded = sum(abs(values[i]) for i in supplied)
+        self.caps = {}
+        self.want = {}
+        for sign in (1, -1):
+            supply = [max(sign * values[i], 0) for i in supplied]
+            cap = [0] * len(head)
+            cap[sources] = supply
+            cap[sinks] = [unbounded] * (n - inner)
+            self.caps[sign] = cap
+            self.want[sign] = sum(supply)
+        self.value = {1: 0, -1: 0}
+        self.graph, self.ball, self.radius = graph, ball, radius
+        self.adj, self.head, self.source, self.sink = adj, head, source, sink
+        self.capacity = 0
+
+    @property
+    def deficit(self) -> int:
+        return sum(self.want[s] - self.value[s] for s in (1, -1))
+
+    def raise_to(self, capacity: int) -> None:
+        """Grow the edge capacity to ``capacity`` and re-maximize both flows."""
+        delta = capacity - self.capacity
+        if delta < 0:
+            raise InternalError("flow capacities only grow")
+        self.capacity = capacity
+        for sign, cap in self.caps.items():
+            for a in range(self.edge_arcs):
+                cap[a] += delta
+            if self.value[sign] < self.want[sign]:
+                self.value[sign] += _max_flow(self.adj, self.head, cap,
+                                              self.source, self.sink)
+
+    def result(self, capacity: int) -> FlowResult:
+        """The current flows, reported at ``capacity`` (at least the
+        network's).  The certificate chain is the net edge flow reversed:
+        flow leaving a vertex deposits mass there."""
+        deficit = self.deficit
+        chain = None
+        if not deficit:
+            chain = GraphChain(self.graph)
+            elements, head = self.ball.elements, self.head
+            plus, minus = self.caps[1], self.caps[-1]
+            for a in range(0, self.edge_arcs, 2):
+                # arc a carries capacity - residual from head[a + 1] to
+                # head[a] in each commodity
+                coeff = minus[a] - plus[a]
+                if coeff:
+                    chain.add_edge(elements[head[a]], elements[head[a + 1]], coeff)
+        return FlowResult(feasible=not deficit, radius=self.radius,
+                          capacity=capacity, deficit=deficit, chain=chain)
+
+
+def _check_flow_budgets(radius: int, capacity: int, radius_budget: int,
+                        capacity_budget: int) -> None:
+    if radius > radius_budget:
+        raise ResourceError(f"flow radius {radius} exceeds budget {radius_budget} "
+                            "(--radius)")
+    if capacity > capacity_budget:
+        raise ResourceError(f"flow capacity {capacity} exceeds budget "
+                            f"{capacity_budget} (--capacity)")
+
+
+def flow_certificate(graph: CayleyGraph, c: ClassFunction, radius: int,
+                     capacity: int, radius_budget: int = FLOW_RADIUS_BUDGET,
                      capacity_budget: int = 64) -> FlowResult:
     """Integral flow pushing the masses of c to the radius-R sphere.
 
@@ -322,67 +461,48 @@ def flow_certificate(graph: BoundedGeometryGraph, c: ClassFunction, radius: int,
     ball(R-1).  Edge capacity is per commodity.  Infeasibility reports the
     max-flow deficit.
     """
-    if radius > radius_budget:
-        raise ResourceError(f"flow radius {radius} exceeds budget {radius_budget} "
-                            "(--radius)")
-    if capacity > capacity_budget:
-        raise ResourceError(f"flow capacity {capacity} exceeds budget "
-                            f"{capacity_budget} (--capacity)")
+    _check_flow_budgets(radius, capacity, radius_budget, capacity_budget)
     if not isinstance(graph, CayleyGraph):
         raise InputError("flow certificates run on Cayley graphs")
-    group = graph.group
-    dist = graph.ball_with_distances(radius)
-    inner = [v for v, d in dist.items() if d < radius]
-    sphere = [v for v, d in dist.items() if d == radius]
-    if not sphere:
-        raise InputError("sphere is empty; the graph is too small for this radius")
-    edges = set()
-    for v in dist:
-        for w in graph.neighbors(v):
-            if w in dist:
-                a, b = sorted((v, w), key=graph.sort_key)
-                edges.add((a, b))
-
-    source, sink = "__source__", "__sink__"
-    chain = GraphChain(graph)
-    feasible = True
-    deficit = 0
-    for sign in (1, -1):
-        supplies = {v: sign * c.value(v) for v in inner}
-        supplies = {v: s for v, s in supplies.items() if s > 0}
-        if not supplies:
-            continue
-        net = _FlowNetwork()
-        for (a, b) in edges:
-            net.add_arc(a, b, capacity)
-            net.add_arc(b, a, capacity)
-        for v, s in supplies.items():
-            net.add_arc(source, v, s)
-        big = sum(supplies.values())
-        for v in sphere:
-            net.add_arc(v, sink, big)
-        value, flow = net.max_flow(source, sink)
-        want = sum(supplies.values())
-        if value < want:
-            feasible = False
-            deficit += want - value
-            continue
-        for (u, v), f in flow.items():
-            if f and u != source and v != sink and v != source and u != sink:
-                # flow away from a source vertex deposits +mass at it, so
-                # the certificate chain uses the reversed edge direction
-                chain.add_edge(v, u, sign * f)
-    return FlowResult(feasible=feasible, radius=radius, capacity=capacity,
-                      deficit=deficit, chain=chain if feasible else None)
+    flows = _BallFlows(graph, c, radius)
+    flows.raise_to(capacity)
+    return flows.result(capacity)
 
 
-def minimal_flow_capacity(graph: BoundedGeometryGraph, c: ClassFunction,
+def _capacity_search(graph: CayleyGraph, c: ClassFunction, radii,
+                     capacity_budget: int):
+    """Smallest capacity feasible at every radius, with its flows.
+
+    Capacities rise one at a time; each radius keeps one warm-started
+    network, and a capacity stops at its first infeasible radius.  Returns
+    ``(capacity, results)``, or ``(None, None)`` when no capacity within the
+    budget works.
+    """
+    graph.indexed_ball(max(radii))  # one ball serves every radius
+    nets: dict = {}
+    for capacity in range(1, capacity_budget + 1):
+        for r in radii:
+            if r not in nets:
+                nets[r] = _BallFlows(graph, c, r)
+            net = nets[r]
+            if net.deficit:
+                net.raise_to(capacity)
+            if net.deficit:
+                break
+        else:
+            return capacity, [nets[r].result(capacity) for r in radii]
+    return None, None
+
+
+def minimal_flow_capacity(graph: CayleyGraph, c: ClassFunction,
                           radius: int, capacity_budget: int = 64) -> int:
-    for cap in range(1, capacity_budget + 1):
-        if flow_certificate(graph, c, radius, cap,
-                            capacity_budget=capacity_budget).feasible:
-            return cap
-    raise ResourceError(f"no feasible capacity up to {capacity_budget} (--capacity)")
+    """Smallest uniform capacity with a feasible flow at ``radius``."""
+    _check_flow_budgets(radius, 1, FLOW_RADIUS_BUDGET, capacity_budget)
+    capacity, _ = _capacity_search(graph, c, [radius], capacity_budget)
+    if capacity is None:
+        raise ResourceError(f"no feasible capacity up to {capacity_budget} "
+                            "(--capacity)")
+    return capacity
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +542,13 @@ def _payload_to_chain(group, rows) -> GraphChain:
     return chain
 
 
+def _generator_steps(group: MarkedGroup, chain: GraphChain) -> bool:
+    """Whether every edge of the chain joins two generator neighbours."""
+    steps = set(group._token_elements.values())
+    return all(group.multiply(group.inverse(u), v) in steps
+               for u, v in chain.edges)
+
+
 def verify_certificate(cert: ClassCertificate) -> dict:
     """Independent re-verification; recomputes everything exactly."""
     group = cert.group
@@ -430,6 +557,12 @@ def verify_certificate(cert: ClassCertificate) -> dict:
 
     def check(name, ok, detail=""):
         result["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
+
+    def require(name, ok):
+        # a well-formedness condition is listed only when it fails, so the
+        # checks of a sound certificate are its numerical comparisons
+        if not ok:
+            check(name, False)
 
     if cert.verdict == "nonzero-by-mean":
         scheme = group.folner_scheme(int(cert.payload.get("collar_radius", 1)))
@@ -455,22 +588,32 @@ def verify_certificate(cert: ClassCertificate) -> dict:
             if v in interior and bdry.get(v, 0) != f.value(v):
                 ok = False
         check("boundary equals function on interior", ok)
+        require("chain edges are generator steps", _generator_steps(group, chain))
         stated = int(cert.payload["coefficient_bound"])
         check("coefficient bound holds", chain.max_coefficient() <= stated)
     elif cert.verdict == "zero-by-truncated-flow":
         cap = int(cert.payload["capacity"])
-        ok_all = True
-        for row in cert.payload["flows"]:
+        flows = cert.payload["flows"]
+        # truncated flows exist on every group once the capacity is large
+        # enough; they witness vanishing only where the group is
+        # nonamenable (Block-Weinberger)
+        require("group is nonamenable", not group.amenable)
+        require("flows are present", bool(flows))
+        require("flow radii match the stated radii",
+                [int(row["radius"]) for row in flows]
+                == [int(r) for r in cert.payload.get("radii", ())])
+        for row in flows:
             radius = int(row["radius"])
             chain = _payload_to_chain(group, row["chain"])
             bdry = chain.boundary()
             interior = group.ball(radius - 1)
             ok = all(bdry.get(v, 0) == f.value(v) for v in interior)
             check(f"flow boundary matches on ball({radius - 1})", ok)
+            require(f"flow edges are generator steps at R={radius}",
+                    _generator_steps(group, chain))
             # per-commodity capacity allows a combined coefficient of 2C
             check(f"flow coefficients within 2x capacity at R={radius}",
                   chain.max_coefficient() <= 2 * cap)
-            ok_all = ok_all and ok
     else:
         check("inconclusive verdicts carry no proof", True)
     result["verified"] = all(c["ok"] for c in result["checks"])
@@ -510,18 +653,10 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
     elif not group.amenable:
         if flow_radii is None:
             flow_radii = (2, 3, 4) if group.kind == "surface" else (3, 4, 5, 6)
-        graph = CayleyGraph(group)
-        rows = None
-        capacity = None
-        for cap in range(1, capacity_budget + 1):
-            results = [flow_certificate(graph, f, r, cap,
-                                        radius_budget=max(flow_radii),
-                                        capacity_budget=capacity_budget)
-                       for r in flow_radii]
-            if all(r.feasible for r in results):
-                rows = results
-                capacity = cap
-                break
+        if not flow_radii:
+            raise InputError("flow certificates need at least one radius")
+        capacity, rows = _capacity_search(CayleyGraph(group), f, flow_radii,
+                                          capacity_budget)
         if rows is None:
             return ClassCertificate(
                 "inconclusive", group, f,

@@ -203,6 +203,23 @@ class TestExitCodes:
         assert main(["amenability", path, "--radius", "40",
                      "--out", str(tmp_path / "out")]) == 2
 
+    def test_ball_budget_error_names_the_document_field(self, tmp_path, capsys):
+        path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2})
+        # the free-group ball budget is 8; --radius 9 overflows it, so the
+        # message must point at the budget, not at --radius
+        assert main(["amenability", path, "--radius", "9",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "ball_budget" in err and "--radius" not in err
+
+    def test_document_ball_budget_raises_the_limit(self, tmp_path):
+        path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2,
+                                           "ball_budget": 9})
+        out = str(tmp_path / "out")
+        assert main(["amenability", path, "--radius", "9", "--out", out]) == 0
+        assert _read_report(out)["report"]["isoperimetric"][-1]["ball"] \
+            == 2 * 3**9 - 1
+
 
     def test_malformed_json_is_input_error(self, tmp_path):
         path = tmp_path / "bad.json"

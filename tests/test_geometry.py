@@ -1,18 +1,13 @@
 from fractions import Fraction
 
-import pytest
-
-from deckindex.errors import InputError
 from deckindex.geometry import (
     barycentric_coordinates,
     det,
-    pl_degree_on_diamond,
     point_in_simplex,
     simplex_boundary_squared_distance,
     solve_linear,
     sqrt_lower_bound,
     squared_distance_point_segment,
-    winding_number_2d,
 )
 
 F = Fraction
@@ -70,35 +65,3 @@ class TestSimplexGeometry:
         lb = sqrt_lower_bound(v)
         assert lb * lb <= v
         assert float(lb) > 1.41421356 - 1e-9
-
-
-class TestWindingNumbers:
-    def test_identity_displacement_has_degree_one(self):
-        # constant map f = c near p = c: u(x) = x - c is the identity
-        # displacement, degree +1
-        deg = pl_degree_on_diamond(lambda p: p, (F(0), F(0)), F(1, 4))
-        assert deg == 1
-
-    def test_reflection_has_degree_minus_one(self):
-        deg = pl_degree_on_diamond(lambda p: (p[0], -p[1]), (F(0), F(0)), F(1, 4))
-        assert deg == -1
-
-    def test_antipodal_plane_map_has_degree_one(self):
-        deg = pl_degree_on_diamond(lambda p: (-p[0], -p[1]), (F(0), F(0)), F(1, 4))
-        assert deg == 1
-
-    def test_double_cover_angle_map(self):
-        # (x, y) -> (x^2 - y^2, 2xy) winds twice; evaluate on the diamond
-        def u(p):
-            x, y = p
-            return (x * x - y * y, 2 * x * y)
-        deg = pl_degree_on_diamond(u, (F(0), F(0)), F(1, 2))
-        assert deg == 2
-
-    def test_winding_rejects_origin_hit(self):
-        with pytest.raises(InputError):
-            winding_number_2d([(F(1), F(0)), (F(0), F(0)), (F(0), F(1))])
-
-    def test_degenerate_everywhere_zero_is_ambiguous(self):
-        with pytest.raises(InputError, match="ambiguous"):
-            pl_degree_on_diamond(lambda p: (F(0), F(0)), (F(0), F(0)), F(1, 4))

@@ -1,4 +1,5 @@
-"""Golden reports: the map and field pipelines' report.json bytes are pinned.
+"""Golden reports: report.json bytes of the analysis and group pipelines
+are pinned.
 
 The digests below are the sha256 of ``report.json`` as written by
 ``deckindex <command> fixture:<name> [flags] --out <dir>``, keyed by
@@ -36,6 +37,14 @@ GOLDEN = {
         "d0b1be8c33effb1a3d474e3f9b3e23ecd1baf7901592a90fba3768f33a2f4a16",
     ("field-analyze", "octahedron-polar-field"):
         "df4ae4a4ea144d2582fa7355f11fb3aba82a960111e059fc8c0cb3e4a4fcfbdb",
+    ("amenability", "genus2", "--radius", "5"):
+        "3e7a6a0621b0f3273abdd91329d86080ec40befbf4727ee483b90e0c0373f9a5",
+    ("amenability", "torus", "--radius", "6"):
+        "a527f4e2b75ab7a750a5fbc49f1c8edd7c7b70906546129c7f54014198e76ade",
+    # a zero-by-truncated-flow certificate over F2: its flow chains are one
+    # valid max-flow among many, so a different solver moves this digest
+    ("map-analyze", "free-cover-index"):
+        "581400b66d6637c44b6b3a628862cb8cead4cecf4978d49358824294aabcb6ab",
 }
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -54,8 +63,7 @@ def test_report_bytes_unchanged(key, tmp_path):
     assert _digest(out) == GOLDEN[key]
 
 
-def test_report_bytes_independent_of_hash_seed(tmp_path):
-    command, fixture = "field-analyze", "sin-field-override"
+def _digests_under_hash_seeds(tmp_path, command, fixture):
     digests = []
     for seed in ("1", "2"):
         out = str(tmp_path / f"out{seed}")
@@ -66,4 +74,16 @@ def test_report_bytes_independent_of_hash_seed(tmp_path):
                         f"fixture:{fixture}", "--out", out],
                        env=env, check=True, capture_output=True)
         digests.append(_digest(out))
-    assert digests == [GOLDEN[command, fixture]] * 2
+    return digests
+
+
+def test_report_bytes_independent_of_hash_seed(tmp_path):
+    command, fixture = "field-analyze", "sin-field-override"
+    assert _digests_under_hash_seeds(tmp_path, command, fixture) \
+        == [GOLDEN[command, fixture]] * 2
+
+
+def test_flow_certificate_bytes_independent_of_hash_seed(tmp_path):
+    command, fixture = "map-analyze", "free-cover-index"
+    assert _digests_under_hash_seeds(tmp_path, command, fixture) \
+        == [GOLDEN[command, fixture]] * 2

@@ -9,6 +9,7 @@ from deckindex.groups import (
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
+    IndexedBall,
     SurfaceGroup,
     cyclic_group,
     folner_average,
@@ -148,8 +149,35 @@ class TestBalls:
         assert total == 3193
 
     def test_budget_error_names_flag(self):
-        with pytest.raises(ResourceError, match="--radius"):
+        # --radius is the value that overflowed; the knob is the document's
+        with pytest.raises(ResourceError, match="'ball_budget' in the group document"):
             F2.ball(9)
+
+    def test_indexed_ball_matches_bfs(self):
+        for group in ALL_KINDS:
+            ball = IndexedBall(group, 3)
+            dist = group.ball_with_distances(3)
+            assert ball.elements == list(dist) and ball.dist == list(dist.values())
+            assert ball.ends == [len(group.ball(r)) for r in range(4)]
+            assert ball.outside == len(group.sphere(4))
+            for row, t in zip(ball.rows, group._signed_tokens()):
+                for i, g in enumerate(ball.elements):
+                    h = group.multiply_token(g, t)
+                    if row[i] >= 0:
+                        assert ball.elements[row[i]] == h
+                    else:
+                        assert h not in dist
+
+    def test_multiply_token_canonicalizes_once(self, monkeypatch):
+        group = SurfaceGroup(2)
+        group.multiply_token(group.identity(), 1)  # derives the token elements
+        calls = []
+        canonical = group._canonical
+        monkeypatch.setattr(group, "_canonical",
+                            lambda tokens: calls.append(1) or canonical(tokens))
+        group.ball(2)
+        # ball(2) multiplies each element of ball(1) by the 8 signed tokens
+        assert len(calls) == 9 * 8
 
     def test_deck_word_lengths_match_bfs_level(self):
         for group in ALL_KINDS:

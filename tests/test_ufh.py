@@ -10,12 +10,14 @@ from deckindex.fixtures import torus_grid
 from deckindex.groups import FreeAbelianGroup, FreeGroup, SurfaceGroup, cyclic_group
 from deckindex.ufh import (
     CayleyGraph,
+    ClassCertificate,
     SkeletonGraph,
     bound_finite_mass,
     decide_class,
     flow_certificate,
     folner_search,
     isoperimetric_probe,
+    _chain_to_payload,
     minimal_flow_capacity,
     verify_certificate,
 )
@@ -219,3 +221,126 @@ class TestVerifierRejectsTampering:
         cert = decide_class(Z1, f)
         cert.payload["averages"][0]["average"] = "4"
         assert not verify_certificate(cert)["verified"]
+
+    def test_non_generator_boundary_edge_fails(self):
+        # forgery: one "edge" jumping from a^5 b^5 to e has the right
+        # boundary for the dipole, but is no edge of the Cayley graph
+        far = (5, 5)
+        f = ClassFunction(Z2, 0, {far: 1, Z2.identity(): -1})
+        cert = decide_class(Z2, f)
+        assert cert.verifier_result["verified"]
+        cert.payload["chain"] = [["", Z2.format_element(far), 1]]
+        result = verify_certificate(cert)
+        assert _failed(result) == {"chain edges are generator steps"}
+
+    def test_non_generator_flow_edge_fails(self):
+        cert = decide_class(F2, ClassFunction(F2, 1, {}), flow_radii=(3,))
+        # a closed loop e -> a a -> a -> e leaves every boundary unchanged
+        # but its first step is no generator step
+        cert.payload["flows"][0]["chain"] += [["", "a a", 1], ["a a", "a", 1],
+                                              ["a", "", 1]]
+        result = verify_certificate(cert)
+        assert "flow edges are generator steps at R=3" in _failed(result)
+        assert "flow boundary matches on ball(2)" not in _failed(result)
+
+    def test_empty_flow_list_fails(self):
+        cert = decide_class(F2, ClassFunction(F2, 1, {}), flow_radii=(3, 4))
+        cert.payload["flows"] = []
+        assert _failed(verify_certificate(cert)) == {
+            "flows are present", "flow radii match the stated radii"}
+
+    def test_flow_radii_must_match_stated_radii(self):
+        cert = decide_class(F2, ClassFunction(F2, 1, {}), flow_radii=(3, 4))
+        cert.payload["flows"] = cert.payload["flows"][:1]
+        assert _failed(verify_certificate(cert)) == {
+            "flow radii match the stated radii"}
+
+    def test_flow_certificate_on_amenable_group_fails(self):
+        # forgery: truncated flows exist on Z^2 at a large capacity, yet the
+        # constant 1 is nonzero there (every invariant mean gives 1)
+        one = ClassFunction(Z2, 1, {})
+        res = flow_certificate(CayleyGraph(Z2), one, 4, capacity=8)
+        assert res.feasible
+        cert = ClassCertificate(
+            "zero-by-truncated-flow", Z2, one,
+            payload={"capacity": 8, "radii": [4],
+                     "flows": [{"radius": 4, "chain": _chain_to_payload(Z2, res.chain)}]})
+        assert _failed(verify_certificate(cert)) == {"group is nonamenable"}
+
+
+def _failed(result):
+    return {c["name"] for c in result["checks"] if not c["ok"]}
+
+
+# ---------------------------------------------------------------------------
+# Max-flow values against networkx (an independent reference solver)
+
+
+def _nx_deficit(group, c, radius, capacity):
+    """Summed two-commodity max-flow deficit, built from the group alone."""
+    nx = pytest.importorskip("networkx")
+    dist = group.ball_with_distances(radius)
+    edges = nx.DiGraph()
+    for v in dist:
+        for t in group._signed_tokens():
+            w = group.multiply_token(v, t)
+            if w in dist and w != v:
+                edges.add_edge(v, w, capacity=capacity)
+    deficit = 0
+    for sign in (1, -1):
+        supplies = {v: sign * c.value(v) for v, d in dist.items() if d < radius}
+        supplies = {v: s for v, s in supplies.items() if s > 0}
+        if not supplies:
+            continue
+        net = edges.copy()
+        for v, s in supplies.items():
+            net.add_edge("source", v, capacity=s)
+        for v, d in dist.items():
+            if d == radius:
+                net.add_edge(v, "sink")  # no capacity attribute: unbounded
+        deficit += sum(supplies.values()) - nx.maximum_flow_value(net, "source", "sink")
+    return deficit
+
+
+def _nx_minimal_capacity(group, c, radii):
+    for capacity in range(1, 17):
+        if all(_nx_deficit(group, c, r, capacity) == 0 for r in radii):
+            return capacity
+    raise AssertionError("no capacity up to 16")
+
+
+def _mixed(group, constant):
+    """Constant part plus masses of both signs, so both commodities flow."""
+    a, b = group.generators()[:2]
+    return ClassFunction(group, constant, {group.identity(): 2, a: -3,
+                                           group.multiply(b, b): 4})
+
+
+FLOW_CASES = ([(F2, r) for r in (3, 4, 5, 6)] + [(SURF, r) for r in (2, 3, 4)]
+              + [(Z2, 4), (Z2, 8)])
+
+
+class TestMaxFlowAgainstNetworkx:
+    @pytest.mark.parametrize("group,radius", FLOW_CASES,
+                             ids=[f"{g.kind}-R{r}" for g, r in FLOW_CASES])
+    def test_deficits_match(self, group, radius):
+        graph = CayleyGraph(group)
+        for c in (ClassFunction(group, 1, {}), _mixed(group, 1), _mixed(group, 9)):
+            for capacity in (1, 2, 3):
+                res = flow_certificate(graph, c, radius, capacity)
+                expected = _nx_deficit(group, c, radius, capacity)
+                assert (res.feasible, res.deficit) == (expected == 0, expected)
+
+    @pytest.mark.parametrize("group,radius,constant",
+                             [(Z2, 4, 1), (Z2, 8, 1), (F2, 5, 3), (SURF, 3, 9)],
+                             ids=["free-abelian-R4", "free-abelian-R8", "free-R5",
+                                  "surface-R3"])
+    def test_minimal_capacity_matches_scan(self, group, radius, constant):
+        c = _mixed(group, constant)
+        assert minimal_flow_capacity(CayleyGraph(group), c, radius) \
+            == _nx_minimal_capacity(group, c, [radius])
+
+    def test_decided_capacity_matches_scan(self):
+        c = _mixed(F2, 3)
+        cert = decide_class(F2, c)
+        assert cert.payload["capacity"] == _nx_minimal_capacity(F2, c, (3, 4, 5, 6))
