@@ -5,17 +5,19 @@ certificates for the resulting bounded class functions.
 The package is organized around six core modules:
 
 * :mod:`deckindex.groups` -- deck groups with exact word arithmetic
-  (free abelian, free, surface, finite) and Folner schemes;
+  (free abelian, free, surface, finite), one indexed Cayley ball per group
+  and Folner schemes;
 * :mod:`deckindex.complexes` -- periodic oriented pseudomanifolds given by
-  finite quotient data with deck-labeled edges, lazy cover expansion,
-  fundamental domains and barycentric subdivision;
+  finite quotient data with deck-labeled edges, fundamental domains and
+  barycentric subdivision;
 * :mod:`deckindex.chains` -- periodic (co)chains, boundary, cap product,
   fundamental cycles, projection to class functions, rational Betti
   numbers of the quotient, and the chain-level Hopf trace as the
   classical Lefschetz oracle;
-* :mod:`deckindex.ufh` -- Folner search, isoperimetric probes, bounding
-  1-chains and uniform-capacity flow certificates deciding vanishing in
-  the coinvariant quotient of bounded functions;
+* :mod:`deckindex.ufh` -- exact Folner means, isoperimetric probes,
+  bounding 1-chains and uniform-capacity flow certificates deciding
+  vanishing in the coinvariant quotient of bounded functions, and their
+  verifier;
 * :mod:`deckindex.fixpoint` / :mod:`deckindex.vectorfield` -- fixed-point
   and field-zero localization, local indices, tameness verification and
   the bounded index class with its classical consistency checks;

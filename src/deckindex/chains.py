@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .complexes import PeriodicComplex, QuotientComplex, validate_quotient
 from .errors import InputError, InternalError, OrientationError
-from .groups import FiniteGroup, MarkedGroup
+from .groups import FiniteGroup, MarkedGroup, integer_value
 
 
 def _prune(d: dict) -> dict:
@@ -395,19 +395,11 @@ class ClassFunction:
             finite = {}
             for word, v in doc.get("finite", []) or []:
                 g = group.parse_word(word)
-                finite[g] = finite.get(g, 0) + _integer(v)
-            constant = _integer(doc.get("constant", 0))
+                finite[g] = finite.get(g, 0) + integer_value(v)
+            constant = integer_value(doc.get("constant", 0))
         except (TypeError, ValueError) as e:
             raise InputError(f"malformed class function document: {e}")
         return cls(group, constant, finite)
-
-
-def _integer(v) -> int:
-    """An integral document value as an int; a fractional number is
-    rejected, never truncated."""
-    if isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
 
 
 def project_to_group(c: PeriodicChain, fd) -> ClassFunction:

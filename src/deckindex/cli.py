@@ -30,7 +30,7 @@ from .complexes import PeriodicComplex, QuotientComplex, validate_quotient
 from .errors import DeckIndexError, InputError
 from .fixtures import fixture_complex, fixture_document
 from .groups import group_from_document, group_to_document
-from .ufh import CayleyGraph, decide_class, flow_certificate, isoperimetric_probe
+from .ufh import decide_class, flow_certificate, isoperimetric_probe
 
 
 @dataclass
@@ -251,8 +251,7 @@ def cmd_amenability(config: RunConfig) -> int:
         block = doc.get("complex", doc).get("group", doc)
     group = group_from_document(block)
     radii = list(range(1, config.radius + 1))
-    graph = CayleyGraph(group)
-    probe = isoperimetric_probe(graph, radii)
+    probe = isoperimetric_probe(group, radii)
     payload = {
         "group": block,
         "kind": group.kind,
@@ -282,7 +281,7 @@ def cmd_amenability(config: RunConfig) -> int:
         flow_radii = (2, 3) if group.kind == "surface" else (3, 4, 5, 6)
         rows = []
         for r in flow_radii:
-            res = flow_certificate(graph, one, r, capacity=2,
+            res = flow_certificate(group, one, r, capacity=2,
                                    capacity_budget=config.capacity)
             rows.append({"radius": r, "capacity": 2,
                          "feasible": res.feasible, "deficit": res.deficit})

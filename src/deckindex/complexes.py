@@ -5,8 +5,8 @@ deck group, a group label on every oriented edge (the holonomy description
 of a covering), an orientation sign on every top simplex and a spanning
 tree on which labels are normalized to the identity.  The covering space is
 never stored; cells of the cover are pairs ``(g, simplex)`` and adjacency
-is resolved through the edge labels, so any finite region can be
-materialized lazily.
+is resolved through the edge labels, so any finite part of the cover can
+be read on demand.
 
 Simplices are stored as ascending tuples of vertex ids.  With that
 normalization the j-th face of a simplex is again ascending and the
@@ -16,6 +16,7 @@ bookkeeping free of permutation parities.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -404,8 +405,7 @@ def orient_pseudomanifold(q: QuotientComplex) -> dict:
         signs[seed] = 1
         queue = [seed]
         while queue:
-            queue.sort()
-            idx = queue.pop(0)
+            idx = heapq.heappop(queue)
             for fidx, fsign, _ in q.face_data(n, idx):
                 inc = face_to_tops.get(fidx, [])
                 if len(inc) != 2:
@@ -422,7 +422,7 @@ def orient_pseudomanifold(q: QuotientComplex) -> dict:
                                 f"face {q.simplex(n - 1, fidx)})")
                     else:
                         signs[other] = needed
-                        queue.append(other)
+                        heapq.heappush(queue, other)
     return signs
 
 
@@ -431,32 +431,12 @@ def euler_characteristic(q: QuotientComplex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Lazy cover materialization
-
-
-class Region:
-    """Materialized cover cells whose deck coordinate lies in a ball."""
-
-    def __init__(self, pc: "PeriodicComplex", radius: int, ball):
-        self.pc = pc
-        self.radius = radius
-        self.ball = frozenset(ball)
-
-    def cells(self, k: int):
-        q = self.pc.quotient
-        return [(g, idx) for g in sorted(self.ball, key=q.group.sort_key)
-                for idx in q.cells(k)]
-
-    def cell_count(self) -> int:
-        q = self.pc.quotient
-        return len(self.ball) * sum(q.count(k) for k in range(q.dimension + 1))
-
-    def __contains__(self, cell):
-        return cell[0] in self.ball
+# The cover
 
 
 class PeriodicComplex:
-    """A quotient complex together with its lazily expanded cover."""
+    """A validated quotient complex; cells (g, simplex) of its cover are
+    resolved through the edge labels when asked for, never stored."""
 
     def __init__(self, quotient: QuotientComplex):
         report = validate_quotient(quotient)
@@ -465,22 +445,6 @@ class PeriodicComplex:
                              + "; ".join(v["detail"] for v in report.violations[:3]))
         self.quotient = quotient
         self.group = quotient.group
-        self._regions: dict[int, Region] = {}
-
-    def expand(self, radius: int) -> Region:
-        """Materialize all cover cells with deck coordinate in ball(radius).
-
-        Idempotent and monotone.  Expansion is the only mutating operation
-        on this object (single-writer discipline); regions themselves are
-        frozen and safe to share across parallel readers.
-        """
-        if radius not in self._regions:
-            ball = self.group.ball(radius)
-            for r, reg in self._regions.items():
-                if r <= radius and not reg.ball <= ball:
-                    raise InternalError("expansion lost monotonicity")
-            self._regions[radius] = Region(self, radius, ball)
-        return self._regions[radius]
 
     def neighbor_across(self, g, top_idx: int, face_idx: int):
         """The other top cell sharing a face with (g, top_idx)."""

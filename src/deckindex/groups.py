@@ -17,12 +17,17 @@ ints for the finite kind.  Words are sequences of signed integer tokens,
 string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
-All groups are immutable after construction and safe to share between
-threads; the only state added later is the element of each signed
-generator, derived once on first use.
+A group's value is fixed at construction.  Two pieces of state are added
+later: the element of each signed generator, derived once on first use,
+and the largest :class:`IndexedBall` asked of the group, replaced only by a
+larger one.  Threads may share a group: a race can build a ball twice or
+keep the smaller of two, but every ball handed out has at least the radius
+asked for.
 
-:class:`IndexedBall` numbers a ball's elements in BFS order, so the flow
-networks and the isoperimetric probe work on integer ids.
+:class:`IndexedBall` is the one ball enumerator: it numbers a ball's
+elements in BFS order, so the flow networks and the isoperimetric probe
+work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
+read an id prefix of it.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class MarkedGroup:
     generator_names: tuple[str, ...]
     amenable: bool
     ball_budget: int
+    _ball: IndexedBall | None = None  # the largest asked of indexed_ball
 
     # -- word <-> token plumbing ------------------------------------------
 
@@ -145,21 +151,23 @@ class MarkedGroup:
                 f"for kind {self.kind!r}; raise 'ball_budget' in the group "
                 "document")
 
-    def ball_with_distances(self, radius: int) -> dict:
-        """Exact word-metric ball as ``{element: distance}``."""
+    def indexed_ball(self, radius: int) -> IndexedBall:
+        """An indexed ball of radius at least ``radius``.
+
+        The group keeps the largest ball asked of it; that ball serves every
+        smaller radius, since a ball is a prefix of the BFS order.
+        """
         self.check_radius(radius)
-        dist = {self.identity(): 0}
-        frontier = [self.identity()]
-        for r in range(1, radius + 1):
-            nxt = []
-            for g in frontier:
-                for t in self._signed_tokens():
-                    h = self.multiply_token(g, t)
-                    if h not in dist:
-                        dist[h] = r
-                        nxt.append(h)
-            frontier = nxt
-        return dist
+        ball = self._ball
+        if ball is None or ball.radius < radius:
+            ball = self._ball = IndexedBall(self, radius)
+        return ball
+
+    def ball_with_distances(self, radius: int) -> dict:
+        """Exact word-metric ball as ``{element: distance}`` in BFS order."""
+        ball = self.indexed_ball(radius)
+        end = ball.ends[radius]
+        return dict(zip(ball.elements[:end], ball.dist[:end]))
 
     def ball(self, radius: int) -> set:
         return set(self.ball_with_distances(radius))
@@ -410,6 +418,8 @@ class FiniteGroup(MarkedGroup):
         if generator_ids is None:
             generator_ids = [g for g in range(n) if g != ident] or [ident]
         self.generator_ids = tuple(generator_ids)
+        if any(not 0 <= g < n for g in self.generator_ids):
+            raise InputError("generator ids out of range")
         if names:
             self.generator_names = tuple(names)
         else:
@@ -476,6 +486,8 @@ class FiniteGroup(MarkedGroup):
 
 
 def cyclic_group(order: int, ball_budget: int = 64) -> FiniteGroup:
+    if order < 1:
+        raise InputError("cyclic order must be >= 1")
     table = [[(i + j) % order for j in range(order)] for i in range(order)]
     return FiniteGroup(table, generator_ids=[1 % order], names=["t"],
                        ball_budget=ball_budget)
@@ -626,30 +638,50 @@ def folner_average(scheme: FolnerScheme, f, t: int) -> Fraction:
 # Group documents
 
 
+def integer_value(v) -> int:
+    """An integral document value as an int; a fractional number is
+    rejected, never truncated."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def group_from_document(doc: dict) -> MarkedGroup:
     """Build a group from its JSON specification block."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise InputError("group block must be an object with a 'kind' tag")
     kind = doc["kind"]
-    # each constructor keeps its own default budget unless the document
-    # states one
-    budget = {} if doc.get("ball_budget") is None else \
-        {"ball_budget": int(doc["ball_budget"])}
-    if kind == "free-abelian":
-        return FreeAbelianGroup(int(doc["rank"]), names=doc.get("generators"),
-                                **budget)
-    if kind == "free":
-        return FreeGroup(int(doc["rank"]), names=doc.get("generators"), **budget)
-    if kind == "surface":
-        return SurfaceGroup(int(doc["genus"]), names=doc.get("generators"),
-                            **budget)
-    if kind == "finite":
-        if "cyclic" in doc:
-            return cyclic_group(int(doc["cyclic"]), **budget)
-        if "trivial" in doc:
-            return trivial_group(**budget)
-        return FiniteGroup(doc["table"], generator_ids=doc.get("generator_ids"),
-                           names=doc.get("generators"), **budget)
+    try:
+        # each constructor keeps its own default budget unless the document
+        # states one
+        budget = {}
+        if doc.get("ball_budget") is not None:
+            budget["ball_budget"] = integer_value(doc["ball_budget"])
+            if budget["ball_budget"] < 0:
+                raise InputError("'ball_budget' must be nonnegative")
+        names = doc.get("generators")
+        if names is not None and not (
+                isinstance(names, list)
+                and all(isinstance(n, str) and n for n in names)
+                and len(set(names)) == len(names)):
+            raise InputError("'generators' must be a list of distinct names")
+        if kind == "free-abelian":
+            return FreeAbelianGroup(integer_value(doc["rank"]), names=names, **budget)
+        if kind == "free":
+            return FreeGroup(integer_value(doc["rank"]), names=names, **budget)
+        if kind == "surface":
+            return SurfaceGroup(integer_value(doc["genus"]), names=names, **budget)
+        if kind == "finite":
+            if "cyclic" in doc:
+                return cyclic_group(integer_value(doc["cyclic"]), **budget)
+            if "trivial" in doc:
+                return trivial_group(**budget)
+            return FiniteGroup(doc["table"], generator_ids=doc.get("generator_ids"),
+                               names=names, **budget)
+    except KeyError as e:
+        raise InputError(f"group block of kind {kind!r} lacks {e}")
+    except (TypeError, ValueError) as e:
+        raise InputError(f"malformed group block: {e}")
     raise InputError(f"unsupported group kind {kind!r}; supported kinds: "
                      "free-abelian, free, surface, finite")
 

@@ -1,4 +1,4 @@
-"""Degree-0 uniformly finite homology machinery on bounded-geometry graphs.
+"""Degree-0 uniformly finite homology of deck groups, on their Cayley graphs.
 
 The central decision procedure, :func:`decide_class`, decides whether a
 bounded class function on a supported deck group vanishes in the
@@ -25,92 +25,7 @@ from fractions import Fraction
 
 from .chains import ClassFunction
 from .errors import InputError, InternalError, ResourceError
-from .groups import FiniteGroup, IndexedBall, MarkedGroup, folner_average
-
-
-class BoundedGeometryGraph:
-    """Lazily enumerable graph with unit edges and a degree bound."""
-
-    def neighbors(self, v):
-        raise NotImplementedError
-
-    def degree_bound(self) -> int:
-        raise NotImplementedError
-
-    def ball(self, radius: int):
-        raise NotImplementedError
-
-    def sort_key(self, v):
-        raise NotImplementedError
-
-
-class CayleyGraph(BoundedGeometryGraph):
-    """Cayley graph of a marked group with its standard generators.
-
-    The graph keeps the largest :class:`IndexedBall` asked of it; that ball
-    serves every smaller radius, since a ball is a prefix of the BFS order.
-    """
-
-    def __init__(self, group: MarkedGroup):
-        self.group = group
-        self._ball: IndexedBall | None = None
-
-    def neighbors(self, v):
-        return [self.group.multiply_token(v, t) for t in self.group._signed_tokens()]
-
-    def degree_bound(self) -> int:
-        return 2 * len(self.group.generator_names)
-
-    def ball(self, radius: int):
-        return self.group.ball(radius)
-
-    def indexed_ball(self, radius: int) -> IndexedBall:
-        """An indexed ball of radius at least ``radius``."""
-        self.group.check_radius(radius)
-        if self._ball is None or self._ball.radius < radius:
-            self._ball = IndexedBall(self.group, radius)
-        return self._ball
-
-    def sort_key(self, v):
-        return self.group.sort_key(v)
-
-
-class SkeletonGraph(BoundedGeometryGraph):
-    """1-skeleton of a periodic cover, vertices are cells (g, vertex id)."""
-
-    def __init__(self, pc):
-        self.pc = pc
-        q = pc.quotient
-        self._adj = {v: [] for v in range(q.count(0))}
-        for eidx, (u, v) in enumerate(q.simplices[1]):
-            lbl = q.labels[eidx]
-            self._adj[u].append((v, lbl))
-            self._adj[v].append((u, q.group.inverse(lbl)))
-
-    def neighbors(self, cell):
-        g, v = cell
-        group = self.pc.group
-        return [(group.multiply(g, lbl), w) for w, lbl in self._adj[v]]
-
-    def degree_bound(self) -> int:
-        return max(len(a) for a in self._adj.values())
-
-    def ball(self, radius: int):
-        seen = {(self.pc.group.identity(), 0)}
-        frontier = list(seen)
-        for _ in range(radius):
-            nxt = []
-            for c in frontier:
-                for d in self.neighbors(c):
-                    if d not in seen:
-                        seen.add(d)
-                        nxt.append(d)
-            frontier = nxt
-        return seen
-
-    def sort_key(self, cell):
-        g, v = cell
-        return (self.pc.group.sort_key(g), v)
+from .groups import FiniteGroup, MarkedGroup, folner_average
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +55,18 @@ def folner_search(group: MarkedGroup, delta: Fraction, r: int = 1,
                         "(--radius budget for the scheme search)")
 
 
-def isoperimetric_probe(graph: CayleyGraph, radii) -> list:
+def isoperimetric_probe(group: MarkedGroup, radii) -> list:
     """Exact outer vertex-boundary ratios |dB_r| / |B_r| per radius.
 
-    The outer boundary of B_r is the sphere S_{r+1}, read from the graph's
+    The outer boundary of B_r is the sphere S_{r+1}, read from the group's
     indexed ball: its next sphere below the ball's radius, its outside
     products at that radius.
     """
     radii = sorted(radii)
     if not radii:
         return []
-    graph.group.check_radius(radii[0])  # a negative radius is no prefix
-    ball = graph.indexed_ball(radii[-1])
+    group.check_radius(radii[0])  # a negative radius is no prefix
+    ball = group.indexed_ball(radii[-1])
     rows = []
     for r in radii:
         size = ball.ends[r]
@@ -162,14 +77,15 @@ def isoperimetric_probe(graph: CayleyGraph, radii) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Integer 1-chains on graphs
+# Integer 1-chains on Cayley graphs
 
 
 class GraphChain:
-    """Finitely supported integer 1-chain; edges keyed by ordered pairs."""
+    """Finitely supported integer 1-chain on the Cayley graph of a group;
+    edges keyed by ordered pairs of elements."""
 
-    def __init__(self, graph: BoundedGeometryGraph):
-        self.graph = graph
+    def __init__(self, group: MarkedGroup):
+        self.group = group
         self.edges: dict = {}
 
     def add_edge(self, u, v, coeff: int):
@@ -177,7 +93,7 @@ class GraphChain:
         if coeff == 0:
             return
         if (v, u) in self.edges or (u, v) not in self.edges and \
-                self.graph.sort_key(v) < self.graph.sort_key(u):
+                self.group.sort_key(v) < self.group.sort_key(u):
             u, v, coeff = v, u, -coeff
         self.edges[(u, v)] = self.edges.get((u, v), 0) + coeff
         if self.edges[(u, v)] == 0:
@@ -231,8 +147,7 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction, margin: int = 6):
         raise InputError("bound_finite_mass needs a finitely supported function")
     if isinstance(group, FiniteGroup):
         raise InputError("use the finite-group total-sum decision instead")
-    graph = CayleyGraph(group)
-    chain = GraphChain(graph)
+    chain = GraphChain(group)
     masses = {g: v for g, v in c.finite.items() if v}
     support_radius = max((group.length(g) for g in masses), default=0)
     region_radius = support_radius + margin
@@ -344,7 +259,7 @@ class FlowResult:
 
 
 class _BallFlows:
-    """The two commodities' flow networks on ball(radius) of a Cayley graph.
+    """The two commodities' flow networks on ball(radius) of a group.
 
     Vertex ids are the indexed ball's ids below ``ends[radius]``; the source
     and the sink come after them.  The first arc pairs are the ball edges,
@@ -356,12 +271,12 @@ class _BallFlows:
     feasible as capacities grow.
     """
 
-    def __init__(self, graph: CayleyGraph, c: ClassFunction, radius: int):
-        ball = graph.indexed_ball(radius)
+    def __init__(self, group: MarkedGroup, c: ClassFunction, radius: int):
+        ball = group.indexed_ball(radius)
         n = ball.ends[radius]
         inner = ball.ends[radius - 1] if radius > 0 else 0
         if inner == n:
-            raise InputError("sphere is empty; the graph is too small for this radius")
+            raise InputError("sphere is empty; the group is too small for this radius")
         source, sink = n, n + 1
         adj: list[list[int]] = [[] for _ in range(n + 2)]
         head: list[int] = []
@@ -399,7 +314,7 @@ class _BallFlows:
             self.caps[sign] = cap
             self.want[sign] = sum(supply)
         self.value = {1: 0, -1: 0}
-        self.graph, self.ball, self.radius = graph, ball, radius
+        self.group, self.ball, self.radius = group, ball, radius
         self.adj, self.head, self.source, self.sink = adj, head, source, sink
         self.capacity = 0
 
@@ -427,7 +342,7 @@ class _BallFlows:
         deficit = self.deficit
         chain = None
         if not deficit:
-            chain = GraphChain(self.graph)
+            chain = GraphChain(self.group)
             elements, head = self.ball.elements, self.head
             plus, minus = self.caps[1], self.caps[-1]
             for a in range(0, self.edge_arcs, 2):
@@ -450,7 +365,7 @@ def _check_flow_budgets(radius: int, capacity: int, radius_budget: int,
                             f"{capacity_budget} (--capacity)")
 
 
-def flow_certificate(graph: CayleyGraph, c: ClassFunction, radius: int,
+def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
                      capacity: int, radius_budget: int = FLOW_RADIUS_BUDGET,
                      capacity_budget: int = 64) -> FlowResult:
     """Integral flow pushing the masses of c to the radius-R sphere.
@@ -462,14 +377,12 @@ def flow_certificate(graph: CayleyGraph, c: ClassFunction, radius: int,
     max-flow deficit.
     """
     _check_flow_budgets(radius, capacity, radius_budget, capacity_budget)
-    if not isinstance(graph, CayleyGraph):
-        raise InputError("flow certificates run on Cayley graphs")
-    flows = _BallFlows(graph, c, radius)
+    flows = _BallFlows(group, c, radius)
     flows.raise_to(capacity)
     return flows.result(capacity)
 
 
-def _capacity_search(graph: CayleyGraph, c: ClassFunction, radii,
+def _capacity_search(group: MarkedGroup, c: ClassFunction, radii,
                      capacity_budget: int):
     """Smallest capacity feasible at every radius, with its flows.
 
@@ -478,12 +391,12 @@ def _capacity_search(graph: CayleyGraph, c: ClassFunction, radii,
     ``(capacity, results)``, or ``(None, None)`` when no capacity within the
     budget works.
     """
-    graph.indexed_ball(max(radii))  # one ball serves every radius
+    group.indexed_ball(max(radii))  # one ball serves every radius
     nets: dict = {}
     for capacity in range(1, capacity_budget + 1):
         for r in radii:
             if r not in nets:
-                nets[r] = _BallFlows(graph, c, r)
+                nets[r] = _BallFlows(group, c, r)
             net = nets[r]
             if net.deficit:
                 net.raise_to(capacity)
@@ -494,11 +407,11 @@ def _capacity_search(graph: CayleyGraph, c: ClassFunction, radii,
     return None, None
 
 
-def minimal_flow_capacity(graph: CayleyGraph, c: ClassFunction,
+def minimal_flow_capacity(group: MarkedGroup, c: ClassFunction,
                           radius: int, capacity_budget: int = 64) -> int:
     """Smallest uniform capacity with a feasible flow at ``radius``."""
     _check_flow_budgets(radius, 1, FLOW_RADIUS_BUDGET, capacity_budget)
-    capacity, _ = _capacity_search(graph, c, [radius], capacity_budget)
+    capacity, _ = _capacity_search(group, c, [radius], capacity_budget)
     if capacity is None:
         raise ResourceError(f"no feasible capacity up to {capacity_budget} "
                             "(--capacity)")
@@ -536,7 +449,7 @@ def _chain_to_payload(group, chain: GraphChain):
 
 
 def _payload_to_chain(group, rows) -> GraphChain:
-    chain = GraphChain(CayleyGraph(group))
+    chain = GraphChain(group)
     for u_word, v_word, coeff in rows:
         chain.add_edge(group.parse_word(u_word), group.parse_word(v_word), int(coeff))
     return chain
@@ -547,6 +460,16 @@ def _generator_steps(group: MarkedGroup, chain: GraphChain) -> bool:
     steps = set(group._token_elements.values())
     return all(group.multiply(group.inverse(u), v) in steps
                for u, v in chain.edges)
+
+
+def _invariant_mean(group: MarkedGroup, f: ClassFunction):
+    """The value every invariant mean gives f: its average on a finite
+    group, its constant part on an infinite amenable group, and ``None`` on
+    a nonamenable group, which has no invariant mean and where every class
+    vanishes (Block-Weinberger).  [f] is zero exactly when this is falsy."""
+    if isinstance(group, FiniteGroup):
+        return Fraction(sum(f.value(g) for g in group.elements()), group.order)
+    return Fraction(f.constant) if group.amenable else None
 
 
 def verify_certificate(cert: ClassCertificate) -> dict:
@@ -564,12 +487,18 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         if not ok:
             check(name, False)
 
+    # the verdict follows from the group and f alone; the payload is
+    # evidence for it, never its source
+    mean = _invariant_mean(group, f)
     if cert.verdict == "nonzero-by-mean":
         scheme = group.folner_scheme(int(cert.payload.get("collar_radius", 1)))
         limit = Fraction(cert.payload["limit"])
         check("limit nonzero", limit != 0)
+        require("limit equals the invariant mean", limit == mean)
+        averages = cert.payload["averages"] if scheme else []
+        require("averages are present", bool(averages))
         mass = f.finite_mass()
-        for row in cert.payload["averages"]:
+        for row in averages:
             t = int(row["t"])
             avg = folner_average(scheme, f, t)
             check(f"average at t={t} recomputed", Fraction(row["average"]) == avg,
@@ -578,16 +507,14 @@ def verify_certificate(cert: ClassCertificate) -> dict:
             check(f"average at t={t} within mass bound",
                   abs(avg - limit) <= Fraction(mass, size))
     elif cert.verdict == "zero-by-boundary":
+        require("invariant mean vanishes", not mean)
         chain = _payload_to_chain(group, cert.payload["chain"])
-        interior_radius = int(cert.payload["interior_radius"])
         bdry = chain.boundary()
-        interior = group.ball(interior_radius) if not isinstance(group, FiniteGroup) \
-            else set(group.elements())
-        ok = True
-        for v in sorted(interior | set(f.finite), key=group.sort_key):
-            if v in interior and bdry.get(v, 0) != f.value(v):
-                ok = False
-        check("boundary equals function on interior", ok)
+        interior = set(group.elements()) if isinstance(group, FiniteGroup) \
+            else group.ball(int(cert.payload["interior_radius"]))
+        check("boundary equals function on interior",
+              all(bdry.get(v, 0) == f.value(v) for v in interior))
+        require("interior contains the support", set(f.finite) <= interior)
         require("chain edges are generator steps", _generator_steps(group, chain))
         stated = int(cert.payload["coefficient_bound"])
         check("coefficient bound holds", chain.max_coefficient() <= stated)
@@ -633,14 +560,12 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
     if f.group != group:
         raise InputError("function lives on a different group")
     if isinstance(group, FiniteGroup):
-        total = sum(f.value(g) for g in group.elements())
-        if total != 0:
+        mean = _invariant_mean(group, f)
+        if mean:
             cert = ClassCertificate(
                 "nonzero-by-mean", group, f,
-                payload={"limit": f"{Fraction(total, group.order)}",
-                         "collar_radius": 1,
-                         "averages": [{"t": 1,
-                                       "average": f"{Fraction(total, group.order)}"}],
+                payload={"limit": f"{mean}", "collar_radius": 1,
+                         "averages": [{"t": 1, "average": f"{mean}"}],
                          "note": "finite group: the class is the total sum"})
         else:
             chain = _finite_group_bounding_chain(group, f)
@@ -655,8 +580,7 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
             flow_radii = (2, 3, 4) if group.kind == "surface" else (3, 4, 5, 6)
         if not flow_radii:
             raise InputError("flow certificates need at least one radius")
-        capacity, rows = _capacity_search(CayleyGraph(group), f, flow_radii,
-                                          capacity_budget)
+        capacity, rows = _capacity_search(group, f, flow_radii, capacity_budget)
         if rows is None:
             return ClassCertificate(
                 "inconclusive", group, f,
@@ -699,8 +623,7 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
 
 def _finite_group_bounding_chain(group: FiniteGroup, f: ClassFunction) -> GraphChain:
     """Route zero-total mass along geodesic paths to the identity."""
-    graph = CayleyGraph(group)
-    chain = GraphChain(graph)
+    chain = GraphChain(group)
     e = group.identity()
     for g in sorted(group.elements(), key=group.sort_key):
         v = f.value(g)

@@ -43,7 +43,6 @@ from deckindex.fixtures import (
 )
 from deckindex.groups import FreeAbelianGroup, FreeGroup
 from deckindex.ufh import (
-    CayleyGraph,
     decide_class,
     flow_certificate,
     isoperimetric_probe,
@@ -112,17 +111,17 @@ def test_criterion_4_amenability_dichotomy():
         and ratios[-1] < Fraction(1, 3)
 
     f2 = FreeGroup(2)
-    probe = isoperimetric_probe(CayleyGraph(f2), range(1, 7))
+    probe = isoperimetric_probe(f2, range(1, 7))
     ok_f2_probe = all(row["ratio"] >= Fraction(1, 2) for row in probe)
 
     from deckindex.chains import ClassFunction
     one = ClassFunction(f2, 1, {})
-    ok_flows = all(flow_certificate(CayleyGraph(f2), one, r, capacity=2).feasible
+    ok_flows = all(flow_certificate(f2, one, r, capacity=2).feasible
                    for r in (3, 4, 5, 6))
 
     one_z2 = ClassFunction(z2, 1, {})
-    c4 = minimal_flow_capacity(CayleyGraph(z2), one_z2, 4)
-    c8 = minimal_flow_capacity(CayleyGraph(z2), one_z2, 8)
+    c4 = minimal_flow_capacity(z2, one_z2, 4)
+    c8 = minimal_flow_capacity(z2, one_z2, 8)
     ok_growth = c8 > c4
 
     ok = ok_z2 and ok_f2_probe and ok_flows and ok_growth

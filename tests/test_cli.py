@@ -248,6 +248,25 @@ class TestExitCodes:
         path = _write(tmp_path, "c.json", {"constant": 1, "finite": []})
         assert main(["decide-class", path]) == 1
 
+    @pytest.mark.parametrize("block", [
+        {"kind": "free", "rank": "x"},
+        {"kind": "free", "rank": 2, "ball_budget": "big"},
+        {"kind": "surface", "genus": None},
+        {"kind": "free"},
+        {"kind": "finite", "table": "x"},
+        {"kind": "finite", "cyclic": 0},
+        {"kind": "free", "rank": 2.7},
+        {"kind": "free", "rank": 2, "ball_budget": -1},
+        {"kind": "free", "rank": 2, "generators": ["a", 3]},
+        {"kind": "free-abelian", "rank": 2, "generators": ["a", "a"]},
+    ], ids=["rank-string", "budget-string", "genus-null", "rank-missing",
+            "table-string", "cyclic-zero", "rank-fractional", "budget-negative",
+            "generator-number", "generator-repeated"])
+    def test_malformed_group_block_is_input_error(self, block, tmp_path, capsys):
+        path = _write(tmp_path, "g.json", block)
+        assert main(["amenability", path, "--radius", "1"]) == 1
+        assert "internal error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("constant,value", [(1.5, 2), (1, 2.7), (1.5, 2.7)])
     def test_fractional_number_is_input_error(self, constant, value, tmp_path):
         path = _write(tmp_path, "c.json",

@@ -141,36 +141,6 @@ class TestEulerCharacteristic:
 
 
 class TestExpansion:
-    def test_radius_zero_is_identity_translate(self):
-        pc = PeriodicComplex(torus_grid())
-        region = pc.expand(0)
-        ident = pc.group.identity()
-        assert region.ball == frozenset({ident})
-        assert region.cell_count() == sum(TORUS.count(k) for k in range(3))
-
-    def test_torus_radius_one_count(self):
-        pc = PeriodicComplex(torus_grid())
-        region = pc.expand(1)
-        assert region.cell_count() == 5 * (9 + 27 + 18)
-
-    def test_genus2_radius_one_count(self):
-        pc = PeriodicComplex(genus2_surface())
-        region = pc.expand(1)
-        quotient_cells = 46 + 144 + 96
-        assert region.cell_count() == 9 * quotient_cells
-
-    def test_monotone_and_idempotent(self):
-        pc = PeriodicComplex(torus_grid())
-        r1 = pc.expand(1)
-        r2 = pc.expand(2)
-        assert r1.ball <= r2.ball
-        assert pc.expand(1) is r1
-
-    def test_budget(self):
-        pc = PeriodicComplex(genus2_surface())
-        with pytest.raises(ResourceError):
-            pc.expand(40)
-
     def test_adjacency_consistency(self):
         # the neighbor of (g, s) across a face t is (g * label, s') and the
         # relation is symmetric
@@ -197,12 +167,11 @@ class TestFundamentalDomain:
     def test_partition_torus_radius_two(self):
         pc = PeriodicComplex(torus_grid())
         fd = pc.fundamental_domain()
-        region = pc.expand(2)
         q = pc.quotient
-        # every materialized cell lies in exactly one translate: the coset
-        # map is well defined and reproduces the cell
+        # every cover cell over ball(2) lies in exactly one translate: the
+        # coset map is well defined and reproduces the cell
         for k in range(q.dimension + 1):
-            for (g, idx) in region.cells(k):
+            for g, idx in itertools.product(pc.group.ball(2), q.cells(k)):
                 h = fd.coset_of_cell(g, k, idx)
                 assert pc.group.multiply(h, fd.chosen_lift(k, idx)) == g
 
@@ -298,19 +267,17 @@ class TestDocuments:
 
 class TestUniformity:
     def test_cover_vertex_degree_matches_quotient_bound(self):
-        # every vertex of any materialized region meets at most K top cells,
-        # K the maximum vertex degree of the quotient (deck translates do
-        # not change local stars)
+        # every cover vertex met by the top cells over ball(1) meets at
+        # most K of them, K the maximum vertex degree of the quotient (deck
+        # translates do not change local stars)
         q = torus_grid()
         stars = {}
         for idx in q.cells(2):
             for v in q.simplex(2, idx):
                 stars[v] = stars.get(v, 0) + 1
         K = max(stars.values())
-        pc = PeriodicComplex(q)
-        region = pc.expand(1)
         cover_stars = {}
-        for (g, idx) in region.cells(2):
+        for g, idx in itertools.product(q.group.ball(1), q.cells(2)):
             s = q.simplex(2, idx)
             for j, v in enumerate(s):
                 shift = q.group.identity() if v == s[0] else q.edge_label(s[0], v)

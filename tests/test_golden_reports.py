@@ -3,8 +3,9 @@ are pinned.
 
 The digests below are the sha256 of ``report.json`` as written by
 ``deckindex <command> fixture:<name> [flags] --out <dir>``, keyed by
-(command, fixture, *flags).  A change that moves any of them changes what
-users see and must say why.
+(command, fixture, *flags), and by ``deckindex decide-class <doc> --out
+<dir>`` for the class documents of ``DECISIONS``.  A change that moves any
+of them changes what users see and must say why.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import sys
 import pytest
 
 from deckindex.cli import main
+from deckindex.reports import canonical_json
 
 GOLDEN = {
     ("map-analyze", "sin-map"):
@@ -45,6 +47,27 @@ GOLDEN = {
     # valid max-flow among many, so a different solver moves this digest
     ("map-analyze", "free-cover-index"):
         "581400b66d6637c44b6b3a628862cb8cead4cecf4978d49358824294aabcb6ab",
+    ("map-analyze", "connected-sum-index"):
+        "576367e1a5009123b14c9ea2d6e9b5bfa4fdc54b19c3fded79a22b3510291499",
+}
+
+# decide-class documents, one per decision branch that reads group balls:
+# truncated flows plus the verifier's ball(R - 1) on the genus-2 group, a
+# bounding chain checked on an interior ball of Z^2, and the total sum of a
+# cyclic group; every report also charts the class over ball(3)
+DECISIONS = {
+    "genus2-unit-masses": (
+        {"group": {"kind": "surface", "genus": 2}, "constant": 1,
+         "finite": [["a1", 1], ["-b2", -1], ["a2 b1", 1], ["b1 -a1", -1]]},
+        "c7a4136c6e15d4339f79728bdcdeb6f0a422a50ee926738bb928da1e88108693"),
+    "z2-finite-mass": (
+        {"group": {"kind": "free-abelian", "rank": 2}, "constant": 0,
+         "finite": [["a a", 3], ["-b", -1], ["a b", 2], ["-a -a -b", -1]]},
+        "bbf5df92f84968edef1fd1a39097e820d5950308165b0105b603293b42385732"),
+    "cyclic-class": (
+        {"group": {"kind": "finite", "cyclic": 7}, "constant": 0,
+         "finite": [["t", 2], ["t t t", -1], ["", 3]]},
+        "ae152b19065de38c7fadc7b4143a01294a31cca1b2d6ede3bbeb7dbbee8325cd"),
 }
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -61,6 +84,16 @@ def test_report_bytes_unchanged(key, tmp_path):
     out = str(tmp_path / "out")
     assert main([command, f"fixture:{fixture}", *flags, "--out", out]) == 0
     assert _digest(out) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS))
+def test_decision_report_bytes_unchanged(name, tmp_path):
+    document, digest = DECISIONS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_json(document), encoding="utf-8")
+    out = str(tmp_path / "out")
+    assert main(["decide-class", str(path), "--out", out]) == 0
+    assert _digest(out) == digest
 
 
 def _digests_under_hash_seeds(tmp_path, command, fixture):

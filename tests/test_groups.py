@@ -19,20 +19,33 @@ from deckindex.groups import (
 )
 
 
-def brute_force_ball_count(group, radius):
-    """Independent BFS over generator moves, relying only on element equality."""
-    seen = {group.identity()}
+def reference_ball(group, radius):
+    """Independent BFS over generator moves, relying only on element
+    equality: ``{element: distance}`` in BFS order."""
+    dist = {group.identity(): 0}
     frontier = [group.identity()]
-    for _ in range(radius):
+    for r in range(1, radius + 1):
         nxt = []
         for g in frontier:
             for t in group._signed_tokens():
                 h = group.multiply_token(g, t)
-                if h not in seen:
-                    seen.add(h)
+                if h not in dist:
+                    dist[h] = r
                     nxt.append(h)
         frontier = nxt
-    return len(seen)
+    return dist
+
+
+def growth_series(numerator, denominator, terms):
+    """Leading coefficients of the power series numerator / denominator
+    (coefficient lists, denominator[0] == 1)."""
+    out = []
+    for n in range(terms):
+        a = numerator[n] if n < len(numerator) else 0
+        a -= sum(denominator[k] * out[n - k]
+                 for k in range(1, min(n, len(denominator) - 1) + 1))
+        out.append(a)
+    return out
 
 
 Z2 = FreeAbelianGroup(2)
@@ -134,7 +147,7 @@ class TestBalls:
     @pytest.mark.parametrize("group,rmax", [(Z2, 4), (F2, 4), (C6, 4)])
     def test_matches_independent_bfs(self, group, rmax):
         for r in range(rmax + 1):
-            assert len(group.ball(r)) == brute_force_ball_count(group, r)
+            assert len(group.ball(r)) == len(reference_ball(group, r))
 
     def test_surface_ball_counts(self):
         # Free-tree counts 4g(4g-1)^(r-1) hold up to r=3 (the relator has
@@ -148,6 +161,16 @@ class TestBalls:
             assert len(S2GROUP.ball(r)) == total
         assert total == 3193
 
+    def test_surface_spheres_follow_cannon_growth_series(self):
+        # Cannon (1984): the genus-2 spheres have the growth series
+        # (1 + 2z + 2z^2 + 2z^3 + z^4) / (1 - 6z - 6z^2 - 6z^3 + z^4); the
+        # outside products of ball(5) form the sphere of radius 6
+        spheres = growth_series([1, 2, 2, 2, 1], [1, -6, -6, -6, 1], 7)
+        assert spheres == [1, 8, 56, 392, 2736, 19096, 133288]
+        ball = SurfaceGroup(2).indexed_ball(5)
+        assert [b - a for a, b in zip([0] + ball.ends, ball.ends)] == spheres[:6]
+        assert ball.outside == spheres[6]
+
     def test_budget_error_names_flag(self):
         # --radius is the value that overflowed; the knob is the document's
         with pytest.raises(ResourceError, match="'ball_budget' in the group document"):
@@ -156,10 +179,12 @@ class TestBalls:
     def test_indexed_ball_matches_bfs(self):
         for group in ALL_KINDS:
             ball = IndexedBall(group, 3)
-            dist = group.ball_with_distances(3)
+            dist = reference_ball(group, 3)
             assert ball.elements == list(dist) and ball.dist == list(dist.values())
-            assert ball.ends == [len(group.ball(r)) for r in range(4)]
-            assert ball.outside == len(group.sphere(4))
+            assert list(group.ball_with_distances(3).items()) == list(dist.items())
+            assert ball.ends == [len(reference_ball(group, r)) for r in range(4)]
+            assert ball.outside == list(reference_ball(group, 4).values()).count(4)
+            assert group.sphere(3) == {g for g, d in dist.items() if d == 3}
             for row, t in zip(ball.rows, group._signed_tokens()):
                 for i, g in enumerate(ball.elements):
                     h = group.multiply_token(g, t)
@@ -175,9 +200,20 @@ class TestBalls:
         canonical = group._canonical
         monkeypatch.setattr(group, "_canonical",
                             lambda tokens: calls.append(1) or canonical(tokens))
-        group.ball(2)
-        # ball(2) multiplies each element of ball(1) by the 8 signed tokens
-        assert len(calls) == 9 * 8
+        ball = group.ball(2)
+        # the indexed ball(2) multiplies each of its elements, its sphere
+        # included, by the 8 signed tokens
+        assert len(calls) == 8 * len(ball)
+
+    def test_indexed_ball_kept_per_group(self):
+        group = FreeAbelianGroup(2)
+        ball = group.indexed_ball(2)
+        assert group.indexed_ball(1) is ball  # a smaller ball is a prefix
+        assert group.ball(1) < group.ball(2)
+        grown = group.indexed_ball(3)
+        assert grown.radius == 3 and group.indexed_ball(2) is grown
+        # kept per instance: an equal group builds its own
+        assert FreeAbelianGroup(2).indexed_ball(1) is not grown
 
     def test_deck_word_lengths_match_bfs_level(self):
         for group in ALL_KINDS:

@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from deckindex.chains import ClassFunction
-from deckindex.complexes import PeriodicComplex
 from deckindex.errors import InputError
-from deckindex.fixtures import torus_grid
-from deckindex.groups import FreeAbelianGroup, FreeGroup, SurfaceGroup, cyclic_group
+from deckindex.groups import (
+    FreeAbelianGroup,
+    FreeGroup,
+    SurfaceGroup,
+    cyclic_group,
+    folner_average,
+)
 from deckindex.ufh import (
-    CayleyGraph,
     ClassCertificate,
-    SkeletonGraph,
+    GraphChain,
     bound_finite_mass,
     decide_class,
     flow_certificate,
@@ -50,7 +53,7 @@ class TestFolnerSearch:
 
 class TestIsoperimetricProbe:
     def test_z2_ratios_decrease(self):
-        rows = isoperimetric_probe(CayleyGraph(Z2), range(1, 7))
+        rows = isoperimetric_probe(Z2, range(1, 7))
         ratios = [row["ratio"] for row in rows]
         assert ratios[5 - 1] < ratios[2 - 1]
         for row in rows:
@@ -59,20 +62,14 @@ class TestIsoperimetricProbe:
             assert row["boundary"] == 4 * (r + 1)
 
     def test_f2_ratios_bounded_below(self):
-        rows = isoperimetric_probe(CayleyGraph(F2), range(1, 7))
+        rows = isoperimetric_probe(F2, range(1, 7))
         for row in rows:
             assert row["ratio"] >= Fraction(1, 2)
 
     def test_finite_component_ratio_zero(self):
         g = cyclic_group(6)
-        rows = isoperimetric_probe(CayleyGraph(g), [3, 4])
+        rows = isoperimetric_probe(g, [3, 4])
         assert rows[0]["ratio"] == 0 and rows[1]["ratio"] == 0
-
-    def test_skeleton_graph_degree_bound(self):
-        pc = PeriodicComplex(torus_grid())
-        sk = SkeletonGraph(pc)
-        assert sk.degree_bound() == 6
-        assert len(sk.ball(1)) == 7
 
 
 class TestBoundFiniteMass:
@@ -107,10 +104,9 @@ class TestBoundFiniteMass:
 
 class TestFlowCertificate:
     def test_f2_uniform_capacity_two(self):
-        graph = CayleyGraph(F2)
         one = ClassFunction(F2, 1, {})
         for radius in (3, 4, 5, 6):
-            res = flow_certificate(graph, one, radius, capacity=2)
+            res = flow_certificate(F2, one, radius, capacity=2)
             assert res.feasible
             bdry = res.chain.boundary()
             for v in F2.ball(radius - 1):
@@ -118,32 +114,28 @@ class TestFlowCertificate:
             assert res.chain.max_coefficient() <= 2
 
     def test_z2_minimal_capacity_grows(self):
-        graph = CayleyGraph(Z2)
         one = ClassFunction(Z2, 1, {})
-        c4 = minimal_flow_capacity(graph, one, 4)
-        c8 = minimal_flow_capacity(graph, one, 8)
+        c4 = minimal_flow_capacity(Z2, one, 4)
+        c8 = minimal_flow_capacity(Z2, one, 8)
         assert c8 > c4
 
     def test_z2_infeasible_at_fixed_capacity(self):
-        graph = CayleyGraph(Z2)
         one = ClassFunction(Z2, 1, {})
-        res = flow_certificate(graph, one, 8, capacity=1)
+        res = flow_certificate(Z2, one, 8, capacity=1)
         assert not res.feasible and res.deficit > 0
 
     def test_zero_function_feasible_with_empty_chain(self):
-        graph = CayleyGraph(F2)
         zero = ClassFunction(F2, 0, {})
-        res = flow_certificate(graph, zero, 4, capacity=2)
+        res = flow_certificate(F2, zero, 4, capacity=2)
         assert res.feasible and res.chain.edges == {}
 
     def test_feasibility_monotone_in_capacity(self):
         rng = random.Random(9)
-        graph = CayleyGraph(Z2)
         ball = sorted(Z2.ball(2), key=Z2.sort_key)
         for _ in range(5):
             f = ClassFunction(Z2, 0, {rng.choice(ball): rng.randint(-3, 3)
                                       for _ in range(3)})
-            statuses = [flow_certificate(graph, f, 4, c).feasible for c in (1, 2, 3)]
+            statuses = [flow_certificate(Z2, f, 4, c).feasible for c in (1, 2, 3)]
             for a, b in zip(statuses, statuses[1:]):
                 assert (not a) or b
 
@@ -259,13 +251,56 @@ class TestVerifierRejectsTampering:
         # forgery: truncated flows exist on Z^2 at a large capacity, yet the
         # constant 1 is nonzero there (every invariant mean gives 1)
         one = ClassFunction(Z2, 1, {})
-        res = flow_certificate(CayleyGraph(Z2), one, 4, capacity=8)
+        res = flow_certificate(Z2, one, 4, capacity=8)
         assert res.feasible
         cert = ClassCertificate(
             "zero-by-truncated-flow", Z2, one,
             payload={"capacity": 8, "radii": [4],
                      "flows": [{"radius": 4, "chain": _chain_to_payload(Z2, res.chain)}]})
         assert _failed(verify_certificate(cert)) == {"group is nonamenable"}
+
+    def test_mean_on_nonamenable_group_fails(self):
+        # forgery: F2 has no Folner scheme, so an empty averages list left
+        # only "limit nonzero" to check; yet every class on F2 vanishes
+        one = ClassFunction(F2, 1, {})
+        cert = ClassCertificate("nonzero-by-mean", F2, one, payload={
+            "limit": "1", "collar_radius": 1, "averages": []})
+        assert _failed(verify_certificate(cert)) == {
+            "limit equals the invariant mean", "averages are present"}
+
+    def test_bounding_chain_for_nonzero_constant_fails(self):
+        # forgery: the chain sum of -(k+4) (k -> k+1), k = -3..2, has
+        # boundary 1 on ball(2) of Z, but every invariant mean sends the
+        # constant 1 to 1, so no bounded chain bounds it
+        one = ClassFunction(Z1, 1, {})
+        chain = GraphChain(Z1)
+        for k in range(-3, 3):
+            chain.add_edge((k,), (k + 1,), -(k + 4))
+        cert = ClassCertificate("zero-by-boundary", Z1, one, payload={
+            "chain": _chain_to_payload(Z1, chain), "region_radius": 3,
+            "interior_radius": 2, "coefficient_bound": 6})
+        assert _failed(verify_certificate(cert)) == {"invariant mean vanishes"}
+
+    def test_mean_limit_of_finite_mass_fails(self):
+        # forgery: mass 9 at a on Z averages 9/(2t+1), within the mass bound
+        # of the limit 1 for t <= 8; the invariant mean of f is 0
+        f = ClassFunction(Z1, 0, {(1,): 9})
+        scheme = Z1.folner_scheme()
+        cert = ClassCertificate("nonzero-by-mean", Z1, f, payload={
+            "limit": "1", "collar_radius": 1,
+            "averages": [{"t": t, "average": str(folner_average(scheme, f, t))}
+                         for t in (1, 2, 4, 8)]})
+        assert _failed(verify_certificate(cert)) == {
+            "limit equals the invariant mean"}
+
+    def test_interior_missing_the_support_fails(self):
+        # forgery: an empty chain "bounds" mass 5 at a a a on ball(0)
+        f = ClassFunction(Z1, 0, {(3,): 5})
+        cert = ClassCertificate("zero-by-boundary", Z1, f, payload={
+            "chain": [], "region_radius": 1, "interior_radius": 0,
+            "coefficient_bound": 5})
+        assert _failed(verify_certificate(cert)) == {
+            "interior contains the support"}
 
 
 def _failed(result):
@@ -324,10 +359,9 @@ class TestMaxFlowAgainstNetworkx:
     @pytest.mark.parametrize("group,radius", FLOW_CASES,
                              ids=[f"{g.kind}-R{r}" for g, r in FLOW_CASES])
     def test_deficits_match(self, group, radius):
-        graph = CayleyGraph(group)
         for c in (ClassFunction(group, 1, {}), _mixed(group, 1), _mixed(group, 9)):
             for capacity in (1, 2, 3):
-                res = flow_certificate(graph, c, radius, capacity)
+                res = flow_certificate(group, c, radius, capacity)
                 expected = _nx_deficit(group, c, radius, capacity)
                 assert (res.feasible, res.deficit) == (expected == 0, expected)
 
@@ -337,7 +371,7 @@ class TestMaxFlowAgainstNetworkx:
                                   "surface-R3"])
     def test_minimal_capacity_matches_scan(self, group, radius, constant):
         c = _mixed(group, constant)
-        assert minimal_flow_capacity(CayleyGraph(group), c, radius) \
+        assert minimal_flow_capacity(group, c, radius) \
             == _nx_minimal_capacity(group, c, [radius])
 
     def test_decided_capacity_matches_scan(self):
