@@ -331,9 +331,6 @@ def genus2_surface() -> QuotientComplex:
                     sd_triangles.append((add_cell((v,)), e_id, t_id))
 
     # identification of boundary cells and development words
-    def side_of_boundary_index(i):
-        return i // 2
-
     ident_class = {}
     dev_word = {}
     for cid, (dim, tup) in enumerate(disk_cells):

@@ -7,7 +7,8 @@ element equality, word length and ball enumeration are exact:
 * free groups (freely reduced words),
 * surface groups of genus >= 2 with the standard one-relator presentation
   (Dehn-reduced words, ties resolved by shortlex descent on half-relator
-  replacements),
+  replacements; checked canonical only through sphere 6, see
+  :class:`SurfaceGroup`),
 * finite groups given by a multiplication table (elements are table
   indices; canonical words are shortlex geodesics from a BFS).
 
@@ -27,11 +28,13 @@ asked for.
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
 elements in BFS order, so the flow networks and the isoperimetric probe
 work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
-read an id prefix of it.
+read an id prefix of it.  Its products go through ``multiply_token``; for a
+surface group it checks only the window ending at the new token.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
@@ -134,6 +137,9 @@ class MarkedGroup:
         return {t: self.element_of([t]) for t in self._signed_tokens()}
 
     def multiply_token(self, a, token: Token):
+        return self._append_token(a, token)
+
+    def _append_token(self, a, token: Token):  # per kind, behind multiply_token
         return self.multiply(a, self._token_elements[token])
 
     # -- balls -------------------------------------------------------------
@@ -234,6 +240,11 @@ class FreeAbelianGroup(MarkedGroup):
     def multiply(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
+    def _append_token(self, a, token: Token):
+        v = list(a)
+        v[abs(token) - 1] += 1 if token > 0 else -1
+        return tuple(v)
+
     def inverse(self, a):
         return tuple(-x for x in a)
 
@@ -287,10 +298,11 @@ class SurfaceGroup(MarkedGroup):
     Words are kept Dehn-reduced: no subword longer than half of any cyclic
     rotation of the relator or its inverse survives, and subwords of exactly
     half length are replaced by the complementary half whenever that makes
-    the word shortlex-smaller.  On this presentation (all relator pieces
-    have length 1) the reduced words are geodesic and the fixed point of the
-    rewriting is a canonical representative; the test suite cross-checks
-    this against independent ball counts.
+    the word shortlex-smaller.  The fixed points of this rewriting are not a
+    normal form in general: two distinct fixed points can name one element,
+    and a fixed point need not be geodesic.  Canonicity is verified only
+    through sphere 6: the genus-2 sphere sizes match Cannon's growth series
+    through radius 6, and at radius 7 they do not (930330 against 930328).
     """
 
     kind = "surface"
@@ -308,17 +320,10 @@ class SurfaceGroup(MarkedGroup):
         if len(self.generator_names) != 2 * genus:
             raise InputError("generator name count does not match genus")
         self.ball_budget = ball_budget
-        relator: list[Token] = []
-        for i in range(genus):
-            a, b = 2 * i + 1, 2 * i + 2
-            relator += [a, b, -a, -b]
-        self._relator = relator
+        relator = [t for a in range(1, 2 * genus, 2) for t in (a, a + 1, -a, -a - 1)]
         self._half = 2 * genus  # half of the relator length 4g
-        rotations = []
-        for base in (relator, _invert_word(relator)):
-            for s in range(len(base)):
-                rotations.append(tuple(base[s:] + base[:s]))
-        self._rotations = rotations
+        rotations = [tuple(base[s:] + base[:s])
+                     for base in (relator, _invert_word(relator)) for s in range(len(base))]
         self._long_index: dict[tuple, list[tuple]] = {}
         self._half_index: dict[tuple, list[tuple]] = {}
         for rho in rotations:
@@ -354,6 +359,30 @@ class SurfaceGroup(MarkedGroup):
             if best is None:
                 return tuple(w)
             w = best
+
+    def _append_token(self, a, token: Token):
+        """``_canonical(a + (token,))`` for a fixed point ``a`` of
+        ``_canonical`` (every element is one), checking only the end.
+
+        Exact: a prefix of a fixed point is one, which settles a cancelling
+        token.  Otherwise ``w = a + (token,)`` is reduced.  A rewrite inside
+        ``a`` would rewrite ``a``: appending a token changes no shortlex
+        comparison decided inside ``a``, unless a half swap ending ``a``
+        cancels the token, and then that window and the token are a long
+        match.  A long match ending at the token ends with ``h`` tokens
+        that start the next rotation, whose swap cancels against the token
+        before them.  So only a descending swap of the last ``h`` tokens
+        can rewrite ``w``; without one, ``w`` is a fixed point.
+        """
+        if a and a[-1] == -token:
+            return a[:-1]
+        w = a + (token,)
+        h = self._half
+        for rho in self._half_index.get(w[-h:], ()):
+            swapped = _free_reduce(list(w[:-h]) + _invert_word(rho[h:]))
+            if _shortlex_key(swapped) < _shortlex_key(w):
+                return self._canonical(w)
+        return w
 
     def element_of(self, tokens):
         return self._canonical(list(tokens))
@@ -440,14 +469,14 @@ class FiniteGroup(MarkedGroup):
             for g in frontier:
                 base = words[g]
                 for t in sorted(signed, key=lambda t: 2 * abs(t) + (t < 0)):
-                    h = self._mul_token(g, t)
+                    h = self._append_token(g, t)
                     if h not in words:
                         words[h] = base + (t,)
                         nxt.append(h)
             frontier = nxt
         return words
 
-    def _mul_token(self, a, token: Token):
+    def _append_token(self, a, token: Token):
         g = self.generator_ids[abs(token) - 1]
         if token < 0:
             g = self._inverse[g]
@@ -456,7 +485,7 @@ class FiniteGroup(MarkedGroup):
     def element_of(self, tokens):
         e = self._identity
         for t in tokens:
-            e = self._mul_token(e, t)
+            e = self._append_token(e, t)
         return e
 
     def element_word(self, element) -> Word:
@@ -538,11 +567,7 @@ class IndexedBall:
                         dist.append(d + 1)
                 row.append(j)
             i += 1
-        ends = [0] * (radius + 1)
-        for d in dist:
-            ends[d] += 1
-        for r in range(1, radius + 1):
-            ends[r] += ends[r - 1]
+        ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
         self.radius = radius
         self.elements = elements
         self.dist = dist

@@ -29,30 +29,7 @@ from .groups import FiniteGroup, MarkedGroup, folner_average
 
 
 # ---------------------------------------------------------------------------
-# Folner search and isoperimetry
-
-
-def folner_search(group: MarkedGroup, delta: Fraction, r: int = 1,
-                  max_index: int = 64):
-    """Smallest scheme index whose outer r-collar ratio is below delta.
-
-    Returns ``(t, F_t, ratio)``.  Only amenable kinds carry a scheme;
-    nonamenable kinds are directed to the flow certificates.
-    """
-    scheme = group.folner_scheme(r)
-    if scheme is None:
-        raise InputError(
-            f"group kind {group.kind!r} is nonamenable: no Folner scheme; "
-            "use flow certificates instead")
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise InputError("delta must be positive")
-    for t in range(1, max_index + 1):
-        rho = scheme.ratio(t)
-        if rho < delta:
-            return t, scheme.set_at(t), rho
-    raise ResourceError(f"no Folner set found up to scheme index {max_index} "
-                        "(--radius budget for the scheme search)")
+# Isoperimetry
 
 
 def isoperimetric_probe(group: MarkedGroup, radii) -> list:

@@ -18,7 +18,6 @@ from deckindex.ufh import (
     bound_finite_mass,
     decide_class,
     flow_certificate,
-    folner_search,
     isoperimetric_probe,
     _chain_to_payload,
     minimal_flow_capacity,
@@ -29,26 +28,6 @@ Z1 = FreeAbelianGroup(1)
 Z2 = FreeAbelianGroup(2)
 F2 = FreeGroup(2)
 SURF = SurfaceGroup(2)
-
-
-class TestFolnerSearch:
-    def test_z2_half(self):
-        t, members, ratio = folner_search(Z2, Fraction(1, 2), r=1)
-        assert ratio < Fraction(1, 2)
-        assert len(members) == (2 * t + 1) ** 2
-        # smallest index: the previous index fails the bound
-        if t > 1:
-            scheme = Z2.folner_scheme(1)
-            assert scheme.ratio(t - 1) >= Fraction(1, 2)
-
-    def test_finite_group_whole(self):
-        g = cyclic_group(5)
-        t, members, ratio = folner_search(g, Fraction(1, 100), r=1)
-        assert t == 1 and len(members) == 5 and ratio == 0
-
-    def test_nonamenable_gate(self):
-        with pytest.raises(InputError, match="flow certificates"):
-            folner_search(F2, Fraction(1, 2))
 
 
 class TestIsoperimetricProbe:
