@@ -198,12 +198,10 @@ def cmd_analyze(config: RunConfig) -> int:
     # looked up at call time, so that wrappers installed on the modules apply
     if is_map:
         mode, zeros_key = "map", "fixed_points"
-        tameness, find, index = (fixpoint.tameness_check,
-                                 fixpoint.find_fixed_points, fixpoint.local_index)
+        tameness, find = fixpoint.tameness_check, fixpoint.find_fixed_points
     else:
         mode, zeros_key = "field", "zeros"
-        tameness, find, index = (vectorfield.field_tameness_check,
-                                 vectorfield.find_zeros, vectorfield.field_index)
+        tameness, find = vectorfield.field_tameness_check, vectorfield.find_zeros
     report = tameness(model, grid=max(config.grid, 32))
     payload = {"mode": mode, "variant": model.variant,
                "subdivision_refinement": config.subdivide,
@@ -217,8 +215,7 @@ def cmd_analyze(config: RunConfig) -> int:
     fd = PeriodicComplex(model.complex).fundamental_domain()
     n = model.complex.dimension
     for r in records:
-        if not r.on_face and r.host is not None:
-            r.index = index(model, r)
+        if r.index is not None:
             r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
     payload[zeros_key] = [r.to_document(model.group) for r in records]
     if is_map:
@@ -445,7 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--subdivide", type=int, default=0,
                        help="extra barycentric subdivisions before analysis")
         p.add_argument("--grid", type=int, default=32,
-                       help="search/sampling grid resolution")
+                       help="map-analyze and field-analyze sample tameness "
+                            "on max(GRID, 32) points per axis, refined once "
+                            "to twice that; the Newton grid is the model "
+                            "document's 'grid'")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property suites")
         p.add_argument("--out", default=None, help="output directory")

@@ -17,6 +17,7 @@ bookkeeping free of permutation parities.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -167,7 +168,7 @@ class QuotientComplex:
             n = self.dimension
             for t, s in enumerate(self.simplices[n]):
                 for k2 in range(n + 1):
-                    for face in _subtuples(s, k2 + 1):
+                    for face in itertools.combinations(s, k2 + 1):
                         cof[k2].setdefault(self.index_of(k2, face), []).append(t)
             self._cofaces = cof
         return self._cofaces[k].get(idx, [])
@@ -283,22 +284,6 @@ class QuotientComplex:
             return c
         except (KeyError, ValueError, TypeError) as e:
             raise InputError(f"malformed complex document: {e}")
-
-
-def _subtuples(s, size):
-    if size == len(s):
-        return [tuple(s)]
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == size:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(s)):
-            rec(i + 1, chosen + [s[i]])
-
-    rec(0, [])
-    return out
 
 
 def _format_fraction(f: Fraction) -> str:
@@ -598,7 +583,7 @@ def _subdivide_once(q: QuotientComplex) -> Subdivision:
         s = q.simplex(k, idx)
         out = []
         for fk in range(k):
-            for face in _subtuples(s, fk + 1):
+            for face in itertools.combinations(s, fk + 1):
                 out.append((fk, q.index_of(fk, face)))
         return out
 

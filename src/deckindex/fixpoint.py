@@ -5,12 +5,18 @@ stages shared with vector fields.
 A fixed point of ``x + d(x)`` is a zero of the displacement d, and the
 index class of a field v is the Lefschetz class of ``x + v`` with the index
 sign flipped.  So maps and fields run one pipeline: the shared stages
-:func:`solve_zeros`, :func:`zero_index`, :func:`check_tameness` and
-:func:`assemble_class` take any model that carries ``index_matrix_sign``,
--1 for a map and +1 for a field.  The public names of the map pipeline
-(``find_fixed_points``, ``local_index``, ``tameness_check``,
-``lefschetz_class``) and of the field pipeline (in ``vectorfield``) call
-these stages.
+:func:`solve_zeros`, :func:`check_tameness` and :func:`assemble_class` take
+any model that carries ``index_matrix_sign``, -1 for a map and +1 for a
+field.  The public names of the map pipeline (``find_fixed_points``,
+``tameness_check``, ``lefschetz_class``) and of the field pipeline (in
+``vectorfield``) call these stages.
+
+Every model is a :class:`ZeroTable`: it keeps one list of zero records
+per (component set, window) pair, and each simplex-interior record carries
+its index from the moment it is built.  A window that uses the
+unoverridden data copies the identity's records, moved by the window;
+any other window is solved once.  The tameness check, the zero listing,
+the index class and the oracle all read the same records.
 
 Two kinds of model are supported.
 
@@ -22,10 +28,6 @@ Two kinds of model are supported.
   grid resolution is a documented heuristic, exact afterwards.  An override
   replaces the displacement on a single period cell ``w + [0,1)^n`` of the
   cover (finitely many translates); authors must keep the seam continuous.
-  Each model keeps one shared analysis: the zeros of a (component set,
-  window) pair are searched once and a window's host records are resolved
-  once, so the tameness check, the fixed-point listing, the index class and
-  the oracle all read the same results.
 
 * Affine-cell (complexes realized with exact rational coordinates): a
   simplicial map sends a barycentric subdivision of the quotient
@@ -34,10 +36,11 @@ Two kinds of model are supported.
   top cell's vertex positions and vertex vectors: the displacements
   ``T_j - S_j`` of a map, the projected vertex vectors of a field.  One
   code path solves the affine zero equation exactly in rationals per cell,
-  rejects zeros on simplex faces, takes indices from the exact chart
-  determinant and samples norms on a barycentric grid.  Non-equivariant
-  perturbations of simplicial maps are supported on trivial-deck covers,
-  where they amount to replacing vertex images.
+  rejects zeros on simplex faces, takes each index from the exact chart
+  determinant of the cell the zero was solved in and samples norms on a
+  barycentric grid.  Non-equivariant perturbations of simplicial maps are
+  supported on trivial-deck covers, where they amount to replacing vertex
+  images.
 
 Host cells over Z^n are found from a per-complex table holding each top
 cell's exact inverse barycentric matrix and bounding box.
@@ -78,6 +81,14 @@ from .groups import FiniteGroup, FreeAbelianGroup, group_from_document
 
 NEWTON_GRID = 32
 TAMENESS_GRID = 64
+
+# How messages name a model and its zeros, by index_matrix_sign: the model,
+# one zero, and the witness of an affine cell whose zero set is not isolated.
+_WORDING = {
+    -1: ("map", "fixed point", "fixed-point set is not isolated: the affine "
+         "equation on source cell {} is singular (identity-like map)"),
+    1: ("field", "field zero", "zero set is not isolated on cell {}"),
+}
 
 
 @dataclass
@@ -128,21 +139,58 @@ class TamenessReport:
 
 
 # ---------------------------------------------------------------------------
+# The zero table shared by every model
+
+
+class ZeroTable:
+    """Zero records of a model, built once per (component set, window).
+
+    A window is a deck element.  A window that uses the unoverridden data
+    gets the identity's records moved by the window; any other window is
+    solved by the model's ``_solve_window``, which attaches the index of
+    every simplex-interior record.  Other records keep ``index = None``.
+    Lookups hand out copies.  Component sets are keyed by ``None`` (the
+    unoverridden data) or by the position of an override.
+    """
+
+    def __init__(self):
+        self._records: dict = {}       # (component key, window) -> records
+
+    def override_translates(self):
+        return []
+
+    def component_key(self, window, plain: bool = False):
+        """Which component set applies in ``window``: None or an override position."""
+        return None
+
+    def window_records(self, window, plain: bool = False):
+        """Records of the zeros in ``window``; with ``plain=True`` the
+        unoverridden data is used whatever the window."""
+        key = (self.component_key(window, plain), window)
+        if key not in self._records:
+            ident = self.group.identity()
+            if key[0] is None and window != ident:
+                self._records[key] = [
+                    _translate_record(self.complex, r, window)
+                    for r in self.window_records(ident, plain=True)]
+            else:
+                self._records[key] = self._solve_window(window, plain)
+        return [replace(r) for r in self._records[key]]
+
+
+# ---------------------------------------------------------------------------
 # Analytic models on flat-torus covers
 
 
-class AnalyticModel:
+class AnalyticModel(ZeroTable):
     """Z^n-periodic closed-form displacement or field on a Euclidean cover.
 
     ``index_matrix_sign`` distinguishes the two uses: a fixed point of
     ``x + d(x)`` has index sign det(-Dd), a field zero has index
     sign det(Dv).
 
-    The model keeps its analysis: the zeros of each (component set,
-    window) pair are searched at most once, and the host records of each
-    window are resolved once; both caches hand out copies.  Component
-    sets are keyed by ``None`` (the unoverridden expressions) or by the
-    position of an override.
+    Besides its zero table the model caches the zeros of each (component
+    set, window) pair, searched at most once and handed out as copies.
     """
 
     variant = "analytic"
@@ -150,6 +198,7 @@ class AnalyticModel:
 
     def __init__(self, complex: QuotientComplex, components, bound,
                  overrides=None, grid: int = NEWTON_GRID):
+        super().__init__()
         if not isinstance(complex.group, FreeAbelianGroup):
             raise InputError("analytic models need a free-abelian deck group")
         if complex.coordinates is None:
@@ -165,21 +214,17 @@ class AnalyticModel:
         self.bound = Fraction(bound)
         self.jac = exprs.jacobian(self.components, self.dim)
         self.grid = int(grid)
+        if self.grid < 1:
+            raise InputError(f"'grid' (Newton starts per axis) must be at least 1, "
+                             f"not {self.grid}")
         self.overrides = []
-        for ov in overrides or []:
+        for ov in overrides or []:   # {"translate": deck element, "components": [...]}
             comps = [exprs.parse_expression(c, self.dim) for c in ov["components"]]
-            translate = ov["translate"]
-            if not isinstance(translate, tuple):
-                translate = self.group.parse_word(translate)
-            self.overrides.append({
-                "translate": translate,
-                "components": comps,
-                "jacobian": exprs.jacobian(comps, self.dim),
-            })
+            self.overrides.append({"translate": ov["translate"], "components": comps,
+                                   "jacobian": exprs.jacobian(comps, self.dim)})
         self._numerics: dict = {}      # (kind, component key) -> callable
         self._index_dets: dict = {}    # component key -> sympy determinant
         self._zeros: dict = {}         # (component key, window) -> zero list
-        self._records: dict = {}       # (component key, window) -> records
         self.validate_bound()
 
     @property
@@ -190,7 +235,6 @@ class AnalyticModel:
         return [ov["translate"] for ov in self.overrides]
 
     def component_key(self, window, plain: bool = False):
-        """Which component set applies in ``window``: None or an override position."""
         if not plain:
             for i, ov in enumerate(self.overrides):
                 if ov["translate"] == window:
@@ -205,9 +249,6 @@ class AnalyticModel:
 
     def components_for_window(self, window):
         return self._component_set(self.component_key(window))
-
-    def window_of(self, position):
-        return tuple(int(math.floor(float(c))) for c in position)
 
     # -- numeric plumbing ----------------------------------------------------
 
@@ -287,50 +328,30 @@ class AnalyticModel:
                         False))
         return out
 
-    def window_records(self, window, plain: bool = False):
-        """Host records of the zeros in ``window``, resolved once per window.
-
-        Windows that use the unoverridden expressions translate the base
-        window's records: an interior record keeps its cell and isolation
-        radius with a translated deck element, an on-face record is
-        re-resolved (its tie-break is not translation-invariant).
-        """
-        window = tuple(window)
-        key = (self.component_key(window, plain), window)
-        if key not in self._records:
-            ident = self.group.identity()
-            if key[0] is None and window != ident:
-                self._records[key] = [
-                    _translate_record(self.complex, r, window)
-                    for r in self.window_records(ident, plain=True)]
-            else:
-                self._records[key] = [
-                    resolve_record(self.complex, pos, exact)
-                    for pos, exact in self.zeros_in_window(window, plain)]
-        return [replace(r) for r in self._records[key]]
+    def _solve_window(self, window, plain):
+        """Host records of the searched zeros, each interior one indexed."""
+        records = [resolve_record(self.complex, pos, exact)
+                   for pos, exact in self.zeros_in_window(window, plain)]
+        for r in records:
+            if not r.on_face and r.host is not None:
+                r.index = self.local_index_at(r.position, r.exact, window, plain)
+        return records
 
     def local_index_at(self, position, exact: bool, window=None,
                        plain: bool = False) -> int:
-        """Index at a zero via the certified Jacobian determinant sign."""
+        """Index at an exact zero via the certified Jacobian determinant sign."""
+        if not exact:
+            raise InputError("a local index needs an exact zero")
         if window is None:
-            window = self.window_of(position)
-        key = self.component_key(window, plain)
-        if exact:
-            point = dict(zip(exprs.variables(self.dim), map(Fraction, position)))
-            sign = exprs.certified_sign(self._index_det(key), point)
-            if sign == 0:
-                raise InputError("degenerate analytic zero: the Jacobian "
-                                 "determinant vanishes; demand a smaller "
-                                 "isolation radius or simplify the model")
-            return sign
-        m = self._numeric_jac(key)(np.array([[float(c) for c in position]]))[0]
-        if self.index_matrix_sign < 0:
-            m = -m
-        d = float(np.linalg.det(m))
-        if abs(d) < 1e-8:
-            raise InputError("degree computation ambiguous at tolerance for a "
-                             "non-exact zero; demand a smaller isolation radius")
-        return 1 if d > 0 else -1
+            window = tuple(math.floor(float(c)) for c in position)
+        point = dict(zip(exprs.variables(self.dim), map(Fraction, position)))
+        sign = exprs.certified_sign(self._index_det(self.component_key(window, plain)),
+                                    point)
+        if sign == 0:
+            raise InputError("degenerate analytic zero: the Jacobian "
+                             "determinant vanishes; demand a smaller "
+                             "isolation radius or simplify the model")
+        return sign
 
     def _index_det(self, key):
         """det(index_matrix_sign * Jacobian) of a component set, built once."""
@@ -425,10 +446,72 @@ def _dedup_on_torus(points, limit: int, tol: float = 1e-7):
 
 
 # ---------------------------------------------------------------------------
-# Simplicial models
+# Affine-cell models
 
 
-class SimplicialMapModel:
+class AffineCellModel(ZeroTable):
+    """A model given on each source top cell by exact vertex positions and
+    vertex vectors, through ``affine_cell``; its zeros are exact."""
+
+    def _solve_window(self, window, plain):
+        """Exact zeros of the affine pieces lifted to ``window``, in cell order.
+
+        On each source top cell the zero is the point with barycentric
+        coordinates l solving sum(l_j W_j) = 0, sum(l) = 1, for the cell's
+        vertex vectors W_j.  Its index is read from that cell's chart.
+        """
+        src = self.source
+        n = src.dimension
+        _, zero, not_isolated = _WORDING[self.index_matrix_sign]
+        records = []
+        for idx in src.cells(n):
+            s, positions, vectors = self.affine_cell(idx, window)
+            d = len(positions[0])
+            matrix = [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)]
+            status, lam = solve_linear(matrix, [Fraction(0)] * d + [Fraction(1)])
+            if status == "none":
+                continue
+            if status == "infinite":
+                raise TamenessError(not_isolated.format(s))
+            if any(c < 0 for c in lam):
+                continue
+            if any(c == 0 for c in lam):
+                # a subdivision's (n-1)-skeleton contains the old one, so a
+                # fixed barycentre of a subdivided automorphism stays a vertex
+                raise InputError(
+                    f"{zero} lies on a simplex face: strong tameness is violated; "
+                    f"perturb the vertex data to move it into a cell interior "
+                    f"(subdividing keeps a point of a face on a face)")
+            record = resolve_record(self.complex, tuple(
+                sum(l * p[i] for l, p in zip(lam, positions)) for i in range(d)), True)
+            if not record.on_face and record.host is not None:
+                record.index = _chart_index(self.index_matrix_sign, positions, vectors)
+            records.append(record)
+        return records
+
+
+def _chart_index(sign, positions, vectors) -> int:
+    """Index of the unique zero of one affine piece, from its cell's chart:
+    with ``c_j`` the chart coordinates of the vertex vectors, the sign of
+    det(sign * M) for the columns ``M_j = c_j - c_0``."""
+    n = len(positions) - 1
+    basis = [[positions[j + 1][i] - positions[0][i] for j in range(n)]
+             for i in range(len(positions[0]))]
+    cols = []
+    for w in vectors:
+        status, col = solve_linear(basis, list(w))
+        if status != "unique":
+            raise InternalError("a vertex vector of the host cell leaves its "
+                                "plane at an interior zero")
+        cols.append(col)
+    d_val = det([[sign * (cols[j + 1][i] - cols[0][i]) for j in range(n)]
+                 for i in range(n)])
+    if d_val == 0:
+        raise InternalError("degenerate chart at a unique interior zero")
+    return 1 if d_val > 0 else -1
+
+
+class SimplicialMapModel(AffineCellModel):
     """Simplicial map from an iterated subdivision of the quotient into it."""
 
     variant = "simplicial"
@@ -436,6 +519,7 @@ class SimplicialMapModel:
 
     def __init__(self, complex: QuotientComplex, subdivision: int,
                  vertex_images: dict, overrides=None):
+        super().__init__()
         if complex.coordinates is None:
             raise InputError("simplicial models need a realized complex")
         if isinstance(complex.group, FiniteGroup):
@@ -669,156 +753,38 @@ def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecor
                             on_face=True, isolation=None)
 
 
-def _translate_zero(z, exact, g):
-    if exact:
-        return tuple(Fraction(c) + Fraction(t) for c, t in zip(z, g))
-    return tuple(float(c) + float(t) for c, t in zip(z, g))
-
-
 def _translate_record(q: QuotientComplex, record: FixedPointRecord, g):
     """The record of a zero moved by the lattice translation g.
 
-    An interior host moves with the point and keeps its isolation radius;
-    other records are resolved afresh.
+    An interior host moves with the point and keeps its isolation radius
+    and index; other records are resolved afresh (the tie-break of an
+    on-face host is not translation-invariant).
     """
-    position = _translate_zero(record.position, record.exact, g)
+    kind = Fraction if record.exact else float
+    position = tuple(kind(c) + kind(t) for c, t in zip(record.position, g))
     if record.on_face or record.host is None:
         return resolve_record(q, position, record.exact)
     h, idx = record.host
-    return FixedPointRecord(position=position, exact=record.exact,
-                            host=(q.group.multiply(h, g), idx), on_face=False,
-                            isolation=record.isolation)
+    return replace(record, position=position, host=(q.group.multiply(h, g), idx))
 
 
 # ---------------------------------------------------------------------------
 # Zeros: the shared stage and the map pipeline's entry point
 
-# How messages name a model and its zeros, by index_matrix_sign: the model,
-# one zero, and the witness of an affine cell whose zero set is not isolated.
-_WORDING = {
-    -1: ("map", "fixed point", "fixed-point set is not isolated: the affine "
-         "equation on source cell {} is singular (identity-like map)"),
-    1: ("field", "field zero", "zero set is not isolated on cell {}"),
-}
-
 
 def solve_zeros(model, radius: int = 0):
-    """Zeros of a map's displacement or of a field over all translates with
-    deck coordinate in ball(radius).
-
-    Analytic models search one period cell and translate the result,
-    re-solving overridden windows; affine-cell models solve the affine
-    zero equation exactly in rationals per source top cell.  Indices are
-    attached separately by :func:`zero_index`.
-    """
+    """Zero records of a map's displacement or of a field, indices attached,
+    over all translates with deck coordinate in ball(radius); see
+    :class:`ZeroTable`."""
     group = model.group
-    ball = sorted(group.ball(radius), key=group.sort_key)
-    if isinstance(model, AnalyticModel):
-        return [r for g in ball for r in model.window_records(g)]
-    q = model.complex
-    period = _affine_zeros(model)
-    records = []
-    for g in ball:
-        vec = q.translation_vector(g)
-        records.extend(resolve_record(q, tuple(p + t for p, t in zip(z, vec)), True)
-                       for z in period)
-    return records
+    return [r for g in sorted(group.ball(radius), key=group.sort_key)
+            for r in model.window_records(g)]
 
 
 def find_fixed_points(model, radius: int = 0):
     """Fixed points over all translates with deck coordinate in ball(radius),
-    indices detached; see :func:`solve_zeros`."""
+    indices attached; see :func:`solve_zeros`."""
     return solve_zeros(model, radius)
-
-
-def _affine_zeros(model):
-    """Exact zeros of the affine pieces of the identity lift, in cell order.
-
-    On each source top cell the zero is the point with barycentric
-    coordinates l solving sum(l_j W_j) = 0, sum(l) = 1, for the cell's
-    vertex vectors W_j.
-    """
-    src = model.source
-    n = src.dimension
-    _, zero, not_isolated = _WORDING[model.index_matrix_sign]
-    out = []
-    for idx in src.cells(n):
-        s, positions, vectors = model.affine_cell(idx, model.group.identity())
-        d = len(positions[0])
-        matrix = [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)]
-        status, lam = solve_linear(matrix, [Fraction(0)] * d + [Fraction(1)])
-        if status == "none":
-            continue
-        if status == "infinite":
-            raise TamenessError(not_isolated.format(s))
-        if any(c < 0 for c in lam):
-            continue
-        if any(c == 0 for c in lam):
-            # a subdivision's (n-1)-skeleton contains the old one, so a
-            # fixed barycentre of a subdivided automorphism stays a vertex
-            raise InputError(
-                f"{zero} lies on a simplex face: strong tameness is violated; "
-                f"perturb the vertex data to move it into a cell interior "
-                f"(subdividing keeps a point of a face on a face)")
-        out.append(tuple(sum(l * p[i] for l, p in zip(lam, positions))
-                         for i in range(d)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Local indices
-
-
-def zero_index(model, record: FixedPointRecord) -> int:
-    """Index of an isolated, simplex-interior zero: the degree of
-    ``sign * d`` around it for the displacement or field d and the model's
-    ``index_matrix_sign``."""
-    if record.on_face or record.host is None:
-        raise InputError("local index needs a strong-tameness witness "
-                         f"(simplex-interior {_WORDING[model.index_matrix_sign][1]})")
-    if isinstance(model, AnalyticModel):
-        return model.local_index_at(record.position, record.exact)
-    return _affine_index(model, record)
-
-
-def local_index(model, record: FixedPointRecord) -> int:
-    """Local fixed-point index at an isolated, simplex-interior point;
-    see :func:`zero_index`."""
-    return zero_index(model, record)
-
-
-def _affine_index(model, record: FixedPointRecord) -> int:
-    """Index from the chart of the source cell around the zero.
-
-    With ``c_j`` the chart coordinates of the vertex vectors, the index
-    field in the chart is ``u(x) = sign * (c_0 + M x)`` with columns
-    ``M_j = c_j - c_0``: its determinant sign.  Zeros reach here only as
-    the unique zero of their piece, so the determinant is never 0.
-    """
-    src = model.source
-    n = src.dimension
-    sign = model.index_matrix_sign
-    interior = [h for h in locate_host_cells(src, record.position, True)
-                if h[2] == "interior"]
-    if not interior:
-        raise InputError(f"{_WORDING[sign][1]} is not interior to a source cell")
-    g, idx, _ = interior[0]
-    _, positions, vectors = model.affine_cell(idx, g)
-    d = len(positions[0])
-    basis = [[positions[j + 1][i] - positions[0][i] for j in range(n)]
-             for i in range(d)]
-    cols = []
-    for w in vectors:
-        status, col = solve_linear(basis, list(w))
-        if status != "unique":
-            raise InternalError("a vertex vector of the host cell leaves its "
-                                "plane at an interior zero")
-        cols.append(col)
-    m = [[sign * (cols[j + 1][i] - cols[0][i]) for j in range(n)] for i in range(n)]
-    d_val = det(m)
-    if d_val == 0:
-        raise InternalError("degenerate chart at a unique interior zero")
-    return 1 if d_val > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -995,19 +961,18 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
 
     Requires strong tameness; ``report`` is the verdict that gates the
     class (checked afresh when omitted).  Over a finite deck the class is
-    the per-coset index sum of the zeros.  Over Z^n the equivariant
-    behaviour contributes the per-period index total to the constant part;
-    an overridden analytic window contributes, per coset, its zeros'
-    indices minus those of the unoverridden zeros it replaces.  Deck
-    coordinates of zeros resolve to cosets through the fundamental domain,
-    boundary ties broken toward the least coset (interior points never
-    tie).
+    the per-coset index sum of the zeros.  Otherwise the constant part is
+    the index total of the identity window's unoverridden zeros, and each
+    override window contributes, per coset, its zeros' indices minus those
+    of the unoverridden zeros it replaces.  Deck coordinates of zeros
+    resolve to cosets through the fundamental domain, boundary ties broken
+    toward the least coset (interior points never tie).
     """
     if report is None:
         report = check_tameness(model)
+    model_word, zero, _ = _WORDING[model.index_matrix_sign]
     if not report.strongly_tame:
-        raise TamenessError(f"index class refused: the "
-                            f"{_WORDING[model.index_matrix_sign][0]} is not "
+        raise TamenessError(f"index class refused: the {model_word} is not "
                             f"strongly tame (verdict: {report.verdict}; "
                             f"witnesses: {report.witnesses})")
     group = model.group
@@ -1016,37 +981,26 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
     if report.strongly_fixed_point_free:
         return ClassFunction(group, 0, {})
     n = model.complex.dimension
-
-    def coset_of(record):
-        return fd.coset_of_cell(record.host[0], n, record.host[1])
-
     finite: dict = {}
-    if not isinstance(model, AnalyticModel):
-        records = solve_zeros(model, 0)
-        if not isinstance(group, FiniteGroup):
-            # affine-cell models over Z^n are equivariant
-            return ClassFunction(group, sum(zero_index(model, r) for r in records), {})
-        for r in records:
-            c = coset_of(r)
-            finite[c] = finite.get(c, 0) + zero_index(model, r)
-        return ClassFunction(group, 0, finite)
 
-    constant = 0
-    for rec in model.window_records(group.identity(), plain=True):
-        if rec.on_face or rec.host is None:
-            raise TamenessError("equivariant zero lacks a strong-tameness witness")
-        constant += model.local_index_at(rec.position, rec.exact, plain=True)
+    def indexed(records):
+        if any(r.index is None for r in records):
+            raise TamenessError(f"{zero} lacks a strong-tameness witness")
+        return records
+
+    def add(records, sign=1):
+        for r in indexed(records):
+            c = fd.coset_of_cell(r.host[0], n, r.host[1])
+            finite[c] = finite.get(c, 0) + sign * r.index
+
+    ident = group.identity()
+    if isinstance(group, FiniteGroup):
+        add(model.window_records(ident))
+        return ClassFunction(group, 0, finite)
+    constant = sum(r.index for r in indexed(model.window_records(ident, plain=True)))
     for w in model.override_translates():
-        for rec in model.window_records(w, plain=True):
-            idx = model.local_index_at(rec.position, rec.exact, plain=True)
-            c = coset_of(rec)
-            finite[c] = finite.get(c, 0) - idx
-        for rec in model.window_records(w):
-            if rec.on_face or rec.host is None:
-                raise TamenessError("override zero lacks a strong-tameness witness")
-            idx = model.local_index_at(rec.position, rec.exact, window=w)
-            c = coset_of(rec)
-            finite[c] = finite.get(c, 0) + idx
+        add(model.window_records(w, plain=True), -1)
+        add(model.window_records(w))
     return ClassFunction(group, constant, finite)
 
 
@@ -1109,6 +1063,40 @@ def equivariant_oracle_check(model, report: TamenessReport | None = None,
 # Documents
 
 
+def document_value(doc, key, parse, *default):
+    """``parse`` applied to ``doc[key]``, or to ``default`` when one is given
+    and the key is absent.  An error while reading the value becomes an
+    input error that names the key."""
+    try:
+        return parse(doc.get(key, default[0]) if default else doc[key])
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
+        raise InputError(f"model document: cannot read {key!r} "
+                         f"({type(e).__name__}: {e})") from None
+
+
+def vertex_id_reader(q: QuotientComplex):
+    vid = {name: i for i, name in enumerate(q.vertices)}
+    return lambda x: vid[x] if isinstance(x, str) else int(x)
+
+
+def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):
+    """The analytic map or field model of a document.
+
+    Only reading the document is guarded by :func:`document_value`; the
+    model's own checks run unwrapped.
+    """
+    def override(ov):
+        return {"translate": document_value(ov, "translate", q.group.parse_word),
+                "components": document_value(ov, "components", list)}
+
+    return model_class(
+        q, document_value(doc, "components", list),
+        document_value(doc, "bound", lambda b: Fraction(str(b))),
+        overrides=document_value(doc, "overrides",
+                                 lambda ovs: [override(ov) for ov in ovs], []),
+        grid=document_value(doc, "grid", int, NEWTON_GRID))
+
+
 def map_model_from_document(doc: dict, complex_resolver=None):
     """Build a map model from its JSON document.
 
@@ -1118,28 +1106,21 @@ def map_model_from_document(doc: dict, complex_resolver=None):
     q = resolve_complex_reference(doc, complex_resolver)
     variant = doc.get("variant")
     if variant == "analytic":
-        overrides = [{"translate": ov["translate"], "components": ov["components"]}
-                     for ov in doc.get("overrides", [])]
-        return AnalyticModel(q, doc["components"], Fraction(str(doc["bound"])),
-                             overrides=overrides,
-                             grid=int(doc.get("grid", NEWTON_GRID)))
+        return analytic_model_from_document(AnalyticModel, q, doc)
     if variant == "simplicial":
-        vid = {name: i for i, name in enumerate(q.vertices)}
+        as_vid = vertex_id_reader(q)
 
-        def as_vid(x):
-            return vid[x] if isinstance(x, str) else int(x)
-
-        images = {}
-        for k, v in doc["vertex_images"].items():
-            key = as_vid(k)
+        def image(v):
             if isinstance(v, (list, tuple)):
-                images[key] = (q.group.parse_word(v[0]), as_vid(v[1]))
-            else:
-                images[key] = as_vid(v)
-        overrides = {as_vid(k): as_vid(v)
-                     for k, v in (doc.get("overrides") or {}).items()}
-        return SimplicialMapModel(q, int(doc.get("subdivision", 0)), images,
-                                  overrides=overrides or None)
+                return q.group.parse_word(v[0]), as_vid(v[1])
+            return as_vid(v)
+
+        images = document_value(doc, "vertex_images", lambda vi: {
+            as_vid(k): image(v) for k, v in vi.items()})
+        overrides = document_value(doc, "overrides", lambda ov: {
+            as_vid(k): as_vid(v) for k, v in (ov or {}).items()}, None)
+        return SimplicialMapModel(q, document_value(doc, "subdivision", int, 0),
+                                  images, overrides=overrides or None)
     raise InputError(f"unknown map variant {variant!r}")
 
 

@@ -439,11 +439,10 @@ FIXTURE_BUILDERS = {
 
 
 def fixture_complex(name: str) -> QuotientComplex:
-    try:
+    if isinstance(name, str) and name in FIXTURE_BUILDERS:
         return FIXTURE_BUILDERS[name]()
-    except KeyError:
-        raise InputError(f"unknown fixture {name!r}; available: "
-                         + ", ".join(sorted(FIXTURE_BUILDERS)))
+    raise InputError(f"unknown fixture {name!r}; available: "
+                     + ", ".join(sorted(FIXTURE_BUILDERS)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,17 @@
-"""Periodic vector fields: zeros, local indices, the index class and the
-Euler-characteristic consistency check.
+"""Periodic vector fields: zeros with their indices, the index class and
+the Euler-characteristic consistency check.
 
 The index class of a field v is the Lefschetz class of ``x + v`` with the
 index sign flipped, so fields run the shared stages of
 :mod:`deckindex.fixpoint` with ``index_matrix_sign = +1``: a zero's index
-is ``sign det Dv``.  Analytic fields are analytic models with that sign.
-PL fields on realized finite complexes are given by one vector per vertex;
-inside each top simplex the vertex vectors are projected into the simplex
-plane and interpolated affinely, and these projected vectors are the
-vertex vectors the shared affine-cell path works with, so zeros and
-indices are exact rational computations per chart.  The functions below
-are the field pipeline's entry points into those stages.
+is ``sign det Dv``, attached to its record by the model's zero table.
+Analytic fields are analytic models with that sign.  PL fields on
+realized finite complexes are given by one vector per vertex; inside each
+top simplex the vertex vectors are projected into the simplex plane and
+interpolated affinely, and these projected vectors are the vertex vectors
+the shared affine-cell path works with, so zeros and indices are exact
+rational computations per chart.  The functions below are the field
+pipeline's entry points into those stages.
 """
 
 from __future__ import annotations
@@ -21,14 +22,17 @@ from .chains import ClassFunction
 from .complexes import QuotientComplex, euler_characteristic
 from .errors import InputError
 from .fixpoint import (
+    TAMENESS_GRID,
+    AffineCellModel,
     AnalyticModel,
-    FixedPointRecord,
     TamenessReport,
+    analytic_model_from_document,
     assemble_class,
     check_tameness,
+    document_value,
     resolve_complex_reference,
     solve_zeros,
-    zero_index,
+    vertex_id_reader,
 )
 from .groups import FiniteGroup
 
@@ -39,7 +43,7 @@ class AnalyticFieldModel(AnalyticModel):
     index_matrix_sign = +1  # index of a zero is sign det Dv
 
 
-class PLFieldModel:
+class PLFieldModel(AffineCellModel):
     """PL tangent field on a realized finite complex, one vector per vertex.
 
     The field value inside a top simplex is the affine interpolation of
@@ -52,6 +56,7 @@ class PLFieldModel:
     equivariant = True
 
     def __init__(self, complex: QuotientComplex, vertex_vectors: dict, bound):
+        super().__init__()
         if complex.coordinates is None:
             raise InputError("PL fields need a realized complex")
         if not (isinstance(complex.group, FiniteGroup) and complex.group.order == 1):
@@ -108,18 +113,13 @@ class PLFieldModel:
 
 
 def find_zeros(model, radius: int = 0):
-    """Zeros of the field over translates in ball(radius), indices detached;
-    see :func:`deckindex.fixpoint.solve_zeros`."""
+    """Zeros of the field over translates in ball(radius), each interior
+    zero carrying its index, the degree of the field direction map on a
+    small sphere around it; see :func:`deckindex.fixpoint.solve_zeros`."""
     return solve_zeros(model, radius)
 
 
-def field_index(model, record: FixedPointRecord) -> int:
-    """Degree of the field direction map on a small sphere around a zero;
-    see :func:`deckindex.fixpoint.zero_index`."""
-    return zero_index(model, record)
-
-
-def field_tameness_check(model, grid: int = 64) -> TamenessReport:
+def field_tameness_check(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     """Tameness of the field: isolation, norm gap, host containment; see
     :func:`deckindex.fixpoint.check_tameness`."""
     return check_tameness(model, grid)
@@ -173,16 +173,11 @@ def field_model_from_document(doc: dict, complex_resolver=None):
     q = resolve_complex_reference(doc, complex_resolver)
     variant = doc.get("variant")
     if variant == "analytic":
-        overrides = [{"translate": ov["translate"], "components": ov["components"]}
-                     for ov in doc.get("overrides", [])]
-        return AnalyticFieldModel(q, doc["components"], Fraction(str(doc["bound"])),
-                                  overrides=overrides,
-                                  grid=int(doc.get("grid", 32)))
+        return analytic_model_from_document(AnalyticFieldModel, q, doc)
     if variant == "pl":
-        vid = {name: i for i, name in enumerate(q.vertices)}
-        vectors = {}
-        for k, vec in doc["vertex_vectors"].items():
-            key = vid[k] if isinstance(k, str) else int(k)
-            vectors[key] = vec
-        return PLFieldModel(q, vectors, doc["bound"])
+        as_vid = vertex_id_reader(q)
+        vectors = document_value(doc, "vertex_vectors", lambda vv: {
+            as_vid(k): [Fraction(str(c)) for c in vec] for k, vec in vv.items()})
+        bound = document_value(doc, "bound", lambda b: Fraction(str(b)))
+        return PLFieldModel(q, vectors, bound)
     raise InputError(f"unknown field variant {variant!r}")

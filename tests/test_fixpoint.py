@@ -8,7 +8,6 @@ from deckindex.fixpoint import (
     find_fixed_points,
     ingest_index_data,
     lefschetz_class,
-    local_index,
     map_model_from_document,
     subdivided_automorphism,
     tameness_check,
@@ -74,8 +73,7 @@ class TestFindFixedPoints:
 class TestLocalIndex:
     def test_sin_model_indices(self, sin_model):
         records = find_fixed_points(sin_model, 0)
-        by_pos = {tuple(map(Fraction, r.position)): local_index(sin_model, r)
-                  for r in records}
+        by_pos = {tuple(map(Fraction, r.position)): r.index for r in records}
         half = Fraction(1, 2)
         assert by_pos[(0, 0)] == 1
         assert by_pos[(0, half)] == -1
@@ -84,16 +82,15 @@ class TestLocalIndex:
 
     def test_rotation_indices_plus_one(self, rotation_model):
         records = find_fixed_points(rotation_model, 0)
-        assert [local_index(rotation_model, r) for r in records] == [1, 1]
+        assert [r.index for r in records] == [1, 1]
 
     def test_deck_invariance_of_indices(self, sin_model):
         by_pos = {}
         for r in find_fixed_points(sin_model, 2):
             key = tuple(Fraction(c) % 1 for c in r.position)
-            idx = local_index(sin_model, r)
             if key in by_pos:
-                assert by_pos[key] == idx
-            by_pos[key] = idx
+                assert by_pos[key] == r.index
+            by_pos[key] = r.index
         assert len(by_pos) == 4
 
     def test_index_stable_under_smaller_isolation(self, sin_model):
@@ -102,10 +99,9 @@ class TestLocalIndex:
         fine = map_model_from_document({**fixture_document("sin-map"), "grid": 64})
         coarse_records = find_fixed_points(sin_model, 0)
         fine_records = find_fixed_points(fine, 0)
-        coarse = {tuple(map(Fraction, r.position)): local_index(sin_model, r)
-                  for r in coarse_records}
+        coarse = {tuple(map(Fraction, r.position)): r.index for r in coarse_records}
         for r in fine_records:
-            assert local_index(fine, r) == coarse[tuple(map(Fraction, r.position))]
+            assert r.index == coarse[tuple(map(Fraction, r.position))]
 
     def test_constant_affine_map_has_index_one(self):
         # map sending the whole octahedron face to one vertex direction:
@@ -122,7 +118,7 @@ class TestLocalIndex:
             sq_images[v] = rot.vertex_images[w][1]
         model = vertex_permutation_map(octa, sq_images)
         records = find_fixed_points(model, 0)
-        assert [local_index(model, r) for r in records] == [1, 1]
+        assert [r.index for r in records] == [1, 1]
 
 
 class TestTameness:

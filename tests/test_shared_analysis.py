@@ -9,15 +9,19 @@ return exactly the same (position, exact) list, floats bit for bit.
 with ``point_in_simplex``; the table-driven host location must agree.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 import itertools
+import json
 
 import numpy as np
 import pytest
 import sympy
 
 from deckindex import exprs
-from deckindex.fixpoint import (AnalyticModel, locate_host_cells,
+from deckindex.cli import main
+from deckindex.fixpoint import (AffineCellModel, AnalyticModel,
+                                find_fixed_points, locate_host_cells,
                                 map_model_from_document, resolve_record)
 from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
 from deckindex.geometry import point_in_simplex
@@ -141,16 +145,18 @@ def test_cached_list_is_a_copy():
     first.clear()
     assert len(model.zeros_in_window((0, 0), plain=True)) == 4
     records = model.window_records((1, 0))
+    attached = records[0].index
     records[0].index = 7
     records.pop()
     again = model.window_records((1, 0))
-    assert len(again) == 4 and again[0].index is None
+    assert len(again) == 4 and again[0].index == attached in (1, -1)
 
 
 def test_translated_records_match_fresh_resolution():
     model = map_model_from_document(fixture_document("sin-map"))
     for g in [(1, 0), (-2, 1), (0, -1)]:
-        fresh = [resolve_record(model.complex, pos, True)
+        fresh = [replace(resolve_record(model.complex, pos, True),
+                         index=model.local_index_at(pos, True, g))
                  for pos, _ in model.zeros_in_window(g, plain=True)]
         assert model.window_records(g) == fresh
 
@@ -168,6 +174,42 @@ def test_pipeline_searches_each_window_once(monkeypatch):
     index_class(model, report=report)
     w = model.override_translates()[0]
     assert sorted(calls, key=repr) == [(0, w), (None, (0, 0))]
+
+
+def test_records_carry_a_fresh_index():
+    model = map_model_from_document(fixture_document("sin-map"))
+    records = find_fixed_points(model, 2)
+    assert len(records) == 4 * 13
+    for r in records:
+        assert r.index == model.local_index_at(r.position, r.exact) in (1, -1)
+
+
+@pytest.mark.parametrize("command,fixture", [
+    ("map-analyze", "octahedron-rotation"),
+    ("field-analyze", "octahedron-polar-field")])
+def test_affine_zeros_are_solved_once_per_command(command, fixture, tmp_path,
+                                                  monkeypatch):
+    calls = []
+    solve = AffineCellModel._solve_window
+    monkeypatch.setattr(AffineCellModel, "_solve_window",
+                        lambda model, window, plain: calls.append(window) or
+                        solve(model, window, plain))
+    assert main([command, f"fixture:{fixture}", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_degenerate_zeros_stop_at_the_tameness_verdict(power, tmp_path):
+    # the double and triple zeros of sin^power stay inexact, so they carry
+    # no index and the pipeline stops at "not tame" instead of failing
+    doc = {"variant": "analytic", "fixture": "torus", "bound": "1/5",
+           "components": [f"sin(2*pi*x)**{power}/10", "sin(2*pi*y)/10"]}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["map-analyze", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["report"]["tameness"]["verdict"] == "not tame"
 
 
 def _brute_force_hosts(q, position):

@@ -6,7 +6,6 @@ from deckindex.errors import TamenessError
 from deckindex.fixpoint import TamenessReport
 from deckindex.fixtures import fixture_document, overridden_sin_field_document
 from deckindex.vectorfield import (
-    field_index,
     field_model_from_document,
     field_tameness_check,
     find_zeros,
@@ -68,23 +67,22 @@ class TestFindZeros:
 class TestFieldIndex:
     def test_sin_field_indices(self, sin_field):
         half = Fraction(1, 2)
-        by_pos = {tuple(map(Fraction, r.position)): field_index(sin_field, r)
+        by_pos = {tuple(map(Fraction, r.position)): r.index
                   for r in find_zeros(sin_field, 0)}
         assert by_pos == {(0, 0): 1, (0, half): -1, (half, 0): -1,
                           (half, half): 1}
 
     def test_polar_field_sink_and_source_have_index_one(self, polar_field):
         records = find_zeros(polar_field)
-        assert [field_index(polar_field, r) for r in records] == [1, 1]
+        assert [r.index for r in records] == [1, 1]
 
     def test_negated_field_indices_unchanged_in_even_dimension(self, sin_field):
         negated = field_model_from_document({
             "variant": "analytic", "fixture": "torus",
             "components": ["-sin(2*pi*x)", "-sin(2*pi*y)"], "bound": "2"})
-        orig = {tuple(map(Fraction, r.position)): field_index(sin_field, r)
-                for r in find_zeros(sin_field, 0)}
+        orig = {tuple(map(Fraction, r.position)): r.index for r in find_zeros(sin_field, 0)}
         for r in find_zeros(negated, 0):
-            assert field_index(negated, r) == orig[tuple(map(Fraction, r.position))]
+            assert r.index == orig[tuple(map(Fraction, r.position))]
 
 
 class TestIndexClass:
