@@ -42,8 +42,9 @@ Two kinds of model are supported.
   supported on trivial-deck covers, where they amount to replacing vertex
   images.
 
-Host cells over Z^n are found from a per-complex table holding each top
-cell's exact inverse barycentric matrix and bounding box.
+Host cells are found from a per-complex table holding, per top cell, one
+exact reduction of its barycentric system and its bounding box; a zero's
+isolation radius is capped by its exact depth in the host cell.
 
 The index of an isolated zero is the degree of ``sign * d`` around it,
 ``sign det(sign * Dd)`` at nondegenerate points, with ``sign`` the model's
@@ -71,7 +72,7 @@ from .complexes import PeriodicComplex, QuotientComplex, barycentric_subdivide, 
 from .errors import InputError, InternalError, TamenessError
 from .geometry import (
     det,
-    point_in_simplex,
+    eliminate,
     simplex_boundary_squared_distance,
     solve_linear,
     sqrt_lower_bound,
@@ -188,9 +189,6 @@ class AnalyticModel(ZeroTable):
     ``index_matrix_sign`` distinguishes the two uses: a fixed point of
     ``x + d(x)`` has index sign det(-Dd), a field zero has index
     sign det(Dv).
-
-    Besides its zero table the model caches the zeros of each (component
-    set, window) pair, searched at most once and handed out as copies.
     """
 
     variant = "analytic"
@@ -224,7 +222,6 @@ class AnalyticModel(ZeroTable):
                                    "jacobian": exprs.jacobian(comps, self.dim)})
         self._numerics: dict = {}      # (kind, component key) -> callable
         self._index_dets: dict = {}    # component key -> sympy determinant
-        self._zeros: dict = {}         # (component key, window) -> zero list
         self.validate_bound()
 
     @property
@@ -291,15 +288,12 @@ class AnalyticModel(ZeroTable):
         symbolically when possible.  With ``plain=True`` the unoverridden
         expressions are used regardless of the window.
 
-        The search runs once per (component set, window); later calls
-        return a copy of the cached list.
+        Every call searches afresh; the pipeline reads zeros through the
+        zero table, which solves each (component set, window) once.
         """
         if window is None:
             window = self.group.identity()
-        key = (self.component_key(window, plain), tuple(window))
-        if key not in self._zeros:
-            self._zeros[key] = self._search_zeros(key[0], window)
-        return list(self._zeros[key])
+        return self._search_zeros(self.component_key(window, plain), window)
 
     def _search_zeros(self, key, window):
         components, _ = self._component_set(key)
@@ -493,18 +487,16 @@ class AffineCellModel(ZeroTable):
 def _chart_index(sign, positions, vectors) -> int:
     """Index of the unique zero of one affine piece, from its cell's chart:
     with ``c_j`` the chart coordinates of the vertex vectors, the sign of
-    det(sign * M) for the columns ``M_j = c_j - c_0``."""
+    det(sign * M) for the columns ``M_j = c_j - c_0``.  One reduction of
+    ``[edge vectors | vertex vectors]`` gives every ``c_j``."""
     n = len(positions) - 1
-    basis = [[positions[j + 1][i] - positions[0][i] for j in range(n)]
-             for i in range(len(positions[0]))]
-    cols = []
-    for w in vectors:
-        status, col = solve_linear(basis, list(w))
-        if status != "unique":
-            raise InternalError("a vertex vector of the host cell leaves its "
-                                "plane at an interior zero")
-        cols.append(col)
-    d_val = det([[sign * (cols[j + 1][i] - cols[0][i]) for j in range(n)]
+    rows = [[p[i] - positions[0][i] for p in positions[1:]] + [w[i] for w in vectors]
+            for i in range(len(positions[0]))]
+    reduced, pivots, _ = eliminate(rows, n)
+    if len(pivots) < n or any(any(row[n:]) for row in reduced[n:]):
+        raise InternalError("a vertex vector of the host cell leaves its "
+                            "plane at an interior zero")
+    d_val = det([[sign * (reduced[i][n + j + 1] - reduced[i][n]) for j in range(n)]
                  for i in range(n)])
     if d_val == 0:
         raise InternalError("degenerate chart at a unique interior zero")
@@ -659,50 +651,31 @@ def subdivided_automorphism(model: SimplicialMapModel) -> SimplicialMapModel:
 def locate_host_cells(q: QuotientComplex, position, exact: bool):
     """Cover top cells containing an exact Euclidean point.
 
-    Returns ``(deck, top index, 'interior'|'boundary')`` triples.  Over
-    Z^n with full-dimensional cells the per-cell table of
-    :func:`_host_table` is used: a translate is a candidate only when the
-    point lies in the cell's bounding box, and a candidate's barycentric
-    coordinates are one exact matrix-vector product.
+    Returns ``(deck, top index, 'interior'|'boundary')`` triples.  Each top
+    cell is tried at its candidate translates, and each candidate is one
+    exact matrix-vector product with the cell's rows of :func:`_host_table`.
     """
     if not exact:
         return []
-    n = q.dimension
-    group = q.group
-    out = []
-    if isinstance(group, FiniteGroup):
-        for idx in q.cells(n):
-            status = point_in_simplex(position, q.realize(n, idx))
-            if status != "outside":
-                out.append((group.identity(), idx, status))
-        return out
     pos = [Fraction(c) for c in position]
-    table = _host_table(q)
-    if table is None:
-        for idx in q.cells(n):
-            verts = q.realize(n, idx)
-            ranges = []
-            for i in range(n):
-                lo = min(v[i] for v in verts)
-                hi = max(v[i] for v in verts)
-                ranges.append(range(math.floor(pos[i] - hi), math.ceil(pos[i] - lo) + 1))
-            for g in itertools.product(*ranges):
-                shifted = tuple(p - Fraction(t) for p, t in zip(pos, g))
-                status = point_in_simplex(shifted, verts)
-                if status != "outside":
-                    out.append((tuple(g), idx, status))
-        return out
-    for idx, inverse, lo, hi in table:
-        # the translates g whose cell box lo + g .. hi + g holds the point
-        ranges = [range(math.ceil(p - h), math.floor(p - l) + 1)
-                  for p, l, h in zip(pos, lo, hi)]
-        for g in itertools.product(*ranges):
-            shifted = [p - t for p, t in zip(pos, g)] + [1]
-            lam = [sum(a * b for a, b in zip(row, shifted)) for row in inverse]
-            if any(c < 0 for c in lam):
+    group = q.group
+    n = q.dimension
+    out = []
+    for idx, rows, lo, hi in _host_table(q):
+        # a finite deck leaves every cell in place; over Z^n the candidates
+        # are the translates g whose box lo + g .. hi + g holds the point
+        if isinstance(group, FiniteGroup):
+            candidates = [(group.identity(), pos + [1])]
+        else:
+            candidates = ((g, [p - t for p, t in zip(pos, g)] + [1])
+                          for g in itertools.product(*(
+                              range(math.ceil(p - h), math.floor(p - l) + 1)
+                              for p, l, h in zip(pos, lo, hi))))
+        for g, shifted in candidates:
+            lam = [sum(a * b for a, b in zip(row, shifted)) for row in rows]
+            if any(lam[n + 1:]) or any(c < 0 for c in lam[:n + 1]):
                 continue
-            out.append((g, idx, "boundary" if any(c == 0 for c in lam)
-                        else "interior"))
+            out.append((g, idx, "boundary" if 0 in lam[:n + 1] else "interior"))
     return out
 
 
@@ -710,31 +683,31 @@ _HOST_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _host_table(q: QuotientComplex):
-    """Per top cell of a Z^n complex: (index, exact inverse of the
-    barycentric matrix, box low corner, box high corner), built once per
-    complex; None when some top cell is not a full-dimensional simplex."""
+    """Per top cell: (index, rows, box low corner, box high corner), built
+    once per complex.  ``rows`` is E from reducing ``[A | I]``, with A the
+    cell's vertices as columns over a row of ones: for a point p,
+    ``E [p; 1]`` holds the n + 1 barycentric coordinates, then residuals
+    that all vanish exactly when p lies in the cell's affine hull.  A
+    degenerate top cell is refused."""
     if q not in _HOST_TABLES:
-        _HOST_TABLES[q] = _build_host_table(q)
+        n = q.dimension
+        table = []
+        for idx in q.cells(n):
+            verts = q.realize(n, idx)
+            d = len(verts[0])
+            a = [[v[i] for v in verts] for i in range(d)] + [[1] * (n + 1)]
+            reduced, pivots, _ = eliminate(
+                [row + [int(i == j) for j in range(d + 1)] for i, row in enumerate(a)],
+                n + 1)
+            if len(pivots) <= n:
+                raise InputError(
+                    f"top cell ({', '.join(q.vertices[v] for v in q.simplex(n, idx))}) "
+                    f"is degenerate: its realized vertices are affinely dependent")
+            table.append((idx, [row[n + 1:] for row in reduced],
+                          [min(v[i] for v in verts) for i in range(d)],
+                          [max(v[i] for v in verts) for i in range(d)]))
+        _HOST_TABLES[q] = table
     return _HOST_TABLES[q]
-
-
-def _build_host_table(q: QuotientComplex):
-    n = q.dimension
-    table = []
-    for idx in q.cells(n):
-        verts = q.realize(n, idx)
-        if len(verts[0]) != n:
-            return None
-        # barycentric coordinates l solve [vertices as columns; 1 ... 1] l = [p; 1]
-        matrix = [[v[i] for v in verts] for i in range(n)] + [[1] * (n + 1)]
-        columns = [solve_linear(matrix, [int(i == j) for i in range(n + 1)])
-                   for j in range(n + 1)]
-        if any(status != "unique" for status, _ in columns):
-            return None
-        inverse = [[col[i] for _, col in columns] for i in range(n + 1)]
-        table.append((idx, inverse, [min(v[i] for v in verts) for i in range(n)],
-                      [max(v[i] for v in verts) for i in range(n)]))
-    return table
 
 
 def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecord:

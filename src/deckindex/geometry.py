@@ -1,11 +1,52 @@
-"""Exact rational linear algebra and simplex geometry."""
+"""Exact rational linear algebra and simplex geometry.
+
+Every small exact system is reduced by one Gauss–Jordan routine,
+:func:`eliminate`: :func:`solve_linear` and :func:`det` read it, and so do
+the host-cell table and the chart index of :mod:`deckindex.fixpoint`.  A
+point's depth in a simplex is ``min_i λ_i h_i``: its barycentric
+coordinates times the heights of the simplex, with the squared heights
+``h_i² = det G / det G_i`` taken from Gram determinants, in any dimension.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .errors import InputError, InternalError
+from .errors import InputError
+
+
+def eliminate(rows, width):
+    """Gauss–Jordan reduction over Q of the first ``width`` columns of ``rows``.
+
+    Returns ``(reduced, pivots, determinant)``: the reduced rows, pivot rows
+    first with each pivot 1 and the rest of its column 0; the pivot columns
+    in order; and the determinant of the leading ``width`` columns of a
+    square system (0 when a column has no pivot).  Columns past ``width``
+    are carried along, so ``[A | B]`` reduces to ``[R | E B]`` with
+    ``E A = R``.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    determinant = Fraction(1)
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            determinant = Fraction(0)
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            determinant = -determinant
+        determinant *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, determinant
 
 
 def solve_linear(matrix, rhs):
@@ -14,55 +55,19 @@ def solve_linear(matrix, rhs):
     Returns ``("unique", x)``, ``("none", None)`` or ``("infinite", x0)``
     with one particular solution.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [[Fraction(matrix[i][j]) for j in range(cols)] + [Fraction(rhs[i])]
-           for i in range(rows)]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((rr for rr in range(r, rows) if aug[rr][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(rows):
-            if rr != r and aug[rr][col]:
-                f = aug[rr][col]
-                aug[rr] = [a - f * b for a, b in zip(aug[rr], aug[r])]
-        pivots.append(col)
-        r += 1
-    for rr in range(r, rows):
-        if aug[rr][cols]:
-            return "none", None
+    cols = len(matrix[0]) if matrix else 0
+    reduced, pivots, _ = eliminate(
+        [list(row) + [b] for row, b in zip(matrix, rhs)], cols)
+    if any(row[cols] for row in reduced[len(pivots):]):
+        return "none", None
     x = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][cols]
-    if len(pivots) < cols:
-        return "infinite", x
-    return "unique", x
+    for row, col in zip(reduced, pivots):
+        x[col] = row[cols]
+    return ("unique" if len(pivots) == cols else "infinite"), x
 
 
 def det(matrix) -> Fraction:
-    m = [list(map(Fraction, row)) for row in matrix]
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * result
+    return eliminate(matrix, len(matrix))[2]
 
 
 def barycentric_coordinates(point, vertices):
@@ -71,91 +76,43 @@ def barycentric_coordinates(point, vertices):
     Works in any ambient dimension; returns None when the point is not in
     the affine hull.
     """
-    d = len(point)
-    k = len(vertices)
-    matrix = [[vertices[j][i] for j in range(k)] for i in range(d)]
-    matrix.append([Fraction(1)] * k)
-    rhs = list(point) + [Fraction(1)]
-    status, x = solve_linear(matrix, rhs)
-    if status == "none":
-        return None
-    return x
+    matrix = [[v[i] for v in vertices] for i in range(len(point))] + [[1] * len(vertices)]
+    status, x = solve_linear(matrix, list(point) + [1])
+    return None if status == "none" else x
 
 
 def point_in_simplex(point, vertices):
     """'interior', 'boundary' or 'outside' for an exact rational point."""
     coords = barycentric_coordinates(point, vertices)
-    if coords is None:
-        return "outside"
-    if any(c < 0 for c in coords):
+    if coords is None or any(c < 0 for c in coords):
         return "outside"
     return "boundary" if any(c == 0 for c in coords) else "interior"
-
-
-def squared_distance_point_segment(p, a, b) -> Fraction:
-    ab = [y - x for x, y in zip(a, b)]
-    ap = [y - x for x, y in zip(a, p)]
-    denom = sum(x * x for x in ab)
-    if denom == 0:
-        raise InternalError("degenerate segment")
-    t = sum(x * y for x, y in zip(ap, ab)) / denom
-    t = max(Fraction(0), min(Fraction(1), t))
-    closest = [x + t * y for x, y in zip(a, ab)]
-    return sum((u - v) ** 2 for u, v in zip(p, closest))
 
 
 def squared_distance_point_point(p, q) -> Fraction:
     return sum((u - v) ** 2 for u, v in zip(p, q))
 
 
+def _gram_det(vertices) -> Fraction:
+    """det of the Gram matrix of a simplex's edge vectors from its first
+    vertex: (k! times its k-volume) squared, 1 for a point."""
+    edges = [[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]]
+    return det([[sum(a * b for a, b in zip(e, f)) for f in edges] for e in edges])
+
+
 def simplex_boundary_squared_distance(point, vertices) -> Fraction:
-    """Min squared distance from an interior point to the simplex boundary.
+    """Squared distance from a point inside a simplex to its boundary.
 
-    For a 2-simplex: distance to the three edges in the ambient space
-    (valid because the point lies in the simplex plane).  For a 1-simplex:
-    distance to the endpoints.
+    The point lies ``λ_i h_i`` from the facet opposite vertex i, with
+    ``λ_i`` its barycentric coordinate and ``h_i² = det G / det G_i`` the
+    squared height, ``G`` and ``G_i`` the Gram matrices of the simplex and
+    of that facet.  The nearest facet's foot lies in the simplex, so the
+    least of these is the distance to the boundary.
     """
-    k = len(vertices) - 1
-    if k == 1:
-        return min(squared_distance_point_point(point, v) for v in vertices)
-    if k == 2:
-        best = None
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d2 = squared_distance_point_segment(point, vertices[i], vertices[j])
-                best = d2 if best is None else min(best, d2)
-        return best
-    if k == 3:
-        best = None
-        for drop in range(4):
-            tri = [v for t, v in enumerate(vertices) if t != drop]
-            d2 = _squared_distance_point_triangle(point, tri)
-            best = d2 if best is None else min(best, d2)
-        return best
-    raise InputError("boundary distance supported up to 3-simplices")
-
-
-def _squared_distance_point_triangle(p, tri):
-    a, b, c = tri
-    ab = [y - x for x, y in zip(a, b)]
-    ac = [y - x for x, y in zip(a, c)]
-    ap = [y - x for x, y in zip(a, p)]
-    g11 = sum(x * x for x in ab)
-    g12 = sum(x * y for x, y in zip(ab, ac))
-    g22 = sum(x * x for x in ac)
-    r1 = sum(x * y for x, y in zip(ap, ab))
-    r2 = sum(x * y for x, y in zip(ap, ac))
-    den = g11 * g22 - g12 * g12
-    if den == 0:
-        raise InternalError("degenerate triangle")
-    s = (g22 * r1 - g12 * r2) / den
-    t = (g11 * r2 - g12 * r1) / den
-    if s >= 0 and t >= 0 and s + t <= 1:
-        proj = [x + s * u + t * v for x, u, v in zip(a, ab, ac)]
-        return squared_distance_point_point(p, proj)
-    return min(squared_distance_point_segment(p, a, b),
-               squared_distance_point_segment(p, a, c),
-               squared_distance_point_segment(p, b, c))
+    lam = barycentric_coordinates(point, vertices)
+    gram = _gram_det(vertices)
+    return min(l * l * gram / _gram_det(vertices[:i] + vertices[i + 1:])
+               for i, l in enumerate(lam))
 
 
 def sqrt_lower_bound(value: Fraction, bits: int = 40) -> Fraction:

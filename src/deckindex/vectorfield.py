@@ -98,6 +98,8 @@ class PLFieldModel(AffineCellModel):
         return out
 
     def validate_bound(self):
+        if self.bound < 0:
+            raise InputError(f"'bound' must be nonnegative, not {self.bound}")
         for idx, vectors in self._projected.items():
             for w in vectors:
                 if sum(c * c for c in w) > self.bound ** 2:

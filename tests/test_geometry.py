@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from deckindex.geometry import (
     barycentric_coordinates,
     det,
@@ -7,7 +9,6 @@ from deckindex.geometry import (
     simplex_boundary_squared_distance,
     solve_linear,
     sqrt_lower_bound,
-    squared_distance_point_segment,
 )
 
 F = Fraction
@@ -50,15 +51,27 @@ class TestSimplexGeometry:
         tri3 = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0))]
         assert point_in_simplex((F(0), F(0), F(1)), tri3) == "outside"
 
-    def test_segment_distance(self):
-        d2 = squared_distance_point_segment((F(0), F(1)), (F(-1), F(0)), (F(1), F(0)))
-        assert d2 == 1
-        d2 = squared_distance_point_segment((F(3), F(0)), (F(-1), F(0)), (F(1), F(0)))
-        assert d2 == 4
-
     def test_boundary_distance_of_incenter_like_point(self):
         d2 = simplex_boundary_squared_distance((F(1, 4), F(1, 4)), self.TRI)
         assert d2 == F(1, 16)
+
+    # (point, vertices, squared boundary distance), the distances computed
+    # by the per-dimension segment and triangle distances this replaced
+    DEPTHS = [
+        ((F(5, 2), F(2)), [(F(1), F(1)), (F(4), F(3))], F(13, 4)),
+        ((F(3, 2), F(1)), [(F(0), F(0)), (F(4), F(0)), (F(1), F(3))], F(1)),
+        ((F(1, 3), F(2, 3), F(1)),
+         [(F(1), F(0), F(0)), (F(0), F(2), F(0)), (F(0), F(0), F(3))], F(49, 117)),
+        ((F(1, 2), F(2, 3), F(1, 2)),
+         [(F(0), F(0), F(0)), (F(2), F(0), F(0)), (F(0), F(3), F(0)),
+          (F(1), F(1), F(4))], F(9, 68)),
+    ]
+
+    @pytest.mark.parametrize("point,vertices,depth2", DEPTHS,
+                             ids=["segment", "triangle-r2", "triangle-r3",
+                                  "tetrahedron"])
+    def test_boundary_distance_exact_values(self, point, vertices, depth2):
+        assert simplex_boundary_squared_distance(point, vertices) == depth2
 
     def test_sqrt_lower_bound(self):
         v = F(2)

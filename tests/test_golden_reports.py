@@ -21,6 +21,10 @@ from deckindex.reports import canonical_json
 GOLDEN = {
     ("map-analyze", "sin-map"):
         "cf6c23d5702ec4946bc435dd4d39df92ad2ac3e26ff9af6f8bd13e32ff75c09a",
+    # the host table on a subdivided torus (52 zeros) and the isolation
+    # radii from each zero's depth in its host cell
+    ("map-analyze", "sin-map", "--subdivide", "1"):
+        "b52b1c770a5e23b49728e8536ad46cfca4b1bce15fabad2e25171c6c8617fc71",
     ("map-analyze", "sin-map-scaled"):
         "d67af21648e82acc92c059aa5a4159cf687fd9daa342d53ba3eb20e1767fe130",
     ("field-analyze", "sin-field"):

@@ -45,6 +45,9 @@ MALFORMED = [
     ("missing components", COMMANDS, lambda: _with("sin-map", components=None)),
     ("override without components", COMMANDS, _override_without_components),
     ("non-numeric bound", COMMANDS, lambda: _with("sin-map", bound="abc")),
+    ("negative bound", COMMANDS, lambda: _with("sin-map", bound="-2")),
+    ("negative PL bound", ("field-analyze",),
+     lambda: _with("octahedron-polar-field", bound="-2")),
     ("non-integer grid", COMMANDS, lambda: _with("sin-map", grid="x")),
     ("zero grid", COMMANDS, lambda: _with("sin-map", grid=0)),
     ("unknown vertex image", ("map-analyze",), _unknown_vertex_image),

@@ -6,7 +6,8 @@ steps, at most 20 step halvings per step, acceptance on a strict drop of
 the residual max-norm and a stop below 1e-13.  The lockstep search must
 return exactly the same (position, exact) list, floats bit for bit.
 ``_brute_force_hosts`` tests every nearby translate of every top cell
-with ``point_in_simplex``; the table-driven host location must agree.
+with ``point_in_simplex``; the table-driven host location must agree, on
+Z^2 tori and on trivial-deck surfaces in R^3.
 """
 
 from dataclasses import replace
@@ -23,8 +24,12 @@ from deckindex.cli import main
 from deckindex.fixpoint import (AffineCellModel, AnalyticModel,
                                 find_fixed_points, locate_host_cells,
                                 map_model_from_document, resolve_record)
-from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
+from deckindex.complexes import barycentric_subdivide
+from deckindex.errors import InputError
+from deckindex.fixtures import (fixture_complex, fixture_document,
+                                octahedron_sphere, torus_grid)
 from deckindex.geometry import point_in_simplex
+from deckindex.groups import FiniteGroup
 from deckindex.vectorfield import (field_model_from_document,
                                    field_tameness_check, find_zeros,
                                    index_class, poincare_hopf_check)
@@ -214,32 +219,65 @@ def test_degenerate_zeros_stop_at_the_tameness_verdict(power, tmp_path):
 
 def _brute_force_hosts(q, position):
     # the torus cells span coordinates in (-1, 2), so a hosting translate g
-    # has floor(c) - 2 <= g <= floor(c) + 1 in every coordinate c
+    # has floor(c) - 2 <= g <= floor(c) + 1 in every coordinate c; a
+    # trivial deck has the identity only
     n = q.dimension
-    near = [range(int(c // 1) - 2, int(c // 1) + 2) for c in position]
+    if isinstance(q.group, FiniteGroup):
+        near = [q.group.identity()]
+    else:
+        near = list(itertools.product(*[range(int(c // 1) - 2, int(c // 1) + 2)
+                                        for c in position]))
     out = []
     for idx in q.cells(n):
-        verts = q.realize(n, idx)
-        for g in itertools.product(*near):
-            shifted = tuple(p - t for p, t in zip(position, g))
-            status = point_in_simplex(shifted, verts)
+        for g in near:
+            status = point_in_simplex(position, q.realize(n, idx, g))
             if status != "outside":
                 out.append((g, idx, status))
     return out
 
 
-@pytest.mark.parametrize("offset", [(Fraction(1, 5), Fraction(1, 9)), (0, 0)])
-def test_table_host_location_matches_brute_force(offset):
-    q = torus_grid(3, offset)
+def _torus_points(offset):
+    # grid points, vertex-aligned points far out, and generic points
     sixths = [Fraction(a, 6) for a in range(6)]
     thirds = sixths[::2]
-    # grid points, vertex-aligned points far out, and generic points
     points = [(x, y) for x in sixths for y in sixths]
     points += [(x + offset[0] - 1, y + offset[1] + 2) for x in thirds for y in thirds]
     points += [(x + Fraction(1, 17), y + Fraction(1, 29)) for x in thirds for y in thirds]
-    statuses = set()
+    return torus_grid(3, offset), points
+
+
+def _octahedron_points(level):
+    # vertices, edge midpoints and face barycentres, then points off the
+    # surface: each face barycentre pulled halfway to the centre
+    q = octahedron_sphere()
+    if level:
+        q = barycentric_subdivide(q, level).complex
+    points = [tuple(sum(c) / (k + 1) for c in zip(*q.realize(k, idx)))
+              for k in range(3) for idx in q.cells(k)]
+    return q, points + [tuple(c / 2 for c in p) for p in points[-q.count(2):]]
+
+
+@pytest.mark.parametrize("case,statuses", [
+    pytest.param(lambda: _torus_points((Fraction(1, 5), Fraction(1, 9))),
+                 {"interior", "boundary"}, id="offset0"),
+    pytest.param(lambda: _torus_points((0, 0)), {"interior", "boundary"},
+                 id="offset1"),
+    pytest.param(lambda: _octahedron_points(0), {"interior", "boundary", "none"},
+                 id="octahedron"),
+    pytest.param(lambda: _octahedron_points(1), {"interior", "boundary", "none"},
+                 id="octahedron-subdivided")])
+def test_table_host_location_matches_brute_force(case, statuses):
+    q, points = case()
+    seen = set()
     for p in points:
         hosts = locate_host_cells(q, p, True)
         assert hosts == _brute_force_hosts(q, p)
-        statuses.update(h[2] for h in hosts)
-    assert statuses == {"interior", "boundary"}
+        seen.update([h[2] for h in hosts] or ["none"])
+    assert seen == statuses
+
+
+def test_degenerate_top_cell_is_refused():
+    q = octahedron_sphere()
+    q.coordinates[2] = (Fraction(1, 2), Fraction(1, 2), Fraction(0))  # pz onto px-py
+    with pytest.raises(InputError, match=r"top cell \(px, py, pz\) is degenerate"):
+        locate_host_cells(q, (Fraction(0), Fraction(0), Fraction(1)), True)
