@@ -118,10 +118,11 @@ def cmd_validate(config: RunConfig) -> int:
     if "complex" in doc:
         doc = doc["complex"]
     q = QuotientComplex.from_document(doc)
-    if config.subdivide:
+    report = validate_quotient(q)
+    if config.subdivide and report.valid:  # only a valid datum is subdivided
         from .complexes import barycentric_subdivide
         q = barycentric_subdivide(q, config.subdivide).complex
-    report = validate_quotient(q)
+        report = validate_quotient(q)
     payload = report.to_document()
     payload["cells"] = [q.count(k) for k in range(q.dimension + 1)]
     _emit(config, payload)

@@ -16,13 +16,15 @@ bookkeeping free of permutation parities.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalError, OrientationError, ResourceError
-from .groups import FreeAbelianGroup, FiniteGroup, group_from_document, group_to_document
+from .groups import (FreeAbelianGroup, FiniteGroup, group_from_document, group_to_document,
+                     integer_value)
 
 
 @dataclass
@@ -233,16 +235,23 @@ class QuotientComplex:
 
     @classmethod
     def from_document(cls, doc: dict) -> "QuotientComplex":
+        if not isinstance(doc, dict):
+            raise InputError("malformed complex document: expected a JSON object, "
+                             f"not {type(doc).__name__}")
         try:
             group = group_from_document(doc["group"])
-            names = list(doc["vertices"])
+            names = _entry(doc, "vertices", list)
             vid = {name: i for i, name in enumerate(names)}
             if len(vid) != len(names):
                 raise InputError("duplicate vertex names")
-            n = int(doc["dimension"])
+            n = integer_value(doc["dimension"])
+            if not 0 <= n < len(names):
+                raise InputError(f"malformed complex document: 'dimension' {n} "
+                                 f"is not between 0 and the vertex count minus 1")
+            by_dim = _entry(doc, "simplices", dict)
             simplices = []
             for k in range(n + 1):
-                rows = doc["simplices"].get(str(k), [])
+                rows = by_dim.get(str(k), [])
                 dim_list = []
                 for row in rows:
                     ids = tuple(vid[x] for x in row)
@@ -250,33 +259,45 @@ class QuotientComplex:
                         raise InputError(f"simplex {row} must be ascending and repeat-free")
                     dim_list.append(ids)
                 simplices.append(dim_list)
-            c = cls(group, names, simplices, {}, {}, name=doc.get("name", ""))
+            c = cls(group, names, simplices, {}, {},
+                    name=_entry(doc, "name", str, ""))
 
             # keys referencing absent simplices are dropped here; the
             # validator reports the underlying missing faces/labels
+            edges = c._index[1] if n >= 1 else {}
             orientation = {}
-            for key, sign in doc.get("orientation", {}).items():
+            for key, sign in _entry(doc, "orientation", dict, {}).items():
                 parts = tuple(vid[x] for x in key.split("|"))
                 if parts in c._index[n]:
-                    orientation[c._index[n][parts]] = int(sign)
+                    orientation[c._index[n][parts]] = integer_value(sign)
             labels = {}
-            for key, word in doc.get("labels", {}).items():
+            for key, word in _entry(doc, "labels", dict, {}).items():
                 a, b = (vid[x] for x in key.split("|"))
+                if not isinstance(word, str):
+                    raise InputError(f"malformed complex document: the label of "
+                                     f"'labels' edge {key!r} must be a word string")
                 lbl = group.parse_word(word)
                 if a > b:
                     a, b = b, a
                     lbl = group.inverse(lbl)
-                if (a, b) in c._index[1]:
-                    labels[c._index[1][(a, b)]] = lbl
+                if (a, b) in edges:
+                    labels[edges[(a, b)]] = lbl
             tree = set()
-            for key in doc.get("tree", []):
+            for key in _entry(doc, "tree", list, []):
+                if not isinstance(key, str):
+                    raise InputError("malformed complex document: 'tree' must list "
+                                     "edges as 'u|v' strings")
                 a, b = sorted(vid[x] for x in key.split("|"))
-                if (a, b) in c._index[1]:
-                    tree.add(c._index[1][(a, b)])
+                if (a, b) in edges:
+                    tree.add(edges[(a, b)])
             coords = None
             if "coordinates" in doc:
                 coords = {vid[v]: tuple(_parse_fraction(x) for x in row)
-                          for v, row in doc["coordinates"].items()}
+                          for v, row in _entry(doc, "coordinates", dict).items()}
+                if len(coords) != len(names) or \
+                        len({len(row) for row in coords.values()}) != 1:
+                    raise InputError("malformed complex document: 'coordinates' must "
+                                     "give every vertex the same number of coordinates")
             c.orientation = orientation
             c.labels = labels
             c.tree = frozenset(tree)
@@ -284,6 +305,19 @@ class QuotientComplex:
             return c
         except (KeyError, ValueError, TypeError) as e:
             raise InputError(f"malformed complex document: {e}")
+
+
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _entry(doc: dict, key: str, kind: type, default=None):
+    """``doc[key]``, or ``default`` when absent and one is given, refused
+    with an InputError naming the key unless it is a ``kind``."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, kind):
+        raise InputError(f"malformed complex document: {key!r} must be "
+                         f"{_KINDS[kind]}, not {type(value).__name__}")
+    return value
 
 
 def _format_fraction(f: Fraction) -> str:
@@ -336,12 +370,13 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
         if len(seen) != len(q.vertices):
             report.add("tree condition", "tree does not span the vertex set")
 
-    # cocycle condition on 2-simplices
+    # cocycle condition on 2-simplices; few distinct label pairs occur, so
+    # each product is computed once
     if n >= 2 and not report.kinds() & {"label condition", "simplicial-complex condition"}:
+        multiply = functools.cache(q.group.multiply)
         for idx in q.cells(2):
             a, b, c = q.simplex(2, idx)
-            lhs = q.group.multiply(q.edge_label(a, b), q.edge_label(b, c))
-            if lhs != q.edge_label(a, c):
+            if multiply(q.edge_label(a, b), q.edge_label(b, c)) != q.edge_label(a, c):
                 report.add("cocycle condition",
                            f"labels around 2-simplex {q.simplex(2, idx)} do not compose")
 
@@ -530,6 +565,8 @@ def barycentric_subdivide(q: QuotientComplex, times: int = 1) -> Subdivision:
     """
     if times < 1:
         raise InputError("subdivision count must be >= 1")
+    if q.dimension < 1:
+        raise InputError("subdivision needs a complex of dimension at least 1")
     if times > 3:
         raise ResourceError("subdivision count exceeds the budget 3; "
                             "deep subdivisions explode the cell count (--subdivide)")
@@ -609,21 +646,15 @@ def _subdivide_once(q: QuotientComplex) -> Subdivision:
                           name=(q.name + "^sd") if q.name else "")
 
     # labels: edge from barycenter of tau to barycenter of rho, tau < rho,
-    # carries shift(rho, tau)^{-1}
+    # carries shift(rho, tau)^{-1}.  New vertex ids ascend with the cell
+    # dimension, so every edge runs from tau to rho.  Few distinct shifts
+    # occur, so each inverse is computed once.
+    inverse = functools.cache(group.inverse)
     labels = {}
     for eidx, (a, b) in enumerate(new.simplices[1]):
         ka, ia = positions[a]
         kb, ib = positions[b]
-        if ka > kb:
-            (ka, ia), (kb, ib) = (kb, ib), (ka, ia)
-            flip = True
-        else:
-            flip = False
-        shift = q.shift(q.simplex(kb, ib), q.simplex(ka, ia))
-        lbl = group.inverse(shift)  # direction: face barycenter -> cell barycenter
-        if flip:
-            lbl = group.inverse(lbl)
-        labels[eidx] = lbl
+        labels[eidx] = inverse(q.shift(q.simplex(kb, ib), q.simplex(ka, ia)))
     new.labels = labels
 
     # chain map by cone recursion: sd(s) = (-1)^k (sd(boundary s) * b_s)

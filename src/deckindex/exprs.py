@@ -6,6 +6,11 @@ with a whitelist into sympy, differentiated symbolically, evaluated
 numerically through lambdify, and evaluated *rigorously* through interval
 arithmetic (mpmath.iv) with rational endpoints when a sign has to be
 certified, e.g. for Jacobian determinants at exact fixed points.
+
+sympy and mpmath load on first use, inside the functions that need them:
+the first :func:`parse_expression` of an analytic model pays their import,
+and commands that parse no expression (simplicial maps, PL fields, index
+data, validation, class decisions, amenability) never load them.
 """
 
 from __future__ import annotations
@@ -13,47 +18,53 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-import mpmath
-import sympy
-
 from .errors import InputError
 
-_VARS = sympy.symbols("x y z")
-_ALLOWED_FUNCS = (sympy.sin, sympy.cos)
-_LOCALS = {"x": _VARS[0], "y": _VARS[1], "z": _VARS[2],
-           "sin": sympy.sin, "cos": sympy.cos, "pi": sympy.pi,
-           "Rational": sympy.Rational}
+
+@functools.cache
+def _grammar():
+    """(symbols x y z, allowed function classes, parse namespace), built once."""
+    import sympy
+    xs = sympy.symbols("x y z")
+    namespace = {"x": xs[0], "y": xs[1], "z": xs[2],
+                 "sin": sympy.sin, "cos": sympy.cos, "pi": sympy.pi,
+                 "Rational": sympy.Rational}
+    return xs, (sympy.sin, sympy.cos), namespace
 
 
 def variables(dim: int):
-    return _VARS[:dim]
+    return _grammar()[0][:dim]
 
 
 def parse_expression(text: str, dim: int):
     """Parse one component expression; only the declared grammar is allowed."""
+    import sympy
+    xs, allowed_funcs, namespace = _grammar()
     try:
-        expr = sympy.parse_expr(str(text), local_dict=_LOCALS, evaluate=True)
+        expr = sympy.parse_expr(str(text), local_dict=namespace, evaluate=True)
         expr = sympy.nsimplify(expr, rational=True)
     except (sympy.SympifyError, SyntaxError, TypeError, ValueError) as e:
         raise InputError(f"cannot parse expression {text!r}: {e}")
-    allowed_symbols = set(_VARS[:dim]) | {sympy.pi}
+    allowed_symbols = set(xs[:dim]) | {sympy.pi}
     for atom in expr.atoms(sympy.Symbol):
         if atom not in allowed_symbols:
             raise InputError(f"expression {text!r} uses unknown symbol {atom}")
     for func in expr.atoms(sympy.Function):
-        if not isinstance(func, _ALLOWED_FUNCS):
+        if not isinstance(func, allowed_funcs):
             raise InputError(f"expression {text!r} uses unsupported function "
                              f"{func.func}")
     return expr
 
 
 def jacobian(components, dim: int):
+    import sympy
     vs = variables(dim)
     return [[sympy.diff(c, v) for v in vs] for c in components]
 
 
 def lambdify_vector(components, dim: int):
     import numpy as np
+    import sympy
     vs = variables(dim)
     funcs = [sympy.lambdify(vs, c, modules="numpy") for c in components]
 
@@ -68,6 +79,7 @@ def lambdify_vector(components, dim: int):
 def lambdify_matrix(matrix, dim: int):
     """Numeric matrix function: a (k, dim) array of points to (k, rows, cols)."""
     import numpy as np
+    import sympy
     vs = variables(dim)
     rows = [[sympy.lambdify(vs, e, modules="numpy") for e in row] for row in matrix]
 
@@ -81,6 +93,8 @@ def lambdify_matrix(matrix, dim: int):
 
 
 def _to_interval(expr, subs):
+    import mpmath
+    import sympy
     iv = mpmath.iv
     if expr is sympy.pi:
         return iv.pi
@@ -126,11 +140,13 @@ def _to_interval(expr, subs):
 @functools.lru_cache(maxsize=256)
 def _expanded(expr):
     """``expand_trig(expand(expr))``, computed once per expression."""
+    import sympy
     return sympy.expand_trig(sympy.expand(expr))
 
 
 def _interval_sign(expr, subs, prec: int):
     """Sign proved by a ``prec``-bit enclosure, or None if it contains 0."""
+    import mpmath
     with mpmath.workprec(prec):
         interval = _to_interval(_expanded(expr), subs)
         if interval.a > 0:
@@ -148,6 +164,7 @@ def certified_sign(expr, point: dict) -> int:
     at 120 and 240 bits.  Raises when the sign stays ambiguous, which only
     happens for values extremely close to (but not provably at) zero.
     """
+    import sympy
     subs = {v: Fraction(val) for v, val in point.items()}
     try:
         sign = _interval_sign(expr, subs, 60)
@@ -169,6 +186,7 @@ def certified_sign(expr, point: dict) -> int:
 
 def is_exact_zero_vector(components, point_values) -> bool:
     """True when every component vanishes exactly at a rational point."""
+    import sympy
     subs = {}
     for v, val in point_values.items():
         f = Fraction(val)

@@ -651,9 +651,10 @@ def subdivided_automorphism(model: SimplicialMapModel) -> SimplicialMapModel:
 def locate_host_cells(q: QuotientComplex, position, exact: bool):
     """Cover top cells containing an exact Euclidean point.
 
-    Returns ``(deck, top index, 'interior'|'boundary')`` triples.  Each top
-    cell is tried at its candidate translates, and each candidate is one
-    exact matrix-vector product with the cell's rows of :func:`_host_table`.
+    Returns ``(deck, top index, 'interior'|'boundary', barycentric
+    coordinates)`` tuples.  Each top cell is tried at its candidate
+    translates, and each candidate is one exact matrix-vector product with
+    the cell's rows of :func:`_host_table`.
     """
     if not exact:
         return []
@@ -675,7 +676,8 @@ def locate_host_cells(q: QuotientComplex, position, exact: bool):
             lam = [sum(a * b for a, b in zip(row, shifted)) for row in rows]
             if any(lam[n + 1:]) or any(c < 0 for c in lam[:n + 1]):
                 continue
-            out.append((g, idx, "boundary" if 0 in lam[:n + 1] else "interior"))
+            lam = lam[:n + 1]
+            out.append((g, idx, "boundary" if 0 in lam else "interior", lam))
     return out
 
 
@@ -714,12 +716,13 @@ def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecor
     hosts = locate_host_cells(q, position, exact)
     interior = [h for h in hosts if h[2] == "interior"]
     if len(interior) == 1:
-        g, idx, _ = interior[0]
-        depth2 = simplex_boundary_squared_distance(position, q.realize(q.dimension, idx, g))
+        g, idx, _, lam = interior[0]
+        depth2 = simplex_boundary_squared_distance(
+            position, q.realize(q.dimension, idx, g), lam)
         return FixedPointRecord(position=position, exact=exact, host=(g, idx),
                                 on_face=False, isolation=sqrt_lower_bound(depth2))
     if hosts:
-        g, idx, _ = min(hosts, key=lambda h: (q.group.sort_key(h[0]), h[1]))
+        g, idx, *_ = min(hosts, key=lambda h: (q.group.sort_key(h[0]), h[1]))
         return FixedPointRecord(position=position, exact=exact, host=(g, idx),
                                 on_face=True, isolation=None)
     return FixedPointRecord(position=position, exact=exact, host=None,
@@ -1098,8 +1101,9 @@ def map_model_from_document(doc: dict, complex_resolver=None):
 
 
 def resolve_complex_reference(doc, complex_resolver=None):
+    """The document's quotient; an inline one must be a valid datum."""
     if "complex" in doc:
-        return QuotientComplex.from_document(doc["complex"])
+        return PeriodicComplex(QuotientComplex.from_document(doc["complex"])).quotient
     if "fixture" in doc:
         if complex_resolver is None:
             from .fixtures import fixture_complex

@@ -100,16 +100,18 @@ def _gram_det(vertices) -> Fraction:
     return det([[sum(a * b for a, b in zip(e, f)) for f in edges] for e in edges])
 
 
-def simplex_boundary_squared_distance(point, vertices) -> Fraction:
+def simplex_boundary_squared_distance(point, vertices, lam=None) -> Fraction:
     """Squared distance from a point inside a simplex to its boundary.
 
     The point lies ``λ_i h_i`` from the facet opposite vertex i, with
     ``λ_i`` its barycentric coordinate and ``h_i² = det G / det G_i`` the
     squared height, ``G`` and ``G_i`` the Gram matrices of the simplex and
     of that facet.  The nearest facet's foot lies in the simplex, so the
-    least of these is the distance to the boundary.
+    least of these is the distance to the boundary.  ``lam`` passes the
+    point's barycentric coordinates when the caller already holds them.
     """
-    lam = barycentric_coordinates(point, vertices)
+    if lam is None:
+        lam = barycentric_coordinates(point, vertices)
     gram = _gram_det(vertices)
     return min(l * l * gram / _gram_det(vertices[:i] + vertices[i + 1:])
                for i, l in enumerate(lam))

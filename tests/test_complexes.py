@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -20,6 +21,12 @@ from deckindex.fixtures import (
     tetrahedron_sphere,
     torus_grid,
 )
+from deckindex.reports import canonical_json
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
 
 TORUS = torus_grid()
 TETRA = tetrahedron_sphere()
@@ -238,6 +245,34 @@ class TestSubdivision:
     def test_size_guard(self):
         with pytest.raises(ResourceError):
             barycentric_subdivide(TETRA, times=4)
+
+    # sha256 of canonical JSON, pinned before label inverses and cocycle
+    # products were computed once per distinct label: the subdivided
+    # genus-2 document, and the octahedron's composed chain map at times=2
+    GENUS2_SD3 = "5c4fcf9c3c5d49869cf38703873d0804c6241dde09fa217dd3b3f73ffc6ab5de"
+    OCTA_SD2_CHAIN_MAP = "3ed7a2f6769245fd9ff1604c2a3dcf72908d70b0552ef0e325d09906927ef64d"
+
+    def test_output_pinned(self):
+        doc = barycentric_subdivide(fixture_complex("genus2"), 3).complex.to_document()
+        assert _digest(doc) == self.GENUS2_SD3
+        chain_map = barycentric_subdivide(fixture_complex("octahedron"), 2).chain_map
+        assert _digest([{str(k): [[i, c] for i, c in terms]
+                         for k, terms in sorted(table.items())}
+                        for table in chain_map]) == self.OCTA_SD2_CHAIN_MAP
+
+    def test_corrupted_label_breaks_cocycle_after_subdivision(self):
+        q = barycentric_subdivide(GENUS2, 2).complex
+        assert validate_quotient(q).valid
+        # an edge whose label is a generator; labels repeat across the
+        # complex, so the product of each label pair is shared work
+        eidx = next(i for i, lbl in sorted(q.labels.items()) if len(lbl) == 1)
+        q.labels[eidx] = q.group.multiply(q.labels[eidx], q.labels[eidx])
+        edge = q.simplex(1, eidx)
+        report = validate_quotient(q)
+        assert report.kinds() == {"cocycle condition"}
+        broken = [v["detail"] for v in report.violations]
+        assert broken == [f"labels around 2-simplex {s} do not compose"
+                          for s in q.simplices[2] if set(edge) <= set(s)]
 
     def test_coordinates_transported(self):
         sub = barycentric_subdivide(TORUS)

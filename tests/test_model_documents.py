@@ -1,5 +1,6 @@
-"""Map and field documents keep the exit-code contract: a malformed
-document exits 1 with an ``error:`` line, never 3 (an internal error)."""
+"""Map, field and complex documents keep the exit-code contract: a
+malformed document exits 1 with an ``error:`` line, never 3 (an internal
+error)."""
 
 import json
 import os
@@ -10,16 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deckindex.cli import main
-from deckindex.fixtures import fixture_document
+from deckindex.fixtures import fixture_complex, fixture_document
 
 COMMANDS = ("map-analyze", "field-analyze")
 
 
-def _run(command, doc, out_dir):
+def _run(command, doc, out_dir, *options):
     path = os.path.join(out_dir, "doc.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    return main([command, path, "--out", os.path.join(out_dir, "out")])
+    return main([command, path, "--out", os.path.join(out_dir, "out"), *options])
 
 
 def _with(name, **changes):
@@ -41,6 +42,13 @@ def _unknown_vertex_image():
     return doc
 
 
+def _inline_complex_without_labels(name):
+    doc = fixture_document(name)
+    doc["complex"] = fixture_complex(doc.pop("fixture")).to_document()
+    del doc["complex"]["labels"]
+    return doc
+
+
 MALFORMED = [
     ("missing components", COMMANDS, lambda: _with("sin-map", components=None)),
     ("override without components", COMMANDS, _override_without_components),
@@ -53,6 +61,10 @@ MALFORMED = [
     ("unknown vertex image", ("map-analyze",), _unknown_vertex_image),
     ("PL field without vertex vectors", ("field-analyze",),
      lambda: _with("octahedron-polar-field", vertex_vectors=None)),
+    ("inline complex without labels", ("map-analyze",),
+     lambda: _inline_complex_without_labels("octahedron-rotation")),
+    ("inline complex without labels", ("field-analyze",),
+     lambda: _inline_complex_without_labels("octahedron-polar-field")),
 ]
 
 
@@ -74,17 +86,20 @@ JUNK = ("x", -1, 0, 1.5, None, [], {})
 DROP = "<drop>"
 
 
-@st.composite
-def mutations(draw):
-    name = draw(st.sampled_from(sorted(SHIPPED)))
-    doc = fixture_document(name)
-    key = draw(st.sampled_from(sorted(doc) + [k for k in OPTIONAL_KEYS if k not in doc]))
+def _mutate(draw, doc, optional_keys):
+    key = draw(st.sampled_from(sorted(doc) + [k for k in optional_keys if k not in doc]))
     value = draw(st.sampled_from(([DROP] if key in doc else []) + list(JUNK)))
     if value == DROP:
         del doc[key]
     else:
         doc[key] = value
-    return SHIPPED[name], doc
+    return doc
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    return SHIPPED[name], _mutate(draw, fixture_document(name), OPTIONAL_KEYS)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -93,3 +108,56 @@ def test_mutated_document_never_exits_three(mutation):
     command, doc = mutation
     with tempfile.TemporaryDirectory() as out_dir:
         assert _run(command, doc, out_dir) in (0, 1, 2)
+
+
+# The same mutations of shipped complex documents under ``validate``, with
+# and without a subdivision.
+COMPLEXES = ("genus2", "octahedron", "torus")
+COMPLEX_OPTIONAL_KEYS = ("coordinates", "name", "tree")
+
+
+@st.composite
+def complex_mutations(draw):
+    doc = fixture_complex(draw(st.sampled_from(COMPLEXES))).to_document()
+    subdivide = draw(st.sampled_from(((), ("--subdivide", "1"))))
+    return _mutate(draw, doc, COMPLEX_OPTIONAL_KEYS), subdivide
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(complex_mutations())
+def test_mutated_complex_never_exits_three(mutation):
+    doc, subdivide = mutation
+    with tempfile.TemporaryDirectory() as out_dir:
+        assert _run("validate", doc, out_dir, *subdivide) in (0, 1, 2)
+
+
+WRONGLY_TYPED = [(key, value)
+                 for key in ("simplices", "orientation", "labels", "coordinates")
+                 for value in (None, [], "x", 5)] + [("tree", [[1]]), ("tree", 5)]
+
+
+@pytest.mark.parametrize("key,value", WRONGLY_TYPED,
+                         ids=[f"{key}={json.dumps(value)}" for key, value in WRONGLY_TYPED])
+def test_wrongly_typed_complex_entry_is_named(key, value, tmp_path, capsys):
+    doc = fixture_complex("torus").to_document()
+    doc[key] = value
+    assert _run("validate", doc, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed complex document: ")
+    assert repr(key) in err
+
+
+def _fractional_orientation_sign():
+    doc = fixture_complex("torus").to_document()
+    key = sorted(doc["orientation"])[0]
+    doc["orientation"][key] *= 1.5
+    return doc
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: dict(fixture_complex("torus").to_document(), dimension=2.9),
+                 id="dimension"),
+    pytest.param(_fractional_orientation_sign, id="orientation-sign")])
+def test_fractional_complex_integer_is_refused(make, tmp_path, capsys):
+    assert _run("validate", make(), str(tmp_path)) == 1
+    assert "is not an integer" in capsys.readouterr().err

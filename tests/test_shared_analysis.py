@@ -7,7 +7,8 @@ the residual max-norm and a stop below 1e-13.  The lockstep search must
 return exactly the same (position, exact) list, floats bit for bit.
 ``_brute_force_hosts`` tests every nearby translate of every top cell
 with ``point_in_simplex``; the table-driven host location must agree, on
-Z^2 tori and on trivial-deck surfaces in R^3.
+Z^2 tori and on trivial-deck surfaces in R^3, and hand out the same
+barycentric coordinates as a fresh solve.
 """
 
 from dataclasses import replace
@@ -28,7 +29,7 @@ from deckindex.complexes import barycentric_subdivide
 from deckindex.errors import InputError
 from deckindex.fixtures import (fixture_complex, fixture_document,
                                 octahedron_sphere, torus_grid)
-from deckindex.geometry import point_in_simplex
+from deckindex.geometry import barycentric_coordinates, point_in_simplex
 from deckindex.groups import FiniteGroup
 from deckindex.vectorfield import (field_model_from_document,
                                    field_tameness_check, find_zeros,
@@ -271,7 +272,9 @@ def test_table_host_location_matches_brute_force(case, statuses):
     seen = set()
     for p in points:
         hosts = locate_host_cells(q, p, True)
-        assert hosts == _brute_force_hosts(q, p)
+        assert [h[:3] for h in hosts] == _brute_force_hosts(q, p)
+        for g, idx, _, lam in hosts:
+            assert lam == barycentric_coordinates(p, q.realize(q.dimension, idx, g))
         seen.update([h[2] for h in hosts] or ["none"])
     assert seen == statuses
 
