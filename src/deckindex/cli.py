@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from . import reports
 from .chains import ClassFunction
-from .complexes import PeriodicComplex, QuotientComplex, validate_quotient
+from .complexes import (PeriodicComplex, QuotientComplex, check_subdivision_count,
+                        validate_quotient)
 from .errors import DeckIndexError, InputError
 from .fixtures import fixture_complex, fixture_document
 from .groups import group_from_document, group_to_document
@@ -473,6 +474,7 @@ def main(argv=None) -> int:
                        subdivide=args.subdivide, grid=args.grid,
                        seed=args.seed, out=args.out, plots=args.plots)
     try:
+        check_subdivision_count(config.subdivide, "--subdivide")
         return COMMANDS[args.command](config)
     except DeckIndexError as e:
         print(f"error: {e}", file=sys.stderr)

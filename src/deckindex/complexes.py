@@ -374,11 +374,11 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
     # each product is computed once
     if n >= 2 and not report.kinds() & {"label condition", "simplicial-complex condition"}:
         multiply = functools.cache(q.group.multiply)
-        for idx in q.cells(2):
-            a, b, c = q.simplex(2, idx)
-            if multiply(q.edge_label(a, b), q.edge_label(b, c)) != q.edge_label(a, c):
+        edges, labels = q._index[1], q.labels
+        for a, b, c in q.simplices[2]:
+            if multiply(labels[edges[a, b]], labels[edges[b, c]]) != labels[edges[a, c]]:
                 report.add("cocycle condition",
-                           f"labels around 2-simplex {q.simplex(2, idx)} do not compose")
+                           f"labels around 2-simplex {(a, b, c)} do not compose")
 
     # pseudomanifold + orientation coherence (faces keyed by vertex tuple,
     # no label lookups, so this also runs on otherwise-broken documents)
@@ -540,12 +540,16 @@ class FundamentalDomain:
 
 @dataclass
 class Subdivision:
-    """One barycentric subdivision with the induced chain map.
+    """One or more barycentric subdivisions with the induced chain map.
 
     ``complex`` is the subdivided quotient; ``cell_vertex[k][idx]`` is the
-    new vertex id of the barycenter of the old cell; ``chain_map[k]`` sends
-    an old k-simpleх index to its chain in the new complex as a list of
-    ``(new_index, coefficient)`` pairs.
+    new vertex id of the barycenter of the last subdivision's old cell.
+    ``chain_map[k]`` sends an original k-simplex index to its chain in the
+    new complex as a list of ``(new_index, coefficient)`` pairs.  For one
+    subdivision the chain of s has one term per full flag
+    v_0 < e_1 < ... < s (one cell of each dimension), whose coefficient is
+    the sign of the order in which the flag adds the vertices of s; the
+    maps of iterated subdivisions are composed.
     """
 
     complex: QuotientComplex
@@ -553,23 +557,36 @@ class Subdivision:
     chain_map: list
 
 
+SUBDIVISION_BUDGET = 3
+
+
+def check_subdivision_count(times: int, knob: str, least: int = 0) -> int:
+    """``times`` when it lies in ``least``..SUBDIVISION_BUDGET; otherwise an
+    error that names ``knob``, the option or document field that set it."""
+    if times < least:
+        raise InputError(f"{knob} must be >= {least}, not {times}")
+    if times > SUBDIVISION_BUDGET:
+        raise ResourceError(f"{knob} {times} exceeds the subdivision budget "
+                            f"{SUBDIVISION_BUDGET}; deep subdivisions explode "
+                            "the cell count")
+    return times
+
+
 def barycentric_subdivide(q: QuotientComplex, times: int = 1) -> Subdivision:
     """Iterated barycentric subdivision with label and orientation transport.
 
-    New vertices are the barycenters of old cells.  An edge from the
-    barycenter of a face to the barycenter of a containing cell inherits
-    the inverse anchor shift, so cover adjacency is preserved.  The chain
-    map is the standard cone-recursion subdivision operator; orientations
+    New vertices are the barycenters of old cells and new simplices are the
+    flags of old cells.  An edge from the barycenter of a face to the
+    barycenter of a containing cell inherits the inverse anchor shift, so
+    cover adjacency is preserved.  The chain map sends a cell to its full
+    flags, each signed by the permutation of the cell's vertices it induces
+    (Munkres, *Elements of Algebraic Topology*, section 17); orientations
     are transported through it, which keeps the Euler characteristic and
     the pseudomanifold property intact.
     """
-    if times < 1:
-        raise InputError("subdivision count must be >= 1")
+    check_subdivision_count(times, "subdivision count", least=1)
     if q.dimension < 1:
         raise InputError("subdivision needs a complex of dimension at least 1")
-    if times > 3:
-        raise ResourceError("subdivision count exceeds the budget 3; "
-                            "deep subdivisions explode the cell count (--subdivide)")
     sub = _subdivide_once(q)
     for _ in range(times - 1):
         nxt = _subdivide_once(sub.complex)
@@ -593,115 +610,77 @@ def _compose_chain_maps(first, second):
 
 
 def _subdivide_once(q: QuotientComplex) -> Subdivision:
+    """One barycentric subdivision, read off the flag table of ``q``.
+
+    The barycenter of old k-cell ``idx`` is new vertex ``offset[k] + idx``,
+    so a face always has a smaller id than its cofaces and a flag is an
+    ascending tuple of ids.  Extending every flag by the proper cofaces of
+    its last cell, in ascending id, lists each dimension's simplices in
+    lexicographic order.  A flag that gains one vertex per step from a
+    vertex up to a k-cell is a full flag of that cell; its sign is the sign
+    of the order in which it adds the cell's vertices, accumulated one step
+    at a time.
+    """
     n = q.dimension
     group = q.group
+    offset = list(itertools.accumulate(map(q.count, range(n + 1)), initial=0))
+    names = [q.vertex_name(s[0]) for s in q.simplices[0]]
+    names += ["(" + "+".join(map(q.vertex_name, s)) + ")"
+              for k in range(1, n + 1) for s in q.simplices[k]]
 
-    cell_vertex = []
-    names = []
-    positions = {}
-    counter = 0
-    for k in range(n + 1):
-        table = {}
-        for idx in q.cells(k):
-            s = q.simplex(k, idx)
-            if k == 0:
-                name = q.vertex_name(s[0])
-            else:
-                name = "(" + "+".join(q.vertex_name(v) for v in s) + ")"
-            table[idx] = counter
-            names.append(name)
-            positions[counter] = (k, idx)
-            counter += 1
-        cell_vertex.append(table)
-
-    # flags: strictly increasing chains of cells under the face relation,
-    # extended downward so the first entry is always the smallest cell
-    def proper_faces(k, idx):
-        s = q.simplex(k, idx)
-        out = []
-        for fk in range(k):
-            for face in itertools.combinations(s, fk + 1):
-                out.append((fk, q.index_of(fk, face)))
-        return out
-
-    face_lists = {}
-    for k in range(n + 1):
-        for i in q.cells(k):
-            face_lists[(k, i)] = proper_faces(k, i)
-    chains_by_len = {1: [((k, i),) for k in range(n + 1) for i in q.cells(k)]}
-    for length in range(2, n + 2):
-        rows = []
-        for chain in chains_by_len[length - 1]:
-            for cell in face_lists[chain[0]]:
-                rows.append((cell,) + chain)
-        chains_by_len[length] = rows
-
-    simplices_by_dim = []
-    for length in range(1, n + 2):
-        dim_list = sorted(tuple(cell_vertex[k][i] for k, i in chain)
-                          for chain in chains_by_len[length])
-        simplices_by_dim.append(dim_list)
-
-    new = QuotientComplex(group, names, simplices_by_dim, {}, {},
-                          name=(q.name + "^sd") if q.name else "")
-
-    # labels: edge from barycenter of tau to barycenter of rho, tau < rho,
-    # carries shift(rho, tau)^{-1}.  New vertex ids ascend with the cell
-    # dimension, so every edge runs from tau to rho.  Few distinct shifts
-    # occur, so each inverse is computed once.
+    # cofaces[c]: (coface id, step sign, label of the new edge c -> coface).
+    # When c is the facet of a k-cell that omits the vertex at position j,
+    # that vertex comes after k - j of the facet's vertices, so the step
+    # sign is (-1)^(k - j); combinations() omit positions k, k-1, ..., 0
+    # in turn, so it is (-1)^t for the t-th facet.  The step sign is 0 for
+    # a face of lower dimension.  The edge from the barycenter of tau to
+    # that of rho carries shift(rho, tau)^-1, which depends only on the
+    # first vertex of tau.
     inverse = functools.cache(group.inverse)
-    labels = {}
-    for eidx, (a, b) in enumerate(new.simplices[1]):
-        ka, ia = positions[a]
-        kb, ib = positions[b]
-        labels[eidx] = inverse(q.shift(q.simplex(kb, ib), q.simplex(ka, ia)))
-    new.labels = labels
-
-    # chain map by cone recursion: sd(s) = (-1)^k (sd(boundary s) * b_s)
-    chain_map = [dict() for _ in range(n + 1)]
-    memo = {}
-
-    def sd(k, idx):
-        if (k, idx) in memo:
-            return memo[(k, idx)]
-        if k == 0:
-            res = {(cell_vertex[0][idx],): 1}
-        else:
-            b = cell_vertex[k][idx]
-            res = {}
-            for fidx, fsign, _ in q.face_data(k, idx):
-                for tup, c in sd(k - 1, fidx).items():
-                    cone = tup + (b,)
-                    res[cone] = res.get(cone, 0) + fsign * c * (-1) ** k
-            res = {t: c for t, c in res.items() if c}
-        memo[(k, idx)] = res
-        return res
-
+    edges = q._index[1]
+    ident = group.identity()
+    cofaces = [[] for _ in range(offset[-1])]
+    coords = None if q.coordinates is None else {}
     for k in range(n + 1):
-        for idx in q.cells(k):
-            terms = []
-            for tup, c in sd(k, idx).items():
-                terms.append((new.index_of(k, tup), c))
-            chain_map[k][idx] = sorted(terms)
+        for idx, s in enumerate(q.simplices[k]):
+            r = offset[k] + idx
+            shifts = [ident] + [q.labels[edges[s[0], v]] for v in s[1:]]
+            if coords is not None:
+                pts = [[Fraction(c) + w for c, w in
+                        zip(q.coordinates[v], q.translation_vector(g))]
+                       for v, g in zip(s, shifts)]
+                coords[r] = tuple(sum(col) / Fraction(k + 1) for col in zip(*pts))
+            back = dict(zip(s, map(inverse, shifts)))
+            for m in range(k):
+                faces = q._index[m]
+                for t, f in enumerate(itertools.combinations(s, m + 1)):
+                    step = (-1) ** t if m == k - 1 else 0
+                    cofaces[offset[m] + faces[f]].append((r, step, back[f[0]]))
 
-    orientation = {}
-    for idx in q.cells(n):
-        sign = q.orientation[idx]
-        for new_idx, c in chain_map[n][idx]:
-            orientation[new_idx] = sign * c
-    new.orientation = orientation
+    # full[c]: (row, sign) of every full flag ending at cell c
+    rows = [(c,) for c in range(offset[-1])]
+    signs = [1] * offset[1] + [0] * (offset[-1] - offset[1])
+    full = [[(c, 1)] if c < offset[1] else [] for c in range(offset[-1])]
+    simplices_by_dim = [rows]
+    for _ in range(n):
+        longer, longer_signs = [], []
+        for flag, sign in zip(rows, signs):
+            for r, step, _ in cofaces[flag[-1]]:
+                if sign * step:
+                    full[r].append((len(longer), sign * step))
+                longer.append(flag + (r,))
+                longer_signs.append(sign * step)
+        rows, signs = longer, longer_signs
+        simplices_by_dim.append(rows)
+    chain_map = [{idx: full[offset[k] + idx] for idx in q.cells(k)}
+                 for k in range(n + 1)]
 
-    if q.coordinates is not None:
-        coords = {}
-        for k in range(n + 1):
-            for idx in q.cells(k):
-                pts = q.realize(k, idx)
-                dim = len(pts[0])
-                bary = tuple(sum(p[d] for p in pts) / Fraction(k + 1) for d in range(dim))
-                coords[cell_vertex[k][idx]] = bary
-        new.coordinates = coords
-
-    new.tree = frozenset()
+    new = QuotientComplex(group, names, simplices_by_dim, {}, {}, coordinates=coords,
+                          name=(q.name + "^sd") if q.name else "")
+    new.labels = dict(enumerate(lbl for cof in cofaces for _, _, lbl in cof))
+    new.orientation = {row: q.orientation[idx] * c
+                       for idx in q.cells(n) for row, c in chain_map[n][idx]}
+    cell_vertex = [list(range(offset[k], offset[k + 1])) for k in range(n + 1)]
     return Subdivision(new, cell_vertex, chain_map)
 
 

@@ -68,7 +68,8 @@ import numpy as np
 
 from . import exprs
 from .chains import ClassFunction, lefschetz_number_quotient
-from .complexes import PeriodicComplex, QuotientComplex, barycentric_subdivide, euler_characteristic
+from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
+                        check_subdivision_count, euler_characteristic)
 from .errors import InputError, InternalError, TamenessError
 from .geometry import (
     det,
@@ -1095,8 +1096,9 @@ def map_model_from_document(doc: dict, complex_resolver=None):
             as_vid(k): image(v) for k, v in vi.items()})
         overrides = document_value(doc, "overrides", lambda ov: {
             as_vid(k): as_vid(v) for k, v in (ov or {}).items()}, None)
-        return SimplicialMapModel(q, document_value(doc, "subdivision", int, 0),
-                                  images, overrides=overrides or None)
+        subdivision = check_subdivision_count(
+            document_value(doc, "subdivision", int, 0), "model document: 'subdivision'")
+        return SimplicialMapModel(q, subdivision, images, overrides=overrides or None)
     raise InputError(f"unknown map variant {variant!r}")
 
 

@@ -303,3 +303,25 @@ class TestSubdivideFlag:
         assert main(["validate", path, "--out", out, "--subdivide", "1"]) == 0
         report = _read_report(out)["report"]
         assert report["cells"] == [9 + 27 + 18, 2 * 27 + 6 * 18, 6 * 18]
+
+    @pytest.mark.parametrize("command, ref", [
+        ("validate", "fixture:genus2"),
+        ("map-analyze", "fixture:octahedron-antipodal"),
+        ("map-analyze", "fixture:sin-map"),
+        ("field-analyze", "fixture:sin-field"),
+    ])
+    @pytest.mark.parametrize("value, code", [("-1", 1), ("-3", 1), ("4", 2)])
+    def test_out_of_range_is_refused(self, command, ref, value, code, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main([command, ref, f"--subdivide={value}", "--out", out]) == code
+        assert "--subdivide" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value, code", [(-1, 1), (4, 2)])
+    def test_document_subdivision_out_of_range_names_the_field(self, value, code,
+                                                               tmp_path, capsys):
+        doc = dict(fixture_document("octahedron-antipodal"), subdivision=value)
+        path = _write(tmp_path, "map.json", doc)
+        assert main(["map-analyze", path, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert "'subdivision'" in err and "--subdivide" not in err

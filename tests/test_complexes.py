@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -21,11 +22,30 @@ from deckindex.fixtures import (
     tetrahedron_sphere,
     torus_grid,
 )
+from deckindex.groups import trivial_group
 from deckindex.reports import canonical_json
 
 
 def _digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
+def _simplex_boundary(n: int) -> QuotientComplex:
+    """The boundary of the (n+1)-simplex, an n-sphere over the trivial deck."""
+    group = trivial_group()
+    simplices = [list(itertools.combinations(range(n + 2), k + 1)) for k in range(n + 1)]
+    q = QuotientComplex(group, [f"p{i}" for i in range(n + 2)], simplices, {},
+                        {e: group.identity() for e in range(len(simplices[1]))})
+    q.orientation = orient_pseudomanifold(q)
+    return q
+
+
+def circle() -> QuotientComplex:
+    return _simplex_boundary(1)
+
+
+def three_sphere() -> QuotientComplex:
+    return _simplex_boundary(3)
 
 
 TORUS = torus_grid()
@@ -215,7 +235,8 @@ class TestSubdivision:
         assert (q.count(0), q.count(1), q.count(2)) == (14, 36, 24)
         assert euler_characteristic(q) == 2
 
-    @pytest.mark.parametrize("builder", [tetrahedron_sphere, torus_grid, genus2_surface])
+    @pytest.mark.parametrize("builder", [tetrahedron_sphere, torus_grid, genus2_surface,
+                                         three_sphere])
     def test_chi_preserved_and_valid(self, builder):
         q = builder()
         sub = barycentric_subdivide(q)
@@ -224,23 +245,30 @@ class TestSubdivision:
         assert report.valid, report.violations[:5]
 
     def test_chain_map_commutes_with_boundary(self):
-        # subdivision is a chain map: boundary(sd(s)) = sd(boundary(s))
-        q = TORUS
-        sub = barycentric_subdivide(q)
-        new = sub.complex
-        for k in range(1, q.dimension + 1):
-            for idx in q.cells(k):
-                lhs = {}
-                for new_idx, c in sub.chain_map[k][idx]:
-                    for fidx, fsign, _ in new.face_data(k, new_idx):
-                        lhs[fidx] = lhs.get(fidx, 0) + c * fsign
-                rhs = {}
-                for fidx, fsign, _ in q.face_data(k, idx):
-                    for new_idx, c in sub.chain_map[k - 1][fidx]:
-                        rhs[new_idx] = rhs.get(new_idx, 0) + c * fsign
-                lhs = {i: c for i, c in lhs.items() if c}
-                rhs = {i: c for i, c in rhs.items() if c}
-                assert lhs == rhs
+        # subdivision is a chain map: boundary(sd(s)) = sd(boundary(s)), in
+        # dimensions 1, 2 and 3 and for a composed map as well; a k-cell
+        # goes to its (k+1)! full flags per subdivision, each with sign +-1
+        for q, times in itertools.product([circle(), TORUS, three_sphere()], (1, 2)):
+            sub = barycentric_subdivide(q, times)
+            new = sub.complex
+            for k in range(q.dimension + 1):
+                for idx in q.cells(k):
+                    terms = sub.chain_map[k][idx]
+                    assert len(terms) == math.factorial(k + 1) ** times
+                    assert {c for _, c in terms} <= {1, -1}
+                    if k == 0:
+                        continue
+                    lhs = {}
+                    for new_idx, c in sub.chain_map[k][idx]:
+                        for fidx, fsign, _ in new.face_data(k, new_idx):
+                            lhs[fidx] = lhs.get(fidx, 0) + c * fsign
+                    rhs = {}
+                    for fidx, fsign, _ in q.face_data(k, idx):
+                        for new_idx, c in sub.chain_map[k - 1][fidx]:
+                            rhs[new_idx] = rhs.get(new_idx, 0) + c * fsign
+                    lhs = {i: c for i, c in lhs.items() if c}
+                    rhs = {i: c for i, c in rhs.items() if c}
+                    assert lhs == rhs, (q.dimension, times, k, idx)
 
     def test_size_guard(self):
         with pytest.raises(ResourceError):
