@@ -442,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--capacity", type=int, default=16,
                        help="flow capacity budget")
         p.add_argument("--subdivide", type=int, default=0,
-                       help="extra barycentric subdivisions before analysis")
+                       help="extra barycentric subdivisions before analysis "
+                            "(validate, map-analyze and field-analyze; the "
+                            "other commands refuse a nonzero value)")
         p.add_argument("--grid", type=int, default=32,
                        help="map-analyze and field-analyze sample tameness "
                             "on max(GRID, 32) points per axis, refined once "
@@ -455,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit static SVG charts next to the report")
     return parser
 
+
+# the commands that read --subdivide; the others refuse a nonzero value
+SUBDIVIDING = ("validate", "map-analyze", "field-analyze")
 
 COMMANDS = {
     "validate": cmd_validate,
@@ -474,6 +479,9 @@ def main(argv=None) -> int:
                        subdivide=args.subdivide, grid=args.grid,
                        seed=args.seed, out=args.out, plots=args.plots)
     try:
+        if config.subdivide and config.command not in SUBDIVIDING:
+            raise InputError(f"--subdivide is read only by {', '.join(SUBDIVIDING)}; "
+                             f"{config.command} does not subdivide")
         check_subdivision_count(config.subdivide, "--subdivide")
         return COMMANDS[args.command](config)
     except DeckIndexError as e:

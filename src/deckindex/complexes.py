@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -82,9 +83,8 @@ class QuotientComplex:
         self.tree = frozenset(tree)
         self.coordinates = dict(coordinates) if coordinates else None
         self.name = name
-        self._index = [
-            {s: i for i, s in enumerate(dim_list)} for dim_list in self.simplices
-        ]
+        self._index = [dict(zip(dim_list, itertools.count()))
+                       for dim_list in self.simplices]
         self._check_basic_shape()
 
     # -- basic structure ----------------------------------------------------
@@ -93,12 +93,19 @@ class QuotientComplex:
         if not self.simplices or len(self.simplices[0]) != len(self.vertices):
             raise InputError("dimension 0 must enumerate all vertices")
         for k, dim_list in enumerate(self.simplices):
+            # a dimension passes when all its simplices have k + 1 vertices
+            # and each column of vertex ids is below the next; otherwise the
+            # first offender is named
+            if {*map(len, dim_list)} <= {k + 1} and all(
+                    all(map(operator.lt, map(operator.itemgetter(j), dim_list),
+                            map(operator.itemgetter(j + 1), dim_list))) for j in range(k)):
+                continue
             for s in dim_list:
                 if len(s) != k + 1:
                     raise InputError(f"simplex {s} listed in dimension {k}")
                 if list(s) != sorted(set(s)):
                     raise InputError(f"simplex {s} is not an ascending vertex tuple")
-        if len(set(map(tuple, self.simplices[0]))) != len(self.vertices):
+        if len(set(self.simplices[0])) != len(self.vertices):
             raise InputError("duplicate vertices in dimension 0")
 
     def count(self, k: int) -> int:
@@ -338,14 +345,21 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
     report = ValidationReport()
     n = q.dimension
 
-    # simplicial-complex condition: all faces present
+    # simplicial-complex condition: all faces present.  facets[k][j] holds,
+    # per k-simplex, the id of its facet that omits position j (None when
+    # that face is missing); the checks below read these ids
+    facets = [[]]
     for k in range(1, n + 1):
-        for idx, s in enumerate(q.simplices[k]):
-            for j in range(k + 1):
-                face = s[:j] + s[j + 1:]
-                if face not in q._index[k - 1]:
-                    report.add("simplicial-complex condition",
-                               f"face {face} of {s} is missing")
+        cols = [list(map(operator.itemgetter(j), q.simplices[k])) for j in range(k + 1)]
+        get = q._index[k - 1].get
+        facets.append([list(map(get, zip(*cols[:j], *cols[j + 1:])))
+                       for j in range(k + 1)])
+        if any(None in col for col in facets[k]):
+            for idx, s in enumerate(q.simplices[k]):
+                for j in range(k + 1):
+                    if facets[k][j][idx] is None:
+                        report.add("simplicial-complex condition",
+                                   f"face {s[:j] + s[j + 1:]} of {s} is missing")
 
     # labels present on every edge, tree normalized
     for idx in q.cells(1):
@@ -370,36 +384,41 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
         if len(seen) != len(q.vertices):
             report.add("tree condition", "tree does not span the vertex set")
 
-    # cocycle condition on 2-simplices; few distinct label pairs occur, so
+    # cocycle condition on 2-simplices (a, b, c), whose facets omitting
+    # positions 0, 1, 2 are bc, ac, ab; few distinct label pairs occur, so
     # each product is computed once
     if n >= 2 and not report.kinds() & {"label condition", "simplicial-complex condition"}:
         multiply = functools.cache(q.group.multiply)
-        edges, labels = q._index[1], q.labels
-        for a, b, c in q.simplices[2]:
-            if multiply(labels[edges[a, b]], labels[edges[b, c]]) != labels[edges[a, c]]:
+        labels = q.labels
+        for s, bc, ac, ab in zip(q.simplices[2], *facets[2]):
+            if multiply(labels[ab], labels[bc]) != labels[ac]:
                 report.add("cocycle condition",
-                           f"labels around 2-simplex {(a, b, c)} do not compose")
+                           f"labels around 2-simplex {s} do not compose")
 
-    # pseudomanifold + orientation coherence (faces keyed by vertex tuple,
-    # no label lookups, so this also runs on otherwise-broken documents)
+    # pseudomanifold + orientation coherence: per facet id, the number of
+    # oriented top simplices on it and the sum of their induced signs (no
+    # label lookups, so this also runs on otherwise-broken documents)
     if n >= 1:
-        incidence = {}
-        for idx in q.cells(n):
-            sign = q.orientation.get(idx)
+        faces = q.simplices[n - 1]
+        count, total = [0] * len(faces), [0] * len(faces)
+        signs = [q.orientation.get(idx) for idx in q.cells(n)]
+        for s, sign in zip(q.simplices[n], signs):
             if sign not in (1, -1):
-                report.add("orientation data", f"top simplex {q.simplex(n, idx)} "
-                                               "has no +1/-1 orientation sign")
-                continue
-            s = q.simplex(n, idx)
-            for j in range(n + 1):
-                face = s[:j] + s[j + 1:]
-                incidence.setdefault(face, []).append(sign * (-1) ** j)
-        for face in map(tuple, q.simplices[n - 1]):
-            inc = incidence.get(face, [])
-            if len(inc) != 2:
+                report.add("orientation data",
+                           f"top simplex {s} has no +1/-1 orientation sign")
+        signs = [sign if sign in (1, -1) else 0 for sign in signs]
+        for j, col in enumerate(facets[n]):
+            step = (-1) ** j
+            for f, sign in zip(col, signs):
+                if sign and f is not None:
+                    count[f] += 1
+                    total[f] += sign * step
+        # a face listed twice shares the id of its last listing
+        for face, f in zip(faces, map(q._index[n - 1].__getitem__, faces)):
+            if count[f] != 2:
                 report.add("pseudomanifold condition",
-                           f"face {face} lies in {len(inc)} top simplices (expected 2)")
-            elif sum(inc) != 0:
+                           f"face {face} lies in {count[f]} top simplices (expected 2)")
+            elif total[f] != 0:
                 report.add("orientation coherence",
                            f"induced orientations on face {face} agree "
                            "instead of being opposite")
@@ -544,17 +563,23 @@ class Subdivision:
 
     ``complex`` is the subdivided quotient; ``cell_vertex[k][idx]`` is the
     new vertex id of the barycenter of the last subdivision's old cell.
+    ``levels`` holds one chain map per subdivision, first to last, and
     ``chain_map[k]`` sends an original k-simplex index to its chain in the
     new complex as a list of ``(new_index, coefficient)`` pairs.  For one
     subdivision the chain of s has one term per full flag
     v_0 < e_1 < ... < s (one cell of each dimension), whose coefficient is
     the sign of the order in which the flag adds the vertices of s; the
-    maps of iterated subdivisions are composed.
+    maps of iterated subdivisions are composed when ``chain_map`` is first
+    read, so a caller that reads only ``complex`` never composes them.
     """
 
     complex: QuotientComplex
     cell_vertex: list
-    chain_map: list
+    levels: list
+
+    @functools.cached_property
+    def chain_map(self) -> list:
+        return functools.reduce(_compose_chain_maps, self.levels)
 
 
 SUBDIVISION_BUDGET = 3
@@ -587,12 +612,11 @@ def barycentric_subdivide(q: QuotientComplex, times: int = 1) -> Subdivision:
     check_subdivision_count(times, "subdivision count", least=1)
     if q.dimension < 1:
         raise InputError("subdivision needs a complex of dimension at least 1")
-    sub = _subdivide_once(q)
-    for _ in range(times - 1):
-        nxt = _subdivide_once(sub.complex)
-        sub = Subdivision(nxt.complex, nxt.cell_vertex,
-                          _compose_chain_maps(sub.chain_map, nxt.chain_map))
-    return sub
+    levels = []
+    for _ in range(times):
+        q, cell_vertex, chain_map = _subdivide_once(q)
+        levels.append(chain_map)
+    return Subdivision(q, cell_vertex, levels)
 
 
 def _compose_chain_maps(first, second):
@@ -609,8 +633,9 @@ def _compose_chain_maps(first, second):
     return out
 
 
-def _subdivide_once(q: QuotientComplex) -> Subdivision:
-    """One barycentric subdivision, read off the flag table of ``q``.
+def _subdivide_once(q: QuotientComplex):
+    """One barycentric subdivision, read off the flag table of ``q``:
+    ``(complex, cell_vertex, chain_map)`` as in :class:`Subdivision`.
 
     The barycenter of old k-cell ``idx`` is new vertex ``offset[k] + idx``,
     so a face always has a smaller id than its cofaces and a flag is an
@@ -681,7 +706,7 @@ def _subdivide_once(q: QuotientComplex) -> Subdivision:
     new.orientation = {row: q.orientation[idx] * c
                        for idx in q.cells(n) for row, c in chain_map[n][idx]}
     cell_vertex = [list(range(offset[k], offset[k + 1])) for k in range(n + 1)]
-    return Subdivision(new, cell_vertex, chain_map)
+    return new, cell_vertex, chain_map
 
 
 def gauge_normalize(q: QuotientComplex) -> QuotientComplex:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -805,7 +806,12 @@ def _sample_norms(model, grid: int):
 
     Affine-cell models are sampled at the interior points of a barycentric
     grid on each source top cell; each norm is taken from the exact vector
-    converted to float once.
+    converted to float once.  The grid point with integer weights
+    ``(N - sum(c), c...)`` over ``N`` is computed on integer numerators: a
+    cell's positions and vectors are put over one denominator ``D``, so a
+    coordinate is ``int / (D*N)`` and a squared norm ``int / (D*N)**2``.
+    Integer true division is correctly rounded, as ``float(Fraction)`` is,
+    so every float equals the one of the exact rational.
     """
     if isinstance(model, AnalyticModel):
         axes = [np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid] * model.dim
@@ -818,18 +824,20 @@ def _sample_norms(model, grid: int):
     n = src.dimension
     pts, norms = [], []
     per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
+    weights = [(per_cell - sum(combo),) + combo
+               for combo in itertools.product(range(1, per_cell), repeat=n)
+               if sum(combo) < per_cell]
     for idx in src.cells(n):
         _, positions, vectors = model.affine_cell(idx, model.group.identity())
-        d = len(positions[0])
-        for combo in itertools.product(range(1, per_cell), repeat=n):
-            if sum(combo) >= per_cell:
-                continue
-            lam = [Fraction(per_cell - sum(combo), per_cell)] + \
-                [Fraction(c, per_cell) for c in combo]
-            pts.append([float(sum(l * p[i] for l, p in zip(lam, positions)))
-                        for i in range(d)])
-            w = [sum(l * v[i] for l, v in zip(lam, vectors)) for i in range(d)]
-            norms.append(math.sqrt(float(sum(c * c for c in w))))
+        den = math.lcm(*(c.denominator for row in (*positions, *vectors) for c in row))
+        # one column of numerators over den per axis
+        pos_cols, vec_cols = ([[c.numerator * (den // c.denominator) for c in col]
+                               for col in zip(*rows)] for rows in (positions, vectors))
+        scale = den * per_cell
+        for w in weights:
+            pts.append([sum(map(operator.mul, w, col)) / scale for col in pos_cols])
+            norms.append(math.sqrt(sum(sum(map(operator.mul, w, col)) ** 2
+                                       for col in vec_cols) / scale ** 2))
     return np.array(pts), np.array(norms)
 
 

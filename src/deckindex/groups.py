@@ -285,6 +285,12 @@ class FreeGroup(MarkedGroup):
     def multiply(self, a, b):
         return tuple(_free_reduce(list(a) + list(b)))
 
+    def _append_token(self, a, token: Token):
+        """``multiply(a, token)``: a reduced word cancels or keeps one token."""
+        if a and a[-1] == -token:
+            return a[:-1]
+        return a + (token,)
+
     def inverse(self, a):
         return tuple(_invert_word(a))
 

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from deckindex import complexes
 from deckindex.cli import main
+from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document
 from deckindex.reports import canonical_json
 
@@ -316,6 +318,68 @@ class TestSubdivideFlag:
         assert main([command, ref, f"--subdivide={value}", "--out", out]) == code
         assert "--subdivide" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_unread_chain_maps_are_never_composed(self, tmp_path, monkeypatch):
+        # validate and the analytic refinement read only the subdivided
+        # complex, so the per-level chain maps must never be composed
+        def refuse(first, second):
+            raise AssertionError("chain maps composed")
+
+        monkeypatch.setattr(complexes, "_compose_chain_maps", refuse)
+        out = str(tmp_path / "validate")
+        assert main(["validate", "fixture:genus2", "--subdivide", "3", "--out", out]) == 0
+        assert _read_report(out)["report"]["valid"]
+        out = str(tmp_path / "map")
+        assert main(["map-analyze", "fixture:sin-map", "--radius", "0",
+                     "--subdivide", "1", "--out", out]) == 0
+        with pytest.raises(AssertionError, match="composed"):
+            complexes.barycentric_subdivide(fixture_complex("octahedron"), 2).chain_map
+
+    def test_model_reads_the_composed_chain_map(self):
+        # a map model at subdivision 2 reads the composition of its two
+        # levels; barycenters go to the first vertex of their cell, twice
+        octa = fixture_complex("octahedron")
+        first = complexes.barycentric_subdivide(octa, 1)
+        second = complexes.barycentric_subdivide(first.complex, 1)
+
+        def to_first_vertex(q, sub):
+            return {v: q.simplex(k, idx)[0] for k in range(q.dimension + 1)
+                    for idx, v in enumerate(sub.cell_vertex[k])}
+
+        down = to_first_vertex(first.complex, second)
+        collapse = to_first_vertex(octa, first)
+        model = SimplicialMapModel(octa, 2, {v: collapse[w] for v, w in down.items()})
+        assert model.chain_maps == complexes._compose_chain_maps(first.chain_map,
+                                                                 second.chain_map)
+
+    @pytest.mark.parametrize("argv", [
+        ["amenability", "fixture:genus2", "--radius", "2"],
+        ["decide-class", "fixture:connected-sum-index"],
+        ["selftest", "--seed", "7"],
+    ], ids=["amenability", "decide-class", "selftest"])
+    @pytest.mark.parametrize("value", ["1", "3", "4", "-1"])
+    def test_refused_where_nothing_is_subdivided(self, argv, value, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(argv + [f"--subdivide={value}", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "--subdivide" in err and "validate, map-analyze, field-analyze" in err
+        assert argv[0] in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["amenability", "fixture:genus2", "--radius", "2"],
+        ["decide-class", "fixture:connected-sum-index"],
+    ], ids=["amenability", "decide-class"])
+    def test_zero_is_the_default(self, argv, tmp_path):
+        outs = [str(tmp_path / "default"), str(tmp_path / "zero")]
+        assert main(argv + ["--out", outs[0]]) == 0
+        assert main(argv + ["--subdivide=0", "--out", outs[1]]) == 0
+        blobs = []
+        for out in outs:
+            with open(os.path.join(out, "report.json"), "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1]
+        assert _read_report(outs[0])["config"]["subdivide"] == 0
 
     @pytest.mark.parametrize("value, code", [(-1, 1), (4, 2)])
     def test_document_subdivision_out_of_range_names_the_field(self, value, code,

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 
 import pytest
 
@@ -69,6 +70,72 @@ class TestValidation:
         report = validate_quotient(q)
         bad = [v for v in report.violations if v["kind"] == "orientation coherence"]
         assert len(bad) == 3
+
+    # one defect each in the genus-2 document; the full violation list
+    # (kinds, details and order) was taken from the tuple-keyed validator
+    @staticmethod
+    def _add_third_top(d):
+        d["vertices"].append("x")
+        d["simplices"]["0"].append(["x"])
+        d["simplices"]["1"] += [["cell0", "x"], ["cell19", "x"]]
+        d["simplices"]["2"].append(["cell0", "cell19", "x"])
+        d["labels"].update({"cell0|x": "", "cell19|x": ""})
+        d["tree"].append("cell0|x")
+        d["orientation"]["cell0|cell19|x"] = 1
+
+    MUTATIONS = {
+        "missing-face": (
+            lambda d: d["simplices"]["1"].remove(["cell0", "cell19"]),
+            [("simplicial-complex condition", "face (0, 1) of (0, 1, 17) is missing"),
+             ("simplicial-complex condition", "face (0, 1) of (0, 1, 18) is missing"),
+             ("tree condition", "tree edge count is not |V| - 1"),
+             ("tree condition", "tree does not span the vertex set")]),
+        "missing-label": (
+            lambda d: d["labels"].pop("cell25|m_a"),
+            [("label condition", "edge (3, 41) has no label")]),
+        "tree-label": (
+            lambda d: d["labels"].update({"cell0|cell19": "a1"}),
+            [("tree condition", "tree edge (0, 1) has a non-identity label"),
+             ("cocycle condition", "labels around 2-simplex (0, 1, 17) do not compose"),
+             ("cocycle condition", "labels around 2-simplex (0, 1, 18) do not compose")]),
+        "broken-cocycle": (
+            lambda d: d["labels"].update({"cell25|m_a": "a1 b1"}),
+            [("cocycle condition", "labels around 2-simplex (3, 21, 41) do not compose"),
+             ("cocycle condition", "labels around 2-simplex (3, 22, 41) do not compose")]),
+        "missing-sign": (
+            lambda d: d["orientation"].pop("cell0|cell19|cell49"),
+            [("orientation data", "top simplex (0, 1, 17) has no +1/-1 orientation sign"),
+             ("pseudomanifold condition", "face (0, 1) lies in 1 top simplices (expected 2)"),
+             ("pseudomanifold condition", "face (0, 17) lies in 1 top simplices (expected 2)"),
+             ("pseudomanifold condition", "face (1, 17) lies in 1 top simplices (expected 2)")]),
+        "three-tops": (
+            lambda d: TestValidation._add_third_top(d),
+            [("pseudomanifold condition", "face (0, 1) lies in 3 top simplices (expected 2)"),
+             ("pseudomanifold condition", "face (0, 46) lies in 1 top simplices (expected 2)"),
+             ("pseudomanifold condition", "face (1, 46) lies in 1 top simplices (expected 2)")]),
+        # the second listing takes the edge's id, and the first is unlabelled;
+        # both listings count the same two triangles
+        "duplicate-edge": (
+            lambda d: d["simplices"]["1"].append(["cell0", "cell19"]),
+            [("label condition", "edge (0, 1) has no label")]),
+        "incoherent": (
+            lambda d: d["orientation"].update({"cell0|cell19|cell49": -1}),
+            [("orientation coherence", "induced orientations on face (0, 1) agree "
+                                       "instead of being opposite"),
+             ("orientation coherence", "induced orientations on face (0, 17) agree "
+                                       "instead of being opposite"),
+             ("orientation coherence", "induced orientations on face (1, 17) agree "
+                                       "instead of being opposite")]),
+    }
+
+    @pytest.mark.parametrize("defect", list(MUTATIONS))
+    def test_violations_pinned(self, defect):
+        mutate, expected = self.MUTATIONS[defect]
+        doc = GENUS2.to_document()
+        assert doc["orientation"]["cell0|cell19|cell49"] == 1
+        mutate(doc)
+        report = validate_quotient(QuotientComplex.from_document(doc))
+        assert [(v["kind"], v["detail"]) for v in report.violations] == expected
 
     def test_klein_orientation_incoherent(self):
         report = validate_quotient(klein_grid())
@@ -322,6 +389,16 @@ class TestDocuments:
         q2 = QuotientComplex.from_document(json.loads(blob))
         blob2 = json.dumps(q2.to_document(), sort_keys=True)
         assert blob == blob2
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 1), (1, 1)], "simplex (2, 1) is not an ascending vertex tuple"),
+        ([(0, 1), (1, 1), (1, 2)], "simplex (1, 1) is not an ascending vertex tuple"),
+        ([(0, 1), (0, 1, 2), (2, 1)], "simplex (0, 1, 2) listed in dimension 1"),
+    ])
+    def test_first_malformed_simplex_is_named(self, edges, message):
+        group = trivial_group()
+        with pytest.raises(InputError, match=re.escape(message)):
+            QuotientComplex(group, ["a", "b", "c"], [[(0,), (1,), (2,)], edges], {}, {})
 
     def test_malformed_document(self):
         with pytest.raises(InputError):

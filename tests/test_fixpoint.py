@@ -1,9 +1,14 @@
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from deckindex.errors import InputError, TamenessError
 from deckindex.fixpoint import (
+    SimplicialMapModel,
+    _sample_norms,
     equivariant_oracle_check,
     find_fixed_points,
     ingest_index_data,
@@ -18,6 +23,7 @@ from deckindex.fixtures import (
     octahedron_sphere,
     torus_grid,
 )
+from deckindex.vectorfield import field_model_from_document
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +149,78 @@ class TestTameness:
         assert report.strongly_fixed_point_free
         # epsilon equals the translation length up to rounding
         assert abs(float(report.epsilon) - 0.3) < 1e-6
+
+
+def _reference_sample_norms(model, grid):
+    """The affine-cell sampling grid evaluated in Fractions, point by point."""
+    src = model.source
+    n = src.dimension
+    pts, norms = [], []
+    per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
+    for idx in src.cells(n):
+        _, positions, vectors = model.affine_cell(idx, model.group.identity())
+        d = len(positions[0])
+        for combo in itertools.product(range(1, per_cell), repeat=n):
+            if sum(combo) >= per_cell:
+                continue
+            lam = [Fraction(per_cell - sum(combo), per_cell)] + \
+                [Fraction(c, per_cell) for c in combo]
+            pts.append([float(sum(l * p[i] for l, p in zip(lam, positions)))
+                        for i in range(d)])
+            w = [sum(l * v[i] for l, v in zip(lam, vectors)) for i in range(d)]
+            norms.append(math.sqrt(float(sum(c * c for c in w))))
+    return np.array(pts), np.array(norms)
+
+
+def _torus_shift_model():
+    """Z^2 simplicial map moving the 3x3 grid torus by one column."""
+    return map_model_from_document({
+        "variant": "simplicial", "fixture": "torus",
+        "vertex_images": {f"v{i}{j}": f"v{(i + 1) % 3}{j}"
+                          for i in range(3) for j in range(3)}})
+
+
+def _vertex_collapse_model():
+    """Octahedron map at subdivision 1 sending the barycenter of each cell
+    to the cell's first vertex (a simplicial approximation of the identity)."""
+    octa = octahedron_sphere()
+    offset = 0
+    images = {}
+    for k in range(octa.dimension + 1):
+        for idx, s in enumerate(octa.simplices[k]):
+            images[offset + idx] = s[0]
+        offset += octa.count(k)
+    return SimplicialMapModel(octa, 1, images)
+
+
+SAMPLED_MODELS = {
+    "antipodal": lambda: map_model_from_document(fixture_document("octahedron-antipodal")),
+    "rotation": lambda: map_model_from_document(fixture_document("octahedron-rotation")),
+    "reflection": lambda: map_model_from_document(
+        fixture_document("octahedron-reflection")),
+    "antipodal-sd1": lambda: subdivided_automorphism(
+        map_model_from_document(fixture_document("octahedron-antipodal"))),
+    "rotation-sd1": lambda: subdivided_automorphism(
+        map_model_from_document(fixture_document("octahedron-rotation"))),
+    "collapse-sd1": _vertex_collapse_model,
+    "polar-field": lambda: field_model_from_document(
+        fixture_document("octahedron-polar-field")),
+    "torus-shift": _torus_shift_model,
+}
+
+
+class TestSampleNorms:
+    @pytest.mark.parametrize("grid", [32, 64])
+    @pytest.mark.parametrize("name", list(SAMPLED_MODELS))
+    def test_bitwise_equal_to_fraction_reference(self, name, grid):
+        # integer numerators over one denominator give the floats of the
+        # exact rationals, bit for bit
+        model = SAMPLED_MODELS[name]()
+        pts, norms = _sample_norms(model, grid)
+        ref_pts, ref_norms = _reference_sample_norms(model, grid)
+        assert len(norms) > 0
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert norms.tobytes() == ref_norms.tobytes()
 
 
 class TestLefschetzClass:

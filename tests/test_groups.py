@@ -246,6 +246,14 @@ class TestBalls:
                     else:
                         assert h not in dist
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_free_append_matches_multiply(self, rank):
+        group = FreeGroup(rank)
+        for a in group.indexed_ball(5).elements:
+            for t in group._signed_tokens():
+                assert group.multiply_token(a, t) == \
+                    group.multiply(a, group.element_of([t]))
+
     @pytest.mark.parametrize("genus,radius", [(2, 4), (3, 3)])
     def test_multiply_token_matches_full_rewrite(self, genus, radius, monkeypatch):
         group = SurfaceGroup(genus)
