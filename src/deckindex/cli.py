@@ -166,12 +166,13 @@ def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
     payload["class_function"] = f.to_document()
     payload["certificate"] = cert.to_document()
     payload["narrative"] = _certificate_narrative(f.group, f, cert)
-    charts["class_function.svg"] = _class_chart(f)
-    if cert.verdict == "nonzero-by-mean":
-        rows = cert.payload["averages"]
-        charts["folner_averages.svg"] = (
-            "Folner averages", [r["t"] for r in rows],
-            [Fraction(r["average"]) for r in rows])
+    if config.plots:  # a chart sorts and formats ball(3): build it only on demand
+        charts["class_function.svg"] = _class_chart(f)
+        if cert.verdict == "nonzero-by-mean":
+            rows = cert.payload["averages"]
+            charts["folner_averages.svg"] = (
+                "Folner averages", [r["t"] for r in rows],
+                [Fraction(r["average"]) for r in rows])
     return payload
 
 
@@ -234,7 +235,8 @@ def cmd_analyze(config: RunConfig) -> int:
                     "interpretation"):
             payload[key] = ph[key]
         payload["difference_certificate"] = ph["certificate"].to_document()
-        charts["index_class.svg"] = _class_chart(ph["class_function"])
+        if config.plots:
+            charts["index_class.svg"] = _class_chart(ph["class_function"])
     _emit(config, payload, charts)
     return 0
 

@@ -506,7 +506,11 @@ def _chart_index(sign, positions, vectors) -> int:
 
 
 class SimplicialMapModel(AffineCellModel):
-    """Simplicial map from an iterated subdivision of the quotient into it."""
+    """Simplicial map from an iterated subdivision of the quotient into it.
+
+    The keys of ``vertex_images`` and ``overrides`` are source vertices,
+    those of the subdivision: names, ids, or ids as decimal strings.
+    """
 
     variant = "simplicial"
     index_matrix_sign = -1
@@ -533,6 +537,15 @@ class SimplicialMapModel(AffineCellModel):
             self.source = sub.complex
             self.chain_maps = sub.chain_map
         ident = self.group.identity()
+        source_id = vertex_id_reader(self.source)
+
+        def source_vertex(v):
+            try:
+                return source_id(v)
+            except (KeyError, ValueError, TypeError):
+                raise InputError(f"{v!r} names no vertex of the source "
+                                 f"(subdivision {self.subdivision})") from None
+
         self.vertex_images = {}
         for v, img in vertex_images.items():
             # images are either a bare target vertex id or an explicit
@@ -541,7 +554,7 @@ class SimplicialMapModel(AffineCellModel):
                 deck, w = img
             else:
                 deck, w = ident, img
-            self.vertex_images[int(v)] = (deck, int(w))
+            self.vertex_images[source_vertex(v)] = (deck, int(w))
         if set(self.vertex_images) != set(range(self.source.count(0))):
             raise InputError("vertex images must cover exactly the source vertices")
         self.perturbed = bool(overrides)
@@ -551,7 +564,7 @@ class SimplicialMapModel(AffineCellModel):
                                  "trivial-deck covers; use analytic overrides "
                                  "for periodic perturbations")
             for v, img in overrides.items():
-                self.vertex_images[int(v)] = (ident, int(img))
+                self.vertex_images[source_vertex(v)] = (ident, int(img))
         self._check_simplicial()
 
     @property
@@ -1060,8 +1073,11 @@ def document_value(doc, key, parse, *default):
 
 
 def vertex_id_reader(q: QuotientComplex):
+    """Vertex id of a vertex name, an int id or a decimal string id (JSON
+    object keys are strings); a name wins over an id."""
     vid = {name: i for i, name in enumerate(q.vertices)}
-    return lambda x: vid[x] if isinstance(x, str) else int(x)
+    return lambda x: vid[x] if isinstance(x, str) and (x in vid or not x.isdecimal()) \
+        else int(x)
 
 
 def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):
@@ -1100,10 +1116,12 @@ def map_model_from_document(doc: dict, complex_resolver=None):
                 return q.group.parse_word(v[0]), as_vid(v[1])
             return as_vid(v)
 
+        # keys name vertices of the subdivided source, which the model
+        # reads; values name vertices of the target q
         images = document_value(doc, "vertex_images", lambda vi: {
-            as_vid(k): image(v) for k, v in vi.items()})
+            k: image(v) for k, v in vi.items()})
         overrides = document_value(doc, "overrides", lambda ov: {
-            as_vid(k): as_vid(v) for k, v in (ov or {}).items()}, None)
+            k: as_vid(v) for k, v in (ov or {}).items()}, None)
         subdivision = check_subdivision_count(
             document_value(doc, "subdivision", int, 0), "model document: 'subdivision'")
         return SimplicialMapModel(q, subdivision, images, overrides=overrides or None)

@@ -28,8 +28,11 @@ asked for.
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
 elements in BFS order, so the flow networks and the isoperimetric probe
 work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
-read an id prefix of it.  Its products go through ``multiply_token``; for a
-surface group it checks only the window ending at the new token.
+read an id prefix of it.  Its BFS keys a free or surface element by the
+integer code of its word (:class:`WordCodes`), so a product is one integer
+cancel or append, and a surface product is rewritten only when its last
+half-relator window is flagged.  Free-abelian and finite elements are
+their own keys, and their products are the kind's ``_append_token``.
 """
 
 from __future__ import annotations
@@ -141,6 +144,9 @@ class MarkedGroup:
 
     def _append_token(self, a, token: Token):  # per kind, behind multiply_token
         return self.multiply(a, self._token_elements[token])
+
+    # word kinds set this to the tables of their integer word codes
+    _word_codes: WordCodes | None = None
 
     # -- balls -------------------------------------------------------------
 
@@ -291,6 +297,10 @@ class FreeGroup(MarkedGroup):
             return a[:-1]
         return a + (token,)
 
+    @cached_property
+    def _word_codes(self) -> WordCodes:
+        return WordCodes(self._signed_tokens(), (), 0)
+
     def inverse(self, a):
         return tuple(_invert_word(a))
 
@@ -389,6 +399,12 @@ class SurfaceGroup(MarkedGroup):
             if _shortlex_key(swapped) < _shortlex_key(w):
                 return self._canonical(w)
         return w
+
+    @cached_property
+    def _word_codes(self) -> WordCodes:
+        # a product needs the rewrite only if its last h tokens are a half
+        # relator, the window _append_token checks
+        return WordCodes(self._signed_tokens(), self._half_index, self._half)
 
     def element_of(self, tokens):
         return self._canonical(list(tokens))
@@ -537,6 +553,34 @@ def trivial_group(ball_budget: int = 64) -> FiniteGroup:
 # Indexed balls
 
 
+class WordCodes:
+    """Integer codes of reduced words, for the ball BFS of a word kind.
+
+    The code of a word is its digit string in base ``base = 2n + 1``, with
+    digit ``k + 1`` for the k-th signed token (``_signed_tokens`` order).
+    Every digit is nonzero, so a code names exactly one word, whatever its
+    length.  Cancelling the last token of code ``c`` is ``c // base``, which
+    applies when ``c % base`` is ``undo[k]``, the digit of the inverse of
+    token k; appending token k is ``c * base + k + 1``.  ``flagged`` holds
+    the codes of the words ``keys`` of length ``h``: an appended product
+    ``p`` whose last ``h`` tokens are one of them, ``p % window in
+    flagged``, may need the kind's rewrite.
+    """
+
+    def __init__(self, tokens, keys, h: int):
+        self.base = len(tokens) + 1
+        self.digit = {t: k + 1 for k, t in enumerate(tokens)}
+        self.undo = [self.digit[-t] for t in tokens]
+        self.window = self.base ** h
+        self.flagged = frozenset(self.encode(key) for key in keys)
+
+    def encode(self, word) -> int:
+        c = 0
+        for t in word:
+            c = c * self.base + self.digit[t]
+        return c
+
+
 class IndexedBall:
     """Word-metric ball whose elements carry integer ids in BFS order.
 
@@ -547,28 +591,59 @@ class IndexedBall:
     generator token (in ``_signed_tokens`` order), or -1 when that product
     lies outside the ball.  ``outside`` counts the distinct outside
     products, which form the sphere of radius ``radius + 1``.
+
+    The BFS keys an element of a free or surface group by its
+    :class:`WordCodes` code, so a product is integer arithmetic: the
+    cancel or the append of one digit.  Only a product flagged by its last
+    half-relator window goes through ``_append_token``, whose result is
+    encoded (840 of the 178,312 products of the genus-2 ball(5), 448 of
+    them rewritten).  Each element's tuple is built once, when it joins
+    the ball.  Free-abelian and finite elements are their own keys, and
+    their products are ``_append_token``.
     """
 
     def __init__(self, group: MarkedGroup, radius: int):
         group.check_radius(radius)
         tokens = group._signed_tokens()
-        ids = {group.identity(): 0}
-        elements = [group.identity()]
-        dist = [0]
+        append = group._append_token
+        codes = group._word_codes
+        identity = group.identity()
+        if codes is None:  # the element is its own key
+            base, key, undo = 0, identity, [None] * len(tokens)
+        else:
+            base, key, undo = codes.base, 0, codes.undo
+            window, flagged, encode = codes.window, codes.flagged, codes.encode
+        ids = {key: 0}
+        keys, elements, dist = [key], [identity], [0]
         rows: list[list[int]] = [[] for _ in tokens]
+        steps = list(zip(rows, tokens, range(1, len(tokens) + 1), undo))
         outside = set()
         i = 0
         while i < len(elements):
-            g, d = elements[i], dist[i]
-            for row, t in zip(rows, tokens):
-                h = group.multiply_token(g, t)
-                j = ids.get(h)
+            g, d, c = elements[i], dist[i], keys[i]
+            if base:
+                last, head = c % base, c * base
+            for row, t, digit, inverse in steps:
+                h = None  # the product's element, unless read off g below
+                if not base:
+                    p = h = append(g, t)
+                elif last == inverse:
+                    p = c // base
+                else:
+                    p = head + digit
+                    if p % window in flagged:
+                        h = append(g, t)
+                        p = encode(h)
+                j = ids.get(p)
                 if j is None:
                     if d == radius:
-                        outside.add(h)
+                        outside.add(p)
                         j = -1
                     else:
-                        j = ids[h] = len(elements)
+                        if h is None:  # a cancel shrinks the code, an append grows it
+                            h = g[:-1] if p < c else g + (t,)
+                        j = ids[p] = len(elements)
+                        keys.append(p)
                         elements.append(h)
                         dist.append(d + 1)
                 row.append(j)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from deckindex import complexes
+from deckindex import cli, complexes
 from deckindex.cli import main
 from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document
@@ -389,3 +390,41 @@ class TestSubdivideFlag:
         assert main(["map-analyze", path, "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert "'subdivision'" in err and "--subdivide" not in err
+
+
+# sha256 of every chart written with --plots, taken when every command still
+# built its charts whether or not --plots was given
+CHARTS = {
+    "decide-class fixture:free-cover-index": {
+        "class_function.svg":
+            "e916c2d151e78bbf1566508b12f9876e410705887660a4c9544a8125883327c6"},
+    "map-analyze fixture:octahedron-antipodal": {
+        "class_function.svg":
+            "ae3ab1871441330eb5b57ba380479f04000654d103e1126c5c4d56c4a87b852f"},
+    "field-analyze fixture:octahedron-polar-field": {
+        "index_class.svg":
+            "9ea0dd66e9794442d77d908c10e6d8f6e6181b700736ed336649862e2e5e8e91"},
+    "map-analyze fixture:connected-sum-index": {
+        "class_function.svg":
+            "d48dfd79b33b1646430a6e973eeb5974e3d23e3b5e3f2a29b8a0cfe71a9b192f",
+        "folner_averages.svg":
+            "33cc66de335174bc33c5f186e93dde41503200c179a3106829a8d974fad648d8"},
+}
+
+
+class TestCharts:
+    @pytest.mark.parametrize("command", sorted(CHARTS))
+    def test_no_chart_is_built_without_plots(self, command, tmp_path, monkeypatch):
+        def refuse(f):
+            raise AssertionError("chart built without --plots")
+
+        monkeypatch.setattr(cli, "_class_chart", refuse)
+        assert main(command.split() + ["--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", sorted(CHARTS))
+    def test_plots_are_unchanged(self, command, tmp_path):
+        out = tmp_path / "out"
+        assert main(command.split() + ["--out", str(out), "--plots"]) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.glob("*.svg")}
+        assert written == CHARTS[command]

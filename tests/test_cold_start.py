@@ -1,5 +1,6 @@
 """Start-up loads only what a command runs: sympy and mpmath arrive with the
-first analytic expression, never with the CLI and pipeline modules.
+first analytic expression, never with the CLI and pipeline modules, and the
+group commands (word arithmetic, balls and flows) load no numpy either.
 
 Each check runs in a fresh interpreter, since an earlier test in this
 process may already have imported sympy.
@@ -13,14 +14,17 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 PROBE = """
-import contextlib, io, json, sys
-import deckindex.cli, deckindex.fixpoint, deckindex.vectorfield
+import contextlib, importlib, io, json, sys
+preload, watched, commands = json.loads(sys.argv[1])
+for name in preload:
+    importlib.import_module(name)
+import deckindex.cli
 
 def loaded():
-    return sorted(m for m in ("sympy", "mpmath") if m in sys.modules)
+    return sorted(m for m in watched if m in sys.modules)
 
 seen = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
+for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         code = deckindex.cli.main(argv)
     seen[" ".join(argv)] = [code, loaded()]
@@ -28,12 +32,27 @@ print(json.dumps(seen))
 """
 
 
-def _probe(*commands):
+def _probe(*commands, preload=("deckindex.fixpoint", "deckindex.vectorfield"),
+           watched=("mpmath", "sympy")):
+    """Modules of ``watched`` loaded after importing ``deckindex.cli`` and
+    ``preload``, then after each command, all in one fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
+    probe = json.dumps([preload, watched, commands])
+    out = subprocess.run([sys.executable, "-c", PROBE, probe],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def test_group_commands_load_no_numpy_or_sympy():
+    # word arithmetic, balls and flows are pure Python: a cold group command
+    # pays no numpy import
+    seen = _probe(["amenability", "fixture:genus2", "--radius", "3"],
+                  ["decide-class", "fixture:free-cover-index"],
+                  preload=(), watched=("mpmath", "numpy", "sympy"))
+    assert seen == {"import": [],
+                    "amenability fixture:genus2 --radius 3": [0, []],
+                    "decide-class fixture:free-cover-index": [0, []]}
 
 
 def test_exact_commands_never_load_sympy():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -229,22 +230,69 @@ class TestBalls:
             F2.ball(9)
 
     def test_indexed_ball_matches_bfs(self):
-        for group in ALL_KINDS:
-            ball = IndexedBall(group, 3)
-            dist = reference_ball(group, 3)
-            assert ball.elements == list(dist) and ball.dist == list(dist.values())
-            assert list(group.ball_with_distances(3).items()) == list(dist.items())
-            assert ball.ends == [len(reference_ball(group, r)) for r in range(4)]
-            assert ball.outside == list(reference_ball(group, 4).values()).count(4)
-            assert group.sphere(3) == {g for g, d in dist.items() if d == 3}
-            for row, t in zip(ball.rows, group._signed_tokens()):
-                for i, g in enumerate(ball.elements):
-                    h = group.multiply_token(g, t)
-                    assert h == group.multiply(g, group.element_of([t]))
-                    if row[i] >= 0:
-                        assert ball.elements[row[i]] == h
-                    else:
-                        assert h not in dist
+        for group, radius in [(Z2, 3), (F2, 3), (S2GROUP, 4), (C6, 3)]:
+            self._check_indexed_ball(group, radius)
+
+    def _check_indexed_ball(self, group, radius):
+        ball = IndexedBall(group, radius)
+        dist = reference_ball(group, radius)
+        assert ball.elements == list(dist) and ball.dist == list(dist.values())
+        assert list(group.ball_with_distances(radius).items()) == list(dist.items())
+        assert ball.ends == [len(reference_ball(group, r)) for r in range(radius + 1)]
+        assert ball.outside == \
+            list(reference_ball(group, radius + 1).values()).count(radius + 1)
+        assert group.sphere(radius) == {g for g, d in dist.items() if d == radius}
+        for row, t in zip(ball.rows, group._signed_tokens()):
+            for i, g in enumerate(ball.elements):
+                h = group.multiply_token(g, t)
+                assert h == group.multiply(g, group.element_of([t]))
+                if row[i] >= 0:
+                    assert ball.elements[row[i]] == h
+                else:
+                    assert h not in dist
+
+    # sha256 of repr((elements, dist, rows, ends, outside)), taken from the
+    # tuple-keyed BFS that called multiply_token on every product
+    PINNED_BALLS = {
+        "surface2-r5": (SurfaceGroup(2), 5,
+         "7b8411971f79f4a289d4822b3aeffcd46622390e2dca4d1cd292b1c474b6e46d"),
+        "surface3-r4": (SurfaceGroup(3), 4,
+         "8f9d03d4261a649d49bfbebcec25ddf14a3c458c4a7160eb1da524faab4028b0"),
+        "free2-r6": (FreeGroup(2), 6,
+         "a41d7a6004151251206f241ca7e43369f2d81f6affd8af6b5d25621d967d8b99"),
+        "free3-r5": (FreeGroup(3), 5,
+         "1e53de2bf1c2105382432464a279050a4cdf81af68201251b03430af44f7ce27"),
+        "abelian3-r5": (FreeAbelianGroup(3), 5,
+         "c82716b50f732cdc9fd27bb2fed234eed4026acf5e3e7d3da297ec758c43d818"),
+        "cyclic7-r3": (cyclic_group(7), 3,
+         "dcee48667a8ffaf128b7084ed16f716d7d684ca416e9416ed0b7e83b70ce1f34"),
+    }
+
+    @pytest.mark.parametrize("group,radius,digest", PINNED_BALLS.values(),
+                             ids=PINNED_BALLS.keys())
+    def test_indexed_ball_pinned(self, group, radius, digest):
+        ball = IndexedBall(group, radius)
+        blob = repr((ball.elements, ball.dist, ball.rows, ball.ends, ball.outside))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    def test_rewrites_only_in_flagged_window(self):
+        # a product leaves the plain free append only when the last h tokens
+        # of the appended word are a half relator, which the ball reads off
+        # the word's integer code
+        group = SurfaceGroup(2)
+        h, codes = group._half, group._word_codes
+        flagged = rewritten = 0
+        for a in group.indexed_ball(4).elements:
+            for t in group._signed_tokens():
+                plain = a[:-1] if a and a[-1] == -t else a + (t,)
+                hit = len(plain) > len(a) and plain[-h:] in group._half_index
+                assert hit == (len(plain) > len(a) and
+                               codes.encode(plain) % codes.window in codes.flagged)
+                flagged += hit
+                if group.multiply_token(a, t) != plain:
+                    assert hit
+                    rewritten += 1
+        assert (flagged, rewritten) == (120, 64)
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_free_append_matches_multiply(self, rank):

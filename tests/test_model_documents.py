@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deckindex import fixpoint
 from deckindex.cli import main
+from deckindex.complexes import barycentric_subdivide
+from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document
 
 COMMANDS = ("map-analyze", "field-analyze")
@@ -161,3 +164,35 @@ def _fractional_orientation_sign():
 def test_fractional_complex_integer_is_refused(make, tmp_path, capsys):
     assert _run("validate", make(), str(tmp_path)) == 1
     assert "is not an integer" in capsys.readouterr().err
+
+
+def _antipode_of_first_vertex():
+    """Octahedron map at subdivision 1 sending the barycenter of each cell
+    to the antipode of the cell's first vertex: the octahedron, its
+    subdivision and the images by vertex id."""
+    octa = fixture_complex("octahedron")
+    antipode = {octa.vertices.index(v): octa.vertices.index(w) for v, w in
+                fixture_document("octahedron-antipodal")["vertex_images"].items()}
+    sub = barycentric_subdivide(octa, 1)
+    images = {sub.cell_vertex[k][idx]: antipode[s[0]]
+              for k in range(octa.dimension + 1)
+              for idx, s in enumerate(octa.simplices[k])}
+    return octa, sub.complex, images
+
+
+@pytest.mark.parametrize("keys", ["names", "ids"])
+def test_subdivided_source_vertices_are_named(keys, tmp_path, capsys, monkeypatch):
+    # source keys are vertices of the subdivision, by name or by decimal id
+    # (a JSON object key is a string); image values are target vertices
+    octa, source, images = _antipode_of_first_vertex()
+    key = (lambda v: source.vertices[v]) if keys == "names" else str
+    doc = {"variant": "simplicial", "fixture": "octahedron", "subdivision": 1,
+           "vertex_images": {key(v): octa.vertices[w] for v, w in images.items()}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["map-analyze", str(path)]) == 0
+    from_document = capsys.readouterr().out
+    monkeypatch.setattr(fixpoint, "map_model_from_document",
+                        lambda doc: SimplicialMapModel(octa, 1, images))
+    assert main(["map-analyze", str(path)]) == 0
+    assert from_document == capsys.readouterr().out
