@@ -474,7 +474,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the help (exit 0) or its usage and message;
+        # a malformed command line is an input failure, since 2 means a
+        # resource budget
+        return 1 if e.code else 0
     config = RunConfig(command=args.command,
                        inputs=getattr(args, "inputs", []),
                        radius=args.radius, capacity=args.capacity,

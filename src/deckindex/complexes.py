@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import InputError, InternalError, OrientationError, ResourceError
 from .groups import (FreeAbelianGroup, FiniteGroup, group_from_document, group_to_document,
                      integer_value)
+from .reports import fraction_str
 
 
 @dataclass
@@ -233,7 +234,7 @@ class QuotientComplex:
         }
         if self.coordinates is not None:
             doc["coordinates"] = {
-                self.vertices[v]: [_format_fraction(c) for c in cs]
+                self.vertices[v]: [fraction_str(c) for c in cs]
                 for v, cs in sorted(self.coordinates.items())
             }
         if self.name:
@@ -325,11 +326,6 @@ def _entry(doc: dict, key: str, kind: type, default=None):
         raise InputError(f"malformed complex document: {key!r} must be "
                          f"{_KINDS[kind]}, not {type(value).__name__}")
     return value
-
-
-def _format_fraction(f: Fraction) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def _parse_fraction(text) -> Fraction:
@@ -463,6 +459,12 @@ def orient_pseudomanifold(q: QuotientComplex) -> dict:
                         signs[other] = needed
                         heapq.heappush(queue, other)
     return signs
+
+
+def permutation_sign(seq) -> int:
+    """Sign of the permutation that sorts ``seq``, a tuple of distinct keys."""
+    inversions = sum(a > b for a, b in itertools.combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 def euler_characteristic(q: QuotientComplex) -> int:

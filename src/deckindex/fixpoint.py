@@ -70,7 +70,7 @@ import numpy as np
 from . import exprs
 from .chains import ClassFunction, lefschetz_number_quotient
 from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
-                        check_subdivision_count, euler_characteristic)
+                        check_subdivision_count, euler_characteristic, permutation_sign)
 from .errors import InputError, InternalError, TamenessError
 from .geometry import (
     det,
@@ -567,11 +567,9 @@ class SimplicialMapModel(AffineCellModel):
                 self.vertex_images[source_vertex(v)] = (ident, int(img))
         self._check_simplicial()
 
-    @property
-    def equivariant(self) -> bool:
-        # every map of a trivial-deck cover commutes with the (trivial) deck
-        return not self.perturbed or \
-            (isinstance(self.group, FiniteGroup) and self.group.order == 1)
+    # overrides are refused unless the deck is trivial, and every map of a
+    # trivial-deck cover commutes with the (trivial) deck
+    equivariant = True
 
     def _check_simplicial(self):
         q = self.complex
@@ -620,13 +618,8 @@ class SimplicialMapModel(AffineCellModel):
                     image = [model.vertex_images[v][1] for v in s]
                     if len(set(image)) != len(image):
                         continue  # degenerate image carries no chain
-                    sign = 1
-                    for i in range(len(image)):
-                        for j in range(i + 1, len(image)):
-                            if image[i] > image[j]:
-                                sign = -sign
                     tgt = model.complex.index_of(k, tuple(sorted(image)))
-                    out[tgt] = out.get(tgt, 0) + c * sign
+                    out[tgt] = out.get(tgt, 0) + c * permutation_sign(image)
                 return [(t, c) for t, c in sorted(out.items()) if c]
 
         return _Composite()

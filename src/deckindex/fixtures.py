@@ -4,21 +4,26 @@ The torus fixture is the 3x3 grid triangulation of the unit torus over
 Z^2, with the grid shifted by (1/5, 1/9) so that the zero sets of the
 shipped trigonometric models avoid all edges and medians.  The genus-2
 fixture is built from the identified octagon: the octagon disk is fanned
-from its center, barycentrically subdivided once (which makes the
-identified quotient honestly simplicial), and boundary positions carry
-development words in the surface group, from which all edge labels follow.
+from its center and subdivided once by :func:`barycentric_subdivide`
+(which makes the identified quotient honestly simplicial), and boundary
+positions carry development words in the surface group, from which all
+edge labels follow.  Interior cells keep their own classes, named after
+the disk-cell numbering.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
-from .complexes import QuotientComplex, gauge_normalize, orient_pseudomanifold
+from .complexes import (QuotientComplex, barycentric_subdivide, gauge_normalize,
+                        orient_pseudomanifold, permutation_sign)
 from .errors import InputError, InternalError
 from .groups import FreeAbelianGroup, SurfaceGroup, trivial_group
 
 
-def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair,
+def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair=None,
                             coordinates=None, name=""):
     """Assemble a 2-dimensional quotient complex from oriented triangles.
 
@@ -26,7 +31,8 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair,
     orientation (all coherently counter-clockwise); they are re-sorted to
     ascending storage order and the orientation sign records the parity.
     ``labels_by_pair`` maps ordered vertex pairs to deck elements; the pair
-    may be given in either direction.
+    may be given in either direction.  Without it every edge carries the
+    identity.
     """
     vid_count = len(vertex_names)
     edges = set()
@@ -36,9 +42,8 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair,
         if len(set(t)) != 3:
             raise InputError(f"triangle {t} repeats a vertex")
         asc = tuple(sorted(t))
-        parity = _permutation_sign(t, asc)
         tris.append(asc)
-        signs.append(parity)
+        signs.append(permutation_sign(t))
         edges |= {(asc[0], asc[1]), (asc[0], asc[2]), (asc[1], asc[2])}
     tris_sorted = sorted(range(len(tris)), key=lambda i: tris[i])
     simplices = [
@@ -49,7 +54,9 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair,
     orientation = {pos: signs[i] for pos, i in enumerate(tris_sorted)}
     labels = {}
     for eidx, (u, v) in enumerate(simplices[1]):
-        if (u, v) in labels_by_pair:
+        if labels_by_pair is None:
+            labels[eidx] = group.identity()
+        elif (u, v) in labels_by_pair:
             labels[eidx] = labels_by_pair[(u, v)]
         elif (v, u) in labels_by_pair:
             labels[eidx] = group.inverse(labels_by_pair[(v, u)])
@@ -59,16 +66,6 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair,
                         coordinates=coordinates, name=name)
     q.tree = frozenset(_identity_spanning_tree(q))
     return q
-
-
-def _permutation_sign(seq, sorted_seq):
-    perm = [sorted_seq.index(x) for x in seq]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def _identity_spanning_tree(q: QuotientComplex):
@@ -110,14 +107,8 @@ def tetrahedron_sphere() -> QuotientComplex:
         2: (Fraction(-1), Fraction(1), Fraction(-1)),
         3: (Fraction(-1), Fraction(-1), Fraction(1)),
     }
-    ident = group.identity()
     triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    labels = {}
-    for t in triangles:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                labels[(t[i], t[j])] = ident
-    q = _complex_from_triangles(group, names, triangles, labels, coords,
+    q = _complex_from_triangles(group, names, triangles, coordinates=coords,
                                 name="tetrahedron")
     q.orientation = orient_pseudomanifold(q)
     return q
@@ -136,13 +127,7 @@ def octahedron_sphere() -> QuotientComplex:
         for y in (1, 4):
             for zc in (2, 5):
                 triangles.append((x, y, zc))
-    ident = group.identity()
-    labels = {}
-    for t in triangles:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                labels[(t[i], t[j])] = ident
-    q = _complex_from_triangles(group, names, triangles, labels, coords,
+    q = _complex_from_triangles(group, names, triangles, coordinates=coords,
                                 name="octahedron")
     q.orientation = orient_pseudomanifold(q)
     return q
@@ -209,13 +194,7 @@ def csaszar_torus() -> QuotientComplex:
     for i in range(7):
         triangles.append(tuple(sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7))))
         triangles.append(tuple(sorted(((i) % 7, (i + 2) % 7, (i + 3) % 7))))
-    ident = group.identity()
-    labels = {}
-    for t in triangles:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                labels[(t[i], t[j])] = ident
-    q = _complex_from_triangles(group, names, triangles, labels, name="csaszar")
+    q = _complex_from_triangles(group, names, triangles, name="csaszar")
     q.orientation = orient_pseudomanifold(q)
     return q
 
@@ -244,13 +223,7 @@ def klein_grid(m: int = 3) -> QuotientComplex:
             d = vid(i, j + 1)
             triangles.append((a, b, c))
             triangles.append((a, c, d))
-    ident = group.identity()
-    labels = {}
-    for t in triangles:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                labels[(t[i], t[j])] = ident
-    q = _complex_from_triangles(group, names, triangles, labels, name="klein")
+    q = _complex_from_triangles(group, names, triangles, name="klein")
     q.orientation = {idx: 1 for idx in q.cells(2)}
     return q
 
@@ -264,11 +237,14 @@ def genus2_surface() -> QuotientComplex:
 
     Construction: the identification octagon a b a^-1 b^-1 c d c^-1 d^-1 is
     coned from its center to the 16 boundary positions (corners and side
-    midpoints), the disk is barycentrically subdivided once, and boundary
-    positions are identified by the side pairings.  Every boundary position
-    carries a development word (the deck element moving the canonical lift
-    of its class to that position); an edge label is then tail^-1 * head.
-    The identified complex is simplicial with (V, E, F) = (46, 144, 96).
+    midpoints), the disk is subdivided once by :func:`barycentric_subdivide`,
+    and boundary positions are identified by the side pairings.  Interior
+    cells keep their own classes ``cell{i}``, numbered as disk vertices in
+    disk order, then edges sorted by vertex names, then triangles in fan
+    order.  Every boundary position carries a development word (the deck
+    element moving the canonical lift of its class to that position); an
+    edge label is then tail^-1 * head.  The identified complex is
+    simplicial with (V, E, F) = (46, 144, 96).
     """
     group = SurfaceGroup(2)
     A, B, C, D = (group.element_of([i]) for i in (1, 2, 3, 4))
@@ -281,151 +257,50 @@ def genus2_surface() -> QuotientComplex:
         omega.append(group.multiply(omega[-1], x))
     if omega[8] != group.identity():
         raise InternalError("octagon boundary word does not close")
-    forward = {0: 2, 1: 3, 4: 6, 5: 7}  # forward side -> paired reverse side
-    reverse_of = {v: k for k, v in forward.items()}
-    letter_name = {0: "a", 1: "b", 4: "c", 5: "d"}
 
-    # disk positions: center, corners P_k, side midpoints M_k
-    pos_c = "c"
-    pos_P = [f"P{k}" for k in range(8)]
-    pos_M = [f"M{k}" for k in range(8)]
-    boundary = []
+    # the fan disk: center c is vertex 0; corner P_k and side midpoint M_k
+    # are vertices 2k + 1 and 2k + 2 around the boundary
+    disk_vertices = ["c"] + [f"{p}{k}" for k in range(8) for p in "PM"]
+    fan = [(0, i, i % 16 + 1) for i in range(1, 17)]
+    disk = _complex_from_triangles(trivial_group(), disk_vertices, fan)
+    sd = barycentric_subdivide(disk)
+
+    def barycenter(*cell):
+        k = len(cell) - 1
+        return sd.cell_vertex[k][disk.index_of(k, tuple(sorted(cell)))]
+
+    edges = sorted(disk.simplices[1], key=lambda e: sorted(disk_vertices[v] for v in e))
+    ident_class = {barycenter(*cell): f"cell{i}"
+                   for i, cell in enumerate(disk.simplices[0] + edges + fan)}
+    dev_word = dict.fromkeys(ident_class, group.identity())
     for k in range(8):
-        boundary.append(pos_P[k])
-        boundary.append(pos_M[k])
-    disk_vertices = [pos_c] + boundary
-    fan = []
-    for i in range(16):
-        fan.append((pos_c, boundary[i], boundary[(i + 1) % 16]))
-
-    # barycentric subdivision of the fan disk, tracked on named cells
-    disk_cells = []  # (dim, frozen vertex set, canonical tuple)
-    cell_id = {}
-
-    def add_cell(tup):
-        key = (len(tup) - 1, frozenset(tup))
-        if key not in cell_id:
-            cell_id[key] = len(disk_cells)
-            disk_cells.append((len(tup) - 1, tuple(sorted(tup))))
-        return cell_id[key]
-
-    for v in disk_vertices:
-        add_cell((v,))
-    disk_edges = set()
-    for tri in fan:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                disk_edges.add(tuple(sorted((tri[i], tri[j]))))
-    for e in sorted(disk_edges):
-        add_cell(e)
-    for tri in fan:
-        add_cell(tri)
-
-    sd_triangles = []  # flags (vertex cell, edge cell, triangle cell)
-    for tri in fan:
-        t_id = add_cell(tri)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                e_id = add_cell((tri[i], tri[j]))
-                for v in (tri[i], tri[j]):
-                    sd_triangles.append((add_cell((v,)), e_id, t_id))
-
-    # identification of boundary cells and development words
-    ident_class = {}
-    dev_word = {}
-    for cid, (dim, tup) in enumerate(disk_cells):
-        ident_class[cid] = f"cell{cid}"
-        dev_word[cid] = group.identity()
-    # interior cells keep their own class and identity word; boundary cells:
-    for k in range(8):
-        pid = add_cell((pos_P[k],))
-        ident_class[pid] = "v0"
-        dev_word[pid] = omega[k]
-    for k in range(8):
-        mid = add_cell((pos_M[k],))
-        if k in forward:
-            ident_class[mid] = f"m_{letter_name[k]}"
-            dev_word[mid] = omega[k]
-        else:
-            kf = reverse_of[k]
-            ident_class[mid] = f"m_{letter_name[kf]}"
-            dev_word[mid] = omega[k + 1]
-    for k in range(8):
-        # half edges of side k: (P_k, M_k) and (M_k, P_{k+1})
-        h0 = add_cell((pos_P[k], pos_M[k]))
-        h1 = add_cell((pos_M[k], pos_P[(k + 1) % 8]))
-        if k in forward:
-            ident_class[h0] = f"h_{letter_name[k]}1"
-            ident_class[h1] = f"h_{letter_name[k]}2"
-            dev_word[h0] = omega[k]
-            dev_word[h1] = omega[k]
-        else:
-            kf = reverse_of[k]
-            # side k traverses the letter backwards: its first half is the
-            # letter's second half and vice versa
-            ident_class[h0] = f"h_{letter_name[kf]}2"
-            ident_class[h1] = f"h_{letter_name[kf]}1"
-            dev_word[h0] = omega[k + 1]
-            dev_word[h1] = omega[k + 1]
+        P, M, P_next = 2 * k + 1, 2 * k + 2, (2 * k + 2) % 16 + 1
+        # side k reads letter "ababcdcd"[k], forwards for k % 4 < 2; a
+        # reverse side's first half is the letter's second half
+        letter, forward = "ababcdcd"[k], k % 4 < 2
+        halves = "12" if forward else "21"
+        word = omega[k] if forward else omega[k + 1]
+        for cell, cls, w in [((P,), "v0", omega[k]), ((M,), f"m_{letter}", word),
+                             ((P, M), f"h_{letter}{halves[0]}", word),
+                             ((M, P_next), f"h_{letter}{halves[1]}", word)]:
+            ident_class[barycenter(*cell)] = cls
+            dev_word[barycenter(*cell)] = w
 
     class_names = sorted(set(ident_class.values()))
-    class_vid = {name: i for i, name in enumerate(class_names)}
-
+    class_vid = [class_names.index(ident_class[c]) for c in range(len(ident_class))]
+    # the development words are few, so each label is computed once
+    label = functools.cache(lambda x, y: group.multiply(group.inverse(x), y))
     labels_by_pair = {}
-    triangles = []
-    for (vc, ec, tc) in sd_triangles:
-        ids = (vc, ec, tc)
-        verts = tuple(class_vid[ident_class[c]] for c in ids)
-        if len(set(verts)) != 3:
-            raise InternalError("identification collapsed a subdivision triangle")
-        triangles.append(verts)
-        for x in range(3):
-            for y in range(3):
-                if x == y:
-                    continue
-                u, v = ids[x], ids[y]
-                lbl = group.multiply(group.inverse(dev_word[u]), dev_word[v])
-                key = (class_vid[ident_class[u]], class_vid[ident_class[v]])
-                if key in labels_by_pair and labels_by_pair[key] != lbl:
-                    raise InternalError(
-                        "inconsistent development words on an identified edge")
-                labels_by_pair[key] = lbl
-
-    # dedupe triangles arising twice through identified boundary edges
-    seen = {}
-    unique = []
-    for t in triangles:
-        key = tuple(sorted(t))
-        if key not in seen:
-            seen[key] = t
-            unique.append(t)
-    q = _build_unoriented(group, class_names, unique, labels_by_pair, name="genus2")
+    for row in sd.complex.simplices[2]:
+        for u, v in itertools.permutations(row, 2):
+            lbl = label(dev_word[u], dev_word[v])
+            if labels_by_pair.setdefault((class_vid[u], class_vid[v]), lbl) != lbl:
+                raise InternalError("inconsistent development words on an identified edge")
+    triangles = [[class_vid[c] for c in row] for row in sd.complex.simplices[2]]
+    q = _complex_from_triangles(group, class_names, triangles, labels_by_pair,
+                                name="genus2")
     q.orientation = orient_pseudomanifold(q)
-    q2 = gauge_normalize(q)
-    return q2
-
-
-def _build_unoriented(group, vertex_names, triangles, labels_by_pair, name=""):
-    edges = set()
-    tris = sorted(tuple(sorted(t)) for t in triangles)
-    for t in tris:
-        edges |= {(t[0], t[1]), (t[0], t[2]), (t[1], t[2])}
-    simplices = [
-        [(v,) for v in range(len(vertex_names))],
-        sorted(edges),
-        tris,
-    ]
-    labels = {}
-    for eidx, (u, v) in enumerate(simplices[1]):
-        if (u, v) in labels_by_pair:
-            labels[eidx] = labels_by_pair[(u, v)]
-        elif (v, u) in labels_by_pair:
-            labels[eidx] = group.inverse(labels_by_pair[(v, u)])
-        else:
-            raise InputError(f"no label for edge {(u, v)}")
-    q = QuotientComplex(group, vertex_names, simplices,
-                        {i: 1 for i in range(len(tris))}, labels, name=name)
-    return q
+    return gauge_normalize(q)
 
 
 FIXTURE_BUILDERS = {

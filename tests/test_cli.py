@@ -200,6 +200,23 @@ class TestExitCodes:
     def test_unknown_fixture_is_input_error(self, tmp_path):
         assert main(["validate", "fixture:moebius"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["validate"], "the following arguments are required: inputs"),
+        (["validate", "fixture:torus", "--radius", "x"], "invalid int value: 'x'"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+        (["validate", "fixture:torus", "--frobnicate"], "unrecognized arguments"),
+    ])
+    def test_malformed_command_line_is_input_error(self, argv, message, capsys):
+        # exit 2 is reserved for a resource budget, so argparse's own exit
+        # code is not passed through
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: deckindex" in capsys.readouterr().out
+
     def test_budget_exceeded_is_resource_error(self, tmp_path):
         path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2})
         # radius 40 exceeds the free-group ball budget

@@ -390,6 +390,22 @@ class TestDocuments:
         blob2 = json.dumps(q2.to_document(), sort_keys=True)
         assert blob == blob2
 
+    # sha256 of the canonical JSON of every shipped complex, pinned before
+    # the fixtures were built through barycentric_subdivide and one
+    # triangle-list constructor with identity labels by default
+    FIXTURE_DIGESTS = {
+        "tetrahedron": "339bc40b01851e2f0d406a67bca44d9dfd413f8b0f5c72631085c33964047015",
+        "octahedron": "06e662d242368258486a8498f67c68beed71584a26f400896c2e202f03af65e1",
+        "torus": "7c91f9a7c274a530b265e6a530d88c553390623793cd37f2d58bbda4d24f09f5",
+        "csaszar": "b615cf4664609dfd29ca32abf8b46238c2d1918522f6ba616c34b50a135ca342",
+        "klein": "e83e3b0931477308c0a5138b3ce9d640e729cad9932e3a8f8e407cb6b8e9547a",
+        "genus2": "8493c54ba836072562b3669d273ca62ed41e190522962a105a352769e42b49df",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+    def test_fixture_document_pinned(self, name):
+        assert _digest(fixture_complex(name).to_document()) == self.FIXTURE_DIGESTS[name]
+
     @pytest.mark.parametrize("edges, message", [
         ([(0, 1), (2, 1), (1, 1)], "simplex (2, 1) is not an ascending vertex tuple"),
         ([(0, 1), (1, 1), (1, 2)], "simplex (1, 1) is not an ascending vertex tuple"),
