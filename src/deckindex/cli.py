@@ -29,7 +29,7 @@ from .chains import ClassFunction
 from .complexes import (PeriodicComplex, QuotientComplex, check_subdivision_count,
                         validate_quotient)
 from .errors import DeckIndexError, InputError
-from .fixtures import fixture_complex, fixture_document
+from .fixtures import FIXTURE_GROUPS, fixture_complex, fixture_document
 from .groups import group_from_document, group_to_document
 from .ufh import decide_class, flow_certificate, isoperimetric_probe
 
@@ -242,14 +242,19 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_amenability(config: RunConfig) -> int:
-    doc = _load_document(config.inputs[0])
-    # a bare group block, or the group of a class, complex, map or field
-    # document; a document naming its complex by fixture reads that group
-    if "fixture" in doc and "complex" not in doc:
-        from .fixpoint import resolve_complex_reference
-        block = group_to_document(resolve_complex_reference(doc).group)
+    ref = config.inputs[0]
+    fixture = ref.split(":", 1)[1] if ref.startswith("fixture:") else None
+    if fixture in FIXTURE_GROUPS:  # a shipped complex's group, without the complex
+        block = group_to_document(FIXTURE_GROUPS[fixture]())
     else:
-        block = doc.get("complex", doc).get("group", doc)
+        # a bare group block, or the group of a class, complex, map or field
+        # document; a document naming its complex by fixture reads that group
+        doc = _load_document(ref)
+        if "fixture" in doc and "complex" not in doc:
+            from .fixpoint import resolve_complex_reference
+            block = group_to_document(resolve_complex_reference(doc).group)
+        else:
+            block = doc.get("complex", doc).get("group", doc)
     group = group_from_document(block)
     radii = list(range(1, config.radius + 1))
     probe = isoperimetric_probe(group, radii)

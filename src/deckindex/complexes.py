@@ -8,10 +8,14 @@ never stored; cells of the cover are pairs ``(g, simplex)`` and adjacency
 is resolved through the edge labels, so any finite part of the cover can
 be read on demand.
 
-Simplices are stored as ascending tuples of vertex ids.  With that
-normalization the j-th face of a simplex is again ascending and the
-boundary coefficient is exactly ``(-1)**j``, which keeps all chain-level
-bookkeeping free of permutation parities.
+Simplices are stored as ascending rows of vertex ids, one ``(N_k, k + 1)``
+int64 array per dimension.  With that normalization the j-th face of a
+simplex is again ascending and the boundary coefficient is exactly
+``(-1)**j``, which keeps all chain-level bookkeeping free of permutation
+parities.  ``simplices`` (ascending tuples) and the tuple -> id index are
+views of the arrays, built the first time they are read; validation and
+subdivision run on the arrays themselves.  numpy is imported inside the
+functions that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,9 +61,11 @@ class QuotientComplex:
         The deck group of the encoded covering.
     vertices : list of str
         Vertex names; vertex ids are positions in this list.
-    simplices_by_dim : list of list of tuple
+    simplices_by_dim : list
         ``simplices_by_dim[k]`` lists the k-simplices as ascending tuples
-        of vertex ids.  Dimension 0 must enumerate all vertices.
+        of vertex ids, or holds them as an ``(N_k, k + 1)`` integer array.
+        Dimension 0 must enumerate all vertices, and no simplex may be
+        listed twice.
     orientation : dict
         Sign (+1/-1) per top-simplex index.
     labels : dict
@@ -77,40 +82,48 @@ class QuotientComplex:
                  tree=frozenset(), coordinates=None, name=""):
         self.group = group
         self.vertices = list(vertices)
-        self.simplices = [list(map(tuple, dim_list)) for dim_list in simplices_by_dim]
-        self.dimension = len(self.simplices) - 1
+        self._rows = [_row_array(dim_list, k) for k, dim_list in enumerate(simplices_by_dim)]
+        self.dimension = len(self._rows) - 1
         self.orientation = dict(orientation)
         self.labels = dict(labels)
         self.tree = frozenset(tree)
         self.coordinates = dict(coordinates) if coordinates else None
         self.name = name
-        self._index = [dict(zip(dim_list, itertools.count()))
-                       for dim_list in self.simplices]
         self._check_basic_shape()
 
     # -- basic structure ----------------------------------------------------
 
     def _check_basic_shape(self):
-        if not self.simplices or len(self.simplices[0]) != len(self.vertices):
+        import numpy as np
+        if not self._rows or len(self._rows[0]) != len(self.vertices):
             raise InputError("dimension 0 must enumerate all vertices")
-        for k, dim_list in enumerate(self.simplices):
-            # a dimension passes when all its simplices have k + 1 vertices
-            # and each column of vertex ids is below the next; otherwise the
-            # first offender is named
-            if {*map(len, dim_list)} <= {k + 1} and all(
-                    all(map(operator.lt, map(operator.itemgetter(j), dim_list),
-                            map(operator.itemgetter(j + 1), dim_list))) for j in range(k)):
-                continue
-            for s in dim_list:
-                if len(s) != k + 1:
-                    raise InputError(f"simplex {s} listed in dimension {k}")
-                if list(s) != sorted(set(s)):
-                    raise InputError(f"simplex {s} is not an ascending vertex tuple")
-        if len(set(self.simplices[0])) != len(self.vertices):
-            raise InputError("duplicate vertices in dimension 0")
+        for k, rows in enumerate(self._rows):
+            # each column of vertex ids below the next; otherwise the first
+            # offender is named
+            descents = (rows[:, :-1] >= rows[:, 1:]).any(axis=1)
+            if descents.any():
+                raise _malformed_simplex(tuple(rows[descents.argmax()].tolist()), k)
+            # unique rows keep every lookup one-to-one
+            keys = _row_keys(rows)
+            ordered = np.sort(keys)
+            twice = ordered[1:][ordered[1:] == ordered[:-1]]
+            if len(twice):
+                s = tuple(rows[(keys == twice[0]).argmax()].tolist())
+                raise InputError(f"simplex {s} is listed twice in dimension {k}")
+            rows.setflags(write=False)
+
+    @functools.cached_property
+    def simplices(self) -> list:
+        """``simplices[k]``: the k-simplices as ascending vertex-id tuples."""
+        return [list(map(tuple, rows.tolist())) for rows in self._rows]
+
+    @functools.cached_property
+    def _index(self) -> list:
+        """``_index[k]``: k-simplex tuple -> id."""
+        return [dict(zip(dim_list, itertools.count())) for dim_list in self.simplices]
 
     def count(self, k: int) -> int:
-        return len(self.simplices[k]) if 0 <= k <= self.dimension else 0
+        return len(self._rows[k]) if 0 <= k <= self.dimension else 0
 
     def cells(self, k: int):
         return range(self.count(k))
@@ -257,9 +270,14 @@ class QuotientComplex:
                 raise InputError(f"malformed complex document: 'dimension' {n} "
                                  f"is not between 0 and the vertex count minus 1")
             by_dim = _entry(doc, "simplices", dict)
+            dims = [str(k) for k in range(n + 1)]
+            for key in by_dim:
+                if key not in dims:
+                    raise InputError(f"malformed complex document: 'simplices' key {key!r} "
+                                     f"is not a dimension from '0' to '{n}'")
             simplices = []
-            for k in range(n + 1):
-                rows = by_dim.get(str(k), [])
+            for key in dims:
+                rows = by_dim.get(key, [])
                 dim_list = []
                 for row in rows:
                     ids = tuple(vid[x] for x in row)
@@ -273,14 +291,18 @@ class QuotientComplex:
             # keys referencing absent simplices are dropped here; the
             # validator reports the underlying missing faces/labels
             edges = c._index[1] if n >= 1 else {}
+            tops = c._index[n]
             orientation = {}
             for key, sign in _entry(doc, "orientation", dict, {}).items():
+                if isinstance(sign, bool):
+                    raise InputError(f"malformed complex document: the 'orientation' sign "
+                                     f"of {key!r} must be +1 or -1, not a boolean")
                 parts = tuple(vid[x] for x in key.split("|"))
-                if parts in c._index[n]:
-                    orientation[c._index[n][parts]] = integer_value(sign)
+                if parts in tops:
+                    orientation[tops[parts]] = integer_value(sign)
             labels = {}
             for key, word in _entry(doc, "labels", dict, {}).items():
-                a, b = (vid[x] for x in key.split("|"))
+                a, b = _edge_key(vid, "labels", key)
                 if not isinstance(word, str):
                     raise InputError(f"malformed complex document: the label of "
                                      f"'labels' edge {key!r} must be a word string")
@@ -295,7 +317,7 @@ class QuotientComplex:
                 if not isinstance(key, str):
                     raise InputError("malformed complex document: 'tree' must list "
                                      "edges as 'u|v' strings")
-                a, b = sorted(vid[x] for x in key.split("|"))
+                a, b = sorted(_edge_key(vid, "tree", key))
                 if (a, b) in edges:
                     tree.add(edges[(a, b)])
             coords = None
@@ -328,8 +350,101 @@ def _entry(doc: dict, key: str, kind: type, default=None):
     return value
 
 
+def _edge_key(vid: dict, key: str, edge: str):
+    """The vertex ids of a ``'u|v'`` edge key of entry ``key``."""
+    parts = edge.split("|")
+    if len(parts) != 2:
+        raise InputError(f"malformed complex document: {key!r} edge {edge!r} must "
+                         "name two vertices as 'u|v'")
+    return vid[parts[0]], vid[parts[1]]
+
+
 def _parse_fraction(text) -> Fraction:
     return Fraction(str(text))
+
+
+# ---------------------------------------------------------------------------
+# Integer rows
+
+
+def _row_array(simplices, k: int):
+    """The k-simplices as an ``(N, k + 1)`` int64 array; a ragged list names
+    its first simplex of the wrong length or order."""
+    import numpy as np
+    if isinstance(simplices, np.ndarray):
+        return simplices.astype(np.int64, copy=False).reshape(len(simplices), k + 1)
+    simplices = list(simplices)
+    if {*map(len, simplices)} <= {k + 1}:
+        return np.array(simplices, np.int64).reshape(len(simplices), k + 1)
+    raise _malformed_simplex(next(s for s in simplices
+                                  if len(s) != k + 1 or list(s) != sorted(set(s))), k)
+
+
+def _malformed_simplex(s, k: int) -> InputError:
+    if len(s) != k + 1:
+        return InputError(f"simplex {s} listed in dimension {k}")
+    return InputError(f"simplex {s} is not an ascending vertex tuple")
+
+
+_KEY_LIMIT = 2 ** 62
+
+
+def _row_keys(rows):
+    """One int64 key per row of an integer array, equal exactly when the
+    rows are equal, for any ids.
+
+    Columns are folded in one at a time as ``key * width + column``, with
+    ``width`` one above the largest id.  Negative or very large ids are
+    first replaced by their ranks among all ids (below the entry count),
+    and before a fold that could reach ``_KEY_LIMIT`` the keys are re-ranked
+    by ``np.unique`` (below the row count), so no key ever overflows.
+    """
+    import numpy as np
+    if not rows.size:
+        return np.zeros(len(rows), np.int64)
+    if rows.min() < 0 or int(rows.max()) >= _KEY_LIMIT // rows.size:
+        rows = np.unique(rows, return_inverse=True)[1].reshape(rows.shape)
+    width = int(rows.max()) + 1
+    keys, bound = rows[:, 0], width
+    for col in rows.T[1:]:
+        if bound * width > _KEY_LIMIT:
+            keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
+            bound = int(keys.max()) + 1
+        keys = keys * width + col
+        bound *= width
+    return keys
+
+
+def _row_ids(table, rows):
+    """Position in ``table`` (distinct rows) of each row of ``rows``; -1
+    where a row is not in the table."""
+    import numpy as np
+    if not len(table):
+        return np.full(len(rows), -1, np.int64)
+    keys = _row_keys(np.concatenate([table, rows]))
+    known, asked = keys[:len(table)], keys[len(table):]
+    order = known.argsort(kind="stable")
+    at = order[np.minimum(known.searchsorted(asked, sorter=order), len(table) - 1)]
+    return np.where(known[at] == asked, at, -1)
+
+
+def _face_ids(q: QuotientComplex, k: int, positions):
+    """``(N_k, len(positions))`` ids of the faces of every k-simplex on each
+    tuple of vertex positions, -1 where a face is missing.  Faces are looked
+    up in one block per position tuple, which keeps each block close to
+    sorted and the search fast."""
+    rows = q._rows[k]
+    faces = rows[:, positions].transpose(1, 0, 2).reshape(-1, len(positions[0]))
+    found = _row_ids(q._rows[len(positions[0]) - 1], faces)
+    return found.reshape(len(positions), len(rows)).T
+
+
+def _label_ids(labels: list):
+    """``(ids, index)``: ``index`` maps each distinct label to its id, in
+    order of first appearance, and ``ids`` holds one id per label."""
+    import numpy as np
+    index = dict(zip(dict.fromkeys(labels), itertools.count()))
+    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), index
 
 
 # ---------------------------------------------------------------------------
@@ -338,42 +453,42 @@ def _parse_fraction(text) -> Fraction:
 
 def validate_quotient(q: QuotientComplex) -> ValidationReport:
     """Check the pseudomanifold, orientation, cocycle and complex conditions."""
+    import numpy as np
     report = ValidationReport()
     n = q.dimension
 
-    # simplicial-complex condition: all faces present.  facets[k][j] holds,
-    # per k-simplex, the id of its facet that omits position j (None when
-    # that face is missing); the checks below read these ids
-    facets = [[]]
+    def simplex(k, idx):
+        return tuple(q._rows[k][idx].tolist())
+
+    # simplicial-complex condition: all faces present.  facets[k][i, j] is
+    # the id of the facet of k-simplex i that omits position j, -1 when that
+    # face is missing; the checks below read these ids
+    facets = [None]
     for k in range(1, n + 1):
-        cols = [list(map(operator.itemgetter(j), q.simplices[k])) for j in range(k + 1)]
-        get = q._index[k - 1].get
-        facets.append([list(map(get, zip(*cols[:j], *cols[j + 1:])))
-                       for j in range(k + 1)])
-        if any(None in col for col in facets[k]):
-            for idx, s in enumerate(q.simplices[k]):
-                for j in range(k + 1):
-                    if facets[k][j][idx] is None:
-                        report.add("simplicial-complex condition",
-                                   f"face {s[:j] + s[j + 1:]} of {s} is missing")
+        facets.append(_face_ids(q, k, [[p for p in range(k + 1) if p != j]
+                                       for j in range(k + 1)]))
+        for idx, j in zip(*(a.tolist() for a in np.nonzero(facets[k] < 0))):
+            s = simplex(k, idx)
+            report.add("simplicial-complex condition",
+                       f"face {s[:j] + s[j + 1:]} of {s} is missing")
 
     # labels present on every edge, tree normalized
-    for idx in q.cells(1):
-        if idx not in q.labels:
-            report.add("label condition", f"edge {q.simplex(1, idx)} has no label")
-    for idx in q.tree:
-        if q.labels.get(idx) != q.group.identity():
-            report.add("tree condition",
-                       f"tree edge {q.simplex(1, idx)} has a non-identity label")
-    if q.tree:
-        if len(q.tree) != len(q.vertices) - 1:
+    labels = q.labels
+    for idx in itertools.filterfalse(labels.__contains__, q.cells(1)):
+        report.add("label condition", f"edge {simplex(1, idx)} has no label")
+    tree = list(q.tree)
+    ends = dict(zip(tree, map(tuple, q._rows[1][tree].tolist()))) if tree else {}
+    for idx in tree:
+        if labels.get(idx) != q.group.identity():
+            report.add("tree condition", f"tree edge {ends[idx]} has a non-identity label")
+    if tree:
+        if len(tree) != len(q.vertices) - 1:
             report.add("tree condition", "tree edge count is not |V| - 1")
         seen = {0}
         changed = True
         while changed:
             changed = False
-            for idx in q.tree:
-                u, v = q.simplex(1, idx)
+            for u, v in ends.values():
                 if (u in seen) != (v in seen):
                     seen |= {u, v}
                     changed = True
@@ -381,42 +496,40 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
             report.add("tree condition", "tree does not span the vertex set")
 
     # cocycle condition on 2-simplices (a, b, c), whose facets omitting
-    # positions 0, 1, 2 are bc, ac, ab; few distinct label pairs occur, so
-    # each product is computed once
+    # positions 0, 1, 2 are bc, ac, ab: label(ab) * label(bc) = label(ac).
+    # Few distinct label pairs occur, so each product is computed once
     if n >= 2 and not report.kinds() & {"label condition", "simplicial-complex condition"}:
-        multiply = functools.cache(q.group.multiply)
-        labels = q.labels
-        for s, bc, ac, ab in zip(q.simplices[2], *facets[2]):
-            if multiply(labels[ab], labels[bc]) != labels[ac]:
-                report.add("cocycle condition",
-                           f"labels around 2-simplex {s} do not compose")
+        ids, index = _label_ids(list(map(labels.__getitem__, q.cells(1))))
+        distinct, d = list(index), len(index)
+        bc, ac, ab = (ids[col] for col in facets[2].T)
+        pairs, which = np.unique(ab * d + bc, return_inverse=True)
+        products = [index.get(q.group.multiply(distinct[p // d], distinct[p % d]), -1)
+                    for p in pairs.tolist()]
+        for idx in (np.array(products, np.int64)[which] != ac).nonzero()[0].tolist():
+            report.add("cocycle condition",
+                       f"labels around 2-simplex {simplex(2, idx)} do not compose")
 
     # pseudomanifold + orientation coherence: per facet id, the number of
     # oriented top simplices on it and the sum of their induced signs (no
     # label lookups, so this also runs on otherwise-broken documents)
     if n >= 1:
-        faces = q.simplices[n - 1]
-        count, total = [0] * len(faces), [0] * len(faces)
-        signs = [q.orientation.get(idx) for idx in q.cells(n)]
-        for s, sign in zip(q.simplices[n], signs):
-            if sign not in (1, -1):
-                report.add("orientation data",
-                           f"top simplex {s} has no +1/-1 orientation sign")
-        signs = [sign if sign in (1, -1) else 0 for sign in signs]
-        for j, col in enumerate(facets[n]):
-            step = (-1) ** j
-            for f, sign in zip(col, signs):
-                if sign and f is not None:
-                    count[f] += 1
-                    total[f] += sign * step
-        # a face listed twice shares the id of its last listing
-        for face, f in zip(faces, map(q._index[n - 1].__getitem__, faces)):
+        signs = np.array([sign if sign in (1, -1) else 0
+                          for sign in map(q.orientation.get, q.cells(n))], np.int64)
+        for idx in (signs == 0).nonzero()[0].tolist():
+            report.add("orientation data",
+                       f"top simplex {simplex(n, idx)} has no +1/-1 orientation sign")
+        on = (signs != 0)[:, None] & (facets[n] >= 0)
+        induced = signs[:, None] * (-1) ** np.arange(n + 1)
+        count = np.bincount(facets[n][on], minlength=q.count(n - 1))
+        total = np.bincount(facets[n][on], weights=induced[on], minlength=q.count(n - 1))
+        for f in ((count != 2) | (total != 0)).nonzero()[0].tolist():
             if count[f] != 2:
                 report.add("pseudomanifold condition",
-                           f"face {face} lies in {count[f]} top simplices (expected 2)")
-            elif total[f] != 0:
+                           f"face {simplex(n - 1, f)} lies in {count[f]} top simplices "
+                           "(expected 2)")
+            else:
                 report.add("orientation coherence",
-                           f"induced orientations on face {face} agree "
+                           f"induced orientations on face {simplex(n - 1, f)} agree "
                            "instead of being opposite")
     return report
 
@@ -565,14 +678,15 @@ class Subdivision:
 
     ``complex`` is the subdivided quotient; ``cell_vertex[k][idx]`` is the
     new vertex id of the barycenter of the last subdivision's old cell.
-    ``levels`` holds one chain map per subdivision, first to last, and
-    ``chain_map[k]`` sends an original k-simplex index to its chain in the
-    new complex as a list of ``(new_index, coefficient)`` pairs.  For one
-    subdivision the chain of s has one term per full flag
-    v_0 < e_1 < ... < s (one cell of each dimension), whose coefficient is
-    the sign of the order in which the flag adds the vertices of s; the
-    maps of iterated subdivisions are composed when ``chain_map`` is first
-    read, so a caller that reads only ``complex`` never composes them.
+    ``levels`` holds one chain map per subdivision, first to last, as arrays
+    (see :func:`_subdivide_once`), and ``chain_map[k]`` sends an original
+    k-simplex index to its chain in the new complex as a list of
+    ``(new_index, coefficient)`` pairs.  For one subdivision the chain of s
+    has one term per full flag v_0 < e_1 < ... < s (one cell of each
+    dimension), whose coefficient is the sign of the order in which the flag
+    adds the vertices of s; the levels become dicts and are composed when
+    ``chain_map`` is first read, so a caller that reads only ``complex``
+    never builds them.
     """
 
     complex: QuotientComplex
@@ -581,7 +695,7 @@ class Subdivision:
 
     @functools.cached_property
     def chain_map(self) -> list:
-        return functools.reduce(_compose_chain_maps, self.levels)
+        return functools.reduce(_compose_chain_maps, map(_chain_map_tables, self.levels))
 
 
 SUBDIVISION_BUDGET = 3
@@ -616,9 +730,19 @@ def barycentric_subdivide(q: QuotientComplex, times: int = 1) -> Subdivision:
         raise InputError("subdivision needs a complex of dimension at least 1")
     levels = []
     for _ in range(times):
-        q, cell_vertex, chain_map = _subdivide_once(q)
-        levels.append(chain_map)
+        q, cell_vertex, level = _subdivide_once(q)
+        levels.append(level)
     return Subdivision(q, cell_vertex, levels)
+
+
+def _chain_map_tables(level):
+    """One level's chain map as ``{old index: [(new index, coefficient)]}``
+    per dimension, from its ``(bounds, rows, coefficients)`` arrays."""
+    tables = []
+    for bounds, rows, coefs in level:
+        bounds, terms = bounds.tolist(), list(zip(rows.tolist(), coefs.tolist()))
+        tables.append({idx: terms[a:b] for idx, (a, b) in enumerate(zip(bounds, bounds[1:]))})
+    return tables
 
 
 def _compose_chain_maps(first, second):
@@ -637,78 +761,109 @@ def _compose_chain_maps(first, second):
 
 def _subdivide_once(q: QuotientComplex):
     """One barycentric subdivision, read off the flag table of ``q``:
-    ``(complex, cell_vertex, chain_map)`` as in :class:`Subdivision`.
+    ``(complex, cell_vertex, level)``, where ``level[k]`` is the chain map
+    of dimension k as arrays ``(bounds, rows, coefficients)``: old k-cell
+    idx goes to the new rows ``rows[bounds[idx]:bounds[idx + 1]]``.
 
     The barycenter of old k-cell ``idx`` is new vertex ``offset[k] + idx``,
     so a face always has a smaller id than its cofaces and a flag is an
-    ascending tuple of ids.  Extending every flag by the proper cofaces of
+    ascending row of ids.  Extending every flag by the proper cofaces of
     its last cell, in ascending id, lists each dimension's simplices in
     lexicographic order.  A flag that gains one vertex per step from a
     vertex up to a k-cell is a full flag of that cell; its sign is the sign
-    of the order in which it adds the cell's vertices, accumulated one step
-    at a time.
+    of the order in which it adds the cell's vertices, the product of its
+    step signs.
     """
+    import numpy as np
     n = q.dimension
     group = q.group
     offset = list(itertools.accumulate(map(q.count, range(n + 1)), initial=0))
-    names = [q.vertex_name(s[0]) for s in q.simplices[0]]
-    names += ["(" + "+".join(map(q.vertex_name, s)) + ")"
-              for k in range(1, n + 1) for s in q.simplices[k]]
+    name = q.vertices.__getitem__
+    names = list(map(name, q._rows[0][:, 0].tolist()))
+    for rows in q._rows[1:]:
+        names += ["(" + "+".join(map(name, s)) + ")" for s in rows.tolist()]
 
-    # cofaces[c]: (coface id, step sign, label of the new edge c -> coface).
-    # When c is the facet of a k-cell that omits the vertex at position j,
-    # that vertex comes after k - j of the facet's vertices, so the step
-    # sign is (-1)^(k - j); combinations() omit positions k, k-1, ..., 0
-    # in turn, so it is (-1)^t for the t-th facet.  The step sign is 0 for
-    # a face of lower dimension.  The edge from the barycenter of tau to
-    # that of rho carries shift(rho, tau)^-1, which depends only on the
-    # first vertex of tau.
-    inverse = functools.cache(group.inverse)
-    edges = q._index[1]
-    ident = group.identity()
-    cofaces = [[] for _ in range(offset[-1])]
-    coords = None if q.coordinates is None else {}
+    # the coface table: one entry (face, coface, step sign, label id) per
+    # proper face of each old cell, for the new edge face -> coface.  When
+    # the face is the facet of a k-cell that omits the vertex at position j,
+    # that vertex comes after k - j of the facet's vertices, so the step sign
+    # is (-1)^(k - j); combinations() omit positions k, k-1, ..., 0 in turn,
+    # so it is (-1)^t for the t-th facet.  The step sign is 0 for a face of
+    # lower dimension.  The edge from the barycenter of tau to that of rho
+    # carries shift(rho, tau)^-1, the inverse label of the edge from the
+    # first vertex of rho to the first vertex of tau (the identity when they
+    # are the same vertex); ``back[:, p]`` holds its label id when tau
+    # starts at position p of rho.
+    old_ids, old_index = _label_ids(list(map(q.labels.__getitem__, q.cells(1))))
+    old_labels = list(old_index)
+    labels = [group.identity()] + list(map(group.inverse, old_labels))
+    entries = []
+    shifts = [np.zeros((q.count(0), 0), np.int64)]  # label ids of the edges (0, p)
+    for k in range(1, n + 1):
+        rows = q._rows[k]
+        combos = [list(itertools.combinations(range(k + 1), m + 1)) for m in range(k)]
+        faces = [_face_ids(q, k, c) for c in combos]
+        if any((f < 0).any() for f in faces):
+            raise InputError("subdivision needs a complex with every face present")
+        # the edges (0, p) are the first k pairs of positions
+        edges = faces[1][:, :k] if k > 1 else np.arange(len(rows))[:, None]
+        shifts.append(old_ids[edges])
+        back = np.concatenate([np.zeros((len(rows), 1), np.int64), 1 + shifts[k]], axis=1)
+        for m in range(k):
+            steps = [(-1) ** t if m == k - 1 else 0 for t in range(len(combos[m]))]
+            entries.append((offset[m] + faces[m],
+                            (offset[k] + np.arange(len(rows))).repeat(len(steps)),
+                            np.tile(steps, len(rows)),
+                            back[:, [c[0] for c in combos[m]]]))
+    face, coface, step, label = (np.concatenate([e[i].ravel() for e in entries])
+                                 for i in range(4))
+    order = np.lexsort((coface, face))
+    coface, step, label = coface[order], step[order], label[order]
+    start = np.concatenate([[0], np.bincount(face, minlength=offset[-1]).cumsum()])
+
+    # each flag level extends every flag by the coface entries of its last
+    # cell; level 0 is every cell, and only the vertices start full flags
+    rows = np.arange(offset[-1])[:, None]
+    signs = (rows[:, 0] < offset[1]).astype(np.int64)
+    simplices_by_dim, level = [], []
     for k in range(n + 1):
-        for idx, s in enumerate(q.simplices[k]):
-            r = offset[k] + idx
-            shifts = [ident] + [q.labels[edges[s[0], v]] for v in s[1:]]
-            if coords is not None:
-                pts = [[Fraction(c) + w for c, w in
-                        zip(q.coordinates[v], q.translation_vector(g))]
-                       for v, g in zip(s, shifts)]
-                coords[r] = tuple(sum(col) / Fraction(k + 1) for col in zip(*pts))
-            back = dict(zip(s, map(inverse, shifts)))
-            for m in range(k):
-                faces = q._index[m]
-                for t, f in enumerate(itertools.combinations(s, m + 1)):
-                    step = (-1) ** t if m == k - 1 else 0
-                    cofaces[offset[m] + faces[f]].append((r, step, back[f[0]]))
-
-    # full[c]: (row, sign) of every full flag ending at cell c
-    rows = [(c,) for c in range(offset[-1])]
-    signs = [1] * offset[1] + [0] * (offset[-1] - offset[1])
-    full = [[(c, 1)] if c < offset[1] else [] for c in range(offset[-1])]
-    simplices_by_dim = [rows]
-    for _ in range(n):
-        longer, longer_signs = [], []
-        for flag, sign in zip(rows, signs):
-            for r, step, _ in cofaces[flag[-1]]:
-                if sign * step:
-                    full[r].append((len(longer), sign * step))
-                longer.append(flag + (r,))
-                longer_signs.append(sign * step)
-        rows, signs = longer, longer_signs
+        if k:
+            first = start[rows[:, -1]]
+            width = start[rows[:, -1] + 1] - first
+            parent = np.repeat(np.arange(len(rows)), width)
+            # entry first[p] + i for the i-th extension of flag p
+            entry = np.arange(len(parent)) + np.repeat(first - width.cumsum() + width, width)
+            rows = np.concatenate([rows[parent], coface[entry][:, None]], axis=1)
+            signs = signs[parent] * step[entry]
         simplices_by_dim.append(rows)
-    chain_map = [{idx: full[offset[k] + idx] for idx in q.cells(k)}
-                 for k in range(n + 1)]
+        # the full flags of old k-cells, grouped by cell and in row order
+        full = signs.nonzero()[0]
+        cell = rows[full, -1] - offset[k]
+        by_cell = cell.argsort(kind="stable")
+        bounds = np.concatenate([[0], np.bincount(cell, minlength=q.count(k)).cumsum()])
+        level.append((bounds, full[by_cell], signs[full[by_cell]]))
 
+    coords = None
+    if q.coordinates is not None:
+        # the barycenter of each old cell, realized from its first vertex
+        coords = {}
+        for k in range(n + 1):
+            for r, s, ids in zip(itertools.count(offset[k]), q._rows[k].tolist(),
+                                 shifts[k].tolist()):
+                vecs = map(q.translation_vector, [group.identity()] + [old_labels[i] for i in ids])
+                pts = [[Fraction(c) + w for c, w in zip(q.coordinates[v], vec)]
+                       for v, vec in zip(s, vecs)]
+                coords[r] = tuple(sum(col) / Fraction(k + 1) for col in zip(*pts))
     new = QuotientComplex(group, names, simplices_by_dim, {}, {}, coordinates=coords,
                           name=(q.name + "^sd") if q.name else "")
-    new.labels = dict(enumerate(lbl for cof in cofaces for _, _, lbl in cof))
-    new.orientation = {row: q.orientation[idx] * c
-                       for idx in q.cells(n) for row, c in chain_map[n][idx]}
+    # new edge e is coface entry e: level 1 extends each cell in id order
+    new.labels = dict(enumerate(map(labels.__getitem__, label.tolist())))
+    bounds, tops, top_signs = level[n]
+    old_signs = np.array(list(map(q.orientation.__getitem__, q.cells(n))), np.int64)
+    new.orientation = dict(zip(tops.tolist(),
+                               (old_signs[rows[tops, -1] - offset[n]] * top_signs).tolist()))
     cell_vertex = [list(range(offset[k], offset[k + 1])) for k in range(n + 1)]
-    return new, cell_vertex, chain_map
+    return new, cell_vertex, level
 
 
 def gauge_normalize(q: QuotientComplex) -> QuotientComplex:
@@ -742,6 +897,6 @@ def gauge_normalize(q: QuotientComplex) -> QuotientComplex:
     for eidx, (u, v) in enumerate(q.simplices[1]):
         labels[eidx] = group.multiply(
             group.multiply(h[u], q.labels[eidx]), group.inverse(h[v]))
-    out = QuotientComplex(group, q.vertices, q.simplices, q.orientation,
+    out = QuotientComplex(group, q.vertices, q._rows, q.orientation,
                           labels, tree, None, name=q.name)
     return out

@@ -23,6 +23,18 @@ from .errors import InputError, InternalError
 from .groups import FreeAbelianGroup, SurfaceGroup, trivial_group
 
 
+# The deck group of each shipped complex, which its builder uses, so that a
+# command reading only the group needs no complex (and no numpy).
+FIXTURE_GROUPS = {
+    "tetrahedron": trivial_group,
+    "octahedron": trivial_group,
+    "torus": functools.partial(FreeAbelianGroup, 2),
+    "csaszar": trivial_group,
+    "klein": trivial_group,
+    "genus2": functools.partial(SurfaceGroup, 2),
+}
+
+
 def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair=None,
                             coordinates=None, name=""):
     """Assemble a 2-dimensional quotient complex from oriented triangles.
@@ -99,7 +111,7 @@ def _identity_spanning_tree(q: QuotientComplex):
 
 def tetrahedron_sphere() -> QuotientComplex:
     """Boundary of the regular tetrahedron, realized in R^3, trivial deck."""
-    group = trivial_group()
+    group = FIXTURE_GROUPS["tetrahedron"]()
     names = ["p0", "p1", "p2", "p3"]
     coords = {
         0: (Fraction(1), Fraction(1), Fraction(1)),
@@ -116,7 +128,7 @@ def tetrahedron_sphere() -> QuotientComplex:
 
 def octahedron_sphere() -> QuotientComplex:
     """Boundary of the octahedron with vertices +-e_i, trivial deck."""
-    group = trivial_group()
+    group = FIXTURE_GROUPS["octahedron"]()
     names = ["px", "py", "pz", "mx", "my", "mz"]
     e = Fraction(1)
     z = Fraction(0)
@@ -150,7 +162,7 @@ def torus_grid(m: int = 3, offset=TORUS_OFFSET) -> QuotientComplex:
     """
     if m < 3:
         raise InputError("grid tori need m >= 3 to be simplicial")
-    group = FreeAbelianGroup(2)
+    group = FIXTURE_GROUPS["torus"]()
     ox, oy = Fraction(offset[0]), Fraction(offset[1])
     names = [f"v{i}{j}" for i in range(m) for j in range(m)]
     coords = {i * m + j: (Fraction(i, m) + ox, Fraction(j, m) + oy)
@@ -188,7 +200,7 @@ def torus_grid(m: int = 3, offset=TORUS_OFFSET) -> QuotientComplex:
 
 def csaszar_torus() -> QuotientComplex:
     """The 7-vertex torus triangulation (cyclic construction), trivial deck."""
-    group = trivial_group()
+    group = FIXTURE_GROUPS["csaszar"]()
     names = [f"w{i}" for i in range(7)]
     triangles = []
     for i in range(7):
@@ -206,7 +218,7 @@ def klein_grid(m: int = 3) -> QuotientComplex:
     coherent orientation exists.  Orientation signs are all +1, which the
     validator reports as incoherent.
     """
-    group = trivial_group()
+    group = FIXTURE_GROUPS["klein"]()
     names = [f"k{i}{j}" for i in range(m) for j in range(m)]
 
     def vid(i, j):
@@ -246,7 +258,7 @@ def genus2_surface() -> QuotientComplex:
     edge label is then tail^-1 * head.  The identified complex is
     simplicial with (V, E, F) = (46, 144, 96).
     """
-    group = SurfaceGroup(2)
+    group = FIXTURE_GROUPS["genus2"]()
     A, B, C, D = (group.element_of([i]) for i in (1, 2, 3, 4))
     side_letters = [A, B, group.inverse(A), group.inverse(B),
                     C, D, group.inverse(C), group.inverse(D)]

@@ -31,6 +31,11 @@ def _digest(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
+def _chain_map_document(chain_map):
+    return [{str(k): [[i, c] for i, c in terms] for k, terms in sorted(table.items())}
+            for table in chain_map]
+
+
 def _simplex_boundary(n: int) -> QuotientComplex:
     """The boundary of the (n+1)-simplex, an n-sphere over the trivial deck."""
     group = trivial_group()
@@ -113,11 +118,6 @@ class TestValidation:
             [("pseudomanifold condition", "face (0, 1) lies in 3 top simplices (expected 2)"),
              ("pseudomanifold condition", "face (0, 46) lies in 1 top simplices (expected 2)"),
              ("pseudomanifold condition", "face (1, 46) lies in 1 top simplices (expected 2)")]),
-        # the second listing takes the edge's id, and the first is unlabelled;
-        # both listings count the same two triangles
-        "duplicate-edge": (
-            lambda d: d["simplices"]["1"].append(["cell0", "cell19"]),
-            [("label condition", "edge (0, 1) has no label")]),
         "incoherent": (
             lambda d: d["orientation"].update({"cell0|cell19|cell49": -1}),
             [("orientation coherence", "induced orientations on face (0, 1) agree "
@@ -136,6 +136,24 @@ class TestValidation:
         mutate(doc)
         report = validate_quotient(QuotientComplex.from_document(doc))
         assert [(v["kind"], v["detail"]) for v in report.violations] == expected
+
+    # a simplex listed twice is refused by the constructor, so every
+    # simplex has one id
+    DUPLICATES = {
+        "duplicate-edge": ("genus2", 1, ["cell0", "cell19"],
+                           "simplex (0, 1) is listed twice in dimension 1"),
+        "duplicate-top": ("octahedron", 2, ["px", "py", "pz"],
+                          "simplex (0, 1, 2) is listed twice in dimension 2"),
+    }
+
+    @pytest.mark.parametrize("defect", list(DUPLICATES))
+    def test_duplicate_simplex_is_refused(self, defect):
+        name, k, row, message = self.DUPLICATES[defect]
+        doc = fixture_complex(name).to_document()
+        assert row in doc["simplices"][str(k)]
+        doc["simplices"][str(k)].append(row)
+        with pytest.raises(InputError, match=re.escape(message)):
+            QuotientComplex.from_document(doc)
 
     def test_klein_orientation_incoherent(self):
         report = validate_quotient(klein_grid())
@@ -351,9 +369,28 @@ class TestSubdivision:
         doc = barycentric_subdivide(fixture_complex("genus2"), 3).complex.to_document()
         assert _digest(doc) == self.GENUS2_SD3
         chain_map = barycentric_subdivide(fixture_complex("octahedron"), 2).chain_map
-        assert _digest([{str(k): [[i, c] for i, c in terms]
-                         for k, terms in sorted(table.items())}
-                        for table in chain_map]) == self.OCTA_SD2_CHAIN_MAP
+        assert _digest(_chain_map_document(chain_map)) == self.OCTA_SD2_CHAIN_MAP
+
+    # (document, composed chain map) digests at times=2, pinned before the
+    # subdivision moved to integer arrays; the torus and the octahedron
+    # documents carry their coordinates
+    SD2_DIGESTS = {
+        "torus": ("79e21e904e5ca2fc1d9a8ae6fe15521239bdb8270593b69c547a6eab2e257d15",
+                  "d135324368373bebf79ba3bac5645ecf36fecf82a0e9e1664404798dff5054e0"),
+        "three-sphere": ("c109cafcd0f1865d93eb03bf11ad1cfa9fe5ebe122f607d824f6dd5afd2f1a5b",
+                         "9e687d96ee77f883d57c32ef4f946f1be04f85d92fa6157518e76ec7f18e7dce"),
+        "octahedron": ("39e2f3dbd0f2fec389dc544a893d2d5f98c4dcad2e5aa62ac2fc733ecf5b4fd7",
+                       "3ed7a2f6769245fd9ff1604c2a3dcf72908d70b0552ef0e325d09906927ef64d"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SD2_DIGESTS))
+    def test_twice_subdivided_output_pinned(self, name):
+        q = three_sphere() if name == "three-sphere" else fixture_complex(name)
+        sub = barycentric_subdivide(q, 2)
+        doc = sub.complex.to_document()
+        assert ("coordinates" in doc) == (name != "three-sphere")
+        assert (_digest(doc), _digest(_chain_map_document(sub.chain_map))) == \
+            self.SD2_DIGESTS[name]
 
     def test_corrupted_label_breaks_cocycle_after_subdivision(self):
         q = barycentric_subdivide(GENUS2, 2).complex

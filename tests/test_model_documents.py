@@ -150,6 +150,35 @@ def test_wrongly_typed_complex_entry_is_named(key, value, tmp_path, capsys):
     assert repr(key) in err
 
 
+# malformed keys of a complex document, each refused and named: a list of
+# 3-simplices in a dimension-2 document, label and tree keys naming three
+# vertices, and a JSON boolean as an orientation sign
+MALFORMED_KEYS = {
+    "simplices-above-dimension": (
+        lambda d: d["simplices"].update({"3": [["px", "py", "pz", "mx"]]}),
+        "'simplices' key '3'"),
+    "label-of-three-vertices": (
+        lambda d: d["labels"].update({"px|py|pz": ""}), "'labels' edge 'px|py|pz'"),
+    "tree-of-three-vertices": (
+        lambda d: d["tree"].append("px|py|pz"), "'tree' edge 'px|py|pz'"),
+    "boolean-orientation-sign": (
+        lambda d: d["orientation"].update({"px|py|pz": True}),
+        "'orientation' sign of 'px|py|pz'"),
+}
+
+
+@pytest.mark.parametrize("defect", list(MALFORMED_KEYS))
+def test_malformed_complex_key_is_named(defect, tmp_path, capsys):
+    mutate, named = MALFORMED_KEYS[defect]
+    doc = fixture_complex("octahedron").to_document()
+    assert doc["orientation"]["px|py|pz"] == 1 and doc["tree"]
+    mutate(doc)
+    assert _run("validate", doc, str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed complex document: ")
+    assert named in err
+
+
 def _fractional_orientation_sign():
     doc = fixture_complex("torus").to_document()
     key = sorted(doc["orientation"])[0]
