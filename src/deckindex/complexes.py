@@ -60,7 +60,8 @@ class QuotientComplex:
     group : MarkedGroup
         The deck group of the encoded covering.
     vertices : list of str
-        Vertex names; vertex ids are positions in this list.
+        Vertex names; vertex ids are positions in this list, and every
+        simplex uses ids from ``0`` to ``len(vertices) - 1``.
     simplices_by_dim : list
         ``simplices_by_dim[k]`` lists the k-simplices as ascending tuples
         of vertex ids, or holds them as an ``(N_k, k + 1)`` integer array.
@@ -95,9 +96,14 @@ class QuotientComplex:
 
     def _check_basic_shape(self):
         import numpy as np
-        if not self._rows or len(self._rows[0]) != len(self.vertices):
+        n = len(self.vertices)
+        if not self._rows or len(self._rows[0]) != n:
             raise InputError("dimension 0 must enumerate all vertices")
         for k, rows in enumerate(self._rows):
+            outside = (rows < 0) | (rows >= n)
+            if outside.any():
+                raise InputError(f"vertex id {int(rows[outside][0])} in dimension "
+                                 f"{k} is outside 0..{n - 1}")
             # each column of vertex ids below the next; otherwise the first
             # offender is named
             descents = (rows[:, :-1] >= rows[:, 1:]).any(axis=1)

@@ -54,6 +54,10 @@ degree of ``x - f(x)``, i.e. ``sign det(I - Df)``; for a field it is
 models and computed in exact rationals for affine pieces.  An affine
 piece yields a zero only when that zero is unique, so its chart is never
 degenerate.
+
+numpy is imported inside the float kernels (Newton search, bound and
+tameness sampling), so importing this module, or reading index data, does
+not load it.
 """
 
 from __future__ import annotations
@@ -64,8 +68,6 @@ import operator
 import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import numpy as np
 
 from . import exprs
 from .chains import ClassFunction, lefschetz_number_quotient
@@ -266,6 +268,7 @@ class AnalyticModel(ZeroTable):
         return self._numerics["j", key]
 
     def validate_bound(self, samples: int = 33) -> None:
+        import numpy as np
         axes = [np.linspace(0.0, 1.0, samples, endpoint=False)] * self.dim
         pts = np.array(list(itertools.product(*axes)))
         for key in [None] + list(range(len(self.overrides))):
@@ -298,6 +301,7 @@ class AnalyticModel(ZeroTable):
         return self._search_zeros(self.component_key(window, plain), window)
 
     def _search_zeros(self, key, window):
+        import numpy as np
         components, _ = self._component_set(key)
         base = np.array([float(x) for x in window])
         axes = [np.linspace(0.0, 1.0, self.grid, endpoint=False)
@@ -361,6 +365,7 @@ class AnalyticModel(ZeroTable):
 
     def norms_at(self, points: np.ndarray) -> np.ndarray:
         """Displacement/field norms at float samples, override-aware."""
+        import numpy as np
         windows = np.floor(points).astype(int)
         keys = np.full(len(points), -1)
         # the first override of a window wins, as in components_for_window
@@ -378,6 +383,7 @@ class AnalyticModel(ZeroTable):
 def _lockstep_newton(f, jf, starts):
     """Damped Newton from every start at once; returns, in start order, the
     final iterates of the starts that converged below residual 1e-13."""
+    import numpy as np
     x = starts.copy()
     fx = f(x)
     norm = np.abs(fx).max(axis=1)
@@ -410,6 +416,7 @@ def _lockstep_newton(f, jf, starts):
 
 def _stacked_solve(matrices, rhs):
     """Solve each system; singular systems are reported, not raised."""
+    import numpy as np
     try:
         return np.linalg.solve(matrices, rhs[..., None])[..., 0], \
             np.ones(len(rhs), dtype=bool)
@@ -429,6 +436,7 @@ def _dedup_on_torus(points, limit: int, tol: float = 1e-7):
 
     Returns None once more than ``limit`` representatives appear.
     """
+    import numpy as np
     unique = []
     rest = points
     while len(rest):
@@ -819,6 +827,7 @@ def _sample_norms(model, grid: int):
     Integer true division is correctly rounded, as ``float(Fraction)`` is,
     so every float equals the one of the exact rational.
     """
+    import numpy as np
     if isinstance(model, AnalyticModel):
         axes = [np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid] * model.dim
         pts = np.array(list(itertools.product(*axes)))
@@ -864,6 +873,7 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     suspiciously small.  Sampling is a documented heuristic; the zero set
     itself is exact wherever the model permits.
     """
+    import numpy as np
     cover = None
     try:
         if isinstance(model, AnalyticModel):

@@ -18,10 +18,11 @@ ints for the finite kind.  Words are sequences of signed integer tokens,
 string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
-A group's value is fixed at construction.  Two pieces of state are added
-later: the element of each signed generator, derived once on first use,
-and the largest :class:`IndexedBall` asked of the group, replaced only by a
-larger one.  Threads may share a group: a race can build a ball twice or
+A group's value is fixed at construction.  Two kinds of state are added
+later: token tables (the token of each name and the element of each
+signed generator), derived once on first use, and the largest
+:class:`IndexedBall` asked of the group, replaced only by a larger one.
+Threads may share a group: a race can build a ball twice or
 keep the smaller of two, but every ball handed out has at least the radius
 asked for.
 
@@ -37,6 +38,7 @@ their own keys, and their products are the kind's ``_append_token``.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
@@ -77,15 +79,24 @@ class MarkedGroup:
 
     # -- word <-> token plumbing ------------------------------------------
 
+    @cached_property
+    def _token_table(self) -> dict:
+        """Signed token of each name: ``x`` names generator x, ``-x`` its
+        inverse (so a name starting with ``-`` is read as an inverse only),
+        and the first of two equal names wins."""
+        table: dict = {}
+        for i, name in enumerate(self.generator_names, 1):
+            if not name.startswith("-"):
+                table.setdefault(name, i)
+            table.setdefault(f"-{name}", -i)
+        return table
+
     def token_of(self, name: str) -> Token:
-        inv = name.startswith("-")
-        base = name[1:] if inv else name
         try:
-            i = self.generator_names.index(base) + 1
-        except ValueError:
+            return self._token_table[name]
+        except KeyError:
             raise InputError(f"unknown generator symbol {name!r} "
                              f"(declared: {', '.join(self.generator_names)})")
-        return -i if inv else i
 
     def name_of(self, token: Token) -> str:
         base = self.generator_names[abs(token) - 1]
@@ -676,24 +687,8 @@ class FolnerScheme:
     def set_at(self, t: int) -> frozenset:
         raise NotImplementedError
 
-    def _collar(self, members: frozenset) -> set:
-        g = self.group
-        current = set(members)
-        collar: set = set()
-        for _ in range(self.radius):
-            nxt = set()
-            for x in current:
-                for tok in g._signed_tokens():
-                    y = g.multiply_token(x, tok)
-                    if y not in members and y not in collar:
-                        nxt.add(y)
-            collar |= nxt
-            current = nxt
-        return collar
-
     def ratio(self, t: int) -> Fraction:
-        members = self.set_at(t)
-        return Fraction(len(self._collar(members)), len(members))
+        raise NotImplementedError
 
 
 class BoxFolnerScheme(FolnerScheme):
@@ -708,18 +703,24 @@ class BoxFolnerScheme(FolnerScheme):
     def set_at(self, t: int) -> frozenset:
         if t < 1:
             raise InputError("scheme index must be >= 1")
-        k = self.group.rank
-        members = []
+        side = range(-t, t + 1)
+        return frozenset(itertools.product(side, repeat=self.group.rank))
 
-        def rec(prefix):
-            if len(prefix) == k:
-                members.append(tuple(prefix))
-                return
-            for v in range(-t, t + 1):
-                rec(prefix + [v])
-
-        rec([])
-        return frozenset(members)
+    def ratio(self, t: int) -> Fraction:
+        """Collar ratio counted from the word metric: the distance of x to
+        the box is its L1 excess sum(max(|x_i| - t, 0)).  Per coordinate,
+        2t + 1 values have excess 0 and two values have each positive
+        excess, so the counts by excess are a k-fold convolution over
+        0..radius, and the collar is every excess from 1 to radius."""
+        if t < 1:
+            raise InputError("scheme index must be >= 1")
+        r = self.radius
+        side = [2 * t + 1] + [2] * r
+        counts = [1] + [0] * r
+        for _ in range(self.group.rank):
+            counts = [sum(counts[j] * side[e - j] for j in range(e + 1))
+                      for e in range(r + 1)]
+        return Fraction(sum(counts[1:]), counts[0])
 
 
 class WholeGroupFolnerScheme(FolnerScheme):
@@ -732,11 +733,16 @@ class WholeGroupFolnerScheme(FolnerScheme):
     def set_at(self, t: int) -> frozenset:
         return frozenset(self.group.elements())
 
+    def ratio(self, t: int) -> Fraction:
+        return Fraction(0)
+
 
 def folner_average(scheme: FolnerScheme, f, t: int) -> Fraction:
-    """Exact average of a bounded class function over F_t."""
+    """Exact average over F_t of a bounded class function c + finite part:
+    c |F_t| plus the masses of the support that lie in F_t."""
     members = scheme.set_at(t)
-    total = sum(f.value(g) for g in members)
+    total = f.constant * len(members) + sum(
+        v for g, v in f.finite.items() if g in members)
     return Fraction(total, len(members))
 
 

@@ -19,6 +19,7 @@ boundary or the averages from scratch and compares exactly.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,18 +60,20 @@ def isoperimetric_probe(group: MarkedGroup, radii) -> list:
 
 class GraphChain:
     """Finitely supported integer 1-chain on the Cayley graph of a group;
-    edges keyed by ordered pairs of elements."""
+    edges keyed by ordered pairs of elements, each stored in the direction
+    of ascending shortlex key (computed once per element)."""
 
     def __init__(self, group: MarkedGroup):
         self.group = group
         self.edges: dict = {}
+        self._sort_key = functools.cache(group.sort_key)
 
     def add_edge(self, u, v, coeff: int):
         """Add coeff * (u -> v); the boundary of that unit is v - u."""
         if coeff == 0:
             return
         if (v, u) in self.edges or (u, v) not in self.edges and \
-                self.group.sort_key(v) < self.group.sort_key(u):
+                self._sort_key(v) < self._sort_key(u):
             u, v, coeff = v, u, -coeff
         self.edges[(u, v)] = self.edges.get((u, v), 0) + coeff
         if self.edges[(u, v)] == 0:
@@ -419,16 +422,16 @@ class ClassCertificate:
 
 
 def _chain_to_payload(group, chain: GraphChain):
-    return sorted(
-        [[group.format_element(u), group.format_element(v), c]
-         for (u, v), c in chain.edges.items()],
-        key=lambda row: (row[0], row[1]))
+    word = functools.cache(group.format_element)  # each element formatted once
+    return sorted([[word(u), word(v), c] for (u, v), c in chain.edges.items()],
+                  key=lambda row: (row[0], row[1]))
 
 
 def _payload_to_chain(group, rows) -> GraphChain:
+    parse = functools.cache(group.parse_word)  # each distinct word once
     chain = GraphChain(group)
     for u_word, v_word, coeff in rows:
-        chain.add_edge(group.parse_word(u_word), group.parse_word(v_word), int(coeff))
+        chain.add_edge(parse(u_word), parse(v_word), int(coeff))
     return chain
 
 

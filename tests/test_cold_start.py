@@ -1,6 +1,7 @@
 """Start-up loads only what a command runs: sympy and mpmath arrive with the
 first analytic expression, never with the CLI and pipeline modules, and the
-group commands (word arithmetic, balls and flows) load no numpy either.
+group commands (word arithmetic, balls and flows) and the index-data
+analyses load no numpy either.
 
 Each check runs in a fresh interpreter, since an earlier test in this
 process may already have imported sympy.
@@ -53,6 +54,17 @@ def test_group_commands_load_no_numpy_or_sympy():
     assert seen == {"import": [],
                     "amenability fixture:genus2 --radius 3": [0, []],
                     "decide-class fixture:free-cover-index": [0, []]}
+
+
+def test_index_data_analyses_load_no_numpy():
+    # the pipeline modules import numpy inside their float kernels, and an
+    # index-data document reaches none of them
+    seen = _probe(["map-analyze", "fixture:connected-sum-index"],
+                  ["field-analyze", "fixture:connected-sum-index"],
+                  watched=("mpmath", "numpy", "sympy"))
+    assert seen == {"import": [],
+                    "map-analyze fixture:connected-sum-index": [0, []],
+                    "field-analyze fixture:connected-sum-index": [0, []]}
 
 
 def test_exact_commands_never_load_sympy():

@@ -453,6 +453,19 @@ class TestDocuments:
         with pytest.raises(InputError, match=re.escape(message)):
             QuotientComplex(group, ["a", "b", "c"], [[(0,), (1,), (2,)], edges], {}, {})
 
+    def test_vertex_id_out_of_range_is_named(self):
+        # ids 0, 1 and 7 on three names: refused at construction, before
+        # subdivision would index the vertex-name list with 7
+        group = trivial_group()
+        triangle = [[(0,), (1,), (7,)], [(0, 1), (0, 7), (1, 7)], [(0, 1, 7)]]
+        with pytest.raises(InputError,
+                           match=re.escape("vertex id 7 in dimension 0 is outside 0..2")):
+            QuotientComplex(group, ["a", "b", "c"], triangle, {0: 1}, {})
+        with pytest.raises(InputError,
+                           match=re.escape("vertex id -1 in dimension 1 is outside 0..2")):
+            QuotientComplex(group, ["a", "b", "c"], [[(0,), (1,), (2,)], [(-1, 0)]],
+                            {}, {})
+
     def test_malformed_document(self):
         with pytest.raises(InputError):
             QuotientComplex.from_document({"dimension": 2})

@@ -39,6 +39,23 @@ def reference_ball(group, radius):
     return dist
 
 
+def bfs_collar(group, members, radius):
+    """Outer ``radius``-collar of a finite set, ``{x not in members :
+    d(x, members) <= radius}``, by BFS over generator moves."""
+    current = set(members)
+    collar = set()
+    for _ in range(radius):
+        nxt = set()
+        for x in current:
+            for t in group._signed_tokens():
+                y = group.multiply_token(x, t)
+                if y not in members and y not in collar:
+                    nxt.add(y)
+        collar |= nxt
+        current = nxt
+    return collar
+
+
 def growth_series(numerator, denominator, terms):
     """Leading coefficients of the power series numerator / denominator
     (coefficient lists, denominator[0] == 1)."""
@@ -389,6 +406,32 @@ class TestFolner:
             assert b < a
         for t, rho in zip(range(2, 9), ratios):
             assert rho <= Fraction(4, t)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_box_collar_count_matches_bfs(self, rank):
+        from fractions import Fraction
+        group = FreeAbelianGroup(rank)
+        for radius in (1, 2, 3):
+            scheme = group.folner_scheme(radius)
+            for t in range(1, 6):
+                box = scheme.set_at(t)
+                assert len(box) == (2 * t + 1) ** rank
+                assert all(max(map(abs, x)) <= t for x in box)
+                collar = bfs_collar(group, box, radius)
+                assert scheme.ratio(t) == Fraction(len(collar), len(box))
+
+    def test_average_reads_the_masses_inside_the_box(self):
+        from fractions import Fraction
+        Z3 = FreeAbelianGroup(3)
+        scheme = Z3.folner_scheme()
+        # masses inside and outside every box, and entries equal to 0
+        finite = {(0, 0, 0): 4, (2, 0, -1): -3, (1, 1, 1): 0, (5, 0, 0): 7,
+                  (0, -9, 2): -2, (6, 6, 6): 0}
+        f = _ConstPlusFinite(Z3, -2, finite)
+        for t in (1, 2, 3, 5, 6):
+            box = scheme.set_at(t)
+            assert folner_average(scheme, f, t) == \
+                Fraction(sum(f.value(g) for g in box), len(box))
 
     def test_whole_group_scheme_has_zero_ratio(self):
         scheme = C6.folner_scheme()

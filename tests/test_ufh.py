@@ -282,6 +282,39 @@ class TestVerifierRejectsTampering:
             "interior contains the support"}
 
 
+class TestVerifierReadsPayloadWords:
+    def test_non_reduced_vertex_word_verifies(self):
+        f = ClassFunction(Z2, 0, {(1, 1): 1, Z2.identity(): -1})
+        cert = decide_class(Z2, f)
+        assert cert.payload["chain"] == [["", "a", 1], ["a", "a b", 1]]
+        assert verify_certificate(cert)["verified"]
+        # one vertex under two spellings, and one under a non-reduced word
+        cert.payload["chain"] = [["", "a -a a", 1], ["a", "b a -b a -a b", 1]]
+        assert verify_certificate(cert) == cert.verifier_result
+
+    def test_non_reduced_word_on_free_group_verifies(self):
+        f = ClassFunction(F2, 0, {(2,): 1, F2.identity(): -1})
+        cert = ClassCertificate("zero-by-boundary", F2, f, payload={
+            "chain": [["", "b", 1]], "region_radius": 3, "interior_radius": 2,
+            "coefficient_bound": 1})
+        reduced = verify_certificate(cert)
+        assert reduced["verified"]
+        cert.payload["chain"] = [["", "a -a b", 1]]
+        assert verify_certificate(cert) == reduced
+
+    def test_edge_listed_twice_is_judged_on_its_sum(self):
+        f = ClassFunction(Z2, 0, {(1, 1): 2, Z2.identity(): -2})
+        cert = decide_class(Z2, f)
+        assert cert.payload["chain"] == [["", "a", 2], ["a", "a b", 2]]
+        # 3 (e -> a) plus 1 (a -> e) is 2 (e -> a)
+        cert.payload["chain"] = [["", "a", 3], ["a", "", 1], ["a", "a b", 2]]
+        assert verify_certificate(cert) == cert.verifier_result
+        # 2 (e -> a) plus 2 (a -> e) is no edge at all
+        cert.payload["chain"] = [["", "a", 2], ["a", "", 2], ["a", "a b", 2]]
+        assert _failed(verify_certificate(cert)) == {
+            "boundary equals function on interior"}
+
+
 def _failed(result):
     return {c["name"] for c in result["checks"] if not c["ok"]}
 
