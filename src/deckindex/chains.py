@@ -198,26 +198,11 @@ def coboundary(u: PeriodicCochain) -> PeriodicCochain:
                 eq[idx] = eq.get(idx, 0) + sign_global * fsign * a
     for (g, fidx), a in u.exceptional.items():
         # cofacets s with face f: deck of the cofacet solves g = h * shift
-        for idx in _cofacets(q, p, fidx):
-            for fidx2, fsign, shift in q.face_data(p + 1, idx):
-                if fidx2 != fidx:
-                    continue
-                h = group.multiply(g, group.inverse(shift))
-                key = (h, idx)
-                ex[key] = ex.get(key, 0) + sign_global * fsign * a
+        for idx, j in q.cofacets[p][fidx]:
+            _, fsign, shift = q.face_data(p + 1, idx)[j]
+            key = (group.multiply(g, group.inverse(shift)), idx)
+            ex[key] = ex.get(key, 0) + sign_global * fsign * a
     return PeriodicCochain(q, p + 1, eq, ex)
-
-
-def _cofacets(q: QuotientComplex, k: int, fidx: int):
-    if not hasattr(q, "_cofacet_table"):
-        q._cofacet_table = {}
-    if k not in q._cofacet_table:
-        table = {}
-        for idx in q.cells(k + 1):
-            for fidx2, _, _ in q.face_data(k + 1, idx):
-                table.setdefault(fidx2, []).append(idx)
-        q._cofacet_table[k] = table
-    return q._cofacet_table[k].get(fidx, [])
 
 
 def pair(u: PeriodicCochain, c: PeriodicChain) -> int:
@@ -432,13 +417,8 @@ class HomologyData:
 
 def _boundary_columns(q: QuotientComplex, k: int) -> list:
     """The k-th boundary of the quotient as sparse columns, one per k-cell."""
-    columns = []
-    for idx in q.cells(k):
-        col: dict = {}
-        for fidx, fsign, _ in q.face_data(k, idx):
-            col[fidx] = col.get(fidx, 0) + fsign
-        columns.append(_prune(col))
-    return columns
+    signs = [(-1) ** j for j in range(k + 1)]
+    return [dict(zip(q.facet_ids(k, idx), signs)) for idx in q.cells(k)]
 
 
 def boundary_matrix(q: QuotientComplex, k: int):

@@ -14,8 +14,17 @@ simplex is again ascending and the boundary coefficient is exactly
 ``(-1)**j``, which keeps all chain-level bookkeeping free of permutation
 parities.  ``simplices`` (ascending tuples) and the tuple -> id index are
 views of the arrays, built the first time they are read; validation and
-subdivision run on the arrays themselves.  numpy is imported inside the
-functions that use it, so importing this module does not load it.
+subdivision run on the arrays themselves.
+
+Incidence is one face table per complex: ``facets[k][i, j]`` is the id of
+the facet of k-simplex i that omits position j (-1 when it is missing),
+computed once from the rows, and ``cofacets`` is its transpose.
+Validation, face data, orientation, the fundamental domain, the chain
+boundaries and subdivision all read it.  Both depend only on the read-only
+rows; deck shifts are read from the current labels at call time, since
+labels, orientation and tree may be set after construction.  numpy is
+imported inside the functions that use it, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -128,6 +137,27 @@ class QuotientComplex:
         """``_index[k]``: k-simplex tuple -> id."""
         return [dict(zip(dim_list, itertools.count())) for dim_list in self.simplices]
 
+    @functools.cached_property
+    def facets(self) -> list:
+        """``facets[k][i, j]``: id of the facet of k-simplex i that omits
+        position j, -1 where that facet is missing (no columns for k = 0)."""
+        import numpy as np
+        return [np.zeros((self.count(0), 0), np.int64)] + [
+            _face_ids(self, k, [[p for p in range(k + 1) if p != j] for j in range(k + 1)])
+            for k in range(1, self.dimension + 1)]
+
+    @functools.cached_property
+    def cofacets(self) -> list:
+        """``cofacets[k][f]``: a pair ``(coface, j)`` for every (k+1)-simplex
+        whose facet omitting position j is the k-simplex f, in coface order."""
+        out = [[[] for _ in self.cells(k)] for k in range(self.dimension + 1)]
+        for k in range(1, self.dimension + 1):
+            for coface, row in enumerate(self.facets[k].tolist()):
+                for j, f in enumerate(row):
+                    if f >= 0:
+                        out[k - 1][f].append((coface, j))
+        return out
+
     def count(self, k: int) -> int:
         return len(self._rows[k]) if 0 <= k <= self.dimension else 0
 
@@ -168,14 +198,20 @@ class QuotientComplex:
             return self.group.identity()
         return self.edge_label(simplex[0], face[0])
 
+    def facet_ids(self, k: int, idx: int) -> list:
+        """Facet ids of a k-simplex by omitted position; a missing facet is
+        refused by name."""
+        row = self.facets[k][idx].tolist()
+        if -1 in row:
+            s, j = self.simplex(k, idx), row.index(-1)
+            raise InputError(f"simplex {s[:j] + s[j + 1:]} of dimension {k - 1} is not present")
+        return row
+
     def face_data(self, k: int, idx: int):
         """Faces of a k-simplex: list of (face_index, sign, deck_shift)."""
         s = self.simplex(k, idx)
-        out = []
-        for j in range(k + 1):
-            face = s[:j] + s[j + 1:]
-            out.append((self.index_of(k - 1, face), (-1) ** j, self.shift(s, face)))
-        return out
+        return [(f, (-1) ** j, self.shift(s, s[:j] + s[j + 1:]))
+                for j, f in enumerate(self.facet_ids(k, idx))]
 
     def subface_shift(self, k: int, idx: int, positions):
         """Face of a simplex spanned by the given vertex positions.
@@ -189,18 +225,6 @@ class QuotientComplex:
         return fk, self.index_of(fk, face), self.shift(s, face)
 
     # -- cover geometry --------------------------------------------------------
-
-    def top_cofaces(self, k: int, idx: int):
-        """Top-simplex indices containing a given k-simplex."""
-        if not hasattr(self, "_cofaces"):
-            cof = [dict() for _ in range(self.dimension + 1)]
-            n = self.dimension
-            for t, s in enumerate(self.simplices[n]):
-                for k2 in range(n + 1):
-                    for face in itertools.combinations(s, k2 + 1):
-                        cof[k2].setdefault(self.index_of(k2, face), []).append(t)
-            self._cofaces = cof
-        return self._cofaces[k].get(idx, [])
 
     def translation_vector(self, g):
         """Euclidean translation of a deck element, for Euclidean models."""
@@ -466,13 +490,10 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
     def simplex(k, idx):
         return tuple(q._rows[k][idx].tolist())
 
-    # simplicial-complex condition: all faces present.  facets[k][i, j] is
-    # the id of the facet of k-simplex i that omits position j, -1 when that
-    # face is missing; the checks below read these ids
-    facets = [None]
+    # simplicial-complex condition: all faces present, read off the face
+    # table; the checks below read its ids
+    facets = q.facets
     for k in range(1, n + 1):
-        facets.append(_face_ids(q, k, [[p for p in range(k + 1) if p != j]
-                                       for j in range(k + 1)]))
         for idx, j in zip(*(a.tolist() for a in np.nonzero(facets[k] < 0))):
             s = simplex(k, idx)
             report.add("simplicial-complex condition",
@@ -490,15 +511,7 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
     if tree:
         if len(tree) != len(q.vertices) - 1:
             report.add("tree condition", "tree edge count is not |V| - 1")
-        seen = {0}
-        changed = True
-        while changed:
-            changed = False
-            for u, v in ends.values():
-                if (u in seen) != (v in seen):
-                    seen |= {u, v}
-                    changed = True
-        if len(seen) != len(q.vertices):
+        if len(spanning_tree(q, tree)) != len(q.vertices) - 1:
             report.add("tree condition", "tree does not span the vertex set")
 
     # cocycle condition on 2-simplices (a, b, c), whose facets omitting
@@ -548,10 +561,7 @@ def orient_pseudomanifold(q: QuotientComplex) -> dict:
     shared faces in index order.
     """
     n = q.dimension
-    face_to_tops = {}
-    for idx in q.cells(n):
-        for fidx, fsign, _ in q.face_data(n, idx):
-            face_to_tops.setdefault(fidx, []).append((idx, fsign))
+    facets = [q.facet_ids(n, idx) for idx in q.cells(n)]
     signs = {}
     for seed in q.cells(n):
         if seed in signs:
@@ -560,15 +570,15 @@ def orient_pseudomanifold(q: QuotientComplex) -> dict:
         queue = [seed]
         while queue:
             idx = heapq.heappop(queue)
-            for fidx, fsign, _ in q.face_data(n, idx):
-                inc = face_to_tops.get(fidx, [])
+            for j, fidx in enumerate(facets[idx]):
+                inc = q.cofacets[n - 1][fidx]
                 if len(inc) != 2:
                     raise OrientationError("not a pseudomanifold: face "
                                            f"{q.simplex(n - 1, fidx)}")
-                for other, osign in inc:
-                    if other == idx and osign == fsign:
+                for other, j2 in inc:
+                    if other == idx:
                         continue
-                    needed = -signs[idx] * fsign * osign
+                    needed = -signs[idx] * (-1) ** (j + j2)
                     if other in signs:
                         if signs[other] != needed:
                             raise OrientationError(
@@ -610,7 +620,7 @@ class PeriodicComplex:
         """The other top cell sharing a face with (g, top_idx)."""
         q = self.quotient
         n = q.dimension
-        tops = q.top_cofaces(n - 1, face_idx)
+        tops = [top for top, _ in q.cofacets[n - 1][face_idx]]
         if len(tops) != 2:
             raise InternalError("pseudomanifold violation in neighbor lookup")
         other = tops[0] if tops[1] == top_idx else tops[1]
@@ -655,16 +665,20 @@ class FundamentalDomain:
             frontier = nxt
         if len(deck_top) != q.count(n):
             raise InputError("quotient top cells are not face-connected")
+        # the least top containing each cell, read down the cofacets; a
+        # cell in no top gets q.count(n)
+        host = [None] * n + [list(q.cells(n))]
+        for k in reversed(range(n)):
+            host[k] = [min((host[k + 1][c] for c, _ in cof), default=q.count(n))
+                       for cof in q.cofacets[k]]
         self.deck = [dict() for _ in range(n + 1)]
         self.deck[n] = deck_top
         for k in range(n):
-            for idx in q.cells(k):
-                tops = q.top_cofaces(k, idx)
-                if not tops:
+            for idx, top in enumerate(host[k]):
+                if top == q.count(n):
                     raise InputError(f"simplex of dimension {k} lies in no top simplex")
-                host = min(tops)
-                shift = q.shift(q.simplex(n, host), q.simplex(k, idx))
-                self.deck[k][idx] = q.group.multiply(deck_top[host], shift)
+                shift = q.shift(q.simplex(n, top), q.simplex(k, idx))
+                self.deck[k][idx] = q.group.multiply(deck_top[top], shift)
 
     def chosen_lift(self, k: int, idx: int):
         return self.deck[k][idx]
@@ -808,7 +822,8 @@ def _subdivide_once(q: QuotientComplex):
     for k in range(1, n + 1):
         rows = q._rows[k]
         combos = [list(itertools.combinations(range(k + 1), m + 1)) for m in range(k)]
-        faces = [_face_ids(q, k, c) for c in combos]
+        # the facet block combos[k - 1] is the face table, columns reversed
+        faces = [_face_ids(q, k, c) for c in combos[:-1]] + [q.facets[k][:, ::-1]]
         if any((f < 0).any() for f in faces):
             raise InputError("subdivision needs a complex with every face present")
         # the edges (0, p) are the first k pairs of positions
@@ -872,6 +887,28 @@ def _subdivide_once(q: QuotientComplex):
     return new, cell_vertex, level
 
 
+def spanning_tree(q: QuotientComplex, edges) -> dict:
+    """Breadth-first tree over the given edge ids from vertex 0, frontier
+    and neighbours taken in ascending order: ``{vertex: (parent, edge)}``
+    for every other vertex reached, in the order reached."""
+    adj = {}
+    edges = list(edges)
+    for e, (u, v) in zip(edges, q._rows[1][edges].tolist()):
+        adj.setdefault(u, []).append((v, e))
+        adj.setdefault(v, []).append((u, e))
+    tree = {}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in sorted(frontier):
+            for v, e in sorted(adj.get(u, [])):
+                if v and v not in tree:
+                    tree[v] = (u, e)
+                    nxt.append(v)
+        frontier = nxt
+    return tree
+
+
 def gauge_normalize(q: QuotientComplex) -> QuotientComplex:
     """Re-gauge labels so a BFS spanning tree carries identity labels.
 
@@ -881,28 +918,16 @@ def gauge_normalize(q: QuotientComplex) -> QuotientComplex:
     if q.coordinates is not None:
         raise InputError("gauge normalization would break the Euclidean model")
     group = q.group
-    adj = {}
-    for eidx, (u, v) in enumerate(q.simplices[1]):
-        adj.setdefault(u, []).append((v, eidx))
-        adj.setdefault(v, []).append((u, eidx))
-    h = {0: group.identity()}
-    tree = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for v, eidx in sorted(adj.get(u, [])):
-                if v not in h:
-                    h[v] = group.multiply(h[u], q.edge_label(u, v))
-                    tree.add(eidx)
-                    nxt.append(v)
-        frontier = nxt
-    if len(h) != len(q.vertices):
+    tree = spanning_tree(q, q.cells(1))
+    if len(tree) != len(q.vertices) - 1:
         raise InputError("quotient 1-skeleton is not connected")
+    h = {0: group.identity()}
+    for v, (u, _) in tree.items():
+        h[v] = group.multiply(h[u], q.edge_label(u, v))
     labels = {}
     for eidx, (u, v) in enumerate(q.simplices[1]):
         labels[eidx] = group.multiply(
             group.multiply(h[u], q.labels[eidx]), group.inverse(h[v]))
     out = QuotientComplex(group, q.vertices, q._rows, q.orientation,
-                          labels, tree, None, name=q.name)
+                          labels, {e for _, e in tree.values()}, None, name=q.name)
     return out

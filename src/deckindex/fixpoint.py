@@ -458,18 +458,21 @@ class AffineCellModel(ZeroTable):
     vertex vectors, through ``affine_cell``; its zeros are exact."""
 
     def _solve_window(self, window, plain):
-        """Exact zeros of the affine pieces lifted to ``window``, in cell order.
+        """Exact zeros of the affine pieces on the source cells, in cell order.
 
-        On each source top cell the zero is the point with barycentric
-        coordinates l solving sum(l_j W_j) = 0, sum(l) = 1, for the cell's
-        vertex vectors W_j.  Its index is read from that cell's chart.
+        Only the identity window is solved here: an affine-cell model has no
+        overrides, so :meth:`ZeroTable.window_records` moves the identity's
+        records to every other window.  On each source top cell the zero is
+        the point with barycentric coordinates l solving sum(l_j W_j) = 0,
+        sum(l) = 1, for the cell's vertex vectors W_j.  Its index is read
+        from that cell's chart.
         """
         src = self.source
         n = src.dimension
         _, zero, not_isolated = _WORDING[self.index_matrix_sign]
         records = []
         for idx in src.cells(n):
-            s, positions, vectors = self.affine_cell(idx, window)
+            s, positions, vectors = self.affine_cell(idx)
             d = len(positions[0])
             matrix = [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)]
             status, lam = solve_linear(matrix, [Fraction(0)] * d + [Fraction(1)])
@@ -592,21 +595,21 @@ class SimplicialMapModel(AffineCellModel):
                         f"map is not simplicial: image of source cell "
                         f"{self.source.simplex(k, idx)} spans no simplex")
 
-    def affine_cell(self, idx: int, lift_deck):
+    def affine_cell(self, idx: int):
         """Vertex ids, exact positions S_j and displacements T_j - S_j of
-        the source top cell ``idx`` lifted to ``lift_deck``.
+        the source top cell ``idx`` lifted at the identity.
 
         Each image T_j is lifted along the cell's edge labels, so the
         images of one cell lie in one lift of the target cell.
         """
         src = self.source
         s = src.simplex(src.dimension, idx)
-        positions = src.realize(src.dimension, idx, lift_deck)
+        positions = src.realize(src.dimension, idx)
         vectors = []
         for v, p in zip(s, positions):
             shift = src.group.identity() if v == s[0] else src.edge_label(s[0], v)
             deck_shift, w = self.vertex_images[v]
-            g = self.group.multiply(self.group.multiply(lift_deck, shift), deck_shift)
+            g = self.group.multiply(shift, deck_shift)
             image = (Fraction(c) + t for c, t in
                      zip(self.complex.coordinates[w], self.complex.translation_vector(g)))
             vectors.append(tuple(t - c for t, c in zip(image, p)))
@@ -843,7 +846,7 @@ def _sample_norms(model, grid: int):
                for combo in itertools.product(range(1, per_cell), repeat=n)
                if sum(combo) < per_cell]
     for idx in src.cells(n):
-        _, positions, vectors = model.affine_cell(idx, model.group.identity())
+        _, positions, vectors = model.affine_cell(idx)
         den = math.lcm(*(c.denominator for row in (*positions, *vectors) for c in row))
         # one column of numerators over den per axis
         pos_cols, vec_cols = ([[c.numerator * (den // c.denominator) for c in col]

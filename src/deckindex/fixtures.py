@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from .complexes import (QuotientComplex, barycentric_subdivide, gauge_normalize,
-                        orient_pseudomanifold, permutation_sign)
+                        orient_pseudomanifold, permutation_sign, spanning_tree)
 from .errors import InputError, InternalError
 from .groups import FreeAbelianGroup, SurfaceGroup, trivial_group
 
@@ -83,26 +83,10 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair=None,
 def _identity_spanning_tree(q: QuotientComplex):
     """BFS spanning tree using identity-labeled edges only."""
     ident = q.group.identity()
-    adj = {}
-    for eidx, (u, v) in enumerate(q.simplices[1]):
-        if q.labels[eidx] == ident:
-            adj.setdefault(u, []).append((v, eidx))
-            adj.setdefault(v, []).append((u, eidx))
-    seen = {0}
-    tree = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in sorted(frontier):
-            for v, eidx in sorted(adj.get(u, [])):
-                if v not in seen:
-                    seen.add(v)
-                    tree.add(eidx)
-                    nxt.append(v)
-        frontier = nxt
-    if len(seen) != len(q.vertices):
+    tree = spanning_tree(q, [e for e in q.cells(1) if q.labels[e] == ident])
+    if len(tree) != len(q.vertices) - 1:
         raise InternalError("identity-labeled edges do not span the vertex set")
-    return tree
+    return {e for _, e in tree.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -106,12 +106,12 @@ class PLFieldModel(AffineCellModel):
                     raise InputError(f"declared bound {self.bound} violated by a "
                                      f"projected vertex vector on cell {idx}")
 
-    def affine_cell(self, idx: int, lift_deck):
+    def affine_cell(self, idx: int):
         """Vertex ids, exact positions and projected vertex vectors of the
-        top cell ``idx`` lifted to ``lift_deck``."""
+        top cell ``idx`` lifted at the identity."""
         n = self.complex.dimension
         return (self.complex.simplex(n, idx),
-                self.complex.realize(n, idx, lift_deck), self._projected[idx])
+                self.complex.realize(n, idx), self._projected[idx])
 
 
 def find_zeros(model, radius: int = 0):

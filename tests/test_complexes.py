@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from deckindex import complexes
 from deckindex.complexes import (
+    FundamentalDomain,
     PeriodicComplex,
     QuotientComplex,
     barycentric_subdivide,
@@ -15,6 +17,7 @@ from deckindex.complexes import (
 )
 from deckindex.errors import InputError, OrientationError, ResourceError
 from deckindex.fixtures import (
+    FIXTURE_BUILDERS,
     csaszar_torus,
     fixture_complex,
     genus2_surface,
@@ -234,6 +237,73 @@ class TestValidation:
         assert "cocycle condition" in report.kinds()
 
 
+def _face_table_complexes():
+    out = {name: builder() for name, builder in FIXTURE_BUILDERS.items()}
+    out["genus2^sd"] = barycentric_subdivide(genus2_surface()).complex
+    out["octahedron^sd2"] = barycentric_subdivide(octahedron_sphere(), 2).complex
+    return out
+
+
+class TestFaceTable:
+    @pytest.mark.parametrize("name", list(_face_table_complexes()))
+    def test_matches_tuple_enumeration(self, name):
+        q = _face_table_complexes()[name]
+        ident = q.group.identity()
+        for k in range(1, q.dimension + 1):
+            facets, cofacets = [], [[] for _ in q.cells(k - 1)]
+            for idx, s in enumerate(q.simplices[k]):
+                # combinations() omit positions k, ..., 0 in turn
+                row = [q.index_of(k - 1, f) for f in itertools.combinations(s, k)][::-1]
+                facets.append(row)
+                for j, f in enumerate(row):
+                    cofacets[f].append((idx, j))
+                edge_shift = q.labels[q.index_of(1, s[:2])]
+                assert q.face_data(k, idx) == [
+                    (f, (-1) ** j, edge_shift if j == 0 else ident) for j, f in enumerate(row)]
+            assert q.facets[k].tolist() == facets
+            assert q.cofacets[k - 1] == cofacets
+        assert q.cofacets[q.dimension] == [[] for _ in q.cells(q.dimension)]
+
+    @pytest.mark.parametrize("name", list(FIXTURE_BUILDERS))
+    def test_missing_edge_is_named(self, name):
+        edges = FIXTURE_BUILDERS[name]().to_document()["simplices"]["1"]
+        for i in sorted({0, len(edges) // 2, len(edges) - 1}):
+            doc = FIXTURE_BUILDERS[name]().to_document()
+            u, v = doc["simplices"]["1"].pop(i)
+            broken = QuotientComplex.from_document(doc)
+            missing = (broken.vertices.index(u), broken.vertices.index(v))
+            message = re.escape(f"simplex {missing} of dimension 1 is not present")
+            top = next(t for t, s in enumerate(broken.simplices[2]) if set(missing) <= set(s))
+            with pytest.raises(InputError, match=message):
+                broken.face_data(2, top)
+            with pytest.raises(InputError, match=message):
+                orient_pseudomanifold(broken)
+            with pytest.raises(InputError, match=re.escape(f"face {missing} of ")):
+                PeriodicComplex(broken)
+            # the domain's own refusal, past the validation PeriodicComplex runs
+            pc = object.__new__(PeriodicComplex)
+            pc.quotient, pc.group = broken, broken.group
+            with pytest.raises(InputError, match=message):
+                FundamentalDomain(pc)
+
+    def test_computed_once(self, monkeypatch):
+        calls = []
+        face_ids = complexes._face_ids
+
+        def counting(q, k, positions):
+            if len(positions[0]) == k:
+                calls.append(k)
+            return face_ids(q, k, positions)
+
+        monkeypatch.setattr(complexes, "_face_ids", counting)
+        q = torus_grid()
+        assert validate_quotient(q).valid and validate_quotient(q).valid
+        orient_pseudomanifold(q)
+        PeriodicComplex(q).fundamental_domain()
+        barycentric_subdivide(q)
+        assert sorted(calls) == list(range(1, q.dimension + 1))
+
+
 class TestEulerCharacteristic:
     def test_sphere(self):
         assert euler_characteristic(TETRA) == 2
@@ -295,7 +365,10 @@ class TestFundamentalDomain:
         for k in range(n):
             for idx in q.cells(k):
                 ok = False
-                for top in q.top_cofaces(k, idx):
+                tops = [t for t, s in enumerate(q.simplices[n])
+                        if set(q.simplex(k, idx)) <= set(s)]
+                assert tops
+                for top in tops:
                     shift = q.shift(q.simplex(n, top), q.simplex(k, idx))
                     if pc.group.multiply(fd.chosen_lift(n, top), shift) == fd.chosen_lift(k, idx):
                         ok = True

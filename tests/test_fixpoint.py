@@ -158,7 +158,7 @@ def _reference_sample_norms(model, grid):
     pts, norms = [], []
     per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
     for idx in src.cells(n):
-        _, positions, vectors = model.affine_cell(idx, model.group.identity())
+        _, positions, vectors = model.affine_cell(idx)
         d = len(positions[0])
         for combo in itertools.product(range(1, per_cell), repeat=n):
             if sum(combo) >= per_cell:
