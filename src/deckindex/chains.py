@@ -34,13 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .classes import ClassFunction, _prune
 from .complexes import PeriodicComplex, QuotientComplex, validate_quotient
 from .errors import InputError, InternalError, OrientationError
-from .groups import FiniteGroup, MarkedGroup, integer_value
-
-
-def _prune(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
+from .groups import FiniteGroup
 
 
 class PeriodicChain:
@@ -239,8 +236,7 @@ def fundamental_cycle(pc: PeriodicComplex) -> PeriodicChain:
             raise OrientationError(
                 "no fundamental cycle: " + report.violations[0]["detail"])
         raise InputError("invalid quotient: " + report.violations[0]["detail"])
-    mu = PeriodicChain(q, q.dimension, dict(q.orientation), {})
-    return mu
+    return PeriodicChain(q, q.dimension, dict(q.orientation), {})
 
 
 def cap(u: PeriodicCochain, c: PeriodicChain) -> PeriodicChain:
@@ -303,88 +299,7 @@ def cap(u: PeriodicCochain, c: PeriodicChain) -> PeriodicChain:
 
 
 # ---------------------------------------------------------------------------
-# Class functions and the deck projection
-
-
-class ClassFunction:
-    """Bounded integer function on the deck group: constant + finite part.
-
-    These are the representatives of classes in the coinvariant quotient of
-    bounded functions under g . f (x) = f(xg).  For finite groups the
-    constant part is folded into the finite part so representations are
-    unique.
-    """
-
-    def __init__(self, group: MarkedGroup, constant: int = 0, finite=None):
-        self.group = group
-        self.constant = int(constant)
-        self.finite = _prune(dict(finite or {}))
-        if isinstance(group, FiniteGroup) and self.constant:
-            for g in group.elements():
-                self.finite[g] = self.finite.get(g, 0) + self.constant
-            self.constant = 0
-            self.finite = _prune(self.finite)
-
-    def value(self, g) -> int:
-        return self.constant + self.finite.get(g, 0)
-
-    def finite_mass(self) -> int:
-        return sum(abs(v) for v in self.finite.values())
-
-    def bound(self) -> int:
-        return abs(self.constant) + max(map(abs, self.finite.values()), default=0)
-
-    def translate(self, g) -> "ClassFunction":
-        """The translated function x -> value(x * g)."""
-        ginv = self.group.inverse(g)
-        return ClassFunction(
-            self.group, self.constant,
-            {self.group.multiply(h, ginv): v for h, v in self.finite.items()})
-
-    def __add__(self, other):
-        if self.group != other.group:
-            raise InputError("class functions on different groups")
-        f = dict(self.finite)
-        for k, v in other.finite.items():
-            f[k] = f.get(k, 0) + v
-        return ClassFunction(self.group, self.constant + other.constant, f)
-
-    def __neg__(self):
-        return ClassFunction(self.group, -self.constant,
-                             {k: -v for k, v in self.finite.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero_function(self) -> bool:
-        return self.constant == 0 and not self.finite
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassFunction) and self.group == other.group
-                and self.constant == other.constant and self.finite == other.finite)
-
-    def __repr__(self):
-        return f"<ClassFunction c={self.constant} finite={len(self.finite)}>"
-
-    def to_document(self) -> dict:
-        return {
-            "constant": self.constant,
-            "finite": sorted(([self.group.format_element(g), v]
-                              for g, v in self.finite.items()),
-                             key=lambda row: row[0]),
-        }
-
-    @classmethod
-    def from_document(cls, group: MarkedGroup, doc: dict) -> "ClassFunction":
-        try:
-            finite = {}
-            for word, v in doc.get("finite", []) or []:
-                g = group.parse_word(word)
-                finite[g] = finite.get(g, 0) + integer_value(v)
-            constant = integer_value(doc.get("constant", 0))
-        except (TypeError, ValueError) as e:
-            raise InputError(f"malformed class function document: {e}")
-        return cls(group, constant, finite)
+# The deck projection
 
 
 def project_to_group(c: PeriodicChain, fd) -> ClassFunction:

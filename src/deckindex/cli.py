@@ -18,6 +18,7 @@ give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -25,13 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports
-from .chains import ClassFunction
-from .complexes import (PeriodicComplex, QuotientComplex, check_subdivision_count,
-                        validate_quotient)
+from .classes import ClassFunction
 from .errors import DeckIndexError, InputError
-from .fixtures import FIXTURE_GROUPS, fixture_complex, fixture_document
 from .groups import group_from_document, group_to_document
-from .ufh import decide_class, flow_certificate, isoperimetric_probe
 
 
 @dataclass
@@ -60,6 +57,7 @@ class RunConfig:
 
 def _load_document(ref: str) -> dict:
     if ref.startswith("fixture:"):
+        from .fixtures import fixture_complex, fixture_document
         name = ref.split(":", 1)[1]
         try:
             return fixture_document(name)
@@ -77,7 +75,7 @@ def _load_document(ref: str) -> dict:
     return doc
 
 
-def _emit(config: RunConfig, payload: dict, charts=None) -> dict:
+def _emit(config: RunConfig, payload: dict, charts=None) -> None:
     report = {"config": config.to_document(), "report": payload}
     if config.out:
         reports.write_report(config.out, "report.json", report)
@@ -86,7 +84,6 @@ def _emit(config: RunConfig, payload: dict, charts=None) -> dict:
                 reports.write_chart(config.out, name, title, labels, values)
     else:
         sys.stdout.write(reports.canonical_json(report))
-    return report
 
 
 def _looks_like_index_data(doc: dict) -> bool:
@@ -94,7 +91,7 @@ def _looks_like_index_data(doc: dict) -> bool:
         and "variant" not in doc
 
 
-def _certificate_narrative(group, f: ClassFunction, cert) -> str:
+def _certificate_narrative(cert) -> str:
     if cert.verdict == "nonzero-by-mean":
         return ("the class is nonzero: every invariant mean sends it to "
                 f"{cert.payload['limit']}; consequently any strongly tame map "
@@ -115,13 +112,13 @@ def _certificate_narrative(group, f: ClassFunction, cert) -> str:
 
 
 def cmd_validate(config: RunConfig) -> int:
+    from .complexes import QuotientComplex, barycentric_subdivide, validate_quotient
     doc = _load_document(config.inputs[0])
     if "complex" in doc:
         doc = doc["complex"]
     q = QuotientComplex.from_document(doc)
     report = validate_quotient(q)
     if config.subdivide and report.valid:  # only a valid datum is subdivided
-        from .complexes import barycentric_subdivide
         q = barycentric_subdivide(q, config.subdivide).complex
         report = validate_quotient(q)
     payload = report.to_document()
@@ -161,11 +158,12 @@ def _class_chart(f: ClassFunction):
 
 def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
                     charts: dict) -> dict:
+    from .ufh import decide_class
     cert = decide_class(f.group, f, capacity_budget=config.capacity)
     payload = dict(extra)
     payload["class_function"] = f.to_document()
     payload["certificate"] = cert.to_document()
-    payload["narrative"] = _certificate_narrative(f.group, f, cert)
+    payload["narrative"] = _certificate_narrative(cert)
     if config.plots:  # a chart sorts and formats ball(3): build it only on demand
         charts["class_function.svg"] = _class_chart(f)
         if cert.verdict == "nonzero-by-mean":
@@ -186,6 +184,7 @@ def cmd_analyze(config: RunConfig) -> int:
     for a field.
     """
     from . import fixpoint, vectorfield
+    from .complexes import PeriodicComplex
     doc = _load_document(config.inputs[0])
     charts: dict = {}
     if _looks_like_index_data(doc):
@@ -242,6 +241,8 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def cmd_amenability(config: RunConfig) -> int:
+    from .fixtures import FIXTURE_GROUPS
+    from .ufh import flow_certificate, isoperimetric_probe
     ref = config.inputs[0]
     fixture = ref.split(":", 1)[1] if ref.startswith("fixture:") else None
     if fixture in FIXTURE_GROUPS:  # a shipped complex's group, without the complex
@@ -254,7 +255,8 @@ def cmd_amenability(config: RunConfig) -> int:
             from .fixpoint import resolve_complex_reference
             block = group_to_document(resolve_complex_reference(doc).group)
         else:
-            block = doc.get("complex", doc).get("group", doc)
+            block = doc.get("complex", doc)
+            block = block.get("group", doc) if isinstance(block, dict) else block
     group = group_from_document(block)
     radii = list(range(1, config.radius + 1))
     probe = isoperimetric_probe(group, radii)
@@ -317,9 +319,12 @@ def cmd_decide_class(config: RunConfig) -> int:
 def _selftest_properties(seed: int) -> list:
     from .chains import (PeriodicChain, boundary, cap, coboundary,
                          fundamental_cycle, pair, random_chain)
-    from .fixtures import genus2_surface, klein_grid, tetrahedron_sphere, torus_grid
+    from .complexes import PeriodicComplex
+    from .fixtures import (fixture_document, genus2_surface, klein_grid,
+                           tetrahedron_sphere, torus_grid)
     from .fixpoint import lefschetz_class, map_model_from_document
     from .groups import FreeAbelianGroup, FreeGroup
+    from .ufh import decide_class
 
     rng = random.Random(seed)
     results = []
@@ -392,7 +397,6 @@ def _selftest_properties(seed: int) -> list:
         caught = True
     record("non-orientable fixture rejected", caught)
 
-    ok = True
     sin_model = map_model_from_document(fixture_document("sin-map"))
     scaled = map_model_from_document(fixture_document("sin-map-scaled"))
     ok = lefschetz_class(sin_model) == lefschetz_class(scaled)
@@ -431,6 +435,7 @@ def cmd_selftest(config: RunConfig) -> int:
 # Entry point
 
 
+@functools.cache  # one argparse tree per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deckindex",
@@ -492,10 +497,12 @@ def main(argv=None) -> int:
                        subdivide=args.subdivide, grid=args.grid,
                        seed=args.seed, out=args.out, plots=args.plots)
     try:
-        if config.subdivide and config.command not in SUBDIVIDING:
-            raise InputError(f"--subdivide is read only by {', '.join(SUBDIVIDING)}; "
-                             f"{config.command} does not subdivide")
-        check_subdivision_count(config.subdivide, "--subdivide")
+        if config.subdivide:
+            if config.command not in SUBDIVIDING:
+                raise InputError(f"--subdivide is read only by {', '.join(SUBDIVIDING)}; "
+                                 f"{config.command} does not subdivide")
+            from .complexes import check_subdivision_count
+            check_subdivision_count(config.subdivide, "--subdivide")
         return COMMANDS[args.command](config)
     except DeckIndexError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -173,9 +173,6 @@ class QuotientComplex:
     def simplex(self, k: int, idx: int):
         return self.simplices[k][idx]
 
-    def vertex_name(self, vid: int) -> str:
-        return self.vertices[vid]
-
     # -- labels ---------------------------------------------------------------
 
     def edge_label(self, u: int, v: int):

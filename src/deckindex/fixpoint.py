@@ -70,7 +70,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import exprs
-from .chains import ClassFunction, lefschetz_number_quotient
+from .chains import lefschetz_number_quotient
+from .classes import ClassFunction
 from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
                         check_subdivision_count, euler_characteristic, permutation_sign)
 from .errors import InputError, InternalError, TamenessError
@@ -86,6 +87,7 @@ from .groups import FiniteGroup, FreeAbelianGroup, group_from_document
 
 NEWTON_GRID = 32
 TAMENESS_GRID = 64
+BOUND_SAMPLES = 33  # float grid points per axis on which a declared bound is checked
 
 # How messages name a model and its zeros, by index_matrix_sign: the model,
 # one zero, and the witness of an affine cell whose zero set is not isolated.
@@ -267,9 +269,9 @@ class AnalyticModel(ZeroTable):
                 self._component_set(key)[1], self.dim)
         return self._numerics["j", key]
 
-    def validate_bound(self, samples: int = 33) -> None:
+    def validate_bound(self) -> None:
         import numpy as np
-        axes = [np.linspace(0.0, 1.0, samples, endpoint=False)] * self.dim
+        axes = [np.linspace(0.0, 1.0, BOUND_SAMPLES, endpoint=False)] * self.dim
         pts = np.array(list(itertools.product(*axes)))
         for key in [None] + list(range(len(self.overrides))):
             f = self._numeric(key)

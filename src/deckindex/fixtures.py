@@ -16,15 +16,19 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .complexes import (QuotientComplex, barycentric_subdivide, gauge_normalize,
-                        orient_pseudomanifold, permutation_sign, spanning_tree)
 from .errors import InputError, InternalError
 from .groups import FreeAbelianGroup, SurfaceGroup, trivial_group
 
+if TYPE_CHECKING:
+    from .complexes import QuotientComplex
+
 
 # The deck group of each shipped complex, which its builder uses, so that a
-# command reading only the group needs no complex (and no numpy).
+# command reading only the group needs no complex (and no numpy).  The
+# builders import the complex code themselves, so a shipped document or
+# group is read without loading it.
 FIXTURE_GROUPS = {
     "tetrahedron": trivial_group,
     "octahedron": trivial_group,
@@ -46,6 +50,7 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair=None,
     may be given in either direction.  Without it every edge carries the
     identity.
     """
+    from .complexes import QuotientComplex, permutation_sign, spanning_tree
     vid_count = len(vertex_names)
     edges = set()
     tris = []
@@ -76,17 +81,20 @@ def _complex_from_triangles(group, vertex_names, triangles, labels_by_pair=None,
             raise InputError(f"no label for edge {(u, v)}")
     q = QuotientComplex(group, vertex_names, simplices, orientation, labels,
                         coordinates=coordinates, name=name)
-    q.tree = frozenset(_identity_spanning_tree(q))
-    return q
-
-
-def _identity_spanning_tree(q: QuotientComplex):
-    """BFS spanning tree using identity-labeled edges only."""
-    ident = q.group.identity()
+    # the spanning tree: a BFS tree over the identity-labeled edges
+    ident = group.identity()
     tree = spanning_tree(q, [e for e in q.cells(1) if q.labels[e] == ident])
     if len(tree) != len(q.vertices) - 1:
         raise InternalError("identity-labeled edges do not span the vertex set")
-    return {e for _, e in tree.values()}
+    q.tree = frozenset(e for _, e in tree.values())
+    return q
+
+
+def _oriented(q: QuotientComplex) -> QuotientComplex:
+    """``q`` with the coherent orientation signs of its rows."""
+    from .complexes import orient_pseudomanifold
+    q.orientation = orient_pseudomanifold(q)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +112,8 @@ def tetrahedron_sphere() -> QuotientComplex:
         3: (Fraction(-1), Fraction(-1), Fraction(1)),
     }
     triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    q = _complex_from_triangles(group, names, triangles, coordinates=coords,
-                                name="tetrahedron")
-    q.orientation = orient_pseudomanifold(q)
-    return q
+    return _oriented(_complex_from_triangles(group, names, triangles, coordinates=coords,
+                                             name="tetrahedron"))
 
 
 def octahedron_sphere() -> QuotientComplex:
@@ -123,10 +129,8 @@ def octahedron_sphere() -> QuotientComplex:
         for y in (1, 4):
             for zc in (2, 5):
                 triangles.append((x, y, zc))
-    q = _complex_from_triangles(group, names, triangles, coordinates=coords,
-                                name="octahedron")
-    q.orientation = orient_pseudomanifold(q)
-    return q
+    return _oriented(_complex_from_triangles(group, names, triangles, coordinates=coords,
+                                             name="octahedron"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +194,7 @@ def csaszar_torus() -> QuotientComplex:
     for i in range(7):
         triangles.append(tuple(sorted(((i) % 7, (i + 1) % 7, (i + 3) % 7))))
         triangles.append(tuple(sorted(((i) % 7, (i + 2) % 7, (i + 3) % 7))))
-    q = _complex_from_triangles(group, names, triangles, name="csaszar")
-    q.orientation = orient_pseudomanifold(q)
-    return q
+    return _oriented(_complex_from_triangles(group, names, triangles, name="csaszar"))
 
 
 def klein_grid(m: int = 3) -> QuotientComplex:
@@ -242,6 +244,7 @@ def genus2_surface() -> QuotientComplex:
     edge label is then tail^-1 * head.  The identified complex is
     simplicial with (V, E, F) = (46, 144, 96).
     """
+    from .complexes import barycentric_subdivide, gauge_normalize
     group = FIXTURE_GROUPS["genus2"]()
     A, B, C, D = (group.element_of([i]) for i in (1, 2, 3, 4))
     side_letters = [A, B, group.inverse(A), group.inverse(B),
@@ -293,10 +296,9 @@ def genus2_surface() -> QuotientComplex:
             if labels_by_pair.setdefault((class_vid[u], class_vid[v]), lbl) != lbl:
                 raise InternalError("inconsistent development words on an identified edge")
     triangles = [[class_vid[c] for c in row] for row in sd.complex.simplices[2]]
-    q = _complex_from_triangles(group, class_names, triangles, labels_by_pair,
-                                name="genus2")
-    q.orientation = orient_pseudomanifold(q)
-    return gauge_normalize(q)
+    # orientation reads only the rows, which gauging keeps: one face table
+    return _oriented(gauge_normalize(_complex_from_triangles(
+        group, class_names, triangles, labels_by_pair, name="genus2")))
 
 
 FIXTURE_BUILDERS = {

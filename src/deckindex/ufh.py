@@ -19,12 +19,12 @@ boundary or the averages from scratch and compares exactly.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ClassFunction
+from .classes import (ClassCertificate, ClassFunction, GraphChain, _chain_to_payload,
+                      _payload_to_chain)
 from .errors import InputError, InternalError, ResourceError
 from .groups import FiniteGroup, MarkedGroup, folner_average
 
@@ -55,39 +55,9 @@ def isoperimetric_probe(group: MarkedGroup, radii) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Integer 1-chains on Cayley graphs
+# Bounding 1-chains on Cayley graphs
 
-
-class GraphChain:
-    """Finitely supported integer 1-chain on the Cayley graph of a group;
-    edges keyed by ordered pairs of elements, each stored in the direction
-    of ascending shortlex key (computed once per element)."""
-
-    def __init__(self, group: MarkedGroup):
-        self.group = group
-        self.edges: dict = {}
-        self._sort_key = functools.cache(group.sort_key)
-
-    def add_edge(self, u, v, coeff: int):
-        """Add coeff * (u -> v); the boundary of that unit is v - u."""
-        if coeff == 0:
-            return
-        if (v, u) in self.edges or (u, v) not in self.edges and \
-                self._sort_key(v) < self._sort_key(u):
-            u, v, coeff = v, u, -coeff
-        self.edges[(u, v)] = self.edges.get((u, v), 0) + coeff
-        if self.edges[(u, v)] == 0:
-            del self.edges[(u, v)]
-
-    def boundary(self) -> dict:
-        out: dict = {}
-        for (a, b), c in self.edges.items():
-            out[b] = out.get(b, 0) + c
-            out[a] = out.get(a, 0) - c
-        return {k: v for k, v in out.items() if v}
-
-    def max_coefficient(self) -> int:
-        return max(map(abs, self.edges.values()), default=0)
+RAY_MARGIN = 6  # residual mass is routed this far past the support
 
 
 def _geodesic_ray_step(group: MarkedGroup, v):
@@ -110,7 +80,7 @@ def _geodesic_path(group: MarkedGroup, a, b):
     return path
 
 
-def bound_finite_mass(group: MarkedGroup, c: ClassFunction, margin: int = 6):
+def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
     """Explicit 1-chain b with boundary equal to a finitely supported c.
 
     Opposite-sign masses are first cancelled along geodesic paths (sorted
@@ -130,7 +100,7 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction, margin: int = 6):
     chain = GraphChain(group)
     masses = {g: v for g, v in c.finite.items() if v}
     support_radius = max((group.length(g) for g in masses), default=0)
-    region_radius = support_radius + margin
+    region_radius = support_radius + RAY_MARGIN
 
     pos = sorted((g for g, v in masses.items() if v > 0), key=group.sort_key)
     neg = sorted((g for g, v in masses.items() if v < 0), key=group.sort_key)
@@ -335,10 +305,9 @@ class _BallFlows:
                           capacity=capacity, deficit=deficit, chain=chain)
 
 
-def _check_flow_budgets(radius: int, capacity: int, radius_budget: int,
-                        capacity_budget: int) -> None:
-    if radius > radius_budget:
-        raise ResourceError(f"flow radius {radius} exceeds budget {radius_budget} "
+def _check_flow_budgets(radius: int, capacity: int, capacity_budget: int) -> None:
+    if radius > FLOW_RADIUS_BUDGET:
+        raise ResourceError(f"flow radius {radius} exceeds budget {FLOW_RADIUS_BUDGET} "
                             "(--radius)")
     if capacity > capacity_budget:
         raise ResourceError(f"flow capacity {capacity} exceeds budget "
@@ -346,8 +315,7 @@ def _check_flow_budgets(radius: int, capacity: int, radius_budget: int,
 
 
 def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
-                     capacity: int, radius_budget: int = FLOW_RADIUS_BUDGET,
-                     capacity_budget: int = 64) -> FlowResult:
+                     capacity: int, capacity_budget: int = 64) -> FlowResult:
     """Integral flow pushing the masses of c to the radius-R sphere.
 
     Every vertex of the ball is a source with supply c(v); positive and
@@ -356,7 +324,7 @@ def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
     ball(R-1).  Edge capacity is per commodity.  Infeasibility reports the
     max-flow deficit.
     """
-    _check_flow_budgets(radius, capacity, radius_budget, capacity_budget)
+    _check_flow_budgets(radius, capacity, capacity_budget)
     flows = _BallFlows(group, c, radius)
     flows.raise_to(capacity)
     return flows.result(capacity)
@@ -390,7 +358,7 @@ def _capacity_search(group: MarkedGroup, c: ClassFunction, radii,
 def minimal_flow_capacity(group: MarkedGroup, c: ClassFunction,
                           radius: int, capacity_budget: int = 64) -> int:
     """Smallest uniform capacity with a feasible flow at ``radius``."""
-    _check_flow_budgets(radius, 1, FLOW_RADIUS_BUDGET, capacity_budget)
+    _check_flow_budgets(radius, 1, capacity_budget)
     capacity, _ = _capacity_search(group, c, [radius], capacity_budget)
     if capacity is None:
         raise ResourceError(f"no feasible capacity up to {capacity_budget} "
@@ -401,38 +369,7 @@ def minimal_flow_capacity(group: MarkedGroup, c: ClassFunction,
 # ---------------------------------------------------------------------------
 # Certificates and the decision procedure
 
-
-@dataclass
-class ClassCertificate:
-    verdict: str  # nonzero-by-mean | zero-by-boundary | zero-by-truncated-flow | inconclusive
-    group: MarkedGroup
-    function: ClassFunction
-    payload: dict = field(default_factory=dict)
-    verifier_result: dict = field(default_factory=dict)
-
-    def to_document(self) -> dict:
-        from .groups import group_to_document
-        return {
-            "verdict": self.verdict,
-            "group": group_to_document(self.group),
-            "function": self.function.to_document(),
-            "payload": self.payload,
-            "verifier_result": self.verifier_result,
-        }
-
-
-def _chain_to_payload(group, chain: GraphChain):
-    word = functools.cache(group.format_element)  # each element formatted once
-    return sorted([[word(u), word(v), c] for (u, v), c in chain.edges.items()],
-                  key=lambda row: (row[0], row[1]))
-
-
-def _payload_to_chain(group, rows) -> GraphChain:
-    parse = functools.cache(group.parse_word)  # each distinct word once
-    chain = GraphChain(group)
-    for u_word, v_word, coeff in rows:
-        chain.add_edge(parse(u_word), parse(v_word), int(coeff))
-    return chain
+MEAN_INDICES = (1, 2, 4, 8)  # Folner indices of a nonzero-by-mean certificate
 
 
 def _generator_steps(group: MarkedGroup, chain: GraphChain) -> bool:
@@ -528,8 +465,7 @@ def verify_certificate(cert: ClassCertificate) -> dict:
 
 
 def decide_class(group: MarkedGroup, f: ClassFunction,
-                 flow_radii=None, capacity_budget: int = 16,
-                 mean_indices=(1, 2, 4, 8)) -> ClassCertificate:
+                 flow_radii=None, capacity_budget: int = 16) -> ClassCertificate:
     """Decide vanishing of [f] in the coinvariants of bounded functions.
 
     Dispatch: nonamenable kinds get uniform-capacity truncated flows;
@@ -582,7 +518,7 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
         if f.constant != 0:
             scheme = group.folner_scheme()
             averages = [{"t": t, "average": f"{folner_average(scheme, f, t)}"}
-                        for t in mean_indices]
+                        for t in MEAN_INDICES]
             cert = ClassCertificate(
                 "nonzero-by-mean", group, f,
                 payload={"limit": str(f.constant), "collar_radius": 1,

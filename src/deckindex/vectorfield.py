@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chains import ClassFunction
+from .classes import ClassFunction
 from .complexes import QuotientComplex, euler_characteristic
 from .errors import InputError
 from .fixpoint import (
@@ -133,8 +133,7 @@ def index_class(model, fd=None, report: TamenessReport | None = None) -> ClassFu
     return assemble_class(model, fd, report)
 
 
-def poincare_hopf_check(model, decide=None,
-                        report: TamenessReport | None = None) -> dict:
+def poincare_hopf_check(model, report: TamenessReport | None = None) -> dict:
     """Compare the index class with chi(quotient) times the constant one.
 
     Forms ind(v) - chi * 1 as a class function and submits it to the class
@@ -145,12 +144,10 @@ def poincare_hopf_check(model, decide=None,
     itself is returned under ``class_function``.
     """
     from .ufh import decide_class
-    if decide is None:
-        decide = decide_class
     cls = index_class(model, report=report)
     chi = euler_characteristic(model.complex)
     difference = cls - ClassFunction(model.group, chi, {})
-    cert = decide(model.group, difference)
+    cert = decide_class(model.group, difference)
     consistent = cert.verdict in ("zero-by-boundary", "zero-by-truncated-flow")
     return {
         "euler_characteristic": chi,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -279,9 +280,10 @@ class TestExitCodes:
         {"kind": "free", "rank": 2, "ball_budget": -1},
         {"kind": "free", "rank": 2, "generators": ["a", 3]},
         {"kind": "free-abelian", "rank": 2, "generators": ["a", "a"]},
+        {"complex": [1]},
     ], ids=["rank-string", "budget-string", "genus-null", "rank-missing",
             "table-string", "cyclic-zero", "rank-fractional", "budget-negative",
-            "generator-number", "generator-repeated"])
+            "generator-number", "generator-repeated", "complex-list"])
     def test_malformed_group_block_is_input_error(self, block, tmp_path, capsys):
         path = _write(tmp_path, "g.json", block)
         assert main(["amenability", path, "--radius", "1"]) == 1
@@ -293,6 +295,28 @@ class TestExitCodes:
                       {"group": {"kind": "free-abelian", "rank": 1},
                        "constant": constant, "finite": [["a", value]]})
         assert main(["decide-class", path]) == 1
+
+    @pytest.mark.parametrize("command", ["decide-class", "map-analyze"])
+    def test_non_string_word_is_input_error(self, command, tmp_path, capsys):
+        path = _write(tmp_path, "c.json", {"group": {"kind": "free", "rank": 2},
+                                           "finite": [[1, 2]]})
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert "entry [1, 2]" in err and "internal error" not in err
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["decide-class", "fixture:free-cover-index"]) == 0
+        assert main(["decide-class", "fixture:connected-sum-index"]) == 0
+        assert built.count("deckindex") == 1
 
     def test_integral_float_is_accepted(self, tmp_path):
         path = _write(tmp_path, "c.json",

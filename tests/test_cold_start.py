@@ -1,12 +1,14 @@
 """Start-up loads only what a command runs: sympy and mpmath arrive with the
 first analytic expression, never with the CLI and pipeline modules, and the
 group commands (word arithmetic, balls and flows) and the index-data
-analyses load no numpy either.
+analyses load no numpy either.  The group side (``groups``, ``classes`` and
+``ufh``) loads nothing of the cover side, and ``validate`` loads no ``ufh``.
 
 Each check runs in a fresh interpreter, since an earlier test in this
 process may already have imported sympy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -37,10 +39,14 @@ def _probe(*commands, preload=("deckindex.fixpoint", "deckindex.vectorfield"),
            watched=("mpmath", "sympy")):
     """Modules of ``watched`` loaded after importing ``deckindex.cli`` and
     ``preload``, then after each command, all in one fresh interpreter."""
+    return _fresh(PROBE, json.dumps([preload, watched, commands]))
+
+
+def _fresh(code, *args):
+    """The JSON printed by ``code`` run in a fresh interpreter on ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    probe = json.dumps([preload, watched, commands])
-    out = subprocess.run([sys.executable, "-c", PROBE, probe],
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -81,3 +87,53 @@ def test_analytic_model_loads_sympy():
     seen = _probe(["map-analyze", "fixture:sin-map"])
     assert seen == {"import": [],
                     "map-analyze fixture:sin-map": [0, ["mpmath", "sympy"]]}
+
+
+COVER_SIDE = ("deckindex.chains", "deckindex.complexes", "deckindex.exprs",
+              "deckindex.fixpoint", "numpy")
+
+
+def test_group_commands_load_no_cover_side(tmp_path):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"group": {"kind": "free-abelian", "rank": 2},
+                                "constant": 0, "finite": [["a", 1], ["b", -1]]}))
+    seen = _probe(["decide-class", "fixture:free-cover-index"],
+                  ["decide-class", str(path)],
+                  ["amenability", "fixture:genus2", "--radius", "3"],
+                  preload=(), watched=COVER_SIDE)
+    assert list(seen.values()) == [[], [0, []], [0, []], [0, []]]
+
+
+def test_validate_loads_no_ufh():
+    seen = _probe(["validate", "fixture:genus2"], preload=(),
+                  watched=("deckindex.ufh",))
+    assert seen == {"import": [], "validate fixture:genus2": [0, []]}
+
+
+def _loaded_by(statement):
+    return _fresh(f"import json, sys; {statement}; print(json.dumps(sorted("
+                  "m for m in sys.modules if m.startswith('deckindex'))))")
+
+
+def test_groups_import_loads_only_groups_and_errors():
+    assert _loaded_by("import deckindex.groups") == \
+        ["deckindex", "deckindex.errors", "deckindex.groups"]
+
+
+def test_group_side_imports_nothing_from_the_cover_side():
+    # every import statement, function-local ones included, and what the
+    # allowed ones load in turn
+    cover = {"complexes", "chains", "fixpoint", "exprs", "fixtures", "cli"}
+    for name in ("classes", "ufh"):
+        with open(os.path.join(SRC, "deckindex", f"{name}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                targets = {a.name.removeprefix("deckindex.") for a in node.names}
+            else:
+                continue
+            assert not targets & cover, (name, targets)
+    loaded = _loaded_by("import deckindex.classes, deckindex.ufh")
+    assert not {f"deckindex.{m}" for m in cover} & set(loaded)

@@ -303,6 +303,21 @@ class TestFaceTable:
         barycentric_subdivide(q)
         assert sorted(calls) == list(range(1, q.dimension + 1))
 
+    def test_genus2_fixture_builds_its_table_once(self, monkeypatch):
+        # the fixture orients the gauged complex, whose face table validation
+        # then reads; the blocks of the subdivided fan disk are other sizes
+        calls = []
+        face_ids = complexes._face_ids
+
+        def counting(q, k, positions):
+            if len(positions[0]) == k:
+                calls.append((k, q.count(k)))
+            return face_ids(q, k, positions)
+
+        monkeypatch.setattr(complexes, "_face_ids", counting)
+        assert validate_quotient(genus2_surface()).valid
+        assert calls.count((1, 144)) == 1 and calls.count((2, 96)) == 1
+
 
 class TestEulerCharacteristic:
     def test_sphere(self):
