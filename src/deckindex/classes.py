@@ -1,5 +1,6 @@
-"""Bounded class functions on deck groups, integer 1-chains on Cayley
-graphs and the certificate records about them.
+"""Bounded class functions on deck groups (index-data documents among
+them), integer 1-chains on Cayley graphs and the certificate records about
+them.
 
 Whether a class vanishes depends only on the deck group, so this group-side
 module imports only ``groups``, ``errors`` and the standard library.
@@ -11,7 +12,8 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .groups import FiniteGroup, MarkedGroup, group_to_document, integer_value
+from .groups import (FiniteGroup, MarkedGroup, group_from_document, group_to_document,
+                     integer_value)
 
 
 def _prune(d: dict) -> dict:
@@ -100,6 +102,17 @@ class ClassFunction:
         except (TypeError, ValueError) as e:
             raise InputError(f"malformed class function document: {e}")
         return cls(group, constant, finite)
+
+
+def ingest_index_data(doc: dict):
+    """Class function from externally supplied per-coset index sums."""
+    try:
+        group = group_from_document(doc["group"])
+        f = ClassFunction.from_document(group, doc)
+    except KeyError as e:
+        raise InputError(f"malformed index-data document: missing {e}")
+    note = "externally supplied index data (per-coset sums, not recomputed)"
+    return f, note
 
 
 class GraphChain:

@@ -183,16 +183,17 @@ def cmd_analyze(config: RunConfig) -> int:
     decision and the classical oracle for a map, the Poincare-Hopf check
     for a field.
     """
-    from . import fixpoint, vectorfield
-    from .complexes import PeriodicComplex
     doc = _load_document(config.inputs[0])
     charts: dict = {}
-    if _looks_like_index_data(doc):
-        f, note = fixpoint.ingest_index_data(doc)
+    if _looks_like_index_data(doc):  # a class function: the group side alone
+        from .classes import ingest_index_data
+        f, note = ingest_index_data(doc)
         payload = _class_analysis(config, f, {"mode": "index-data",
                                               "provenance": note}, charts)
         _emit(config, payload, charts)
         return 0
+    from . import fixpoint, vectorfield
+    from .complexes import PeriodicComplex
     read = fixpoint.map_model_from_document if config.command == "map-analyze" \
         else vectorfield.field_model_from_document
     model = _apply_subdivision(read(doc), config.subdivide)

@@ -69,9 +69,8 @@ import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from . import exprs
 from .chains import lefschetz_number_quotient
-from .classes import ClassFunction
+from .classes import ClassFunction, ingest_index_data  # noqa: F401 - read by callers
 from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
                         check_subdivision_count, euler_characteristic, permutation_sign)
 from .errors import InputError, InternalError, TamenessError
@@ -83,7 +82,7 @@ from .geometry import (
     sqrt_lower_bound,
     squared_distance_point_point,
 )
-from .groups import FiniteGroup, FreeAbelianGroup, group_from_document
+from .groups import FiniteGroup, FreeAbelianGroup
 
 NEWTON_GRID = 32
 TAMENESS_GRID = 64
@@ -212,6 +211,7 @@ class AnalyticModel(ZeroTable):
         self.dim = complex.dimension
         if self.group.rank != self.dim:
             raise InputError("deck rank must match the complex dimension")
+        from . import exprs
         self.components = [exprs.parse_expression(c, self.dim) for c in components]
         if len(self.components) != self.dim:
             raise InputError("component count must match the dimension")
@@ -227,7 +227,7 @@ class AnalyticModel(ZeroTable):
             self.overrides.append({"translate": ov["translate"], "components": comps,
                                    "jacobian": exprs.jacobian(comps, self.dim)})
         self._numerics: dict = {}      # (kind, component key) -> callable
-        self._index_dets: dict = {}    # component key -> sympy determinant
+        self._index_dets: dict = {}    # component key -> determinant expression
         self.validate_bound()
 
     @property
@@ -258,6 +258,7 @@ class AnalyticModel(ZeroTable):
     def _numeric(self, key):
         """Vectorized float evaluation of a component set, lambdified once."""
         if ("f", key) not in self._numerics:
+            from . import exprs
             self._numerics["f", key] = exprs.lambdify_vector(
                 self._component_set(key)[0], self.dim)
         return self._numerics["f", key]
@@ -265,6 +266,7 @@ class AnalyticModel(ZeroTable):
     def _numeric_jac(self, key):
         """Stacked float Jacobians of a component set, lambdified once."""
         if ("j", key) not in self._numerics:
+            from . import exprs
             self._numerics["j", key] = exprs.lambdify_matrix(
                 self._component_set(key)[1], self.dim)
         return self._numerics["j", key]
@@ -276,7 +278,7 @@ class AnalyticModel(ZeroTable):
         for key in [None] + list(range(len(self.overrides))):
             f = self._numeric(key)
             worst = float(np.sqrt((f(pts) ** 2).sum(axis=1)).max())
-            if worst > float(self.bound) * (1 + 1e-9):
+            if not worst <= float(self.bound) * (1 + 1e-9):   # NaN fails too
                 raise InputError(f"declared bound {self.bound} violated on the "
                                  f"validation grid (observed {worst:.6f})")
 
@@ -291,9 +293,11 @@ class AnalyticModel(ZeroTable):
         20 times) until its residual max-norm drops.  A start stops after
         60 iterations, below residual 1e-13, or when its step finds no
         descent.  Converged points are deduplicated on the torus in start
-        order, snapped to small-denominator rationals and verified
-        symbolically when possible.  With ``plain=True`` the unoverridden
-        expressions are used regardless of the window.
+        order, snapped to small-denominator rationals and verified exactly
+        when possible, and listed by position: exact zeros by their
+        rational value, so the order does not rest on the last bits of a
+        Newton iterate.  With ``plain=True`` the unoverridden expressions
+        are used regardless of the window.
 
         Every call searches afresh; the pipeline reads zeros through the
         zero table, which solves each (component set, window) once.
@@ -304,6 +308,8 @@ class AnalyticModel(ZeroTable):
 
     def _search_zeros(self, key, window):
         import numpy as np
+
+        from . import exprs
         components, _ = self._component_set(key)
         base = np.array([float(x) for x in window])
         axes = [np.linspace(0.0, 1.0, self.grid, endpoint=False)
@@ -317,18 +323,16 @@ class AnalyticModel(ZeroTable):
             raise TamenessError("zero set is not isolated at grid resolution "
                                 "(Newton converges on a cluster)")
         out = []
-        for z in sorted(unique):
+        for z in unique:
             snapped = [exprs.snap_to_rational(c) for c in z]
             if all(s is not None for s in snapped):
-                point = {v: s + Fraction(w) for v, s, w in
-                         zip(exprs.variables(self.dim), snapped, window)}
+                point = tuple(s + Fraction(w) for s, w in zip(snapped, window))
                 if exprs.is_exact_zero_vector(components, point):
-                    out.append((tuple(s + Fraction(w) for s, w in
-                                      zip(snapped, window)), True))
+                    out.append((point, True))
                     continue
             out.append((tuple(float(c) + float(w) for c, w in zip(z, window)),
                         False))
-        return out
+        return sorted(out)
 
     def _solve_window(self, window, plain):
         """Host records of the searched zeros, each interior one indexed."""
@@ -346,9 +350,9 @@ class AnalyticModel(ZeroTable):
             raise InputError("a local index needs an exact zero")
         if window is None:
             window = tuple(math.floor(float(c)) for c in position)
-        point = dict(zip(exprs.variables(self.dim), map(Fraction, position)))
+        from . import exprs
         sign = exprs.certified_sign(self._index_det(self.component_key(window, plain)),
-                                    point)
+                                    tuple(map(Fraction, position)))
         if sign == 0:
             raise InputError("degenerate analytic zero: the Jacobian "
                              "determinant vanishes; demand a smaller "
@@ -358,11 +362,12 @@ class AnalyticModel(ZeroTable):
     def _index_det(self, key):
         """det(index_matrix_sign * Jacobian) of a component set, built once."""
         if key not in self._index_dets:
-            import sympy
-            m = sympy.Matrix(self._component_set(key)[1])
-            if self.index_matrix_sign < 0:
-                m = -m
-            self._index_dets[key] = m.det()
+            from . import exprs
+            d = exprs.determinant(self._component_set(key)[1])
+            # det(-J) = (-1)^n det(J)
+            if self.index_matrix_sign < 0 and self.dim % 2:
+                d = exprs.neg(d)
+            self._index_dets[key] = d
         return self._index_dets[key]
 
     def norms_at(self, points: np.ndarray) -> np.ndarray:
@@ -1014,17 +1019,6 @@ def lefschetz_class(model, fd=None, report: TamenessReport | None = None) -> Cla
     """Per-coset fixed-point index sums as a bounded class function;
     see :func:`assemble_class`."""
     return assemble_class(model, fd, report)
-
-
-def ingest_index_data(doc: dict):
-    """Class function from externally supplied per-coset index sums."""
-    try:
-        group = group_from_document(doc["group"])
-        f = ClassFunction.from_document(group, doc)
-    except KeyError as e:
-        raise InputError(f"malformed index-data document: missing {e}")
-    note = "externally supplied index data (per-coset sums, not recomputed)"
-    return f, note
 
 
 def equivariant_oracle_check(model, report: TamenessReport | None = None,

@@ -427,8 +427,18 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         require("invariant mean vanishes", not mean)
         chain = _payload_to_chain(group, cert.payload["chain"])
         bdry = chain.boundary()
-        interior = set(group.elements()) if isinstance(group, FiniteGroup) \
-            else group.ball(int(cert.payload["interior_radius"]))
+        if isinstance(group, FiniteGroup):
+            interior = set(group.elements())
+        elif f.constant:
+            interior = group.ball(int(cert.payload["interior_radius"]))
+        else:
+            # off both supports the boundary and f are 0, so only the points
+            # of the supports can differ; a canonical element lies in
+            # ball(R) when its word length is at most R
+            radius = int(cert.payload["interior_radius"])
+            group.check_radius(radius)
+            interior = {v for v in bdry.keys() | f.finite.keys()
+                        if group.length(v) <= radius}
         check("boundary equals function on interior",
               all(bdry.get(v, 0) == f.value(v) for v in interior))
         require("interior contains the support", set(f.finite) <= interior)

@@ -1,11 +1,13 @@
-"""Start-up loads only what a command runs: sympy and mpmath arrive with the
-first analytic expression, never with the CLI and pipeline modules, and the
-group commands (word arithmetic, balls and flows) and the index-data
-analyses load no numpy either.  The group side (``groups``, ``classes`` and
-``ufh``) loads nothing of the cover side, and ``validate`` loads no ``ufh``.
+"""Start-up loads only what a command runs: mpmath and the expression
+module arrive with the first analytic expression, never with the CLI and
+pipeline modules, sympy never loads, and the group commands (word
+arithmetic, balls and flows) and the index-data analyses load no numpy
+and no cover-side module either.  The group side (``groups``, ``classes``
+and ``ufh``) loads nothing of the cover side, and ``validate`` loads no
+``ufh``.
 
 Each check runs in a fresh interpreter, since an earlier test in this
-process may already have imported sympy.
+process may already have imported these modules.
 """
 
 import ast
@@ -51,6 +53,11 @@ def _fresh(code, *args):
     return json.loads(out.stdout)
 
 
+# the cover-side modules an analysis of a map or field runs through
+PIPELINE = ("deckindex.chains", "deckindex.complexes", "deckindex.exprs",
+            "deckindex.fixpoint", "deckindex.geometry", "deckindex.vectorfield")
+
+
 def test_group_commands_load_no_numpy_or_sympy():
     # word arithmetic, balls and flows are pure Python: a cold group command
     # pays no numpy import
@@ -63,11 +70,11 @@ def test_group_commands_load_no_numpy_or_sympy():
 
 
 def test_index_data_analyses_load_no_numpy():
-    # the pipeline modules import numpy inside their float kernels, and an
-    # index-data document reaches none of them
+    # an index-data document is a class function: the analysis reads it on
+    # the group side and never imports the pipeline modules
     seen = _probe(["map-analyze", "fixture:connected-sum-index"],
                   ["field-analyze", "fixture:connected-sum-index"],
-                  watched=("mpmath", "numpy", "sympy"))
+                  preload=(), watched=("mpmath", "numpy", "sympy") + PIPELINE)
     assert seen == {"import": [],
                     "map-analyze fixture:connected-sum-index": [0, []],
                     "field-analyze fixture:connected-sum-index": [0, []]}
@@ -83,10 +90,32 @@ def test_exact_commands_never_load_sympy():
                     "map-analyze fixture:connected-sum-index": [0, []]}
 
 
-def test_analytic_model_loads_sympy():
-    seen = _probe(["map-analyze", "fixture:sin-map"])
+def test_analytic_model_loads_mpmath_not_sympy():
+    # importing the CLI and the pipeline modules compiles no expression code
+    seen = _probe(["map-analyze", "fixture:sin-map"],
+                  ["field-analyze", "fixture:sin-field-override"],
+                  watched=("deckindex.exprs", "mpmath", "sympy"))
+    loaded = ["deckindex.exprs", "mpmath"]
     assert seen == {"import": [],
-                    "map-analyze fixture:sin-map": [0, ["mpmath", "sympy"]]}
+                    "map-analyze fixture:sin-map": [0, loaded],
+                    "field-analyze fixture:sin-field-override": [0, loaded]}
+
+
+def test_no_module_imports_sympy():
+    # every import statement of the package, function-local ones included
+    for name in sorted(os.listdir(os.path.join(SRC, "deckindex"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "deckindex", name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "sympy" for m in modules), name
 
 
 COVER_SIDE = ("deckindex.chains", "deckindex.complexes", "deckindex.exprs",

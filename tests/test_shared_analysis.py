@@ -3,8 +3,9 @@
 ``_scalar_zeros_in_window`` is the per-start damped Newton loop the search
 is defined by: each start iterates on its own, with at most 60 Newton
 steps, at most 20 step halvings per step, acceptance on a strict drop of
-the residual max-norm and a stop below 1e-13.  The lockstep search must
-return exactly the same (position, exact) list, floats bit for bit.
+the residual max-norm and a stop below 1e-13, its Jacobian evaluated one
+point and one entry at a time.  The lockstep search must return exactly
+the same (position, exact) list, floats bit for bit.
 ``_brute_force_hosts`` tests every nearby translate of every top cell
 with ``point_in_simplex``; the table-driven host location must agree, on
 Z^2 tori and on trivial-deck surfaces in R^3, and hand out the same
@@ -18,7 +19,6 @@ import json
 
 import numpy as np
 import pytest
-import sympy
 
 from deckindex import exprs
 from deckindex.cli import main
@@ -41,12 +41,11 @@ def _scalar_zeros_in_window(model, window, plain=False):
         components, jac = model.components, model.jac
     else:
         components, jac = model.components_for_window(window)
-    vs = exprs.variables(model.dim)
     f = exprs.lambdify_vector(components, model.dim)
-    entries = [[sympy.lambdify(vs, e, modules="numpy") for e in row] for row in jac]
+    entries = [[exprs.numpy_function(e) for e in row] for row in jac]
 
     def jf(point):
-        return np.array([[float(fn(*point)) for fn in row] for row in entries])
+        return np.array([[float(fn(point)) for fn in row] for row in entries])
 
     base = np.array([float(x) for x in window])
     axes = [np.linspace(0.0, 1.0, model.grid, endpoint=False)
@@ -86,16 +85,15 @@ def _scalar_zeros_in_window(model, window, plain=False):
                        for a, b in zip(z, w)) < 1e-7 for w in unique):
             unique.append(z)
     out = []
-    for z in sorted(unique):
+    for z in unique:
         snapped = [exprs.snap_to_rational(c) for c in z]
         if all(s is not None for s in snapped):
-            point = {v: s + Fraction(w) for v, s, w in zip(vs, snapped, window)}
+            point = tuple(s + Fraction(w) for s, w in zip(snapped, window))
             if exprs.is_exact_zero_vector(components, point):
-                out.append((tuple(s + Fraction(w) for s, w in zip(snapped, window)),
-                            True))
+                out.append((point, True))
                 continue
         out.append((tuple(float(c) + float(w) for c, w in zip(z, window)), False))
-    return out
+    return sorted(out)
 
 
 def _torus_model(components, bound="2"):

@@ -20,6 +20,7 @@ from deckindex.ufh import (
     flow_certificate,
     isoperimetric_probe,
     _chain_to_payload,
+    _payload_to_chain,
     minimal_flow_capacity,
     verify_certificate,
 )
@@ -317,6 +318,84 @@ class TestVerifierReadsPayloadWords:
 
 def _failed(result):
     return {c["name"] for c in result["checks"] if not c["ok"]}
+
+
+# ---------------------------------------------------------------------------
+# The zero-by-boundary check on the supports against the whole ball
+
+
+def _full_ball_check(cert):
+    """(boundary matches f on ball(R), ball(R) holds the support), read off
+    every element of the ball, as the verifier once did."""
+    group, f = cert.group, cert.function
+    bdry = _payload_to_chain(group, cert.payload["chain"]).boundary()
+    interior = group.ball(int(cert.payload["interior_radius"]))
+    return (all(bdry.get(v, 0) == f.value(v) for v in interior),
+            set(f.finite) <= interior)
+
+
+def _verifier_check(cert):
+    result = verify_certificate(cert)
+    ok = {c["name"]: c["ok"] for c in result["checks"]}
+    return (ok["boundary equals function on interior"],
+            "interior contains the support" not in ok)
+
+
+def _boundary_certificates(group, rng, masses, radii, word_radius):
+    """Bounding-chain certificates of random finite masses, as emitted and
+    tampered: an edge dropped, a coefficient moved, a generator step added,
+    and each stated interior radius of ``radii``."""
+    words = sorted(group.ball(word_radius), key=group.sort_key)
+    for _ in range(3):
+        f = ClassFunction(group, 0, {g: rng.choice((-2, -1, 1, 2))
+                                     for g in rng.sample(words, masses)})
+        chain, _, interior = bound_finite_mass(group, f)
+        rows = _chain_to_payload(group, chain)
+        step = [group.format_element(rng.choice(words)), None, rng.choice((-1, 1))]
+        step[1] = group.format_element(group.multiply_token(
+            group.parse_word(step[0]), rng.choice(group._signed_tokens())))
+        drop = rng.randrange(len(rows))
+        tampered = [rows, rows[:drop] + rows[drop + 1:],
+                    [r if i != drop else [r[0], r[1], r[2] + 1]
+                     for i, r in enumerate(rows)],
+                    rows + [step]]
+        for chain_rows in tampered:
+            for radius in sorted({*radii, min(interior, max(radii))}):
+                yield ClassCertificate("zero-by-boundary", group, f, payload={
+                    "chain": chain_rows, "interior_radius": radius,
+                    "coefficient_bound": f.finite_mass()})
+
+
+@pytest.mark.parametrize("group,masses,radii,word_radius", [
+    (Z1, 4, (0, 1, 3, 8, 11), 3),
+    (Z2, 5, (0, 1, 2, 4, 8), 2),
+    (FreeAbelianGroup(3), 6, (0, 1, 2, 5), 2),
+    (F2, 4, (0, 1, 2, 4), 2),
+    (SURF, 3, (0, 1, 2, 3), 1),
+], ids=["Z", "Z2", "Z3", "F2", "genus2"])
+def test_boundary_check_on_supports_matches_full_ball(group, masses, radii,
+                                                      word_radius):
+    rng = random.Random(f"{group.kind}/{len(group.generator_names)}")
+    outcomes = set()
+    for cert in _boundary_certificates(group, rng, masses, radii, word_radius):
+        expected = _full_ball_check(cert)
+        assert _verifier_check(cert) == expected
+        outcomes.add(expected)
+    # accepted and refused certificates both occur, for each reason
+    assert outcomes >= {(True, True), (False, True), (True, False)}
+
+
+def test_boundary_check_with_a_constant_reads_the_whole_ball():
+    # a constant is nonzero everywhere, so the supports do not bound it
+    one = ClassFunction(Z1, 1, {(2,): -1})
+    chain = GraphChain(Z1)
+    for k in range(-3, 3):
+        chain.add_edge((k,), (k + 1,), -(k + 4))
+    for radius in (0, 1, 2, 3):
+        cert = ClassCertificate("zero-by-boundary", Z1, one, payload={
+            "chain": _chain_to_payload(Z1, chain), "interior_radius": radius,
+            "coefficient_bound": 6})
+        assert _verifier_check(cert) == _full_ball_check(cert)
 
 
 # ---------------------------------------------------------------------------
