@@ -127,27 +127,6 @@ def cmd_validate(config: RunConfig) -> int:
     return 0 if report.valid else 1
 
 
-def _apply_subdivision(model, times: int):
-    """Rebuild a model over the subdivided complex (analysis refinement)."""
-    if times <= 0:
-        return model
-    from .complexes import barycentric_subdivide
-    from .fixpoint import AnalyticModel, SimplicialMapModel, subdivided_automorphism
-    if isinstance(model, AnalyticModel):
-        sub = barycentric_subdivide(model.complex, times).complex
-        overrides = [{"translate": ov["translate"],
-                      "components": [str(c) for c in ov["components"]]}
-                     for ov in model.overrides]
-        return type(model)(sub, [str(c) for c in model.components], model.bound,
-                           overrides=overrides, grid=model.grid)
-    if isinstance(model, SimplicialMapModel):
-        out = model
-        for _ in range(times):
-            out = subdivided_automorphism(out)
-        return out
-    raise InputError("subdivision refinement is unsupported for this model")
-
-
 def _class_chart(f: ClassFunction):
     """Chart of a class function's values over ball(3)."""
     ball = sorted(f.group.ball(min(3, f.group.ball_budget)), key=f.group.sort_key)
@@ -196,7 +175,9 @@ def cmd_analyze(config: RunConfig) -> int:
     from .complexes import PeriodicComplex
     read = fixpoint.map_model_from_document if config.command == "map-analyze" \
         else vectorfield.field_model_from_document
-    model = _apply_subdivision(read(doc), config.subdivide)
+    model = read(doc)
+    if config.subdivide:
+        model = model.subdivided(config.subdivide)
     is_map = model.index_matrix_sign < 0
     # looked up at call time, so that wrappers installed on the modules apply
     if is_map:

@@ -641,7 +641,8 @@ class FundamentalDomain:
     at the identity; the remaining top lifts are chosen by breadth-first
     search through shared faces, parents resolved in index order.  Every
     lower-dimensional simplex is lifted inside the closure of the lift of
-    its least containing top simplex.
+    its least containing top simplex.  ``deck[k][idx]`` is the deck element
+    of the chosen lift of the k-simplex ``idx``.
     """
 
     def __init__(self, pc: PeriodicComplex):
@@ -676,9 +677,6 @@ class FundamentalDomain:
                     raise InputError(f"simplex of dimension {k} lies in no top simplex")
                 shift = q.shift(q.simplex(n, top), q.simplex(k, idx))
                 self.deck[k][idx] = q.group.multiply(deck_top[top], shift)
-
-    def chosen_lift(self, k: int, idx: int):
-        return self.deck[k][idx]
 
     def coset_of_cell(self, g, k: int, idx: int):
         """Deck element h with (g, simplex) lying in the translate h*K."""

@@ -437,28 +437,36 @@ def numpy_function(e: Expr):
 
 
 def lambdify_vector(components, dim: int):
-    """Numeric vector function: a (k, dim) array of points to (k, len(components))."""
+    """Numeric vector function: a (k, dim) array of points to (k, len(components)).
+
+    Floating-point warnings are silenced: a NaN or infinite value is
+    refused by the bound check, and Newton drops starts that do not
+    converge, so a warning would only repeat that on stderr.
+    """
     import numpy as np
     funcs = [numpy_function(c) for c in components]
 
     def f(points):
         cols = [points[:, i] for i in range(dim)]
-        return np.stack([np.broadcast_to(fn(cols), points.shape[0])
-                         for fn in funcs], axis=1).astype(float)
+        with np.errstate(all="ignore"):
+            return np.stack([np.broadcast_to(fn(cols), points.shape[0])
+                             for fn in funcs], axis=1).astype(float)
 
     return f
 
 
 def lambdify_matrix(matrix, dim: int):
-    """Numeric matrix function: a (k, dim) array of points to (k, rows, cols)."""
+    """Numeric matrix function: a (k, dim) array of points to (k, rows, cols),
+    with floating-point warnings silenced as in :func:`lambdify_vector`."""
     import numpy as np
     rows = [[numpy_function(e) for e in row] for row in matrix]
 
     def jac(points):
         cols = [points[:, i] for i in range(dim)]
-        return np.stack([np.stack([np.broadcast_to(fn(cols), points.shape[0])
-                                   for fn in row], axis=1)
-                         for row in rows], axis=1).astype(float)
+        with np.errstate(all="ignore"):
+            return np.stack([np.stack([np.broadcast_to(fn(cols), points.shape[0])
+                                       for fn in row], axis=1)
+                             for row in rows], axis=1).astype(float)
 
     return jac
 

@@ -16,7 +16,10 @@ per (component set, window) pair, and each simplex-interior record carries
 its index from the moment it is built.  A window that uses the
 unoverridden data copies the identity's records, moved by the window;
 any other window is solved once.  The tameness check, the zero listing,
-the index class and the oracle all read the same records.
+the index class and the oracle all read the same records.  What differs
+between kinds of model is the model's own: ``sample_norms`` (the float
+grid tameness samples), ``subdivided`` (the model over a subdivided
+complex) and ``classical_lefschetz_number`` (the oracle's trace).
 
 Two kinds of model are supported.
 
@@ -62,6 +65,7 @@ not load it.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -182,6 +186,11 @@ class ZeroTable:
             else:
                 self._records[key] = self._solve_window(window, plain)
         return [replace(r) for r in self._records[key]]
+
+    def subdivided(self, times: int):
+        """The model over the ``times``-fold subdivided complex (analysis
+        refinement); a model that cannot be carried over refuses."""
+        raise InputError("subdivision refinement is unsupported for this model")
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +395,37 @@ class AnalyticModel(ZeroTable):
             out[sel] = np.sqrt((f(points[sel]) ** 2).sum(axis=1))
         return out
 
+    def sample_norms(self, grid: int):
+        """Float positions and norms at the cell centres of a ``grid``^n grid
+        on the identity window and on every override window."""
+        import numpy as np
+        axes = [np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid] * self.dim
+        pts = np.array(list(itertools.product(*axes)))
+        windows = [self.group.identity()] + self.override_translates()
+        all_pts = np.concatenate([pts + np.array([float(c) for c in w])
+                                  for w in windows])
+        return all_pts, self.norms_at(all_pts)
+
+    def subdivided(self, times: int):
+        """The same model over the ``times``-fold subdivided complex.
+
+        The parsed expressions, Jacobians, index determinants and compiled
+        evaluators depend only on the components, so the copy shares them;
+        only the zero records, which name host cells, start afresh.
+        """
+        out = copy.copy(self)
+        ZeroTable.__init__(out)
+        out.complex = barycentric_subdivide(self.complex, times).complex
+        out.group = out.complex.group
+        return out
+
+    def classical_lefschetz_number(self):
+        """``(Lefschetz number on the quotient, how it was found)``: the
+        Euler characteristic of the quotient."""
+        return euler_characteristic(self.complex), (
+            "displacement form is homotopic to the identity on the quotient; "
+            "its Lefschetz number is the Euler characteristic")
+
 
 def _lockstep_newton(f, jf, starts):
     """Damped Newton from every start at once; returns, in start order, the
@@ -502,6 +542,39 @@ class AffineCellModel(ZeroTable):
                 record.index = _chart_index(self.index_matrix_sign, positions, vectors)
             records.append(record)
         return records
+
+    def sample_norms(self, grid: int):
+        """Float positions and norms at the interior points of a barycentric
+        grid on each source top cell.
+
+        Each norm is taken from the exact vector converted to float once.
+        The grid point with integer weights ``(N - sum(c), c...)`` over
+        ``N`` is computed on integer numerators: a cell's positions and
+        vectors are put over one denominator ``D``, so a coordinate is
+        ``int / (D*N)`` and a squared norm ``int / (D*N)**2``.  Integer true
+        division is correctly rounded, as ``float(Fraction)`` is, so every
+        float equals the one of the exact rational.
+        """
+        import numpy as np
+        src = self.source
+        n = src.dimension
+        pts, norms = [], []
+        per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
+        weights = [(per_cell - sum(combo),) + combo
+                   for combo in itertools.product(range(1, per_cell), repeat=n)
+                   if sum(combo) < per_cell]
+        for idx in src.cells(n):
+            _, positions, vectors = self.affine_cell(idx)
+            den = math.lcm(*(c.denominator for row in (*positions, *vectors) for c in row))
+            # one column of numerators over den per axis
+            pos_cols, vec_cols = ([[c.numerator * (den // c.denominator) for c in col]
+                                   for col in zip(*rows)] for rows in (positions, vectors))
+            scale = den * per_cell
+            for w in weights:
+                pts.append([sum(map(operator.mul, w, col)) / scale for col in pos_cols])
+                norms.append(math.sqrt(sum(sum(map(operator.mul, w, col)) ** 2
+                                           for col in vec_cols) / scale ** 2))
+        return np.array(pts), np.array(norms)
 
 
 def _chart_index(sign, positions, vectors) -> int:
@@ -642,32 +715,36 @@ class SimplicialMapModel(AffineCellModel):
 
         return _Composite()
 
+    def classical_lefschetz_number(self):
+        """``(Lefschetz number on the quotient, how it was found)``: the
+        Hopf trace of the chain map."""
+        return lefschetz_number_quotient(self.complex, self.quotient_chain_map()), (
+            "Hopf trace: alternating trace of the chain map via the "
+            "subdivision chain equivalence")
 
-def vertex_permutation_map(complex: QuotientComplex, permutation: dict) -> SimplicialMapModel:
-    """Simplicial automorphism of a realized complex from a vertex permutation."""
-    images = {v: permutation.get(v, v) for v in range(complex.count(0))}
-    return SimplicialMapModel(complex, 0, images)
+    def subdivided(self, times: int):
+        """The induced automorphism on the ``times``-fold subdivided complex.
 
-
-def subdivided_automorphism(model: SimplicialMapModel) -> SimplicialMapModel:
-    """The induced automorphism on the once-subdivided complex.
-
-    The barycenter of a cell maps to the barycenter of the image cell;
-    only level-0 automorphisms push forward this way.
-    """
-    if model.subdivision != 0 or model.perturbed:
-        raise InputError("only level-0 automorphisms push to the subdivision")
-    sub = barycentric_subdivide(model.complex, 1)
-    q = model.complex
-    images = {}
-    for k in range(q.dimension + 1):
-        for idx in q.cells(k):
-            s = q.simplex(k, idx)
-            image = tuple(sorted(model.vertex_images[v][1] for v in s))
-            if len(set(image)) != len(s):
-                raise InputError("not an automorphism: a cell image degenerates")
-            images[sub.cell_vertex[k][idx]] = sub.cell_vertex[k][q.index_of(k, image)]
-    return SimplicialMapModel(sub.complex, 0, images)
+        The barycenter of a cell maps to the barycenter of the image cell,
+        one subdivision at a time; only level-0 automorphisms push forward
+        this way.
+        """
+        model = self
+        for _ in range(times):
+            if model.subdivision != 0 or model.perturbed:
+                raise InputError("only level-0 automorphisms push to the subdivision")
+            sub = barycentric_subdivide(model.complex, 1)
+            q = model.complex
+            images = {}
+            for k in range(q.dimension + 1):
+                for idx in q.cells(k):
+                    s = q.simplex(k, idx)
+                    image = tuple(sorted(model.vertex_images[v][1] for v in s))
+                    if len(set(image)) != len(s):
+                        raise InputError("not an automorphism: a cell image degenerates")
+                    images[sub.cell_vertex[k][idx]] = sub.cell_vertex[k][q.index_of(k, image)]
+            model = SimplicialMapModel(sub.complex, 0, images)
+        return model
 
 
 # ---------------------------------------------------------------------------
@@ -793,77 +870,28 @@ def find_fixed_points(model, radius: int = 0):
 # Tameness
 
 
-def _analytic_cover(model):
-    """The zeros an analytic tameness check certifies, and the zeros around them.
+def _cover(model):
+    """The zeros a tameness check certifies, and the zeros around them.
 
     Returns ``(records, cover)``: the records of the identity and override
     windows, and ``cover``, which lists those records first and then the
-    records of every neighbouring window.  Each window is solved with its
-    own expressions, so an override window's zeros are never paired with
-    the base zeros it replaces.
+    records of every neighbouring window, one generator step of -1, 0 or 1
+    each away (the unit box over Z^n; a trivial deck has no neighbours).
+    Every window is read through :meth:`ZeroTable.window_records`: an
+    unoverridden window moves the identity's records, and an override
+    window is solved with its own data, so its zeros are never paired with
+    the unoverridden zeros it replaces.
     """
     group = model.group
     owned = {group.identity()} | set(model.override_translates())
-    windows = set(owned)
-    for w in owned:
-        for shift in itertools.product((-1, 0, 1), repeat=model.dim):
-            windows.add(tuple(a + b for a, b in zip(w, shift)))
+    box = [group.identity()]
+    for g in group.generators():
+        box = [group.multiply(b, s) for b in box
+               for s in (group.inverse(g), group.identity(), g)]
     records, others = [], []
-    for w in sorted(windows):
+    for w in sorted({group.multiply(o, b) for o in owned for b in box}):
         (records if w in owned else others).extend(model.window_records(w))
     return records, records + others
-
-
-def _periodic_cover(model, records):
-    """Positions of the records followed by their unit lattice translates."""
-    positions = [r.position for r in records]
-    if not isinstance(model.group, FreeAbelianGroup) or not records:
-        return positions
-    shifts = [s for s in itertools.product((-1, 0, 1), repeat=len(positions[0]))
-              if any(s)]
-    return positions + [tuple(c + Fraction(x) for c, x in zip(p, s))
-                        for s in shifts for p in positions]
-
-
-def _sample_norms(model, grid: int):
-    """Float positions and displacement or field norms on a deterministic grid.
-
-    Affine-cell models are sampled at the interior points of a barycentric
-    grid on each source top cell; each norm is taken from the exact vector
-    converted to float once.  The grid point with integer weights
-    ``(N - sum(c), c...)`` over ``N`` is computed on integer numerators: a
-    cell's positions and vectors are put over one denominator ``D``, so a
-    coordinate is ``int / (D*N)`` and a squared norm ``int / (D*N)**2``.
-    Integer true division is correctly rounded, as ``float(Fraction)`` is,
-    so every float equals the one of the exact rational.
-    """
-    import numpy as np
-    if isinstance(model, AnalyticModel):
-        axes = [np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid] * model.dim
-        pts = np.array(list(itertools.product(*axes)))
-        windows = [model.group.identity()] + model.override_translates()
-        all_pts = np.concatenate([pts + np.array([float(c) for c in w])
-                                  for w in windows])
-        return all_pts, model.norms_at(all_pts)
-    src = model.source
-    n = src.dimension
-    pts, norms = [], []
-    per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
-    weights = [(per_cell - sum(combo),) + combo
-               for combo in itertools.product(range(1, per_cell), repeat=n)
-               if sum(combo) < per_cell]
-    for idx in src.cells(n):
-        _, positions, vectors = model.affine_cell(idx)
-        den = math.lcm(*(c.denominator for row in (*positions, *vectors) for c in row))
-        # one column of numerators over den per axis
-        pos_cols, vec_cols = ([[c.numerator * (den // c.denominator) for c in col]
-                               for col in zip(*rows)] for rows in (positions, vectors))
-        scale = den * per_cell
-        for w in weights:
-            pts.append([sum(map(operator.mul, w, col)) / scale for col in pos_cols])
-            norms.append(math.sqrt(sum(sum(map(operator.mul, w, col)) ** 2
-                                       for col in vec_cols) / scale ** 2))
-    return np.array(pts), np.array(norms)
 
 
 def _round_down(x: float) -> Fraction:
@@ -875,30 +903,25 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     """Verify isolation, displacement or field norm gap and host containment.
 
     delta is the largest certified radius: half the minimum distance from
-    a zero to any other zero of the cover (the zeros of the neighbouring
-    windows for analytic models, unit lattice translates otherwise),
-    capped by every point's exact distance to its host-simplex boundary.
-    epsilon is the minimum sampled norm outside the delta-balls, rounded
-    down to a rational; the grid refines once when the minimum is
-    suspiciously small.  Sampling is a documented heuristic; the zero set
-    itself is exact wherever the model permits.
+    a zero to any other zero of the cover (see :func:`_cover`), capped by
+    every point's exact distance to its host-simplex boundary.  epsilon is
+    the minimum norm the model samples (its ``sample_norms``) outside the
+    delta-balls of every zero of the cover, rounded down to a rational;
+    the grid refines once when the minimum is suspiciously small.
+    Sampling is a documented heuristic; the zero set itself is exact
+    wherever the model permits.
     """
     import numpy as np
-    cover = None
     try:
-        if isinstance(model, AnalyticModel):
-            # solves the unoverridden windows around an overridden identity
-            # too, so a failed search shows up here
-            records, cover = _analytic_cover(model)
-        else:
-            records = solve_zeros(model, 0)
+        # solves the unoverridden windows around an overridden identity
+        # too, so a failed search shows up here
+        records, cover = _cover(model)
     except TamenessError as e:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=[str(e)])
-    zero_set = np.array([[float(c) for c in r.position]
-                         for r in (records if cover is None else cover)])
+    zero_set = np.array([[float(c) for c in r.position] for r in cover])
     if not records:
-        _, disp = _sample_norms(model, grid)
+        _, disp = model.sample_norms(grid)
         eps = _round_down(float(disp.min())) if len(disp) else Fraction(0)
         return TamenessReport(delta=None, epsilon=eps, verdict="strongly tame",
                               strongly_fixed_point_free=True)
@@ -911,9 +934,8 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
 
     pair2 = None
     if all(r.exact for r in records):
-        # both position lists start with the records, in order
-        positions = _periodic_cover(model, records) if cover is None else \
-            [r.position for r in cover if r.exact]
+        # the cover starts with the records, in order
+        positions = [r.position for r in cover if r.exact]
         pair2 = min((squared_distance_point_point(p, positions[j])
                      for i, p in enumerate(positions[:len(records)])
                      for j in range(len(positions)) if j != i), default=None)
@@ -933,7 +955,7 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
 
     eps_float = None
     for attempt in (1, 2):
-        pts, disp = _sample_norms(model, grid * attempt)
+        pts, disp = model.sample_norms(grid * attempt)
         if len(zero_set):
             diff = pts[:, None, :] - zero_set[None, :, :]
             dist = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
@@ -971,13 +993,13 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
     """Per-coset index sums of a map or field as a bounded class function.
 
     Requires strong tameness; ``report`` is the verdict that gates the
-    class (checked afresh when omitted).  Over a finite deck the class is
-    the per-coset index sum of the zeros.  Otherwise the constant part is
-    the index total of the identity window's unoverridden zeros, and each
-    override window contributes, per coset, its zeros' indices minus those
-    of the unoverridden zeros it replaces.  Deck coordinates of zeros
-    resolve to cosets through the fundamental domain, boundary ties broken
-    toward the least coset (interior points never tie).
+    class (checked afresh when omitted).  The constant part is the index
+    total of the identity window's unoverridden zeros, and each override
+    window contributes, per coset, its zeros' indices minus those of the
+    unoverridden zeros it replaces.  Deck coordinates of zeros resolve to
+    cosets through the fundamental domain, boundary ties broken toward the
+    least coset (interior points never tie).  Every model's deck is Z^n or
+    trivial, and on the trivial deck the constant is the whole class.
     """
     if report is None:
         report = check_tameness(model)
@@ -1004,11 +1026,8 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
             c = fd.coset_of_cell(r.host[0], n, r.host[1])
             finite[c] = finite.get(c, 0) + sign * r.index
 
-    ident = group.identity()
-    if isinstance(group, FiniteGroup):
-        add(model.window_records(ident))
-        return ClassFunction(group, 0, finite)
-    constant = sum(r.index for r in indexed(model.window_records(ident, plain=True)))
+    constant = sum(r.index for r in indexed(
+        model.window_records(group.identity(), plain=True)))
     for w in model.override_translates():
         add(model.window_records(w, plain=True), -1)
         add(model.window_records(w))
@@ -1025,32 +1044,19 @@ def equivariant_oracle_check(model, report: TamenessReport | None = None,
                              cls: ClassFunction | None = None) -> dict:
     """Compare the class constant with the classical alternating trace.
 
-    Only equivariant models descend to the quotient.  A displacement-form
-    analytic map is homotopic to the identity on the quotient, whose
-    Lefschetz number is the Euler characteristic; a simplicial model's
-    number is the Hopf trace of its chain map composed with the
-    subdivision chain equivalence.
+    Only equivariant models descend to the quotient; each model computes
+    its classical Lefschetz number there (``classical_lefschetz_number``).
+    An equivariant class is constant, so the class constant is read as its
+    value at the identity, which also holds on the trivial deck, where
+    :class:`ClassFunction` folds the constant into the finite part.
     ``cls`` is the model's Lefschetz class when the caller already has it.
     """
     if not model.equivariant:
         raise InputError("oracle comparison needs an equivariant map")
     if cls is None:
         cls = lefschetz_class(model, report=report)
-    if isinstance(model.group, FiniteGroup):
-        values = {cls.value(g) for g in model.group.elements()}
-        if len(values) != 1:
-            raise InternalError("equivariant class is not constant on the deck")
-        constant = values.pop()
-    else:
-        constant = cls.constant
-    if isinstance(model, AnalyticModel):
-        oracle = euler_characteristic(model.complex)
-        method = ("displacement form is homotopic to the identity on the "
-                  "quotient; its Lefschetz number is the Euler characteristic")
-    else:
-        oracle = lefschetz_number_quotient(model.complex, model.quotient_chain_map())
-        method = ("Hopf trace: alternating trace of the chain map via the "
-                  "subdivision chain equivalence")
+    constant = cls.value(model.group.identity())
+    oracle, method = model.classical_lefschetz_number()
     return {
         "class_constant": int(constant),
         "classical_lefschetz_number": int(oracle),

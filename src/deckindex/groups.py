@@ -110,15 +110,6 @@ class MarkedGroup:
     def format_element(self, element) -> str:
         return " ".join(self.name_of(t) for t in self.element_word(element))
 
-    def normal_form(self, word) -> list[str]:
-        """Canonical generator sequence of a word (list of token names)."""
-        tokens = [self.token_of(w) if isinstance(w, str) else w for w in word]
-        for t in tokens:
-            if not isinstance(t, int) or t == 0 or abs(t) > len(self.generator_names):
-                raise InputError(f"unknown generator token {t!r}")
-        element = self.element_of(tokens)
-        return [self.name_of(t) for t in self.element_word(element)]
-
     # -- group structure (implemented per kind) ---------------------------
 
     def element_of(self, tokens):

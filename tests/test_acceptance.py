@@ -30,7 +30,6 @@ from deckindex.fixpoint import (
     ingest_index_data,
     lefschetz_class,
     map_model_from_document,
-    subdivided_automorphism,
 )
 from deckindex.fixtures import (
     csaszar_torus,
@@ -260,7 +259,7 @@ def test_criterion_7_stability_suite():
     ok2 = lefschetz_class(scaled_fine) == lefschetz_class(scaled)
 
     antipodal = map_model_from_document(fixture_document("octahedron-antipodal"))
-    pushed = subdivided_automorphism(antipodal)
+    pushed = antipodal.subdivided(1)
     ok3 = lefschetz_class(pushed).is_zero_function() and \
         lefschetz_class(antipodal).is_zero_function()
 

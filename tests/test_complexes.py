@@ -359,7 +359,7 @@ class TestFundamentalDomain:
         q = pc.quotient
         for k in range(q.dimension + 1):
             assert len(fd.deck[k]) == q.count(k)
-        assert fd.chosen_lift(q.dimension, 0) == pc.group.identity()
+        assert fd.deck[q.dimension][0] == pc.group.identity()
 
     def test_partition_torus_radius_two(self):
         pc = PeriodicComplex(torus_grid())
@@ -370,7 +370,7 @@ class TestFundamentalDomain:
         for k in range(q.dimension + 1):
             for g, idx in itertools.product(pc.group.ball(2), q.cells(k)):
                 h = fd.coset_of_cell(g, k, idx)
-                assert pc.group.multiply(h, fd.chosen_lift(k, idx)) == g
+                assert pc.group.multiply(h, fd.deck[k][idx]) == g
 
     def test_lower_lift_inside_chosen_top_closure(self):
         pc = PeriodicComplex(torus_grid())
@@ -385,7 +385,7 @@ class TestFundamentalDomain:
                 assert tops
                 for top in tops:
                     shift = q.shift(q.simplex(n, top), q.simplex(k, idx))
-                    if pc.group.multiply(fd.chosen_lift(n, top), shift) == fd.chosen_lift(k, idx):
+                    if pc.group.multiply(fd.deck[n][top], shift) == fd.deck[k][idx]:
                         ok = True
                 assert ok
 
@@ -395,7 +395,7 @@ class TestFundamentalDomain:
         q = pc.quotient
         cover_cells = {(g, k, idx) for g in pc.group.elements()
                        for k in range(q.dimension + 1) for idx in q.cells(k)}
-        tiled = {(pc.group.multiply(h, fd.chosen_lift(k, idx)), k, idx)
+        tiled = {(pc.group.multiply(h, fd.deck[k][idx]), k, idx)
                  for h in pc.group.elements()
                  for k in range(q.dimension + 1) for idx in q.cells(k)}
         assert tiled == cover_cells

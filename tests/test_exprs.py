@@ -8,6 +8,9 @@ error that names the offending token, and must never be evaluated.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -222,6 +225,23 @@ def test_component_undefined_on_the_grid_exits_one(tmp_path, capsys):
     # x/(y - y) parses, but is NaN or infinite at every validation point
     code, err = _refused(tmp_path, capsys, "x/(y - y)")
     assert code == 1 and "declared bound 2/5 violated" in err
+
+
+def test_undefined_component_prints_only_its_error(tmp_path):
+    # numpy's floating-point warnings stay off stderr: the bound check
+    # already refuses the NaN and infinite values behind them
+    doc = fixture_document("sin-map")
+    doc["components"] = ["x/(y - y)", doc["components"][1]]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-m", "deckindex.cli", "map-analyze", str(path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: declared bound 2/5 violated")
 
 
 def test_component_is_never_evaluated(tmp_path, capsys):

@@ -8,15 +8,15 @@ import pytest
 from deckindex.errors import InputError, TamenessError
 from deckindex.fixpoint import (
     SimplicialMapModel,
-    _sample_norms,
+    ZeroTable,
+    _cover,
     equivariant_oracle_check,
     find_fixed_points,
     ingest_index_data,
     lefschetz_class,
     map_model_from_document,
-    subdivided_automorphism,
+    resolve_record,
     tameness_check,
-    vertex_permutation_map,
 )
 from deckindex.fixtures import (
     fixture_document,
@@ -110,19 +110,13 @@ class TestLocalIndex:
             assert r.index == coarse[tuple(map(Fraction, r.position))]
 
     def test_constant_affine_map_has_index_one(self):
-        # map sending the whole octahedron face to one vertex direction:
-        # collapse every vertex to px's antipode partner triangle corner
+        # the rotation composed with itself: still index +1 at the centers
         octa = octahedron_sphere()
-        model = vertex_permutation_map(octa, {})
-        # identity is not tame; instead test a degenerate affine piece via
-        # the PL fallback on a collapsing map: all vertices of one face to
-        # a single vertex leaves no interior fixed point, so use the
-        # rotation composed with itself (still index +1 at the centers)
         rot = map_model_from_document(fixture_document("octahedron-rotation"))
         sq_images = {}
         for v, (deck, w) in rot.vertex_images.items():
             sq_images[v] = rot.vertex_images[w][1]
-        model = vertex_permutation_map(octa, sq_images)
+        model = SimplicialMapModel(octa, 0, sq_images)
         records = find_fixed_points(model, 0)
         assert [r.index for r in records] == [1, 1]
 
@@ -149,6 +143,36 @@ class TestTameness:
         assert report.strongly_fixed_point_free
         # epsilon equals the translation length up to rounding
         assert abs(float(report.epsilon) - 0.3) < 1e-6
+
+
+class _OneZeroTorus(ZeroTable):
+    """Z^2 test double: one exact zero in the identity window."""
+
+    def __init__(self, position):
+        super().__init__()
+        self.complex = torus_grid()
+        self.group = self.complex.group
+        self.position = position
+
+    def _solve_window(self, window, plain):
+        return [resolve_record(self.complex, self.position, True)]
+
+
+class TestCover:
+    def test_z2_cover_lists_the_record_then_its_unit_translates(self):
+        p = (Fraction(1, 7), Fraction(1, 11))
+        records, cover = _cover(_OneZeroTorus(p))
+        assert len(records) == 1 and not records[0].on_face
+        assert cover[0] == records[0]
+        shifts = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
+        assert [r.position for r in cover[1:]] == [
+            tuple(c + t for c, t in zip(p, s)) for s in shifts]
+        assert [r.host[0] for r in cover[1:]] == shifts
+
+    def test_trivial_deck_cover_is_its_own_records(self, rotation_model):
+        records, cover = _cover(rotation_model)
+        assert len(records) == 2
+        assert cover == records == find_fixed_points(rotation_model, 0)
 
 
 def _reference_sample_norms(model, grid):
@@ -198,10 +222,10 @@ SAMPLED_MODELS = {
     "rotation": lambda: map_model_from_document(fixture_document("octahedron-rotation")),
     "reflection": lambda: map_model_from_document(
         fixture_document("octahedron-reflection")),
-    "antipodal-sd1": lambda: subdivided_automorphism(
-        map_model_from_document(fixture_document("octahedron-antipodal"))),
-    "rotation-sd1": lambda: subdivided_automorphism(
-        map_model_from_document(fixture_document("octahedron-rotation"))),
+    "antipodal-sd1": lambda: map_model_from_document(
+        fixture_document("octahedron-antipodal")).subdivided(1),
+    "rotation-sd1": lambda: map_model_from_document(
+        fixture_document("octahedron-rotation")).subdivided(1),
     "collapse-sd1": _vertex_collapse_model,
     "polar-field": lambda: field_model_from_document(
         fixture_document("octahedron-polar-field")),
@@ -216,7 +240,7 @@ class TestSampleNorms:
         # integer numerators over one denominator give the floats of the
         # exact rationals, bit for bit
         model = SAMPLED_MODELS[name]()
-        pts, norms = _sample_norms(model, grid)
+        pts, norms = model.sample_norms(grid)
         ref_pts, ref_norms = _reference_sample_norms(model, grid)
         assert len(norms) > 0
         assert pts.tobytes() == ref_pts.tobytes()
@@ -254,6 +278,17 @@ class TestStability:
                               Fraction(2, 5))
         assert lefschetz_class(finer) == lefschetz_class(sin_model)
 
+    def test_subdivided_analytic_model_keeps_its_expressions(self, sin_model):
+        finer = sin_model.subdivided(1)
+        assert finer.components is sin_model.components
+        assert finer.complex.count(2) == 6 * sin_model.complex.count(2)
+        assert lefschetz_class(finer) == lefschetz_class(sin_model)
+
+    def test_pl_field_refuses_subdivision(self):
+        field = field_model_from_document(fixture_document("octahedron-polar-field"))
+        with pytest.raises(InputError, match="unsupported for this model"):
+            field.subdivided(1)
+
     def test_scaled_sin_class_stable_under_subdivision(self):
         from deckindex.complexes import barycentric_subdivide
         from deckindex.fixpoint import AnalyticModel
@@ -266,20 +301,20 @@ class TestStability:
     def test_rotation_subdivision_hits_face_rejection(self, rotation_model):
         # the rotation fixes face barycenters, which become vertices of the
         # subdivision: the pipeline must reject rather than misattribute
-        pushed = subdivided_automorphism(rotation_model)
+        pushed = rotation_model.subdivided(1)
         with pytest.raises(InputError, match="simplex face"):
             find_fixed_points(pushed, 0)
 
     def test_face_rejection_does_not_advise_subdividing(self, rotation_model):
         # the subdivided rotation's fixed points are vertices of every
         # further subdivision, so the refusal must not recommend one
-        pushed = subdivided_automorphism(rotation_model)
+        pushed = rotation_model.subdivided(1)
         with pytest.raises(InputError, match="lies on a simplex face") as e:
             find_fixed_points(pushed, 0)
         assert "one more barycentric subdivision" not in str(e.value)
 
     def test_antipodal_class_stable_under_subdivision(self, antipodal_model):
-        pushed = subdivided_automorphism(antipodal_model)
+        pushed = antipodal_model.subdivided(1)
         assert lefschetz_class(pushed).is_zero_function()
 
     def test_sin_class_stable_under_scaling(self, sin_model):
@@ -318,16 +353,10 @@ class TestOracle:
                                          model.quotient_chain_map()) == 0
 
 
-def _subdivided(model, times):
-    for _ in range(times):
-        model = subdivided_automorphism(model)
-    return model
-
-
 class TestOracleUnderSubdivision:
     @pytest.mark.parametrize("times", [0, 1, 2])
     def test_antipodal(self, antipodal_model, times):
-        out = equivariant_oracle_check(_subdivided(antipodal_model, times))
+        out = equivariant_oracle_check(antipodal_model.subdivided(times))
         assert out["equal"]
         assert out["classical_lefschetz_number"] == 0
         assert out["method"].startswith("Hopf trace")
@@ -338,14 +367,14 @@ class TestOracleUnderSubdivision:
         # vertices, so its own class is refused; the unsubdivided class is
         # the one the subdivided map must match
         cls = lefschetz_class(rotation_model)
-        out = equivariant_oracle_check(_subdivided(rotation_model, times), cls=cls)
+        out = equivariant_oracle_check(rotation_model.subdivided(times), cls=cls)
         assert out["equal"]
         assert out["classical_lefschetz_number"] == 2
 
     def test_reflection_after_one_subdivision(self):
         from deckindex.chains import lefschetz_number_quotient
-        model = _subdivided(
-            map_model_from_document(fixture_document("octahedron-reflection")), 1)
+        model = map_model_from_document(
+            fixture_document("octahedron-reflection")).subdivided(1)
         assert lefschetz_number_quotient(model.complex,
                                          model.quotient_chain_map()) == 0
 
