@@ -206,16 +206,10 @@ def pair(u: PeriodicCochain, c: PeriodicChain) -> int:
     """Pairing <u, c> against a finitely supported chain."""
     if u.degree != c.degree:
         raise InputError("pairing needs equal degrees")
-    if c.equivariant and not isinstance(c.complex.group, FiniteGroup):
+    # a chain over a finite group holds its equivariant part as exceptional
+    if c.equivariant:
         raise InputError("pairing against an infinite equivariant chain diverges")
-    total = 0
-    for (g, idx), a in c.exceptional.items():
-        total += a * u.value(g, idx)
-    if isinstance(c.complex.group, FiniteGroup):
-        for idx, a in c.equivariant.items():
-            for g in c.complex.group.elements():
-                total += a * u.value(g, idx)
-    return total
+    return sum(a * u.value(g, idx) for (g, idx), a in c.exceptional.items())
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +268,6 @@ def cap(u: PeriodicCochain, c: PeriodicChain) -> PeriodicChain:
 
     eq: dict = {}
     ex: dict = {}
-    finite_group = isinstance(group, FiniteGroup)
 
     for idx, a in c.equivariant.items():
         front_idx, back_idx, _ = geom[idx]

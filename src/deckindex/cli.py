@@ -22,7 +22,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports
@@ -31,28 +30,8 @@ from .errors import DeckIndexError, InputError
 from .groups import group_from_document, group_to_document
 
 
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    radius: int = 2
-    capacity: int = 16
-    subdivide: int = 0
-    grid: int = 32
-    seed: int = 0
-    out: str | None = None
-    plots: bool = False
-
-    def to_document(self) -> dict:
-        return {
-            "command": self.command,
-            "radius": self.radius,
-            "capacity": self.capacity,
-            "subdivide": self.subdivide,
-            "grid": self.grid,
-            "seed": self.seed,
-            "plots": self.plots,
-        }
+# the options a report's "config" block records
+CONFIG_KEYS = ("command", "radius", "capacity", "subdivide", "grid", "seed", "plots")
 
 
 def _load_document(ref: str) -> dict:
@@ -75,13 +54,14 @@ def _load_document(ref: str) -> dict:
     return doc
 
 
-def _emit(config: RunConfig, payload: dict, charts=None) -> None:
-    report = {"config": config.to_document(), "report": payload}
-    if config.out:
-        reports.write_report(config.out, "report.json", report)
-        if config.plots and charts:
+def _emit(args: argparse.Namespace, payload: dict, charts=None) -> None:
+    report = {"config": {k: getattr(args, k) for k in CONFIG_KEYS},
+              "report": payload}
+    if args.out:
+        reports.write_report(args.out, "report.json", report)
+        if args.plots and charts:
             for name, (title, labels, values) in charts.items():
-                reports.write_chart(config.out, name, title, labels, values)
+                reports.write_chart(args.out, name, title, labels, values)
     else:
         sys.stdout.write(reports.canonical_json(report))
 
@@ -111,19 +91,19 @@ def _certificate_narrative(cert) -> str:
 # Commands
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     from .complexes import QuotientComplex, barycentric_subdivide, validate_quotient
-    doc = _load_document(config.inputs[0])
+    doc = _load_document(args.inputs[0])
     if "complex" in doc:
         doc = doc["complex"]
     q = QuotientComplex.from_document(doc)
     report = validate_quotient(q)
-    if config.subdivide and report.valid:  # only a valid datum is subdivided
-        q = barycentric_subdivide(q, config.subdivide).complex
+    if args.subdivide and report.valid:  # only a valid datum is subdivided
+        q = barycentric_subdivide(q, args.subdivide).complex
         report = validate_quotient(q)
     payload = report.to_document()
     payload["cells"] = [q.count(k) for k in range(q.dimension + 1)]
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if report.valid else 1
 
 
@@ -135,15 +115,15 @@ def _class_chart(f: ClassFunction):
             [f.value(g) for g in ball])
 
 
-def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
+def _class_analysis(args: argparse.Namespace, f: ClassFunction, extra: dict,
                     charts: dict) -> dict:
     from .ufh import decide_class
-    cert = decide_class(f.group, f, capacity_budget=config.capacity)
+    cert = decide_class(f.group, f, capacity_budget=args.capacity)
     payload = dict(extra)
     payload["class_function"] = f.to_document()
     payload["certificate"] = cert.to_document()
     payload["narrative"] = _certificate_narrative(cert)
-    if config.plots:  # a chart sorts and formats ball(3): build it only on demand
+    if args.plots:  # a chart sorts and formats ball(3): build it only on demand
         charts["class_function.svg"] = _class_chart(f)
         if cert.verdict == "nonzero-by-mean":
             rows = cert.payload["averages"]
@@ -153,7 +133,7 @@ def _class_analysis(config: RunConfig, f: ClassFunction, extra: dict,
     return payload
 
 
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     """map-analyze and field-analyze: one pipeline for maps and fields.
 
     The command picks the document reader.  From there the model's index
@@ -162,22 +142,22 @@ def cmd_analyze(config: RunConfig) -> int:
     decision and the classical oracle for a map, the Poincare-Hopf check
     for a field.
     """
-    doc = _load_document(config.inputs[0])
+    doc = _load_document(args.inputs[0])
     charts: dict = {}
     if _looks_like_index_data(doc):  # a class function: the group side alone
         from .classes import ingest_index_data
         f, note = ingest_index_data(doc)
-        payload = _class_analysis(config, f, {"mode": "index-data",
-                                              "provenance": note}, charts)
-        _emit(config, payload, charts)
+        payload = _class_analysis(args, f, {"mode": "index-data",
+                                            "provenance": note}, charts)
+        _emit(args, payload, charts)
         return 0
     from . import fixpoint, vectorfield
     from .complexes import PeriodicComplex
-    read = fixpoint.map_model_from_document if config.command == "map-analyze" \
+    read = fixpoint.map_model_from_document if args.command == "map-analyze" \
         else vectorfield.field_model_from_document
     model = read(doc)
-    if config.subdivide:
-        model = model.subdivided(config.subdivide)
+    if args.subdivide:
+        model = model.subdivided(args.subdivide)
     is_map = model.index_matrix_sign < 0
     # looked up at call time, so that wrappers installed on the modules apply
     if is_map:
@@ -186,15 +166,15 @@ def cmd_analyze(config: RunConfig) -> int:
     else:
         mode, zeros_key = "field", "zeros"
         tameness, find = vectorfield.field_tameness_check, vectorfield.find_zeros
-    report = tameness(model, grid=max(config.grid, 32))
+    report = tameness(model, grid=args.grid)
     payload = {"mode": mode, "variant": model.variant,
-               "subdivision_refinement": config.subdivide,
+               "subdivision_refinement": args.subdivide,
                "tameness": report.to_document()}
     if report.verdict == "not tame":
         payload["note"] = f"pipeline stops: the {mode} is not tame"
-        _emit(config, payload, charts)
+        _emit(args, payload, charts)
         return 0
-    radius = config.radius if model.variant == "analytic" else 0
+    radius = args.radius if model.variant == "analytic" else 0
     records = find(model, radius)
     fd = PeriodicComplex(model.complex).fundamental_domain()
     n = model.complex.dimension
@@ -206,7 +186,7 @@ def cmd_analyze(config: RunConfig) -> int:
         payload["fixed_points_per_domain"] = len(records) if radius == 0 else \
             len(find(model, 0))
         cls = fixpoint.lefschetz_class(model, fd=fd, report=report)
-        payload.update(_class_analysis(config, cls, {}, charts))
+        payload.update(_class_analysis(args, cls, {}, charts))
         if model.equivariant:
             payload["oracle"] = fixpoint.equivariant_oracle_check(
                 model, report=report, cls=cls)
@@ -216,16 +196,16 @@ def cmd_analyze(config: RunConfig) -> int:
                     "interpretation"):
             payload[key] = ph[key]
         payload["difference_certificate"] = ph["certificate"].to_document()
-        if config.plots:
+        if args.plots:
             charts["index_class.svg"] = _class_chart(ph["class_function"])
-    _emit(config, payload, charts)
+    _emit(args, payload, charts)
     return 0
 
 
-def cmd_amenability(config: RunConfig) -> int:
+def cmd_amenability(args: argparse.Namespace) -> int:
     from .fixtures import FIXTURE_GROUPS
     from .ufh import flow_certificate, isoperimetric_probe
-    ref = config.inputs[0]
+    ref = args.inputs[0]
     fixture = ref.split(":", 1)[1] if ref.startswith("fixture:") else None
     if fixture in FIXTURE_GROUPS:  # a shipped complex's group, without the complex
         block = group_to_document(FIXTURE_GROUPS[fixture]())
@@ -240,7 +220,7 @@ def cmd_amenability(config: RunConfig) -> int:
             block = doc.get("complex", doc)
             block = block.get("group", doc) if isinstance(block, dict) else block
     group = group_from_document(block)
-    radii = list(range(1, config.radius + 1))
+    radii = list(range(1, args.radius + 1))
     probe = isoperimetric_probe(group, radii)
     payload = {
         "group": block,
@@ -272,7 +252,7 @@ def cmd_amenability(config: RunConfig) -> int:
         rows = []
         for r in flow_radii:
             res = flow_certificate(group, one, r, capacity=2,
-                                   capacity_budget=config.capacity)
+                                   capacity_budget=args.capacity)
             rows.append({"radius": r, "capacity": 2,
                          "feasible": res.feasible, "deficit": res.deficit})
         payload["uniform_capacity_flows"] = rows
@@ -280,17 +260,17 @@ def cmd_amenability(config: RunConfig) -> int:
                            "nonamenability signature; finite evidence "
                            "consistent with, not a proof of, the infinite "
                            "certificate")
-    _emit(config, payload, charts)
+    _emit(args, payload, charts)
     return 0
 
 
-def cmd_decide_class(config: RunConfig) -> int:
-    doc = _load_document(config.inputs[0])
+def cmd_decide_class(args: argparse.Namespace) -> int:
+    doc = _load_document(args.inputs[0])
     group = group_from_document(doc.get("group"))
     f = ClassFunction.from_document(group, doc)
     charts: dict = {}
-    payload = _class_analysis(config, f, {"mode": "decide-class"}, charts)
-    _emit(config, payload, charts)
+    payload = _class_analysis(args, f, {"mode": "decide-class"}, charts)
+    _emit(args, payload, charts)
     return 0
 
 
@@ -402,11 +382,11 @@ def _selftest_properties(seed: int) -> list:
     return results
 
 
-def cmd_selftest(config: RunConfig) -> int:
-    results = _selftest_properties(config.seed)
-    payload = {"seed": config.seed, "properties": results,
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = _selftest_properties(args.seed)
+    payload = {"seed": args.seed, "properties": results,
                "all_passed": all(r["passed"] for r in results)}
-    _emit(config, payload)
+    _emit(args, payload)
     for r in results:
         status = "pass" if r["passed"] else "FAIL"
         print(f"[{status}] {r['property']}", file=sys.stderr)
@@ -441,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "other commands refuse a nonzero value)")
         p.add_argument("--grid", type=int, default=32,
                        help="map-analyze and field-analyze sample tameness "
-                            "on max(GRID, 32) points per axis, refined once "
-                            "to twice that; the Newton grid is the model "
+                            "on GRID points per axis (at least 32), refined "
+                            "once to twice that; the Newton grid is the model "
                             "document's 'grid'")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for the randomized property suites")
@@ -473,19 +453,14 @@ def main(argv=None) -> int:
         # a malformed command line is an input failure, since 2 means a
         # resource budget
         return 1 if e.code else 0
-    config = RunConfig(command=args.command,
-                       inputs=getattr(args, "inputs", []),
-                       radius=args.radius, capacity=args.capacity,
-                       subdivide=args.subdivide, grid=args.grid,
-                       seed=args.seed, out=args.out, plots=args.plots)
     try:
-        if config.subdivide:
-            if config.command not in SUBDIVIDING:
+        if args.subdivide:
+            if args.command not in SUBDIVIDING:
                 raise InputError(f"--subdivide is read only by {', '.join(SUBDIVIDING)}; "
-                                 f"{config.command} does not subdivide")
+                                 f"{args.command} does not subdivide")
             from .complexes import check_subdivision_count
-            check_subdivision_count(config.subdivide, "--subdivide")
-        return COMMANDS[args.command](config)
+            check_subdivision_count(args.subdivide, "--subdivide")
+        return COMMANDS[args.command](args)
     except DeckIndexError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

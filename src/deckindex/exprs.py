@@ -681,7 +681,7 @@ def certified_sign(expr: Expr, point) -> int:
         if sign is not None:
             return sign
     raise InputError(f"sign of {expr} at {tuple(map(str, point))} is ambiguous "
-                     "at 240 bits; shrink the isolation radius or simplify the model")
+                     "at 240 bits: the value is too close to zero to certify")
 
 
 def snap_to_rational(value: float, max_denominator: int = 64,

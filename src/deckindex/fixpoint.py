@@ -13,7 +13,9 @@ field.  The public names of the map pipeline (``find_fixed_points``,
 
 Every model is a :class:`ZeroTable`: it keeps one list of zero records
 per (component set, window) pair, and each simplex-interior record carries
-its index from the moment it is built.  A window that uses the
+its index from the moment it is built.  An analytic model's component
+sets are :class:`ComponentSet` objects, its base list and one per
+override, each parsed, checked and compiled once.  A window that uses the
 unoverridden data copies the identity's records, moved by the window;
 any other window is solved once.  The tameness check, the zero listing,
 the index class and the oracle all read the same records.  What differs
@@ -30,7 +32,8 @@ Two kinds of model are supported.
   small-denominator rationals and verified symbolically; completeness at
   grid resolution is a documented heuristic, exact afterwards.  An override
   replaces the displacement on a single period cell ``w + [0,1)^n`` of the
-  cover (finitely many translates); authors must keep the seam continuous.
+  cover (finitely many translates, each overridden at most once, with one
+  component per dimension); authors must keep the seam continuous.
 
 * Affine-cell (complexes realized with exact rational coordinates): a
   simplicial map sends a barycentric subdivision of the quotient
@@ -66,6 +69,7 @@ not load it.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import operator
@@ -89,7 +93,7 @@ from .geometry import (
 from .groups import FiniteGroup, FreeAbelianGroup
 
 NEWTON_GRID = 32
-TAMENESS_GRID = 64
+TAMENESS_GRID = 32  # tameness samples per axis: the default and the floor
 BOUND_SAMPLES = 33  # float grid points per axis on which a declared bound is checked
 
 # How messages name a model and its zeros, by index_matrix_sign: the model,
@@ -155,31 +159,34 @@ class TamenessReport:
 class ZeroTable:
     """Zero records of a model, built once per (component set, window).
 
-    A window is a deck element.  A window that uses the unoverridden data
-    gets the identity's records moved by the window; any other window is
-    solved by the model's ``_solve_window``, which attaches the index of
-    every simplex-interior record.  Other records keep ``index = None``.
-    Lookups hand out copies.  Component sets are keyed by ``None`` (the
-    unoverridden data) or by the position of an override.
+    A window is a deck element.  ``base`` is the model's unoverridden data
+    and ``overrides`` maps a window to the component set that replaces the
+    base there: :class:`ComponentSet` objects for analytic models, while an
+    affine-cell model has ``base = None`` and no overrides.  A window that
+    uses the base gets the identity's records moved by the window; any
+    other window is solved by the model's ``_solve_window``, which attaches
+    the index of every simplex-interior record.  Other records keep
+    ``index = None``.  Lookups hand out copies.
     """
 
     def __init__(self):
-        self._records: dict = {}       # (component key, window) -> records
+        self._records: dict = {}       # (component set, window) -> records
+        self.base = None
+        self.overrides: dict = {}      # window -> component set
 
-    def override_translates(self):
-        return []
-
-    def component_key(self, window, plain: bool = False):
-        """Which component set applies in ``window``: None or an override position."""
-        return None
+    def component_set(self, window, plain: bool = False):
+        """The component set of ``window``: its override, else the base;
+        with ``plain=True`` the base whatever the window."""
+        return self.base if plain else self.overrides.get(window, self.base)
 
     def window_records(self, window, plain: bool = False):
         """Records of the zeros in ``window``; with ``plain=True`` the
         unoverridden data is used whatever the window."""
-        key = (self.component_key(window, plain), window)
+        data = self.component_set(window, plain)
+        key = (data, window)
         if key not in self._records:
             ident = self.group.identity()
-            if key[0] is None and window != ident:
+            if data is self.base and window != ident:
                 self._records[key] = [
                     _translate_record(self.complex, r, window)
                     for r in self.window_records(ident, plain=True)]
@@ -197,12 +204,67 @@ class ZeroTable:
 # Analytic models on flat-torus covers
 
 
+def _grid_points(per_axis: int, dim: int, centred: bool):
+    """The ``per_axis``^dim grid on [0, 1)^dim in product order: the cell
+    corners k/per_axis, or with ``centred=True`` the cell centres."""
+    import numpy as np
+    axis = np.linspace(0.0, 1.0, per_axis, endpoint=False)
+    if centred:
+        axis = axis + 0.5 / per_axis
+    return np.array(list(itertools.product(*[axis] * dim)))
+
+
+class ComponentSet:
+    """One component list of an analytic model: the base list or an
+    override.
+
+    It parses its expressions, checks that there is one per dimension and
+    takes their Jacobian; the float evaluators and the index determinant
+    det(index_matrix_sign * Jacobian) are built once, on first use.
+    ``owner`` prefixes its refusals (empty for the base list).
+    """
+
+    def __init__(self, components, dim: int, index_matrix_sign: int, owner: str = ""):
+        from . import exprs
+        self.dim = dim
+        self.index_matrix_sign = index_matrix_sign
+        self.exprs = [exprs.parse_expression(c, dim) for c in components]
+        if len(self.exprs) != dim:
+            raise InputError(f"{owner}component count must match the dimension")
+        self.jacobian = exprs.jacobian(self.exprs, dim)
+
+    @functools.cached_property
+    def evaluate(self):
+        """Vectorized float evaluation of the components."""
+        from . import exprs
+        return exprs.lambdify_vector(self.exprs, self.dim)
+
+    @functools.cached_property
+    def evaluate_jacobian(self):
+        """Stacked float Jacobians of the components."""
+        from . import exprs
+        return exprs.lambdify_matrix(self.jacobian, self.dim)
+
+    @functools.cached_property
+    def index_det(self):
+        from . import exprs
+        d = exprs.determinant(self.jacobian)
+        # det(-J) = (-1)^n det(J)
+        return exprs.neg(d) if self.index_matrix_sign < 0 and self.dim % 2 else d
+
+    def norms(self, points):
+        """Float norms of the components at float points."""
+        import numpy as np
+        return np.sqrt((self.evaluate(points) ** 2).sum(axis=1))
+
+
 class AnalyticModel(ZeroTable):
     """Z^n-periodic closed-form displacement or field on a Euclidean cover.
 
     ``index_matrix_sign`` distinguishes the two uses: a fixed point of
     ``x + d(x)`` has index sign det(-Dd), a field zero has index
-    sign det(Dv).
+    sign det(Dv).  ``base`` holds the components and ``overrides`` one
+    component set per overridden window; a window takes one override.
     """
 
     variant = "analytic"
@@ -220,73 +282,38 @@ class AnalyticModel(ZeroTable):
         self.dim = complex.dimension
         if self.group.rank != self.dim:
             raise InputError("deck rank must match the complex dimension")
-        from . import exprs
-        self.components = [exprs.parse_expression(c, self.dim) for c in components]
-        if len(self.components) != self.dim:
-            raise InputError("component count must match the dimension")
+        self.base = ComponentSet(components, self.dim, self.index_matrix_sign)
         self.bound = Fraction(bound)
-        self.jac = exprs.jacobian(self.components, self.dim)
         self.grid = int(grid)
         if self.grid < 1:
             raise InputError(f"'grid' (Newton starts per axis) must be at least 1, "
                              f"not {self.grid}")
-        self.overrides = []
         for ov in overrides or []:   # {"translate": deck element, "components": [...]}
-            comps = [exprs.parse_expression(c, self.dim) for c in ov["components"]]
-            self.overrides.append({"translate": ov["translate"], "components": comps,
-                                   "jacobian": exprs.jacobian(comps, self.dim)})
-        self._numerics: dict = {}      # (kind, component key) -> callable
-        self._index_dets: dict = {}    # component key -> determinant expression
+            window = ov["translate"]
+            owner = f"override at {self.group.format_element(window)!r}: "
+            if window in self.overrides:
+                raise InputError(f"{owner}the window already has an override")
+            self.overrides[window] = ComponentSet(
+                ov["components"], self.dim, self.index_matrix_sign, owner)
         self.validate_bound()
 
     @property
     def equivariant(self) -> bool:
         return not self.overrides
 
-    def override_translates(self):
-        return [ov["translate"] for ov in self.overrides]
-
-    def component_key(self, window, plain: bool = False):
-        if not plain:
-            for i, ov in enumerate(self.overrides):
-                if ov["translate"] == window:
-                    return i
-        return None
-
-    def _component_set(self, key):
-        if key is None:
-            return self.components, self.jac
-        ov = self.overrides[key]
-        return ov["components"], ov["jacobian"]
+    # read by the zeros_in_window observer of perfbench/spans.py
+    @property
+    def components(self):
+        return self.base.exprs
 
     def components_for_window(self, window):
-        return self._component_set(self.component_key(window))
-
-    # -- numeric plumbing ----------------------------------------------------
-
-    def _numeric(self, key):
-        """Vectorized float evaluation of a component set, lambdified once."""
-        if ("f", key) not in self._numerics:
-            from . import exprs
-            self._numerics["f", key] = exprs.lambdify_vector(
-                self._component_set(key)[0], self.dim)
-        return self._numerics["f", key]
-
-    def _numeric_jac(self, key):
-        """Stacked float Jacobians of a component set, lambdified once."""
-        if ("j", key) not in self._numerics:
-            from . import exprs
-            self._numerics["j", key] = exprs.lambdify_matrix(
-                self._component_set(key)[1], self.dim)
-        return self._numerics["j", key]
+        data = self.component_set(window)
+        return data.exprs, data.jacobian
 
     def validate_bound(self) -> None:
-        import numpy as np
-        axes = [np.linspace(0.0, 1.0, BOUND_SAMPLES, endpoint=False)] * self.dim
-        pts = np.array(list(itertools.product(*axes)))
-        for key in [None] + list(range(len(self.overrides))):
-            f = self._numeric(key)
-            worst = float(np.sqrt((f(pts) ** 2).sum(axis=1)).max())
+        pts = _grid_points(BOUND_SAMPLES, self.dim, centred=False)
+        for data in [self.base, *self.overrides.values()]:
+            worst = float(data.norms(pts).max())
             if not worst <= float(self.bound) * (1 + 1e-9):   # NaN fails too
                 raise InputError(f"declared bound {self.bound} violated on the "
                                  f"validation grid (observed {worst:.6f})")
@@ -313,18 +340,15 @@ class AnalyticModel(ZeroTable):
         """
         if window is None:
             window = self.group.identity()
-        return self._search_zeros(self.component_key(window, plain), window)
+        return self._search_zeros(self.component_set(window, plain), window)
 
-    def _search_zeros(self, key, window):
+    def _search_zeros(self, data: ComponentSet, window):
         import numpy as np
 
         from . import exprs
-        components, _ = self._component_set(key)
         base = np.array([float(x) for x in window])
-        axes = [np.linspace(0.0, 1.0, self.grid, endpoint=False)
-                + 0.5 / self.grid] * self.dim
-        starts = np.array(list(itertools.product(*axes))) + base
-        x = _lockstep_newton(self._numeric(key), self._numeric_jac(key), starts)
+        starts = _grid_points(self.grid, self.dim, centred=True) + base
+        x = _lockstep_newton(data.evaluate, data.evaluate_jacobian, starts)
         local = np.mod(x - base, 1.0)
         local = np.where(local > 1.0 - 1e-9, 0.0, local)
         unique = _dedup_on_torus(local, limit=4 * self.grid)
@@ -336,7 +360,7 @@ class AnalyticModel(ZeroTable):
             snapped = [exprs.snap_to_rational(c) for c in z]
             if all(s is not None for s in snapped):
                 point = tuple(s + Fraction(w) for s, w in zip(snapped, window))
-                if exprs.is_exact_zero_vector(components, point):
+                if exprs.is_exact_zero_vector(data.exprs, point):
                     out.append((point, True))
                     continue
             out.append((tuple(float(c) + float(w) for c, w in zip(z, window)),
@@ -360,61 +384,34 @@ class AnalyticModel(ZeroTable):
         if window is None:
             window = tuple(math.floor(float(c)) for c in position)
         from . import exprs
-        sign = exprs.certified_sign(self._index_det(self.component_key(window, plain)),
+        sign = exprs.certified_sign(self.component_set(window, plain).index_det,
                                     tuple(map(Fraction, position)))
         if sign == 0:
             raise InputError("degenerate analytic zero: the Jacobian "
-                             "determinant vanishes; demand a smaller "
-                             "isolation radius or simplify the model")
+                             "determinant vanishes there, and the index of a "
+                             "degenerate zero is not computed")
         return sign
-
-    def _index_det(self, key):
-        """det(index_matrix_sign * Jacobian) of a component set, built once."""
-        if key not in self._index_dets:
-            from . import exprs
-            d = exprs.determinant(self._component_set(key)[1])
-            # det(-J) = (-1)^n det(J)
-            if self.index_matrix_sign < 0 and self.dim % 2:
-                d = exprs.neg(d)
-            self._index_dets[key] = d
-        return self._index_dets[key]
-
-    def norms_at(self, points: np.ndarray) -> np.ndarray:
-        """Displacement/field norms at float samples, override-aware."""
-        import numpy as np
-        windows = np.floor(points).astype(int)
-        keys = np.full(len(points), -1)
-        # the first override of a window wins, as in components_for_window
-        for i in reversed(range(len(self.overrides))):
-            inside = (windows == self.overrides[i]["translate"]).all(axis=1)
-            keys[inside] = i
-        out = np.empty(len(points))
-        for k in np.unique(keys):
-            sel = keys == k
-            f = self._numeric(None if k < 0 else int(k))
-            out[sel] = np.sqrt((f(points[sel]) ** 2).sum(axis=1))
-        return out
 
     def sample_norms(self, grid: int):
         """Float positions and norms at the cell centres of a ``grid``^n grid
-        on the identity window and on every override window."""
+        on the identity window and on every override window, each window
+        sampled with its own component set."""
         import numpy as np
-        axes = [np.linspace(0.0, 1.0, grid, endpoint=False) + 0.5 / grid] * self.dim
-        pts = np.array(list(itertools.product(*axes)))
-        windows = [self.group.identity()] + self.override_translates()
-        all_pts = np.concatenate([pts + np.array([float(c) for c in w])
-                                  for w in windows])
-        return all_pts, self.norms_at(all_pts)
+        cell = _grid_points(grid, self.dim, centred=True)
+        windows = [self.group.identity(), *self.overrides]
+        pts = [cell + np.array([float(c) for c in w]) for w in windows]
+        return np.concatenate(pts), np.concatenate(
+            [self.component_set(w).norms(p) for w, p in zip(windows, pts)])
 
     def subdivided(self, times: int):
         """The same model over the ``times``-fold subdivided complex.
 
-        The parsed expressions, Jacobians, index determinants and compiled
-        evaluators depend only on the components, so the copy shares them;
+        The component sets depend only on the components, so the copy
+        shares them, with their compiled evaluators and index determinants;
         only the zero records, which name host cells, start afresh.
         """
         out = copy.copy(self)
-        ZeroTable.__init__(out)
+        out._records = {}
         out.complex = barycentric_subdivide(self.complex, times).complex
         out.group = out.complex.group
         return out
@@ -883,7 +880,7 @@ def _cover(model):
     the unoverridden zeros it replaces.
     """
     group = model.group
-    owned = {group.identity()} | set(model.override_translates())
+    owned = {group.identity()} | set(model.overrides)
     box = [group.identity()]
     for g in group.generators():
         box = [group.multiply(b, s) for b in box
@@ -908,10 +905,12 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     the minimum norm the model samples (its ``sample_norms``) outside the
     delta-balls of every zero of the cover, rounded down to a rational;
     the grid refines once when the minimum is suspiciously small.
-    Sampling is a documented heuristic; the zero set itself is exact
-    wherever the model permits.
+    ``grid`` is raised to at least :data:`TAMENESS_GRID`.  Sampling is a
+    documented heuristic; the zero set itself is exact wherever the model
+    permits.
     """
     import numpy as np
+    grid = max(grid, TAMENESS_GRID)
     try:
         # solves the unoverridden windows around an overridden identity
         # too, so a failed search shows up here
@@ -956,13 +955,10 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     eps_float = None
     for attempt in (1, 2):
         pts, disp = model.sample_norms(grid * attempt)
-        if len(zero_set):
-            diff = pts[:, None, :] - zero_set[None, :, :]
-            dist = np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
-            keep = dist > float(delta)
-        else:
-            keep = np.ones(len(pts), dtype=bool)
-        outside = disp[keep]
+        dist = np.full(len(pts), np.inf)     # to the nearest zero of the cover
+        for z in zero_set:
+            np.minimum(dist, np.sqrt(((pts - z) ** 2).sum(axis=1)), out=dist)
+        outside = disp[dist > float(delta)]
         if len(outside) == 0:
             return TamenessReport(delta=delta, epsilon=None, verdict="not tame",
                                   witnesses=["delta-balls swallow the sample grid"])
@@ -1028,7 +1024,7 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
 
     constant = sum(r.index for r in indexed(
         model.window_records(group.identity(), plain=True)))
-    for w in model.override_translates():
+    for w in model.overrides:
         add(model.window_records(w, plain=True), -1)
         add(model.window_records(w))
     return ClassFunction(group, constant, finite)
@@ -1094,12 +1090,18 @@ def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):
     Only reading the document is guarded by :func:`document_value`; the
     model's own checks run unwrapped.
     """
+    def expressions(value):
+        # list() would split a string into characters and read an object's keys
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list of expressions, not {type(value).__name__}")
+        return value
+
     def override(ov):
         return {"translate": document_value(ov, "translate", q.group.parse_word),
-                "components": document_value(ov, "components", list)}
+                "components": document_value(ov, "components", expressions)}
 
     return model_class(
-        q, document_value(doc, "components", list),
+        q, document_value(doc, "components", expressions),
         document_value(doc, "bound", lambda b: Fraction(str(b))),
         overrides=document_value(doc, "overrides",
                                  lambda ovs: [override(ov) for ov in ovs], []),

@@ -139,9 +139,6 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
 # ---------------------------------------------------------------------------
 # Exact integral max-flow (Dinic's blocking flows, warm-started)
 
-FLOW_RADIUS_BUDGET = 10
-
-
 def _max_flow(adj, head, cap, s: int, t: int) -> int:
     """Raise the s-t flow held in the residual ``cap`` to a maximum.
 
@@ -305,15 +302,6 @@ class _BallFlows:
                           capacity=capacity, deficit=deficit, chain=chain)
 
 
-def _check_flow_budgets(radius: int, capacity: int, capacity_budget: int) -> None:
-    if radius > FLOW_RADIUS_BUDGET:
-        raise ResourceError(f"flow radius {radius} exceeds budget {FLOW_RADIUS_BUDGET} "
-                            "(--radius)")
-    if capacity > capacity_budget:
-        raise ResourceError(f"flow capacity {capacity} exceeds budget "
-                            f"{capacity_budget} (--capacity)")
-
-
 def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
                      capacity: int, capacity_budget: int = 64) -> FlowResult:
     """Integral flow pushing the masses of c to the radius-R sphere.
@@ -322,9 +310,11 @@ def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
     negative masses are routed separately (two commodities on the same
     capacities) and subtracted, so the resulting 1-chain has boundary c on
     ball(R-1).  Edge capacity is per commodity.  Infeasibility reports the
-    max-flow deficit.
+    max-flow deficit.  The group's ball budget bounds the radius.
     """
-    _check_flow_budgets(radius, capacity, capacity_budget)
+    if capacity > capacity_budget:
+        raise ResourceError(f"flow capacity {capacity} exceeds budget "
+                            f"{capacity_budget} (--capacity)")
     flows = _BallFlows(group, c, radius)
     flows.raise_to(capacity)
     return flows.result(capacity)
@@ -358,7 +348,6 @@ def _capacity_search(group: MarkedGroup, c: ClassFunction, radii,
 def minimal_flow_capacity(group: MarkedGroup, c: ClassFunction,
                           radius: int, capacity_budget: int = 64) -> int:
     """Smallest uniform capacity with a feasible flow at ``radius``."""
-    _check_flow_budgets(radius, 1, capacity_budget)
     capacity, _ = _capacity_search(group, c, [radius], capacity_budget)
     if capacity is None:
         raise ResourceError(f"no feasible capacity up to {capacity_budget} "

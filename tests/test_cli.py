@@ -1,11 +1,14 @@
 import argparse
+import ast
+import glob
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
-from deckindex import cli, complexes
+from deckindex import cli, complexes, fixpoint
 from deckindex.cli import main
 from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document
@@ -318,6 +321,18 @@ class TestExitCodes:
         assert main(["decide-class", "fixture:connected-sum-index"]) == 0
         assert built.count("deckindex") == 1
 
+    def test_degenerate_zero_names_no_missing_knob(self, tmp_path, capsys):
+        # zeros of index +-2 where the Jacobian vanishes: refused, without
+        # pointing at an "isolation radius" that nothing sets
+        path = _write(tmp_path, "f.json", {
+            "variant": "analytic", "fixture": "torus", "bound": "2",
+            "components": ["sin(2*pi*x)**2 - sin(2*pi*y)**2",
+                           "2*sin(2*pi*x)*sin(2*pi*y)"]})
+        assert main(["field-analyze", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: degenerate analytic zero")
+        assert "isolation radius" not in err
+
     def test_integral_float_is_accepted(self, tmp_path):
         path = _write(tmp_path, "c.json",
                       {"group": {"kind": "free-abelian", "rank": 1},
@@ -469,3 +484,27 @@ class TestCharts:
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in out.glob("*.svg")}
         assert written == CHARTS[command]
+
+
+class TestOptions:
+    def test_grid_default_is_the_tameness_floor(self):
+        args = cli.build_parser().parse_args(["map-analyze", "fixture:sin-map"])
+        assert args.grid == fixpoint.TAMENESS_GRID
+
+    def test_every_option_named_in_the_source_exists(self):
+        parser = cli.build_parser()
+        [commands] = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        options = {s for p in commands.choices.values()
+                   for a in p._actions for s in a.option_strings}
+        named = {}
+        source = os.path.dirname(cli.__file__)
+        for path in sorted(glob.glob(os.path.join(source, "*.py"))):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    for option in re.findall(r"(?<![\w-])--[a-z][a-z-]*", node.value):
+                        named.setdefault(option, os.path.basename(path))
+        assert "--capacity" in named   # the scan reads error messages
+        assert {o: f for o, f in named.items() if o not in options} == {}

@@ -10,6 +10,7 @@ from deckindex.fixpoint import (
     SimplicialMapModel,
     ZeroTable,
     _cover,
+    check_tameness,
     equivariant_oracle_check,
     find_fixed_points,
     ingest_index_data,
@@ -130,6 +131,11 @@ class TestTameness:
         # shrinks delta further on this triangulation
         assert report.delta <= Fraction(1, 4)
         assert report.epsilon is not None and report.epsilon > 0
+
+    @pytest.mark.parametrize("name", ["sin-map", "octahedron-rotation"])
+    def test_grid_below_the_floor_samples_the_floor(self, name):
+        model = map_model_from_document(fixture_document(name))
+        assert check_tameness(model, grid=8) == check_tameness(model, grid=32)
 
     def test_identity_not_tame(self):
         model = map_model_from_document(fixture_document("octahedron-identity"))
@@ -280,7 +286,7 @@ class TestStability:
 
     def test_subdivided_analytic_model_keeps_its_expressions(self, sin_model):
         finer = sin_model.subdivided(1)
-        assert finer.components is sin_model.components
+        assert finer.base is sin_model.base
         assert finer.complex.count(2) == 6 * sin_model.complex.count(2)
         assert lefschetz_class(finer) == lefschetz_class(sin_model)
 

@@ -39,6 +39,16 @@ def _override_without_components():
     return doc
 
 
+def _with_override(*overrides):
+    """The overridden sin field with its override list replaced."""
+    doc = fixture_document("sin-field-override")
+    doc["overrides"] = list(overrides)
+    return doc
+
+
+SEAM_COMPONENTS = fixture_document("sin-field-override")["overrides"][0]["components"]
+
+
 def _unknown_vertex_image():
     doc = fixture_document("octahedron-rotation")
     doc["vertex_images"]["px"] = "nowhere"
@@ -55,6 +65,19 @@ def _inline_complex_without_labels(name):
 MALFORMED = [
     ("missing components", COMMANDS, lambda: _with("sin-map", components=None)),
     ("override without components", COMMANDS, _override_without_components),
+    ("override with one component", COMMANDS, lambda: _with_override(
+        {"translate": "a a", "components": ["sin(2*pi*x)"]})),
+    ("override with three components", COMMANDS, lambda: _with_override(
+        {"translate": "a a", "components": ["sin(2*pi*x)", "sin(2*pi*y)", "0"]})),
+    ("repeated override translate", COMMANDS, lambda: _with_override(
+        {"translate": "a a", "components": SEAM_COMPONENTS},
+        {"translate": "a a", "components": ["sin(2*pi*x)", "sin(2*pi*y)"]})),
+    ("components as a string", COMMANDS,
+     lambda: _with("sin-map", components="sin(2*pi*x)")),
+    ("components as an object", COMMANDS, lambda: _with(
+        "sin-map", components={"sin(2*pi*x)/5": 0, "sin(2*pi*y)/5": 1})),
+    ("override components as a string", COMMANDS, lambda: _with_override(
+        {"translate": "a a", "components": "sin(2*pi*x)"})),
     ("non-numeric bound", COMMANDS, lambda: _with("sin-map", bound="abc")),
     ("negative bound", COMMANDS, lambda: _with("sin-map", bound="-2")),
     ("negative PL bound", ("field-analyze",),
@@ -71,12 +94,24 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("command,make", [
-    pytest.param(command, make, id=f"{label}-{command}")
+# what the refusal of a malformed component list names
+NAMED = {
+    "override with one component": "override at 'a a'",
+    "override with three components": "override at 'a a'",
+    "repeated override translate": "override at 'a a'",
+    "components as a string": "'components'",
+    "components as an object": "'components'",
+    "override components as a string": "'components'",
+}
+
+
+@pytest.mark.parametrize("label,command,make", [
+    pytest.param(label, command, make, id=f"{label}-{command}")
     for label, commands, make in MALFORMED for command in commands])
-def test_malformed_document_exits_one(command, make, tmp_path, capsys):
+def test_malformed_document_exits_one(label, command, make, tmp_path, capsys):
     assert _run(command, make(), str(tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and NAMED.get(label, "") in err
 
 
 # Top-level mutations of shipped documents: drop a key, or set a key (one

@@ -37,10 +37,8 @@ from deckindex.vectorfield import (field_model_from_document,
 
 
 def _scalar_zeros_in_window(model, window, plain=False):
-    if plain:
-        components, jac = model.components, model.jac
-    else:
-        components, jac = model.components_for_window(window)
+    data = model.component_set(window, plain)
+    components, jac = data.exprs, data.jacobian
     f = exprs.lambdify_vector(components, model.dim)
     entries = [[exprs.numpy_function(e) for e in row] for row in jac]
 
@@ -118,7 +116,7 @@ def test_sin_map_base_window():
 
 def test_sin_field_override_window():
     model = field_model_from_document(fixture_document("sin-field-override"))
-    w = model.override_translates()[0]
+    [w] = model.overrides
     got = _assert_same(model, w)
     assert len(got) == 8
 
@@ -170,14 +168,15 @@ def test_pipeline_searches_each_window_once(monkeypatch):
     calls = []
     search = model._search_zeros
     monkeypatch.setattr(model, "_search_zeros",
-                        lambda key, window: calls.append((key, window)) or
-                        search(key, window))
+                        lambda data, window: calls.append((data, window)) or
+                        search(data, window))
     report = field_tameness_check(model, grid=32)
     find_zeros(model, 2)
     poincare_hopf_check(model, report=report)
     index_class(model, report=report)
-    w = model.override_translates()[0]
-    assert sorted(calls, key=repr) == [(0, w), (None, (0, 0))]
+    [(w, override)] = model.overrides.items()
+    assert len(calls) == 2
+    assert set(calls) == {(override, w), (model.base, (0, 0))}
 
 
 def test_records_carry_a_fresh_index():

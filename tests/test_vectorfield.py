@@ -50,7 +50,7 @@ class TestFindZeros:
         assert all(not r.on_face for r in records)
 
     def test_override_window_has_eight_zeros(self, override_field):
-        w = override_field.override_translates()[0]
+        [w] = override_field.overrides
         zeros = override_field.zeros_in_window(w)
         assert len(zeros) == 8
         assert all(exact for _, exact in zeros)
