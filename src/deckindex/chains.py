@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import ClassFunction, _prune
-from .complexes import PeriodicComplex, QuotientComplex, validate_quotient
-from .errors import InputError, InternalError, OrientationError
+from .complexes import PeriodicComplex, QuotientComplex
+from .errors import InputError, InternalError
 from .groups import FiniteGroup
 
 
@@ -217,19 +217,10 @@ def pair(u: PeriodicCochain, c: PeriodicChain) -> int:
 
 
 def fundamental_cycle(pc: PeriodicComplex) -> PeriodicChain:
-    """Sum of all top simplices with their orientation signs.
-
-    Raises OrientationError when the stored signs are not coherent (then
-    no fundamental cycle exists, e.g. for non-orientable quotients).
-    """
+    """Sum of all top simplices with their orientation signs, which are
+    coherent: a :class:`PeriodicComplex` is validated when it is built and
+    refuses incoherent signs with an OrientationError."""
     q = pc.quotient
-    report = validate_quotient(q)
-    if not report.valid:
-        kinds = report.kinds()
-        if kinds & {"orientation coherence", "orientation data"}:
-            raise OrientationError(
-                "no fundamental cycle: " + report.violations[0]["detail"])
-        raise InputError("invalid quotient: " + report.violations[0]["detail"])
     return PeriodicChain(q, q.dimension, dict(q.orientation), {})
 
 

@@ -608,8 +608,11 @@ class PeriodicComplex:
     def __init__(self, quotient: QuotientComplex):
         report = validate_quotient(quotient)
         if not report.valid:
-            raise InputError("invalid quotient datum: "
-                             + "; ".join(v["detail"] for v in report.violations[:3]))
+            # a datum wrong only in its signs has no fundamental cycle
+            orientation = report.kinds() <= {"orientation coherence", "orientation data"}
+            raise (OrientationError if orientation else InputError)(
+                "invalid quotient datum: "
+                + "; ".join(v["detail"] for v in report.violations[:3]))
         self.quotient = quotient
         self.group = quotient.group
 

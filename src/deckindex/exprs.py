@@ -21,10 +21,11 @@ fold constants in exact rationals, so ``1/0`` is refused while parsing
 and derivatives stay small.
 
 On the tree: :func:`derivative` and :func:`jacobian`, :func:`determinant`
-by cofactors, :func:`numpy_function`, a float evaluator built once per
-expression (behind :func:`lambdify_vector` and :func:`lambdify_matrix`),
-enclosures in ``mpmath.iv`` and an exact-zero test, which together give
-:func:`certified_sign`.
+by cofactors, and one evaluator, a fold that builds a function of the point
+from a table of operations.  Its three tables give the float evaluator
+:func:`numpy_function` (behind :func:`lambdify_vector` and
+:func:`lambdify_matrix`), enclosures in ``mpmath.iv`` and exact values for
+an exact-zero test, which together give :func:`certified_sign`.
 
 The exact-zero test decides whether an expression vanishes at a rational
 point.  There, sin and cos of a rational multiple r*pi are sums of the
@@ -47,6 +48,7 @@ commands that parse no expression never load any of the three.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -406,106 +408,99 @@ def determinant(rows) -> Expr:
     return total
 
 
-# -- float evaluation ----------------------------------------------------------
+# -- one evaluator for every arithmetic ----------------------------------------
 
-_ARITHMETIC = {"add": operator.add, "sub": operator.sub,
-               "mul": operator.mul, "div": operator.truediv}
+# the operations floats and intervals share; an arithmetic adds sin, cos, the
+# value of a rational constant and the value of pi
+_FIELD = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
+
+
+def _compile(e: Expr, arithmetic: dict):
+    """Evaluator of ``e`` in one arithmetic, built by one fold over the
+    tree: a function of the point (coordinate values in variable order).
+    ``arithmetic`` maps every operation of the tree to a function, ``const``
+    to the function giving a rational's value and ``pi`` to pi's value."""
+    op, args = e
+    if op == "var":
+        return operator.itemgetter(args[0])
+    if op in ("const", "pi"):
+        v = arithmetic["const"](args[0]) if op == "const" else arithmetic["pi"]
+        return lambda point: v
+    fn = arithmetic[op]
+    if op == "pow":
+        f, n = _compile(args[0], arithmetic), args[1]
+        return lambda point: fn(f(point), n)
+    if len(args) == 2:
+        f, g = _compile(args[0], arithmetic), _compile(args[1], arithmetic)
+        return lambda point: fn(f(point), g(point))
+    f = _compile(args[0], arithmetic)
+    return lambda point: fn(f(point))
+
+
+@functools.cache
+def _floats() -> dict:
+    import numpy as np
+    return {**_FIELD, "sin": np.sin, "cos": np.cos,
+            "const": lambda r: np.float64(float(r)), "pi": np.float64(np.pi)}
 
 
 def numpy_function(e: Expr):
     """Float evaluator of one expression, built once: a function of the
     coordinate columns (numpy arrays or scalars, in variable order)."""
-    import numpy as np
-    op, args = e
-    if op in ("const", "pi"):
-        v = np.float64(np.pi if op == "pi" else float(args[0]))
-        return lambda cols: v
-    if op == "var":
-        i = args[0]
-        return lambda cols: cols[i]
-    if op in _ARITHMETIC:
-        f, g, fn = numpy_function(args[0]), numpy_function(args[1]), _ARITHMETIC[op]
-        return lambda cols: fn(f(cols), g(cols))
-    f = numpy_function(args[0])
-    if op == "neg":
-        return lambda cols: -f(cols)
-    if op == "pow":
-        n = args[1]
-        return lambda cols: f(cols) ** n
-    u = np.sin if op == "sin" else np.cos
-    return lambda cols: u(f(cols))
+    return _compile(e, _floats())
 
 
-def lambdify_vector(components, dim: int):
-    """Numeric vector function: a (k, dim) array of points to (k, len(components)).
+def _stacked(expressions, dim: int, shape):
+    """Float evaluator of a list of expressions: a (k, dim) array of points
+    to a (k, *shape) array of their values, in row-major order.
 
     Floating-point warnings are silenced: a NaN or infinite value is
     refused by the bound check, and Newton drops starts that do not
     converge, so a warning would only repeat that on stderr.
     """
     import numpy as np
-    funcs = [numpy_function(c) for c in components]
+    funcs = [numpy_function(e) for e in expressions]
 
-    def f(points):
+    def evaluate(points):
         cols = [points[:, i] for i in range(dim)]
         with np.errstate(all="ignore"):
             return np.stack([np.broadcast_to(fn(cols), points.shape[0])
-                             for fn in funcs], axis=1).astype(float)
+                             for fn in funcs], axis=1).astype(float) \
+                .reshape(points.shape[0], *shape)
 
-    return f
+    return evaluate
+
+
+def lambdify_vector(components, dim: int):
+    """Numeric vector function: a (k, dim) array of points to (k, len(components))."""
+    return _stacked(components, dim, (len(components),))
 
 
 def lambdify_matrix(matrix, dim: int):
-    """Numeric matrix function: a (k, dim) array of points to (k, rows, cols),
-    with floating-point warnings silenced as in :func:`lambdify_vector`."""
-    import numpy as np
-    rows = [[numpy_function(e) for e in row] for row in matrix]
-
-    def jac(points):
-        cols = [points[:, i] for i in range(dim)]
-        with np.errstate(all="ignore"):
-            return np.stack([np.stack([np.broadcast_to(fn(cols), points.shape[0])
-                                       for fn in row], axis=1)
-                             for row in rows], axis=1).astype(float)
-
-    return jac
+    """Numeric matrix function: a (k, dim) array of points to (k, rows, cols)."""
+    return _stacked([e for row in matrix for e in row], dim,
+                    (len(matrix), len(matrix[0])))
 
 
 # -- interval enclosures -------------------------------------------------------
 
-def _enclosure(e: Expr, point, iv):
-    """Interval enclosure of ``e`` at the interval point, at the working
-    precision."""
-    op, args = e
-    if op == "const":
-        return iv.mpf(args[0].numerator) / iv.mpf(args[0].denominator)
-    if op == "pi":
-        return iv.pi
-    if op == "var":
-        return point[args[0]]
-    if op in _ARITHMETIC:
-        return _ARITHMETIC[op](_enclosure(args[0], point, iv),
-                               _enclosure(args[1], point, iv))
-    inner = _enclosure(args[0], point, iv)
-    if op == "neg":
-        return -inner
-    if op == "pow":
-        return inner ** args[1]
-    return iv.sin(inner) if op == "sin" else iv.cos(inner)
-
-
 def _interval_sign(e: Expr, point, prec: int):
     """Sign proved by a ``prec``-bit enclosure, or None if it contains 0."""
-    import mpmath
-    iv = mpmath.iv
-    with mpmath.workprec(prec):
-        interval = _enclosure(e, [iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                                  for c in point], iv)
-        if interval.a > 0:
-            return 1
-        if interval.b < 0:
-            return -1
-    return None
+    from mpmath import iv
+
+    def const(r):
+        return iv.mpf(r.numerator) / iv.mpf(r.denominator)
+
+    # iv keeps a precision of its own, which mpmath.workprec leaves at 53 bits
+    saved, iv.prec = iv.prec, prec
+    try:
+        intervals = {**_FIELD, "sin": iv.sin, "cos": iv.cos, "const": const,
+                     "pi": iv.pi}
+        interval = _compile(e, intervals)([const(c) for c in point])
+    finally:
+        iv.prec = saved
+    return 1 if interval.a > 0 else -1 if interval.b < 0 else None
 
 
 # -- exact values at rational points -------------------------------------------
@@ -609,38 +604,6 @@ def _trig(op: str, arg: dict) -> dict:
     return _reduce(out)
 
 
-def _exact(e: Expr, point) -> dict:
-    op, args = e
-    if op == "const":
-        return _rational(args[0])
-    if op == "pi":
-        return {(1, _UNIT): Fraction(1)}
-    if op == "var":
-        return _rational(point[args[0]])
-    if op in ("sin", "cos"):
-        return _trig(op, _exact(args[0], point))
-    a = _exact(args[0], point)
-    if op == "neg":
-        return _scaled(a, Fraction(-1))
-    if op == "pow":
-        n = args[1]
-        if n < 0:
-            return _rational(_nonzero_rational(a) ** n)
-        out = _rational(Fraction(1))
-        for _ in range(n):
-            out = _times(out, a)
-        return out
-    b = _exact(args[1], point)
-    if op in ("add", "sub"):
-        out = dict(a)
-        for k, v in b.items():
-            _merge(out, k, v if op == "add" else -v)
-        return out
-    if op == "mul":
-        return _times(a, b)
-    return _scaled(a, 1 / _nonzero_rational(b))
-
-
 def _nonzero_rational(value: dict) -> Fraction:
     value = _reduce(value)
     if list(value) != [(0, _UNIT)]:
@@ -648,11 +611,31 @@ def _nonzero_rational(value: dict) -> Fraction:
     return value[0, _UNIT]
 
 
+def _plus(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        _merge(out, k, v)
+    return out
+
+
+def _exact_power(a: dict, n: int) -> dict:
+    if n < 0:
+        return _rational(_nonzero_rational(a) ** n)
+    return functools.reduce(_times, [a] * n, _rational(Fraction(1)))
+
+
+_EXACT = {"add": _plus, "sub": lambda a, b: _plus(a, _scaled(b, Fraction(-1))),
+          "mul": _times, "div": lambda a, b: _scaled(a, 1 / _nonzero_rational(b)),
+          "neg": lambda a: _scaled(a, Fraction(-1)), "pow": _exact_power,
+          "sin": functools.partial(_trig, "sin"), "cos": functools.partial(_trig, "cos"),
+          "const": _rational, "pi": {(1, _UNIT): Fraction(1)}}
+
+
 def exact_zero(e: Expr, point):
     """Whether ``e`` vanishes at the rational point: True, False, or None
     when the value lies outside the decidable fragment."""
     try:
-        return not _reduce(_exact(e, point))
+        return not _reduce(_compile(e, _EXACT)([_rational(c) for c in point]))
     except _Undecided:
         return None
 

@@ -90,7 +90,7 @@ from .geometry import (
     sqrt_lower_bound,
     squared_distance_point_point,
 )
-from .groups import FiniteGroup, FreeAbelianGroup
+from .groups import FiniteGroup, FreeAbelianGroup, integer_value
 
 NEWTON_GRID = 32
 TAMENESS_GRID = 32  # tameness samples per axis: the default and the floor
@@ -394,11 +394,11 @@ class AnalyticModel(ZeroTable):
 
     def sample_norms(self, grid: int):
         """Float positions and norms at the cell centres of a ``grid``^n grid
-        on the identity window and on every override window, each window
-        sampled with its own component set."""
+        on the identity window and on every other override window, each
+        window sampled once, with its own component set."""
         import numpy as np
         cell = _grid_points(grid, self.dim, centred=True)
-        windows = [self.group.identity(), *self.overrides]
+        windows = dict.fromkeys([self.group.identity(), *self.overrides])
         pts = [cell + np.array([float(c) for c in w]) for w in windows]
         return np.concatenate(pts), np.concatenate(
             [self.component_set(w).norms(p) for w, p in zip(windows, pts)])
@@ -1077,11 +1077,11 @@ def document_value(doc, key, parse, *default):
 
 
 def vertex_id_reader(q: QuotientComplex):
-    """Vertex id of a vertex name, an int id or a decimal string id (JSON
-    object keys are strings); a name wins over an id."""
+    """Vertex id of a vertex name, an integral id or a decimal string id
+    (JSON object keys are strings); a name wins over an id."""
     vid = {name: i for i, name in enumerate(q.vertices)}
     return lambda x: vid[x] if isinstance(x, str) and (x in vid or not x.isdecimal()) \
-        else int(x)
+        else integer_value(x)
 
 
 def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):
@@ -1105,7 +1105,7 @@ def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):
         document_value(doc, "bound", lambda b: Fraction(str(b))),
         overrides=document_value(doc, "overrides",
                                  lambda ovs: [override(ov) for ov in ovs], []),
-        grid=document_value(doc, "grid", int, NEWTON_GRID))
+        grid=document_value(doc, "grid", integer_value, NEWTON_GRID))
 
 
 def map_model_from_document(doc: dict, complex_resolver=None):
@@ -1133,7 +1133,8 @@ def map_model_from_document(doc: dict, complex_resolver=None):
         overrides = document_value(doc, "overrides", lambda ov: {
             k: as_vid(v) for k, v in (ov or {}).items()}, None)
         subdivision = check_subdivision_count(
-            document_value(doc, "subdivision", int, 0), "model document: 'subdivision'")
+            document_value(doc, "subdivision", integer_value, 0),
+            "model document: 'subdivision'")
         return SimplicialMapModel(q, subdivision, images, overrides=overrides or None)
     raise InputError(f"unknown map variant {variant!r}")
 

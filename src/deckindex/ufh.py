@@ -13,6 +13,11 @@ coinvariant quotient, and emits a machine-checkable certificate:
   finite evidence consistent with, not a proof of, the infinite
   certificate; reports state that explicitly.
 
+On an amenable group, finite or infinite, one rule picks between the first
+two: the class vanishes exactly when every invariant mean sends it to 0
+(Block-Weinberger), and that value is the average on a finite group and the
+constant part on an infinite one.
+
 Every certificate re-verifies independently: the verifier recomputes the
 boundary or the averages from scratch and compares exactly.
 """
@@ -85,18 +90,17 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
 
     Opposite-sign masses are first cancelled along geodesic paths (sorted
     deterministically), which makes the certificate global whenever the
-    total mass is zero.  Any single-signed residue is routed along geodesic
-    rays toward infinity; the rays are truncated at the stated region
-    radius and the boundary then matches c on the region interior, with the
-    residue on the boundary sphere.  Edge coefficients are bounded by the
-    total mass of c.
+    total mass is zero, as it is on a finite group whose invariant mean
+    vanishes.  Any single-signed residue is routed along geodesic rays
+    toward infinity; the rays are truncated at the stated region radius and
+    the boundary then matches c on the region interior, with the residue on
+    the boundary sphere.  Edge coefficients are bounded by the total mass
+    of c.
 
     Returns ``(chain, region_radius, interior_radius)``.
     """
     if c.constant != 0:
         raise InputError("bound_finite_mass needs a finitely supported function")
-    if isinstance(group, FiniteGroup):
-        raise InputError("use the finite-group total-sum decision instead")
     chain = GraphChain(group)
     masses = {g: v for g, v in c.finite.items() if v}
     support_radius = max((group.length(g) for g in masses), default=0)
@@ -416,9 +420,7 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         require("invariant mean vanishes", not mean)
         chain = _payload_to_chain(group, cert.payload["chain"])
         bdry = chain.boundary()
-        if isinstance(group, FiniteGroup):
-            interior = set(group.elements())
-        elif f.constant:
+        if f.constant:
             interior = group.ball(int(cert.payload["interior_radius"]))
         else:
             # off both supports the boundary and f are 0, so only the points
@@ -467,30 +469,16 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
                  flow_radii=None, capacity_budget: int = 16) -> ClassCertificate:
     """Decide vanishing of [f] in the coinvariants of bounded functions.
 
-    Dispatch: nonamenable kinds get uniform-capacity truncated flows;
-    amenable infinite kinds get exact Folner means (nonzero constant part)
-    or an explicit bounding 1-chain (zero constant part); finite groups
-    reduce to the total sum.
+    One rule, read off the value every invariant mean gives f: a
+    nonamenable group has no invariant mean and gets uniform-capacity
+    truncated flows; a nonzero mean gets exact Folner averages tending to
+    it; a zero mean leaves a finitely supported f (on a finite group, of
+    zero total), which an explicit bounding 1-chain bounds.
     """
     if f.group != group:
         raise InputError("function lives on a different group")
-    if isinstance(group, FiniteGroup):
-        mean = _invariant_mean(group, f)
-        if mean:
-            cert = ClassCertificate(
-                "nonzero-by-mean", group, f,
-                payload={"limit": f"{mean}", "collar_radius": 1,
-                         "averages": [{"t": 1, "average": f"{mean}"}],
-                         "note": "finite group: the class is the total sum"})
-        else:
-            chain = _finite_group_bounding_chain(group, f)
-            cert = ClassCertificate(
-                "zero-by-boundary", group, f,
-                payload={"chain": _chain_to_payload(group, chain),
-                         "interior_radius": 0,
-                         "coefficient_bound": max(chain.max_coefficient(), 0),
-                         "note": "finite group: zero total sum bounds globally"})
-    elif not group.amenable:
+    mean = _invariant_mean(group, f)
+    if mean is None:
         if flow_radii is None:
             flow_radii = (2, 3, 4) if group.kind == "surface" else (3, 4, 5, 6)
         if not flow_radii:
@@ -513,38 +501,23 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
                          "evidence consistent with, not a proof of, the "
                          "infinite certificate"),
             })
+    elif mean:
+        scheme = group.folner_scheme()
+        averages = [{"t": t, "average": f"{folner_average(scheme, f, t)}"}
+                    for t in MEAN_INDICES]
+        cert = ClassCertificate(
+            "nonzero-by-mean", group, f,
+            payload={"limit": f"{mean}", "collar_radius": 1,
+                     "averages": averages})
     else:
-        if f.constant != 0:
-            scheme = group.folner_scheme()
-            averages = [{"t": t, "average": f"{folner_average(scheme, f, t)}"}
-                        for t in MEAN_INDICES]
-            cert = ClassCertificate(
-                "nonzero-by-mean", group, f,
-                payload={"limit": str(f.constant), "collar_radius": 1,
-                         "averages": averages})
-        else:
-            chain, region, interior = bound_finite_mass(group, f)
-            cert = ClassCertificate(
-                "zero-by-boundary", group, f,
-                payload={"chain": _chain_to_payload(group, chain),
-                         "region_radius": region,
-                         "interior_radius": interior,
-                         "coefficient_bound": f.finite_mass()})
+        chain, region, interior = bound_finite_mass(group, f)
+        cert = ClassCertificate(
+            "zero-by-boundary", group, f,
+            payload={"chain": _chain_to_payload(group, chain),
+                     "region_radius": region,
+                     "interior_radius": interior,
+                     "coefficient_bound": f.finite_mass()})
     cert.verifier_result = verify_certificate(cert)
     if not cert.verifier_result["verified"]:
         raise InternalError("emitted certificate failed its own verification")
     return cert
-
-
-def _finite_group_bounding_chain(group: FiniteGroup, f: ClassFunction) -> GraphChain:
-    """Route zero-total mass along geodesic paths to the identity."""
-    chain = GraphChain(group)
-    e = group.identity()
-    for g in sorted(group.elements(), key=group.sort_key):
-        v = f.value(g)
-        if g == e or v == 0:
-            continue
-        path = _geodesic_path(group, e, g)
-        for u, w in zip(path, path[1:]):
-            chain.add_edge(u, w, v)
-    return chain

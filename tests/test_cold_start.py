@@ -144,6 +144,13 @@ def _loaded_by(statement):
                   "m for m in sys.modules if m.startswith('deckindex'))))")
 
 
+def test_expression_module_loads_no_numpy_or_mpmath():
+    # its operation tables name only the operator module; numpy and mpmath
+    # arrive with the first float or interval evaluator
+    assert _fresh("import json, sys, deckindex.exprs; print(json.dumps(sorted("
+                  "m for m in ('mpmath', 'numpy') if m in sys.modules)))") == []
+
+
 def test_groups_import_loads_only_groups_and_errors():
     assert _loaded_by("import deckindex.groups") == \
         ["deckindex", "deckindex.errors", "deckindex.groups"]

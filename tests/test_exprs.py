@@ -156,6 +156,14 @@ def test_cyclotomic_zeros_match_sympy(text, point):
     assert exprs.exact_zero(exprs.parse_expression(f"{text} + 1/10**30", 2), point) is False
 
 
+@pytest.mark.parametrize("offset,sign", [("+ 1/10**30", 1), ("- 1/10**60", -1)])
+def test_wider_enclosures_settle_tiny_values(offset, sign):
+    # 10**-30 is about 2**-100 and 10**-60 about 2**-199: a 60-bit enclosure
+    # of the cyclotomic zero plus either holds 0, the 120- or 240-bit one not
+    e = exprs.parse_expression(f"sin(2*pi*x) - cos(2*pi*x) {offset}", 1)
+    assert exprs.certified_sign(e, (Fraction(1, 8),)) == sign
+
+
 @pytest.mark.parametrize("text,point", [
     ("sin(1)", (Fraction(0),)),                 # not a rational multiple of pi
     ("x/(pi - 3)", (Fraction(1),)),             # a division by a non-rational

@@ -33,18 +33,24 @@ GOLDEN = {
     # order that no longer rests on the last bits of the Newton iterates
     ("field-analyze", "sin-field-override"):
         "c8562fb7d24a93ffc655bd1dc9e19e9e1053ce71e54bab3fca708b25df92f178",
+    # the finite deck's bounding chain: word-length interior_radius and
+    # region_radius, and no finite-group note
     ("map-analyze", "octahedron-antipodal"):
-        "fe5b8ab8c4b091318eca4e617c4bb203360f7d849cd082fde83200d75f61ffa0",
+        "ee817935c3ad74e229ef3a3354cf3e53bf478951c8c17cc43c8d640fa3d3111c",
+    # the finite deck's mean certificate: four averages and their
+    # verifier_result checks, and no finite-group note
     ("map-analyze", "octahedron-rotation"):
-        "b2d0d492e50d0b71a0e6ce01969e2340b548ac5b2bc69088c26ac1cdb34d1e28",
+        "91ed45cf777479d674e9c79633a7babd54f0ed9dde2b6061b65a47f76f18cdfc",
     ("map-analyze", "octahedron-reflection"):
         "d599ac8aeaf31c79245bed565680a8fa4fbc4dd59020182c323022a15ce86e61",
     ("map-analyze", "octahedron-identity"):
         "d599ac8aeaf31c79245bed565680a8fa4fbc4dd59020182c323022a15ce86e61",
+    # interior_radius, region_radius and note, as without --subdivide
     ("map-analyze", "octahedron-antipodal", "--subdivide", "1"):
-        "d0b1be8c33effb1a3d474e3f9b3e23ecd1baf7901592a90fba3768f33a2f4a16",
+        "27f0f949d9c91cbc0d035a52c4affc1100634f8b157d431bf69e0491c298912d",
+    # the difference certificate's interior_radius, region_radius and note
     ("field-analyze", "octahedron-polar-field"):
-        "df4ae4a4ea144d2582fa7355f11fb3aba82a960111e059fc8c0cb3e4a4fcfbdb",
+        "7eb5a5cb5609e2088549402afeb3a930cb24dde340cc21d9b5cd22f3c5b51371",
     ("amenability", "genus2", "--radius", "5"):
         "3e7a6a0621b0f3273abdd91329d86080ec40befbf4727ee483b90e0c0373f9a5",
     ("amenability", "torus", "--radius", "6"):
@@ -59,8 +65,8 @@ GOLDEN = {
 
 # decide-class documents, one per decision branch that reads group balls:
 # truncated flows plus the verifier's ball(R - 1) on the genus-2 group, a
-# bounding chain checked on an interior ball of Z^2, and the total sum of a
-# cyclic group; every report also charts the class over ball(3)
+# bounding chain checked on an interior ball of Z^2, and the Folner means of
+# a cyclic group; every report also charts the class over ball(3)
 DECISIONS = {
     "genus2-unit-masses": (
         {"group": {"kind": "surface", "genus": 2}, "constant": 1,
@@ -73,7 +79,8 @@ DECISIONS = {
     "cyclic-class": (
         {"group": {"kind": "finite", "cyclic": 7}, "constant": 0,
          "finite": [["t", 2], ["t t t", -1], ["", 3]]},
-        "ae152b19065de38c7fadc7b4143a01294a31cca1b2d6ede3bbeb7dbbee8325cd"),
+        # averages at t = 1, 2, 4, 8 with their verifier_result checks, no note
+        "3a8adf84b6b52bf8e6e45486a90065983c22cbb7cbcfd1baf192db49089b4b3c"),
 }
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

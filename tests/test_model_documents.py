@@ -55,6 +55,12 @@ def _unknown_vertex_image():
     return doc
 
 
+def _fractional_vertex_image():
+    doc = fixture_document("octahedron-rotation")
+    doc["vertex_images"]["px"] = 1.7
+    return doc
+
+
 def _inline_complex_without_labels(name):
     doc = fixture_document(name)
     doc["complex"] = fixture_complex(doc.pop("fixture")).to_document()
@@ -84,7 +90,11 @@ MALFORMED = [
      lambda: _with("octahedron-polar-field", bound="-2")),
     ("non-integer grid", COMMANDS, lambda: _with("sin-map", grid="x")),
     ("zero grid", COMMANDS, lambda: _with("sin-map", grid=0)),
+    ("fractional grid", COMMANDS, lambda: _with("sin-map", grid=8.9)),
+    ("fractional subdivision", ("map-analyze",),
+     lambda: _with("octahedron-rotation", subdivision=0.5)),
     ("unknown vertex image", ("map-analyze",), _unknown_vertex_image),
+    ("fractional vertex image", ("map-analyze",), _fractional_vertex_image),
     ("PL field without vertex vectors", ("field-analyze",),
      lambda: _with("octahedron-polar-field", vertex_vectors=None)),
     ("inline complex without labels", ("map-analyze",),
@@ -102,6 +112,9 @@ NAMED = {
     "components as a string": "'components'",
     "components as an object": "'components'",
     "override components as a string": "'components'",
+    "fractional grid": "'grid'",
+    "fractional subdivision": "'subdivision'",
+    "fractional vertex image": "'vertex_images'",
 }
 
 

@@ -11,8 +11,10 @@ from deckindex.groups import (
     SurfaceGroup,
     cyclic_group,
     folner_average,
+    trivial_group,
 )
 from deckindex.ufh import (
+    MEAN_INDICES,
     ClassCertificate,
     GraphChain,
     bound_finite_mass,
@@ -181,6 +183,35 @@ class TestDecideClass:
                             "verifier_result"}
 
 
+FINITE = [cyclic_group(n) for n in range(1, 13)] + [trivial_group()]
+
+
+@pytest.mark.parametrize("group", FINITE,
+                         ids=[f"C{n}" for n in range(1, 13)] + ["trivial"])
+def test_finite_group_decides_by_its_average(group):
+    # a finite group is amenable, and its one invariant mean is the average
+    rng = random.Random(f"finite/{group.order}/{group.generator_names}")
+    elements = sorted(group.elements(), key=group.sort_key)
+    for draw in range(8):
+        constant = rng.randint(-2, 2)
+        finite = {g: rng.randint(-3, 3)
+                  for g in rng.sample(elements, rng.randint(0, group.order))}
+        if draw % 2:  # half the draws have total 0
+            g = rng.choice(elements)
+            finite[g] = finite.get(g, 0) - constant * group.order - sum(finite.values())
+        f = ClassFunction(group, constant, finite)
+        average = Fraction(sum(f.value(g) for g in elements), group.order)
+        cert = decide_class(group, f)
+        assert cert.verdict == ("nonzero-by-mean" if average else "zero-by-boundary")
+        if average:
+            assert Fraction(cert.payload["limit"]) == average
+            assert [(row["t"], Fraction(row["average"]))
+                    for row in cert.payload["averages"]] \
+                == [(t, average) for t in MEAN_INDICES]
+        assert cert.verifier_result["verified"]
+        assert verify_certificate(cert) == cert.verifier_result
+
+
 class TestVerifierRejectsTampering:
     def test_tampered_boundary_fails(self):
         f = ClassFunction(Z2, 0, {Z2.identity(): 2})
@@ -272,6 +303,21 @@ class TestVerifierRejectsTampering:
                          for t in (1, 2, 4, 8)]})
         assert _failed(verify_certificate(cert)) == {
             "limit equals the invariant mean"}
+
+    @pytest.mark.parametrize("tamper", ["drop an edge", "change a coefficient"])
+    def test_tampered_finite_group_boundary_fails(self, tamper):
+        # mass 3 at t and -3 at t^4 = t^-3 in Z/7, joined by a three-edge path
+        group = cyclic_group(7)
+        cert = decide_class(group, ClassFunction(group, 0, {1: 3, 4: -3}))
+        assert cert.verdict == "zero-by-boundary" and cert.verifier_result["verified"]
+        rows = cert.payload["chain"]
+        assert len(rows) == 3
+        if tamper == "drop an edge":
+            cert.payload["chain"] = rows[:1] + rows[2:]
+        else:
+            cert.payload["chain"] = [rows[0], rows[1][:2] + [rows[1][2] + 1], rows[2]]
+        assert _failed(verify_certificate(cert)) == {
+            "boundary equals function on interior"}
 
     def test_interior_missing_the_support_fails(self):
         # forgery: an empty chain "bounds" mass 5 at a a a on ball(0)

@@ -140,6 +140,15 @@ class TestOverrideNextToBaseWindow:
         assert len(find_zeros(model, 2)) == 56
         assert poincare_hopf_check(model, report=report)["consistent"]
 
+    def test_identity_override_is_sampled_once(self):
+        model = field_model_from_document(overridden_sin_field_document(""))
+        pts, _ = model.sample_norms(32)
+        assert len(pts) == len({tuple(p) for p in pts}) == 32 * 32
+        # the report of the sampler that read the identity window twice
+        assert field_tameness_check(model) == TamenessReport(
+            delta=Fraction(7635497415, 274877906944),
+            epsilon=Fraction(80601165407, 549755813888), verdict="strongly tame")
+
 
 class TestPoincareHopf:
     def test_sin_field_consistent(self, sin_field):
