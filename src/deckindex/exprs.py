@@ -654,15 +654,12 @@ def certified_sign(expr: Expr, point) -> int:
     for values extremely close to (but not provably at) zero.
     """
     point = [Fraction(c) for c in point]
-    sign = _interval_sign(expr, point, 60)
-    if sign is not None:
-        return sign
-    if exact_zero(expr, point):
-        return 0
-    for prec in (120, 240):
+    for prec in (60, 120, 240):
         sign = _interval_sign(expr, point, prec)
         if sign is not None:
             return sign
+        if prec == 60 and exact_zero(expr, point):
+            return 0
     raise InputError(f"sign of {expr} at {tuple(map(str, point))} is ambiguous "
                      "at 240 bits: the value is too close to zero to certify")
 

@@ -90,17 +90,19 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
 
     Opposite-sign masses are first cancelled along geodesic paths (sorted
     deterministically), which makes the certificate global whenever the
-    total mass is zero, as it is on a finite group whose invariant mean
-    vanishes.  Any single-signed residue is routed along geodesic rays
-    toward infinity; the rays are truncated at the stated region radius and
-    the boundary then matches c on the region interior, with the residue on
-    the boundary sphere.  Edge coefficients are bounded by the total mass
-    of c.
+    total mass is zero, as on a finite group (a nonzero invariant mean, there
+    a nonzero total, is refused).  Any single-signed residue is routed along
+    geodesic rays toward infinity; the rays are truncated at the stated
+    region radius and the boundary then matches c on the region interior,
+    with the residue on the boundary sphere.  Edge coefficients are bounded
+    by the total mass of c.
 
     Returns ``(chain, region_radius, interior_radius)``.
     """
     if c.constant != 0:
         raise InputError("bound_finite_mass needs a finitely supported function")
+    if _invariant_mean(group, c):
+        raise InputError("the invariant mean is nonzero, so no bounded chain bounds it")
     chain = GraphChain(group)
     masses = {g: v for g, v in c.finite.items() if v}
     support_radius = max((group.length(g) for g in masses), default=0)
@@ -420,7 +422,9 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         require("invariant mean vanishes", not mean)
         chain = _payload_to_chain(group, cert.payload["chain"])
         bdry = chain.boundary()
-        if f.constant:
+        if isinstance(group, FiniteGroup):  # bounded outright, not in a limit
+            interior = set(group.elements())
+        elif f.constant:
             interior = group.ball(int(cert.payload["interior_radius"]))
         else:
             # off both supports the boundary and f are 0, so only the points

@@ -83,6 +83,12 @@ class TestBoundFiniteMass:
         with pytest.raises(InputError):
             bound_finite_mass(Z2, ClassFunction(Z2, 1, {}))
 
+    def test_rejects_nonzero_total_on_finite_group(self):
+        # no ray leaves a finite group, so a residue has nowhere to go
+        group = cyclic_group(5)
+        with pytest.raises(InputError, match="invariant mean"):
+            bound_finite_mass(group, ClassFunction(group, 0, {2: 1}))
+
 
 class TestFlowCertificate:
     def test_f2_uniform_capacity_two(self):
@@ -316,6 +322,21 @@ class TestVerifierRejectsTampering:
             cert.payload["chain"] = rows[:1] + rows[2:]
         else:
             cert.payload["chain"] = [rows[0], rows[1][:2] + [rows[1][2] + 1], rows[2]]
+        assert _failed(verify_certificate(cert)) == {
+            "boundary equals function on interior"}
+
+    def test_edge_beyond_the_stated_radius_fails_on_finite_group(self):
+        # f = t^40 - t^60 in Z/100: the pairing path runs through t^50,
+        # beyond the stated interior radius 45, and must still be checked
+        group = cyclic_group(100)
+        cert = decide_class(group, ClassFunction(group, 0, {40: 1, 60: -1}))
+        assert cert.verdict == "zero-by-boundary" and cert.verifier_result["verified"]
+        radius = cert.payload["interior_radius"]
+        rows = cert.payload["chain"]
+        far = [i for i, row in enumerate(rows)
+               if min(group.length(group.parse_word(w)) for w in row[:2]) > radius]
+        assert far
+        cert.payload["chain"] = rows[:far[0]] + rows[far[0] + 1:]
         assert _failed(verify_certificate(cert)) == {
             "boundary equals function on interior"}
 
