@@ -15,9 +15,8 @@ certificates for the resulting bounded class functions.  Its modules:
   finite quotient data with deck-labeled edges, fundamental domains and
   barycentric subdivision;
 * :mod:`deckindex.chains` -- periodic (co)chains, boundary, cap product,
-  fundamental cycles, projection to class functions, rational Betti
-  numbers of the quotient, and the chain-level Hopf trace as the
-  classical Lefschetz oracle;
+  fundamental cycles, rational Betti numbers of the quotient, and the
+  chain-level Hopf trace as the classical Lefschetz oracle;
 * :mod:`deckindex.fixpoint` / :mod:`deckindex.vectorfield` -- fixed-point
   and field-zero localization, local indices, tameness verification and
   the bounded index class with its classical consistency checks;

@@ -1,4 +1,4 @@
-"""Periodic (co)chains, boundary, cap product and deck-group projection.
+"""Periodic (co)chains, boundary, cap product and the classical trace.
 
 A periodic k-chain on the cover of a quotient complex is stored as an
 equivariant part (one integer per quotient k-simplex, repeated over every
@@ -31,10 +31,9 @@ so they are safe to evaluate in parallel over disjoint translates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .classes import ClassFunction, _prune
+from .classes import _prune
 from .complexes import PeriodicComplex, QuotientComplex
 from .errors import InputError, InternalError
 from .groups import FiniteGroup
@@ -42,8 +41,6 @@ from .groups import FiniteGroup
 
 class PeriodicChain:
     """Equivariant + finitely supported integer chain of fixed degree."""
-
-    kind = "chain"
 
     def __init__(self, complex: QuotientComplex, degree: int,
                  equivariant=None, exceptional=None):
@@ -108,40 +105,9 @@ class PeriodicChain:
         return (f"<{type(self).__name__} deg={self.degree} "
                 f"eq={len(self.equivariant)} exc={len(self.exceptional)}>")
 
-    # -- documents ---------------------------------------------------------
-
-    def to_document(self) -> dict:
-        q = self.complex
-        g = q.group
-        return {
-            "degree": self.degree,
-            "equivariant": {q._skey(self.degree, idx): v
-                            for idx, v in sorted(self.equivariant.items())},
-            "exceptional": sorted(
-                [[g.format_element(gg), q._skey(self.degree, idx), v]
-                 for (gg, idx), v in self.exceptional.items()],
-                key=lambda row: (row[0], row[1])),
-        }
-
-    @classmethod
-    def from_document(cls, complex: QuotientComplex, doc: dict):
-        try:
-            degree = int(doc["degree"])
-            key_index = {complex._skey(degree, i): i for i in complex.cells(degree)}
-            eq = {key_index[k]: int(v) for k, v in doc.get("equivariant", {}).items()}
-            ex = {}
-            for word, key, v in doc.get("exceptional", []):
-                g = complex.group.parse_word(word)
-                ex[(g, key_index[key])] = ex.get((g, key_index[key]), 0) + int(v)
-            return cls(complex, degree, eq, ex)
-        except KeyError as e:
-            raise InputError(f"malformed chain document: unknown key {e}")
-
 
 class PeriodicCochain(PeriodicChain):
     """Same storage as a chain, but evaluated against cover cells."""
-
-    kind = "cochain"
 
 
 # ---------------------------------------------------------------------------
@@ -283,50 +249,13 @@ def cap(u: PeriodicCochain, c: PeriodicChain) -> PeriodicChain:
 
 
 # ---------------------------------------------------------------------------
-# The deck projection
-
-
-def project_to_group(c: PeriodicChain, fd) -> ClassFunction:
-    """Push a degree-0 chain to the deck group through a fundamental domain.
-
-    The value at g is the coefficient sum over the 0-cells of the translate
-    gK; the equivariant part contributes its total to the constant part and
-    each exceptional vertex lands in the translate of its coset.
-    """
-    if c.degree != 0:
-        raise InputError("projection to the group needs a degree-0 chain")
-    group = c.complex.group
-    constant = sum(c.equivariant.values())
-    finite: dict = {}
-    for (g, idx), a in c.exceptional.items():
-        coset = fd.coset_of_cell(g, 0, idx)
-        finite[coset] = finite.get(coset, 0) + a
-    return ClassFunction(group, constant, finite)
-
-
-# ---------------------------------------------------------------------------
 # Classical oracle: Betti numbers and the Hopf trace of the quotient
-
-
-@dataclass
-class HomologyData:
-    betti: list
-    boundary_matrices: list  # boundary_matrices[k]: rows (k-1)-cells x cols k-cells
 
 
 def _boundary_columns(q: QuotientComplex, k: int) -> list:
     """The k-th boundary of the quotient as sparse columns, one per k-cell."""
     signs = [(-1) ** j for j in range(k + 1)]
     return [dict(zip(q.facet_ids(k, idx), signs)) for idx in q.cells(k)]
-
-
-def boundary_matrix(q: QuotientComplex, k: int):
-    """Integer matrix of the k-th simplicial boundary of the quotient."""
-    mat = [[0] * q.count(k) for _ in range(q.count(k - 1))]
-    for idx, col in enumerate(_boundary_columns(q, k)):
-        for fidx, c in col.items():
-            mat[fidx][idx] = c
-    return mat
 
 
 def _rank(columns) -> int:
@@ -355,16 +284,14 @@ def _rank(columns) -> int:
     return len(pivots)
 
 
-def quotient_homology(q: QuotientComplex) -> HomologyData:
+def quotient_homology(q: QuotientComplex) -> list:
     """Rational Betti numbers of the quotient.
 
     b_k = c_k - rank d_k - rank d_(k+1), with the ranks from :func:`_rank`.
     """
     n = q.dimension
     ranks = [0] + [_rank(_boundary_columns(q, k)) for k in range(1, n + 1)] + [0]
-    betti = [q.count(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
-    mats = [None] + [boundary_matrix(q, k) for k in range(1, n + 1)]
-    return HomologyData(betti=betti, boundary_matrices=mats)
+    return [q.count(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
 
 
 def lefschetz_number_quotient(q: QuotientComplex, fbar) -> int:
@@ -372,10 +299,10 @@ def lefschetz_number_quotient(q: QuotientComplex, fbar) -> int:
 
     ``fbar`` is a chain-mappable simplicial model: an object exposing
     ``chain_image(k, idx) -> list[(target_idx, coeff)]`` on the chains of
-    ``q`` (compositions with subdivision chain maps are handled by the
-    caller).  By the Hopf trace formula the alternating trace of a chain
-    map equals the alternating trace on rational homology, so the number
-    is read off the diagonal of the chain map.
+    ``q``, such as a simplicial map model, which composes its subdivision
+    chain map itself.  By the Hopf trace formula the alternating trace of a
+    chain map equals the alternating trace on rational homology, so the
+    number is read off the diagonal of the chain map.
     """
     total = 0
     for k in range(q.dimension + 1):

@@ -45,9 +45,6 @@ class ClassFunction:
     def finite_mass(self) -> int:
         return sum(abs(v) for v in self.finite.values())
 
-    def bound(self) -> int:
-        return abs(self.constant) + max(map(abs, self.finite.values()), default=0)
-
     def translate(self, g) -> "ClassFunction":
         """The translated function x -> value(x * g)."""
         ginv = self.group.inverse(g)

@@ -501,6 +501,13 @@ class AffineCellModel(ZeroTable):
     """A model given on each source top cell by exact vertex positions and
     vertex vectors, through ``affine_cell``; its zeros are exact."""
 
+    @functools.cached_property
+    def cells(self) -> list:
+        """``affine_cell`` of every source top cell, in cell order, built
+        on first read and shared by the zero solve and the sampling."""
+        src = self.source
+        return [self.affine_cell(idx) for idx in src.cells(src.dimension)]
+
     def _solve_window(self, window, plain):
         """Exact zeros of the affine pieces on the source cells, in cell order.
 
@@ -515,8 +522,7 @@ class AffineCellModel(ZeroTable):
         n = src.dimension
         _, zero, not_isolated = _WORDING[self.index_matrix_sign]
         records = []
-        for idx in src.cells(n):
-            s, positions, vectors = self.affine_cell(idx)
+        for s, positions, vectors in self.cells:
             d = len(positions[0])
             matrix = [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)]
             status, lam = solve_linear(matrix, [Fraction(0)] * d + [Fraction(1)])
@@ -560,8 +566,7 @@ class AffineCellModel(ZeroTable):
         weights = [(per_cell - sum(combo),) + combo
                    for combo in itertools.product(range(1, per_cell), repeat=n)
                    if sum(combo) < per_cell]
-        for idx in src.cells(n):
-            _, positions, vectors = self.affine_cell(idx)
+        for _, positions, vectors in self.cells:
             den = math.lcm(*(c.denominator for row in (*positions, *vectors) for c in row))
             # one column of numerators over den per axis
             pos_cols, vec_cols = ([[c.numerator * (den // c.denominator) for c in col]
@@ -692,30 +697,24 @@ class SimplicialMapModel(AffineCellModel):
             vectors.append(tuple(t - c for t, c in zip(image, p)))
         return s, positions, vectors
 
-    def quotient_chain_map(self):
-        """Chain-image callable on the quotient for the classical trace."""
-        model = self
-
-        class _Composite:
-            def chain_image(self, k, idx):
-                src = model.source
-                terms = model.chain_maps[k][idx] if model.chain_maps else [(idx, 1)]
-                out: dict = {}
-                for sidx, c in terms:
-                    s = src.simplex(k, sidx)
-                    image = [model.vertex_images[v][1] for v in s]
-                    if len(set(image)) != len(image):
-                        continue  # degenerate image carries no chain
-                    tgt = model.complex.index_of(k, tuple(sorted(image)))
-                    out[tgt] = out.get(tgt, 0) + c * permutation_sign(image)
-                return [(t, c) for t, c in sorted(out.items()) if c]
-
-        return _Composite()
+    def chain_image(self, k: int, idx: int):
+        """The map's chain image of the quotient k-cell ``idx``, through the
+        subdivision chain map: ``[(target cell, coefficient)]``."""
+        src = self.source
+        terms = self.chain_maps[k][idx] if self.chain_maps else [(idx, 1)]
+        out: dict = {}
+        for sidx, c in terms:
+            image = [self.vertex_images[v][1] for v in src.simplex(k, sidx)]
+            if len(set(image)) != len(image):
+                continue  # degenerate image carries no chain
+            tgt = self.complex.index_of(k, tuple(sorted(image)))
+            out[tgt] = out.get(tgt, 0) + c * permutation_sign(image)
+        return [(t, c) for t, c in sorted(out.items()) if c]
 
     def classical_lefschetz_number(self):
         """``(Lefschetz number on the quotient, how it was found)``: the
         Hopf trace of the chain map."""
-        return lefschetz_number_quotient(self.complex, self.quotient_chain_map()), (
+        return lefschetz_number_quotient(self.complex, self), (
             "Hopf trace: alternating trace of the chain map via the "
             "subdivision chain equivalence")
 
@@ -1123,7 +1122,8 @@ def map_model_from_document(doc: dict, complex_resolver=None):
 
         def image(v):
             if isinstance(v, (list, tuple)):
-                return q.group.parse_word(v[0]), as_vid(v[1])
+                word, vertex = v  # a pair of another length is a ValueError
+                return q.group.parse_word(word), as_vid(vertex)
             return as_vid(v)
 
         # keys name vertices of the subdivided source, which the model

@@ -142,10 +142,7 @@ class MarkedGroup:
         return {t: self.element_of([t]) for t in self._signed_tokens()}
 
     def multiply_token(self, a, token: Token):
-        return self._append_token(a, token)
-
-    def _append_token(self, a, token: Token):  # per kind, behind multiply_token
-        return self.multiply(a, self._token_elements[token])
+        return self._append_token(a, token)  # each kind defines _append_token
 
     # word kinds set this to the tables of their integer word codes
     _word_codes: WordCodes | None = None
@@ -527,10 +524,6 @@ class FiniteGroup(MarkedGroup):
     def elements(self):
         return range(self.order)
 
-    def check_radius(self, radius: int) -> None:
-        if radius < 0:
-            raise InputError("radius must be nonnegative")
-
     def folner_scheme(self, neighborhood_radius: int = 1):
         return WholeGroupFolnerScheme(self, neighborhood_radius)
 
@@ -663,27 +656,14 @@ class IndexedBall:
 # Folner schemes
 
 
-class FolnerScheme:
-    """A nested family t -> F_t of finite sets witnessing amenability.
+class BoxFolnerScheme:
+    """Boxes F_t = [-t, t]^k in a free abelian group, a nested family of
+    finite sets witnessing amenability.
 
     ``ratio(t)`` is the outer r-collar ratio |{x not in F : d(x, F) <= r}| /
-    |F|, an exact rational.  For boxes in Z^k this equals the edge-boundary
-    count divided by the box volume up to lower-order terms and decays
-    like 1/t.
+    |F|, an exact rational.  It equals the edge-boundary count divided by
+    the box volume up to lower-order terms and decays like 1/t.
     """
-
-    group: MarkedGroup
-    radius: int
-
-    def set_at(self, t: int) -> frozenset:
-        raise NotImplementedError
-
-    def ratio(self, t: int) -> Fraction:
-        raise NotImplementedError
-
-
-class BoxFolnerScheme(FolnerScheme):
-    """Boxes [-t, t]^k in a free abelian group."""
 
     def __init__(self, group: FreeAbelianGroup, radius: int = 1):
         if radius < 1:
@@ -714,7 +694,7 @@ class BoxFolnerScheme(FolnerScheme):
         return Fraction(sum(counts[1:]), counts[0])
 
 
-class WholeGroupFolnerScheme(FolnerScheme):
+class WholeGroupFolnerScheme:
     """F_t = G for a finite group; the collar is empty at every index."""
 
     def __init__(self, group: FiniteGroup, radius: int = 1):
@@ -728,7 +708,8 @@ class WholeGroupFolnerScheme(FolnerScheme):
         return Fraction(0)
 
 
-def folner_average(scheme: FolnerScheme, f, t: int) -> Fraction:
+def folner_average(scheme: BoxFolnerScheme | WholeGroupFolnerScheme, f,
+                   t: int) -> Fraction:
     """Exact average over F_t of a bounded class function c + finite part:
     c |F_t| plus the masses of the support that lie in F_t."""
     members = scheme.set_at(t)

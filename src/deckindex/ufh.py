@@ -25,7 +25,6 @@ boundary or the averages from scratch and compares exactly.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classes import (ClassCertificate, ClassFunction, GraphChain, _chain_to_payload,
@@ -202,17 +201,9 @@ def _max_flow(adj, head, cap, s: int, t: int) -> int:
                 pointer[v] += 1
 
 
-@dataclass
-class FlowResult:
-    feasible: bool
-    radius: int
-    capacity: int
-    deficit: int
-    chain: GraphChain | None
-
-
-class _BallFlows:
-    """The two commodities' flow networks on ball(radius) of a group.
+class BallFlows:
+    """The two commodities' flow networks on ball(radius) of a group, which
+    are their own flow certificate.
 
     Vertex ids are the indexed ball's ids below ``ends[radius]``; the source
     and the sink come after them.  The first arc pairs are the ball edges,
@@ -275,6 +266,28 @@ class _BallFlows:
     def deficit(self) -> int:
         return sum(self.want[s] - self.value[s] for s in (1, -1))
 
+    @property
+    def feasible(self) -> bool:
+        return not self.deficit
+
+    @property
+    def chain(self) -> GraphChain | None:
+        """The certificate chain of a feasible network, built when read: the
+        net edge flow reversed, since flow leaving a vertex deposits mass
+        there.  ``None`` while a deficit remains."""
+        if self.deficit:
+            return None
+        chain = GraphChain(self.group)
+        elements, head = self.ball.elements, self.head
+        plus, minus = self.caps[1], self.caps[-1]
+        for a in range(0, self.edge_arcs, 2):
+            # arc a carries capacity - residual from head[a + 1] to head[a]
+            # in each commodity
+            coeff = minus[a] - plus[a]
+            if coeff:
+                chain.add_edge(elements[head[a]], elements[head[a + 1]], coeff)
+        return chain
+
     def raise_to(self, capacity: int) -> None:
         """Grow the edge capacity to ``capacity`` and re-maximize both flows."""
         delta = capacity - self.capacity
@@ -288,28 +301,9 @@ class _BallFlows:
                 self.value[sign] += _max_flow(self.adj, self.head, cap,
                                               self.source, self.sink)
 
-    def result(self, capacity: int) -> FlowResult:
-        """The current flows, reported at ``capacity`` (at least the
-        network's).  The certificate chain is the net edge flow reversed:
-        flow leaving a vertex deposits mass there."""
-        deficit = self.deficit
-        chain = None
-        if not deficit:
-            chain = GraphChain(self.group)
-            elements, head = self.ball.elements, self.head
-            plus, minus = self.caps[1], self.caps[-1]
-            for a in range(0, self.edge_arcs, 2):
-                # arc a carries capacity - residual from head[a + 1] to
-                # head[a] in each commodity
-                coeff = minus[a] - plus[a]
-                if coeff:
-                    chain.add_edge(elements[head[a]], elements[head[a + 1]], coeff)
-        return FlowResult(feasible=not deficit, radius=self.radius,
-                          capacity=capacity, deficit=deficit, chain=chain)
-
 
 def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
-                     capacity: int, capacity_budget: int = 64) -> FlowResult:
+                     capacity: int, capacity_budget: int = 64) -> BallFlows:
     """Integral flow pushing the masses of c to the radius-R sphere.
 
     Every vertex of the ball is a source with supply c(v); positive and
@@ -321,33 +315,33 @@ def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,
     if capacity > capacity_budget:
         raise ResourceError(f"flow capacity {capacity} exceeds budget "
                             f"{capacity_budget} (--capacity)")
-    flows = _BallFlows(group, c, radius)
+    flows = BallFlows(group, c, radius)
     flows.raise_to(capacity)
-    return flows.result(capacity)
+    return flows
 
 
 def _capacity_search(group: MarkedGroup, c: ClassFunction, radii,
                      capacity_budget: int):
-    """Smallest capacity feasible at every radius, with its flows.
+    """Smallest capacity feasible at every radius, with its networks.
 
     Capacities rise one at a time; each radius keeps one warm-started
     network, and a capacity stops at its first infeasible radius.  Returns
-    ``(capacity, results)``, or ``(None, None)`` when no capacity within the
-    budget works.
+    ``(capacity, networks)`` in radius order, or ``(None, None)`` when no
+    capacity within the budget works.
     """
     group.indexed_ball(max(radii))  # one ball serves every radius
     nets: dict = {}
     for capacity in range(1, capacity_budget + 1):
         for r in radii:
             if r not in nets:
-                nets[r] = _BallFlows(group, c, r)
+                nets[r] = BallFlows(group, c, r)
             net = nets[r]
             if net.deficit:
                 net.raise_to(capacity)
             if net.deficit:
                 break
         else:
-            return capacity, [nets[r].result(capacity) for r in radii]
+            return capacity, [nets[r] for r in radii]
     return None, None
 
 

@@ -68,20 +68,25 @@ class PLFieldModel(AffineCellModel):
                                for v, vec in vertex_vectors.items()}
         if set(self.vertex_vectors) != set(range(complex.count(0))):
             raise InputError("vertex vectors must cover exactly the vertices")
+        d = len(complex.coordinates[0])
+        for v, vec in self.vertex_vectors.items():
+            if len(vec) != d:
+                raise InputError(f"the vertex vector of {complex.vertices[v]!r} has "
+                                 f"{len(vec)} components; the complex has {d} coordinates")
         self.bound = Fraction(str(bound))
-        self._projected = {idx: self._project(idx)
-                           for idx in complex.cells(complex.dimension)}
         self.validate_bound()
 
-    def _project(self, idx):
-        """The vertex vectors of top cell ``idx``, projected into its plane."""
+    def affine_cell(self, idx: int):
+        """Vertex ids, exact positions and the vertex vectors projected into
+        the plane of the top cell ``idx`` lifted at the identity."""
         q = self.complex
         n = q.dimension
+        s = q.simplex(n, idx)
         verts = q.realize(n, idx)
         d = len(verts[0])
-        vectors = [self.vertex_vectors[v] for v in q.simplex(n, idx)]
+        vectors = [self.vertex_vectors[v] for v in s]
         if n == d:
-            return vectors
+            return s, verts, vectors
         if not (n == 2 and d == 3):
             raise InputError("PL fields support surfaces in R^3 or full-"
                              "dimensional complexes")
@@ -95,23 +100,16 @@ class PLFieldModel(AffineCellModel):
         for w in vectors:
             coeff = sum(a * b for a, b in zip(w, normal)) / nn
             out.append(tuple(a - coeff * b for a, b in zip(w, normal)))
-        return out
+        return s, verts, out
 
     def validate_bound(self):
         if self.bound < 0:
             raise InputError(f"'bound' must be nonnegative, not {self.bound}")
-        for idx, vectors in self._projected.items():
+        for idx, (_, _, vectors) in enumerate(self.cells):
             for w in vectors:
                 if sum(c * c for c in w) > self.bound ** 2:
                     raise InputError(f"declared bound {self.bound} violated by a "
                                      f"projected vertex vector on cell {idx}")
-
-    def affine_cell(self, idx: int):
-        """Vertex ids, exact positions and projected vertex vectors of the
-        top cell ``idx`` lifted at the identity."""
-        n = self.complex.dimension
-        return (self.complex.simplex(n, idx),
-                self.complex.realize(n, idx), self._projected[idx])
 
 
 def find_zeros(model, radius: int = 0):

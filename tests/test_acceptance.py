@@ -113,7 +113,7 @@ def test_criterion_4_amenability_dichotomy():
     probe = isoperimetric_probe(f2, range(1, 7))
     ok_f2_probe = all(row["ratio"] >= Fraction(1, 2) for row in probe)
 
-    from deckindex.chains import ClassFunction
+    from deckindex.classes import ClassFunction
     one = ClassFunction(f2, 1, {})
     ok_flows = all(flow_certificate(f2, one, r, capacity=2).feasible
                    for r in (3, 4, 5, 6))
@@ -135,7 +135,7 @@ def test_criterion_5_certificates_reverify():
     t0 = time.monotonic()
     rng = random.Random(2024)
     groups = [FreeAbelianGroup(2), FreeGroup(2)]
-    from deckindex.chains import ClassFunction
+    from deckindex.classes import ClassFunction
     from deckindex.ufh import _payload_to_chain
 
     reverified = 0

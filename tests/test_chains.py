@@ -3,7 +3,6 @@ import random
 import pytest
 
 from deckindex.chains import (
-    ClassFunction,
     PeriodicChain,
     PeriodicCochain,
     boundary,
@@ -12,10 +11,10 @@ from deckindex.chains import (
     fundamental_cycle,
     lefschetz_number_quotient,
     pair,
-    project_to_group,
     quotient_homology,
     random_chain,
 )
+from deckindex.classes import ClassFunction
 from deckindex.complexes import (
     PeriodicComplex,
     barycentric_subdivide,
@@ -184,50 +183,10 @@ class TestCap:
         assert sorted(result.equivariant.values()) in ([-1], [1])
 
 
-class TestProjection:
-    def test_equivariant_part_goes_to_constant(self):
-        pc = PeriodicComplex(TORUS)
-        fd = pc.fundamental_domain()
-        c = PeriodicChain(TORUS, 0, {idx: 1 for idx in TORUS.cells(0)}, {})
-        f = project_to_group(c, fd)
-        assert f.constant == 9 and not f.finite
-
-    def test_exceptional_mass_lands_in_coset(self):
-        pc = PeriodicComplex(TORUS)
-        fd = pc.fundamental_domain()
-        g0 = (3, -2)
-        c = PeriodicChain(TORUS, 0, {}, {(g0, 0): 3})
-        f = project_to_group(c, fd)
-        assert f.constant == 0
-        assert list(f.finite.values()) == [3]
-        coset = fd.coset_of_cell(g0, 0, 0)
-        assert f.finite == {coset: 3}
-
-    def test_cap_then_project_gives_constant_pm1(self):
-        pc = PeriodicComplex(TORUS)
-        fd = pc.fundamental_domain()
-        mu = fundamental_cycle(pc)
-        u = PeriodicCochain(TORUS, 2, {0: 1}, {})
-        f = project_to_group(cap(u, mu), fd)
-        assert (f.constant, f.finite) in ((1, {}), (-1, {}))
-
-    def test_boundaries_have_zero_total_mass(self):
-        pc = PeriodicComplex(TORUS)
-        fd = pc.fundamental_domain()
-        rng = random.Random(7)
-        for _ in range(50):
-            b = PeriodicChain(TORUS, 1, {},
-                              random_chain(rng, TORUS, 1).exceptional)
-            f = project_to_group(boundary(b), fd)
-            assert f.constant == 0
-            assert sum(f.finite.values()) == 0
-
-
 class TestClassFunction:
     def test_bound(self):
         Z2 = TORUS.group
         f = ClassFunction(Z2, 2, {(0, 0): -5})
-        assert f.bound() == 7
         assert f.value((0, 0)) == -3
         assert f.value((4, 4)) == 2
 
@@ -252,25 +211,15 @@ class TestClassFunction:
 
 class TestHomology:
     def test_sphere(self):
-        assert quotient_homology(TETRA).betti == [1, 0, 1]
-        assert quotient_homology(OCTA).betti == [1, 0, 1]
+        assert quotient_homology(TETRA) == [1, 0, 1]
+        assert quotient_homology(OCTA) == [1, 0, 1]
 
     def test_torus(self):
-        assert quotient_homology(TORUS).betti == [1, 2, 1]
-        assert quotient_homology(csaszar_torus()).betti == [1, 2, 1]
+        assert quotient_homology(TORUS) == [1, 2, 1]
+        assert quotient_homology(csaszar_torus()) == [1, 2, 1]
 
     def test_genus2(self):
-        assert quotient_homology(GENUS2).betti == [1, 4, 1]
-
-    def test_boundary_matrices_compose_to_zero(self):
-        hom = quotient_homology(TORUS)
-        b1, b2 = hom.boundary_matrices[1], hom.boundary_matrices[2]
-        rows = len(b1)
-        cols = len(b2[0])
-        inner = len(b2)
-        for i in range(rows):
-            for j in range(cols):
-                assert sum(b1[i][k] * b2[k][j] for k in range(inner)) == 0
+        assert quotient_homology(GENUS2) == [1, 4, 1]
 
 
 class TestBettiEulerRelation:
@@ -284,7 +233,7 @@ class TestBettiEulerRelation:
     @pytest.mark.parametrize("name", sorted(BETTI))
     def test_shipped_complex(self, name):
         q = FIXTURE_BUILDERS[name]()
-        betti = quotient_homology(q).betti
+        betti = quotient_homology(q)
         assert betti == self.BETTI[name]
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == \
             euler_characteristic(q)
@@ -292,7 +241,7 @@ class TestBettiEulerRelation:
     @pytest.mark.parametrize("times", [2, 3])
     def test_subdivided_octahedron(self, times):
         q = barycentric_subdivide(OCTA, times).complex
-        betti = quotient_homology(q).betti
+        betti = quotient_homology(q)
         assert betti == [1, 0, 1]
         assert sum((-1) ** k * b for k, b in enumerate(betti)) == \
             euler_characteristic(q) == 2
@@ -315,23 +264,6 @@ class TestLefschetzNumberQuotient:
     def test_face_rotation_has_trace_two(self):
         rot = _VertexPermutationMap(OCTA, {0: 1, 1: 2, 2: 0, 3: 4, 4: 5, 5: 3})
         assert lefschetz_number_quotient(OCTA, rot) == 2
-
-
-class TestChainDocuments:
-    def test_chain_round_trip(self):
-        import json
-        c = PeriodicChain(TORUS, 1, {3: 2, 5: -1},
-                          {((1, 0), 2): 4, ((0, -2), 7): -3})
-        doc = c.to_document()
-        blob = json.dumps(doc, sort_keys=True)
-        c2 = PeriodicChain.from_document(TORUS, json.loads(blob))
-        assert c2 == c
-        assert json.dumps(c2.to_document(), sort_keys=True) == blob
-
-    def test_cochain_round_trip(self):
-        u = PeriodicCochain(GENUS2, 0, {1: 5}, {})
-        u2 = PeriodicCochain.from_document(GENUS2, u.to_document())
-        assert u2 == u
 
 
 class TestCapBruteForceOracle:

@@ -236,6 +236,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ball_budget" in err and "--radius" not in err
 
+    def test_ball_budget_bounds_a_finite_group(self, tmp_path, capsys):
+        path = _write(tmp_path, "g.json", {"kind": "finite", "cyclic": 5,
+                                           "ball_budget": 1})
+        assert main(["amenability", path, "--radius", "3",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "ball_budget" in capsys.readouterr().err
+
     def test_document_ball_budget_raises_the_limit(self, tmp_path):
         path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2,
                                            "ball_budget": 9})

@@ -355,8 +355,7 @@ class TestOracle:
         # index pipeline refuses it; the classical trace is still defined)
         from deckindex.chains import lefschetz_number_quotient
         model = map_model_from_document(fixture_document("octahedron-reflection"))
-        assert lefschetz_number_quotient(model.complex,
-                                         model.quotient_chain_map()) == 0
+        assert lefschetz_number_quotient(model.complex, model) == 0
 
 
 class TestOracleUnderSubdivision:
@@ -381,8 +380,7 @@ class TestOracleUnderSubdivision:
         from deckindex.chains import lefschetz_number_quotient
         model = map_model_from_document(
             fixture_document("octahedron-reflection")).subdivided(1)
-        assert lefschetz_number_quotient(model.complex,
-                                         model.quotient_chain_map()) == 0
+        assert lefschetz_number_quotient(model.complex, model) == 0
 
 
 class TestIndexData:

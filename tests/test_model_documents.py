@@ -49,15 +49,15 @@ def _with_override(*overrides):
 SEAM_COMPONENTS = fixture_document("sin-field-override")["overrides"][0]["components"]
 
 
-def _unknown_vertex_image():
+def _vertex_image(image):
     doc = fixture_document("octahedron-rotation")
-    doc["vertex_images"]["px"] = "nowhere"
+    doc["vertex_images"]["px"] = image
     return doc
 
 
-def _fractional_vertex_image():
-    doc = fixture_document("octahedron-rotation")
-    doc["vertex_images"]["px"] = 1.7
+def _vertex_vector(vector):
+    doc = fixture_document("octahedron-polar-field")
+    doc["vertex_vectors"]["px"] = vector
     return doc
 
 
@@ -93,8 +93,15 @@ MALFORMED = [
     ("fractional grid", COMMANDS, lambda: _with("sin-map", grid=8.9)),
     ("fractional subdivision", ("map-analyze",),
      lambda: _with("octahedron-rotation", subdivision=0.5)),
-    ("unknown vertex image", ("map-analyze",), _unknown_vertex_image),
-    ("fractional vertex image", ("map-analyze",), _fractional_vertex_image),
+    ("unknown vertex image", ("map-analyze",), lambda: _vertex_image("nowhere")),
+    ("fractional vertex image", ("map-analyze",), lambda: _vertex_image(1.7)),
+    ("image pair of one entry", ("map-analyze",), lambda: _vertex_image([""])),
+    ("image pair of three entries", ("map-analyze",),
+     lambda: _vertex_image(["", "py", 3])),
+    ("vertex vector of two components", ("field-analyze",),
+     lambda: _vertex_vector(["1", "0"])),
+    ("vertex vector of four components", ("field-analyze",),
+     lambda: _vertex_vector(["1", "0", "0", "0"])),
     ("PL field without vertex vectors", ("field-analyze",),
      lambda: _with("octahedron-polar-field", vertex_vectors=None)),
     ("inline complex without labels", ("map-analyze",),
@@ -115,6 +122,10 @@ NAMED = {
     "fractional grid": "'grid'",
     "fractional subdivision": "'subdivision'",
     "fractional vertex image": "'vertex_images'",
+    "image pair of one entry": "'vertex_images'",
+    "image pair of three entries": "'vertex_images'",
+    "vertex vector of two components": "'px'",
+    "vertex vector of four components": "'px'",
 }
 
 
@@ -127,8 +138,10 @@ def test_malformed_document_exits_one(label, command, make, tmp_path, capsys):
     assert err.startswith("error: ") and NAMED.get(label, "") in err
 
 
-# Top-level mutations of shipped documents: drop a key, or set a key (one
-# of the document's own or an optional one) to a small junk value.
+# Mutations of shipped documents: drop a top-level key, set one (of the
+# document's own or an optional one) to a small junk value, or set a nested
+# entry (a vertex image, a vertex vector, an override's translate or
+# components) to a junk value.
 SHIPPED = {"sin-map": "map-analyze", "sin-field-override": "field-analyze",
            "octahedron-rotation": "map-analyze",
            "octahedron-polar-field": "field-analyze"}
@@ -147,10 +160,24 @@ def _mutate(draw, doc, optional_keys):
     return doc
 
 
+def _nested_entries(doc):
+    """(container, key) of every nested entry of a model document."""
+    return ([(doc[name], key) for name in ("vertex_images", "vertex_vectors")
+             if name in doc for key in sorted(doc[name])]
+            + [(ov, key) for ov in doc.get("overrides", ())
+               for key in ("translate", "components")])
+
+
 @st.composite
 def mutations(draw):
     name = draw(st.sampled_from(sorted(SHIPPED)))
-    return SHIPPED[name], _mutate(draw, fixture_document(name), OPTIONAL_KEYS)
+    doc = fixture_document(name)
+    entries = _nested_entries(doc)
+    if entries and draw(st.booleans()):
+        container, key = draw(st.sampled_from(entries))
+        container[key] = draw(st.sampled_from(JUNK))
+        return SHIPPED[name], doc
+    return SHIPPED[name], _mutate(draw, doc, OPTIONAL_KEYS)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)

@@ -22,7 +22,7 @@ import pytest
 
 from deckindex import exprs
 from deckindex.cli import main
-from deckindex.fixpoint import (AffineCellModel, AnalyticModel,
+from deckindex.fixpoint import (AffineCellModel, AnalyticModel, SimplicialMapModel,
                                 find_fixed_points, locate_host_cells,
                                 map_model_from_document, resolve_record)
 from deckindex.complexes import barycentric_subdivide
@@ -31,7 +31,7 @@ from deckindex.fixtures import (fixture_complex, fixture_document,
                                 octahedron_sphere, torus_grid)
 from deckindex.geometry import barycentric_coordinates, point_in_simplex
 from deckindex.groups import FiniteGroup
-from deckindex.vectorfield import (field_model_from_document,
+from deckindex.vectorfield import (PLFieldModel, field_model_from_document,
                                    field_tameness_check, find_zeros,
                                    index_class, poincare_hopf_check)
 
@@ -197,8 +197,17 @@ def test_affine_zeros_are_solved_once_per_command(command, fixture, tmp_path,
     monkeypatch.setattr(AffineCellModel, "_solve_window",
                         lambda model, window, plain: calls.append(window) or
                         solve(model, window, plain))
+    # each source top cell is lifted once, for the solve and the sampling
+    lifted = []
+
+    def counted(affine_cell):
+        return lambda model, idx: lifted.append(idx) or affine_cell(model, idx)
+
+    for model_class in (SimplicialMapModel, PLFieldModel):
+        monkeypatch.setattr(model_class, "affine_cell", counted(model_class.affine_cell))
     assert main([command, f"fixture:{fixture}", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+    assert sorted(lifted) == list(fixture_complex("octahedron").cells(2))
 
 
 @pytest.mark.parametrize("power", [2, 3])

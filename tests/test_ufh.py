@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from deckindex.chains import ClassFunction
+from deckindex.classes import ClassFunction
 from deckindex.errors import InputError
 from deckindex.groups import (
     FreeAbelianGroup,
