@@ -115,7 +115,8 @@ def ingest_index_data(doc: dict):
 class GraphChain:
     """Finitely supported integer 1-chain on the Cayley graph of a group;
     edges keyed by ordered pairs of elements, each stored in the direction
-    of ascending shortlex key (computed once per element)."""
+    of ascending shortlex key (computed once per element).  Distinct
+    elements have distinct keys, so an edge and its reverse share a key."""
 
     def __init__(self, group: MarkedGroup):
         self.group = group
@@ -126,12 +127,14 @@ class GraphChain:
         """Add coeff * (u -> v); the boundary of that unit is v - u."""
         if coeff == 0:
             return
-        if (v, u) in self.edges or (u, v) not in self.edges and \
-                self._sort_key(v) < self._sort_key(u):
+        if self._sort_key(v) < self._sort_key(u):
             u, v, coeff = v, u, -coeff
-        self.edges[(u, v)] = self.edges.get((u, v), 0) + coeff
-        if self.edges[(u, v)] == 0:
-            del self.edges[(u, v)]
+        edge = (u, v)
+        total = self.edges.get(edge, 0) + coeff
+        if total:
+            self.edges[edge] = total
+        else:
+            del self.edges[edge]
 
     def boundary(self) -> dict:
         out: dict = {}
@@ -168,8 +171,9 @@ def _chain_to_payload(group, chain: GraphChain):
                   key=lambda row: (row[0], row[1]))
 
 
-def _payload_to_chain(group, rows) -> GraphChain:
-    parse = functools.cache(group.parse_word)  # each distinct word once
+def _payload_to_chain(group, rows, parse) -> GraphChain:
+    """The chain of payload rows, each word read by ``parse`` (a
+    ``group.parse_word``, cached by the caller when rows repeat words)."""
     chain = GraphChain(group)
     for u_word, v_word, coeff in rows:
         chain.add_edge(parse(u_word), parse(v_word), int(coeff))

@@ -19,8 +19,8 @@ string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
 A group's value is fixed at construction.  Two kinds of state are added
-later: token tables (the token of each name and the element of each
-signed generator), derived once on first use, and the largest
+later: token tables (the token of each name, the name and the element of
+each signed generator), derived once on first use, and the largest
 :class:`IndexedBall` asked of the group, replaced only by a larger one.
 Threads may share a group: a race can build a ball twice or
 keep the smaller of two, but every ball handed out has at least the radius
@@ -91,24 +91,24 @@ class MarkedGroup:
             table.setdefault(f"-{name}", -i)
         return table
 
-    def token_of(self, name: str) -> Token:
-        try:
-            return self._token_table[name]
-        except KeyError:
-            raise InputError(f"unknown generator symbol {name!r} "
-                             f"(declared: {', '.join(self.generator_names)})")
-
-    def name_of(self, token: Token) -> str:
-        base = self.generator_names[abs(token) - 1]
-        return f"-{base}" if token < 0 else base
+    @cached_property
+    def _name_table(self) -> dict:
+        """Name of each signed token: ``x`` for generator x, ``-x`` for x^-1."""
+        return {t: self.generator_names[t - 1] if t > 0
+                else f"-{self.generator_names[-t - 1]}" for t in self._signed_tokens()}
 
     def parse_word(self, text: str):
         """Group element of a word document string such as ``"a -b a"``."""
-        tokens = [self.token_of(p) for p in text.split()]
+        table = self._token_table
+        try:
+            tokens = [table[p] for p in text.split()]
+        except KeyError as e:
+            raise InputError(f"unknown generator symbol {e.args[0]!r} "
+                             f"(declared: {', '.join(self.generator_names)})")
         return self.element_of(tokens)
 
     def format_element(self, element) -> str:
-        return " ".join(self.name_of(t) for t in self.element_word(element))
+        return " ".join(map(self._name_table.__getitem__, self.element_word(element)))
 
     # -- group structure (implemented per kind) ---------------------------
 
@@ -595,6 +595,14 @@ class IndexedBall:
     them rewritten).  Each element's tuple is built once, when it joins
     the ball.  Free-abelian and finite elements are their own keys, and
     their products are ``_append_token``.
+
+    A plain append (unflagged, no cancel) from the last sphere is counted,
+    its row entry -1, without a lookup.  This is exact: a word is as long
+    as its ball distance (a product adds at most one token, and a word's
+    prefixes reach it), so such an append is longer than every ball word,
+    and distinct (code, digit) pairs give distinct codes.  Only flagged
+    outside products are kept in a set (336 of the 133,288 of the genus-2
+    ball(5)); one equal to a plain append is counted once.
     """
 
     def __init__(self, group: MarkedGroup, radius: int):
@@ -613,6 +621,7 @@ class IndexedBall:
         rows: list[list[int]] = [[] for _ in tokens]
         steps = list(zip(rows, tokens, range(1, len(tokens) + 1), undo))
         outside = set()
+        plain = 0  # the last sphere's plain appends, all outside and distinct
         i = 0
         while i < len(elements):
             g, d, c = elements[i], dist[i], keys[i]
@@ -629,6 +638,10 @@ class IndexedBall:
                     if p % window in flagged:
                         h = append(g, t)
                         p = encode(h)
+                    elif d == radius:
+                        plain += 1
+                        row.append(-1)
+                        continue
                 j = ids.get(p)
                 if j is None:
                     if d == radius:
@@ -644,12 +657,17 @@ class IndexedBall:
                 row.append(j)
             i += 1
         ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
+        if base:  # drop the flagged products counted as plain appends
+            first = ends[radius - 1] if radius else 0
+            outside = [p for p in outside if ids.get(p // base, -1) < first
+                       or p // base % base == undo[p % base - 1]
+                       or p % window in flagged]
         self.radius = radius
         self.elements = elements
         self.dist = dist
         self.rows = rows
         self.ends = ends
-        self.outside = len(outside)
+        self.outside = plain + len(outside)
 
 
 # ---------------------------------------------------------------------------

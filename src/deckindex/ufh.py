@@ -24,6 +24,7 @@ boundary or the averages from scratch and compares exactly.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from fractions import Fraction
 
@@ -382,6 +383,7 @@ def verify_certificate(cert: ClassCertificate) -> dict:
     """Independent re-verification; recomputes everything exactly."""
     group = cert.group
     f = cert.function
+    parse = functools.cache(group.parse_word)  # each distinct payload word once
     result = {"verified": False, "checks": []}
 
     def check(name, ok, detail=""):
@@ -414,7 +416,7 @@ def verify_certificate(cert: ClassCertificate) -> dict:
                   abs(avg - limit) <= Fraction(mass, size))
     elif cert.verdict == "zero-by-boundary":
         require("invariant mean vanishes", not mean)
-        chain = _payload_to_chain(group, cert.payload["chain"])
+        chain = _payload_to_chain(group, cert.payload["chain"], parse)
         bdry = chain.boundary()
         if isinstance(group, FiniteGroup):  # bounded outright, not in a limit
             interior = set(group.elements())
@@ -445,9 +447,9 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         require("flow radii match the stated radii",
                 [int(row["radius"]) for row in flows]
                 == [int(r) for r in cert.payload.get("radii", ())])
-        for row in flows:
+        for row in flows:  # the radii nest, so the rows share words
             radius = int(row["radius"])
-            chain = _payload_to_chain(group, row["chain"])
+            chain = _payload_to_chain(group, row["chain"], parse)
             bdry = chain.boundary()
             interior = group.ball(radius - 1)
             ok = all(bdry.get(v, 0) == f.value(v) for v in interior)

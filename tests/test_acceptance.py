@@ -150,14 +150,14 @@ def test_criterion_5_certificates_reverify():
         # independent re-verification in the test: rebuild the chain from
         # the payload and compare the boundary to f on the stated region
         if cert.verdict == "zero-by-boundary":
-            chain = _payload_to_chain(group, cert.payload["chain"])
+            chain = _payload_to_chain(group, cert.payload["chain"], group.parse_word)
             bdry = chain.boundary()
             region = group.ball(int(cert.payload["interior_radius"]))
             assert all(bdry.get(v, 0) == f.value(v) for v in region)
             reverified += 1
         elif cert.verdict == "zero-by-truncated-flow":
             for row in cert.payload["flows"]:
-                chain = _payload_to_chain(group, row["chain"])
+                chain = _payload_to_chain(group, row["chain"], group.parse_word)
                 bdry = chain.boundary()
                 region = group.ball(int(row["radius"]) - 1)
                 assert all(bdry.get(v, 0) == f.value(v) for v in region)

@@ -292,6 +292,42 @@ class TestBalls:
         blob = repr((ball.elements, ball.dist, ball.rows, ball.ends, ball.outside))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
+    LAST_SPHERES = {
+        "surface2-r5": (SurfaceGroup(2), 5, (720, 384)),
+        "surface3-r4": (SurfaceGroup(3), 4, (0, 0)),
+        "free3-r5": (FreeGroup(3), 5, (0, 0)),
+        "surface2-r0": (SurfaceGroup(2), 0, (0, 0)),
+        "free2-r1": (FreeGroup(2), 1, (0, 0)),
+        "surface2-r1": (SurfaceGroup(2), 1, (0, 0)),
+        "abelian3-r4": (FreeAbelianGroup(3), 4, None),
+        "cyclic7-r3": (cyclic_group(7), 3, None),
+    }
+
+    @pytest.mark.parametrize("group,radius,flags", LAST_SPHERES.values(),
+                             ids=LAST_SPHERES.keys())
+    def test_last_sphere_matches_multiply_token(self, group, radius, flags):
+        # the ball counts the last sphere's plain appends without looking
+        # them up; every last-sphere product, taken directly, must agree
+        # with its row entry, and the distinct ones outside with the count
+        ball = IndexedBall(group, radius)
+        ids = {g: i for i, g in enumerate(ball.elements)}
+        codes = group._word_codes
+        beyond = set()
+        flagged = rewritten = 0
+        for i in range(ball.ends[radius - 1] if radius else 0, len(ball.elements)):
+            g = ball.elements[i]
+            for row, t in zip(ball.rows, group._signed_tokens()):
+                h = group.multiply_token(g, t)
+                assert row[i] == ids.get(h, -1)
+                if h not in ids:
+                    beyond.add(h)
+                if codes and not (g and g[-1] == -t):
+                    hit = codes.encode(g + (t,)) % codes.window in codes.flagged
+                    flagged += hit
+                    rewritten += h != g + (t,)
+        assert ball.outside == len(beyond)
+        assert flags is None or (flagged, rewritten) == flags
+
     def test_rewrites_only_in_flagged_window(self):
         # a product leaves the plain free append only when the last h tokens
         # of the appended word are a half relator, which the ball reads off

@@ -349,6 +349,25 @@ class TestVerifierRejectsTampering:
         assert _failed(verify_certificate(cert)) == {
             "interior contains the support"}
 
+    @pytest.mark.parametrize("tamper", ["coefficient", "non-generator edge"])
+    def test_tampered_last_flow_row_fails(self, tamper):
+        # the rows share one parse cache, and the words of the tampered row
+        # occur in the first row too
+        cert = decide_class(F2, ClassFunction(F2, 1, {}), flow_radii=(3, 4, 5))
+        flows = cert.payload["flows"]
+        earlier = {w for row in flows[0]["chain"] for w in row[:2]}
+        last = flows[-1]["chain"]
+        if tamper == "coefficient":
+            k = next(k for k, row in enumerate(last) if row[:2] == ["", "a"])
+            last[k] = ["", "a", 2 * cert.payload["capacity"] + 1]
+            expected = {"flow boundary matches on ball(4)",
+                        "flow coefficients within 2x capacity at R=5"}
+        else:  # a closed loop whose first step is no generator step
+            last += [["", "a a", 1], ["a a", "a", 1], ["a", "", 1]]
+            expected = {"flow edges are generator steps at R=5"}
+        assert {"", "a", "a a"} <= earlier
+        assert _failed(verify_certificate(cert)) == expected
+
 
 class TestVerifierReadsPayloadWords:
     def test_non_reduced_vertex_word_verifies(self):
@@ -387,6 +406,45 @@ def _failed(result):
     return {c["name"] for c in result["checks"] if not c["ok"]}
 
 
+class TestGraphChain:
+    def test_reverse_edge_merges_in_ascending_order(self):
+        u, v = F2.parse_word("a b"), F2.parse_word("a")  # v has the smaller key
+        chain = GraphChain(F2)
+        chain.add_edge(u, v, 2)
+        assert chain.edges == {(v, u): -2}
+        chain.add_edge(v, u, 5)
+        assert chain.edges == {(v, u): 3}
+        chain.add_edge(u, v, 3)
+        assert chain.edges == {}
+
+    def test_self_loop_sums(self):
+        # a generator equal to the identity makes loops; a loop is its own
+        # reverse, so adding it twice doubles it
+        group = trivial_group()
+        e = group.identity()
+        chain = GraphChain(group)
+        chain.add_edge(e, e, 1)
+        chain.add_edge(e, e, 1)
+        assert chain.edges == {(e, e): 2} and chain.boundary() == {}
+
+    def test_payload_rows_do_not_depend_on_direction(self):
+        rng = random.Random(5)
+        edges = [(u, SURF.multiply_token(u, t), rng.choice((-2, -1, 1, 2)))
+                 for u in sorted(SURF.ball(2), key=SURF.sort_key)
+                 for t in rng.sample(SURF._signed_tokens(), 3)]
+        forward, mixed = GraphChain(SURF), GraphChain(SURF)
+        for u, v, c in edges:
+            forward.add_edge(u, v, c)
+        rng.shuffle(edges)
+        for u, v, c in edges:
+            if rng.random() < 0.5:
+                mixed.add_edge(v, u, -c)
+            else:
+                mixed.add_edge(u, v, c)
+        assert forward.edges
+        assert _chain_to_payload(SURF, mixed) == _chain_to_payload(SURF, forward)
+
+
 # ---------------------------------------------------------------------------
 # The zero-by-boundary check on the supports against the whole ball
 
@@ -395,7 +453,8 @@ def _full_ball_check(cert):
     """(boundary matches f on ball(R), ball(R) holds the support), read off
     every element of the ball, as the verifier once did."""
     group, f = cert.group, cert.function
-    bdry = _payload_to_chain(group, cert.payload["chain"]).boundary()
+    bdry = _payload_to_chain(group, cert.payload["chain"],
+                             group.parse_word).boundary()
     interior = group.ball(int(cert.payload["interior_radius"]))
     return (all(bdry.get(v, 0) == f.value(v) for v in interior),
             set(f.finite) <= interior)
