@@ -19,12 +19,13 @@ string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
 A group's value is fixed at construction.  Two kinds of state are added
-later: token tables (the token of each name, the name and the element of
-each signed generator), derived once on first use, and the largest
-:class:`IndexedBall` asked of the group, replaced only by a larger one.
-Threads may share a group: a race can build a ball twice or
-keep the smaller of two, but every ball handed out has at least the radius
-asked for.
+later: token tables (the token of each name and the name of each signed
+generator), derived once on first use, and the largest
+:class:`IndexedBall` asked of the group, replaced only by a larger one,
+which lists its edges as far as they are asked.  Threads may share a
+group: a race can build a ball or list its edges twice, or keep the
+smaller of two balls or edge lists, but every ball handed out has at least
+the radius asked for, and every edge list reaches as far as asked.
 
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
 elements in BFS order, so the flow networks and the isoperimetric probe
@@ -32,8 +33,10 @@ work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
 read an id prefix of it.  Its BFS keys a free or surface element by the
 integer code of its word (:class:`WordCodes`), so a product is one integer
 cancel or append, and a surface product is rewritten only when its last
-half-relator window is flagged.  Free-abelian and finite elements are
-their own keys, and their products are the kind's ``_append_token``.
+half-relator window is flagged.  The last sphere takes one step per
+element: its cancel, its flagged appends, and a count of the rest.
+Free-abelian and finite elements are their own keys, and their products
+are the kind's ``_append_token``.
 """
 
 from __future__ import annotations
@@ -63,9 +66,19 @@ def _invert_word(tokens) -> list[Token]:
     return [-t for t in reversed(tokens)]
 
 
+class _TokenRanks(dict):
+    """Shortlex rank of each signed token: a < a^-1 < b < b^-1 < ..."""
+
+    def __missing__(self, t):
+        rank = self[t] = 2 * abs(t) + (t < 0)
+        return rank
+
+
+_RANK = _TokenRanks()
+
+
 def _shortlex_key(tokens):
-    # a < a^-1 < b < b^-1 < ...
-    return (len(tokens), tuple(2 * abs(t) + (t < 0) for t in tokens))
+    return (len(tokens), tuple(map(_RANK.__getitem__, tokens)))
 
 
 class MarkedGroup:
@@ -136,10 +149,6 @@ class MarkedGroup:
 
     def distance(self, a, b) -> int:
         return self.length(self.multiply(self.inverse(a), b))
-
-    @cached_property
-    def _token_elements(self) -> dict:
-        return {t: self.element_of([t]) for t in self._signed_tokens()}
 
     def multiply_token(self, a, token: Token):
         return self._append_token(a, token)  # each kind defines _append_token
@@ -489,7 +498,7 @@ class FiniteGroup(MarkedGroup):
             nxt = []
             for g in frontier:
                 base = words[g]
-                for t in sorted(signed, key=lambda t: 2 * abs(t) + (t < 0)):
+                for t in sorted(signed, key=_RANK.__getitem__):
                     h = self._append_token(g, t)
                     if h not in words:
                         words[h] = base + (t,)
@@ -559,7 +568,10 @@ class WordCodes:
     token k; appending token k is ``c * base + k + 1``.  ``flagged`` holds
     the codes of the words ``keys`` of length ``h``: an appended product
     ``p`` whose last ``h`` tokens are one of them, ``p % window in
-    flagged``, may need the kind's rewrite.
+    flagged``, may need the kind's rewrite.  ``follow.get(c % suffix, ())``
+    lists the tokens whose append to the word of code ``c`` is flagged:
+    ``c % suffix`` codes its last ``h - 1`` tokens (a shorter word's code
+    is no key).
     """
 
     def __init__(self, tokens, keys, h: int):
@@ -568,6 +580,10 @@ class WordCodes:
         self.undo = [self.digit[-t] for t in tokens]
         self.window = self.base ** h
         self.flagged = frozenset(self.encode(key) for key in keys)
+        self.suffix = self.base ** max(h - 1, 0)
+        self.follow: dict[int, list[Token]] = {}
+        for key in keys:
+            self.follow.setdefault(self.encode(key[:-1]), []).append(key[-1])
 
     def encode(self, word) -> int:
         c = 0
@@ -591,18 +607,23 @@ class IndexedBall:
     :class:`WordCodes` code, so a product is integer arithmetic: the
     cancel or the append of one digit.  Only a product flagged by its last
     half-relator window goes through ``_append_token``, whose result is
-    encoded (840 of the 178,312 products of the genus-2 ball(5), 448 of
-    them rewritten).  Each element's tuple is built once, when it joins
+    encoded.  Each element's tuple is built once, when it joins
     the ball.  Free-abelian and finite elements are their own keys, and
     their products are ``_append_token``.
 
-    A plain append (unflagged, no cancel) from the last sphere is counted,
-    its row entry -1, without a lookup.  This is exact: a word is as long
-    as its ball distance (a product adds at most one token, and a word's
-    prefixes reach it), so such an append is longer than every ball word,
-    and distinct (code, digit) pairs give distinct codes.  Only flagged
-    outside products are kept in a set (336 of the 133,288 of the genus-2
-    ball(5)); one equal to a plain append is counted once.
+    A word kind's last sphere takes one step per element, not one per
+    product.  The element's one cancel (the identity has none) sets its row
+    entry to the parent's id.  Only the tokens whose append is flagged,
+    read off ``WordCodes.follow`` by the code of the word's last ``h - 1``
+    tokens, go through ``_append_token``.  Every other append, ``2n - 1``
+    less the flagged ones, is counted, its row entry -1, without a lookup.
+    This is exact: a word is as long as its ball distance (a product adds
+    at most one token, and a word's prefixes reach it), so such an append
+    is longer than every ball word, and distinct (code, digit) pairs give
+    distinct codes.  Only flagged outside products are kept in a set (336
+    of the 133,288 of the genus-2 ball(5)); one equal to a plain append is
+    counted once.  Building the genus-2 ball(5) so calls ``_append_token``
+    840 times and rewrites 448 of those products.
     """
 
     def __init__(self, group: MarkedGroup, radius: int):
@@ -616,14 +637,15 @@ class IndexedBall:
         else:
             base, key, undo = codes.base, 0, codes.undo
             window, flagged, encode = codes.window, codes.flagged, codes.encode
+            follow, suffix = codes.follow, codes.suffix
         ids = {key: 0}
         keys, elements, dist = [key], [identity], [0]
         rows: list[list[int]] = [[] for _ in tokens]
         steps = list(zip(rows, tokens, range(1, len(tokens) + 1), undo))
         outside = set()
-        plain = 0  # the last sphere's plain appends, all outside and distinct
         i = 0
-        while i < len(elements):
+        # a word kind's last sphere is handled below, one step per element
+        while i < len(elements) and not (base and dist[i] == radius):
             g, d, c = elements[i], dist[i], keys[i]
             if base:
                 last, head = c % base, c * base
@@ -638,10 +660,6 @@ class IndexedBall:
                     if p % window in flagged:
                         h = append(g, t)
                         p = encode(h)
-                    elif d == radius:
-                        plain += 1
-                        row.append(-1)
-                        continue
                 j = ids.get(p)
                 if j is None:
                     if d == radius:
@@ -656,9 +674,27 @@ class IndexedBall:
                         dist.append(d + 1)
                 row.append(j)
             i += 1
-        ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
-        if base:  # drop the flagged products counted as plain appends
-            first = ends[radius - 1] if radius else 0
+        plain = 0  # the last sphere's plain appends, all outside and distinct
+        if base:
+            first = i
+            for row in rows:
+                row.extend([-1] * (len(elements) - first))
+            cancel, row_of = dict(zip(undo, rows)), dict(zip(tokens, rows))
+            for i in range(first, len(elements)):
+                c = keys[i]
+                flags = follow.get(c % suffix, ())
+                plain += len(tokens) - len(flags)
+                if c:  # every element but the identity cancels back to its parent
+                    cancel[c % base][i] = ids[c // base]
+                    plain -= 1
+                for t in flags:
+                    p = encode(append(elements[i], t))
+                    j = ids.get(p)
+                    if j is None:
+                        outside.add(p)
+                    else:
+                        row_of[t][i] = j
+            # drop the flagged products counted as plain appends
             outside = [p for p in outside if ids.get(p // base, -1) < first
                        or p // base % base == undo[p % base - 1]
                        or p % window in flagged]
@@ -666,8 +702,27 @@ class IndexedBall:
         self.elements = elements
         self.dist = dist
         self.rows = rows
-        self.ends = ends
+        self.ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
         self.outside = plain + len(outside)
+        self._above: list[list[int]] = []
+
+    def above(self, radius: int) -> list:
+        """``above(radius)[i]``, for each vertex ``i`` of ball(radius), lists
+        the ids ``j > i`` of its products in token order, each once (two
+        tokens can name one product): the ball's edges ``(i, j)``, ``i < j``.
+        Listed once per ball, and only up to the largest radius asked."""
+        above = self._above
+        if len(above) < self.ends[radius]:
+            listed = []
+            for i in range(len(above), self.ends[radius]):
+                up = []
+                for row in self.rows:
+                    j = row[i]
+                    if j > i and j not in up:
+                        up.append(j)
+                listed.append(up)
+            self._above = above = above + listed  # a racing thread lists alike
+        return above
 
 
 # ---------------------------------------------------------------------------

@@ -208,12 +208,13 @@ class BallFlows:
 
     Vertex ids are the indexed ball's ids below ``ends[radius]``; the source
     and the sink come after them.  The first arc pairs are the ball edges,
-    each arc with the uniform capacity; then one source arc per inner vertex
-    where c is nonzero, and one sink arc per sphere vertex.  Both
-    commodities share the arcs and keep separate residuals.  The network
-    starts at capacity 0; :meth:`raise_to` adds to both arcs of every ball
-    edge and resumes from the current residual, since a feasible flow stays
-    feasible as capacities grow.
+    read in order off the ball's one edge list (``IndexedBall.above``, less
+    the edges to the next sphere), each arc with the uniform capacity; then
+    one source arc per inner vertex where c is nonzero, and one sink arc
+    per sphere vertex.  Both commodities share the arcs and keep separate
+    residuals.  The network starts at capacity 0; :meth:`raise_to` adds to
+    both arcs of every ball edge and resumes from the current residual,
+    since a feasible flow stays feasible as capacities grow.
     """
 
     def __init__(self, group: MarkedGroup, c: ClassFunction, radius: int):
@@ -223,29 +224,19 @@ class BallFlows:
         if inner == n:
             raise InputError("sphere is empty; the group is too small for this radius")
         source, sink = n, n + 1
-        adj: list[list[int]] = [[] for _ in range(n + 2)]
-        head: list[int] = []
-
-        def arc_pair(u, v):
-            adj[u].append(len(head))
-            head.append(v)
-            adj[v].append(len(head))
-            head.append(u)
-
-        for i in range(n):
-            seen = []
-            for row in ball.rows:
-                j = row[i]
-                if i < j < n and j not in seen:
-                    seen.append(j)
-                    arc_pair(i, j)
-        self.edge_arcs = len(head)
+        above = ball.above(radius)
+        pairs = [(i, j) for i in range(n) for j in above[i] if j < n]
+        self.edge_arcs = 2 * len(pairs)
         values = [c.value(ball.elements[i]) for i in range(inner)]
         supplied = [i for i in range(inner) if values[i]]
-        for i in supplied:
-            arc_pair(source, i)
-        for i in range(inner, n):
-            arc_pair(i, sink)
+        pairs += [(source, i) for i in supplied]
+        pairs += [(i, sink) for i in range(inner, n)]
+        adj: list[list[int]] = [[] for _ in range(n + 2)]
+        head: list[int] = []
+        for u, v in pairs:  # arc len(head) runs from u to v, the next back
+            adj[u].append(len(head))
+            adj[v].append(len(head) + 1)
+            head += v, u
         sources = slice(self.edge_arcs, self.edge_arcs + 2 * len(supplied), 2)
         sinks = slice(sources.stop, len(head), 2)
         unbounded = sum(abs(values[i]) for i in supplied)
@@ -363,9 +354,11 @@ MEAN_INDICES = (1, 2, 4, 8)  # Folner indices of a nonzero-by-mean certificate
 
 
 def _generator_steps(group: MarkedGroup, chain: GraphChain) -> bool:
-    """Whether every edge of the chain joins two generator neighbours."""
-    steps = set(group._token_elements.values())
-    return all(group.multiply(group.inverse(u), v) in steps
+    """Whether every edge (u, v) of the chain joins two generator
+    neighbours: some signed token t has ``multiply_token(u, t) == v``, and
+    trying every t covers an edge stored in either direction."""
+    tokens = group._signed_tokens()
+    return all(any(group.multiply_token(u, t) == v for t in tokens)
                for u, v in chain.edges)
 
 

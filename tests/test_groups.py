@@ -299,6 +299,12 @@ class TestBalls:
         "surface2-r0": (SurfaceGroup(2), 0, (0, 0)),
         "free2-r1": (FreeGroup(2), 1, (0, 0)),
         "surface2-r1": (SurfaceGroup(2), 1, (0, 0)),
+        # last-sphere words no longer than the h - 1 tokens the flag table
+        # is keyed by (h = 4 in genus 2, 6 in genus 3)
+        "surface2-r2": (SurfaceGroup(2), 2, (0, 0)),
+        "surface2-r3": (SurfaceGroup(2), 3, (16, 8)),
+        "surface3-r2": (SurfaceGroup(3), 2, (0, 0)),
+        "surface3-r3": (SurfaceGroup(3), 3, (0, 0)),
         "abelian3-r4": (FreeAbelianGroup(3), 4, None),
         "cyclic7-r3": (cyclic_group(7), 3, None),
     }
@@ -327,6 +333,23 @@ class TestBalls:
                     rewritten += h != g + (t,)
         assert ball.outside == len(beyond)
         assert flags is None or (flagged, rewritten) == flags
+
+    def test_ball_work_is_one_step_per_last_sphere_element(self, monkeypatch):
+        # only flagged appends reach _append_token, 120 below the last
+        # sphere and 720 in it, and 64 + 384 of them are rewritten; sending
+        # more products through the rewrite, or another rewrite order, moves
+        # the counts
+        group = SurfaceGroup(2)
+        calls = {"_append_token": 0, "_canonical": 0}
+        for name in calls:
+            method = getattr(group, name)
+
+            def counted(*args, name=name, method=method):
+                calls[name] += 1
+                return method(*args)
+            monkeypatch.setattr(group, name, counted)
+        IndexedBall(group, 5)
+        assert calls == {"_append_token": 840, "_canonical": 448}
 
     def test_rewrites_only_in_flagged_window(self):
         # a product leaves the plain free append only when the last h tokens

@@ -6,6 +6,7 @@ import pytest
 from deckindex.classes import ClassFunction
 from deckindex.errors import InputError
 from deckindex.groups import (
+    FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
     SurfaceGroup,
@@ -15,6 +16,7 @@ from deckindex.groups import (
 )
 from deckindex.ufh import (
     MEAN_INDICES,
+    BallFlows,
     ClassCertificate,
     GraphChain,
     bound_finite_mass,
@@ -595,3 +597,78 @@ class TestMaxFlowAgainstNetworkx:
         c = _mixed(F2, 3)
         cert = decide_class(F2, c)
         assert cert.payload["capacity"] == _nx_minimal_capacity(F2, c, (3, 4, 5, 6))
+
+
+# ---------------------------------------------------------------------------
+# Flow networks against a scan of the ball's rows per radius
+
+
+def _scanned_network(group, c, radius):
+    """``adj``, ``head``, ``edge_arcs`` and both commodities' capacities of
+    the network on ball(radius), each edge found by scanning every vertex's
+    row entries below the radius, its first token kept."""
+    ball = group.indexed_ball(radius)
+    n = ball.ends[radius]
+    inner = ball.ends[radius - 1] if radius else 0
+    adj = [[] for _ in range(n + 2)]
+    head = []
+
+    def arc_pair(u, v):
+        adj[u].append(len(head))
+        head.append(v)
+        adj[v].append(len(head))
+        head.append(u)
+
+    for i in range(n):
+        seen = []
+        for row in ball.rows:
+            j = row[i]
+            if i < j < n and j not in seen:
+                seen.append(j)
+                arc_pair(i, j)
+    edge_arcs = len(head)
+    values = [c.value(ball.elements[i]) for i in range(inner)]
+    supplied = [i for i in range(inner) if values[i]]
+    for i in supplied:
+        arc_pair(n, i)
+    for i in range(inner, n):
+        arc_pair(i, n + 1)
+    unbounded = sum(abs(values[i]) for i in supplied)
+    caps = {}
+    for sign in (1, -1):
+        cap = [0] * len(head)
+        for k, i in enumerate(supplied):
+            cap[edge_arcs + 2 * k] = max(sign * values[i], 0)
+        for a in range(edge_arcs + 2 * len(supplied), len(head), 2):
+            cap[a] = unbounded
+        caps[sign] = cap
+    return adj, head, edge_arcs, caps
+
+
+def _doubled_cyclic():
+    """Z/8 marked by 1, 4 and 1 again: 4 is its own inverse and two
+    generators name one element, so rows repeat a product."""
+    table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    return FiniteGroup(table, generator_ids=[1, 4, 1], names=["s", "t", "u"])
+
+
+NETWORK_CASES = {"free2": (lambda: FreeGroup(2), 6),
+                 "surface2": (lambda: SurfaceGroup(2), 4),
+                 "doubled-cyclic8": (_doubled_cyclic, 2)}
+
+
+@pytest.mark.parametrize("make,top", NETWORK_CASES.values(),
+                         ids=NETWORK_CASES.keys())
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_ball_flows_network_matches_row_scan(make, top, order):
+    # each ball lists its edges once, growing as radii are asked; every
+    # network must still be the one a scan of the rows at its radius builds
+    group = make()
+    group.indexed_ball(top)
+    radii = range(top + 1) if order == "ascending" else range(top, -1, -1)
+    for radius in radii:
+        for c in (ClassFunction(group, 1, {}), _mixed(group, 3)):
+            net = BallFlows(group, c, radius)
+            adj, head, edge_arcs, caps = _scanned_network(group, c, radius)
+            assert (net.adj, net.head, net.edge_arcs) == (adj, head, edge_arcs)
+            assert net.caps == caps
