@@ -88,7 +88,6 @@ from .geometry import (
     simplex_boundary_squared_distance,
     solve_linear,
     sqrt_lower_bound,
-    squared_distance_point_point,
 )
 from .groups import FiniteGroup, FreeAbelianGroup, integer_value
 
@@ -895,18 +894,62 @@ def _round_down(x: float) -> Fraction:
     return Fraction(max(0, math.floor(x * scale)), scale)
 
 
+def _closest_pair2(positions, count: int):
+    """Least squared distance from one of the first ``count`` exact
+    positions to any other position, or None when there is no pair.
+
+    Each pair is measured once, from its earlier position.  Every
+    coordinate is put over one common denominator D, so each squared
+    distance is an integer over D² and only the least one becomes a
+    Fraction.
+    """
+    den = math.lcm(*(c.denominator for p in positions for c in p))
+    scaled = [[c.numerator * (den // c.denominator) for c in p] for p in positions]
+    best = min((sum((a - b) ** 2 for a, b in zip(p, q))
+                for i, p in enumerate(scaled[:count]) for q in scaled[i + 1:]),
+               default=None)
+    return None if best is None else Fraction(best, den * den)
+
+
+def _outside_balls(pts, centres, radius: float):
+    """Mask of the rows of ``pts`` farther than ``radius`` from every row of
+    ``centres``, each distance computed as ``sqrt(((p - z) ** 2).sum())``.
+
+    The points are sorted once by their first coordinate, and each centre
+    measures only the slab of points within ``2 * radius`` of it in that
+    coordinate: a point outside the slab is more than ``2 * radius`` away
+    in one coordinate, so its computed distance exceeds ``radius`` too.
+    The mask is the one of measuring every point against every centre.
+    """
+    import numpy as np
+    order = np.argsort(pts[:, 0])
+    ordered = pts[order]
+    first = ordered[:, 0]
+    inside = np.zeros(len(pts), dtype=bool)
+    reach = 2 * radius
+    for z in centres:
+        lo, hi = np.searchsorted(first, (z[0] - reach, z[0] + reach))
+        inside[lo:hi] |= np.sqrt(((ordered[lo:hi] - z) ** 2).sum(axis=1)) <= radius
+    outside = np.empty_like(inside)
+    outside[order] = ~inside
+    return outside
+
+
 def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     """Verify isolation, displacement or field norm gap and host containment.
 
     delta is the largest certified radius: half the minimum distance from
     a zero to any other zero of the cover (see :func:`_cover`), capped by
-    every point's exact distance to its host-simplex boundary.  epsilon is
-    the minimum norm the model samples (its ``sample_norms``) outside the
+    every point's exact distance to its host-simplex boundary.  The
+    minimum distance is taken in integers, with every exact position over
+    one common denominator (:func:`_closest_pair2`).  epsilon is the
+    minimum norm the model samples (its ``sample_norms``) outside the
     delta-balls of every zero of the cover, rounded down to a rational;
-    the grid refines once when the minimum is suspiciously small.
-    ``grid`` is raised to at least :data:`TAMENESS_GRID`.  Sampling is a
-    documented heuristic; the zero set itself is exact wherever the model
-    permits.
+    each zero measures only the samples in its slab of the first
+    coordinate (:func:`_outside_balls`).  The grid refines once when the
+    minimum is suspiciously small.  ``grid`` is raised to at least
+    :data:`TAMENESS_GRID`.  Sampling is a documented heuristic; the zero
+    set itself is exact wherever the model permits.
     """
     import numpy as np
     grid = max(grid, TAMENESS_GRID)
@@ -933,10 +976,7 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     pair2 = None
     if all(r.exact for r in records):
         # the cover starts with the records, in order
-        positions = [r.position for r in cover if r.exact]
-        pair2 = min((squared_distance_point_point(p, positions[j])
-                     for i, p in enumerate(positions[:len(records)])
-                     for j in range(len(positions)) if j != i), default=None)
+        pair2 = _closest_pair2([r.position for r in cover if r.exact], len(records))
     if pair2 is not None and pair2 == 0:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=["coincident fixed points"])
@@ -954,10 +994,7 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
     eps_float = None
     for attempt in (1, 2):
         pts, disp = model.sample_norms(grid * attempt)
-        dist = np.full(len(pts), np.inf)     # to the nearest zero of the cover
-        for z in zero_set:
-            np.minimum(dist, np.sqrt(((pts - z) ** 2).sum(axis=1)), out=dist)
-        outside = disp[dist > float(delta)]
+        outside = disp[_outside_balls(pts, zero_set, float(delta))]
         if len(outside) == 0:
             return TamenessReport(delta=delta, epsilon=None, verdict="not tame",
                                   witnesses=["delta-balls swallow the sample grid"])

@@ -1,8 +1,10 @@
 """Exact rational linear algebra and simplex geometry.
 
 Every small exact system is reduced by one Gauss–Jordan routine,
-:func:`eliminate`: :func:`solve_linear` and :func:`det` read it, and so do
-the host-cell table and the chart index of :mod:`deckindex.fixpoint`.  A
+:func:`eliminate`, which works in integers with fraction-free (Bareiss)
+steps and divides back into rationals once, at the end: :func:`solve_linear`
+and :func:`det` read it, and so do the host-cell table and the chart index
+of :mod:`deckindex.fixpoint`.  A
 point's depth in a simplex is ``min_i λ_i h_i``: its barycentric
 coordinates times the heights of the simplex, with the squared heights
 ``h_i² = det G / det G_i`` taken from Gram determinants, in any dimension.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InternalError
 
 
 def eliminate(rows, width):
@@ -24,29 +26,52 @@ def eliminate(rows, width):
     in order; and the determinant of the leading ``width`` columns of a
     square system (0 when a column has no pivot).  Columns past ``width``
     are carried along, so ``[A | B]`` reduces to ``[R | E B]`` with
-    ``E A = R``.
+    ``E A = R``.  Entries are ints or Fractions.
+
+    The reduction runs in integers (Bareiss 1968): each row is cleared of
+    its denominators once, by its scale s, and each step takes
+    ``row <- (p * row - f * pivot row) / p'`` with p the new pivot and p'
+    the one before, a division that is always exact.  The pivot row is
+    chosen as over Q, the first row with a nonzero entry, so the rows end
+    in the same order.  At the end every pivot row holds P times its
+    reduced row, P the last pivot, and every other row P s times its
+    residual; the determinant is ``±P`` over the pivot rows' scales.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m, scales = [], []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
     pivots = []
-    determinant = Fraction(1)
+    sign, prev = 1, 1
     for col in range(width):
         r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
-            determinant = Fraction(0)
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            determinant = -determinant
-        determinant *= m[r][col]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            scales[r], scales[piv] = scales[piv], scales[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[col]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[col]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif p != prev:
+                m[i] = [a * p // prev for a in row]
+        prev = p
         pivots.append(col)
-    return m, pivots, determinant
+    rank = len(pivots)
+    reduced = [[Fraction(a, prev) for a in row] for row in m[:rank]]
+    reduced += [[Fraction(a, prev * s) for a in row]
+                for row, s in zip(m[rank:], scales[rank:])]
+    determinant = (Fraction(sign * prev, math.prod(scales[:rank])) if rank == width
+                   else Fraction(0))
+    return reduced, pivots, determinant
 
 
 def solve_linear(matrix, rhs):
@@ -89,10 +114,6 @@ def point_in_simplex(point, vertices):
     return "boundary" if any(c == 0 for c in coords) else "interior"
 
 
-def squared_distance_point_point(p, q) -> Fraction:
-    return sum((u - v) ** 2 for u, v in zip(p, q))
-
-
 def _gram_det(vertices) -> Fraction:
     """det of the Gram matrix of a simplex's edge vectors from its first
     vertex: (k! times its k-volume) squared, 1 for a point."""
@@ -121,7 +142,7 @@ def sqrt_lower_bound(value: Fraction, bits: int = 40) -> Fraction:
     """Exact rational lower bound for sqrt(value)."""
     value = Fraction(value)
     if value < 0:
-        raise InputError("negative value")
+        raise InternalError("square root of a negative value")
     scale = 1 << bits
     num = value.numerator * scale * scale
     root = math.isqrt(num // value.denominator)

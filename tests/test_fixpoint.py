@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deckindex.errors import InputError, TamenessError
 from deckindex.fixpoint import (
     SimplicialMapModel,
     ZeroTable,
+    _closest_pair2,
     _cover,
+    _outside_balls,
     check_tameness,
     equivariant_oracle_check,
     find_fixed_points,
@@ -151,23 +155,23 @@ class TestTameness:
         assert abs(float(report.epsilon) - 0.3) < 1e-6
 
 
-class _OneZeroTorus(ZeroTable):
-    """Z^2 test double: one exact zero in the identity window."""
+class _ZerosTorus(ZeroTable):
+    """Z^2 test double: the given exact zeros in the identity window."""
 
-    def __init__(self, position):
+    def __init__(self, *positions):
         super().__init__()
         self.complex = torus_grid()
         self.group = self.complex.group
-        self.position = position
+        self.positions = positions
 
     def _solve_window(self, window, plain):
-        return [resolve_record(self.complex, self.position, True)]
+        return [resolve_record(self.complex, p, True) for p in self.positions]
 
 
 class TestCover:
     def test_z2_cover_lists_the_record_then_its_unit_translates(self):
         p = (Fraction(1, 7), Fraction(1, 11))
-        records, cover = _cover(_OneZeroTorus(p))
+        records, cover = _cover(_ZerosTorus(p))
         assert len(records) == 1 and not records[0].on_face
         assert cover[0] == records[0]
         shifts = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
@@ -179,6 +183,87 @@ class TestCover:
         records, cover = _cover(rotation_model)
         assert len(records) == 2
         assert cover == records == find_fixed_points(rotation_model, 0)
+
+
+def _all_pairs_outside(pts, centres, radius):
+    """Reference δ-ball mask: every sample measured against every centre."""
+    dist = np.full(len(pts), np.inf)
+    for z in centres:
+        np.minimum(dist, np.sqrt(((pts - z) ** 2).sum(axis=1)), out=dist)
+    return dist > radius
+
+
+def _fraction_closest_pair2(positions, count):
+    """Reference least squared distance, pair by pair in Fractions."""
+    return min((sum((u - v) ** 2 for u, v in zip(p, q))
+                for i, p in enumerate(positions[:count])
+                for j, q in enumerate(positions) if j != i), default=None)
+
+
+@st.composite
+def _samples_and_zeros(draw):
+    """(samples, zeros, radius) in dimension 1 to 3.
+
+    Samples lie in [0, 2)^n, some on a dyadic grid; zeros lie in [-1, 3)^n,
+    so some sit outside the sampled range, and some are dyadic too, so that
+    with a dyadic radius a sample can lie exactly at distance radius.  The
+    radius runs from 1e-6 to above 1.
+    """
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(0, 2, exclude_max=True)
+    dyadic = st.integers(0, 15).map(lambda k: k / 8)
+    pts = draw(st.lists(st.tuples(*[st.one_of(coord, dyadic)] * dim),
+                        min_size=1, max_size=60))
+    zeros = draw(st.lists(st.tuples(*[st.one_of(st.floats(-1, 3, exclude_max=True),
+                                                dyadic)] * dim),
+                          min_size=1, max_size=8))
+    radius = draw(st.one_of(st.sampled_from((1 / 8, 1 / 4, 1 / 2, 1.0, 1.5)),
+                            st.floats(-6, 0.25).map(lambda e: 10.0 ** e)))
+    # samples one radius from a zero along an axis: exactly at distance
+    # radius when the zero and the radius are dyadic
+    for z in zeros[:2]:
+        for i in range(dim):
+            for sign in (-1, 1):
+                p = list(z)
+                p[i] += sign * radius
+                pts.append(tuple(p))
+    return np.array(pts, dtype=float), np.array(zeros, dtype=float), radius
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+class TestTamenessKernels:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_samples_and_zeros())
+    def test_slab_mask_equals_the_all_pairs_mask(self, case):
+        pts, zeros, radius = case
+        mask = _outside_balls(pts, zeros, radius)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, _all_pairs_outside(pts, zeros, radius))
+
+    def test_a_sample_exactly_at_radius_is_inside(self):
+        pts = np.array([[0.25, 0.5], [0.75, 0.5], [0.5, 0.25], [0.5, 1.0]])
+        mask = _outside_balls(pts, np.array([[0.5, 0.5]]), 0.25)
+        assert mask.tolist() == [False, False, False, True]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda dim: st.lists(
+               st.tuples(*[_RATIONALS] * dim), min_size=1, max_size=12)),
+           st.integers(1, 12))
+    def test_integer_pair_distance_equals_the_fraction_minimum(self, positions, count):
+        count = min(count, len(positions))
+        assert _closest_pair2(positions, count) == \
+            _fraction_closest_pair2(positions, count)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.tuples(_RATIONALS, _RATIONALS), st.lists(st.tuples(_RATIONALS, _RATIONALS),
+                                                       max_size=3))
+    def test_coincident_zeros_are_not_tame(self, zero, others):
+        model = _ZerosTorus(*others, zero, zero)
+        report = check_tameness(model)
+        assert report.verdict == "not tame"
+        assert report.witnesses == ["coincident fixed points"]
 
 
 def _reference_sample_norms(model, grid):

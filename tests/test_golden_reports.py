@@ -4,7 +4,8 @@ are pinned.
 The digests below are the sha256 of ``report.json`` as written by
 ``deckindex <command> fixture:<name> [flags] --out <dir>``, keyed by
 (command, fixture, *flags), and by ``deckindex decide-class <doc> --out
-<dir>`` for the class documents of ``DECISIONS``.  A change that moves any
+<dir>`` for the class documents of ``DECISIONS``, and by document path
+for the analytic documents of ``ANALYTIC_DOCUMENTS``.  A change that moves any
 of them changes what users see and must say why.
 """
 
@@ -83,6 +84,34 @@ DECISIONS = {
         "3a8adf84b6b52bf8e6e45486a90065983c22cbb7cbcfd1baf192db49089b4b3c"),
 }
 
+# Benchmark-shaped analytic documents: the sin map at the largest amplitude
+# of the analytic-torus workload, and the overridden sin field with its
+# override two generator steps from the base window, as that workload runs
+# it (at "a a" it is the sin-field-override fixture).  Each report is
+# pinned under two PYTHONHASHSEED values.
+_OVERRIDE = ["sin(2*pi*x)*(1 - 2*sin(2*pi*y))", "sin(2*pi*y)*(1 - 2*sin(2*pi*x))"]
+
+
+def _overridden_sin_field(window):
+    return {"variant": "analytic", "fixture": "torus",
+            "components": ["sin(2*pi*x)", "sin(2*pi*y)"], "bound": "6",
+            "overrides": [{"translate": window, "components": _OVERRIDE}]}
+
+
+ANALYTIC_DOCUMENTS = {
+    "sin-map-7/25": (
+        "map-analyze",
+        {"variant": "analytic", "fixture": "torus",
+         "components": ["(7/25)*sin(2*pi*x)", "(7/25)*sin(2*pi*y)"], "bound": "2/5"},
+        "78c92b114b17456baa8ca3b5f9c316bdfc79fcb2e8786b6d371026e539a41152"),
+    "sin-field-override-a-a": (
+        "field-analyze", _overridden_sin_field("a a"),
+        "c8562fb7d24a93ffc655bd1dc9e19e9e1053ce71e54bab3fca708b25df92f178"),
+    "sin-field-override--b--b": (
+        "field-analyze", _overridden_sin_field("-b -b"),
+        "ca18e4f580767912917114adf1ab78ec8a664a368c57614d5ebe2eff736c8340"),
+}
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -109,7 +138,9 @@ def test_decision_report_bytes_unchanged(name, tmp_path):
     assert _digest(out) == digest
 
 
-def _digests_under_hash_seeds(tmp_path, command, fixture):
+def _digests_under_hash_seeds(tmp_path, command, source):
+    """Report digests of ``deckindex command source`` run in a fresh
+    interpreter under two PYTHONHASHSEED values."""
     digests = []
     for seed in ("1", "2"):
         out = str(tmp_path / f"out{seed}")
@@ -117,7 +148,7 @@ def _digests_under_hash_seeds(tmp_path, command, fixture):
                    PYTHONPATH=os.pathsep.join(
                        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
         subprocess.run([sys.executable, "-m", "deckindex.cli", command,
-                        f"fixture:{fixture}", "--out", out],
+                        source, "--out", out],
                        env=env, check=True, capture_output=True)
         digests.append(_digest(out))
     return digests
@@ -125,11 +156,19 @@ def _digests_under_hash_seeds(tmp_path, command, fixture):
 
 def test_report_bytes_independent_of_hash_seed(tmp_path):
     command, fixture = "field-analyze", "sin-field-override"
-    assert _digests_under_hash_seeds(tmp_path, command, fixture) \
+    assert _digests_under_hash_seeds(tmp_path, command, f"fixture:{fixture}") \
         == [GOLDEN[command, fixture]] * 2
 
 
 def test_flow_certificate_bytes_independent_of_hash_seed(tmp_path):
     command, fixture = "map-analyze", "free-cover-index"
-    assert _digests_under_hash_seeds(tmp_path, command, fixture) \
+    assert _digests_under_hash_seeds(tmp_path, command, f"fixture:{fixture}") \
         == [GOLDEN[command, fixture]] * 2
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_DOCUMENTS))
+def test_analytic_document_bytes_independent_of_hash_seed(name, tmp_path):
+    command, document, digest = ANALYTIC_DOCUMENTS[name]
+    path = tmp_path / "document.json"
+    path.write_text(canonical_json(document), encoding="utf-8")
+    assert _digests_under_hash_seeds(tmp_path, command, str(path)) == [digest] * 2
