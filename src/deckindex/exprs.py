@@ -21,11 +21,16 @@ fold constants in exact rationals, so ``1/0`` is refused while parsing
 and derivatives stay small.
 
 On the tree: :func:`derivative` and :func:`jacobian`, :func:`determinant`
-by cofactors, and one evaluator, a fold that builds a function of the point
-from a table of operations.  Its three tables give the float evaluator
-:func:`numpy_function` (behind :func:`lambdify_vector` and
-:func:`lambdify_matrix`), enclosures in ``mpmath.iv`` and exact values for
-an exact-zero test, which together give :func:`certified_sign`.
+by cofactors, and one compiler, :func:`_compile`, which turns a list of
+expressions into a program with one slot per distinct subtree, evaluated
+once per point; a subtree without variables, such as ``2*pi``, is
+evaluated once, when the program is built.  Its three operation tables
+give the float evaluators :func:`lambdify_vector` and
+:func:`lambdify_matrix`, enclosures on the interval primitives of
+``mpmath.libmp.libmpi`` at an explicit precision, and exact values for an
+exact-zero test.  The programs at rational points, intervals and exact
+values, are kept by a :class:`Programs` object, which its owner holds;
+together they give :func:`certified_sign`.
 
 The exact-zero test decides whether an expression vanishes at a rational
 point.  There, sin and cos of a rational multiple r*pi are sums of the
@@ -38,8 +43,8 @@ every coefficient reduces to zero in the power basis of Q(zeta_M).  Outside
 this fragment (a trig argument that is not a rational multiple of pi, a
 division by a value that is not a nonzero rational, a field of degree
 above 4096) the test is undecided: :func:`certified_sign` then falls
-through to 120- and 240-bit intervals, and :func:`is_exact_zero_vector`
-answers False.
+through to 120- and 240-bit intervals, and :meth:`Programs.vanishes`
+answers None.
 
 numpy and mpmath load on first use, inside the functions that need them;
 ``fixpoint`` imports this module only in its analytic code paths, so the
@@ -408,66 +413,111 @@ def determinant(rows) -> Expr:
     return total
 
 
-# -- one evaluator for every arithmetic ----------------------------------------
+# -- one compiler for every arithmetic -----------------------------------------
 
-# the operations floats and intervals share; an arithmetic adds sin, cos, the
-# value of a rational constant and the value of pi
-_FIELD = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-          "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
+class _Undecided(Exception):
+    """The value lies outside the decidable fragment."""
 
 
-def _compile(e: Expr, arithmetic: dict):
-    """Evaluator of ``e`` in one arithmetic, built by one fold over the
-    tree: a function of the point (coordinate values in variable order).
+def _compile(expressions, arithmetic: dict):
+    """Program of a list of expressions in one arithmetic: a function of the
+    point (coordinate values in variable order) to the list of their values.
+
     ``arithmetic`` maps every operation of the tree to a function, ``const``
-    to the function giving a rational's value and ``pi`` to pi's value."""
-    op, args = e
-    if op == "var":
-        return operator.itemgetter(args[0])
-    if op in ("const", "pi"):
-        v = arithmetic["const"](args[0]) if op == "const" else arithmetic["pi"]
-        return lambda point: v
-    fn = arithmetic[op]
-    if op == "pow":
-        f, n = _compile(args[0], arithmetic), args[1]
-        return lambda point: fn(f(point), n)
-    if len(args) == 2:
-        f, g = _compile(args[0], arithmetic), _compile(args[1], arithmetic)
-        return lambda point: fn(f(point), g(point))
-    f = _compile(args[0], arithmetic)
-    return lambda point: fn(f(point))
+    to the function giving a rational's value and ``pi`` to pi's value.
+    Every distinct subtree of the list gets one slot, evaluated once per
+    call.  A slot without variables is evaluated once, here, unless its
+    exact value is undecided: that slot stays a step and raises at every
+    call.
+    """
+    values = []            # per slot: its value, or None while it depends on the point
+    steps = []             # (slot, function, argument slot, second slot or None)
+    variables = []         # (slot, coordinate index)
+    slots = {}             # leaf node, exponent, or (op, *argument slots) -> slot
+    seen = {}              # id of a node of the list -> slot
+
+    def new(key, value=None):
+        if key not in slots:
+            slots[key] = len(values)
+            values.append(value)
+        return slots[key]
+
+    def slot(e):
+        if id(e) in seen:
+            return seen[id(e)]
+        op, args = e
+        if op == "var":
+            if e not in slots:
+                variables.append((len(values), args[0]))
+            s = new(e)
+        elif op in ("const", "pi"):
+            s = new(e, arithmetic["const"](args[0]) if args else arithmetic["pi"])
+        else:
+            # the exponent of a power is an int of the tree, not a node
+            operands = ([slot(args[0]), new(("int", args[1]), args[1])] if op == "pow"
+                        else [slot(a) for a in args])
+            key, value = (op, *operands), None
+            if key not in slots:
+                fn = arithmetic[op]
+                if all(values[i] is not None for i in operands):
+                    try:
+                        value = fn(*(values[i] for i in operands))
+                    except _Undecided:
+                        pass
+                if value is None:       # a unary step's second slot is None
+                    steps.append((len(values), fn, *operands, None)[:4])
+            s = new(key, value)
+        seen[id(e)] = s
+        return s
+
+    outputs = [slot(e) for e in expressions]
+
+    def run(point):
+        v = values.copy()
+        for s, i in variables:
+            v[s] = point[i]
+        for s, fn, a, b in steps:
+            v[s] = fn(v[a]) if b is None else fn(v[a], v[b])
+        return [v[s] for s in outputs]
+
+    return run
 
 
 @functools.cache
 def _floats() -> dict:
     import numpy as np
-    return {**_FIELD, "sin": np.sin, "cos": np.cos,
+    return {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+            "div": operator.truediv, "neg": operator.neg, "pow": operator.pow,
+            "sin": np.sin, "cos": np.cos,
             "const": lambda r: np.float64(float(r)), "pi": np.float64(np.pi)}
 
 
 def numpy_function(e: Expr):
-    """Float evaluator of one expression, built once: a function of the
-    coordinate columns (numpy arrays or scalars, in variable order)."""
-    return _compile(e, _floats())
+    """Float evaluator of one expression: a function of the coordinate
+    columns (numpy arrays or scalars, in variable order)."""
+    program = _compile([e], _floats())
+    return lambda point: program(point)[0]
 
 
 def _stacked(expressions, dim: int, shape):
-    """Float evaluator of a list of expressions: a (k, dim) array of points
-    to a (k, *shape) array of their values, in row-major order.
+    """Float evaluator of a list of expressions, compiled once into one
+    program: a (k, dim) array of points to a (k, *shape) array of their
+    values, in row-major order.
 
-    Floating-point warnings are silenced: a NaN or infinite value is
-    refused by the bound check, and Newton drops starts that do not
-    converge, so a warning would only repeat that on stderr.
+    Floating-point warnings are silenced, while compiling and evaluating:
+    a NaN or infinite value is refused by the bound check, and Newton
+    drops starts that do not converge, so a warning would only repeat that
+    on stderr.
     """
     import numpy as np
-    funcs = [numpy_function(e) for e in expressions]
+    with np.errstate(all="ignore"):
+        program = _compile(expressions, _floats())
 
     def evaluate(points):
         cols = [points[:, i] for i in range(dim)]
         with np.errstate(all="ignore"):
-            return np.stack([np.broadcast_to(fn(cols), points.shape[0])
-                             for fn in funcs], axis=1).astype(float) \
-                .reshape(points.shape[0], *shape)
+            return np.stack([np.broadcast_to(v, points.shape[0]) for v in program(cols)],
+                            axis=1).astype(float).reshape(points.shape[0], *shape)
 
     return evaluate
 
@@ -485,29 +535,30 @@ def lambdify_matrix(matrix, dim: int):
 
 # -- interval enclosures -------------------------------------------------------
 
-def _interval_sign(e: Expr, point, prec: int):
-    """Sign proved by a ``prec``-bit enclosure, or None if it contains 0."""
-    from mpmath import iv
+def _intervals(prec: int) -> dict:
+    """Interval arithmetic on ``mpmath.libmp.libmpi`` at ``prec`` bits: an
+    interval is a pair of mpf endpoints, rounded outward by every
+    operation.  These are the primitives behind ``mpmath.iv``, which reads
+    its precision from a global and converts every operand."""
+    from mpmath.libmp import from_int, libmpi, round_ceiling, round_floor
 
-    def const(r):
-        return iv.mpf(r.numerator) / iv.mpf(r.denominator)
+    def integer(k):
+        return from_int(k, prec, round_floor), from_int(k, prec, round_ceiling)
 
-    # iv keeps a precision of its own, which mpmath.workprec leaves at 53 bits
-    saved, iv.prec = iv.prec, prec
-    try:
-        intervals = {**_FIELD, "sin": iv.sin, "cos": iv.cos, "const": const,
-                     "pi": iv.pi}
-        interval = _compile(e, intervals)([const(c) for c in point])
-    finally:
-        iv.prec = saved
-    return 1 if interval.a > 0 else -1 if interval.b < 0 else None
+    return {"add": lambda s, t: libmpi.mpi_add(s, t, prec),
+            "sub": lambda s, t: libmpi.mpi_sub(s, t, prec),
+            "mul": lambda s, t: libmpi.mpi_mul(s, t, prec),
+            "div": lambda s, t: libmpi.mpi_div(s, t, prec),
+            "neg": lambda s: libmpi.mpi_neg(s, prec),
+            "pow": lambda s, n: libmpi.mpi_pow_int(s, n, prec),
+            "sin": lambda s: libmpi.mpi_sin(s, prec),
+            "cos": lambda s: libmpi.mpi_cos(s, prec),
+            "const": lambda r: libmpi.mpi_div(integer(r.numerator),
+                                              integer(r.denominator), prec),
+            "pi": libmpi.mpi_pi(prec)}
 
 
 # -- exact values at rational points -------------------------------------------
-
-class _Undecided(Exception):
-    """The value lies outside the decidable fragment."""
-
 
 _UNIT = Fraction(0)          # t of the root of unity 1
 
@@ -631,37 +682,64 @@ _EXACT = {"add": _plus, "sub": lambda a, b: _plus(a, _scaled(b, Fraction(-1))),
           "const": _rational, "pi": {(1, _UNIT): Fraction(1)}}
 
 
-def exact_zero(e: Expr, point):
-    """Whether ``e`` vanishes at the rational point: True, False, or None
-    when the value lies outside the decidable fragment."""
-    try:
-        return not _reduce(_compile(e, _EXACT)([_rational(c) for c in point]))
-    except _Undecided:
-        return None
+class Programs:
+    """The programs of one expression list at exact rational points, each
+    compiled on first use and then kept by the owner of this object:
+    interval enclosures at a precision (:meth:`intervals`) and exact values
+    (:meth:`vanishes`).  Every program is built once per precision and
+    arithmetic, whatever the number of points it is run at."""
+
+    def __init__(self, expressions):
+        self.expressions = tuple(expressions)
+        self._programs: dict = {}      # prec (0 for exact values) -> (point map, program)
+
+    def _program(self, prec: int):
+        if prec not in self._programs:
+            if prec:
+                arithmetic = _intervals(prec)
+                convert = arithmetic["const"]
+            else:
+                arithmetic, convert = _EXACT, _rational
+            self._programs[prec] = (convert, _compile(self.expressions, arithmetic))
+        return self._programs[prec]
+
+    def intervals(self, point, prec: int) -> list:
+        """``prec``-bit enclosures of the values at a rational point: one
+        (low, high) pair of mpf endpoints per expression."""
+        convert, program = self._program(prec)
+        return program([convert(c) for c in point])
+
+    def vanishes(self, point):
+        """Whether every expression vanishes at the rational point: True,
+        False, or None when a value lies outside the decidable fragment."""
+        convert, program = self._program(0)
+        try:
+            return not any(_reduce(v) for v in program([convert(c) for c in point]))
+        except _Undecided:
+            return None
 
 
-def is_exact_zero_vector(components, point) -> bool:
-    """True when every component provably vanishes at a rational point."""
-    return all(exact_zero(c, point) for c in components)
-
-
-def certified_sign(expr: Expr, point) -> int:
-    """Sign of an expression at an exact rational point: -1, 0 or +1.
+def certified_sign(programs: Programs, point) -> int:
+    """Sign of the one expression of ``programs`` at an exact rational
+    point: -1, 0 or +1.
 
     A 60-bit interval enclosure that excludes 0 proves the sign outright.
     Otherwise the exact-zero test runs, then interval arithmetic at 120 and
     240 bits.  Raises when the sign stays ambiguous, which only happens
     for values extremely close to (but not provably at) zero.
     """
+    from mpmath.libmp import mpf_sign
     point = [Fraction(c) for c in point]
     for prec in (60, 120, 240):
-        sign = _interval_sign(expr, point, prec)
-        if sign is not None:
-            return sign
-        if prec == 60 and exact_zero(expr, point):
+        [(low, high)] = programs.intervals(point, prec)
+        if mpf_sign(low) > 0:
+            return 1
+        if mpf_sign(high) < 0:
+            return -1
+        if prec == 60 and programs.vanishes(point):
             return 0
-    raise InputError(f"sign of {expr} at {tuple(map(str, point))} is ambiguous "
-                     "at 240 bits: the value is too close to zero to certify")
+    raise InputError(f"sign of {programs.expressions[0]} at {tuple(map(str, point))} "
+                     "is ambiguous at 240 bits: the value is too close to zero to certify")
 
 
 def snap_to_rational(value: float, max_denominator: int = 64,

@@ -49,8 +49,11 @@ Two kinds of model are supported.
   images.
 
 Host cells are found from a per-complex table holding, per top cell, one
-exact reduction of its barycentric system and its bounding box; a zero's
-isolation radius is capped by its exact depth in the host cell.
+exact reduction of its barycentric system, in integers over one
+denominator, and its bounding box, in integers over the complex's one
+denominator; a zero's isolation radius is capped by its exact depth in the
+host cell, read off the cell's facet heights, which the table computes once
+per cell.
 
 The index of an isolated zero is the degree of ``sign * d`` around it,
 ``sign det(sign * Dd)`` at nondegenerate points, with ``sign`` the model's
@@ -85,7 +88,7 @@ from .errors import InputError, InternalError, TamenessError
 from .geometry import (
     det,
     eliminate,
-    simplex_boundary_squared_distance,
+    simplex_heights2,
     solve_linear,
     sqrt_lower_bound,
 )
@@ -210,7 +213,8 @@ def _grid_points(per_axis: int, dim: int, centred: bool):
     axis = np.linspace(0.0, 1.0, per_axis, endpoint=False)
     if centred:
         axis = axis + 0.5 / per_axis
-    return np.array(list(itertools.product(*[axis] * dim)))
+    # "ij" indexing varies the last axis fastest, as itertools.product does
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
 class ComponentSet:
@@ -218,8 +222,10 @@ class ComponentSet:
     override.
 
     It parses its expressions, checks that there is one per dimension and
-    takes their Jacobian; the float evaluators and the index determinant
-    det(index_matrix_sign * Jacobian) are built once, on first use.
+    takes their Jacobian.  The float evaluators, the index determinant
+    det(index_matrix_sign * Jacobian) and the programs at rational points
+    (the exact-zero test of the components, the certified sign of the
+    index determinant) are built once, on first use, and kept here.
     ``owner`` prefixes its refusals (empty for the base list).
     """
 
@@ -250,6 +256,18 @@ class ComponentSet:
         d = exprs.determinant(self.jacobian)
         # det(-J) = (-1)^n det(J)
         return exprs.neg(d) if self.index_matrix_sign < 0 and self.dim % 2 else d
+
+    @functools.cached_property
+    def index_sign(self):
+        """The programs of :attr:`index_det` that certify its sign."""
+        from . import exprs
+        return exprs.Programs([self.index_det])
+
+    @functools.cached_property
+    def zero_test(self):
+        """The programs of the components that test an exact zero."""
+        from . import exprs
+        return exprs.Programs(self.exprs)
 
     def norms(self, points):
         """Float norms of the components at float points."""
@@ -359,7 +377,7 @@ class AnalyticModel(ZeroTable):
             snapped = [exprs.snap_to_rational(c) for c in z]
             if all(s is not None for s in snapped):
                 point = tuple(s + Fraction(w) for s, w in zip(snapped, window))
-                if exprs.is_exact_zero_vector(data.exprs, point):
+                if data.zero_test.vanishes(point):
                     out.append((point, True))
                     continue
             out.append((tuple(float(c) + float(w) for c, w in zip(z, window)),
@@ -383,7 +401,7 @@ class AnalyticModel(ZeroTable):
         if window is None:
             window = tuple(math.floor(float(c)) for c in position)
         from . import exprs
-        sign = exprs.certified_sign(self.component_set(window, plain).index_det,
+        sign = exprs.certified_sign(self.component_set(window, plain).index_sign,
                                     tuple(map(Fraction, position)))
         if sign == 0:
             raise InputError("degenerate analytic zero: the Jacobian "
@@ -751,49 +769,70 @@ def locate_host_cells(q: QuotientComplex, position, exact: bool):
 
     Returns ``(deck, top index, 'interior'|'boundary', barycentric
     coordinates)`` tuples.  Each top cell is tried at its candidate
-    translates, and each candidate is one exact matrix-vector product with
-    the cell's rows of :func:`_host_table`.
+    translates, and each candidate is one integer matrix-vector product
+    with the cell's rows of :func:`_host_table`.  The point is put over one
+    denominator B, p = A/B.  Over Z^n the candidates are the translates of
+    the cell's integer box that hold the point (:func:`_translate_ranges`).
+    A candidate's barycentric coordinates are integers over the cell's row
+    denominator times B, and only a hit's become Fractions.
     """
     if not exact:
         return []
     pos = [Fraction(c) for c in position]
     group = q.group
     n = q.dimension
+    table = _host_table(q)
+    big_b = math.lcm(*(c.denominator for c in pos))
+    nums = [c.numerator * (big_b // c.denominator) for c in pos]
+    finite = isinstance(group, FiniteGroup)
     out = []
-    for idx, rows, lo, hi in _host_table(q):
-        # a finite deck leaves every cell in place; over Z^n the candidates
-        # are the translates g whose box lo + g .. hi + g holds the point
-        if isinstance(group, FiniteGroup):
-            candidates = [(group.identity(), pos + [1])]
-        else:
-            candidates = ((g, [p - t for p, t in zip(pos, g)] + [1])
-                          for g in itertools.product(*(
-                              range(math.ceil(p - h), math.floor(p - l) + 1)
-                              for p, l, h in zip(pos, lo, hi))))
-        for g, shifted in candidates:
+    for idx, rows, row_den, lo, hi in table.cells:
+        # a finite deck leaves every cell in place
+        translates = [group.identity()] if finite else itertools.product(
+            *_translate_ranges(nums, big_b, table.den, lo, hi))
+        for g in translates:
+            shifted = (nums if finite else [a - t * big_b for a, t in zip(nums, g)]) + [big_b]
             lam = [sum(a * b for a, b in zip(row, shifted)) for row in rows]
             if any(lam[n + 1:]) or any(c < 0 for c in lam[:n + 1]):
                 continue
-            lam = lam[:n + 1]
+            lam = [Fraction(c, row_den * big_b) for c in lam[:n + 1]]
             out.append((g, idx, "boundary" if 0 in lam else "interior", lam))
     return out
 
 
-_HOST_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _translate_ranges(nums, big_b: int, den: int, lo, hi) -> list:
+    """Per coordinate, the integers t with l <= p - t <= h, for the point
+    p = nums / big_b and the box corners l = lo / den, h = hi / den:
+    ``range(ceil(p - h), floor(p - l) + 1)``, from two integer floor
+    divisions."""
+    bd = big_b * den
+    return [range(-((h * big_b - a * den) // bd), (a * den - l * big_b) // bd + 1)
+            for a, l, h in zip(nums, lo, hi)]
 
 
-def _host_table(q: QuotientComplex):
-    """Per top cell: (index, rows, box low corner, box high corner), built
-    once per complex.  ``rows`` is E from reducing ``[A | I]``, with A the
-    cell's vertices as columns over a row of ones: for a point p,
-    ``E [p; 1]`` holds the n + 1 barycentric coordinates, then residuals
-    that all vanish exactly when p lies in the cell's affine hull.  A
-    degenerate top cell is refused."""
-    if q not in _HOST_TABLES:
+class _HostTable:
+    """The host-cell data of one complex.
+
+    ``cells`` holds, per top cell, (index, rows, row denominator, box low
+    corner, box high corner).  The rows are E from reducing ``[A | I]``,
+    with A the cell's vertices as columns over a row of ones: for a point
+    p, ``E [p; 1]`` holds the n + 1 barycentric coordinates, then residuals
+    that all vanish exactly when p lies in the cell's affine hull.  They
+    are kept as integers over their least common denominator.  The box
+    corners are integers over ``den``, the least common denominator of
+    every vertex coordinate of the complex.  A degenerate top cell is
+    refused.  :meth:`heights2` gives a cell's squared facet heights,
+    computed on the first request for that cell.
+    """
+
+    def __init__(self, q: QuotientComplex):
         n = q.dimension
-        table = []
-        for idx in q.cells(n):
-            verts = q.realize(n, idx)
+        self.vertices = {idx: q.realize(n, idx) for idx in q.cells(n)}
+        self.den = math.lcm(*(c.denominator for verts in self.vertices.values()
+                              for v in verts for c in v))
+        self.cells = []
+        self._heights2: dict = {}
+        for idx, verts in self.vertices.items():
             d = len(verts[0])
             a = [[v[i] for v in verts] for i in range(d)] + [[1] * (n + 1)]
             reduced, pivots, _ = eliminate(
@@ -803,20 +842,44 @@ def _host_table(q: QuotientComplex):
                 raise InputError(
                     f"top cell ({', '.join(q.vertices[v] for v in q.simplex(n, idx))}) "
                     f"is degenerate: its realized vertices are affinely dependent")
-            table.append((idx, [row[n + 1:] for row in reduced],
-                          [min(v[i] for v in verts) for i in range(d)],
-                          [max(v[i] for v in verts) for i in range(d)]))
-        _HOST_TABLES[q] = table
+            rows = [row[n + 1:] for row in reduced]
+            row_den = math.lcm(*(c.denominator for row in rows for c in row))
+            box = [[v[i].numerator * (self.den // v[i].denominator) for v in verts]
+                   for i in range(d)]
+            self.cells.append((idx, [[c.numerator * (row_den // c.denominator) for c in row]
+                                     for row in rows], row_den,
+                               [min(col) for col in box], [max(col) for col in box]))
+
+    def heights2(self, idx: int) -> list:
+        """Squared heights of top cell ``idx`` over its facets, in vertex
+        order (:func:`geometry.simplex_heights2`); a translate has the same."""
+        if idx not in self._heights2:
+            self._heights2[idx] = simplex_heights2(self.vertices[idx])
+        return self._heights2[idx]
+
+
+_HOST_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _host_table(q: QuotientComplex) -> _HostTable:
+    """The :class:`_HostTable` of ``q``, built once per complex."""
+    if q not in _HOST_TABLES:
+        _HOST_TABLES[q] = _HostTable(q)
     return _HOST_TABLES[q]
 
 
 def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecord:
+    """The record of a zero at ``position``: its host cell and, for a zero
+    interior to exactly one cell, its isolation radius, a lower bound of
+    its depth in that cell.  A point with barycentric coordinates λ lies
+    λ_i h_i from the facet opposite vertex i, h_i the cell's height there,
+    and the nearest facet's foot lies in the cell, so the squared depth is
+    the least λ_i² h_i²."""
     hosts = locate_host_cells(q, position, exact)
     interior = [h for h in hosts if h[2] == "interior"]
     if len(interior) == 1:
         g, idx, _, lam = interior[0]
-        depth2 = simplex_boundary_squared_distance(
-            position, q.realize(q.dimension, idx, g), lam)
+        depth2 = min(l * l * h2 for l, h2 in zip(lam, _host_table(q).heights2(idx)))
         return FixedPointRecord(position=position, exact=exact, host=(g, idx),
                                 on_face=False, isolation=sqrt_lower_bound(depth2))
     if hosts:

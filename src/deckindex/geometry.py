@@ -4,10 +4,11 @@ Every small exact system is reduced by one Gauss–Jordan routine,
 :func:`eliminate`, which works in integers with fraction-free (Bareiss)
 steps and divides back into rationals once, at the end: :func:`solve_linear`
 and :func:`det` read it, and so do the host-cell table and the chart index
-of :mod:`deckindex.fixpoint`.  A
-point's depth in a simplex is ``min_i λ_i h_i``: its barycentric
-coordinates times the heights of the simplex, with the squared heights
-``h_i² = det G / det G_i`` taken from Gram determinants, in any dimension.
+of :mod:`deckindex.fixpoint`.  The squared heights of a simplex,
+``h_i² = det G / det G_i``, come from Gram determinants in any dimension
+(:func:`simplex_heights2`); the host-cell table reads them, and a point's
+depth in a simplex is ``min_i λ_i h_i``, its barycentric coordinates
+times those heights.
 """
 
 from __future__ import annotations
@@ -121,21 +122,14 @@ def _gram_det(vertices) -> Fraction:
     return det([[sum(a * b for a, b in zip(e, f)) for f in edges] for e in edges])
 
 
-def simplex_boundary_squared_distance(point, vertices, lam=None) -> Fraction:
-    """Squared distance from a point inside a simplex to its boundary.
-
-    The point lies ``λ_i h_i`` from the facet opposite vertex i, with
-    ``λ_i`` its barycentric coordinate and ``h_i² = det G / det G_i`` the
-    squared height, ``G`` and ``G_i`` the Gram matrices of the simplex and
-    of that facet.  The nearest facet's foot lies in the simplex, so the
-    least of these is the distance to the boundary.  ``lam`` passes the
-    point's barycentric coordinates when the caller already holds them.
-    """
-    if lam is None:
-        lam = barycentric_coordinates(point, vertices)
+def simplex_heights2(vertices) -> list:
+    """Squared heights of a simplex, in vertex order: ``h_i² = det G /
+    det G_i``, the squared distance from vertex i to the affine hull of the
+    facet opposite it, with ``G`` and ``G_i`` the Gram matrices of the
+    simplex and of that facet.  A point with barycentric coordinates λ lies
+    ``λ_i h_i`` from that facet's hull."""
     gram = _gram_det(vertices)
-    return min(l * l * gram / _gram_det(vertices[:i] + vertices[i + 1:])
-               for i, l in enumerate(lam))
+    return [gram / _gram_det(vertices[:i] + vertices[i + 1:]) for i in range(len(vertices))]
 
 
 def sqrt_lower_bound(value: Fraction, bits: int = 40) -> Fraction:

@@ -1,18 +1,25 @@
-"""The expression tree against sympy, and the documents it refuses.
+"""The expression tree against sympy, the slot program against the
+evaluator it replaced, and the documents it refuses.
 
 sympy is a test dependency only: here it is the reference for values at
 rational points, derivatives, exact zeros and the certified index signs
-at the fixture zeros.  Expressions are drawn by hypothesis over the
-grammar, derandomized.  Refused component strings must exit 1 with an
-error that names the offending token, and must never be evaluated.
+at the fixture zeros.  ``_fold`` is the closure fold the slot program
+replaced, one closure per node, run on numpy floats, on ``mpmath.iv``
+intervals and on exact values: the programs must give the same floats bit
+for bit, the same enclosure endpoints, the same exact values and the same
+certified signs.  Expressions are drawn by hypothesis over the grammar,
+derandomized.  Refused component strings must exit 1 with an error that
+names the offending token, and must never be evaluated.
 """
 
 import json
+import operator
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -65,7 +72,7 @@ def _linear():
         lambda t: f"({t[0]}*x - {t[1]}*y + {t[2]})")
 
 
-def _grammar(leaves, trig_argument):
+def _grammar(leaves, trig_argument, exponents=st.integers(0, 3)):
     def extend(children):
         return st.one_of(
             st.tuples(children, st.sampled_from(["+", "-", "*"]), children)
@@ -73,7 +80,7 @@ def _grammar(leaves, trig_argument):
             st.tuples(children, st.sampled_from(["2", "3", "7/2"]))
             .map(lambda t: f"{t[0]}/{t[1]}"),
             children.map(lambda c: f"-{c}"),
-            st.tuples(children, st.integers(0, 3)).map(lambda t: f"({t[0]})**{t[1]}"),
+            st.tuples(children, exponents).map(lambda t: f"({t[0]})**{t[1]}"),
             st.tuples(st.sampled_from(["sin", "cos"]), trig_argument)
             .map(lambda t: f"{t[0]}({t[1]})"))
     return st.recursive(leaves, extend, max_leaves=6)
@@ -110,8 +117,8 @@ def test_values_and_derivatives_match_sympy(text, point):
 def test_exact_zero_is_decided_on_the_fragment(text, point):
     e = exprs.parse_expression(text, 2)
     value = _reference(text, point)
-    assert exprs.exact_zero(e, point) is _vanishes(value)
-    assert exprs.certified_sign(e, point) == \
+    assert exprs.Programs([e]).vanishes(point) is _vanishes(value)
+    assert exprs.certified_sign(exprs.Programs([e]), point) == \
         (0 if _vanishes(value) else 1 if value > 0 else -1)
 
 
@@ -132,9 +139,9 @@ def test_trig_identities_vanish_and_perturbations_do_not(identity, u, v, other, 
     # pi outside a trig argument is an indeterminate: pi times a zero is 0,
     # and a zero plus pi times a nonzero value is not
     for text in (zero, f"({other})*({zero})", f"pi*({zero}) + {zero}"):
-        assert exprs.exact_zero(exprs.parse_expression(text, 2), point) is True
+        assert exprs.Programs([exprs.parse_expression(text, 2)]).vanishes(point) is True
     shifted = f"{zero} + pi*{other}"
-    assert exprs.exact_zero(exprs.parse_expression(shifted, 2), point) is \
+    assert exprs.Programs([exprs.parse_expression(shifted, 2)]).vanishes(point) is \
         _vanishes(_reference(other, point))
 
 
@@ -151,9 +158,10 @@ def test_cyclotomic_zeros_match_sympy(text, point):
     # is the reference
     assert _vanishes(_reference(text, point))
     e = exprs.parse_expression(text, 2)
-    assert exprs.exact_zero(e, point) is True
-    assert exprs.certified_sign(e, point) == 0
-    assert exprs.exact_zero(exprs.parse_expression(f"{text} + 1/10**30", 2), point) is False
+    assert exprs.Programs([e]).vanishes(point) is True
+    assert exprs.certified_sign(exprs.Programs([e]), point) == 0
+    shifted = exprs.parse_expression(f"{text} + 1/10**30", 2)
+    assert exprs.Programs([shifted]).vanishes(point) is False
 
 
 @pytest.mark.parametrize("offset,sign", [("+ 1/10**30", 1), ("- 1/10**60", -1)])
@@ -161,7 +169,7 @@ def test_wider_enclosures_settle_tiny_values(offset, sign):
     # 10**-30 is about 2**-100 and 10**-60 about 2**-199: a 60-bit enclosure
     # of the cyclotomic zero plus either holds 0, the 120- or 240-bit one not
     e = exprs.parse_expression(f"sin(2*pi*x) - cos(2*pi*x) {offset}", 1)
-    assert exprs.certified_sign(e, (Fraction(1, 8),)) == sign
+    assert exprs.certified_sign(exprs.Programs([e]), (Fraction(1, 8),)) == sign
 
 
 @pytest.mark.parametrize("text,point", [
@@ -171,9 +179,8 @@ def test_wider_enclosures_settle_tiny_values(offset, sign):
 ])
 def test_outside_the_fragment_is_undecided(text, point):
     e = exprs.parse_expression(text, 1)
-    assert exprs.exact_zero(e, point) is None
-    assert not exprs.is_exact_zero_vector([e], point)
-    assert exprs.certified_sign(e, point) == 1
+    assert exprs.Programs([e]).vanishes(point) is None
+    assert exprs.certified_sign(exprs.Programs([e]), point) == 1
 
 
 ANALYTIC = {"sin-map": map_model_from_document, "sin-map-scaled": map_model_from_document,
@@ -199,6 +206,179 @@ def test_certified_index_signs_match_sympy(name):
             assert model.local_index_at(position, True, window) == (1 if value > 0 else -1)
             checked += 1
     assert checked >= 4
+
+
+# -- the slot program against the closure fold ----------------------------------
+
+def _fold(e, arithmetic):
+    """The evaluator the slot program replaced: one closure per node, so a
+    shared subtree is evaluated once per occurrence, and a subtree without
+    variables once per call."""
+    op, args = e
+    if op == "var":
+        return operator.itemgetter(args[0])
+    if op in ("const", "pi"):
+        v = arithmetic["const"](args[0]) if op == "const" else arithmetic["pi"]
+        return lambda point: v
+    fn = arithmetic[op]
+    if op == "pow":
+        f, n = _fold(args[0], arithmetic), args[1]
+        return lambda point: fn(f(point), n)
+    if len(args) == 2:
+        f, g = _fold(args[0], arithmetic), _fold(args[1], arithmetic)
+        return lambda point: fn(f(point), g(point))
+    f = _fold(args[0], arithmetic)
+    return lambda point: fn(f(point))
+
+
+_FIELD = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv, "neg": operator.neg, "pow": operator.pow}
+_FLOAT_FOLD = {**_FIELD, "sin": np.sin, "cos": np.cos,
+               "const": lambda r: np.float64(float(r)), "pi": np.float64(np.pi)}
+
+
+def _iv_enclosure(e, point, prec):
+    """The ``mpmath.iv`` enclosure of ``e`` at a rational point as its pair
+    of mpf endpoints, with ``iv.prec`` set for the evaluation only."""
+    from mpmath import iv
+
+    def const(r):
+        return iv.mpf(r.numerator) / iv.mpf(r.denominator)
+
+    saved, iv.prec = iv.prec, prec
+    try:
+        table = {**_FIELD, "sin": iv.sin, "cos": iv.cos, "const": const, "pi": iv.pi}
+        return _fold(e, table)([const(c) for c in point])._mpi_
+    finally:
+        iv.prec = saved
+
+
+def _exact_fold(e, point):
+    """The reduced exact value of ``e`` at a rational point, or None when
+    it is undecided."""
+    try:
+        return exprs._reduce(_fold(e, exprs._EXACT)([exprs._rational(c) for c in point]))
+    except exprs._Undecided:
+        return None
+
+
+def _fold_sign(e, point):
+    """The certified sign as the fold computed it, read by ``mpmath.iv``'s
+    comparisons, or the refusal's text."""
+    from mpmath import iv
+    for prec in (60, 120, 240):
+        interval = iv.make_mpf(_iv_enclosure(e, point, prec))
+        if interval.a > 0:
+            return 1
+        if interval.b < 0:
+            return -1
+        if prec == 60 and _exact_fold(e, point) == {}:
+            return 0
+    return f"sign of {e} at {tuple(map(str, point))} is ambiguous"
+
+
+# leaves with constant subtrees (2*pi, sin(2), an undecided pi - 3),
+# constants whose integers need more than 60 bits, and divisions by values
+# that vanish at some points (x = y) or everywhere
+REFERENCE_LEAVES = st.sampled_from(
+    ["x", "y", "pi", "2*pi", "3/7", "0.5", "sin(2)", "cos(pi/3)", "x/(pi - 3)",
+     "1/10**25", "3**41/7", "1/(x - y)", "(x - x)/(y - y)"])
+REFERENCE_EXPRESSIONS = st.deferred(lambda: _grammar(
+    st.one_of(REFERENCE_LEAVES, FRAGMENT), REFERENCE_EXPRESSIONS, st.integers(-2, 3)))
+
+
+def _pipeline_list(texts):
+    """Two components, their Jacobian and its determinant: the expression
+    lists the analytic pipeline compiles, full of shared subtrees."""
+    components = [exprs.parse_expression(t, 2) for t in texts]
+    jac = exprs.jacobian(components, 2)
+    return components + [e for row in jac for e in row] + [exprs.determinant(jac)]
+
+
+@EXAMPLES
+@given(st.tuples(REFERENCE_EXPRESSIONS, REFERENCE_EXPRESSIONS),
+       st.lists(POINTS, min_size=1, max_size=6))
+def test_float_program_equals_the_fold_bit_for_bit(texts, points):
+    expressions = _pipeline_list(texts)
+    pts = np.array([[float(c) for c in p] for p in points])
+    cols = [pts[:, i] for i in range(2)]
+    with np.errstate(all="ignore"):
+        reference = np.stack([np.broadcast_to(_fold(e, _FLOAT_FOLD)(cols), len(pts))
+                              for e in expressions], axis=1).astype(float)
+    values = exprs.lambdify_vector(expressions, 2)(pts)
+    # NaN and infinite entries in the same places, with the same bits
+    assert values.tobytes() == reference.tobytes()
+
+
+@EXAMPLES
+@given(st.tuples(REFERENCE_EXPRESSIONS, REFERENCE_EXPRESSIONS), POINTS)
+def test_interval_and_exact_programs_equal_the_fold(texts, point):
+    expressions = _pipeline_list(texts)
+    programs = exprs.Programs(expressions)
+    for prec in (60, 120, 240):
+        assert programs.intervals(point, prec) == \
+            [_iv_enclosure(e, point, prec) for e in expressions]
+    folded = [_exact_fold(e, point) for e in expressions]
+    run = exprs._compile(expressions, exprs._EXACT)
+    try:
+        values = [exprs._reduce(v) for v in run([exprs._rational(c) for c in point])]
+    except exprs._Undecided:
+        assert None in folded
+    else:
+        assert values == folded
+    assert programs.vanishes(point) is (
+        None if None in folded else all(v == {} for v in folded))
+
+
+@EXAMPLES
+@given(st.tuples(REFERENCE_EXPRESSIONS, REFERENCE_EXPRESSIONS), POINTS)
+def test_certified_sign_equals_the_fold(texts, point):
+    for e in _pipeline_list(texts):
+        try:
+            sign = exprs.certified_sign(exprs.Programs([e]), point)
+        except InputError as error:
+            sign = str(error).split(" at 240 bits")[0]
+        assert sign == _fold_sign(e, point)
+
+
+@pytest.mark.parametrize("text,sign,bits", [
+    ("x - 1/3 + 1/10**5", 1, 60),
+    ("x - 1/3 + 0.0000000000000000000000001", 1, 120),   # 10**-25, about 2**-83
+    ("1/3 - x - 1/10**60", -1, 240),                      # about 2**-199
+    ("x - 1/3", 0, 60),
+])
+def test_sign_escalation_branches(text, sign, bits):
+    # the enclosures below ``bits`` hold 0 and the one at ``bits`` does not;
+    # a value that is exactly zero is settled by the exact test at 60 bits
+    from mpmath.libmp import mpf_sign
+    programs = exprs.Programs([exprs.parse_expression(text, 1)])
+    point = (Fraction(1, 3),)
+    for prec in (60, 120, 240):
+        [(low, high)] = programs.intervals(point, prec)
+        assert (mpf_sign(low) <= 0 <= mpf_sign(high)) is (prec < bits or sign == 0)
+    assert programs.vanishes(point) is (sign == 0)
+    assert exprs.certified_sign(programs, point) == sign
+
+
+def test_certified_sign_leaves_mpmath_precisions_alone():
+    # the interval programs take their precision as an argument; neither
+    # mpmath.iv's nor mpmath.mp's global precision is read or written
+    from mpmath import iv, mp
+    saved = iv.prec, mp.prec
+    iv.prec, mp.prec = 77, 91
+    try:
+        for text, sign in [("x - 1/3 + 1/10**5", 1), ("x - 1/3 + 1/10**25", 1),
+                           ("1/3 - x - 1/10**60", -1), ("x - 1/3", 0)]:
+            programs = exprs.Programs([exprs.parse_expression(text, 1)])
+            assert exprs.certified_sign(programs, (Fraction(1, 3),)) == sign
+            assert (iv.prec, mp.prec) == (77, 91)
+        # about 2**-266: no enclosure up to 240 bits excludes 0
+        programs = exprs.Programs([exprs.parse_expression("x - 1/3 + 1/10**80", 1)])
+        with pytest.raises(InputError, match="ambiguous at 240 bits"):
+            exprs.certified_sign(programs, (Fraction(1, 3),))
+        assert (iv.prec, mp.prec) == (77, 91)
+    finally:
+        iv.prec, mp.prec = saved
 
 
 # -- refused documents ---------------------------------------------------------

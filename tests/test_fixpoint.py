@@ -1,19 +1,25 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deckindex import exprs, geometry
+from deckindex.cli import main
 from deckindex.errors import InputError, TamenessError
 from deckindex.fixpoint import (
     SimplicialMapModel,
     ZeroTable,
     _closest_pair2,
     _cover,
+    _grid_points,
+    _HostTable,
     _outside_balls,
+    _translate_ranges,
     check_tameness,
     equivariant_oracle_check,
     find_fixed_points,
@@ -27,6 +33,12 @@ from deckindex.fixtures import (
     fixture_document,
     octahedron_sphere,
     torus_grid,
+)
+from deckindex.geometry import (
+    barycentric_coordinates,
+    det,
+    simplex_heights2,
+    sqrt_lower_bound,
 )
 from deckindex.vectorfield import field_model_from_document
 
@@ -336,6 +348,138 @@ class TestSampleNorms:
         assert len(norms) > 0
         assert pts.tobytes() == ref_pts.tobytes()
         assert norms.tobytes() == ref_norms.tobytes()
+
+
+def _gram(vertices):
+    edges = [[a - b for a, b in zip(v, vertices[0])] for v in vertices[1:]]
+    return det([[sum(a * b for a, b in zip(e, f)) for f in edges] for e in edges])
+
+
+def _boundary_squared_distance(point, vertices):
+    """The depth the host table's heights replaced: the Gram determinants of
+    the simplex and of each facet, computed afresh for every point."""
+    lam = barycentric_coordinates(point, vertices)
+    gram = _gram(vertices)
+    return min(l * l * gram / _gram(vertices[:i] + vertices[i + 1:])
+               for i, l in enumerate(lam))
+
+
+@st.composite
+def _boxes_and_points(draw):
+    """Integer box corners over a denominator and a rational point, each
+    coordinate free or on a translate of a box face."""
+    den = draw(st.integers(1, 12))
+    lo, hi, point = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        low = draw(st.integers(-40, 40))
+        high = low + draw(st.integers(0, 30))
+        face = draw(st.sampled_from([None, low, high]))
+        if face is None:
+            p = Fraction(draw(st.integers(-300, 300)), draw(st.integers(1, 12)))
+        else:
+            p = Fraction(face, den) + draw(st.integers(-5, 5))
+        lo.append(low)
+        hi.append(high)
+        point.append(p)
+    return den, lo, hi, point
+
+
+@st.composite
+def _simplices_and_points(draw):
+    """A nondegenerate simplex of dimension 1-3 in R^n, n up to 3, and a
+    point inside it from positive integer weights."""
+    ambient = draw(st.integers(1, 3))
+    k = draw(st.integers(1, ambient))
+    coordinate = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+    vertices = draw(st.lists(st.tuples(*[coordinate] * ambient),
+                             min_size=k + 1, max_size=k + 1))
+    assume(_gram(vertices) != 0)
+    weights = draw(st.lists(st.integers(1, 9), min_size=k + 1, max_size=k + 1))
+    point = tuple(sum(w * v[i] for w, v in zip(weights, vertices)) / sum(weights)
+                  for i in range(ambient))
+    return vertices, point
+
+
+class TestHostCellsAndGrids:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_boxes_and_points())
+    def test_integer_translates_equal_the_fraction_ranges(self, case):
+        den, lo, hi, point = case
+        big_b = math.lcm(*(p.denominator for p in point))
+        nums = [p.numerator * (big_b // p.denominator) for p in point]
+        assert _translate_ranges(nums, big_b, den, lo, hi) == [
+            range(math.ceil(p - Fraction(h, den)), math.floor(p - Fraction(l, den)) + 1)
+            for p, l, h in zip(point, lo, hi)]
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_simplices_and_points())
+    def test_heights_give_the_gram_depth(self, case):
+        vertices, point = case
+        lam = barycentric_coordinates(point, vertices)
+        assert min(l * l * h2 for l, h2 in zip(lam, simplex_heights2(vertices))) == \
+            _boundary_squared_distance(point, vertices)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.tuples(*[st.builds(Fraction, st.integers(-150, 150), st.integers(1, 30))] * 2))
+    def test_isolation_is_the_depth_in_the_host_cell(self, point):
+        # through the table of a torus cover: candidate translates from the
+        # integer boxes, integer barycentrics, heights read per cell
+        q = torus_grid()
+        record = resolve_record(q, point, True)
+        if record.on_face:
+            return
+        g, idx = record.host
+        assert record.isolation == sqrt_lower_bound(
+            _boundary_squared_distance(point, q.realize(2, idx, g)))
+
+    @pytest.mark.parametrize("centred", [False, True])
+    @pytest.mark.parametrize("per_axis", [1, 32, 33])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_points_equal_the_product_form(self, dim, per_axis, centred):
+        axis = np.linspace(0.0, 1.0, per_axis, endpoint=False)
+        if centred:
+            axis = axis + 0.5 / per_axis
+        reference = np.array(list(itertools.product(*[axis] * dim)))
+        grid = _grid_points(per_axis, dim, centred)
+        assert grid.shape == reference.shape
+        assert grid.tobytes() == reference.tobytes()
+
+    def test_field_analysis_work_is_once_per_program_and_per_cell(self, monkeypatch,
+                                                                   tmp_path):
+        # sin-field-override compiles 8 programs, each once: per component
+        # set the float components, the float Jacobian, the exact components
+        # and the 60-bit index determinant.  It resolves 12 interior zeros
+        # on 7 distinct top cells, and the n + 2 = 4 Gram determinants of a
+        # cell's heights run once per cell, not once per zero
+        compiled = collections.Counter()
+        compile_ = exprs._compile
+
+        def counted_compile(expressions, arithmetic):
+            compiled[tuple(expressions), repr(arithmetic["pi"])] += 1
+            return compile_(expressions, arithmetic)
+
+        grams = []
+        gram_det = geometry._gram_det
+
+        def counted_gram(vertices):
+            grams.append(len(vertices))
+            return gram_det(vertices)
+
+        hosted = []
+        heights2 = _HostTable.heights2
+
+        def counted_heights(table, idx):
+            hosted.append(idx)
+            return heights2(table, idx)
+
+        monkeypatch.setattr(exprs, "_compile", counted_compile)
+        monkeypatch.setattr(geometry, "_gram_det", counted_gram)
+        monkeypatch.setattr(_HostTable, "heights2", counted_heights)
+        assert main(["field-analyze", "fixture:sin-field-override",
+                     "--out", str(tmp_path)]) == 0
+        assert sorted(compiled.values()) == [1] * 8
+        assert len(hosted) == 12 and len(set(hosted)) == 7
+        assert len(grams) == 4 * 7
 
 
 class TestLefschetzClass:

@@ -10,7 +10,7 @@ from deckindex.geometry import (
     det,
     eliminate,
     point_in_simplex,
-    simplex_boundary_squared_distance,
+    simplex_heights2,
     solve_linear,
     sqrt_lower_bound,
 )
@@ -113,6 +113,13 @@ class TestEliminate:
         assert eliminate(rows, width) == _fraction_eliminate(rows, width)
 
 
+def _depth2(point, vertices):
+    """Squared distance from a point inside a simplex to its boundary, the
+    least of its squared distances λ_i² h_i² to the facets."""
+    lam = barycentric_coordinates(point, vertices)
+    return min(l * l * h2 for l, h2 in zip(lam, simplex_heights2(vertices)))
+
+
 class TestSimplexGeometry:
     TRI = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
 
@@ -130,8 +137,8 @@ class TestSimplexGeometry:
         assert point_in_simplex((F(0), F(0), F(1)), tri3) == "outside"
 
     def test_boundary_distance_of_incenter_like_point(self):
-        d2 = simplex_boundary_squared_distance((F(1, 4), F(1, 4)), self.TRI)
-        assert d2 == F(1, 16)
+        assert _depth2((F(1, 4), F(1, 4)), self.TRI) == F(1, 16)
+        assert simplex_heights2(self.TRI) == [F(1, 2), F(1), F(1)]
 
     # (point, vertices, squared boundary distance), the distances computed
     # by the per-dimension segment and triangle distances this replaced
@@ -149,7 +156,7 @@ class TestSimplexGeometry:
                              ids=["segment", "triangle-r2", "triangle-r3",
                                   "tetrahedron"])
     def test_boundary_distance_exact_values(self, point, vertices, depth2):
-        assert simplex_boundary_squared_distance(point, vertices) == depth2
+        assert _depth2(point, vertices) == depth2
 
     def test_sqrt_lower_bound(self):
         v = F(2)

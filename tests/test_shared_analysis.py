@@ -87,7 +87,7 @@ def _scalar_zeros_in_window(model, window, plain=False):
         snapped = [exprs.snap_to_rational(c) for c in z]
         if all(s is not None for s in snapped):
             point = tuple(s + Fraction(w) for s, w in zip(snapped, window))
-            if exprs.is_exact_zero_vector(components, point):
+            if exprs.Programs(components).vanishes(point):
                 out.append((point, True))
                 continue
         out.append((tuple(float(c) + float(w) for c, w in zip(z, window)), False))
