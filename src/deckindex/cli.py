@@ -179,8 +179,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fd = PeriodicComplex(model.complex).fundamental_domain()
     n = model.complex.dimension
     for r in records:
-        if r.index is not None:
-            r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
+        r.coset = fd.coset_of_cell(r.host[0], n, r.host[1])
     payload[zeros_key] = [r.to_document(model.group) for r in records]
     if is_map:
         payload["fixed_points_per_domain"] = len(records) if radius == 0 else \

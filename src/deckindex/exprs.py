@@ -492,13 +492,6 @@ def _floats() -> dict:
             "const": lambda r: np.float64(float(r)), "pi": np.float64(np.pi)}
 
 
-def numpy_function(e: Expr):
-    """Float evaluator of one expression: a function of the coordinate
-    columns (numpy arrays or scalars, in variable order)."""
-    program = _compile([e], _floats())
-    return lambda point: program(point)[0]
-
-
 def _stacked(expressions, dim: int, shape):
     """Float evaluator of a list of expressions, compiled once into one
     program: a (k, dim) array of points to a (k, *shape) array of their

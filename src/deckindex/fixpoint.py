@@ -12,8 +12,9 @@ field.  The public names of the map pipeline (``find_fixed_points``,
 ``vectorfield``) call these stages.
 
 Every model is a :class:`ZeroTable`: it keeps one list of zero records
-per (component set, window) pair, and each simplex-interior record carries
-its index from the moment it is built.  An analytic model's component
+per (component set, window) pair.  Every record is exact, interior to one
+host top cell and indexed from the moment it is built; any other zero is
+refused where it is found.  An analytic model's component
 sets are :class:`ComponentSet` objects, its base list and one per
 override, each parsed, checked and compiled once.  A window that uses the
 unoverridden data copies the identity's records, moved by the window;
@@ -29,8 +30,9 @@ Two kinds of model are supported.
   ``f(x) = x + d(x)`` with a Z^n-periodic closed-form displacement given by
   exact expressions.  Fixed points are located by damped Newton iteration
   from a deterministic grid, all starts in lockstep, snapped to
-  small-denominator rationals and verified symbolically; completeness at
-  grid resolution is a documented heuristic, exact afterwards.  An override
+  small-denominator rationals and verified symbolically; a zero the exact
+  test does not confirm leaves the model not tame.  Completeness at grid
+  resolution is a documented heuristic, exact afterwards.  An override
   replaces the displacement on a single period cell ``w + [0,1)^n`` of the
   cover (finitely many translates, each overridden at most once, with one
   component per dimension); authors must keep the seam continuous.
@@ -42,7 +44,7 @@ Two kinds of model are supported.
   top cell's vertex positions and vertex vectors: the displacements
   ``T_j - S_j`` of a map, the projected vertex vectors of a field.  One
   code path solves the affine zero equation exactly in rationals per cell,
-  rejects zeros on simplex faces, takes each index from the exact chart
+  rejects zeros on the cell's faces, takes each index from the exact chart
   determinant of the cell the zero was solved in and samples norms on a
   barycentric grid.  Non-equivariant perturbations of simplicial maps are
   supported on trivial-deck covers, where they amount to replacing vertex
@@ -51,9 +53,10 @@ Two kinds of model are supported.
 Host cells are found from a per-complex table holding, per top cell, one
 exact reduction of its barycentric system, in integers over one
 denominator, and its bounding box, in integers over the complex's one
-denominator; a zero's isolation radius is capped by its exact depth in the
-host cell, read off the cell's facet heights, which the table computes once
-per cell.
+denominator.  A zero on a simplex face, in no top cell or inside several
+is refused as an input error.  A zero's isolation radius is capped by its
+exact depth in the host cell, read off the cell's facet heights, which the
+table computes once per cell.
 
 The index of an isolated zero is the degree of ``sign * d`` around it,
 ``sign det(sign * Dd)`` at nondegenerate points, with ``sign`` the model's
@@ -84,7 +87,7 @@ from .chains import lefschetz_number_quotient
 from .classes import ClassFunction, ingest_index_data  # noqa: F401 - read by callers
 from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
                         check_subdivision_count, euler_characteristic, permutation_sign)
-from .errors import InputError, InternalError, TamenessError
+from .errors import InputError, InternalError, ResourceError, TamenessError
 from .geometry import (
     det,
     eliminate,
@@ -96,6 +99,9 @@ from .groups import FiniteGroup, FreeAbelianGroup, integer_value
 
 NEWTON_GRID = 32
 TAMENESS_GRID = 32  # tameness samples per axis: the default and the floor
+# the most points one float grid may hold: Newton starts, or tameness samples
+# per window after the refinement; checked before the grid is built
+GRID_POINTS = 1 << 20
 BOUND_SAMPLES = 33  # float grid points per axis on which a declared bound is checked
 
 # How messages name a model and its zeros, by index_matrix_sign: the model,
@@ -109,26 +115,25 @@ _WORDING = {
 
 @dataclass
 class FixedPointRecord:
-    """An isolated fixed point (or field zero) with its certificates."""
+    """An isolated fixed point (or field zero) with its certificates: an
+    exact position interior to one host top cell, its isolation radius and
+    its index."""
 
-    position: tuple            # exact rationals when `exact`, floats otherwise
-    exact: bool
-    host: tuple | None         # (deck element, top simplex index)
-    on_face: bool
-    index: int | None = None
+    position: tuple            # exact rationals
+    host: tuple                # (deck element, top simplex index)
+    isolation: Fraction
+    index: int | None = None   # set by the model that solved the zero
     coset: object = None
-    isolation: Fraction | None = None
 
     def to_document(self, group):
         return {
             "position": [str(c) for c in self.position],
-            "exact": self.exact,
-            "host": None if self.host is None else
-            {"deck": group.format_element(self.host[0]), "cell": self.host[1]},
-            "on_face": self.on_face,
+            "exact": True,
+            "host": {"deck": group.format_element(self.host[0]), "cell": self.host[1]},
+            "on_face": False,
             "index": self.index,
             "coset": None if self.coset is None else group.format_element(self.coset),
-            "isolation": None if self.isolation is None else str(self.isolation),
+            "isolation": str(self.isolation),
         }
 
 
@@ -136,7 +141,7 @@ class FixedPointRecord:
 class TamenessReport:
     delta: Fraction | None
     epsilon: Fraction | None
-    verdict: str               # "strongly tame" | "tame" | "not tame"
+    verdict: str               # "strongly tame" | "not tame"
     strongly_fixed_point_free: bool = False
     witnesses: list = field(default_factory=list)
 
@@ -166,9 +171,9 @@ class ZeroTable:
     base there: :class:`ComponentSet` objects for analytic models, while an
     affine-cell model has ``base = None`` and no overrides.  A window that
     uses the base gets the identity's records moved by the window; any
-    other window is solved by the model's ``_solve_window``, which attaches
-    the index of every simplex-interior record.  Other records keep
-    ``index = None``.  Lookups hand out copies.
+    other window is solved by the model's ``_solve_window``.  It hands out
+    exact records, each interior to one host top cell and indexed, and
+    refuses any other zero where it finds it.  Lookups hand out copies.
     """
 
     def __init__(self):
@@ -305,6 +310,10 @@ class AnalyticModel(ZeroTable):
         if self.grid < 1:
             raise InputError(f"'grid' (Newton starts per axis) must be at least 1, "
                              f"not {self.grid}")
+        if self.grid ** self.dim > GRID_POINTS:
+            raise ResourceError(f"'grid' {self.grid} asks for {self.grid}^{self.dim} "
+                                f"Newton starts, above the budget of {GRID_POINTS} "
+                                f"grid points")
         for ov in overrides or []:   # {"translate": deck element, "components": [...]}
             window = ov["translate"]
             owner = f"override at {self.group.format_element(window)!r}: "
@@ -385,21 +394,25 @@ class AnalyticModel(ZeroTable):
         return sorted(out)
 
     def _solve_window(self, window, plain):
-        """Host records of the searched zeros, each interior one indexed."""
-        records = [resolve_record(self.complex, pos, exact)
-                   for pos, exact in self.zeros_in_window(window, plain)]
+        """Host records of the searched zeros, each indexed.  A zero that the
+        exact-zero test does not confirm leaves the model not tame: it
+        raises :class:`TamenessError`, naming the zero."""
+        zeros = self.zeros_in_window(window, plain)
+        for position, exact in zeros:
+            if not exact:
+                raise TamenessError(
+                    f"the {_WORDING[self.index_matrix_sign][1]} near "
+                    f"({', '.join(f'{c:.6f}' for c in position)}) is not certified: "
+                    f"no small-denominator rational near it passes the exact-zero test")
+        records = [resolve_record(self.complex, position) for position, _ in zeros]
         for r in records:
-            if not r.on_face and r.host is not None:
-                r.index = self.local_index_at(r.position, r.exact, window, plain)
+            r.index = self.local_index_at(r.position, window, plain)
         return records
 
-    def local_index_at(self, position, exact: bool, window=None,
-                       plain: bool = False) -> int:
+    def local_index_at(self, position, window=None, plain: bool = False) -> int:
         """Index at an exact zero via the certified Jacobian determinant sign."""
-        if not exact:
-            raise InputError("a local index needs an exact zero")
         if window is None:
-            window = tuple(math.floor(float(c)) for c in position)
+            window = tuple(math.floor(c) for c in position)
         from . import exprs
         sign = exprs.certified_sign(self.component_set(window, plain).index_sign,
                                     tuple(map(Fraction, position)))
@@ -557,9 +570,8 @@ class AffineCellModel(ZeroTable):
                     f"perturb the vertex data to move it into a cell interior "
                     f"(subdividing keeps a point of a face on a face)")
             record = resolve_record(self.complex, tuple(
-                sum(l * p[i] for l, p in zip(lam, positions)) for i in range(d)), True)
-            if not record.on_face and record.host is not None:
-                record.index = _chart_index(self.index_matrix_sign, positions, vectors)
+                sum(l * p[i] for l, p in zip(lam, positions)) for i in range(d)))
+            record.index = _chart_index(self.index_matrix_sign, positions, vectors)
             records.append(record)
         return records
 
@@ -764,7 +776,7 @@ class SimplicialMapModel(AffineCellModel):
 # Host cells
 
 
-def locate_host_cells(q: QuotientComplex, position, exact: bool):
+def locate_host_cells(q: QuotientComplex, position):
     """Cover top cells containing an exact Euclidean point.
 
     Returns ``(deck, top index, 'interior'|'boundary', barycentric
@@ -776,8 +788,6 @@ def locate_host_cells(q: QuotientComplex, position, exact: bool):
     A candidate's barycentric coordinates are integers over the cell's row
     denominator times B, and only a hit's become Fractions.
     """
-    if not exact:
-        return []
     pos = [Fraction(c) for c in position]
     group = q.group
     n = q.dimension
@@ -868,41 +878,35 @@ def _host_table(q: QuotientComplex) -> _HostTable:
     return _HOST_TABLES[q]
 
 
-def resolve_record(q: QuotientComplex, position, exact: bool) -> FixedPointRecord:
-    """The record of a zero at ``position``: its host cell and, for a zero
-    interior to exactly one cell, its isolation radius, a lower bound of
-    its depth in that cell.  A point with barycentric coordinates λ lies
-    λ_i h_i from the facet opposite vertex i, h_i the cell's height there,
-    and the nearest facet's foot lies in the cell, so the squared depth is
-    the least λ_i² h_i²."""
-    hosts = locate_host_cells(q, position, exact)
+def resolve_record(q: QuotientComplex, position) -> FixedPointRecord:
+    """The record of a zero at the exact point ``position``: its host cell
+    and its isolation radius, a lower bound of its depth in that cell.  A
+    point with barycentric coordinates λ lies λ_i h_i from the facet
+    opposite vertex i, h_i the cell's height there, and the nearest facet's
+    foot lies in the cell, so the squared depth is the least λ_i² h_i².
+
+    Strong tameness needs every zero inside one top cell, so a zero on a
+    simplex face, in no top cell or inside several is an input error.
+    """
+    hosts = locate_host_cells(q, position)
     interior = [h for h in hosts if h[2] == "interior"]
-    if len(interior) == 1:
-        g, idx, _, lam = interior[0]
-        depth2 = min(l * l * h2 for l, h2 in zip(lam, _host_table(q).heights2(idx)))
-        return FixedPointRecord(position=position, exact=exact, host=(g, idx),
-                                on_face=False, isolation=sqrt_lower_bound(depth2))
-    if hosts:
-        g, idx, *_ = min(hosts, key=lambda h: (q.group.sort_key(h[0]), h[1]))
-        return FixedPointRecord(position=position, exact=exact, host=(g, idx),
-                                on_face=True, isolation=None)
-    return FixedPointRecord(position=position, exact=exact, host=None,
-                            on_face=True, isolation=None)
+    if len(interior) != 1:
+        where = (f"inside {len(interior)} top cells" if interior else
+                 "on a simplex face" if hosts else "in no top cell")
+        raise InputError(f"the zero at ({', '.join(map(str, position))}) lies {where}: "
+                         f"strong tameness is violated")
+    g, idx, _, lam = interior[0]
+    depth2 = min(l * l * h2 for l, h2 in zip(lam, _host_table(q).heights2(idx)))
+    return FixedPointRecord(position=position, host=(g, idx),
+                            isolation=sqrt_lower_bound(depth2))
 
 
 def _translate_record(q: QuotientComplex, record: FixedPointRecord, g):
-    """The record of a zero moved by the lattice translation g.
-
-    An interior host moves with the point and keeps its isolation radius
-    and index; other records are resolved afresh (the tie-break of an
-    on-face host is not translation-invariant).
-    """
-    kind = Fraction if record.exact else float
-    position = tuple(kind(c) + kind(t) for c, t in zip(record.position, g))
-    if record.on_face or record.host is None:
-        return resolve_record(q, position, record.exact)
+    """The record of a zero moved by the lattice translation g: its host
+    moves with it, and it keeps its isolation radius and index."""
     h, idx = record.host
-    return replace(record, position=position, host=(q.group.multiply(h, g), idx))
+    return replace(record, position=tuple(c + t for c, t in zip(record.position, g)),
+                   host=(q.group.multiply(h, g), idx))
 
 
 # ---------------------------------------------------------------------------
@@ -999,26 +1003,35 @@ def _outside_balls(pts, centres, radius: float):
 
 
 def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
-    """Verify isolation, displacement or field norm gap and host containment.
+    """Verify isolation and the displacement or field norm gap.
 
-    delta is the largest certified radius: half the minimum distance from
-    a zero to any other zero of the cover (see :func:`_cover`), capped by
+    Every record of the cover (see :func:`_cover`) is exact and interior to
+    one host top cell: the zero table refuses any other zero, an
+    uncertified one with a :class:`TamenessError` that this check reports
+    as "not tame".  delta is the largest certified radius: half the
+    minimum distance from a zero to any other zero of the cover, capped by
     every point's exact distance to its host-simplex boundary.  The
-    minimum distance is taken in integers, with every exact position over
-    one common denominator (:func:`_closest_pair2`).  epsilon is the
-    minimum norm the model samples (its ``sample_norms``) outside the
-    delta-balls of every zero of the cover, rounded down to a rational;
-    each zero measures only the samples in its slab of the first
-    coordinate (:func:`_outside_balls`).  The grid refines once when the
-    minimum is suspiciously small.  ``grid`` is raised to at least
-    :data:`TAMENESS_GRID`.  Sampling is a documented heuristic; the zero
-    set itself is exact wherever the model permits.
+    minimum distance is taken in integers, with every position over one
+    common denominator (:func:`_closest_pair2`).  epsilon is the minimum
+    norm the model samples (its ``sample_norms``) outside the delta-balls
+    of every zero of the cover, rounded down to a rational; each zero
+    measures only the samples in its slab of the first coordinate
+    (:func:`_outside_balls`).  The grid refines once when the minimum is
+    suspiciously small.  ``grid`` is raised to at least
+    :data:`TAMENESS_GRID`, and the refined grid may hold at most
+    :data:`GRID_POINTS` points per window.  Sampling is a documented
+    heuristic; the zero set itself is exact.
     """
     import numpy as np
     grid = max(grid, TAMENESS_GRID)
+    n = model.complex.dimension
+    if (2 * grid) ** n > GRID_POINTS:
+        raise ResourceError(f"--grid {grid} asks for up to (2*{grid})^{n} tameness "
+                            f"samples per window, above the budget of {GRID_POINTS} "
+                            f"grid points")
     try:
         # solves the unoverridden windows around an overridden identity
-        # too, so a failed search shows up here
+        # too, so a failed search or an uncertified zero shows up here
         records, cover = _cover(model)
     except TamenessError as e:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
@@ -1030,29 +1043,18 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
         return TamenessReport(delta=None, epsilon=eps, verdict="strongly tame",
                               strongly_fixed_point_free=True)
 
-    witnesses = []
-    hosted = all(r.host is not None and not r.on_face and r.exact for r in records)
-    if not hosted:
-        witnesses.append("a fixed point lies on a simplex face or resists "
-                         "exact containment")
-
-    pair2 = None
-    if all(r.exact for r in records):
-        # the cover starts with the records, in order
-        pair2 = _closest_pair2([r.position for r in cover if r.exact], len(records))
-    if pair2 is not None and pair2 == 0:
+    # the cover starts with the records, in order
+    pair2 = _closest_pair2([r.position for r in cover], len(records))
+    if pair2 == 0:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
                               witnesses=["coincident fixed points"])
 
-    delta = None
+    delta = min(r.isolation for r in records)
     if pair2 is not None:
-        delta = sqrt_lower_bound(pair2) / 2
-    if hosted:
-        for r in records:
-            delta = r.isolation if delta is None else min(delta, r.isolation)
-    if delta is None or delta <= 0:
+        delta = min(delta, sqrt_lower_bound(pair2) / 2)
+    if delta <= 0:
         return TamenessReport(delta=None, epsilon=None, verdict="not tame",
-                              witnesses=witnesses + ["no positive isolation radius"])
+                              witnesses=["no positive isolation radius"])
 
     eps_float = None
     for attempt in (1, 2):
@@ -1069,14 +1071,13 @@ def check_tameness(model, grid: int = TAMENESS_GRID) -> TamenessReport:
         return TamenessReport(delta=delta, epsilon=Fraction(0), verdict="not tame",
                               witnesses=["sampled displacement vanishes outside "
                                          "the delta-balls"])
-    verdict = "strongly tame" if hosted else "tame"
     return TamenessReport(delta=delta, epsilon=_round_down(eps_float),
-                          verdict=verdict, witnesses=witnesses)
+                          verdict="strongly tame")
 
 
 def tameness_check(model, grid: int = TAMENESS_GRID) -> TamenessReport:
-    """Verify isolation, displacement gap and host containment of a map;
-    see :func:`check_tameness`."""
+    """Verify isolation and the displacement gap of a map; see
+    :func:`check_tameness`."""
     return check_tameness(model, grid)
 
 
@@ -1098,7 +1099,7 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
     """
     if report is None:
         report = check_tameness(model)
-    model_word, zero, _ = _WORDING[model.index_matrix_sign]
+    model_word = _WORDING[model.index_matrix_sign][0]
     if not report.strongly_tame:
         raise TamenessError(f"index class refused: the {model_word} is not "
                             f"strongly tame (verdict: {report.verdict}; "
@@ -1111,18 +1112,12 @@ def assemble_class(model, fd=None, report: TamenessReport | None = None) -> Clas
     n = model.complex.dimension
     finite: dict = {}
 
-    def indexed(records):
-        if any(r.index is None for r in records):
-            raise TamenessError(f"{zero} lacks a strong-tameness witness")
-        return records
-
     def add(records, sign=1):
-        for r in indexed(records):
+        for r in records:
             c = fd.coset_of_cell(r.host[0], n, r.host[1])
             finite[c] = finite.get(c, 0) + sign * r.index
 
-    constant = sum(r.index for r in indexed(
-        model.window_records(group.identity(), plain=True)))
+    constant = sum(r.index for r in model.window_records(group.identity(), plain=True))
     for w in model.overrides:
         add(model.window_records(w, plain=True), -1)
         add(model.window_records(w))

@@ -113,14 +113,14 @@ class PLFieldModel(AffineCellModel):
 
 
 def find_zeros(model, radius: int = 0):
-    """Zeros of the field over translates in ball(radius), each interior
-    zero carrying its index, the degree of the field direction map on a
-    small sphere around it; see :func:`deckindex.fixpoint.solve_zeros`."""
+    """Zeros of the field over translates in ball(radius), each zero
+    carrying its index, the degree of the field direction map on a small
+    sphere around it; see :func:`deckindex.fixpoint.solve_zeros`."""
     return solve_zeros(model, radius)
 
 
 def field_tameness_check(model, grid: int = TAMENESS_GRID) -> TamenessReport:
-    """Tameness of the field: isolation, norm gap, host containment; see
+    """Tameness of the field: isolation and norm gap; see
     :func:`deckindex.fixpoint.check_tameness`."""
     return check_tameness(model, grid)
 

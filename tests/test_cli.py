@@ -11,7 +11,7 @@ import pytest
 from deckindex import cli, complexes, fixpoint
 from deckindex.cli import main
 from deckindex.fixpoint import SimplicialMapModel
-from deckindex.fixtures import fixture_complex, fixture_document
+from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
 from deckindex.reports import canonical_json
 
 
@@ -339,6 +339,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: degenerate analytic zero")
         assert "isolation radius" not in err
+
+    @pytest.mark.parametrize("command", ["map-analyze", "field-analyze"])
+    def test_zero_on_a_face_is_refused(self, command, tmp_path, capsys):
+        # with no offset the grid's vertices and edges carry the sin zeros
+        doc = {k: v for k, v in fixture_document("sin-map").items() if k != "fixture"}
+        doc["complex"] = torus_grid(offset=(0, 0)).to_document()
+        assert main([command, _write(tmp_path, "m.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the zero at (0, 0) lies on a simplex face")
+
+    def test_uncertified_zero_is_the_witness_of_not_tame(self, tmp_path):
+        # sin(2 pi x) = -5/7 has no rational solution, so no zero is exact
+        doc = {**fixture_document("sin-map"),
+               "components": ["sin(2*pi*x)/5 + 1/7", "sin(2*pi*y)/5"]}
+        out = str(tmp_path / "out")
+        assert main(["map-analyze", _write(tmp_path, "m.json", doc), "--out", out]) == 0
+        tameness = _read_report(out)["report"]["tameness"]
+        assert tameness["verdict"] == "not tame"
+        [witness] = tameness["witnesses"]
+        assert witness.startswith("the fixed point near (0.6266")
+        assert "not certified" in witness
+
+    def test_newton_grid_past_the_budget_names_the_field(self, tmp_path, capsys):
+        doc = {**fixture_document("sin-map"), "grid": 10**6}
+        assert main(["map-analyze", _write(tmp_path, "m.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert "'grid' 1000000" in err and "--grid" not in err
+
+    @pytest.mark.parametrize("command,fixture", [
+        ("map-analyze", "sin-map"), ("map-analyze", "octahedron-rotation"),
+        ("field-analyze", "octahedron-polar-field")])
+    def test_tameness_grid_past_the_budget_names_the_flag(self, command, fixture,
+                                                          capsys):
+        assert main([command, f"fixture:{fixture}", "--grid", str(10**6)]) == 2
+        assert "--grid 1000000" in capsys.readouterr().err
 
     def test_integral_float_is_accepted(self, tmp_path):
         path = _write(tmp_path, "c.json",

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deckindex import exprs, geometry
+from deckindex import exprs, fixpoint, geometry
 from deckindex.cli import main
-from deckindex.errors import InputError, TamenessError
+from deckindex.errors import InputError, ResourceError, TamenessError
 from deckindex.fixpoint import (
     SimplicialMapModel,
     ZeroTable,
@@ -25,6 +25,7 @@ from deckindex.fixpoint import (
     find_fixed_points,
     ingest_index_data,
     lefschetz_class,
+    locate_host_cells,
     map_model_from_document,
     resolve_record,
     tameness_check,
@@ -66,7 +67,6 @@ class TestFindFixedPoints:
         assert positions == [(0, 0), (0, Fraction(1, 2)),
                              (Fraction(1, 2), 0),
                              (Fraction(1, 2), Fraction(1, 2))]
-        assert all(r.exact and not r.on_face for r in records)
 
     def test_sin_model_records_scale_with_ball(self, sin_model):
         records = find_fixed_points(sin_model, 1)
@@ -87,7 +87,6 @@ class TestFindFixedPoints:
         third = Fraction(1, 3)
         positions = sorted(tuple(map(Fraction, r.position)) for r in records)
         assert positions == [(-third, -third, -third), (third, third, third)]
-        assert all(not r.on_face for r in records)
 
     def test_antipodal_is_fixed_point_free(self, antipodal_model):
         assert find_fixed_points(antipodal_model, 0) == []
@@ -153,6 +152,20 @@ class TestTameness:
         model = map_model_from_document(fixture_document(name))
         assert check_tameness(model, grid=8) == check_tameness(model, grid=32)
 
+    def test_grid_budget_is_checked_before_any_grid_is_built(self, monkeypatch):
+        doc = fixture_document("sin-map")
+        model = map_model_from_document({**doc, "grid": 1024})
+        assert model.grid ** 2 == fixpoint.GRID_POINTS   # at the budget
+
+        def refuse(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(fixpoint, "_grid_points", refuse)
+        with pytest.raises(ResourceError, match="'grid' 1025 asks for 1025\\^2"):
+            map_model_from_document({**doc, "grid": 1025})
+        with pytest.raises(ResourceError, match="--grid 513 asks for up to"):
+            check_tameness(model, grid=513)
+
     def test_identity_not_tame(self):
         model = map_model_from_document(fixture_document("octahedron-identity"))
         report = tameness_check(model)
@@ -167,6 +180,11 @@ class TestTameness:
         assert abs(float(report.epsilon) - 0.3) < 1e-6
 
 
+def _interior(q, point):
+    """Whether ``point`` lies inside a top cell of ``q``, not on a face."""
+    return any(h[2] == "interior" for h in locate_host_cells(q, point))
+
+
 class _ZerosTorus(ZeroTable):
     """Z^2 test double: the given exact zeros in the identity window."""
 
@@ -177,14 +195,18 @@ class _ZerosTorus(ZeroTable):
         self.positions = positions
 
     def _solve_window(self, window, plain):
-        return [resolve_record(self.complex, p, True) for p in self.positions]
+        return [resolve_record(self.complex, p) for p in self.positions]
+
+    def sample_norms(self, grid):
+        # one sample, far from every zero, so tameness reports its delta
+        return np.array([[0.9, 0.9]]), np.array([1.0])
 
 
 class TestCover:
     def test_z2_cover_lists_the_record_then_its_unit_translates(self):
         p = (Fraction(1, 7), Fraction(1, 11))
         records, cover = _cover(_ZerosTorus(p))
-        assert len(records) == 1 and not records[0].on_face
+        assert len(records) == 1
         assert cover[0] == records[0]
         shifts = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
         assert [r.position for r in cover[1:]] == [
@@ -195,6 +217,15 @@ class TestCover:
         records, cover = _cover(rotation_model)
         assert len(records) == 2
         assert cover == records == find_fixed_points(rotation_model, 0)
+
+    def test_delta_pairs_a_zero_with_the_translates_of_the_others(self):
+        # q - (1, 0) lies 1/50 from p, though q lies 49/50 from p itself;
+        # both sit near a cell centroid, deeper than 1/100 in their cells
+        p = (Fraction(19, 45), Fraction(2, 9))
+        q = (p[0] + Fraction(49, 50), p[1])
+        report = check_tameness(_ZerosTorus(p, q))
+        assert report.verdict == "strongly tame"
+        assert report.delta == sqrt_lower_bound(Fraction(1, 50) ** 2) / 2
 
 
 def _all_pairs_outside(pts, centres, radius):
@@ -272,6 +303,9 @@ class TestTamenessKernels:
     @given(st.tuples(_RATIONALS, _RATIONALS), st.lists(st.tuples(_RATIONALS, _RATIONALS),
                                                        max_size=3))
     def test_coincident_zeros_are_not_tame(self, zero, others):
+        # a zero on a face is refused before any pair is measured
+        q = torus_grid()
+        assume(all(_interior(q, p) for p in (zero, *others)))
         model = _ZerosTorus(*others, zero, zero)
         report = check_tameness(model)
         assert report.verdict == "not tame"
@@ -425,9 +459,11 @@ class TestHostCellsAndGrids:
         # through the table of a torus cover: candidate translates from the
         # integer boxes, integer barycentrics, heights read per cell
         q = torus_grid()
-        record = resolve_record(q, point, True)
-        if record.on_face:
+        if not _interior(q, point):
+            with pytest.raises(InputError, match="lies on a simplex face"):
+                resolve_record(q, point)
             return
+        record = resolve_record(q, point)
         g, idx = record.host
         assert record.isolation == sqrt_lower_bound(
             _boundary_squared_distance(point, q.realize(2, idx, g)))

@@ -40,10 +40,10 @@ def _scalar_zeros_in_window(model, window, plain=False):
     data = model.component_set(window, plain)
     components, jac = data.exprs, data.jacobian
     f = exprs.lambdify_vector(components, model.dim)
-    entries = [[exprs.numpy_function(e) for e in row] for row in jac]
+    entries = [[exprs._compile([e], exprs._floats()) for e in row] for row in jac]
 
     def jf(point):
-        return np.array([[float(fn(point)) for fn in row] for row in entries])
+        return np.array([[float(fn(point)[0]) for fn in row] for row in entries])
 
     base = np.array([float(x) for x in window])
     axes = [np.linspace(0.0, 1.0, model.grid, endpoint=False)
@@ -157,8 +157,8 @@ def test_cached_list_is_a_copy():
 def test_translated_records_match_fresh_resolution():
     model = map_model_from_document(fixture_document("sin-map"))
     for g in [(1, 0), (-2, 1), (0, -1)]:
-        fresh = [replace(resolve_record(model.complex, pos, True),
-                         index=model.local_index_at(pos, True, g))
+        fresh = [replace(resolve_record(model.complex, pos),
+                         index=model.local_index_at(pos, g))
                  for pos, _ in model.zeros_in_window(g, plain=True)]
         assert model.window_records(g) == fresh
 
@@ -184,7 +184,7 @@ def test_records_carry_a_fresh_index():
     records = find_fixed_points(model, 2)
     assert len(records) == 4 * 13
     for r in records:
-        assert r.index == model.local_index_at(r.position, r.exact) in (1, -1)
+        assert r.index == model.local_index_at(r.position) in (1, -1)
 
 
 @pytest.mark.parametrize("command,fixture", [
@@ -212,8 +212,8 @@ def test_affine_zeros_are_solved_once_per_command(command, fixture, tmp_path,
 
 @pytest.mark.parametrize("power", [2, 3])
 def test_degenerate_zeros_stop_at_the_tameness_verdict(power, tmp_path):
-    # the double and triple zeros of sin^power stay inexact, so they carry
-    # no index and the pipeline stops at "not tame" instead of failing
+    # the double and triple zeros of sin^power stay uncertified, so the
+    # pipeline stops at "not tame" instead of failing
     doc = {"variant": "analytic", "fixture": "torus", "bound": "1/5",
            "components": [f"sin(2*pi*x)**{power}/10", "sin(2*pi*y)/10"]}
     path = tmp_path / "map.json"
@@ -277,7 +277,7 @@ def test_table_host_location_matches_brute_force(case, statuses):
     q, points = case()
     seen = set()
     for p in points:
-        hosts = locate_host_cells(q, p, True)
+        hosts = locate_host_cells(q, p)
         assert [h[:3] for h in hosts] == _brute_force_hosts(q, p)
         for g, idx, _, lam in hosts:
             assert lam == barycentric_coordinates(p, q.realize(q.dimension, idx, g))
@@ -285,8 +285,21 @@ def test_table_host_location_matches_brute_force(case, statuses):
     assert seen == statuses
 
 
+def test_zero_not_inside_exactly_one_top_cell_is_refused():
+    third = Fraction(1, 3)
+    for point, where in [((0, 0, 0), "in no top cell"),
+                         ((1, 0, 0), "on a simplex face"),
+                         ((Fraction(1, 2), Fraction(1, 2), 0), "on a simplex face")]:
+        with pytest.raises(InputError, match=f"the zero at .* lies {where}"):
+            resolve_record(octahedron_sphere(), point)
+    q = octahedron_sphere()
+    q.coordinates[5] = q.coordinates[2]  # mz onto pz: each upper face twice
+    with pytest.raises(InputError, match="lies inside 2 top cells"):
+        resolve_record(q, (third, third, third))
+
+
 def test_degenerate_top_cell_is_refused():
     q = octahedron_sphere()
     q.coordinates[2] = (Fraction(1, 2), Fraction(1, 2), Fraction(0))  # pz onto px-py
     with pytest.raises(InputError, match=r"top cell \(px, py, pz\) is degenerate"):
-        locate_host_cells(q, (Fraction(0), Fraction(0), Fraction(1)), True)
+        locate_host_cells(q, (Fraction(0), Fraction(0), Fraction(1)))

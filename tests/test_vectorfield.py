@@ -47,7 +47,6 @@ class TestFindZeros:
         third = Fraction(1, 3)
         assert sorted(tuple(map(Fraction, r.position)) for r in records) == \
             [(-third, -third, -third), (third, third, third)]
-        assert all(not r.on_face for r in records)
 
     def test_override_window_has_eight_zeros(self, override_field):
         [w] = override_field.overrides
