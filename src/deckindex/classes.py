@@ -8,8 +8,8 @@ module imports only ``groups``, ``errors`` and the standard library.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import InputError
 from .groups import (FiniteGroup, MarkedGroup, group_from_document, group_to_document,
@@ -78,11 +78,11 @@ class ClassFunction:
         return f"<ClassFunction c={self.constant} finite={len(self.finite)}>"
 
     def to_document(self) -> dict:
+        word = self.group.word_of
         return {
             "constant": self.constant,
-            "finite": sorted(([self.group.format_element(g), v]
-                              for g, v in self.finite.items()),
-                             key=lambda row: row[0]),
+            "finite": sorted(([word[g], v] for g, v in self.finite.items()),
+                             key=itemgetter(0)),
         }
 
     @classmethod
@@ -115,19 +115,21 @@ def ingest_index_data(doc: dict):
 class GraphChain:
     """Finitely supported integer 1-chain on the Cayley graph of a group;
     edges keyed by ordered pairs of elements, each stored in the direction
-    of ascending shortlex key (computed once per element).  Distinct
+    of ascending shortlex key.  The keys are read from the group's
+    ``key_of``, so every chain of a command (the decision's, each flow
+    radius's and the verifier's) shares one key per element.  Distinct
     elements have distinct keys, so an edge and its reverse share a key."""
 
     def __init__(self, group: MarkedGroup):
         self.group = group
         self.edges: dict = {}
-        self._sort_key = functools.cache(group.sort_key)
+        self._key = group.key_of.__getitem__
 
     def add_edge(self, u, v, coeff: int):
         """Add coeff * (u -> v); the boundary of that unit is v - u."""
         if coeff == 0:
             return
-        if self._sort_key(v) < self._sort_key(u):
+        if self._key(v) < self._key(u):
             u, v, coeff = v, u, -coeff
         edge = (u, v)
         total = self.edges.get(edge, 0) + coeff
@@ -166,9 +168,9 @@ class ClassCertificate:
 
 
 def _chain_to_payload(group, chain: GraphChain):
-    word = functools.cache(group.format_element)  # each element formatted once
-    return sorted([[word(u), word(v), c] for (u, v), c in chain.edges.items()],
-                  key=lambda row: (row[0], row[1]))
+    word = group.word_of  # each element formatted once per group
+    return sorted([[word[u], word[v], c] for (u, v), c in chain.edges.items()],
+                  key=itemgetter(0, 1))
 
 
 def _payload_to_chain(group, rows, parse) -> GraphChain:

@@ -109,9 +109,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _class_chart(f: ClassFunction):
     """Chart of a class function's values over ball(3)."""
-    ball = sorted(f.group.ball(min(3, f.group.ball_budget)), key=f.group.sort_key)
+    group = f.group
+    ball = sorted(group.ball(min(3, group.ball_budget)), key=group.key_of.__getitem__)
     return ("per-coset index sums over ball(3)",
-            [f.group.format_element(g) or "e" for g in ball],
+            [group.word_of[g] or "e" for g in ball],
             [f.value(g) for g in ball])
 
 
@@ -450,6 +451,9 @@ def main(argv=None) -> int:
         # resource budget
         return 1 if e.code else 0
     try:
+        for flag, value in (("--radius", args.radius), ("--capacity", args.capacity)):
+            if value < 0:  # a budget, which no negative value states
+                raise InputError(f"{flag} must be >= 0, not {value}")
         if args.subdivide:
             if args.command not in SUBDIVIDING:
                 raise InputError(f"--subdivide is read only by {', '.join(SUBDIVIDING)}; "

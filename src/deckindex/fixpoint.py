@@ -129,10 +129,10 @@ class FixedPointRecord:
         return {
             "position": [str(c) for c in self.position],
             "exact": True,
-            "host": {"deck": group.format_element(self.host[0]), "cell": self.host[1]},
+            "host": {"deck": group.word_of[self.host[0]], "cell": self.host[1]},
             "on_face": False,
             "index": self.index,
-            "coset": None if self.coset is None else group.format_element(self.coset),
+            "coset": None if self.coset is None else group.word_of[self.coset],
             "isolation": str(self.isolation),
         }
 
@@ -918,7 +918,7 @@ def solve_zeros(model, radius: int = 0):
     over all translates with deck coordinate in ball(radius); see
     :class:`ZeroTable`."""
     group = model.group
-    return [r for g in sorted(group.ball(radius), key=group.sort_key)
+    return [r for g in sorted(group.ball(radius), key=group.key_of.__getitem__)
             for r in model.window_records(g)]
 
 

@@ -18,14 +18,17 @@ ints for the finite kind.  Words are sequences of signed integer tokens,
 string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
-A group's value is fixed at construction.  Two kinds of state are added
+A group's value is fixed at construction.  Three kinds of state are added
 later: token tables (the token of each name and the name of each signed
-generator), derived once on first use, and the largest
-:class:`IndexedBall` asked of the group, replaced only by a larger one,
-which lists its edges as far as they are asked.  Threads may share a
-group: a race can build a ball or list its edges twice, or keep the
-smaller of two balls or edge lists, but every ball handed out has at least
-the radius asked for, and every edge list reaches as far as asked.
+generator), derived once on first use; the word string and the shortlex
+key of each element asked for (``word_of``, ``key_of``), so that every
+chain, certificate and report of a command formats and keys an element
+once; and the largest :class:`IndexedBall` asked of the group, replaced
+only by a larger one, which lists its edges as far as they are asked.
+Threads may share a group: a race can compute a word or key twice, build
+a ball or list its edges twice, or keep the smaller of two balls or edge
+lists, but every ball handed out has at least the radius asked for, and
+every edge list reaches as far as asked.
 
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
 elements in BFS order, so the flow networks and the isoperimetric probe
@@ -81,6 +84,19 @@ def _shortlex_key(tokens):
     return (len(tokens), tuple(map(_RANK.__getitem__, tokens)))
 
 
+class _OncePerElement(dict):
+    """A value per element, computed by ``compute`` when first read.  Two
+    threads may both compute a missing value; they store equal values."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, element):
+        value = self[element] = self.compute(element)
+        return value
+
+
 class MarkedGroup:
     """Common interface of the supported deck-group kinds."""
 
@@ -116,12 +132,30 @@ class MarkedGroup:
         try:
             tokens = [table[p] for p in text.split()]
         except KeyError as e:
-            raise InputError(f"unknown generator symbol {e.args[0]!r} "
-                             f"(declared: {', '.join(self.generator_names)})")
+            raise self._unknown_symbol(e.args[0])
         return self.element_of(tokens)
+
+    def _unknown_symbol(self, symbol: str) -> InputError:
+        return InputError(f"unknown generator symbol {symbol!r} "
+                          f"(declared: {', '.join(self.generator_names)})")
 
     def format_element(self, element) -> str:
         return " ".join(map(self._name_table.__getitem__, self.element_word(element)))
+
+    # -- one word and one key per element ----------------------------------
+
+    @cached_property
+    def word_of(self) -> dict:
+        """``word_of[g]``: the word document string of ``g``, formatted once
+        per group by ``format_element``, so a command's certificate, its
+        check and its report share one string per element."""
+        return _OncePerElement(self.format_element)
+
+    @cached_property
+    def key_of(self) -> dict:
+        """``key_of[g]``: the shortlex key of ``g``, computed once per group
+        by ``sort_key``, for every chain and sort of a command."""
+        return _OncePerElement(self.sort_key)
 
     # -- group structure (implemented per kind) ---------------------------
 
@@ -242,11 +276,45 @@ class FreeAbelianGroup(MarkedGroup):
             v[abs(t) - 1] += 1 if t > 0 else -1
         return tuple(v)
 
+    # The codecs below read the exponent vector directly.  The canonical
+    # word lists each coordinate in turn, e_i > 0 as |e_i| tokens +i and
+    # e_i < 0 as |e_i| tokens -i, and they give the strings, elements and
+    # order of that word.
+
     def element_word(self, element) -> Word:
-        out = []
-        for i, e in enumerate(element):
-            out.extend([(i + 1) if e > 0 else -(i + 1)] * abs(e))
+        out: list[Token] = []
+        for i, e in enumerate(element, 1):
+            if e:
+                out += [i if e > 0 else -i] * abs(e)
         return tuple(out)
+
+    def format_element(self, element) -> str:
+        names = self._name_table
+        return " ".join([" ".join([names[i if e > 0 else -i]] * abs(e))
+                         for i, e in enumerate(element, 1) if e])
+
+    def parse_word(self, text: str):
+        """The exponent vector of a word string, one step per symbol."""
+        table = self._token_table
+        v = [0] * self.rank
+        for symbol in text.split():
+            t = table.get(symbol)
+            if t is None:
+                raise self._unknown_symbol(symbol)
+            if t > 0:
+                v[t - 1] += 1
+            else:
+                v[-t - 1] -= 1
+        return tuple(v)
+
+    def sort_key(self, element):
+        """Shortlex order of canonical words.  Words of one length n compare
+        as their runs: the word with more tokens of the first rank where the
+        runs differ (a < a^-1 < b < ...) is smaller.  Per coordinate that
+        orders e = n, ..., 1, then -n, ..., -1, then 0, which the integer
+        -n - e for e > 0 and e otherwise preserves."""
+        n = sum(map(abs, element))
+        return (n, *[-n - e if e > 0 else e for e in element])
 
     def identity(self):
         return (0,) * self.rank

@@ -108,8 +108,9 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
     support_radius = max((group.length(g) for g in masses), default=0)
     region_radius = support_radius + RAY_MARGIN
 
-    pos = sorted((g for g, v in masses.items() if v > 0), key=group.sort_key)
-    neg = sorted((g for g, v in masses.items() if v < 0), key=group.sort_key)
+    key = group.key_of.__getitem__
+    pos = sorted((g for g, v in masses.items() if v > 0), key=key)
+    neg = sorted((g for g, v in masses.items() if v < 0), key=key)
     remaining = dict(masses)
     # pair opposite signs along geodesic paths
     for p in pos:
@@ -125,7 +126,7 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
             remaining[p] -= move
             remaining[q] += move
     # route the residue along rays toward infinity
-    for g, v in sorted(remaining.items(), key=lambda kv: group.sort_key(kv[0])):
+    for g, v in sorted(remaining.items(), key=lambda kv: key(kv[0])):
         if v == 0:
             continue
         ray = [g]
@@ -413,16 +414,27 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         bdry = chain.boundary()
         if isinstance(group, FiniteGroup):  # bounded outright, not in a limit
             interior = set(group.elements())
-        elif f.constant:
-            interior = group.ball(int(cert.payload["interior_radius"]))
         else:
-            # off both supports the boundary and f are 0, so only the points
-            # of the supports can differ; a canonical element lies in
-            # ball(R) when its word length is at most R
             radius = int(cert.payload["interior_radius"])
-            group.check_radius(radius)
-            interior = {v for v in bdry.keys() | f.finite.keys()
-                        if group.length(v) <= radius}
+            region = cert.payload.get("region_radius")  # where the rays end
+            require("region radius is the interior radius plus one",
+                    region == radius + 1)
+            if f.constant:  # no finite chain bounds it, as its mean says
+                interior = group.ball(radius)
+            else:
+                # off both supports the boundary and f are 0, so only the
+                # points of the supports can differ; a canonical element
+                # lies in ball(R) when its word length is at most R
+                group.check_radius(radius)
+                lengths = {v: group.length(v) for v in bdry.keys() | f.finite.keys()}
+                interior = {v for v, n in lengths.items() if n <= radius}
+                # past the interior f is 0 off its support (which must lie
+                # inside, below), and so is the boundary, a pairing path's
+                # points among them, except on the region sphere
+                require("boundary vanishes past the interior, off the region "
+                        "sphere",
+                        not any(radius < lengths[v] != region
+                                for v in bdry if v not in f.finite))
         check("boundary equals function on interior",
               all(bdry.get(v, 0) == f.value(v) for v in interior))
         require("interior contains the support", set(f.finite) <= interior)

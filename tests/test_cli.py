@@ -529,6 +529,24 @@ class TestCharts:
 
 
 class TestOptions:
+    @pytest.mark.parametrize("argv, flag", [
+        (["amenability", "fixture:genus2", "--radius", "-1"], "--radius"),
+        (["map-analyze", "fixture:octahedron-antipodal", "--radius", "-1"], "--radius"),
+        (["decide-class", "fixture:free-cover-index", "--capacity", "-2"], "--capacity"),
+    ], ids=["amenability-radius", "map-analyze-radius", "decide-class-capacity"])
+    def test_negative_budget_is_refused(self, argv, flag, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(argv + ["--out", out]) == 1
+        assert f"{flag} must be >= 0, not {argv[-1]}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["amenability", "fixture:genus2", "--radius", "0"],
+        ["decide-class", "fixture:free-cover-index", "--capacity", "0"],
+    ], ids=["amenability-radius", "decide-class-capacity"])
+    def test_zero_budget_runs(self, argv, tmp_path):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
     def test_grid_default_is_the_tameness_floor(self):
         args = cli.build_parser().parse_args(["map-analyze", "fixture:sin-map"])
         assert args.grid == fixpoint.TAMENESS_GRID

@@ -13,7 +13,9 @@ from deckindex.groups import (
     FreeAbelianGroup,
     FreeGroup,
     IndexedBall,
+    MarkedGroup,
     SurfaceGroup,
+    _shortlex_key,
     cyclic_group,
     folner_average,
     group_from_document,
@@ -148,6 +150,69 @@ def relator_biased_words(draw, genus):
             size = draw(st.integers(n // 2 - 1, n))
             word += [base[(start + k) % n] for k in range(size)]
     return word[:40]
+
+
+def _outcome(parse, text):
+    """The element ``parse`` reads, or the message of its InputError."""
+    try:
+        return parse(text)
+    except InputError as e:
+        return str(e)
+
+
+# generator names: any non-blank token, a leading "-" included
+NAMES = st.text("ab-x1", min_size=1, max_size=3)
+
+
+class TestFreeAbelianCodecs:
+    """The Z^n codecs, read off the exponent vector, against the generic
+    path through the token word."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_codecs_match_the_token_word_path(self, data):
+        rank = data.draw(st.integers(1, 4))
+        names = data.draw(st.none() | st.lists(NAMES, min_size=rank, max_size=rank,
+                                               unique=True))
+        group = FreeAbelianGroup(rank, names=names)
+        vectors = data.draw(st.lists(st.tuples(*[st.integers(-5, 5)] * rank),
+                                     min_size=1, max_size=12, unique=True))
+        generic = MarkedGroup
+        for v in vectors:
+            word = group.element_word(v)
+            assert word == tuple(t for i, e in enumerate(v, 1)
+                                 for t in [i if e > 0 else -i] * abs(e))
+            assert group.element_of(word) == v
+            text = generic.format_element(group, v)
+            assert group.format_element(v) == text
+            assert _outcome(group.parse_word, text) == _outcome(
+                lambda w: generic.parse_word(group, w), text)
+        shortlex = [_shortlex_key(group.element_word(v)) for v in vectors]
+        keys = [group.sort_key(v) for v in vectors]
+        for i in range(len(vectors)):
+            for j in range(len(vectors)):
+                assert (keys[i] < keys[j]) == (shortlex[i] < shortlex[j])
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_unknown_symbol_matches_the_generic_message(self, data):
+        rank = data.draw(st.integers(1, 4))
+        group = FreeAbelianGroup(rank)
+        symbols = list(group._token_table) + ["q", "-q", "a-", "e"]
+        text = " ".join(data.draw(st.lists(st.sampled_from(symbols), max_size=8)))
+        expected = _outcome(lambda w: MarkedGroup.parse_word(group, w), text)
+        assert _outcome(group.parse_word, text) == expected
+        unknown = [s for s in text.split() if s not in group._token_table]
+        if unknown:
+            assert expected.startswith(f"unknown generator symbol {unknown[0]!r} ")
+
+    def test_default_names_round_trip(self):
+        group = FreeAbelianGroup(3)
+        assert group.format_element((2, 0, -1)) == "a a -c"
+        assert group.parse_word("a -c a") == (2, 0, -1)
+        assert group.format_element((0, 0, 0)) == ""
+        with pytest.raises(InputError, match=r"unknown generator symbol 'd' \(declared: a, b, c\)"):
+            group.parse_word("a d")
 
 
 class TestSurfaceNormalForm:

@@ -342,6 +342,52 @@ class TestVerifierRejectsTampering:
         assert _failed(verify_certificate(cert)) == {
             "boundary equals function on interior"}
 
+    def test_pairing_path_edge_dropped_past_the_interior_fails(self):
+        # f = a^10 - b^10 on Z^2: the pairing path runs through a^10 b^10,
+        # length 20, past the interior radius 15; dropping its edge
+        # a^10 b^9 -> a^10 b^10 leaves the boundary on the interior intact
+        cert = decide_class(Z2, ClassFunction(Z2, 0, {(10, 0): 1, (0, 10): -1}))
+        assert cert.verifier_result["verified"]
+        assert (cert.payload["interior_radius"], cert.payload["region_radius"]) == (15, 16)
+        edge = sorted(Z2.format_element(v) for v in ((10, 9), (10, 10)))
+        rows = cert.payload["chain"]
+        kept = [row for row in rows if sorted(row[:2]) != edge]
+        assert len(kept) == len(rows) - 1
+        cert.payload["chain"] = kept
+        assert _failed(verify_certificate(cert)) == {
+            "boundary vanishes past the interior, off the region sphere"}
+
+    @pytest.mark.parametrize("region", [14, 15, 17, None])
+    def test_region_radius_must_follow_the_interior(self, region):
+        # the mass has no ray, so only the stated region radius is wrong
+        cert = decide_class(Z2, ClassFunction(Z2, 0, {(10, 0): 1, (0, 10): -1}))
+        if region is None:
+            del cert.payload["region_radius"]
+        else:
+            cert.payload["region_radius"] = region
+        assert _failed(verify_certificate(cert)) == {
+            "region radius is the interior radius plus one"}
+
+    def test_ray_end_off_the_region_sphere_fails(self):
+        # a single mass rides a ray out to the region sphere, length 7; a
+        # region radius stated one further leaves that end unexplained
+        cert = decide_class(Z2, ClassFunction(Z2, 0, {(1, 0): 1}))
+        assert (cert.payload["interior_radius"], cert.payload["region_radius"]) == (6, 7)
+        cert.payload["interior_radius"], cert.payload["region_radius"] = 5, 6
+        assert _failed(verify_certificate(cert)) == {
+            "boundary vanishes past the interior, off the region sphere"}
+
+    def test_support_past_the_interior_is_named_once(self):
+        # the chain bounds f = a^3 - a^2 exactly, but the stated interior
+        # ball(1) misses both masses: a^2 lies on the region sphere and a^3
+        # past it, where f is not 0, so only the support check fails
+        f = ClassFunction(Z1, 0, {(3,): 1, (2,): -1})
+        cert = ClassCertificate("zero-by-boundary", Z1, f, payload={
+            "chain": [["a a", "a a a", 1]], "region_radius": 2,
+            "interior_radius": 1, "coefficient_bound": 2})
+        assert _failed(verify_certificate(cert)) == {
+            "interior contains the support"}
+
     def test_interior_missing_the_support_fails(self):
         # forgery: an empty chain "bounds" mass 5 at a a a on ball(0)
         f = ClassFunction(Z1, 0, {(3,): 5})
@@ -406,6 +452,27 @@ class TestVerifierReadsPayloadWords:
 
 def _failed(result):
     return {c["name"] for c in result["checks"] if not c["ok"]}
+
+
+def test_words_and_keys_are_computed_once_per_element(monkeypatch):
+    # one F2 decision at constant 3 builds a chain per flow radius, and its
+    # verification parses and rebuilds each; the group formats and keys
+    # each element once for all of them
+    group = FreeGroup(2)
+    seen = {"format_element": [], "sort_key": []}
+    for name, args in seen.items():
+        method = getattr(group, name)
+
+        def counted(g, method=method, args=args):
+            args.append(g)
+            return method(g)
+        monkeypatch.setattr(group, name, counted)
+    cert = decide_class(group, ClassFunction(group, 3, {}))
+    assert cert.verdict == "zero-by-truncated-flow" and cert.verifier_result["verified"]
+    words = {w for row in cert.payload["flows"] for edge in row["chain"] for w in edge[:2]}
+    assert len(cert.payload["flows"]) > 1
+    assert len(seen["format_element"]) == len(set(seen["format_element"])) == len(words)
+    assert len(seen["sort_key"]) == len(set(seen["sort_key"])) >= len(words)
 
 
 class TestGraphChain:
