@@ -18,17 +18,18 @@ subdivision run on the arrays themselves.
 
 Incidence is one face table per complex: ``facets[k][i, j]`` is the id of
 the facet of k-simplex i that omits position j (-1 when it is missing),
-computed once from the rows, and ``cofacets`` is its transpose.
-Validation, face data, orientation, the fundamental domain, the chain
-boundaries and subdivision all read it.  Both depend only on the read-only
-rows; deck shifts are read from the current labels at call time, since
-labels, orientation and tree may be set after construction.  numpy is
-imported inside the functions that use it, so importing this module does
-not load it.
+read off the flags for a subdivision and searched once from the rows
+otherwise, and ``cofacets`` is its transpose.  Validation, face data,
+orientation, the fundamental domain, the chain boundaries and subdivision
+all read it.  Both depend only on the read-only rows; deck shifts are read
+from the current labels at call time, since labels, orientation and tree
+may be set after construction.  numpy is imported inside the functions
+that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import functools
 import heapq
 import itertools
@@ -91,7 +92,7 @@ class QuotientComplex:
     def __init__(self, group, vertices, simplices_by_dim, orientation, labels,
                  tree=frozenset(), coordinates=None, name=""):
         self.group = group
-        self.vertices = list(vertices)
+        self.vertices = vertices if isinstance(vertices, _BarycenterNames) else list(vertices)
         self._rows = [_row_array(dim_list, k) for k, dim_list in enumerate(simplices_by_dim)]
         self.dimension = len(self._rows) - 1
         self.orientation = dict(orientation)
@@ -143,8 +144,7 @@ class QuotientComplex:
         position j, -1 where that facet is missing (no columns for k = 0)."""
         import numpy as np
         return [np.zeros((self.count(0), 0), np.int64)] + [
-            _face_ids(self, k, [[p for p in range(k + 1) if p != j] for j in range(k + 1)])
-            for k in range(1, self.dimension + 1)]
+            _face_ids(self, k) for k in range(1, self.dimension + 1)]
 
     @functools.cached_property
     def cofacets(self) -> list:
@@ -364,6 +364,27 @@ class QuotientComplex:
             raise InputError(f"malformed complex document: {e}")
 
 
+class _BarycenterNames(collections.abc.Sequence):
+    """The vertex names of a subdivision of ``q``, built when one is first
+    read: an old vertex keeps its name, and the barycenter of an old cell on
+    a, b, c is ``"(a+b+c)"``."""
+
+    def __init__(self, q: QuotientComplex):
+        self._old, self._rows = q.vertices, q._rows
+
+    def __len__(self):
+        return sum(map(len, self._rows))
+
+    def __getitem__(self, i):
+        return self._names[i]
+
+    @functools.cached_property
+    def _names(self) -> list:
+        name = self._old.__getitem__
+        return list(self._old) + ["(" + "+".join(map(name, s)) + ")"
+                                  for rows in self._rows[1:] for s in rows.tolist()]
+
+
 _KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -455,15 +476,13 @@ def _row_ids(table, rows):
     return np.where(known[at] == asked, at, -1)
 
 
-def _face_ids(q: QuotientComplex, k: int, positions):
-    """``(N_k, len(positions))`` ids of the faces of every k-simplex on each
-    tuple of vertex positions, -1 where a face is missing.  Faces are looked
-    up in one block per position tuple, which keeps each block close to
-    sorted and the search fast."""
+def _face_ids(q: QuotientComplex, k: int):
+    """``facets[k]`` searched from the rows, in one block per omitted
+    position, which keeps each block close to sorted and the search fast."""
     rows = q._rows[k]
-    faces = rows[:, positions].transpose(1, 0, 2).reshape(-1, len(positions[0]))
-    found = _row_ids(q._rows[len(positions[0]) - 1], faces)
-    return found.reshape(len(positions), len(rows)).T
+    positions = [[p for p in range(k + 1) if p != j] for j in range(k + 1)]
+    faces = rows[:, positions].transpose(1, 0, 2).reshape(-1, k)
+    return _row_ids(q._rows[k - 1], faces).reshape(k + 1, len(rows)).T
 
 
 def _label_ids(labels: list):
@@ -790,16 +809,14 @@ def _subdivide_once(q: QuotientComplex):
     lexicographic order.  A flag that gains one vertex per step from a
     vertex up to a k-cell is a full flag of that cell; its sign is the sign
     of the order in which it adds the cell's vertices, the product of its
-    step signs.
+    step signs.  The new complex's face table is read off the flags too.
     """
     import numpy as np
     n = q.dimension
     group = q.group
     offset = list(itertools.accumulate(map(q.count, range(n + 1)), initial=0))
-    name = q.vertices.__getitem__
-    names = list(map(name, q._rows[0][:, 0].tolist()))
-    for rows in q._rows[1:]:
-        names += ["(" + "+".join(map(name, s)) + ")" for s in rows.tolist()]
+    if any((f < 0).any() for f in q.facets):
+        raise InputError("subdivision needs a complex with every face present")
 
     # the coface table: one entry (face, coface, step sign, label id) per
     # proper face of each old cell, for the new edge face -> coface.  When
@@ -820,10 +837,8 @@ def _subdivide_once(q: QuotientComplex):
     for k in range(1, n + 1):
         rows = q._rows[k]
         combos = [list(itertools.combinations(range(k + 1), m + 1)) for m in range(k)]
-        # the facet block combos[k - 1] is the face table, columns reversed
-        faces = [_face_ids(q, k, c) for c in combos[:-1]] + [q.facets[k][:, ::-1]]
-        if any((f < 0).any() for f in faces):
-            raise InputError("subdivision needs a complex with every face present")
+        faces = [np.stack([_compose_facets(q, k, c) for c in block], axis=1)
+                 for block in combos]
         # the edges (0, p) are the first k pairs of positions
         edges = faces[1][:, :k] if k > 1 else np.arange(len(rows))[:, None]
         shifts.append(old_ids[edges])
@@ -837,23 +852,38 @@ def _subdivide_once(q: QuotientComplex):
     face, coface, step, label = (np.concatenate([e[i].ravel() for e in entries])
                                  for i in range(4))
     order = np.lexsort((coface, face))
-    coface, step, label = coface[order], step[order], label[order]
+    face, coface, step, label = face[order], coface[order], step[order], label[order]
     start = np.concatenate([[0], np.bincount(face, minlength=offset[-1]).cumsum()])
+    keys = face * offset[-1] + coface  # ascending: one key per entry
 
     # each flag level extends every flag by the coface entries of its last
-    # cell; level 0 is every cell, and only the vertices start full flags
+    # cell; level 0 is every cell, and only the vertices start full flags.
+    # The child of flag p by entry e is row e + skip[p] of the next level.
+    # Facet j of (c_0, ..., c_k), child of p by e, is p for j = k, and else
+    # the child of p's facet j by e, or for j = k - 1 by the entry
+    # c_{k-2} -> c_k (a search of the keys); at k = 1 facet 0 is vertex c_1.
     rows = np.arange(offset[-1])[:, None]
     signs = (rows[:, 0] < offset[1]).astype(np.int64)
     simplices_by_dim, level = [], []
+    facets = [np.zeros((offset[-1], 0), np.int64)]
+    skips = []
     for k in range(n + 1):
         if k:
             first = start[rows[:, -1]]
             width = start[rows[:, -1] + 1] - first
             parent = np.repeat(np.arange(len(rows)), width)
-            # entry first[p] + i for the i-th extension of flag p
-            entry = np.arange(len(parent)) + np.repeat(first - width.cumsum() + width, width)
+            skips.append(width.cumsum() - width - first)
+            entry = np.arange(len(parent)) - skips[-1][parent]
             rows = np.concatenate([rows[parent], coface[entry][:, None]], axis=1)
             signs = signs[parent] * step[entry]
+            if k == 1:
+                facets.append(np.stack([coface[entry], parent], axis=1))
+            else:
+                side = keys.searchsorted(rows[:, k - 2] * offset[-1] + rows[:, k])
+                by = np.concatenate([entry[:, None].repeat(k - 1, axis=1), side[:, None]],
+                                    axis=1)
+                up = skips[-2][facets[-1][parent]]
+                facets.append(np.concatenate([by + up, parent[:, None]], axis=1))
         simplices_by_dim.append(rows)
         # the full flags of old k-cells, grouped by cell and in row order
         full = signs.nonzero()[0]
@@ -873,8 +903,9 @@ def _subdivide_once(q: QuotientComplex):
                 pts = [[Fraction(c) + w for c, w in zip(q.coordinates[v], vec)]
                        for v, vec in zip(s, vecs)]
                 coords[r] = tuple(sum(col) / Fraction(k + 1) for col in zip(*pts))
-    new = QuotientComplex(group, names, simplices_by_dim, {}, {}, coordinates=coords,
-                          name=(q.name + "^sd") if q.name else "")
+    new = QuotientComplex(group, _BarycenterNames(q), simplices_by_dim, {}, {},
+                          coordinates=coords, name=(q.name + "^sd") if q.name else "")
+    new.facets = facets  # read off the flags above, never searched
     # new edge e is coface entry e: level 1 extends each cell in id order
     new.labels = dict(enumerate(map(labels.__getitem__, label.tolist())))
     bounds, tops, top_signs = level[n]
@@ -883,6 +914,18 @@ def _subdivide_once(q: QuotientComplex):
                                (old_signs[rows[tops, -1] - offset[n]] * top_signs).tolist()))
     cell_vertex = [list(range(offset[k], offset[k + 1])) for k in range(n + 1)]
     return new, cell_vertex, level
+
+
+def _compose_facets(q: QuotientComplex, k: int, positions):
+    """Ids of the face on ``positions`` of every k-simplex: its facets taken
+    in turn, largest omitted position first, which leaves the smaller ones
+    in place; every facet must be present."""
+    import numpy as np
+    ids = np.arange(q.count(k))
+    for dim, j in zip(range(k, 0, -1), sorted(set(range(k + 1)) - set(positions),
+                                               reverse=True)):
+        ids = q.facets[dim][ids, j]
+    return ids
 
 
 def spanning_tree(q: QuotientComplex, edges) -> dict:

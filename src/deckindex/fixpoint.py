@@ -41,12 +41,12 @@ Two kinds of model are supported.
   simplicial map sends a barycentric subdivision of the quotient
   simplicially into the quotient; a PL field (``vectorfield``) interpolates
   one vector per vertex.  Both expose, through ``affine_cell``, each source
-  top cell's vertex positions and vertex vectors: the displacements
-  ``T_j - S_j`` of a map, the projected vertex vectors of a field.  One
-  code path solves the affine zero equation exactly in rationals per cell,
-  rejects zeros on the cell's faces, takes each index from the exact chart
-  determinant of the cell the zero was solved in and samples norms on a
-  barycentric grid.  Non-equivariant perturbations of simplicial maps are
+  top cell's vertex positions and vertex vectors (a map's displacements
+  ``T_j - S_j``, a field's projected vertex vectors) as integers over one
+  denominator.  One code path solves the affine zero equation exactly per
+  cell, rejects zeros on the cell's faces, takes each index from the exact
+  chart determinant of the cell the zero was solved in and samples norms
+  on a barycentric grid.  Non-equivariant perturbations of simplicial maps are
   supported on trivial-deck covers, where they amount to replacing vertex
   images.
 
@@ -88,13 +88,8 @@ from .classes import ClassFunction, ingest_index_data  # noqa: F401 - read by ca
 from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
                         check_subdivision_count, euler_characteristic, permutation_sign)
 from .errors import InputError, InternalError, ResourceError, TamenessError
-from .geometry import (
-    det,
-    eliminate,
-    simplex_heights2,
-    solve_linear,
-    sqrt_lower_bound,
-)
+from .geometry import (det, eliminate, numerators, reduce_integers, simplex_heights2,
+                       sqrt_lower_bound)
 from .groups import FiniteGroup, FreeAbelianGroup, integer_value
 
 NEWTON_GRID = 32
@@ -529,7 +524,8 @@ def _dedup_on_torus(points, limit: int, tol: float = 1e-7):
 
 class AffineCellModel(ZeroTable):
     """A model given on each source top cell by exact vertex positions and
-    vertex vectors, through ``affine_cell``; its zeros are exact."""
+    vertex vectors, through ``affine_cell``, as integers over the model's
+    one denominator ``den``; its zeros are exact."""
 
     @functools.cached_property
     def cells(self) -> list:
@@ -545,24 +541,24 @@ class AffineCellModel(ZeroTable):
         overrides, so :meth:`ZeroTable.window_records` moves the identity's
         records to every other window.  On each source top cell the zero is
         the point with barycentric coordinates l solving sum(l_j W_j) = 0,
-        sum(l) = 1, for the cell's vertex vectors W_j.  Its index is read
-        from that cell's chart.
+        sum(l) = 1, for the cell's vertex vectors W_j, whose numerators give
+        l as integers over the last pivot.  Its index is read from that
+        cell's chart.
         """
-        src = self.source
-        n = src.dimension
+        n = self.source.dimension
         _, zero, not_isolated = _WORDING[self.index_matrix_sign]
         records = []
         for s, positions, vectors in self.cells:
-            d = len(positions[0])
-            matrix = [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)]
-            status, lam = solve_linear(matrix, [Fraction(0)] * d + [Fraction(1)])
-            if status == "none":
+            m = [[*col, 0] for col in zip(*vectors)] + [[1] * (n + 2)]
+            pivots, _, p = reduce_integers(m, n + 1)
+            if any(row[-1] for row in m[len(pivots):]):
                 continue
-            if status == "infinite":
+            if len(pivots) <= n:
                 raise TamenessError(not_isolated.format(s))
-            if any(c < 0 for c in lam):
+            lam = [row[-1] for row in m[:n + 1]]  # l times p
+            if any(c * p < 0 for c in lam):
                 continue
-            if any(c == 0 for c in lam):
+            if 0 in lam:
                 # a subdivision's (n-1)-skeleton contains the old one, so a
                 # fixed barycentre of a subdivided automorphism stays a vertex
                 raise InputError(
@@ -570,7 +566,8 @@ class AffineCellModel(ZeroTable):
                     f"perturb the vertex data to move it into a cell interior "
                     f"(subdividing keeps a point of a face on a face)")
             record = resolve_record(self.complex, tuple(
-                sum(l * p[i] for l, p in zip(lam, positions)) for i in range(d)))
+                Fraction(sum(map(operator.mul, lam, col)), p * self.den)
+                for col in zip(*positions)))
             record.index = _chart_index(self.index_matrix_sign, positions, vectors)
             records.append(record)
         return records
@@ -579,13 +576,11 @@ class AffineCellModel(ZeroTable):
         """Float positions and norms at the interior points of a barycentric
         grid on each source top cell.
 
-        Each norm is taken from the exact vector converted to float once.
-        The grid point with integer weights ``(N - sum(c), c...)`` over
-        ``N`` is computed on integer numerators: a cell's positions and
-        vectors are put over one denominator ``D``, so a coordinate is
-        ``int / (D*N)`` and a squared norm ``int / (D*N)**2``.  Integer true
-        division is correctly rounded, as ``float(Fraction)`` is, so every
-        float equals the one of the exact rational.
+        With integer weights ``(N - sum(c), c...)`` over ``N``, a
+        coordinate is ``int / (den*N)`` and a squared norm
+        ``int / (den*N)**2``.  Integer true division is correctly rounded,
+        as ``float(Fraction)`` is, so every float equals the one of the
+        exact rational; each norm is taken from that float.
         """
         import numpy as np
         src = self.source
@@ -595,12 +590,9 @@ class AffineCellModel(ZeroTable):
         weights = [(per_cell - sum(combo),) + combo
                    for combo in itertools.product(range(1, per_cell), repeat=n)
                    if sum(combo) < per_cell]
+        scale = self.den * per_cell
         for _, positions, vectors in self.cells:
-            den = math.lcm(*(c.denominator for row in (*positions, *vectors) for c in row))
-            # one column of numerators over den per axis
-            pos_cols, vec_cols = ([[c.numerator * (den // c.denominator) for c in col]
-                                   for col in zip(*rows)] for rows in (positions, vectors))
-            scale = den * per_cell
+            pos_cols, vec_cols = list(zip(*positions)), list(zip(*vectors))
             for w in weights:
                 pts.append([sum(map(operator.mul, w, col)) / scale for col in pos_cols])
                 norms.append(math.sqrt(sum(sum(map(operator.mul, w, col)) ** 2
@@ -612,16 +604,17 @@ def _chart_index(sign, positions, vectors) -> int:
     """Index of the unique zero of one affine piece, from its cell's chart:
     with ``c_j`` the chart coordinates of the vertex vectors, the sign of
     det(sign * M) for the columns ``M_j = c_j - c_0``.  One reduction of
-    ``[edge vectors | vertex vectors]`` gives every ``c_j``."""
+    ``[edge vectors | vertex vectors]`` gives every ``c_j`` times P, its
+    last pivot."""
     n = len(positions) - 1
-    rows = [[p[i] - positions[0][i] for p in positions[1:]] + [w[i] for w in vectors]
-            for i in range(len(positions[0]))]
-    reduced, pivots, _ = eliminate(rows, n)
-    if len(pivots) < n or any(any(row[n:]) for row in reduced[n:]):
+    m = [[p[i] - positions[0][i] for p in positions[1:]] + [w[i] for w in vectors]
+         for i in range(len(positions[0]))]
+    pivots, _, p = reduce_integers(m, n)
+    if len(pivots) < n or any(any(row[n:]) for row in m[n:]):
         raise InternalError("a vertex vector of the host cell leaves its "
                             "plane at an interior zero")
-    d_val = det([[sign * (reduced[i][n + j + 1] - reduced[i][n]) for j in range(n)]
-                 for i in range(n)])
+    d_val = det([[sign * (m[i][n + j + 1] - m[i][n]) for j in range(n)]
+                 for i in range(n)]) * p ** n
     if d_val == 0:
         raise InternalError("degenerate chart at a unique interior zero")
     return 1 if d_val > 0 else -1
@@ -706,24 +699,39 @@ class SimplicialMapModel(AffineCellModel):
                         f"map is not simplicial: image of source cell "
                         f"{self.source.simplex(k, idx)} spans no simplex")
 
+    @functools.cached_property
+    def den(self) -> int:
+        """The least common denominator of all vertex coordinates."""
+        return math.lcm(*(c.denominator for q in (self.source, self.complex)
+                          for row in q.coordinates.values() for c in row))
+
+    @functools.cached_property
+    def _numerators(self) -> tuple:
+        """The source and target vertex coordinates over ``den``, by id."""
+        return tuple(numerators(map(q.coordinates.get, q.cells(0)), self.den)
+                     for q in (self.source, self.complex))
+
     def affine_cell(self, idx: int):
-        """Vertex ids, exact positions S_j and displacements T_j - S_j of
-        the source top cell ``idx`` lifted at the identity.
+        """Vertex ids, positions S_j and displacements T_j - S_j of the
+        source top cell ``idx`` lifted at the identity, over ``den``.
 
         Each image T_j is lifted along the cell's edge labels, so the
         images of one cell lie in one lift of the target cell.
         """
-        src = self.source
+        src, group, den = self.source, self.group, self.den
+        source, target = self._numerators
+        free = isinstance(group, FreeAbelianGroup)  # a finite deck moves nothing
         s = src.simplex(src.dimension, idx)
-        positions = src.realize(src.dimension, idx)
-        vectors = []
-        for v, p in zip(s, positions):
-            shift = src.group.identity() if v == s[0] else src.edge_label(s[0], v)
+        positions, vectors = [], []
+        for v in s:
+            shift = group.identity() if v == s[0] else src.edge_label(s[0], v)
             deck_shift, w = self.vertex_images[v]
-            g = self.group.multiply(shift, deck_shift)
-            image = (Fraction(c) + t for c, t in
-                     zip(self.complex.coordinates[w], self.complex.translation_vector(g)))
-            vectors.append(tuple(t - c for t, c in zip(image, p)))
+            p, image = source[v], target[w]
+            if free:
+                p = [c + den * t for c, t in zip(p, shift)]
+                image = [c + den * t for c, t in zip(image, group.multiply(shift, deck_shift))]
+            positions.append(p)
+            vectors.append([t - c for t, c in zip(image, p)])
         return s, positions, vectors
 
     def chain_image(self, k: int, idx: int):
@@ -793,7 +801,7 @@ def locate_host_cells(q: QuotientComplex, position):
     n = q.dimension
     table = _host_table(q)
     big_b = math.lcm(*(c.denominator for c in pos))
-    nums = [c.numerator * (big_b // c.denominator) for c in pos]
+    nums = numerators([pos], big_b)[0]
     finite = isinstance(group, FiniteGroup)
     out = []
     for idx, rows, row_den, lo, hi in table.cells:
@@ -854,10 +862,8 @@ class _HostTable:
                     f"is degenerate: its realized vertices are affinely dependent")
             rows = [row[n + 1:] for row in reduced]
             row_den = math.lcm(*(c.denominator for row in rows for c in row))
-            box = [[v[i].numerator * (self.den // v[i].denominator) for v in verts]
-                   for i in range(d)]
-            self.cells.append((idx, [[c.numerator * (row_den // c.denominator) for c in row]
-                                     for row in rows], row_den,
+            box = numerators(zip(*verts), self.den)
+            self.cells.append((idx, numerators(rows, row_den), row_den,
                                [min(col) for col in box], [max(col) for col in box]))
 
     def heights2(self, idx: int) -> list:
@@ -971,7 +977,7 @@ def _closest_pair2(positions, count: int):
     Fraction.
     """
     den = math.lcm(*(c.denominator for p in positions for c in p))
-    scaled = [[c.numerator * (den // c.denominator) for c in p] for p in positions]
+    scaled = numerators(positions, den)
     best = min((sum((a - b) ** 2 for a, b in zip(p, q))
                 for i, p in enumerate(scaled[:count]) for q in scaled[i + 1:]),
                default=None)

@@ -43,6 +43,23 @@ def eliminate(rows, width):
         scale = math.lcm(*(x.denominator for x in row))
         m.append([x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
+    pivots, sign, prev = reduce_integers(m, width, scales)
+    rank = len(pivots)
+    reduced = [[Fraction(a, prev) for a in row] for row in m[:rank]]
+    reduced += [[Fraction(a, prev * s) for a in row]
+                for row, s in zip(m[rank:], scales[rank:])]
+    determinant = (Fraction(sign * prev, math.prod(scales[:rank])) if rank == width
+                   else Fraction(0))
+    return reduced, pivots, determinant
+
+
+def reduce_integers(m, width, scales=None):
+    """The integer core of :func:`eliminate`: Bareiss steps on the int rows
+    ``m`` over their first ``width`` columns, in place, each swap mirrored
+    in ``scales`` when given.  Returns ``(pivots, sign, P)``: the pivot
+    columns, the sign of the row permutation and the last pivot P (1 when
+    there is none).  The pivot rows come first and hold P times their
+    reduced rows; every other row holds P times its residual."""
     pivots = []
     sign, prev = 1, 1
     for col in range(width):
@@ -52,7 +69,8 @@ def eliminate(rows, width):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            scales[r], scales[piv] = scales[piv], scales[r]
+            if scales:
+                scales[r], scales[piv] = scales[piv], scales[r]
             sign = -sign
         pivot_row = m[r]
         p = pivot_row[col]
@@ -66,13 +84,13 @@ def eliminate(rows, width):
                 m[i] = [a * p // prev for a in row]
         prev = p
         pivots.append(col)
-    rank = len(pivots)
-    reduced = [[Fraction(a, prev) for a in row] for row in m[:rank]]
-    reduced += [[Fraction(a, prev * s) for a in row]
-                for row, s in zip(m[rank:], scales[rank:])]
-    determinant = (Fraction(sign * prev, math.prod(scales[:rank])) if rank == width
-                   else Fraction(0))
-    return reduced, pivots, determinant
+    return pivots, sign, prev
+
+
+def numerators(rows, den: int) -> list:
+    """Rows of ints and Fractions as integer numerators over ``den``, a
+    multiple of every denominator."""
+    return [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
 def solve_linear(matrix, rhs):

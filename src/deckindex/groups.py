@@ -890,6 +890,12 @@ def group_from_document(doc: dict) -> MarkedGroup:
                 and all(isinstance(n, str) and n for n in names)
                 and len(set(names)) == len(names)):
             raise InputError("'generators' must be a list of distinct names")
+        # a word is split at whitespace and "-x" is the inverse of x, so
+        # such a name could not be read back from the words it writes
+        for name in names or ():
+            if name.startswith("-") or any(c.isspace() for c in name):
+                raise InputError(f"generator name {name!r} cannot be read back from a "
+                                 "word: a name may not start with '-' or hold whitespace")
         if kind == "free-abelian":
             return FreeAbelianGroup(integer_value(doc["rank"]), names=names, **budget)
         if kind == "free":

@@ -16,6 +16,9 @@ pipeline's entry points into those stages.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 from .classes import ClassFunction
@@ -34,6 +37,7 @@ from .fixpoint import (
     solve_zeros,
     vertex_id_reader,
 )
+from .geometry import numerators
 from .groups import FiniteGroup
 
 
@@ -76,9 +80,28 @@ class PLFieldModel(AffineCellModel):
         self.bound = Fraction(str(bound))
         self.validate_bound()
 
+    @functools.cached_property
+    def _planar(self) -> list:
+        """Per top cell, in cell order: vertex ids, exact positions and the
+        vertex vectors projected into the plane of the cell lifted at the
+        identity."""
+        q = self.complex
+        return [self._project(idx) for idx in q.cells(q.dimension)]
+
+    @functools.cached_property
+    def den(self) -> int:
+        """The least common denominator of every position and projected
+        vector."""
+        return math.lcm(*(c.denominator for _, *rows in self._planar
+                          for row in itertools.chain(*rows) for c in row))
+
     def affine_cell(self, idx: int):
-        """Vertex ids, exact positions and the vertex vectors projected into
-        the plane of the top cell ``idx`` lifted at the identity."""
+        """Vertex ids, positions and projected vertex vectors of the top
+        cell ``idx``, over ``den``."""
+        s, positions, vectors = self._planar[idx]
+        return s, numerators(positions, self.den), numerators(vectors, self.den)
+
+    def _project(self, idx: int):
         q = self.complex
         n = q.dimension
         s = q.simplex(n, idx)
@@ -105,7 +128,7 @@ class PLFieldModel(AffineCellModel):
     def validate_bound(self):
         if self.bound < 0:
             raise InputError(f"'bound' must be nonnegative, not {self.bound}")
-        for idx, (_, _, vectors) in enumerate(self.cells):
+        for idx, (_, _, vectors) in enumerate(self._planar):
             for w in vectors:
                 if sum(c * c for c in w) > self.bound ** 2:
                     raise InputError(f"declared bound {self.bound} violated by a "

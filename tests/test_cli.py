@@ -12,6 +12,7 @@ from deckindex import cli, complexes, fixpoint
 from deckindex.cli import main
 from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
+from deckindex.groups import group_from_document
 from deckindex.reports import canonical_json
 
 
@@ -298,6 +299,31 @@ class TestExitCodes:
         path = _write(tmp_path, "g.json", block)
         assert main(["amenability", path, "--radius", "1"]) == 1
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block,name", [
+        ({"kind": "free-abelian", "rank": 2, "generators": ["a", "-a"]}, "-a"),
+        ({"kind": "free-abelian", "rank": 2, "generators": ["a", "a b"]}, "a b"),
+        ({"kind": "free", "rank": 2, "generators": ["x", "-y"]}, "-y"),
+        ({"kind": "free", "rank": 1, "generators": ["x\ty"]}, "x\ty"),
+        ({"kind": "surface", "genus": 1, "generators": ["a", "b c"]}, "b c"),
+        ({"kind": "surface", "genus": 1, "generators": ["-", "b"]}, "-"),
+        ({"kind": "finite", "table": [[0, 1], [1, 0]], "generator_ids": [1],
+          "generators": ["-t"]}, "-t"),
+        ({"kind": "finite", "table": [[0, 1], [1, 0]], "generator_ids": [1],
+          "generators": [" t"]}, " t"),
+    ], ids=["free-abelian-minus", "free-abelian-space", "free-minus", "free-tab",
+            "surface-space", "surface-bare-minus", "finite-minus", "finite-space"])
+    def test_unreadable_generator_name_is_refused(self, block, name, tmp_path, capsys):
+        # "-x" reads as the inverse of x and a word splits at whitespace, so
+        # such a name would write words that do not read back
+        path = _write(tmp_path, "c.json", {"group": block, "constant": 1, "finite": []})
+        assert main(["decide-class", path]) == 1
+        assert f"generator name {name!r} cannot be read back" in capsys.readouterr().err
+
+    def test_readable_generator_names_are_kept(self):
+        g = group_from_document({"kind": "free-abelian", "rank": 2, "generators": ["a", "a-"]})
+        assert g.format_element((0, -1)) == "-a-"
+        assert g.parse_word(g.format_element((3, -2))) == (3, -2)
 
     @pytest.mark.parametrize("constant,value", [(1.5, 2), (1, 2.7), (1.5, 2.7)])
     def test_fractional_number_is_input_error(self, constant, value, tmp_path):

@@ -4,6 +4,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deckindex import complexes
 from deckindex.complexes import (
@@ -237,32 +239,75 @@ class TestValidation:
         assert "cocycle condition" in report.kinds()
 
 
-def _face_table_complexes():
-    out = {name: builder() for name, builder in FIXTURE_BUILDERS.items()}
-    out["genus2^sd"] = barycentric_subdivide(genus2_surface()).complex
-    out["octahedron^sd2"] = barycentric_subdivide(octahedron_sphere(), 2).complex
-    return out
+def _full_simplex(n: int) -> QuotientComplex:
+    """The n-simplex with all its faces over the trivial deck."""
+    group = trivial_group()
+    simplices = [list(itertools.combinations(range(n + 1), k + 1)) for k in range(n + 1)]
+    return QuotientComplex(group, [f"p{i}" for i in range(n + 1)], simplices, {0: 1},
+                           {e: group.identity() for e in range(len(simplices[1]))})
+
+
+def _subdivided(builder, times):
+    return lambda: barycentric_subdivide(builder(), times).complex if times else builder()
+
+
+# every fixture at subdivision 0-3, the full 3- and 4-simplex at 0-2
+FACE_TABLE_COMPLEXES = {
+    name + ("", "^sd", "^sd2", "^sd3")[times]: _subdivided(builder, times)
+    for name, builder, most in [*((name, builder, 3) for name, builder in FIXTURE_BUILDERS.items()),
+                                ("simplex3", lambda: _full_simplex(3), 2),
+                                ("simplex4", lambda: _full_simplex(4), 2)]
+    for times in range(most + 1)}
+
+
+def _assert_face_table(q):
+    """``facets``, ``cofacets`` and ``face_data`` of ``q`` against the
+    tuple enumeration, and ``facets`` against the search of the rows."""
+    ident = q.group.identity()
+    for k in range(1, q.dimension + 1):
+        facets, cofacets = [], [[] for _ in q.cells(k - 1)]
+        index = q._index[k - 1]
+        for idx, s in enumerate(q.simplices[k]):
+            # combinations() omit positions k, ..., 0 in turn
+            row = [index[f] for f in itertools.combinations(s, k)][::-1]
+            facets.append(row)
+            for j, f in enumerate(row):
+                cofacets[f].append((idx, j))
+            edge_shift = q.labels[q.index_of(1, s[:2])]
+            assert q.face_data(k, idx) == [
+                (f, (-1) ** j, edge_shift if j == 0 else ident) for j, f in enumerate(row)]
+        assert q.facets[k].tolist() == facets
+        assert complexes._face_ids(q, k).tolist() == facets
+        assert q.cofacets[k - 1] == cofacets
+    assert q.cofacets[q.dimension] == [[] for _ in q.cells(q.dimension)]
+
+
+@st.composite
+def _pure_2_complexes(draw):
+    """A pure 2-complex on at most 6 vertices over the trivial deck, every
+    face of its triangles present, each triangle signed +1."""
+    triangles = draw(st.lists(st.sampled_from(list(itertools.combinations(range(6), 3))),
+                              min_size=1, max_size=10, unique=True))
+    used = sorted(set(itertools.chain(*triangles)))
+    rename = {v: i for i, v in enumerate(used)}
+    triangles = sorted(tuple(rename[v] for v in t) for t in triangles)
+    edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
+    group = trivial_group()
+    return QuotientComplex(group, [f"p{v}" for v in used], [[(v,) for v in range(len(used))],
+                                                            edges, triangles],
+                           dict.fromkeys(range(len(triangles)), 1),
+                           dict.fromkeys(range(len(edges)), group.identity()))
 
 
 class TestFaceTable:
-    @pytest.mark.parametrize("name", list(_face_table_complexes()))
+    @pytest.mark.parametrize("name", list(FACE_TABLE_COMPLEXES))
     def test_matches_tuple_enumeration(self, name):
-        q = _face_table_complexes()[name]
-        ident = q.group.identity()
-        for k in range(1, q.dimension + 1):
-            facets, cofacets = [], [[] for _ in q.cells(k - 1)]
-            for idx, s in enumerate(q.simplices[k]):
-                # combinations() omit positions k, ..., 0 in turn
-                row = [q.index_of(k - 1, f) for f in itertools.combinations(s, k)][::-1]
-                facets.append(row)
-                for j, f in enumerate(row):
-                    cofacets[f].append((idx, j))
-                edge_shift = q.labels[q.index_of(1, s[:2])]
-                assert q.face_data(k, idx) == [
-                    (f, (-1) ** j, edge_shift if j == 0 else ident) for j, f in enumerate(row)]
-            assert q.facets[k].tolist() == facets
-            assert q.cofacets[k - 1] == cofacets
-        assert q.cofacets[q.dimension] == [[] for _ in q.cells(q.dimension)]
+        _assert_face_table(FACE_TABLE_COMPLEXES[name]())
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(_pure_2_complexes(), st.integers(1, 2))
+    def test_subdivided_pure_complex_matches_tuple_enumeration(self, q, times):
+        _assert_face_table(barycentric_subdivide(q, times).complex)
 
     @pytest.mark.parametrize("name", list(FIXTURE_BUILDERS))
     def test_missing_edge_is_named(self, name):
@@ -290,10 +335,9 @@ class TestFaceTable:
         calls = []
         face_ids = complexes._face_ids
 
-        def counting(q, k, positions):
-            if len(positions[0]) == k:
-                calls.append(k)
-            return face_ids(q, k, positions)
+        def counting(q, k):
+            calls.append(k)
+            return face_ids(q, k)
 
         monkeypatch.setattr(complexes, "_face_ids", counting)
         q = torus_grid()
@@ -305,18 +349,54 @@ class TestFaceTable:
 
     def test_genus2_fixture_builds_its_table_once(self, monkeypatch):
         # the fixture orients the gauged complex, whose face table validation
-        # then reads; the blocks of the subdivided fan disk are other sizes
+        # then reads; the subdivided fan disk hands its own table over
         calls = []
         face_ids = complexes._face_ids
 
-        def counting(q, k, positions):
-            if len(positions[0]) == k:
-                calls.append((k, q.count(k)))
-            return face_ids(q, k, positions)
+        def counting(q, k):
+            calls.append((k, q.count(k)))
+            return face_ids(q, k)
 
         monkeypatch.setattr(complexes, "_face_ids", counting)
         assert validate_quotient(genus2_surface()).valid
         assert calls.count((1, 144)) == 1 and calls.count((2, 96)) == 1
+
+    def test_subdivision_searches_no_table_and_builds_no_name(self, monkeypatch):
+        # as in "validate fixture:genus2 --subdivide 3": only the genus-2
+        # document's complex searches its rows; the three subdivisions hand
+        # their tables over and build no vertex name
+        calls = []
+        face_ids = complexes._face_ids
+
+        def counting(q, k):
+            calls.append((k, q.count(k)))
+            return face_ids(q, k)
+
+        def no_names(names):
+            raise AssertionError("a vertex name was built")
+
+        q = QuotientComplex.from_document(GENUS2.to_document())
+        monkeypatch.setattr(complexes, "_face_ids", counting)
+        monkeypatch.setattr(complexes._BarycenterNames, "_names", property(no_names))
+        sub = barycentric_subdivide(q, 3).complex
+        assert validate_quotient(sub).valid
+        assert type(sub.vertices) is complexes._BarycenterNames
+        assert len(sub.vertices) == sub.count(0) == 10366
+        assert sorted(calls) == [(1, 144), (2, 96)]
+
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    def test_names_on_read_equal_the_eager_names(self, times):
+        # an old vertex keeps its name and the barycenter of an old cell on
+        # a, b, c is "(a+b+c)", level by level
+        q = octahedron_sphere()
+        names = list(q.vertices)
+        for _ in range(times):
+            names = names + ["(" + "+".join(names[v] for v in s) + ")"
+                             for dim in q.simplices[1:] for s in dim]
+            q = barycentric_subdivide(q).complex
+        doc = barycentric_subdivide(octahedron_sphere(), times).complex.to_document()
+        assert doc["vertices"] == names
+        assert "(px+py)" in names and (times < 2 or "(px+(px+py))" in names)
 
 
 class TestEulerCharacteristic:
@@ -402,6 +482,18 @@ class TestFundamentalDomain:
 
 
 class TestSubdivision:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_missing_face_is_refused(self, k):
+        # lower faces are read down the face table, so a missing facet is
+        # refused before any is composed
+        q = _full_simplex(3)
+        rows = [list(dim) for dim in q.simplices]
+        rows[k].pop(0)
+        broken = QuotientComplex(q.group, q.vertices, rows, {0: 1},
+                                 dict.fromkeys(range(len(rows[1])), q.group.identity()))
+        with pytest.raises(InputError, match="subdivision needs a complex with every face present"):
+            barycentric_subdivide(broken)
+
     def test_tetrahedron_counts(self):
         sub = barycentric_subdivide(TETRA)
         q = sub.complex

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from deckindex import exprs, fixpoint, geometry
 from deckindex.cli import main
-from deckindex.errors import InputError, ResourceError, TamenessError
+from deckindex.complexes import QuotientComplex, barycentric_subdivide
+from deckindex.errors import InputError, InternalError, ResourceError, TamenessError
 from deckindex.fixpoint import (
     SimplicialMapModel,
     ZeroTable,
@@ -41,7 +42,8 @@ from deckindex.geometry import (
     simplex_heights2,
     sqrt_lower_bound,
 )
-from deckindex.vectorfield import field_model_from_document
+from deckindex.groups import trivial_group
+from deckindex.vectorfield import PLFieldModel, field_model_from_document
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +314,85 @@ class TestTamenessKernels:
         assert report.witnesses == ["coincident fixed points"]
 
 
+def _fraction_cell(model, idx):
+    """The affine cell of source top cell ``idx`` in Fractions, read off the
+    complexes point by point: vertex ids, positions S_j and vertex vectors
+    (T_j - S_j of a map, the projected vertex vectors of a PL field)."""
+    src = model.source
+    n = src.dimension
+    s = src.simplex(n, idx)
+    positions = src.realize(n, idx)
+    if isinstance(model, PLFieldModel):
+        vectors = [model.vertex_vectors[v] for v in s]
+        if len(positions[0]) == n:
+            return s, positions, vectors
+        u, v = ([a - b for a, b in zip(p, positions[0])] for p in positions[1:])
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0])
+        nn = sum(x * x for x in normal)
+        return s, positions, [
+            tuple(a - sum(x * y for x, y in zip(w, normal)) / nn * b for a, b in zip(w, normal))
+            for w in vectors]
+    vectors = []
+    for v, p in zip(s, positions):
+        shift = src.group.identity() if v == s[0] else src.edge_label(s[0], v)
+        deck, w = model.vertex_images[v]
+        move = model.complex.translation_vector(model.group.multiply(shift, deck))
+        vectors.append(tuple(Fraction(c) + t - a
+                             for c, t, a in zip(model.complex.coordinates[w], move, p)))
+    return s, positions, vectors
+
+
+def _fraction_chart_index(sign, positions, vectors):
+    """The chart index of one affine piece, reduced in Fractions."""
+    n = len(positions) - 1
+    rows = [[p[i] - positions[0][i] for p in positions[1:]] + [w[i] for w in vectors]
+            for i in range(len(positions[0]))]
+    reduced, pivots, _ = geometry.eliminate(rows, n)
+    if len(pivots) < n or any(any(row[n:]) for row in reduced[n:]):
+        raise InternalError("a vertex vector of the host cell leaves its "
+                            "plane at an interior zero")
+    d_val = det([[sign * (reduced[i][n + j + 1] - reduced[i][n]) for j in range(n)]
+                 for i in range(n)])
+    if d_val == 0:
+        raise InternalError("degenerate chart at a unique interior zero")
+    return 1 if d_val > 0 else -1
+
+
+def _fraction_zero(model, idx):
+    """``[(position, index)]`` of the zero of the affine piece on source top
+    cell ``idx``, from ``solve_linear`` on its Fraction cell, with the zero
+    solve's refusals."""
+    n = model.source.dimension
+    _, zero, not_isolated = fixpoint._WORDING[model.index_matrix_sign]
+    s, positions, vectors = _fraction_cell(model, idx)
+    d = len(positions[0])
+    status, lam = geometry.solve_linear(
+        [[w[i] for w in vectors] for i in range(d)] + [[Fraction(1)] * (n + 1)],
+        [Fraction(0)] * d + [Fraction(1)])
+    if status == "none":
+        return []
+    if status == "infinite":
+        raise TamenessError(not_isolated.format(s))
+    if any(c < 0 for c in lam):
+        return []
+    if any(c == 0 for c in lam):
+        raise InputError(f"{zero} lies on a simplex face: strong tameness is violated; "
+                         f"perturb the vertex data to move it into a cell interior "
+                         f"(subdividing keeps a point of a face on a face)")
+    position = tuple(sum(l * p[i] for l, p in zip(lam, positions)) for i in range(d))
+    resolve_record(model.complex, position)
+    return [(position, _fraction_chart_index(model.index_matrix_sign, positions, vectors))]
+
+
+def _outcome(f):
+    """``f()``, or the type and message of the error it raises."""
+    try:
+        return f()
+    except (InputError, InternalError, TamenessError) as e:
+        return type(e), str(e)
+
+
 def _reference_sample_norms(model, grid):
     """The affine-cell sampling grid evaluated in Fractions, point by point."""
     src = model.source
@@ -319,7 +400,7 @@ def _reference_sample_norms(model, grid):
     pts, norms = [], []
     per_cell = max(3, int(round(grid / max(1.0, src.count(n) ** 0.5))))
     for idx in src.cells(n):
-        _, positions, vectors = model.affine_cell(idx)
+        _, positions, vectors = _fraction_cell(model, idx)
         d = len(positions[0])
         for combo in itertools.product(range(1, per_cell), repeat=n):
             if sum(combo) >= per_cell:
@@ -380,6 +461,120 @@ class TestSampleNorms:
         pts, norms = model.sample_norms(grid)
         ref_pts, ref_norms = _reference_sample_norms(model, grid)
         assert len(norms) > 0
+        assert pts.tobytes() == ref_pts.tobytes()
+        assert norms.tobytes() == ref_norms.tobytes()
+
+
+def _octahedron_carriers(times):
+    """The octahedron subdivided ``times`` times, with the octahedron cell
+    (a vertex tuple) whose interior holds each of its vertices."""
+    q = octahedron_sphere()
+    carrier = {v: (v,) for v in q.cells(0)}
+    for _ in range(times):
+        sub = barycentric_subdivide(q, 1)
+        carrier = {sub.cell_vertex[k][idx]: max((carrier[u] for u in s), key=len)
+                   for k in range(3) for idx, s in enumerate(q.simplices[k])}
+        q = sub.complex
+    return q, carrier
+
+
+@st.composite
+def _octahedron_maps(draw):
+    """A simplicial map from the octahedron subdivided 0-2 times: each
+    vertex goes to a vertex of its carrier cell, then by a symmetry of the
+    octahedron (vertex a + 3 s is the point -1^s e_a)."""
+    times = draw(st.integers(0, 2))
+    q, carrier = _octahedron_carriers(times)
+    axes = draw(st.permutations(range(3)))
+    flips = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    choice = draw(st.lists(st.integers(0, 2), min_size=q.count(0), max_size=q.count(0)))
+
+    def symmetry(u):
+        a, s = u % 3, u // 3
+        return axes[a] + 3 * (s ^ flips[a])
+
+    return SimplicialMapModel(octahedron_sphere(), times, {
+        v: symmetry(carrier[v][choice[v] % len(carrier[v])]) for v in q.cells(0)})
+
+
+@st.composite
+def _octahedron_fields(draw):
+    """A PL field with random small rational vertex vectors on the
+    octahedron subdivided 0-2 times."""
+    q, _ = _octahedron_carriers(draw(st.integers(0, 2)))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(entry, entry, entry),
+                            min_size=q.count(0), max_size=q.count(0)))
+    return PLFieldModel(q, dict(enumerate(vectors)), 100)
+
+
+@st.composite
+def _tetrahedron_fields(draw):
+    """A PL field with random small rational vertex vectors on the solid
+    3-simplex in R^3, subdivided 0-1 times: odd dimension, full-dimensional
+    cells."""
+    group = trivial_group()
+    simplices = [list(itertools.combinations(range(4), k + 1)) for k in range(4)]
+    q = QuotientComplex(group, ["o", "x", "y", "z"], simplices, {0: 1},
+                        dict.fromkeys(range(6), group.identity()),
+                        coordinates={v: tuple(Fraction(int(i == v - 1)) for i in range(3))
+                                     for v in range(4)})
+    if draw(st.booleans()):
+        q = barycentric_subdivide(q).complex
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(entry, entry, entry),
+                            min_size=q.count(0), max_size=q.count(0)))
+    return PLFieldModel(q, dict(enumerate(vectors)), 100)
+
+
+@st.composite
+def _torus_maps(draw):
+    """A Z^2 simplicial map of the 3x3 grid torus: a grid shift, each image
+    lifted by its own small deck shift."""
+    a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    decks = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                          min_size=9, max_size=9))
+    return SimplicialMapModel(torus_grid(), 0, {
+        3 * i + j: (decks[3 * i + j], 3 * ((i + a) % 3) + (j + b) % 3)
+        for i in range(3) for j in range(3)})
+
+
+AFFINE_FAMILIES = {"octahedron-maps": _octahedron_maps(),
+                   "octahedron-fields": _octahedron_fields(),
+                   "tetrahedron-fields": _tetrahedron_fields(),
+                   "torus-maps": _torus_maps()}
+
+
+class TestIntegerCells:
+    """The affine cells over one integer denominator against the Fraction
+    routine they replaced: the cells, the zeros, the chart indices and the
+    sampled floats."""
+
+    @pytest.mark.parametrize("family", list(AFFINE_FAMILIES))
+    @settings(max_examples=12, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_equal_to_the_fraction_routine(self, family, data):
+        model = data.draw(AFFINE_FAMILIES[family])
+        den, sign = model.den, model.index_matrix_sign
+        for idx, (s, positions, vectors) in enumerate(model.cells):
+            ref_s, ref_positions, ref_vectors = _fraction_cell(model, idx)
+            assert s == ref_s
+            assert [[Fraction(c, den) for c in p] for p in positions] == \
+                [list(p) for p in ref_positions]
+            assert [[Fraction(c, den) for c in w] for w in vectors] == \
+                [list(w) for w in ref_vectors]
+            assert _outcome(lambda: fixpoint._chart_index(sign, positions, vectors)) == \
+                _outcome(lambda: _fraction_chart_index(sign, ref_positions, ref_vectors))
+        # one cell at a time, so a refusal on one cell hides no other
+        cells = model.cells
+        for idx, cell in enumerate(cells):
+            model.cells = [cell]
+            assert _outcome(lambda: [(r.position, r.index) for r in model._solve_window(
+                model.group.identity(), False)]) == _outcome(lambda: _fraction_zero(model, idx))
+        model.cells = cells
+        # a coarse grid: the solid 3-simplex would sample 4495 points at 32
+        pts, norms = model.sample_norms(12)
+        ref_pts, ref_norms = _reference_sample_norms(model, 12)
         assert pts.tobytes() == ref_pts.tobytes()
         assert norms.tobytes() == ref_norms.tobytes()
 
@@ -542,7 +737,7 @@ class TestLefschetzClass:
 
 class TestStability:
     def test_sin_class_stable_under_subdivision(self, sin_model):
-        from deckindex.complexes import barycentric_subdivide
+        from deckindex.complexes import QuotientComplex, barycentric_subdivide
         from deckindex.fixpoint import AnalyticModel
         sub = barycentric_subdivide(torus_grid(), 1).complex
         finer = AnalyticModel(sub, ["sin(2*pi*x)/5", "sin(2*pi*y)/5"],
@@ -561,7 +756,7 @@ class TestStability:
             field.subdivided(1)
 
     def test_scaled_sin_class_stable_under_subdivision(self):
-        from deckindex.complexes import barycentric_subdivide
+        from deckindex.complexes import QuotientComplex, barycentric_subdivide
         from deckindex.fixpoint import AnalyticModel
         scaled = map_model_from_document(fixture_document("sin-map-scaled"))
         sub = barycentric_subdivide(torus_grid(), 1).complex

@@ -270,18 +270,43 @@ def test_fractional_complex_integer_is_refused(make, tmp_path, capsys):
     assert "is not an integer" in capsys.readouterr().err
 
 
-def _antipode_of_first_vertex():
-    """Octahedron map at subdivision 1 sending the barycenter of each cell
-    to the antipode of the cell's first vertex: the octahedron, its
+def _antipode_of_first_vertex(times=1):
+    """Octahedron map at subdivision ``times`` sending the barycenter of each
+    cell to the antipode of the octahedron vertex its first vertex goes to,
+    the cell's own first vertex at subdivision 1: the octahedron, its
     subdivision and the images by vertex id."""
     octa = fixture_complex("octahedron")
     antipode = {octa.vertices.index(v): octa.vertices.index(w) for v, w in
                 fixture_document("octahedron-antipodal")["vertex_images"].items()}
-    sub = barycentric_subdivide(octa, 1)
-    images = {sub.cell_vertex[k][idx]: antipode[s[0]]
-              for k in range(octa.dimension + 1)
-              for idx, s in enumerate(octa.simplices[k])}
-    return octa, sub.complex, images
+    q, first = octa, {v: v for v in octa.cells(0)}
+    for _ in range(times):
+        sub = barycentric_subdivide(q, 1)
+        first = {sub.cell_vertex[k][idx]: first[s[0]]
+                 for k in range(q.dimension + 1) for idx, s in enumerate(q.simplices[k])}
+        q = sub.complex
+    return octa, q, {v: antipode[w] for v, w in first.items()}
+
+
+def test_twice_subdivided_source_vertices_are_named(tmp_path, capsys, monkeypatch):
+    # names are built on read: the document's keys, from the naming rule
+    # applied level by level ("(px+py)", "(px+(px+py))", ...), still resolve
+    octa, source, images = _antipode_of_first_vertex(2)
+    q, names = octa, list(octa.vertices)
+    for _ in range(2):
+        names += ["(" + "+".join(names[v] for v in s) + ")"
+                  for dim in q.simplices[1:] for s in dim]
+        q = barycentric_subdivide(q).complex
+    assert {"(px+py)", "(px+(px+py))"} <= set(names)
+    doc = {"variant": "simplicial", "fixture": "octahedron", "subdivision": 2,
+           "vertex_images": {names[v]: octa.vertices[w] for v, w in images.items()}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["map-analyze", str(path)]) == 0
+    from_document = capsys.readouterr().out
+    monkeypatch.setattr(fixpoint, "map_model_from_document",
+                        lambda doc: SimplicialMapModel(octa, 2, images))
+    assert main(["map-analyze", str(path)]) == 0
+    assert from_document == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("keys", ["names", "ids"])
