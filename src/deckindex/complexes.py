@@ -69,9 +69,10 @@ class QuotientComplex:
     ----------
     group : MarkedGroup
         The deck group of the encoded covering.
-    vertices : list of str
-        Vertex names; vertex ids are positions in this list, and every
-        simplex uses ids from ``0`` to ``len(vertices) - 1``.
+    vertices : sequence of str
+        Vertex names; vertex ids are positions in this sequence, and every
+        simplex uses ids from ``0`` to ``len(vertices) - 1``.  A sequence is
+        kept as given and never changed; any other iterable is listed.
     simplices_by_dim : list
         ``simplices_by_dim[k]`` lists the k-simplices as ascending tuples
         of vertex ids, or holds them as an ``(N_k, k + 1)`` integer array.
@@ -92,7 +93,8 @@ class QuotientComplex:
     def __init__(self, group, vertices, simplices_by_dim, orientation, labels,
                  tree=frozenset(), coordinates=None, name=""):
         self.group = group
-        self.vertices = vertices if isinstance(vertices, _BarycenterNames) else list(vertices)
+        self.vertices = vertices if isinstance(vertices, collections.abc.Sequence) \
+            else list(vertices)
         self._rows = [_row_array(dim_list, k) for k, dim_list in enumerate(simplices_by_dim)]
         self.dimension = len(self._rows) - 1
         self.orientation = dict(orientation)
@@ -380,9 +382,11 @@ class _BarycenterNames(collections.abc.Sequence):
 
     @functools.cached_property
     def _names(self) -> list:
+        # new vertex i is the barycenter of old 0-cell i, whose vertex id
+        # need not be i
         name = self._old.__getitem__
-        return list(self._old) + ["(" + "+".join(map(name, s)) + ")"
-                                  for rows in self._rows[1:] for s in rows.tolist()]
+        return list(map(name, self._rows[0][:, 0].tolist())) + \
+            ["(" + "+".join(map(name, s)) + ")" for rows in self._rows[1:] for s in rows.tolist()]
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string"}

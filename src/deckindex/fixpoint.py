@@ -40,7 +40,7 @@ Two kinds of model are supported.
 * Affine-cell (complexes realized with exact rational coordinates): a
   simplicial map sends a barycentric subdivision of the quotient
   simplicially into the quotient; a PL field (``vectorfield``) interpolates
-  one vector per vertex.  Both expose, through ``affine_cell``, each source
+  one vector per vertex.  Both expose, through ``cells``, each source
   top cell's vertex positions and vertex vectors (a map's displacements
   ``T_j - S_j``, a field's projected vertex vectors) as integers over one
   denominator.  One code path solves the affine zero equation exactly per
@@ -524,13 +524,13 @@ def _dedup_on_torus(points, limit: int, tol: float = 1e-7):
 
 class AffineCellModel(ZeroTable):
     """A model given on each source top cell by exact vertex positions and
-    vertex vectors, through ``affine_cell``, as integers over the model's
-    one denominator ``den``; its zeros are exact."""
+    vertex vectors, through ``cells``, as integers over the model's one
+    denominator ``den``; its zeros are exact."""
 
     @functools.cached_property
     def cells(self) -> list:
-        """``affine_cell`` of every source top cell, in cell order, built
-        on first read and shared by the zero solve and the sampling."""
+        """``affine_cell`` of every source top cell, in cell order, unless a
+        model sets them; shared by the zero solve and the sampling."""
         src = self.source
         return [self.affine_cell(idx) for idx in src.cells(src.dimension)]
 

@@ -16,7 +16,6 @@ pipeline's entry points into those stages.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -78,30 +77,20 @@ class PLFieldModel(AffineCellModel):
                 raise InputError(f"the vertex vector of {complex.vertices[v]!r} has "
                                  f"{len(vec)} components; the complex has {d} coordinates")
         self.bound = Fraction(str(bound))
+        if self.bound < 0:
+            raise InputError(f"'bound' must be nonnegative, not {self.bound}")
+        # each top cell is projected once; only its numerators over the one
+        # least common denominator are kept
+        planar = [self._project(idx) for idx in complex.cells(complex.dimension)]
+        self.den = math.lcm(*(c.denominator for _, *rows in planar
+                              for row in itertools.chain(*rows) for c in row))
+        self.cells = [(s, numerators(positions, self.den), numerators(vectors, self.den))
+                      for s, positions, vectors in planar]
         self.validate_bound()
 
-    @functools.cached_property
-    def _planar(self) -> list:
-        """Per top cell, in cell order: vertex ids, exact positions and the
-        vertex vectors projected into the plane of the cell lifted at the
-        identity."""
-        q = self.complex
-        return [self._project(idx) for idx in q.cells(q.dimension)]
-
-    @functools.cached_property
-    def den(self) -> int:
-        """The least common denominator of every position and projected
-        vector."""
-        return math.lcm(*(c.denominator for _, *rows in self._planar
-                          for row in itertools.chain(*rows) for c in row))
-
-    def affine_cell(self, idx: int):
-        """Vertex ids, positions and projected vertex vectors of the top
-        cell ``idx``, over ``den``."""
-        s, positions, vectors = self._planar[idx]
-        return s, numerators(positions, self.den), numerators(vectors, self.den)
-
     def _project(self, idx: int):
+        """Vertex ids, exact positions and the vertex vectors projected into
+        the plane of the top cell ``idx`` lifted at the identity."""
         q = self.complex
         n = q.dimension
         s = q.simplex(n, idx)
@@ -126,11 +115,10 @@ class PLFieldModel(AffineCellModel):
         return s, verts, out
 
     def validate_bound(self):
-        if self.bound < 0:
-            raise InputError(f"'bound' must be nonnegative, not {self.bound}")
-        for idx, (_, _, vectors) in enumerate(self._planar):
+        limit = (self.bound * self.den) ** 2
+        for idx, (_, _, vectors) in enumerate(self.cells):
             for w in vectors:
-                if sum(c * c for c in w) > self.bound ** 2:
+                if sum(c * c for c in w) > limit:
                     raise InputError(f"declared bound {self.bound} violated by a "
                                      f"projected vertex vector on cell {idx}")
 

@@ -391,12 +391,29 @@ class TestFaceTable:
         q = octahedron_sphere()
         names = list(q.vertices)
         for _ in range(times):
-            names = names + ["(" + "+".join(names[v] for v in s) + ")"
-                             for dim in q.simplices[1:] for s in dim]
+            names = [names[v] for (v,) in q.simplices[0]] + \
+                ["(" + "+".join(names[v] for v in s) + ")" for dim in q.simplices[1:] for s in dim]
             q = barycentric_subdivide(q).complex
         doc = barycentric_subdivide(octahedron_sphere(), times).complex.to_document()
         assert doc["vertices"] == names
         assert "(px+py)" in names and (times < 2 or "(px+(px+py))" in names)
+
+    @pytest.mark.parametrize("times", [1, 2])
+    def test_vertices_listed_out_of_order_keep_their_names(self, times):
+        # new vertex i is the barycenter of old 0-cell i, so a document that
+        # lists its 0-simplices out of vertex order names each subdivision
+        # vertex after its 0-cell, at the coordinates of that vertex
+        ordered = octahedron_sphere().to_document()
+        shuffled = octahedron_sphere().to_document()
+        shuffled["simplices"]["0"] = shuffled["simplices"]["0"][::-1]
+        docs = [barycentric_subdivide(QuotientComplex.from_document(d), times)
+                .complex.to_document() for d in (ordered, shuffled)]
+        named = [dict(zip(d["vertices"], map(tuple, map(d["coordinates"].get, d["vertices"]))))
+                 for d in docs]
+        assert named[0] == named[1]
+        assert named[1]["px"] == tuple(ordered["coordinates"]["px"])
+        assert [sorted(map(tuple, d["simplices"]["2"])) for d in docs] == \
+            [sorted(map(tuple, docs[0]["simplices"]["2"]))] * 2
 
 
 class TestEulerCharacteristic:

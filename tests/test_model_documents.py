@@ -293,8 +293,8 @@ def test_twice_subdivided_source_vertices_are_named(tmp_path, capsys, monkeypatc
     octa, source, images = _antipode_of_first_vertex(2)
     q, names = octa, list(octa.vertices)
     for _ in range(2):
-        names += ["(" + "+".join(names[v] for v in s) + ")"
-                  for dim in q.simplices[1:] for s in dim]
+        names = [names[v] for (v,) in q.simplices[0]] + \
+            ["(" + "+".join(names[v] for v in s) + ")" for dim in q.simplices[1:] for s in dim]
         q = barycentric_subdivide(q).complex
     assert {"(px+py)", "(px+(px+py))"} <= set(names)
     doc = {"variant": "simplicial", "fixture": "octahedron", "subdivision": 2,
@@ -307,6 +307,25 @@ def test_twice_subdivided_source_vertices_are_named(tmp_path, capsys, monkeypatc
                         lambda doc: SimplicialMapModel(octa, 2, images))
     assert main(["map-analyze", str(path)]) == 0
     assert from_document == capsys.readouterr().out
+
+
+def test_names_bind_when_vertices_are_listed_out_of_order(tmp_path, capsys):
+    # an inline complex that lists its 0-simplices out of vertex order gets
+    # the same subdivision vertex names, so a name-keyed document binds
+    # every image to the same vertex and the report does not change
+    octa, source, images = _antipode_of_first_vertex()
+    vertex_images = {source.vertices[v]: octa.vertices[w] for v, w in images.items()}
+    out = []
+    for order in (1, -1):
+        complex_doc = octa.to_document()
+        complex_doc["simplices"]["0"] = complex_doc["simplices"]["0"][::order]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"variant": "simplicial", "complex": complex_doc,
+                                    "subdivision": 1, "vertex_images": vertex_images}),
+                        encoding="utf-8")
+        assert main(["map-analyze", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("keys", ["names", "ids"])

@@ -203,8 +203,8 @@ def test_affine_zeros_are_solved_once_per_command(command, fixture, tmp_path,
     def counted(affine_cell):
         return lambda model, idx: lifted.append(idx) or affine_cell(model, idx)
 
-    for model_class in (SimplicialMapModel, PLFieldModel):
-        monkeypatch.setattr(model_class, "affine_cell", counted(model_class.affine_cell))
+    for model_class, lift in ((SimplicialMapModel, "affine_cell"), (PLFieldModel, "_project")):
+        monkeypatch.setattr(model_class, lift, counted(getattr(model_class, lift)))
     assert main([command, f"fixture:{fixture}", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     assert sorted(lifted) == list(fixture_complex("octahedron").cells(2))
