@@ -116,9 +116,11 @@ class GraphChain:
     """Finitely supported integer 1-chain on the Cayley graph of a group;
     edges keyed by ordered pairs of elements, each stored in the direction
     of ascending shortlex key.  The keys are read from the group's
-    ``key_of``, so every chain of a command (the decision's, each flow
-    radius's and the verifier's) shares one key per element.  Distinct
-    elements have distinct keys, so an edge and its reverse share a key."""
+    ``key_of``, so every chain of a command (a bounding chain and its
+    check) shares one key per element.  Distinct elements have distinct
+    keys, so an edge and its reverse share a key.  Flow certificates need
+    no chain: their rows are read off the flow network's arcs and checked
+    on ball ids (``ufh.BallFlows.payload``, ``ufh.verify_certificate``)."""
 
     def __init__(self, group: MarkedGroup):
         self.group = group

@@ -36,8 +36,11 @@ work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
 read an id prefix of it.  Its BFS keys a free or surface element by the
 integer code of its word (:class:`WordCodes`), so a product is one integer
 cancel or append, and a surface product is rewritten only when its last
-half-relator window is flagged.  The last sphere takes one step per
-element: its cancel, its flagged appends, and a count of the rest.
+half-relator window is flagged.  The codes of the last sphere are not
+kept: a plain append from the sphere before the last is a new word, only
+the flagged ones are kept in a small dict, and each last-sphere element
+keeps its prefix's id.  The last sphere takes one step per element: its
+cancel, its flagged appends, and a count of the rest.
 Free-abelian and finite elements are their own keys, and their products
 are the kind's ``_append_token``.
 """
@@ -49,7 +52,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InputError, ResourceError
+from .errors import InputError, InternalError, ResourceError
 
 Token = int
 Word = tuple[Token, ...]
@@ -692,6 +695,17 @@ class IndexedBall:
     of the 133,288 of the genus-2 ball(5)); one equal to a plain append is
     counted once.  Building the genus-2 ball(5) so calls ``_append_token``
     840 times and rewrites 448 of those products.
+
+    A word kind keeps the codes of ball(radius - 1) only: the code-to-id
+    dict of every code set the BFS's peak memory.  The Cayley graph is
+    bipartite, so sphere ``radius - 1`` makes its last-sphere products by
+    plain appends, each a new word, and by flagged ones, the only ones kept
+    in a small dict: a rewritten product that lands in the last sphere
+    ends in the half relator its swap put there (the BFS raises
+    ``InternalError`` on one that does not).  A last-sphere element keeps
+    its prefix's id, which gives its cancel and, with its last token, the
+    code of its last ``h - 1`` tokens.  A plain code ``q`` names a
+    last-sphere word exactly when its prefix's row entry is in that sphere.
     """
 
     def __init__(self, group: MarkedGroup, radius: int):
@@ -706,14 +720,14 @@ class IndexedBall:
             base, key, undo = codes.base, 0, codes.undo
             window, flagged, encode = codes.window, codes.flagged, codes.encode
             follow, suffix = codes.follow, codes.suffix
-        ids = {key: 0}
+        ids = {key: 0}  # a word kind's ball(radius - 1), every other kind's ball
         keys, elements, dist = [key], [identity], [0]
         rows: list[list[int]] = [[] for _ in tokens]
         steps = list(zip(rows, tokens, range(1, len(tokens) + 1), undo))
         outside = set()
         i = 0
-        # a word kind's last sphere is handled below, one step per element
-        while i < len(elements) and not (base and dist[i] == radius):
+        # a word kind's last two spheres are handled below
+        while i < len(elements) and not (base and dist[i] >= radius - 1):
             g, d, c = elements[i], dist[i], keys[i]
             if base:
                 last, head = c % base, c * base
@@ -744,26 +758,67 @@ class IndexedBall:
             i += 1
         plain = 0  # the last sphere's plain appends, all outside and distinct
         if base:
+            # sphere radius - 1: its products lie in sphere radius - 2 or
+            # radius, and ids and keys keep no last-sphere code
+            found: dict[int, int] = {}  # last-sphere codes of flagged appends
+            parents: list[int] = []  # each last-sphere element's prefix id
+            while i < len(elements) and dist[i] < radius:
+                g, c = elements[i], keys[i]
+                last, head, me = c % base, c * base, ids[c]  # me: i, as rows hold it
+                for row, t, digit, inverse in steps:
+                    if last == inverse:
+                        row.append(ids[c // base])
+                        continue
+                    p = head + digit
+                    if p % window in flagged:
+                        h = append(g, t)
+                        p = encode(h)
+                        j = ids.get(p, found.get(p))
+                        if j is None:
+                            if p % window not in flagged:
+                                raise InternalError("a rewritten product ends "
+                                                    "off a half relator")
+                            j = found[p] = len(elements)
+                            parents.append(ids[p // base])
+                    else:  # a plain append is a new word
+                        h, j = g + (t,), len(elements)
+                        parents.append(me)
+                    if j == len(elements):
+                        elements.append(h)
+                        dist.append(radius)
+                    row.append(j)
+                i += 1
             first = i
             for row in rows:
-                row.extend([-1] * (len(elements) - first))
-            cancel, row_of = dict(zip(undo, rows)), dict(zip(tokens, rows))
-            for i in range(first, len(elements)):
-                c = keys[i]
-                flags = follow.get(c % suffix, ())
-                plain += len(tokens) - len(flags)
-                if c:  # every element but the identity cancels back to its parent
-                    cancel[c % base][i] = ids[c // base]
-                    plain -= 1
-                for t in flags:
+                row += itertools.repeat(-1, len(elements) - first)
+            row_of, digits = dict(zip(tokens, rows)), codes.digit
+            for i, parent in zip(range(first, len(elements)), parents):
+                t = elements[i][-1]
+                row_of[-t][i] = parent  # its one cancel
+                flags = follow.get((keys[parent] * base + digits[t]) % suffix, ())
+                plain += len(tokens) - 1 - len(flags)
+                for t in flags:  # its products lie in sphere radius - 1 or outside
                     p = encode(append(elements[i], t))
                     j = ids.get(p)
                     if j is None:
                         outside.add(p)
                     else:
                         row_of[t][i] = j
+            if not radius:  # the identity alone, whose products are all plain
+                plain = len(tokens)
+
+            def last_sphere(q: int) -> bool:
+                """Whether q codes a last-sphere word: a flagged one is in
+                found, a plain one is its prefix's row entry."""
+                if not q:
+                    return not radius
+                if q % window in flagged:
+                    return q in found
+                at = ids.get(q // base)
+                return at is not None and rows[q % base - 1][at] >= first
+
             # drop the flagged products counted as plain appends
-            outside = [p for p in outside if ids.get(p // base, -1) < first
+            outside = [p for p in outside if not last_sphere(p // base)
                        or p // base % base == undo[p % base - 1]
                        or p % window in flagged]
         self.radius = radius

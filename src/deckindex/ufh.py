@@ -19,7 +19,10 @@ two: the class vanishes exactly when every invariant mean sends it to 0
 constant part on an infinite one.
 
 Every certificate re-verifies independently: the verifier recomputes the
-boundary or the averages from scratch and compares exactly.
+boundary or the averages from scratch and compares exactly.  Flow rows are
+read off the network's arcs and checked on the integer ids of the group's
+indexed ball: each payload word is located once, and a generator step is
+read from the ball's product rows.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from fractions import Fraction
+from operator import itemgetter
 
 from .classes import (ClassCertificate, ClassFunction, GraphChain, _chain_to_payload,
                       _payload_to_chain)
@@ -215,7 +219,8 @@ class BallFlows:
     per sphere vertex.  Both commodities share the arcs and keep separate
     residuals.  The network starts at capacity 0; :meth:`raise_to` adds to
     both arcs of every ball edge and resumes from the current residual,
-    since a feasible flow stays feasible as capacities grow.
+    since a feasible flow stays feasible as capacities grow.  A feasible
+    network's :attr:`payload` is its certificate rows.
     """
 
     def __init__(self, group: MarkedGroup, c: ClassFunction, radius: int):
@@ -264,22 +269,26 @@ class BallFlows:
         return not self.deficit
 
     @property
-    def chain(self) -> GraphChain | None:
-        """The certificate chain of a feasible network, built when read: the
-        net edge flow reversed, since flow leaving a vertex deposits mass
-        there.  ``None`` while a deficit remains."""
+    def payload(self) -> list | None:
+        """The certificate rows of a feasible network, read off the edge arcs
+        when read; ``None`` while a deficit remains.
+
+        Edge arc ``a`` runs from id ``head[a + 1]`` up to ``head[a]`` and
+        carries capacity less residual in each commodity.  Its net flow
+        reversed (flow leaving a vertex deposits mass there) is the row
+        ``[word, word, plus - minus]``.  On F_n, Z^n and the surface groups
+        the id order is the shortlex order a :class:`GraphChain` keeps:
+        their Cayley graphs are bipartite (every relator has even length)
+        and a ball word is as long as its distance, so an edge joins
+        consecutive spheres.
+        """
         if self.deficit:
             return None
-        chain = GraphChain(self.group)
-        elements, head = self.ball.elements, self.head
+        word, elements, head = self.group.word_of, self.ball.elements, self.head
         plus, minus = self.caps[1], self.caps[-1]
-        for a in range(0, self.edge_arcs, 2):
-            # arc a carries capacity - residual from head[a + 1] to head[a]
-            # in each commodity
-            coeff = minus[a] - plus[a]
-            if coeff:
-                chain.add_edge(elements[head[a]], elements[head[a + 1]], coeff)
-        return chain
+        rows = [[word[elements[head[a + 1]]], word[elements[head[a]]], plus[a] - minus[a]]
+                for a in range(0, self.edge_arcs, 2) if plus[a] != minus[a]]
+        return sorted(rows, key=itemgetter(0, 1))
 
     def raise_to(self, capacity: int) -> None:
         """Grow the edge capacity to ``capacity`` and re-maximize both flows."""
@@ -363,6 +372,35 @@ def _generator_steps(group: MarkedGroup, chain: GraphChain) -> bool:
                for u, v in chain.edges)
 
 
+def _ball_locator(group: MarkedGroup, ball):
+    """``locate(word)``: the id in ``ball`` of the element a payload word
+    names, or -1 when it lies outside the ball.
+
+    The spelled word is walked from the identity through the ball's rows,
+    which hold exact products.  A word that names an unknown symbol, or a
+    spelling that leaves the ball, is parsed (which refuses the unknown
+    symbol) and its element's canonical word walked instead: every prefix
+    of a ball element's canonical word lies in the ball."""
+    row_of = dict(zip(group._signed_tokens(), ball.rows))
+    by_name = {name: row_of[t] for name, t in group._token_table.items()}
+
+    def walk(steps) -> int:
+        i = 0
+        for row in steps:
+            i = -1 if row is None else row[i]
+            if i < 0:
+                break
+        return i
+
+    def locate(text: str) -> int:
+        i = walk([by_name.get(symbol) for symbol in text.split()])
+        if i < 0:
+            word = group.element_word(group.parse_word(text))
+            i = walk([row_of[t] for t in word])
+        return i
+    return locate
+
+
 def _invariant_mean(group: MarkedGroup, f: ClassFunction):
     """The value every invariant mean gives f: its average on a finite
     group, its constant part on an infinite amenable group, and ``None`` on
@@ -374,10 +412,19 @@ def _invariant_mean(group: MarkedGroup, f: ClassFunction):
 
 
 def verify_certificate(cert: ClassCertificate) -> dict:
-    """Independent re-verification; recomputes everything exactly."""
+    """Independent re-verification; recomputes everything exactly.
+
+    A flow certificate is checked on the ids of ``indexed_ball(R)`` for its
+    largest radius R, the ball its decision built.  Each distinct payload
+    word is located once (:func:`_ball_locator`); each row's edges are
+    summed per unordered id pair, its boundary is an integer list compared
+    with f on ``range(ends[R - 1])``, and an edge (i, j) is a generator
+    step when j is among the entries ``rows[k][i]``.  An edge with an end
+    outside the row's ball(R) fails "flow edges lie in ball(R)" and is left
+    out of the other checks.
+    """
     group = cert.group
     f = cert.function
-    parse = functools.cache(group.parse_word)  # each distinct payload word once
     result = {"verified": False, "checks": []}
 
     def check(name, ok, detail=""):
@@ -410,7 +457,8 @@ def verify_certificate(cert: ClassCertificate) -> dict:
                   abs(avg - limit) <= Fraction(mass, size))
     elif cert.verdict == "zero-by-boundary":
         require("invariant mean vanishes", not mean)
-        chain = _payload_to_chain(group, cert.payload["chain"], parse)
+        chain = _payload_to_chain(group, cert.payload["chain"],
+                                  functools.cache(group.parse_word))  # each word once
         bdry = chain.boundary()
         if isinstance(group, FiniteGroup):  # bounded outright, not in a limit
             interior = set(group.elements())
@@ -449,21 +497,43 @@ def verify_certificate(cert: ClassCertificate) -> dict:
         # nonamenable (Block-Weinberger)
         require("group is nonamenable", not group.amenable)
         require("flows are present", bool(flows))
+        radii = [int(row["radius"]) for row in flows]
         require("flow radii match the stated radii",
-                [int(row["radius"]) for row in flows]
-                == [int(r) for r in cert.payload.get("radii", ())])
-        for row in flows:  # the radii nest, so the rows share words
-            radius = int(row["radius"])
-            chain = _payload_to_chain(group, row["chain"], parse)
-            bdry = chain.boundary()
-            interior = group.ball(radius - 1)
-            ok = all(bdry.get(v, 0) == f.value(v) for v in interior)
-            check(f"flow boundary matches on ball({radius - 1})", ok)
+                radii == [int(r) for r in cert.payload.get("radii", ())])
+        for radius in radii:  # ball(R - 1) must exist, so R >= 1
+            group.check_radius(radius - 1)
+        ball = group.indexed_ball(max(radii, default=0))  # the decision's own
+        locate = functools.cache(_ball_locator(group, ball))  # each word once
+        rows, ends = ball.rows, ball.ends
+        values: list = []  # f on the ball's ids, as far as a row needs it
+        for row, radius in zip(flows, radii):
+            n, inner = ends[radius], ends[radius - 1]
+            summed: dict = {}  # coefficient per unordered id pair
+            inside = True
+            for u_word, v_word, coeff in row["chain"]:
+                i, j, coeff = locate(u_word), locate(v_word), int(coeff)
+                if not coeff:
+                    continue
+                if not (0 <= i < n and 0 <= j < n):
+                    inside = False
+                    continue
+                if j < i:
+                    i, j, coeff = j, i, -coeff
+                summed[i, j] = summed.get((i, j), 0) + coeff
+            bdry = [0] * n
+            for (i, j), coeff in summed.items():
+                bdry[i] -= coeff
+                bdry[j] += coeff
+            values += map(f.value, ball.elements[len(values):inner])
+            check(f"flow boundary matches on ball({radius - 1})",
+                  bdry[:inner] == values[:inner])
+            require(f"flow edges lie in ball({radius})", inside)
             require(f"flow edges are generator steps at R={radius}",
-                    _generator_steps(group, chain))
+                    all(j in [r[i] for r in rows]
+                        for (i, j), coeff in summed.items() if coeff))
             # per-commodity capacity allows a combined coefficient of 2C
             check(f"flow coefficients within 2x capacity at R={radius}",
-                  chain.max_coefficient() <= 2 * cap)
+                  max(map(abs, summed.values()), default=0) <= 2 * cap)
     else:
         check("inconclusive verdicts carry no proof", True)
     result["verified"] = all(c["ok"] for c in result["checks"])
@@ -492,7 +562,8 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
         if rows is None:
             return ClassCertificate(
                 "inconclusive", group, f,
-                payload={"note": "no uniform capacity found within budget",
+                payload={"note": f"no uniform capacity up to {capacity_budget} "
+                                 "(--capacity)",
                          "radii": list(flow_radii)})
         cert = ClassCertificate(
             "zero-by-truncated-flow", group, f,
@@ -500,8 +571,7 @@ def decide_class(group: MarkedGroup, f: ClassFunction,
                 "capacity": capacity,
                 "radii": list(flow_radii),
                 "flows": [{"radius": r.radius,
-                           "chain": _chain_to_payload(group, r.chain)}
-                          for r in rows],
+                           "chain": r.payload} for r in rows],
                 "note": ("uniform capacity across the stated radii; finite "
                          "evidence consistent with, not a proof of, the "
                          "infinite certificate"),

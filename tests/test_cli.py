@@ -178,6 +178,16 @@ class TestDecideClass:
         report = _read_report(out)["report"]
         assert report["certificate"]["verdict"] == "zero-by-boundary"
 
+    def test_inconclusive_note_names_the_capacity_budget(self, tmp_path):
+        # F2 with constant 3 needs capacity 2 at the default radii
+        doc = {"group": {"kind": "free", "rank": 2}, "constant": 3, "finite": []}
+        path = _write(tmp_path, "f.json", doc)
+        out = str(tmp_path / "out")
+        assert main(["decide-class", path, "--capacity", "1", "--out", out]) == 0
+        cert = _read_report(out)["report"]["certificate"]
+        assert cert["verdict"] == "inconclusive"
+        assert cert["payload"]["note"] == "no uniform capacity up to 1 (--capacity)"
+
 
 class TestSelftestDeterminism:
     def test_all_pass_and_byte_identical(self, tmp_path):

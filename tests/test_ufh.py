@@ -1,10 +1,12 @@
+import copy
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from deckindex.classes import ClassFunction
-from deckindex.errors import InputError
+from deckindex.errors import InputError, ResourceError
 from deckindex.groups import (
     FiniteGroup,
     FreeAbelianGroup,
@@ -23,7 +25,9 @@ from deckindex.ufh import (
     decide_class,
     flow_certificate,
     isoperimetric_probe,
+    _capacity_search,
     _chain_to_payload,
+    _generator_steps,
     _payload_to_chain,
     minimal_flow_capacity,
     verify_certificate,
@@ -98,10 +102,11 @@ class TestFlowCertificate:
         for radius in (3, 4, 5, 6):
             res = flow_certificate(F2, one, radius, capacity=2)
             assert res.feasible
-            bdry = res.chain.boundary()
+            chain = _payload_to_chain(F2, res.payload, F2.parse_word)
+            bdry = chain.boundary()
             for v in F2.ball(radius - 1):
                 assert bdry.get(v, 0) == 1
-            assert res.chain.max_coefficient() <= 2
+            assert chain.max_coefficient() <= 2
 
     def test_z2_minimal_capacity_grows(self):
         one = ClassFunction(Z2, 1, {})
@@ -117,7 +122,7 @@ class TestFlowCertificate:
     def test_zero_function_feasible_with_empty_chain(self):
         zero = ClassFunction(F2, 0, {})
         res = flow_certificate(F2, zero, 4, capacity=2)
-        assert res.feasible and res.chain.edges == {}
+        assert res.feasible and res.payload == []
 
     def test_feasibility_monotone_in_capacity(self):
         rng = random.Random(9)
@@ -275,7 +280,7 @@ class TestVerifierRejectsTampering:
         cert = ClassCertificate(
             "zero-by-truncated-flow", Z2, one,
             payload={"capacity": 8, "radii": [4],
-                     "flows": [{"radius": 4, "chain": _chain_to_payload(Z2, res.chain)}]})
+                     "flows": [{"radius": 4, "chain": res.payload}]})
         assert _failed(verify_certificate(cert)) == {"group is nonamenable"}
 
     def test_mean_on_nonamenable_group_fails(self):
@@ -455,24 +460,33 @@ def _failed(result):
 
 
 def test_words_and_keys_are_computed_once_per_element(monkeypatch):
-    # one F2 decision at constant 3 builds a chain per flow radius, and its
-    # verification parses and rebuilds each; the group formats and keys
-    # each element once for all of them
+    # one F2 decision at constant 3 emits a payload per flow radius and
+    # checks them all; the group formats each payload word once, and the
+    # payload and its check read the ball's ids and rows, so they compute
+    # no shortlex key and no product
     group = FreeGroup(2)
-    seen = {"format_element": [], "sort_key": []}
+    seen = {"format_element": [], "sort_key": [], "multiply_token": []}
     for name, args in seen.items():
         method = getattr(group, name)
 
-        def counted(g, method=method, args=args):
-            args.append(g)
-            return method(g)
+        def counted(*a, method=method, args=args):
+            args.append(a)
+            return method(*a)
         monkeypatch.setattr(group, name, counted)
     cert = decide_class(group, ClassFunction(group, 3, {}))
     assert cert.verdict == "zero-by-truncated-flow" and cert.verifier_result["verified"]
+    assert verify_certificate(cert) == cert.verifier_result
     words = {w for row in cert.payload["flows"] for edge in row["chain"] for w in edge[:2]}
     assert len(cert.payload["flows"]) > 1
     assert len(seen["format_element"]) == len(set(seen["format_element"])) == len(words)
-    assert len(seen["sort_key"]) == len(set(seen["sort_key"])) >= len(words)
+    assert seen["sort_key"] == seen["multiply_token"] == []
+
+
+def test_inconclusive_note_names_the_capacity_budget():
+    # F2 with constant 3 needs capacity 2 at the default radii
+    cert = decide_class(F2, ClassFunction(F2, 3, {}), capacity_budget=1)
+    assert cert.verdict == "inconclusive"
+    assert cert.payload["note"] == "no uniform capacity up to 1 (--capacity)"
 
 
 class TestGraphChain:
@@ -739,3 +753,254 @@ def test_ball_flows_network_matches_row_scan(make, top, order):
             adj, head, edge_arcs, caps = _scanned_network(group, c, radius)
             assert (net.adj, net.head, net.edge_arcs) == (adj, head, edge_arcs)
             assert net.caps == caps
+
+
+# ---------------------------------------------------------------------------
+# Flow payloads oriented by ball id, and the flow check on ids against the
+# element check it replaced
+
+
+@pytest.mark.parametrize("make,radius", [(lambda: FreeGroup(2), 6),
+                                         (lambda: SurfaceGroup(2), 5),
+                                         (lambda: FreeAbelianGroup(2), 8)],
+                         ids=["free2-R6", "surface2-R5", "free-abelian2-R8"])
+def test_ball_edges_join_consecutive_spheres(make, radius):
+    # the premise of orienting payload rows by id: each listed edge i < j
+    # runs from a sphere to the next, and every word is as long as its
+    # distance, so the lower id has the smaller shortlex key
+    group = make()
+    ball = group.indexed_ball(radius)
+    end, dist = ball.ends[radius], ball.dist
+    above = ball.above(radius)
+    assert all(dist[j] == dist[i] + 1 for i in range(end) for j in above[i])
+    assert sum(map(len, above)) >= end - 1  # F2's Cayley graph is a tree
+    assert all(len(group.element_word(g)) == d
+               for g, d in zip(ball.elements[:end], dist[:end]))
+
+
+def _unit_masses(group, rng, count=6):
+    """``count`` unit masses of random sign on distinct elements of ball(2)."""
+    words = sorted(group.ball(2), key=group.sort_key)
+    return {g: rng.choice((-1, 1)) for g in rng.sample(words, count)}
+
+
+def _key_oriented_rows(net):
+    """The payload rows of a feasible network as a GraphChain orients them,
+    by ascending shortlex key: the net edge flow reversed."""
+    chain = GraphChain(net.group)
+    elements, head = net.ball.elements, net.head
+    plus, minus = net.caps[1], net.caps[-1]
+    for a in range(0, net.edge_arcs, 2):
+        chain.add_edge(elements[head[a]], elements[head[a + 1]], minus[a] - plus[a])
+    return _chain_to_payload(net.group, chain)
+
+
+@pytest.mark.parametrize("make,constant", [(lambda: FreeGroup(2), 1),
+                                           (lambda: FreeGroup(2), 2),
+                                           (lambda: FreeGroup(2), 3),
+                                           (lambda: SurfaceGroup(2), 1)],
+                         ids=["free2-c1", "free2-c2", "free2-c3", "surface2-c1"])
+def test_payload_rows_read_off_the_arcs_match_the_key_oriented_chain(make, constant):
+    rng = random.Random(f"payload/{constant}")
+    for _ in range(3):
+        group = make()
+        f = ClassFunction(group, constant, _unit_masses(group, rng))
+        cert = decide_class(group, f)
+        assert cert.verdict == "zero-by-truncated-flow"
+        radii = cert.payload["radii"]
+        capacity, nets = _capacity_search(group, f, radii, 16)
+        assert capacity == cert.payload["capacity"]
+        rows = [row["chain"] for row in cert.payload["flows"]]
+        assert rows == [net.payload for net in nets] == [_key_oriented_rows(net) for net in nets]
+        assert all(rows)
+
+
+def _element_flow_check(cert):
+    """``verify_certificate`` of a zero-by-truncated-flow certificate, on
+    elements, as the verifier once made it: every word parsed, each row's
+    chain keyed by shortlex, ball(R - 1) rebuilt as a set per radius, and
+    generator steps found by products."""
+    group, f = cert.group, cert.function
+    parse = functools.cache(group.parse_word)
+    result = {"verified": False, "checks": []}
+
+    def check(name, ok, detail=""):
+        result["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
+
+    def require(name, ok):
+        if not ok:
+            check(name, False)
+
+    cap = int(cert.payload["capacity"])
+    flows = cert.payload["flows"]
+    require("group is nonamenable", not group.amenable)
+    require("flows are present", bool(flows))
+    require("flow radii match the stated radii",
+            [int(row["radius"]) for row in flows]
+            == [int(r) for r in cert.payload.get("radii", ())])
+    for row in flows:
+        radius = int(row["radius"])
+        chain = _payload_to_chain(group, row["chain"], parse)
+        bdry = chain.boundary()
+        interior = group.ball(radius - 1)
+        check(f"flow boundary matches on ball({radius - 1})",
+              all(bdry.get(v, 0) == f.value(v) for v in interior))
+        require(f"flow edges are generator steps at R={radius}",
+                _generator_steps(group, chain))
+        check(f"flow coefficients within 2x capacity at R={radius}",
+              chain.max_coefficient() <= 2 * cap)
+    result["verified"] = all(c["ok"] for c in result["checks"])
+    return result
+
+
+def _outcome(verify, cert):
+    try:
+        return verify(cert)
+    except (InputError, ResourceError) as e:
+        return type(e).__name__, str(e)
+
+
+def _flow_tampers(group, cert, rng):
+    """(name, payload) of seeded tampers of an emitted flow certificate whose
+    words all name elements of their row's ball(R)."""
+    tokens = group._signed_tokens()
+    names = group.generator_names
+
+    def tampered(change):
+        payload = copy.deepcopy(cert.payload)
+        k = rng.choice([k for k, row in enumerate(payload["flows"]) if row["chain"]])
+        change(payload["flows"][k], int(payload["flows"][k]["radius"]))
+        return payload
+
+    def in_ball(radius):
+        ball = group.indexed_ball(radius)
+        return group.word_of[ball.elements[rng.randrange(ball.ends[radius])]]
+
+    def coefficient(row, radius):
+        e = rng.randrange(len(row["chain"]))
+        u, v, c = row["chain"][e]
+        row["chain"][e] = [u, v, rng.choice((c + 1, c - 1, -c, 2 * int(cert.payload["capacity"]) + 1))]
+
+    def drop(row, radius):
+        del row["chain"][rng.randrange(len(row["chain"]))]
+
+    def apart(radius):
+        """Words of two elements of ball(R) that are no generator step
+        apart, the first with its neighbours in ball(R)."""
+        while True:
+            u, v = in_ball(radius - 1), in_ball(radius)
+            gu, gv = group.parse_word(u), group.parse_word(v)
+            if all(group.multiply_token(gu, t) != gv for t in tokens):
+                return u, v, gu
+
+    def non_generator(row, radius):
+        u, v, gu = apart(radius)
+        if rng.random() < 0.5:  # a closed loop leaves every boundary as it was
+            w = group.word_of[group.multiply_token(gu, rng.choice(tokens))]
+            row["chain"] += [[u, v, 1], [v, w, 1], [w, u, 1]]
+        else:
+            row["chain"].append([u, v, rng.choice((-1, 1))])
+
+    def cancelled_non_generator(row, radius):
+        # listed once each way, the edge sums to no edge at all
+        u, v, _ = apart(radius)
+        row["chain"] += [[u, v, 1], [v, u, 1]]
+
+    def reversed_edge(row, radius):
+        e = rng.randrange(len(row["chain"]))
+        u, v, c = row["chain"][e]
+        row["chain"][e] = [v, u, rng.choice((-c, c))]
+
+    def reversed_copy(row, radius):
+        # summed with the edge, the reversed copy passes 2 x capacity
+        u, v, c = row["chain"][rng.randrange(len(row["chain"]))]
+        cap = int(cert.payload["capacity"])
+        row["chain"].append([v, u, -2 * cap if c > 0 else 2 * cap])
+
+    def listed_twice(row, radius):
+        e = rng.randrange(len(row["chain"]))
+        u, v, c = row["chain"][e]
+        split = rng.choice(([u, v, 1], [v, u, -1], [u, v, c]))
+        row["chain"][e] = [u, v, c - 1] if split != [u, v, c] else [u, v, c]
+        row["chain"].insert(rng.randrange(len(row["chain"]) + 1), split)
+
+    def non_reduced(row, radius):
+        e = rng.randrange(len(row["chain"]))
+        side = rng.randrange(2)
+        word = row["chain"][e][side].split()
+        x = rng.choice(names)
+        # a detour of length radius + 1 leaves ball(radius) and comes back
+        detour = [x] * rng.choice((1, radius + 1))
+        at = rng.randrange(len(word) + 1)
+        row["chain"][e][side] = " ".join(word[:at] + detour + [f"-{x}"] * len(detour)
+                                         + word[at:])
+
+    def radius_zero(row, radius):
+        row["radius"] = 0
+
+    def unknown_symbol(row, radius):
+        e = rng.randrange(len(row["chain"]))
+        row["chain"][e][rng.randrange(2)] += " zz"
+
+    for change in (coefficient, drop, non_generator, cancelled_non_generator,
+                   reversed_edge, reversed_copy, listed_twice, non_reduced,
+                   radius_zero, unknown_symbol):
+        for _ in range(3):
+            yield change.__name__, tampered(change)
+
+
+def _outside_edges(group, cert, rng):
+    """Payloads with one edge added whose far end lies outside its row's
+    ball(R): a generator step off the sphere, or a jump from the centre."""
+    for k, row in enumerate(cert.payload["flows"]):
+        radius = int(row["radius"])
+        ball = group.indexed_ball(radius)
+        sphere = ball.elements[rng.randrange(ball.ends[radius - 1], ball.ends[radius])]
+        longer = [group.multiply_token(sphere, t) for t in group._signed_tokens()]
+        far = rng.choice([g for g in longer if group.length(g) > radius])
+        for u, v in ((sphere, far), (group.identity(), far)):
+            payload = copy.deepcopy(cert.payload)
+            payload["flows"][k]["chain"].append(
+                [group.word_of[u], group.word_of[v], rng.choice((-1, 1))])
+            yield radius, payload
+
+
+def test_flow_row_radius_past_the_ball_budget_is_refused():
+    # the check reads the indexed ball of the largest row radius, which the
+    # ball budget bounds as it bounds the decision's
+    group = FreeGroup(2, ball_budget=3)
+    cert = ClassCertificate("zero-by-truncated-flow", group, ClassFunction(group, 1, {}),
+                            payload={"capacity": 2, "radii": [4],
+                                     "flows": [{"radius": 4, "chain": [["", "a", -1]]}]})
+    with pytest.raises(ResourceError, match="exceeds the ball budget 3"):
+        verify_certificate(cert)
+
+
+@pytest.mark.parametrize("make,constant,radii", [
+    (lambda: FreeGroup(2), 1, None),
+    (lambda: FreeGroup(2), 3, None),
+    (lambda: SurfaceGroup(2), 1, None),
+    (lambda: FreeGroup(2), 1, (1, 2)),
+], ids=["free2-c1", "free2-c3", "surface2-c1", "free2-R1"])
+def test_flow_check_on_ids_matches_the_element_check(make, constant, radii):
+    rng = random.Random(f"flow-check/{constant}/{radii}")
+    group = make()
+    f = ClassFunction(group, constant, _unit_masses(group, rng))
+    cert = decide_class(group, f, flow_radii=radii)
+    assert cert.verdict == "zero-by-truncated-flow"
+    assert _element_flow_check(cert) == cert.verifier_result
+    outcomes = set()
+    for name, payload in _flow_tampers(group, cert, rng):
+        forged = ClassCertificate(cert.verdict, group, f, payload=payload)
+        expected = _outcome(_element_flow_check, forged)
+        assert _outcome(verify_certificate, forged) == expected, name
+        outcomes.add((name, expected["verified"] if isinstance(expected, dict)
+                      else expected[0]))
+    # each tamper that can go either way does, and refusals are raised
+    assert {("coefficient", False), ("drop", False), ("non_generator", False),
+            ("cancelled_non_generator", True), ("reversed_edge", True),
+            ("reversed_copy", False), ("non_reduced", True),
+            ("radius_zero", "InputError"), ("unknown_symbol", "InputError")} <= outcomes
+    for radius, payload in _outside_edges(group, cert, rng):
+        forged = ClassCertificate(cert.verdict, group, f, payload=payload)
+        assert _failed(verify_certificate(forged)) == {f"flow edges lie in ball({radius})"}
