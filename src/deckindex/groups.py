@@ -24,11 +24,9 @@ generator), derived once on first use; the word string and the shortlex
 key of each element asked for (``word_of``, ``key_of``), so that every
 chain, certificate and report of a command formats and keys an element
 once; and the largest :class:`IndexedBall` asked of the group, replaced
-only by a larger one, which lists its edges as far as they are asked.
-Threads may share a group: a race can compute a word or key twice, build
-a ball or list its edges twice, or keep the smaller of two balls or edge
-lists, but every ball handed out has at least the radius asked for, and
-every edge list reaches as far as asked.
+only by a larger one.  Threads may share a group: a race can compute a
+word or key twice, build a ball twice, or keep the smaller of two balls,
+but every ball handed out has at least the radius asked for.
 
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
 elements in BFS order, so the flow networks and the isoperimetric probe
@@ -827,25 +825,6 @@ class IndexedBall:
         self.rows = rows
         self.ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
         self.outside = plain + len(outside)
-        self._above: list[list[int]] = []
-
-    def above(self, radius: int) -> list:
-        """``above(radius)[i]``, for each vertex ``i`` of ball(radius), lists
-        the ids ``j > i`` of its products in token order, each once (two
-        tokens can name one product): the ball's edges ``(i, j)``, ``i < j``.
-        Listed once per ball, and only up to the largest radius asked."""
-        above = self._above
-        if len(above) < self.ends[radius]:
-            listed = []
-            for i in range(len(above), self.ends[radius]):
-                up = []
-                for row in self.rows:
-                    j = row[i]
-                    if j > i and j not in up:
-                        up.append(j)
-                listed.append(up)
-            self._above = above = above + listed  # a racing thread lists alike
-        return above
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ two: the class vanishes exactly when every invariant mean sends it to 0
 (Block-Weinberger), and that value is the average on a finite group and the
 constant part on an infinite one.
 
+Truncated flows run on one arc table per indexed ball, whose prefixes are
+the networks of the smaller radii.  Supplies are excess on their vertices
+and the sphere absorbs flow, so a network has no source or sink; a
+push-relabel from the distance labels (a vertex's distance to the sphere)
+maximizes it, warm-started as the capacity grows.
+
 Every certificate re-verifies independently: the verifier recomputes the
 boundary or the averages from scratch and compares exactly.  Flow rows are
 read off the network's arcs and checked on the integer ids of the group's
@@ -28,8 +34,9 @@ read from the ball's product rows.
 from __future__ import annotations
 
 import functools
-from collections import deque
+import weakref
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from .classes import (ClassCertificate, ClassFunction, GraphChain, _chain_to_payload,
@@ -148,121 +155,77 @@ def bound_finite_mass(group: MarkedGroup, c: ClassFunction):
 
 
 # ---------------------------------------------------------------------------
-# Exact integral max-flow (Dinic's blocking flows, warm-started)
+# Exact integral max-flow (push-relabel from the distance labels)
 
-def _max_flow(adj, head, cap, s: int, t: int) -> int:
-    """Raise the s-t flow held in the residual ``cap`` to a maximum.
+_ARC_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    Dinic's algorithm: BFS levels over arcs with residual capacity, then a
-    blocking flow along level-increasing arcs by an iterative DFS with one
-    current-arc pointer per vertex.  Arcs come in pairs ``a``, ``a ^ 1``;
-    ``head[a]`` is the target of arc ``a`` and ``adj[v]`` lists the arcs
-    leaving ``v``.  ``cap`` is updated in place; returns the added value.
+
+def _arc_table(ball, radius: int):
+    """``(head, adj, stop)``: the edges of ``ball`` as arc pairs, listed once
+    per ball and extended as larger radii are asked.
+
+    Edge ``e`` is ``(i, j)`` with ``i < j`` and ``i`` in ball(R - 1), R the
+    largest radius asked, listed by ``i`` and then in token order, each
+    once (two tokens can name one product).  Arc ``2e`` runs up to
+    ``head[2e] = j`` and arc ``2e + 1`` back down to ``head[2e + 1] = i``;
+    ``adj[v]`` lists the arcs leaving ``v``.  The network of ``radius`` is
+    the arc prefix ``range(stop)``, the edges of its ball(radius - 1), and
+    holds ``adj[v]`` of every ``v`` there.
     """
-    n = len(adj)
-    added = 0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = deque([s])
-        while queue and level[t] < 0:
-            v = queue.popleft()
-            lv = level[v] + 1
-            for a in adj[v]:
-                if cap[a] > 0 and level[head[a]] < 0:
-                    level[head[a]] = lv
-                    queue.append(head[a])
-        if level[t] < 0:
-            return added
-        pointer = [0] * n
-        path: list[int] = []
-        v = s
-        while True:
-            if v == t:
-                push = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= push
-                    cap[a ^ 1] += push
-                added += push
-                # resume from the tail of the first saturated arc
-                k = next(k for k, a in enumerate(path) if cap[a] == 0)
-                del path[k:]
-                v = head[path[-1]] if path else s
-                continue
-            arcs = adj[v]
-            i = pointer[v]
-            nxt = level[v] + 1
-            while i < len(arcs) and (cap[arcs[i]] == 0
-                                     or level[head[arcs[i]]] != nxt):
-                i += 1
-            pointer[v] = i
-            if i < len(arcs):
-                path.append(arcs[i])
-                v = head[arcs[i]]
-            elif v == s:
-                break
-            else:
-                level[v] = -1  # dead end for the rest of this phase
-                v = head[path.pop() ^ 1]
-                pointer[v] += 1
+    head, adj, stops = _ARC_TABLES.get(ball, ([], [[]], [0]))  # stop per radius
+    if len(stops) > radius:
+        return head, adj, stops[radius]
+    # a racing thread extends its own copy
+    head, adj, stops = head[:], [arcs[:] for arcs in adj], stops[:]
+    ends, rows = ball.ends, ball.rows
+    for r in range(len(stops), radius + 1):
+        adj += ([] for _ in range(len(adj), ends[r]))
+        for i in range(ends[r - 2] if r > 1 else 0, ends[r - 1]):
+            up = []
+            for row in rows:
+                j = row[i]
+                if j > i and j not in up:
+                    up.append(j)
+                    adj[i].append(len(head))
+                    adj[j].append(len(head) + 1)
+                    head += j, i
+        stops.append(len(head))
+    _ARC_TABLES[ball] = head, adj, stops
+    return head, adj, stops[radius]
 
 
 class BallFlows:
-    """The two commodities' flow networks on ball(radius) of a group, which
-    are their own flow certificate.
+    """The two commodities' flows on ball(radius) of a group, which are
+    their own flow certificate.
 
-    Vertex ids are the indexed ball's ids below ``ends[radius]``; the source
-    and the sink come after them.  The first arc pairs are the ball edges,
-    read in order off the ball's one edge list (``IndexedBall.above``, less
-    the edges to the next sphere), each arc with the uniform capacity; then
-    one source arc per inner vertex where c is nonzero, and one sink arc
-    per sphere vertex.  Both commodities share the arcs and keep separate
-    residuals.  The network starts at capacity 0; :meth:`raise_to` adds to
-    both arcs of every ball edge and resumes from the current residual,
-    since a feasible flow stays feasible as capacities grow.  A feasible
-    network's :attr:`payload` is its certificate rows.
+    Both commodities share the first ``edge_arcs`` arcs of the ball's
+    :func:`_arc_table`, each arc with the uniform capacity, and keep
+    separate residuals ``caps[sign]``.  A commodity's supply is its
+    ``excess[sign]`` on the vertices of ball(radius - 1), and the sphere
+    absorbs what reaches it, so the network has no source or sink.  It
+    starts at capacity 0; :meth:`raise_to` adds to every arc and pushes
+    the remaining excess again, since a flow stays feasible as capacities
+    grow.  The excess left where no residual path reaches the sphere is
+    the :attr:`deficit`; :attr:`relabels` counts the push-relabel work.  A
+    feasible network's :attr:`payload` is its certificate rows.
     """
 
     def __init__(self, group: MarkedGroup, c: ClassFunction, radius: int):
         ball = group.indexed_ball(radius)
-        n = ball.ends[radius]
         inner = ball.ends[radius - 1] if radius > 0 else 0
-        if inner == n:
+        if inner == ball.ends[radius]:
             raise InputError("sphere is empty; the group is too small for this radius")
-        source, sink = n, n + 1
-        above = ball.above(radius)
-        pairs = [(i, j) for i in range(n) for j in above[i] if j < n]
-        self.edge_arcs = 2 * len(pairs)
-        values = [c.value(ball.elements[i]) for i in range(inner)]
-        supplied = [i for i in range(inner) if values[i]]
-        pairs += [(source, i) for i in supplied]
-        pairs += [(i, sink) for i in range(inner, n)]
-        adj: list[list[int]] = [[] for _ in range(n + 2)]
-        head: list[int] = []
-        for u, v in pairs:  # arc len(head) runs from u to v, the next back
-            adj[u].append(len(head))
-            adj[v].append(len(head) + 1)
-            head += v, u
-        sources = slice(self.edge_arcs, self.edge_arcs + 2 * len(supplied), 2)
-        sinks = slice(sources.stop, len(head), 2)
-        unbounded = sum(abs(values[i]) for i in supplied)
-        self.caps = {}
-        self.want = {}
-        for sign in (1, -1):
-            supply = [max(sign * values[i], 0) for i in supplied]
-            cap = [0] * len(head)
-            cap[sources] = supply
-            cap[sinks] = [unbounded] * (n - inner)
-            self.caps[sign] = cap
-            self.want[sign] = sum(supply)
-        self.value = {1: 0, -1: 0}
+        self.head, self.adj, self.edge_arcs = _arc_table(ball, radius)
+        values = [c.value(g) for g in ball.elements[:inner]]
+        self.caps = {sign: [0] * self.edge_arcs for sign in (1, -1)}
+        self.excess = {sign: [max(sign * v, 0) for v in values] for sign in (1, -1)}
         self.group, self.ball, self.radius = group, ball, radius
-        self.adj, self.head, self.source, self.sink = adj, head, source, sink
         self.capacity = 0
+        self.relabels = 0
 
     @property
     def deficit(self) -> int:
-        return sum(self.want[s] - self.value[s] for s in (1, -1))
+        return sum(map(sum, self.excess.values()))
 
     @property
     def feasible(self) -> bool:
@@ -297,11 +260,73 @@ class BallFlows:
             raise InternalError("flow capacities only grow")
         self.capacity = capacity
         for sign, cap in self.caps.items():
-            for a in range(self.edge_arcs):
-                cap[a] += delta
-            if self.value[sign] < self.want[sign]:
-                self.value[sign] += _max_flow(self.adj, self.head, cap,
-                                              self.source, self.sink)
+            cap[:] = [r + delta for r in cap]
+            if any(self.excess[sign]):
+                self._discharge(cap, self.excess[sign])
+
+    def _discharge(self, cap: list, excess: list) -> None:
+        """Push-relabel until no excess can reach the sphere.
+
+        Labels start at ``radius - dist``, the distance to the sphere, which
+        is a valid labelling of any residual: an edge joins spheres at most
+        one apart.  Active vertices are discharged highest label first, ties
+        in id order, so the first sweep runs in id order; each pushes along
+        its arcs in order to a vertex one label lower, and relabels to one
+        above its lowest residual neighbour.  A vertex keeps its excess once
+        its label reaches n, the ball's size; so does every vertex above a
+        label that a relabel leaves empty (a gap), since a residual path to
+        the sphere lowers the label by at most one per arc.
+        """
+        ball, radius, adj, head = self.ball, self.radius, self.adj, self.head
+        n = ball.ends[radius]
+        inner = len(excess)
+        label = [radius - d for d in ball.dist[:n]]
+        count = [0] * (n + 1)  # vertices per label below n
+        for d in label:
+            count[d] += 1
+        # key (n - label) * n + v pops highest label first, then lowest id;
+        # ids ascend with dist, so the initial keys are sorted, a heap
+        heap = [(n - label[v]) * n + v for v in range(inner) if excess[v]]
+        while heap:
+            v = heappop(heap) % n
+            d = label[v]
+            if d == n:  # cut off by a gap while queued
+                continue
+            e, arcs = excess[v], adj[v]
+            while True:
+                low = d - 1
+                for a in arcs:
+                    r = cap[a]
+                    if r and label[head[a]] == low:
+                        w = head[a]
+                        push = r if r < e else e
+                        cap[a] = r - push
+                        cap[a ^ 1] += push
+                        if w < inner:
+                            if not excess[w]:
+                                heappush(heap, (n - low) * n + w)
+                            excess[w] += push
+                        e -= push
+                        if not e:
+                            break
+                if not e:
+                    break
+                self.relabels += 1
+                count[d] -= 1
+                if not count[d]:  # a gap at d
+                    for u in range(inner):
+                        if d < label[u] < n:
+                            count[label[u]] -= 1
+                            label[u] = n
+                    d = n
+                    break
+                d = 1 + min((label[head[a]] for a in arcs if cap[a]), default=n)
+                if d >= n:
+                    d = n
+                    break
+                count[d] += 1
+            excess[v] = e
+            label[v] = d
 
 
 def flow_certificate(group: MarkedGroup, c: ClassFunction, radius: int,

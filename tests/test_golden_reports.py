@@ -56,10 +56,12 @@ GOLDEN = {
         "3e7a6a0621b0f3273abdd91329d86080ec40befbf4727ee483b90e0c0373f9a5",
     ("amenability", "torus", "--radius", "6"):
         "a527f4e2b75ab7a750a5fbc49f1c8edd7c7b70906546129c7f54014198e76ade",
-    # a zero-by-truncated-flow certificate over F2: its flow chains are one
-    # valid max-flow among many, so a different solver moves this digest
+    # a zero-by-truncated-flow certificate over F2 at capacity 3: its flow
+    # chains are one valid max-flow among many, so a different solver moves
+    # this digest, in certificate.payload.flows[*].chain only (push-relabel
+    # moved flows[0], the radius-3 chain)
     ("map-analyze", "free-cover-index"):
-        "581400b66d6637c44b6b3a628862cb8cead4cecf4978d49358824294aabcb6ab",
+        "9a0961ab71e0234755e809720ce2425aafc7886647d4896f499dc7dcc83ea4e1",
     ("map-analyze", "connected-sum-index"):
         "576367e1a5009123b14c9ea2d6e9b5bfa4fdc54b19c3fded79a22b3510291499",
 }

@@ -25,6 +25,7 @@ from deckindex.ufh import (
     decide_class,
     flow_certificate,
     isoperimetric_probe,
+    _arc_table,
     _capacity_search,
     _chain_to_payload,
     _generator_steps,
@@ -655,6 +656,30 @@ FLOW_CASES = ([(F2, r) for r in (3, 4, 5, 6)] + [(SURF, r) for r in (2, 3, 4)]
               + [(Z2, 4), (Z2, 8)])
 
 
+def _cyclic8(*generator_ids):
+    table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
+    return FiniteGroup(table, generator_ids=list(generator_ids),
+                       names=["s", "t", "u"][:len(generator_ids)])
+
+
+def _doubled_cyclic():
+    """Z/8 marked by 1, 4 and 1 again: 4 is its own inverse and two
+    generators name one element, so rows repeat a product."""
+    return _cyclic8(1, 4, 1)
+
+
+# Z^2 is amenable, so its infeasible rounds relabel; Z/8 marked by 1 and 2
+# has the edge (1, 2) inside sphere 1, so its radius-2 network has an edge
+# between two vertices of one label
+WARM_CASES = {"free2-R5": (lambda: FreeGroup(2), 5),
+              "surface2-R3": (lambda: SurfaceGroup(2), 3),
+              "free-abelian2-R4": (lambda: FreeAbelianGroup(2), 4),
+              "free-abelian2-R8": (lambda: FreeAbelianGroup(2), 8),
+              "doubled-cyclic8-R1": (_doubled_cyclic, 1),
+              "doubled-cyclic8-R2": (_doubled_cyclic, 2),
+              "cyclic8-by-1-2-R2": (lambda: _cyclic8(1, 2), 2)}
+
+
 class TestMaxFlowAgainstNetworkx:
     @pytest.mark.parametrize("group,radius", FLOW_CASES,
                              ids=[f"{g.kind}-R{r}" for g, r in FLOW_CASES])
@@ -679,58 +704,35 @@ class TestMaxFlowAgainstNetworkx:
         cert = decide_class(F2, c)
         assert cert.payload["capacity"] == _nx_minimal_capacity(F2, c, (3, 4, 5, 6))
 
+    @pytest.mark.parametrize("make,radius", WARM_CASES.values(), ids=WARM_CASES.keys())
+    def test_warm_started_deficits_match(self, make, radius):
+        # one network raised through capacities resumes from the excess an
+        # infeasible round left, on arcs that carry flow
+        group = make()
+        for c in (ClassFunction(group, 1, {}), _mixed(group, 1), _mixed(group, 9)):
+            net = BallFlows(group, c, radius)
+            for capacity in (1, 2, 3, 5):
+                net.raise_to(capacity)
+                assert net.deficit == _nx_deficit(group, c, radius, capacity)
+
 
 # ---------------------------------------------------------------------------
 # Flow networks against a scan of the ball's rows per radius
 
 
-def _scanned_network(group, c, radius):
-    """``adj``, ``head``, ``edge_arcs`` and both commodities' capacities of
-    the network on ball(radius), each edge found by scanning every vertex's
-    row entries below the radius, its first token kept."""
-    ball = group.indexed_ball(radius)
-    n = ball.ends[radius]
-    inner = ball.ends[radius - 1] if radius else 0
-    adj = [[] for _ in range(n + 2)]
-    head = []
-
-    def arc_pair(u, v):
-        adj[u].append(len(head))
-        head.append(v)
-        adj[v].append(len(head))
-        head.append(u)
-
-    for i in range(n):
+def _scanned_edges(ball, radius):
+    """The edges ``(i, j)``, ``i < j``, of the network on ball(radius), each
+    found by scanning the row entries of every ``i`` in ball(radius - 1),
+    its first token kept."""
+    edges = []
+    for i in range(ball.ends[radius - 1] if radius else 0):
         seen = []
         for row in ball.rows:
             j = row[i]
-            if i < j < n and j not in seen:
+            if j > i and j not in seen:
                 seen.append(j)
-                arc_pair(i, j)
-    edge_arcs = len(head)
-    values = [c.value(ball.elements[i]) for i in range(inner)]
-    supplied = [i for i in range(inner) if values[i]]
-    for i in supplied:
-        arc_pair(n, i)
-    for i in range(inner, n):
-        arc_pair(i, n + 1)
-    unbounded = sum(abs(values[i]) for i in supplied)
-    caps = {}
-    for sign in (1, -1):
-        cap = [0] * len(head)
-        for k, i in enumerate(supplied):
-            cap[edge_arcs + 2 * k] = max(sign * values[i], 0)
-        for a in range(edge_arcs + 2 * len(supplied), len(head), 2):
-            cap[a] = unbounded
-        caps[sign] = cap
-    return adj, head, edge_arcs, caps
-
-
-def _doubled_cyclic():
-    """Z/8 marked by 1, 4 and 1 again: 4 is its own inverse and two
-    generators name one element, so rows repeat a product."""
-    table = [[(i + j) % 8 for j in range(8)] for i in range(8)]
-    return FiniteGroup(table, generator_ids=[1, 4, 1], names=["s", "t", "u"])
+                edges.append((i, j))
+    return edges
 
 
 NETWORK_CASES = {"free2": (lambda: FreeGroup(2), 6),
@@ -742,17 +744,25 @@ NETWORK_CASES = {"free2": (lambda: FreeGroup(2), 6),
                          ids=NETWORK_CASES.keys())
 @pytest.mark.parametrize("order", ["ascending", "descending"])
 def test_ball_flows_network_matches_row_scan(make, top, order):
-    # each ball lists its edges once, growing as radii are asked; every
-    # network must still be the one a scan of the rows at its radius builds
+    # each ball lists its arcs once, growing as radii are asked; every
+    # network must still be the prefix a scan of the rows at its radius
+    # lists, with every arc of its inner vertices inside it
     group = make()
-    group.indexed_ball(top)
+    ball = group.indexed_ball(top)
     radii = range(top + 1) if order == "ascending" else range(top, -1, -1)
     for radius in radii:
+        inner = ball.ends[radius - 1] if radius else 0
         for c in (ClassFunction(group, 1, {}), _mixed(group, 3)):
             net = BallFlows(group, c, radius)
-            adj, head, edge_arcs, caps = _scanned_network(group, c, radius)
-            assert (net.adj, net.head, net.edge_arcs) == (adj, head, edge_arcs)
-            assert net.caps == caps
+            head, stop = net.head, net.edge_arcs
+            assert [(head[a + 1], head[a]) for a in range(0, stop, 2)] \
+                == _scanned_edges(ball, radius)
+            assert all(net.adj[v] == [a for a in range(stop) if head[a ^ 1] == v]
+                       for v in range(inner))
+            values = [c.value(g) for g in ball.elements[:inner]]
+            assert net.excess == {sign: [max(sign * v, 0) for v in values]
+                                  for sign in (1, -1)}
+            assert net.caps == {1: [0] * stop, -1: [0] * stop}
 
 
 # ---------------------------------------------------------------------------
@@ -771,9 +781,9 @@ def test_ball_edges_join_consecutive_spheres(make, radius):
     group = make()
     ball = group.indexed_ball(radius)
     end, dist = ball.ends[radius], ball.dist
-    above = ball.above(radius)
-    assert all(dist[j] == dist[i] + 1 for i in range(end) for j in above[i])
-    assert sum(map(len, above)) >= end - 1  # F2's Cayley graph is a tree
+    head, _, stop = _arc_table(ball, radius)
+    assert all(dist[head[a]] == dist[head[a + 1]] + 1 for a in range(0, stop, 2))
+    assert stop // 2 >= end - 1  # F2's Cayley graph is a tree
     assert all(len(group.element_word(g)) == d
                for g, d in zip(ball.elements[:end], dist[:end]))
 
@@ -813,6 +823,22 @@ def test_payload_rows_read_off_the_arcs_match_the_key_oriented_chain(make, const
         rows = [row["chain"] for row in cert.payload["flows"]]
         assert rows == [net.payload for net in nets] == [_key_oriented_rows(net) for net in nets]
         assert all(rows)
+
+
+@pytest.mark.parametrize("make", [lambda: FreeGroup(2), lambda: SurfaceGroup(2)],
+                         ids=["free2", "surface2"])
+def test_unit_mass_decisions_push_without_relabels(make):
+    # the benchmark's decisions: constant 1 and six unit masses need capacity
+    # 1, and the first sweep, highest label first, pushes every unit to the
+    # sphere; a relabel means excess that found no lower neighbour
+    rng = random.Random("relabels")
+    for _ in range(5):
+        group = make()
+        f = ClassFunction(group, 1, _unit_masses(group, rng))
+        radii = decide_class(group, f).payload["radii"]
+        capacity, nets = _capacity_search(group, f, radii, 16)
+        assert capacity == 1
+        assert [net.relabels for net in nets] == [0] * len(radii)
 
 
 def _element_flow_check(cert):
