@@ -13,8 +13,10 @@ int64 array per dimension.  With that normalization the j-th face of a
 simplex is again ascending and the boundary coefficient is exactly
 ``(-1)**j``, which keeps all chain-level bookkeeping free of permutation
 parities.  ``simplices`` (ascending tuples) and the tuple -> id index are
-views of the arrays, built the first time they are read; validation and
-subdivision run on the arrays themselves.
+views of the arrays, built the first time they are read.  Edge labels and
+top-simplex signs are integer tables too: ``labels`` and ``orientation``
+are mappings over one id per cell into a table of the distinct values.
+Validation and subdivision run on these arrays and ids themselves.
 
 Incidence is one face table per complex: ``facets[k][i, j]`` is the id of
 the facet of k-simplex i that omits position j (-1 when it is missing),
@@ -78,15 +80,17 @@ class QuotientComplex:
         of vertex ids, or holds them as an ``(N_k, k + 1)`` integer array.
         Dimension 0 must enumerate all vertices, and no simplex may be
         listed twice.
-    orientation : dict
-        Sign (+1/-1) per top-simplex index.
-    labels : dict
-        Deck label per edge index, for the ascending direction of the edge.
+    orientation : mapping
+        Sign (+1/-1) per top-simplex id.
+    labels : mapping
+        Deck label per edge id, for the ascending direction of the edge.
+        Both are copied into integer tables (:class:`_CellValues`), also
+        when set later, and read back as mappings.
     tree : set
         Edge indices of the spanning tree used for label normalization.
         May be empty for derived complexes.
     coordinates : dict, optional
-        Exact rational coordinates per vertex id, for complexes with a
+        Exact rational coordinates (ints or Fractions) per vertex id, for a
         Euclidean model (flat torus covers, realized finite complexes).
     """
 
@@ -97,12 +101,12 @@ class QuotientComplex:
             else list(vertices)
         self._rows = [_row_array(dim_list, k) for k, dim_list in enumerate(simplices_by_dim)]
         self.dimension = len(self._rows) - 1
-        self.orientation = dict(orientation)
-        self.labels = dict(labels)
+        self._check_basic_shape()
+        self.orientation = orientation
+        self.labels = labels
         self.tree = frozenset(tree)
         self.coordinates = dict(coordinates) if coordinates else None
         self.name = name
-        self._check_basic_shape()
 
     # -- basic structure ----------------------------------------------------
 
@@ -116,8 +120,7 @@ class QuotientComplex:
             if outside.any():
                 raise InputError(f"vertex id {int(rows[outside][0])} in dimension "
                                  f"{k} is outside 0..{n - 1}")
-            # each column of vertex ids below the next; otherwise the first
-            # offender is named
+            # each column of vertex ids below the next, or the first offender named
             descents = (rows[:, :-1] >= rows[:, 1:]).any(axis=1)
             if descents.any():
                 raise _malformed_simplex(tuple(rows[descents.argmax()].tolist()), k)
@@ -177,15 +180,18 @@ class QuotientComplex:
 
     # -- labels ---------------------------------------------------------------
 
+    def __setattr__(self, name, value):
+        # a mapping set to labels or orientation is copied into a new store
+        if name in ("labels", "orientation"):
+            value = _CellValues.of(value, self.count(1 if name == "labels" else self.dimension))
+        super().__setattr__(name, value)
+
     def edge_label(self, u: int, v: int):
         """Deck label of the oriented edge u -> v."""
         if u == v:
             raise InternalError("degenerate edge")
-        if u < v:
-            idx = self.index_of(1, (u, v))
-            return self.labels[idx]
-        idx = self.index_of(1, (v, u))
-        return self.group.inverse(self.labels[idx])
+        label = self.labels[self.index_of(1, (u, v) if u < v else (v, u))]
+        return label if u < v else self.group.inverse(label)
 
     def shift(self, simplex, face):
         """Deck shift from a simplex anchor to a face anchor.
@@ -213,11 +219,8 @@ class QuotientComplex:
                 for j, f in enumerate(self.facet_ids(k, idx))]
 
     def subface_shift(self, k: int, idx: int, positions):
-        """Face of a simplex spanned by the given vertex positions.
-
-        Returns ``(face_dim, face_index, deck_shift)`` for the sub-simplex
-        on ``positions`` (ascending position tuple).
-        """
+        """``(face_dim, face_index, deck_shift)`` of the face of a simplex
+        spanned by the vertex positions ``positions`` (ascending)."""
         s = self.simplex(k, idx)
         face = tuple(s[p] for p in positions)
         fk = len(face) - 1
@@ -246,12 +249,9 @@ class QuotientComplex:
         if g is None:
             g = self.group.identity()
         s = self.simplex(k, idx)
-        out = []
-        for v in s:
-            shift = self.group.identity() if v == s[0] else self.edge_label(s[0], v)
-            vec = self.translation_vector(self.group.multiply(g, shift))
-            out.append(tuple(Fraction(c) + w for c, w in zip(self.coordinates[v], vec)))
-        return out
+        vecs = (self.translation_vector(self.group.multiply(g, self.shift(s, (v,)))) for v in s)
+        return [tuple(c + w for c, w in zip(self.coordinates[v], vec))
+                for v, vec in zip(s, vecs)]
 
     # -- documents ---------------------------------------------------------------
 
@@ -264,21 +264,16 @@ class QuotientComplex:
             "dimension": n,
             "group": group_to_document(self.group),
             "vertices": list(self.vertices),
-            "simplices": {
-                str(k): [[self.vertices[v] for v in s] for s in self.simplices[k]]
-                for k in range(n + 1)
-            },
-            "orientation": {self._skey(n, i): self.orientation[i]
-                            for i in sorted(self.orientation)},
+            "simplices": {str(k): [[self.vertices[v] for v in s] for s in self.simplices[k]]
+                          for k in range(n + 1)},
+            "orientation": {self._skey(n, i): sign for i, sign in self.orientation.items()},
             "labels": {self._skey(1, i): self.group.format_element(lbl)
-                       for i, lbl in sorted(self.labels.items())},
+                       for i, lbl in self.labels.items()},
             "tree": sorted(self._skey(1, i) for i in self.tree),
         }
         if self.coordinates is not None:
-            doc["coordinates"] = {
-                self.vertices[v]: [fraction_str(c) for c in cs]
-                for v, cs in sorted(self.coordinates.items())
-            }
+            doc["coordinates"] = {self.vertices[v]: [fraction_str(c) for c in cs]
+                                  for v, cs in sorted(self.coordinates.items())}
         if self.name:
             doc["name"] = self.name
         return doc
@@ -314,22 +309,21 @@ class QuotientComplex:
                         raise InputError(f"simplex {row} must be ascending and repeat-free")
                     dim_list.append(ids)
                 simplices.append(dim_list)
-            c = cls(group, names, simplices, {}, {},
-                    name=_entry(doc, "name", str, ""))
+            c = cls(group, names, simplices, {}, {}, name=_entry(doc, "name", str, ""))
 
             # keys referencing absent simplices are dropped here; the
             # validator reports the underlying missing faces/labels
             edges = c._index[1] if n >= 1 else {}
             tops = c._index[n]
-            orientation = {}
             for key, sign in _entry(doc, "orientation", dict, {}).items():
-                if isinstance(sign, bool):
+                try:
+                    sign = integer_value(sign)
+                except ValueError as e:
                     raise InputError(f"malformed complex document: the 'orientation' sign "
-                                     f"of {key!r} must be +1 or -1, not a boolean")
+                                     f"of {key!r} must be +1 or -1: {e}") from None
                 parts = tuple(vid[x] for x in key.split("|"))
                 if parts in tops:
-                    orientation[tops[parts]] = integer_value(sign)
-            labels = {}
+                    c.orientation[tops[parts]] = sign
             for key, word in _entry(doc, "labels", dict, {}).items():
                 a, b = _edge_key(vid, "labels", key)
                 if not isinstance(word, str):
@@ -340,30 +334,67 @@ class QuotientComplex:
                     a, b = b, a
                     lbl = group.inverse(lbl)
                 if (a, b) in edges:
-                    labels[edges[(a, b)]] = lbl
+                    c.labels[edges[(a, b)]] = lbl
             tree = set()
             for key in _entry(doc, "tree", list, []):
-                if not isinstance(key, str):
-                    raise InputError("malformed complex document: 'tree' must list "
-                                     "edges as 'u|v' strings")
                 a, b = sorted(_edge_key(vid, "tree", key))
                 if (a, b) in edges:
                     tree.add(edges[(a, b)])
-            coords = None
             if "coordinates" in doc:
-                coords = {vid[v]: tuple(_parse_fraction(x) for x in row)
-                          for v, row in _entry(doc, "coordinates", dict).items()}
+                c.coordinates = coords = {
+                    vid[v]: tuple(Fraction(str(x)) for x in row)
+                    for v, row in _entry(doc, "coordinates", dict).items()}
                 if len(coords) != len(names) or \
                         len({len(row) for row in coords.values()}) != 1:
                     raise InputError("malformed complex document: 'coordinates' must "
                                      "give every vertex the same number of coordinates")
-            c.orientation = orientation
-            c.labels = labels
             c.tree = frozenset(tree)
-            c.coordinates = coords
             return c
         except (KeyError, ValueError, TypeError) as e:
             raise InputError(f"malformed complex document: {e}")
+
+
+class _CellValues(collections.abc.MutableMapping):
+    """Values on the cells of one dimension as a mapping from cell id: one
+    int64 id per cell (-1 for none) into ``table``, which holds each value
+    once, and ``index`` from value to id, so a value written again reuses
+    its id."""
+
+    def __init__(self, ids, table=()):
+        self.ids, self.table = ids, list(table)
+        self.index = dict(zip(self.table, itertools.count()))
+
+    @classmethod
+    def of(cls, values, size: int):
+        import numpy as np
+        if isinstance(values, cls):
+            return cls(values.ids.copy(), values.table)
+        store = cls(np.full(size, -1, np.int64))
+        store.update(values)
+        return store
+
+    def __getitem__(self, key):
+        i = self.ids.item(key) if 0 <= key < len(self.ids) else -1
+        if i < 0:
+            raise KeyError(key)
+        return self.table[i]
+
+    def __setitem__(self, key, value):
+        if not 0 <= key < len(self.ids):
+            raise KeyError(key)
+        self.ids[key] = self.index.setdefault(value, len(self.table))
+        if len(self.index) > len(self.table):
+            self.table.append(value)
+
+    def __delitem__(self, key):
+        self[key]  # a KeyError when the cell has no value
+        self.ids[key] = -1
+
+    def __iter__(self):
+        return iter((self.ids >= 0).nonzero()[0].tolist())
+
+    def __len__(self):
+        return int((self.ids >= 0).sum())
 
 
 class _BarycenterNames(collections.abc.Sequence):
@@ -404,15 +435,11 @@ def _entry(doc: dict, key: str, kind: type, default=None):
 
 def _edge_key(vid: dict, key: str, edge: str):
     """The vertex ids of a ``'u|v'`` edge key of entry ``key``."""
-    parts = edge.split("|")
+    parts = edge.split("|") if isinstance(edge, str) else []
     if len(parts) != 2:
         raise InputError(f"malformed complex document: {key!r} edge {edge!r} must "
                          "name two vertices as 'u|v'")
     return vid[parts[0]], vid[parts[1]]
-
-
-def _parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +516,6 @@ def _face_ids(q: QuotientComplex, k: int):
     return _row_ids(q._rows[k - 1], faces).reshape(k + 1, len(rows)).T
 
 
-def _label_ids(labels: list):
-    """``(ids, index)``: ``index`` maps each distinct label to its id, in
-    order of first appearance, and ``ids`` holds one id per label."""
-    import numpy as np
-    index = dict(zip(dict.fromkeys(labels), itertools.count()))
-    return np.fromiter(map(index.__getitem__, labels), np.int64, len(labels)), index
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -519,30 +538,28 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
             report.add("simplicial-complex condition",
                        f"face {s[:j] + s[j + 1:]} of {s} is missing")
 
-    # labels present on every edge, tree normalized
-    labels = q.labels
-    for idx in itertools.filterfalse(labels.__contains__, q.cells(1)):
+    # labels present on every edge, tree normalized (-2 is no label id)
+    ids, table, index = q.labels.ids, q.labels.table, q.labels.index
+    for idx in (ids < 0).nonzero()[0].tolist():
         report.add("label condition", f"edge {simplex(1, idx)} has no label")
-    tree = list(q.tree)
-    ends = dict(zip(tree, map(tuple, q._rows[1][tree].tolist()))) if tree else {}
-    for idx in tree:
-        if labels.get(idx) != q.group.identity():
-            report.add("tree condition", f"tree edge {ends[idx]} has a non-identity label")
-    if tree:
-        if len(tree) != len(q.vertices) - 1:
+    for idx in q.tree:
+        if ids[idx] != index.get(q.group.identity(), -2):
+            report.add("tree condition", f"tree edge {simplex(1, idx)} has a non-identity label")
+    if q.tree:
+        if len(q.tree) != len(q.vertices) - 1:
             report.add("tree condition", "tree edge count is not |V| - 1")
-        if len(spanning_tree(q, tree)) != len(q.vertices) - 1:
+        if len(spanning_tree(q, q.tree)) != len(q.vertices) - 1:
             report.add("tree condition", "tree does not span the vertex set")
 
     # cocycle condition on 2-simplices (a, b, c), whose facets omitting
     # positions 0, 1, 2 are bc, ac, ab: label(ab) * label(bc) = label(ac).
-    # Few distinct label pairs occur, so each product is computed once
+    # The table holds each label once, so ids compare labels, and each
+    # product of the few distinct label pairs is computed once
     if n >= 2 and not report.kinds() & {"label condition", "simplicial-complex condition"}:
-        ids, index = _label_ids(list(map(labels.__getitem__, q.cells(1))))
-        distinct, d = list(index), len(index)
+        d = len(table)
         bc, ac, ab = (ids[col] for col in facets[2].T)
         pairs, which = np.unique(ab * d + bc, return_inverse=True)
-        products = [index.get(q.group.multiply(distinct[p // d], distinct[p % d]), -1)
+        products = [index.get(q.group.multiply(table[p // d], table[p % d]), -1)
                     for p in pairs.tolist()]
         for idx in (np.array(products, np.int64)[which] != ac).nonzero()[0].tolist():
             report.add("cocycle condition",
@@ -552,8 +569,9 @@ def validate_quotient(q: QuotientComplex) -> ValidationReport:
     # oriented top simplices on it and the sum of their induced signs (no
     # label lookups, so this also runs on otherwise-broken documents)
     if n >= 1:
-        signs = np.array([sign if sign in (1, -1) else 0
-                          for sign in map(q.orientation.get, q.cells(n))], np.int64)
+        # the sign of each table entry, and 0 (at id -1) for none
+        signs = np.array([sign if sign in (1, -1) else 0 for sign in q.orientation.table]
+                         + [0], np.int64)[q.orientation.ids]
         for idx in (signs == 0).nonzero()[0].tolist():
             report.add("orientation data",
                        f"top simplex {simplex(n, idx)} has no +1/-1 orientation sign")
@@ -593,8 +611,7 @@ def orient_pseudomanifold(q: QuotientComplex) -> dict:
             for j, fidx in enumerate(facets[idx]):
                 inc = q.cofacets[n - 1][fidx]
                 if len(inc) != 2:
-                    raise OrientationError("not a pseudomanifold: face "
-                                           f"{q.simplex(n - 1, fidx)}")
+                    raise OrientationError(f"not a pseudomanifold: face {q.simplex(n - 1, fidx)}")
                 for other, j2 in inc:
                     if other == idx:
                         continue
@@ -652,9 +669,8 @@ class PeriodicComplex:
         face = q.simplex(n - 1, face_idx)
         shift_here = q.shift(q.simplex(n, top_idx), face)
         shift_there = q.shift(q.simplex(n, other), face)
-        deck = self.group.multiply(self.group.multiply(g, shift_here),
-                                   self.group.inverse(shift_there))
-        return deck, other
+        return self.group.multiply(self.group.multiply(g, shift_here),
+                                   self.group.inverse(shift_there)), other
 
     def fundamental_domain(self) -> "FundamentalDomain":
         return FundamentalDomain(self)
@@ -675,13 +691,12 @@ class FundamentalDomain:
         self.pc = pc
         q = pc.quotient
         n = q.dimension
-        group = pc.group
-        deck_top = {0: group.identity()}
+        deck_top = {0: pc.group.identity()}
         frontier = [0]
         while frontier:
             nxt = []
             for idx in sorted(frontier):
-                for fidx, _, _ in q.face_data(n, idx):
+                for fidx in q.facet_ids(n, idx):
                     nbr_deck, nbr = pc.neighbor_across(deck_top[idx], idx, fidx)
                     if nbr not in deck_top:
                         deck_top[nbr] = nbr_deck
@@ -689,14 +704,12 @@ class FundamentalDomain:
             frontier = nxt
         if len(deck_top) != q.count(n):
             raise InputError("quotient top cells are not face-connected")
-        # the least top containing each cell, read down the cofacets; a
-        # cell in no top gets q.count(n)
+        # the least top containing each cell (q.count(n) for none), read down the cofacets
         host = [None] * n + [list(q.cells(n))]
         for k in reversed(range(n)):
             host[k] = [min((host[k + 1][c] for c, _ in cof), default=q.count(n))
                        for cof in q.cofacets[k]]
-        self.deck = [dict() for _ in range(n + 1)]
-        self.deck[n] = deck_top
+        self.deck = [{} for _ in range(n)] + [deck_top]
         for k in range(n):
             for idx, top in enumerate(host[k]):
                 if top == q.count(n):
@@ -749,8 +762,7 @@ def check_subdivision_count(times: int, knob: str, least: int = 0) -> int:
         raise InputError(f"{knob} must be >= {least}, not {times}")
     if times > SUBDIVISION_BUDGET:
         raise ResourceError(f"{knob} {times} exceeds the subdivision budget "
-                            f"{SUBDIVISION_BUDGET}; deep subdivisions explode "
-                            "the cell count")
+                            f"{SUBDIVISION_BUDGET}; deep subdivisions explode the cell count")
     return times
 
 
@@ -788,13 +800,13 @@ def _chain_map_tables(level):
 
 def _compose_chain_maps(first, second):
     out = []
-    for k in range(len(first)):
+    for one, two in zip(first, second):
         table = {}
-        for idx, terms in first[k].items():
-            acc: dict[int, int] = {}
+        for idx, terms in one.items():
+            acc = collections.Counter()
             for mid, c1 in terms:
-                for new, c2 in second[k][mid]:
-                    acc[new] = acc.get(new, 0) + c1 * c2
+                for new, c2 in two[mid]:
+                    acc[new] += c1 * c2
             table[idx] = [(i, c) for i, c in sorted(acc.items()) if c]
         out.append(table)
     return out
@@ -819,8 +831,9 @@ def _subdivide_once(q: QuotientComplex):
     n = q.dimension
     group = q.group
     offset = list(itertools.accumulate(map(q.count, range(n + 1)), initial=0))
-    if any((f < 0).any() for f in q.facets):
-        raise InputError("subdivision needs a complex with every face present")
+    if any((f < 0).any() for f in q.facets + [q.labels.ids, q.orientation.ids]):
+        raise InputError("subdivision needs a complex with every face present, every "
+                         "edge labelled and every top simplex signed")
 
     # the coface table: one entry (face, coface, step sign, label id) per
     # proper face of each old cell, for the new edge face -> coface.  When
@@ -832,29 +845,26 @@ def _subdivide_once(q: QuotientComplex):
     # carries shift(rho, tau)^-1, the inverse label of the edge from the
     # first vertex of rho to the first vertex of tau (the identity when they
     # are the same vertex); ``back[:, p]`` holds its label id when tau
-    # starts at position p of rho.
-    old_ids, old_index = _label_ids(list(map(q.labels.__getitem__, q.cells(1))))
-    old_labels = list(old_index)
-    labels = [group.identity()] + list(map(group.inverse, old_labels))
+    # starts at position p of rho: 0 for the identity, 1 + i for the inverse
+    # of old label i, and ``remap`` takes it to the distinct new labels.
+    distinct = {}
+    remap = np.array([distinct.setdefault(g, len(distinct)) for g in
+                      [group.identity()] + list(map(group.inverse, q.labels.table))], np.int64)
     entries = []
-    shifts = [np.zeros((q.count(0), 0), np.int64)]  # label ids of the edges (0, p)
     for k in range(1, n + 1):
         rows = q._rows[k]
         combos = [list(itertools.combinations(range(k + 1), m + 1)) for m in range(k)]
-        faces = [np.stack([_compose_facets(q, k, c) for c in block], axis=1)
-                 for block in combos]
+        faces = [np.stack([_compose_facets(q, k, c) for c in block], axis=1) for block in combos]
         # the edges (0, p) are the first k pairs of positions
         edges = faces[1][:, :k] if k > 1 else np.arange(len(rows))[:, None]
-        shifts.append(old_ids[edges])
-        back = np.concatenate([np.zeros((len(rows), 1), np.int64), 1 + shifts[k]], axis=1)
+        back = np.concatenate([np.zeros((len(rows), 1), np.int64), 1 + q.labels.ids[edges]], 1)
         for m in range(k):
             steps = [(-1) ** t if m == k - 1 else 0 for t in range(len(combos[m]))]
             entries.append((offset[m] + faces[m],
                             (offset[k] + np.arange(len(rows))).repeat(len(steps)),
                             np.tile(steps, len(rows)),
                             back[:, [c[0] for c in combos[m]]]))
-    face, coface, step, label = (np.concatenate([e[i].ravel() for e in entries])
-                                 for i in range(4))
+    face, coface, step, label = (np.concatenate([e[i].ravel() for e in entries]) for i in range(4))
     order = np.lexsort((coface, face))
     face, coface, step, label = face[order], coface[order], step[order], label[order]
     start = np.concatenate([[0], np.bincount(face, minlength=offset[-1]).cumsum()])
@@ -884,8 +894,7 @@ def _subdivide_once(q: QuotientComplex):
                 facets.append(np.stack([coface[entry], parent], axis=1))
             else:
                 side = keys.searchsorted(rows[:, k - 2] * offset[-1] + rows[:, k])
-                by = np.concatenate([entry[:, None].repeat(k - 1, axis=1), side[:, None]],
-                                    axis=1)
+                by = np.concatenate([entry[:, None].repeat(k - 1, axis=1), side[:, None]], axis=1)
                 up = skips[-2][facets[-1][parent]]
                 facets.append(np.concatenate([by + up, parent[:, None]], axis=1))
         simplices_by_dim.append(rows)
@@ -899,23 +908,17 @@ def _subdivide_once(q: QuotientComplex):
     coords = None
     if q.coordinates is not None:
         # the barycenter of each old cell, realized from its first vertex
-        coords = {}
-        for k in range(n + 1):
-            for r, s, ids in zip(itertools.count(offset[k]), q._rows[k].tolist(),
-                                 shifts[k].tolist()):
-                vecs = map(q.translation_vector, [group.identity()] + [old_labels[i] for i in ids])
-                pts = [[Fraction(c) + w for c, w in zip(q.coordinates[v], vec)]
-                       for v, vec in zip(s, vecs)]
-                coords[r] = tuple(sum(col) / Fraction(k + 1) for col in zip(*pts))
-    new = QuotientComplex(group, _BarycenterNames(q), simplices_by_dim, {}, {},
+        coords = {offset[k] + idx: tuple(sum(col) / (k + 1) for col in zip(*q.realize(k, idx)))
+                  for k in range(n + 1) for idx in q.cells(k)}
+    # a new top simplex takes its cell's sign times its flag's, and new edge
+    # e is coface entry e: level 1 extends each cell in id order
+    old_signs = np.array(q.orientation.table, np.int64)[q.orientation.ids]
+    values, sign_ids = np.unique(old_signs[rows[:, -1] - offset[n]] * signs, return_inverse=True)
+    new = QuotientComplex(group, _BarycenterNames(q), simplices_by_dim,
+                          _CellValues(sign_ids, values.tolist()),
+                          _CellValues(remap[label], distinct),
                           coordinates=coords, name=(q.name + "^sd") if q.name else "")
     new.facets = facets  # read off the flags above, never searched
-    # new edge e is coface entry e: level 1 extends each cell in id order
-    new.labels = dict(enumerate(map(labels.__getitem__, label.tolist())))
-    bounds, tops, top_signs = level[n]
-    old_signs = np.array(list(map(q.orientation.__getitem__, q.cells(n))), np.int64)
-    new.orientation = dict(zip(tops.tolist(),
-                               (old_signs[rows[tops, -1] - offset[n]] * top_signs).tolist()))
     cell_vertex = [list(range(offset[k], offset[k + 1])) for k in range(n + 1)]
     return new, cell_vertex, level
 
@@ -969,10 +972,7 @@ def gauge_normalize(q: QuotientComplex) -> QuotientComplex:
     h = {0: group.identity()}
     for v, (u, _) in tree.items():
         h[v] = group.multiply(h[u], q.edge_label(u, v))
-    labels = {}
-    for eidx, (u, v) in enumerate(q.simplices[1]):
-        labels[eidx] = group.multiply(
-            group.multiply(h[u], q.labels[eidx]), group.inverse(h[v]))
-    out = QuotientComplex(group, q.vertices, q._rows, q.orientation,
-                          labels, {e for _, e in tree.values()}, None, name=q.name)
-    return out
+    labels = {e: group.multiply(group.multiply(h[u], q.labels[e]), group.inverse(h[v]))
+              for e, (u, v) in enumerate(q.simplices[1])}
+    return QuotientComplex(group, q.vertices, q._rows, q.orientation, labels,
+                           {e for _, e in tree.values()}, name=q.name)

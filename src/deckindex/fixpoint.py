@@ -1178,10 +1178,17 @@ def document_value(doc, key, parse, *default):
 
 def vertex_id_reader(q: QuotientComplex):
     """Vertex id of a vertex name, an integral id or a decimal string id
-    (JSON object keys are strings); a name wins over an id."""
-    vid = {name: i for i, name in enumerate(q.vertices)}
-    return lambda x: vid[x] if isinstance(x, str) and (x in vid or not x.isdecimal()) \
-        else integer_value(x)
+    (JSON object keys are strings); a name wins over an id.  The name index
+    is built on the first string, so ids alone read no vertex name."""
+    vid = {}
+
+    def read(x):
+        if not isinstance(x, str):
+            return integer_value(x)
+        if not vid:
+            vid.update((name, i) for i, name in enumerate(q.vertices))
+        return vid[x] if x in vid or not x.isdecimal() else int(x)
+    return read
 
 
 def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):

@@ -899,8 +899,9 @@ def folner_average(scheme: BoxFolnerScheme | WholeGroupFolnerScheme, f,
 
 def integer_value(v) -> int:
     """An integral document value as an int; a fractional number is
-    rejected, never truncated."""
-    if isinstance(v, float) and not v.is_integer():
+    rejected, never truncated, and so are a string and a boolean, which
+    ``int`` would read as numbers."""
+    if isinstance(v, (str, bool)) or isinstance(v, float) and not v.is_integer():
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 

@@ -211,6 +211,14 @@ class TestSelftestDeterminism:
         assert verdicts == {True}
 
 
+def _torus_with_a_string_sign():
+    # a +1 sign written as "1", which int() would read back unchanged
+    doc = fixture_complex("torus").to_document()
+    key = next(k for k, sign in sorted(doc["orientation"].items()) if sign == 1)
+    doc["orientation"][key] = "1"
+    return doc
+
+
 class TestExitCodes:
     def test_unknown_fixture_is_input_error(self, tmp_path):
         assert main(["validate", "fixture:moebius"]) == 1
@@ -341,6 +349,39 @@ class TestExitCodes:
                       {"group": {"kind": "free-abelian", "rank": 1},
                        "constant": constant, "finite": [["a", value]]})
         assert main(["decide-class", path]) == 1
+
+    # int() would read "1" as 1, "1_0" as 10 and true as 1: an integer
+    # field given as a JSON string or boolean is refused, named as the
+    # document's reader names its other malformed values
+    STRING_OR_BOOLEAN = {
+        "constant-string": (
+            "decide-class", lambda: {"group": {"kind": "free-abelian", "rank": 1},
+                                     "constant": "1", "finite": []},
+            "malformed class function document: '1' is not an integer"),
+        "finite-underscore": (
+            "decide-class", lambda: {"group": {"kind": "free-abelian", "rank": 1},
+                                     "finite": [["a", "1_0"]]},
+            "malformed class function document: '1_0' is not an integer"),
+        "ball-budget-string": (
+            "amenability", lambda: {"kind": "free", "rank": 2, "ball_budget": "8"},
+            "malformed group block: '8' is not an integer"),
+        "rank-boolean": (
+            "amenability", lambda: {"kind": "free", "rank": True},
+            "malformed group block: True is not an integer"),
+        "grid-boolean": (
+            "map-analyze", lambda: dict(fixture_document("sin-map"), grid=True),
+            "cannot read 'grid' (ValueError: True is not an integer)"),
+        "sign-string": (
+            "validate", _torus_with_a_string_sign,
+            "must be +1 or -1: '1' is not an integer"),
+    }
+
+    @pytest.mark.parametrize("case", list(STRING_OR_BOOLEAN))
+    def test_string_or_boolean_integer_is_refused(self, case, tmp_path, capsys):
+        command, make, message = self.STRING_OR_BOOLEAN[case]
+        path = _write(tmp_path, "doc.json", make())
+        assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["decide-class", "map-analyze"])
     def test_non_string_word_is_input_error(self, command, tmp_path, capsys):

@@ -511,6 +511,14 @@ class TestSubdivision:
         with pytest.raises(InputError, match="subdivision needs a complex with every face present"):
             barycentric_subdivide(broken)
 
+    @pytest.mark.parametrize("store", ["labels", "orientation"])
+    def test_missing_label_or_sign_is_refused(self, store):
+        # an id of -1 would otherwise read as the first or last table entry
+        q = genus2_surface()
+        del getattr(q, store)[3]
+        with pytest.raises(InputError, match="every edge labelled and every top simplex signed"):
+            barycentric_subdivide(q)
+
     def test_tetrahedron_counts(self):
         sub = barycentric_subdivide(TETRA)
         q = sub.complex
@@ -610,6 +618,72 @@ class TestSubdivision:
         # barycenter of a top cell is the average of its realized vertices
         pts = q.realize(0, q.count(0) - 1)
         assert len(pts) == 1
+
+
+class TestCellTables:
+    """Labels and signs are one id per cell into a table of distinct values;
+    the cocycle check compares label ids, which needs each label once."""
+
+    @pytest.mark.parametrize("name", sorted(FIXTURE_BUILDERS))
+    def test_each_value_once_at_every_level(self, name):
+        q = fixture_complex(name)
+        for _ in range(4):
+            for store, k in ((q.labels, 1), (q.orientation, q.dimension)):
+                ids = store.ids.tolist()
+                assert len(ids) == q.count(k) and min(ids) >= 0
+                assert len(set(store.table)) == len(store.table)
+                assert store.index == {v: i for i, v in enumerate(store.table)}
+                assert set(store.table) == set(store.values())
+                assert [store[c] for c in q.cells(k)] == [store.table[i] for i in ids]
+            q = barycentric_subdivide(q).complex
+
+    def test_writing_a_known_label_reuses_its_id(self):
+        q = barycentric_subdivide(GENUS2).complex
+        labels, group = q.labels, q.group
+        e, f = (next(i for i in q.cells(1) if labels[i] == g) for g in labels.table[:2])
+        table = list(labels.table)
+        labels[e] = labels[f]
+        assert labels.ids[e] == labels.ids[f] and labels.table == table
+        square = group.multiply(labels[f], labels[f])
+        assert square not in table
+        labels[e] = square
+        labels[f] = square
+        assert labels.table == table + [square] and labels.ids[e] == labels.ids[f] == len(table)
+        del labels[e]
+        assert labels.ids[e] == -1 and e not in labels and len(labels) == q.count(1) - 1
+        assert labels.get(e) is None and labels[f] == square
+        with pytest.raises(KeyError):
+            labels[e]
+        with pytest.raises(KeyError):
+            labels[q.count(1)] = square
+        assert -1 not in labels and q.count(1) not in labels
+
+    def test_a_store_given_to_another_complex_is_copied(self):
+        q = barycentric_subdivide(GENUS2).complex
+        other = QuotientComplex(q.group, q.vertices, q._rows, q.orientation, q.labels)
+        other.labels[0] = q.group.multiply(q.labels[0], q.group.parse_word("a1"))
+        other.orientation = q.orientation
+        other.orientation[0] = 2
+        assert q.labels[0] != other.labels[0] and q.orientation[0] != 2
+        assert validate_quotient(q).valid
+
+    def test_labels_are_inverted_and_multiplied_once_per_distinct_value(self, monkeypatch):
+        # subdividing genus 2 three times inverts each distinct label of each
+        # level once, and validating multiplies each distinct pair once
+        q = genus2_surface()
+        group, calls = q.group, []
+        for op in ("inverse", "multiply"):
+            monkeypatch.setattr(group, op, lambda *a, op=op, f=getattr(group, op):
+                                calls.append(op) or f(*a))
+        distinct = []
+        for _ in range(3):
+            distinct.append(len(q.labels.table))
+            q = barycentric_subdivide(q).complex
+        assert calls == ["inverse"] * sum(distinct) and sum(distinct) < 100
+        assert validate_quotient(q).valid
+        bc, _, ab = q.labels.ids[q.facets[2].T]
+        pairs = len(set(zip(ab.tolist(), bc.tolist())))
+        assert calls.count("multiply") == pairs < q.count(2) // 100
 
 
 class TestDocuments:

@@ -2,6 +2,7 @@
 malformed document exits 1 with an ``error:`` line, never 3 (an internal
 error)."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deckindex import fixpoint
+from deckindex import complexes, fixpoint
 from deckindex.cli import main
-from deckindex.complexes import barycentric_subdivide
+from deckindex.complexes import QuotientComplex, barycentric_subdivide
 from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document
 
@@ -344,3 +345,41 @@ def test_subdivided_source_vertices_are_named(keys, tmp_path, capsys, monkeypatc
                         lambda doc: SimplicialMapModel(octa, 1, images))
     assert main(["map-analyze", str(path)]) == 0
     assert from_document == capsys.readouterr().out
+
+
+def test_id_keyed_subdivided_model_builds_no_vertex_name(tmp_path, monkeypatch):
+    # "--subdivide 2" carries the level-0 map over with images keyed by
+    # vertex id, so the reader of the subdivided source builds no name index
+    # and no subdivision names its vertices; the report bytes are unchanged
+    def no_names(names):
+        raise AssertionError("a vertex name was built")
+
+    monkeypatch.setattr(complexes._BarycenterNames, "_names", property(no_names))
+    out = tmp_path / "out"
+    assert main(["map-analyze", "fixture:octahedron-antipodal", "--subdivide", "2",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == \
+        "62ccb6b0fe18e91fd5f7d00e65c4c4a906bfc8046121d72a9ff73ac7907b9276"
+
+
+def test_vertex_id_reader_reads_names_ids_and_decimal_keys():
+    # a name wins over an id, a decimal string is an id, an int is read as
+    # an integer field; the name index is built on the first string only
+    named = []
+    q = fixture_complex("tetrahedron")
+    names = ["1", "0", *q.vertices[2:]]
+
+    class Names(list):
+        def __iter__(self):
+            named.append(True)
+            return super().__iter__()
+
+    q = QuotientComplex(q.group, Names(names), q._rows, q.orientation, q.labels)
+    read = fixpoint.vertex_id_reader(q)
+    assert [read(0), read(3), read(2.0)] == [0, 3, 2] and not named
+    assert [read("1"), read("0"), read("3"), read(names[2])] == [0, 1, 3, 2]
+    assert named == [True]
+    for value, error in [(True, ValueError), ("1_0", KeyError), ("x", KeyError),
+                         (2.5, ValueError), (None, TypeError)]:
+        with pytest.raises(error):
+            read(value)

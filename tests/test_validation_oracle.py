@@ -143,6 +143,45 @@ def test_violations_match_the_reference(doc):
     assert validate_quotient(q).violations == reference_validate_quotient(q).violations
 
 
+# single defects written through the mappings of a subdivision as it was
+# handed over: the validator must read what was written, so both agree
+SUBDIVIDED = {name: fixture_complex(name) for name in ("genus2", "torus")}
+SUBDIVIDED_WORDS = {"genus2": WORDS, "torus": ("", "a", "-b", "a b", "a a -b")}
+
+
+@st.composite
+def written_defects(draw):
+    name = draw(st.sampled_from(sorted(SUBDIVIDED)))
+    q = barycentric_subdivide(SUBDIVIDED[name], 1).complex
+    defect = draw(st.sampled_from(["write-label", "delete-label", "flip-sign", "sign-two"]))
+    if defect in ("write-label", "delete-label"):
+        e = draw(st.integers(0, q.count(1) - 1))
+        if defect == "delete-label":
+            del q.labels[e]
+        else:
+            q.labels[e] = q.group.parse_word(draw(st.sampled_from(SUBDIVIDED_WORDS[name])))
+    else:
+        t = draw(st.integers(0, q.count(2) - 1))
+        q.orientation[t] = -q.orientation[t] if defect == "flip-sign" else 2
+    return q
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(written_defects())
+def test_defects_written_through_the_mappings_match_the_reference(q):
+    assert validate_quotient(q).violations == reference_validate_quotient(q).violations
+
+
+def test_unlabelled_complexes_match_the_reference():
+    # with no label at all the identity is in no table, and every tree edge
+    # is still reported
+    for name in ("octahedron", "torus", "genus2"):
+        doc = dict(fixture_complex(name).to_document(), labels={})
+        q = QuotientComplex.from_document(doc)
+        assert not q.labels and q.tree
+        assert validate_quotient(q).violations == reference_validate_quotient(q).violations
+
+
 def test_shipped_complexes_match_the_reference():
     for name in ("tetrahedron", "octahedron", "torus", "csaszar", "klein", "genus2"):
         q = fixture_complex(name)
