@@ -93,10 +93,14 @@ def _certificate_narrative(cert) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     from .complexes import QuotientComplex, barycentric_subdivide, validate_quotient
-    doc = _load_document(args.inputs[0])
-    if "complex" in doc:
-        doc = doc["complex"]
-    q = QuotientComplex.from_document(doc)
+    from .fixtures import FIXTURE_BUILDERS
+    ref = args.inputs[0]
+    fixture = ref.split(":", 1)[1] if ref.startswith("fixture:") else None
+    if fixture in FIXTURE_BUILDERS:  # a shipped complex, without its document
+        q = FIXTURE_BUILDERS[fixture]()
+    else:
+        doc = _load_document(ref)
+        q = QuotientComplex.from_document(doc.get("complex", doc))
     report = validate_quotient(q)
     if args.subdivide and report.valid:  # only a valid datum is subdivided
         q = barycentric_subdivide(q, args.subdivide).complex
@@ -221,6 +225,14 @@ def cmd_amenability(args: argparse.Namespace) -> int:
             block = block.get("group", doc) if isinstance(block, dict) else block
     group = group_from_document(block)
     radii = list(range(1, args.radius + 1))
+    scheme = group.folner_scheme()
+    flow_radii = () if scheme is not None else (2, 3) if group.kind == "surface" \
+        else (3, 4, 5, 6)
+    # one ball serves the probe, which reads ball(R - 1), and the flows: ask
+    # for the larger first, unless a radius is refused, which the probe or
+    # the flow that reads it then reports
+    if max([args.radius, *flow_radii]) <= group.ball_budget:
+        group.indexed_ball(max(args.radius - 1, 0, *flow_radii))
     probe = isoperimetric_probe(group, radii)
     payload = {
         "group": block,
@@ -236,7 +248,6 @@ def cmd_amenability(args: argparse.Namespace) -> int:
                               [r["radius"] for r in probe],
                               [r["ratio"] for r in probe]),
     }
-    scheme = group.folner_scheme()
     if scheme is not None:
         rows = []
         for t in range(1, 9):
@@ -248,7 +259,6 @@ def cmd_amenability(args: argparse.Namespace) -> int:
                                 [Fraction(r["ratio"]) for r in rows])
     else:
         one = ClassFunction(group, 1, {})
-        flow_radii = (2, 3) if group.kind == "surface" else (3, 4, 5, 6)
         rows = []
         for r in flow_radii:
             res = flow_certificate(group, one, r, capacity=2,

@@ -369,8 +369,15 @@ class _CellValues(collections.abc.MutableMapping):
         import numpy as np
         if isinstance(values, cls):
             return cls(values.ids.copy(), values.table)
-        store = cls(np.full(size, -1, np.int64))
-        store.update(values)
+        # a dict in bulk: each distinct value once, in first-seen order, as
+        # writing the keys one by one would store them
+        values = values if isinstance(values, dict) else dict(values)
+        if values and not (0 <= min(values) and max(values) < size):
+            raise KeyError(next(k for k in values if not 0 <= k < size))
+        index: dict = {}
+        ids = [index.setdefault(v, len(index)) for v in values.values()]
+        store = cls(np.full(size, -1, np.int64), index)
+        store.ids[np.fromiter(values, np.int64, len(values))] = ids
         return store
 
     def __getitem__(self, key):

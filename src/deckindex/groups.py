@@ -38,13 +38,16 @@ half-relator window is flagged.  The codes of the last sphere are not
 kept: a plain append from the sphere before the last is a new word, only
 the flagged ones are kept in a small dict, and each last-sphere element
 keeps its prefix's id.  The last sphere takes one step per element: its
-cancel, its flagged appends, and a count of the rest.
-Free-abelian and finite elements are their own keys, and their products
-are the kind's ``_append_token``.
+cancel and its flagged appends.  The sizes of the two spheres past a ball,
+which the isoperimetric probe reads, are counted when first asked for
+(``IndexedBall.outer``), from the last sphere's words without building
+those spheres.  Free-abelian and finite elements are their own keys, and
+their products are the kind's ``_append_token``.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
@@ -647,6 +650,7 @@ class WordCodes:
         self.base = len(tokens) + 1
         self.digit = {t: k + 1 for k, t in enumerate(tokens)}
         self.undo = [self.digit[-t] for t in tokens]
+        self.half = h
         self.window = self.base ** h
         self.flagged = frozenset(self.encode(key) for key in keys)
         self.suffix = self.base ** max(h - 1, 0)
@@ -669,8 +673,8 @@ class IndexedBall:
     ball of radius ``r`` is the id prefix ``range(ends[r])``.
     ``rows[k][i]`` is the id of ``elements[i]`` times the k-th signed
     generator token (in ``_signed_tokens`` order), or -1 when that product
-    lies outside the ball.  ``outside`` counts the distinct outside
-    products, which form the sphere of radius ``radius + 1``.
+    lies outside the ball.  ``outer`` gives the sizes of the next two
+    spheres, counted when first read (see :attr:`outer`).
 
     The BFS keys an element of a free or surface group by its
     :class:`WordCodes` code, so a product is integer arithmetic: the
@@ -684,15 +688,13 @@ class IndexedBall:
     product.  The element's one cancel (the identity has none) sets its row
     entry to the parent's id.  Only the tokens whose append is flagged,
     read off ``WordCodes.follow`` by the code of the word's last ``h - 1``
-    tokens, go through ``_append_token``.  Every other append, ``2n - 1``
-    less the flagged ones, is counted, its row entry -1, without a lookup.
-    This is exact: a word is as long as its ball distance (a product adds
-    at most one token, and a word's prefixes reach it), so such an append
-    is longer than every ball word, and distinct (code, digit) pairs give
-    distinct codes.  Only flagged outside products are kept in a set (336
-    of the 133,288 of the genus-2 ball(5)); one equal to a plain append is
-    counted once.  Building the genus-2 ball(5) so calls ``_append_token``
-    840 times and rewrites 448 of those products.
+    tokens, go through ``_append_token``, and their row entry is the id of
+    the product when it lands in the ball.  Every other append keeps its
+    row entry -1 without a lookup.  This is exact: a word is as long as
+    its ball distance (a product adds at most one token, and a word's
+    prefixes reach it), so such an append is longer than every ball word.
+    Building the genus-2 ball(5) so calls ``_append_token`` 840 times and
+    rewrites 448 of those products.
 
     A word kind keeps the codes of ball(radius - 1) only: the code-to-id
     dict of every code set the BFS's peak memory.  The Cayley graph is
@@ -702,8 +704,7 @@ class IndexedBall:
     ends in the half relator its swap put there (the BFS raises
     ``InternalError`` on one that does not).  A last-sphere element keeps
     its prefix's id, which gives its cancel and, with its last token, the
-    code of its last ``h - 1`` tokens.  A plain code ``q`` names a
-    last-sphere word exactly when its prefix's row entry is in that sphere.
+    code of its last ``h - 1`` tokens.
     """
 
     def __init__(self, group: MarkedGroup, radius: int):
@@ -722,7 +723,6 @@ class IndexedBall:
         keys, elements, dist = [key], [identity], [0]
         rows: list[list[int]] = [[] for _ in tokens]
         steps = list(zip(rows, tokens, range(1, len(tokens) + 1), undo))
-        outside = set()
         i = 0
         # a word kind's last two spheres are handled below
         while i < len(elements) and not (base and dist[i] >= radius - 1):
@@ -742,8 +742,7 @@ class IndexedBall:
                         p = encode(h)
                 j = ids.get(p)
                 if j is None:
-                    if d == radius:
-                        outside.add(p)
+                    if d == radius:  # outside the ball
                         j = -1
                     else:
                         if h is None:  # a cancel shrinks the code, an append grows it
@@ -754,7 +753,6 @@ class IndexedBall:
                         dist.append(d + 1)
                 row.append(j)
             i += 1
-        plain = 0  # the last sphere's plain appends, all outside and distinct
         if base:
             # sphere radius - 1: its products lie in sphere radius - 2 or
             # radius, and ids and keys keep no last-sphere code
@@ -793,38 +791,95 @@ class IndexedBall:
             for i, parent in zip(range(first, len(elements)), parents):
                 t = elements[i][-1]
                 row_of[-t][i] = parent  # its one cancel
-                flags = follow.get((keys[parent] * base + digits[t]) % suffix, ())
-                plain += len(tokens) - 1 - len(flags)
-                for t in flags:  # its products lie in sphere radius - 1 or outside
-                    p = encode(append(elements[i], t))
-                    j = ids.get(p)
-                    if j is None:
-                        outside.add(p)
-                    else:
+                # its products lie in sphere radius - 1 or outside, and only
+                # flagged appends can land inside
+                for t in follow.get((keys[parent] * base + digits[t]) % suffix, ()):
+                    j = ids.get(encode(append(elements[i], t)))
+                    if j is not None:
                         row_of[t][i] = j
-            if not radius:  # the identity alone, whose products are all plain
-                plain = len(tokens)
-
-            def last_sphere(q: int) -> bool:
-                """Whether q codes a last-sphere word: a flagged one is in
-                found, a plain one is its prefix's row entry."""
-                if not q:
-                    return not radius
-                if q % window in flagged:
-                    return q in found
-                at = ids.get(q // base)
-                return at is not None and rows[q % base - 1][at] >= first
-
-            # drop the flagged products counted as plain appends
-            outside = [p for p in outside if not last_sphere(p // base)
-                       or p // base % base == undo[p % base - 1]
-                       or p % window in flagged]
+        self.group = group
         self.radius = radius
         self.elements = elements
         self.dist = dist
         self.rows = rows
         self.ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
-        self.outside = plain + len(outside)
+
+    def _sphere(self, r: int) -> list:
+        """The elements at distance r, none for r < 0."""
+        return self.elements[self.ends[r - 1] if r else 0:self.ends[r]] if r >= 0 else []
+
+    @cached_property
+    def outer(self) -> tuple[int, int]:
+        """``(|S_{R+1}|, |S_{R+2}|)`` for R = ``radius``: the sphere sizes the
+        BFS of ball(R + 2) finds, counted without building those spheres.
+
+        Free-abelian and finite elements are their own keys: each sphere is
+        the set of products of the sphere before it, less that sphere and
+        the one before (a product moves at most one sphere).
+
+        A word kind counts words.  A sphere's words are the canonical words
+        of its length, and a canonical word is the kept append of its
+        prefix: a prefix of a fixed point of the rewrite is one, and
+        ``_append_token`` keeps a fixed point whole.  So a sphere's size is
+        the number of appends of the sphere before it that ``_append_token``
+        keeps: a rewritten product is shortlex-smaller, so it is shorter,
+        and counted already, or the kept append of another prefix.  Distinct
+        (word, token) pairs give distinct words, so nothing is looked up or
+        deduplicated.  A plain append is always kept.  Whether a flagged
+        append is kept depends only on the word's last ``h`` tokens: its
+        swap window and the token before it, the only one the swap can
+        cancel.  So both counts are sums over the last sphere of numbers
+        fixed by each word's last ``h`` tokens (the last two for a free
+        group), and the last sphere is grouped by them.  A state, the last
+        ``max(h - 1, 1)`` tokens, fixes the plain appends and the flagged
+        tokens; its table holds the number of plain appends, the kept
+        appends of those children, and for each flagged token the kept
+        appends of its child.  Each flagged append is tried once, on its
+        last ``h + 1`` tokens: 112 tries, 64 of them rewritten, for genus 2
+        at any radius.
+        """
+        group, radius = self.group, self.radius
+        tokens, append, codes = group._signed_tokens(), group._append_token, group._word_codes
+        if codes is None:
+            before, last = set(self._sphere(radius - 1)), set(self._sphere(radius))
+            sizes = []
+            for _ in range(2):
+                before, last = last, {append(g, t) for g in last for t in tokens} - last - before
+                sizes.append(len(last))
+            return tuple(sizes)
+        k = max(codes.half - 1, 1)  # a state: the last k tokens
+        kept = _OncePerElement(lambda w: append(w[:-1], w[-1]) == w)
+
+        def plain_and_flagged(s) -> tuple:
+            """The plain appends after the state s and its flagged tokens."""
+            flags = codes.follow.get(codes.encode(s), ())
+            plain = [t for t in tokens if t not in flags and not (s and s[-1] == -t)]
+            return len(plain), plain, flags
+        state = _OncePerElement(plain_and_flagged)
+
+        def grow(v) -> int:
+            """The kept appends of a word ending in v, its last k + 1 tokens."""
+            n, _, flags = state[v[-k:]]
+            for t in flags:
+                n += kept[v + (t,)]
+            return n
+
+        def after(s) -> tuple:
+            """The state's table."""
+            n, plain, flags = state[s]
+            return n, sum([grow(s + (t,)) for t in plain]), [(t, grow(s + (t,))) for t in flags]
+        table = _OncePerElement(after)
+
+        one = two = 0
+        for u, n in collections.Counter(w[-k - 1:] for w in self._sphere(radius)).items():
+            a, b, flagged = table[u[-k:]]
+            for t, grown in flagged:
+                if kept[u + (t,)]:
+                    a += 1
+                    b += grown
+            one += n * a
+            two += n * b
+        return one, two
 
 
 # ---------------------------------------------------------------------------

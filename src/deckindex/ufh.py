@@ -52,19 +52,27 @@ from .groups import FiniteGroup, MarkedGroup, folner_average
 def isoperimetric_probe(group: MarkedGroup, radii) -> list:
     """Exact outer vertex-boundary ratios |dB_r| / |B_r| per radius.
 
-    The outer boundary of B_r is the sphere S_{r+1}, read from the group's
-    indexed ball: its next sphere below the ball's radius, its outside
-    products at that radius.
+    The outer boundary of B_r is the sphere S_{r+1}.  For the largest
+    radius R asked, the probe reads the group's indexed ball of radius at
+    least max(R - 1, 0): |B_r| and the spheres inside the ball from its
+    ``ends``, and the next two spheres from its ``outer`` count, so it never
+    builds ball(R) or ball(R + 1) itself.  A radius past the group's ball
+    budget is refused, as if the ball of that radius were asked for.
     """
     radii = sorted(radii)
     if not radii:
         return []
     group.check_radius(radii[0])  # a negative radius is no prefix
-    ball = group.indexed_ball(radii[-1])
+    group.check_radius(radii[-1])
+    ball = group.indexed_ball(max(radii[-1] - 1, 0))
+    ends = ball.ends
+    if radii[-1] >= ball.radius:  # S_{R+1} lies past the ball
+        one, two = ball.outer
+        ends = ends + [ends[-1] + one, ends[-1] + one + two]
     rows = []
     for r in radii:
-        size = ball.ends[r]
-        boundary = ball.ends[r + 1] - size if r < ball.radius else ball.outside
+        size = ends[r]
+        boundary = ends[r + 1] - size
         rows.append({"radius": r, "ball": size, "boundary": boundary,
                      "ratio": Fraction(boundary, size)})
     return rows

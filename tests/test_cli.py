@@ -56,6 +56,20 @@ class TestValidateCommand:
         kinds = {v["kind"] for v in _read_report(out)["report"]["violations"]}
         assert "simplicial-complex condition" in kinds
 
+    @pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "torus",
+                                      "csaszar", "klein", "genus2"])
+    def test_fixture_is_validated_without_its_document(self, name, tmp_path,
+                                                      capsys, monkeypatch):
+        # a shipped complex is validated as built, and reports what its
+        # document, read from a file, reports
+        path = _write(tmp_path, "c.json", fixture_complex(name).to_document())
+        code = main(["validate", path, "--subdivide", "1"])
+        report = capsys.readouterr().out
+        for method in ("to_document", "from_document"):
+            monkeypatch.setattr(complexes.QuotientComplex, method, None)
+        assert main(["validate", f"fixture:{name}", "--subdivide", "1"]) == code
+        assert capsys.readouterr().out == report
+
     def test_klein_fixture_rejected(self, tmp_path):
         out = str(tmp_path / "out")
         assert main(["validate", "fixture:klein", "--out", out]) == 1
@@ -261,6 +275,28 @@ class TestExitCodes:
         assert main(["amenability", path, "--radius", "3",
                      "--out", str(tmp_path / "out")]) == 2
         assert "ball_budget" in capsys.readouterr().err
+
+    def test_probe_past_the_ball_budget_is_refused(self, tmp_path, capsys):
+        # the probe of radius R reads only ball(R - 1), but R past the
+        # budget is still refused and named
+        path = _write(tmp_path, "g.json", {"kind": "surface", "genus": 2,
+                                           "ball_budget": 4})
+        assert main(["amenability", path, "--radius", "5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: radius 5 exceeds the ball budget 4 for kind 'surface'; "
+            "raise 'ball_budget' in the group document\n")
+        assert main(["amenability", path, "--radius", "4"]) == 0
+        rows = json.loads(capsys.readouterr().out)["report"]["isoperimetric"]
+        assert [(r["ball"], r["boundary"]) for r in rows] == \
+            [(9, 56), (65, 392), (457, 2736), (3193, 19096)]
+
+    def test_flow_past_the_ball_budget_is_named_in_order(self, tmp_path, capsys):
+        # the probe and the flows share one ball, asked for first only when
+        # every radius is within the budget; the first flow radius past it
+        # (3, 4, 5, 6 in turn) is the one refused
+        path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2, "ball_budget": 4})
+        assert main(["amenability", path, "--radius", "3"]) == 2
+        assert "error: radius 5 exceeds the ball budget 4" in capsys.readouterr().err
 
     def test_document_ball_budget_raises_the_limit(self, tmp_path):
         path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2,

@@ -658,6 +658,27 @@ class TestCellTables:
             labels[q.count(1)] = square
         assert -1 not in labels and q.count(1) not in labels
 
+    def test_a_dict_is_stored_in_bulk_as_written_per_key(self):
+        # the bulk build of a dict gives the ids, table and index of one
+        # write per key in the dict's order, and names the first key out of
+        # range as a write would
+        q = barycentric_subdivide(GENUS2).complex
+        n = q.count(1)
+        values = {e: q.labels[e] for e in reversed(range(0, n, 3))}
+        written = complexes._CellValues.of({}, n)
+        for e, g in values.items():
+            written[e] = g
+        store = complexes._CellValues.of(values, n)
+        assert store.table == written.table and store.index == written.index
+        assert store.ids.tolist() == written.ids.tolist()
+        assert complexes._CellValues.of({}, n).ids.tolist() == [-1] * n
+        for bad, key in (({0: "a", n: "b", -1: "c"}, n), ({0: "a", -1: "b", n: "c"}, -1)):
+            with pytest.raises(KeyError) as err:
+                complexes._CellValues.of(bad, n)
+            assert err.value.args == (key,)
+        with pytest.raises(KeyError):
+            QuotientComplex(q.group, q.vertices, q._rows, q.orientation, {n: q.labels[0]})
+
     def test_a_store_given_to_another_complex_is_copied(self):
         q = barycentric_subdivide(GENUS2).complex
         other = QuotientComplex(q.group, q.vertices, q._rows, q.orientation, q.labels)

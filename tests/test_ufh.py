@@ -60,6 +60,57 @@ class TestIsoperimetricProbe:
         rows = isoperimetric_probe(g, [3, 4])
         assert rows[0]["ratio"] == 0 and rows[1]["ratio"] == 0
 
+    # the probe of largest radius R reads ball(R - 1) and its two outer
+    # spheres; its rows must be those read off the built ball(R + 1)
+    PROBES = {
+        "free2": (lambda: FreeGroup(2), 6),
+        "surface2": (lambda: SurfaceGroup(2), 4),
+        "abelian3": (lambda: FreeAbelianGroup(3), 5),
+        "cyclic7": (lambda: cyclic_group(7), 5),
+    }
+
+    @pytest.mark.parametrize("make,top", PROBES.values(), ids=PROBES.keys())
+    def test_rows_match_the_built_ball(self, make, top):
+        ends = make().indexed_ball(top + 1).ends
+        group = make()
+        rows = isoperimetric_probe(group, range(1, top + 1))
+        assert group.indexed_ball(0).radius == top - 1
+        assert rows == [{"radius": r, "ball": ends[r], "boundary": ends[r + 1] - ends[r],
+                         "ratio": Fraction(ends[r + 1] - ends[r], ends[r])}
+                        for r in range(1, top + 1)]
+
+    @pytest.mark.parametrize("make,top", PROBES.values(), ids=PROBES.keys())
+    def test_a_larger_ball_held_first_gives_the_same_rows(self, make, top):
+        rows = isoperimetric_probe(make(), range(1, top + 1))
+        for held in (top, top + 1, top + 2):
+            group = make()
+            group.indexed_ball(held)
+            assert isoperimetric_probe(group, range(1, top + 1)) == rows
+        group = make()
+        if not group.amenable:  # the amenability command's flows, asked first
+            flow_certificate(group, ClassFunction(group, 1, {}), top, capacity=2)
+            assert isoperimetric_probe(group, range(1, top + 1)) == rows
+
+    def test_radius_zero_reads_ball_zero(self):
+        group = SurfaceGroup(2)
+        assert isoperimetric_probe(group, [0]) == [
+            {"radius": 0, "ball": 1, "boundary": 8, "ratio": Fraction(8)}]
+        assert group.indexed_ball(0).radius == 0
+
+    def test_radius_at_the_ball_budget(self):
+        group = SurfaceGroup(2, ball_budget=4)
+        rows = isoperimetric_probe(group, range(1, 5))
+        assert group.indexed_ball(0).radius == 3
+        assert rows == isoperimetric_probe(SurfaceGroup(2), range(1, 5))
+
+    def test_radius_past_the_ball_budget_is_refused_before_any_ball(self):
+        # only ball(R - 1) would be read, but the refusal names radius R
+        group = SurfaceGroup(2, ball_budget=4)
+        with pytest.raises(ResourceError, match=r"^radius 5 exceeds the ball budget 4 "
+                           r"for kind 'surface'; raise 'ball_budget' in the group document$"):
+            isoperimetric_probe(group, range(1, 6))
+        assert group._ball is None
+
 
 class TestBoundFiniteMass:
     def test_single_mass_on_z2(self):
