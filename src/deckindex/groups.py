@@ -31,18 +31,16 @@ but every ball handed out has at least the radius asked for.
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
 elements in BFS order, so the flow networks and the isoperimetric probe
 work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
-read an id prefix of it.  Its BFS keys a free or surface element by the
-integer code of its word (:class:`WordCodes`), so a product is one integer
-cancel or append, and a surface product is rewritten only when its last
-half-relator window is flagged.  The codes of the last sphere are not
-kept: a plain append from the sphere before the last is a new word, only
-the flagged ones are kept in a small dict, and each last-sphere element
-keeps its prefix's id.  The last sphere takes one step per element: its
-cancel and its flagged appends.  The sizes of the two spheres past a ball,
-which the isoperimetric probe reads, are counted when first asked for
-(``IndexedBall.outer``), from the last sphere's words without building
-those spheres.  Free-abelian and finite elements are their own keys, and
-their products are the kind's ``_append_token``.
+read an id prefix of it.  One BFS loop serves every kind: it expands the
+elements of ball(R - 1) and finds the last sphere without expanding it.
+It keys a free or surface element by the integer code of its word
+(:class:`WordCodes`), so a product is one integer cancel or append, and a
+surface product is rewritten only when its last half-relator window is
+flagged.  Free-abelian and finite elements are their own keys, and their
+products are the kind's ``_append_token``.  The sizes of the two spheres
+past a ball, which the isoperimetric probe reads, are counted when first
+asked for (``IndexedBall.outer``), from the last sphere's words without
+building those spheres.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InputError, InternalError, ResourceError
+from .errors import InputError, ResourceError
 
 Token = int
 Word = tuple[Token, ...]
@@ -640,10 +638,9 @@ class WordCodes:
     token k; appending token k is ``c * base + k + 1``.  ``flagged`` holds
     the codes of the words ``keys`` of length ``h``: an appended product
     ``p`` whose last ``h`` tokens are one of them, ``p % window in
-    flagged``, may need the kind's rewrite.  ``follow.get(c % suffix, ())``
-    lists the tokens whose append to the word of code ``c`` is flagged:
-    ``c % suffix`` codes its last ``h - 1`` tokens (a shorter word's code
-    is no key).
+    flagged``, may need the kind's rewrite.  ``follow[encode(s)]`` lists
+    the tokens whose append to a word ending in the ``h - 1`` tokens ``s``
+    is flagged, which :attr:`IndexedBall.outer` reads.
     """
 
     def __init__(self, tokens, keys, h: int):
@@ -653,7 +650,6 @@ class WordCodes:
         self.half = h
         self.window = self.base ** h
         self.flagged = frozenset(self.encode(key) for key in keys)
-        self.suffix = self.base ** max(h - 1, 0)
         self.follow: dict[int, list[Token]] = {}
         for key in keys:
             self.follow.setdefault(self.encode(key[:-1]), []).append(key[-1])
@@ -670,41 +666,29 @@ class IndexedBall:
 
     ``elements[i]`` is the element with id ``i`` and ``dist[i]`` its word
     length.  Ids grow with the distance, so for every ``r <= radius`` the
-    ball of radius ``r`` is the id prefix ``range(ends[r])``.
-    ``rows[k][i]`` is the id of ``elements[i]`` times the k-th signed
-    generator token (in ``_signed_tokens`` order), or -1 when that product
-    lies outside the ball.  ``outer`` gives the sizes of the next two
-    spheres, counted when first read (see :attr:`outer`).
+    ball of radius ``r`` is the id prefix ``range(ends[r])``.  For ``i`` in
+    ball(radius - 1), ``rows[k][i]`` is the id of ``elements[i]`` times the
+    k-th signed generator token (in ``_signed_tokens`` order); every
+    product of such an element lies in the ball.  The last sphere is found,
+    never expanded: all its row entries are -1.  ``outer`` gives the sizes
+    of the next two spheres, counted when first read (see :attr:`outer`).
 
-    The BFS keys an element of a free or surface group by its
-    :class:`WordCodes` code, so a product is integer arithmetic: the
-    cancel or the append of one digit.  Only a product flagged by its last
-    half-relator window goes through ``_append_token``, whose result is
-    encoded.  Each element's tuple is built once, when it joins
-    the ball.  Free-abelian and finite elements are their own keys, and
-    their products are ``_append_token``.
+    One BFS serves every kind.  It keys an element of a free or surface
+    group by its :class:`WordCodes` code, so a product is integer
+    arithmetic: the cancel or the append of one digit.  Only a product
+    flagged by its last half-relator window goes through ``_append_token``,
+    whose result is encoded.  Each element's tuple is built once, when it
+    joins the ball.  Free-abelian and finite elements are their own keys,
+    and their products are ``_append_token``.  Building the genus-2
+    ball(5) so calls ``_append_token`` 120 times and rewrites 64 of those
+    products.
 
-    A word kind's last sphere takes one step per element, not one per
-    product.  The element's one cancel (the identity has none) sets its row
-    entry to the parent's id.  Only the tokens whose append is flagged,
-    read off ``WordCodes.follow`` by the code of the word's last ``h - 1``
-    tokens, go through ``_append_token``, and their row entry is the id of
-    the product when it lands in the ball.  Every other append keeps its
-    row entry -1 without a lookup.  This is exact: a word is as long as
-    its ball distance (a product adds at most one token, and a word's
-    prefixes reach it), so such an append is longer than every ball word.
-    Building the genus-2 ball(5) so calls ``_append_token`` 840 times and
-    rewrites 448 of those products.
-
-    A word kind keeps the codes of ball(radius - 1) only: the code-to-id
-    dict of every code set the BFS's peak memory.  The Cayley graph is
-    bipartite, so sphere ``radius - 1`` makes its last-sphere products by
-    plain appends, each a new word, and by flagged ones, the only ones kept
-    in a small dict: a rewritten product that lands in the last sphere
-    ends in the half relator its swap put there (the BFS raises
-    ``InternalError`` on one that does not).  A last-sphere element keeps
-    its prefix's id, which gives its cancel and, with its last token, the
-    code of its last ``h - 1`` tokens.
+    Every reader of ``rows`` needs only ball(radius - 1): the arc table
+    lists the edges from ball(r - 1), a payload word that walks through the
+    last sphere is located by its canonical word, whose prefixes before its
+    last step lie in ball(radius - 1), and a flow edge between two
+    last-sphere vertices is no generator step on the bipartite Cayley
+    graphs of F_n and the surface groups.
     """
 
     def __init__(self, group: MarkedGroup, radius: int):
@@ -718,15 +702,13 @@ class IndexedBall:
         else:
             base, key, undo = codes.base, 0, codes.undo
             window, flagged, encode = codes.window, codes.flagged, codes.encode
-            follow, suffix = codes.follow, codes.suffix
-        ids = {key: 0}  # a word kind's ball(radius - 1), every other kind's ball
+        ids = {key: 0}
         keys, elements, dist = [key], [identity], [0]
         rows: list[list[int]] = [[] for _ in tokens]
         steps = list(zip(rows, tokens, range(1, len(tokens) + 1), undo))
         i = 0
-        # a word kind's last two spheres are handled below
-        while i < len(elements) and not (base and dist[i] >= radius - 1):
-            g, d, c = elements[i], dist[i], keys[i]
+        while i < len(elements) and dist[i] < radius:
+            g, d, c = elements[i], dist[i] + 1, keys[i]
             if base:
                 last, head = c % base, c * base
             for row, t, digit, inverse in steps:
@@ -741,62 +723,15 @@ class IndexedBall:
                         h = append(g, t)
                         p = encode(h)
                 j = ids.get(p)
-                if j is None:
-                    if d == radius:  # outside the ball
-                        j = -1
-                    else:
-                        if h is None:  # a cancel shrinks the code, an append grows it
-                            h = g[:-1] if p < c else g + (t,)
-                        j = ids[p] = len(elements)
-                        keys.append(p)
-                        elements.append(h)
-                        dist.append(d + 1)
+                if j is None:  # a cancel gives g's prefix, found before g
+                    j = ids[p] = len(elements)
+                    keys.append(p)
+                    elements.append(g + (t,) if h is None else h)
+                    dist.append(d)
                 row.append(j)
             i += 1
-        if base:
-            # sphere radius - 1: its products lie in sphere radius - 2 or
-            # radius, and ids and keys keep no last-sphere code
-            found: dict[int, int] = {}  # last-sphere codes of flagged appends
-            parents: list[int] = []  # each last-sphere element's prefix id
-            while i < len(elements) and dist[i] < radius:
-                g, c = elements[i], keys[i]
-                last, head, me = c % base, c * base, ids[c]  # me: i, as rows hold it
-                for row, t, digit, inverse in steps:
-                    if last == inverse:
-                        row.append(ids[c // base])
-                        continue
-                    p = head + digit
-                    if p % window in flagged:
-                        h = append(g, t)
-                        p = encode(h)
-                        j = ids.get(p, found.get(p))
-                        if j is None:
-                            if p % window not in flagged:
-                                raise InternalError("a rewritten product ends "
-                                                    "off a half relator")
-                            j = found[p] = len(elements)
-                            parents.append(ids[p // base])
-                    else:  # a plain append is a new word
-                        h, j = g + (t,), len(elements)
-                        parents.append(me)
-                    if j == len(elements):
-                        elements.append(h)
-                        dist.append(radius)
-                    row.append(j)
-                i += 1
-            first = i
-            for row in rows:
-                row += itertools.repeat(-1, len(elements) - first)
-            row_of, digits = dict(zip(tokens, rows)), codes.digit
-            for i, parent in zip(range(first, len(elements)), parents):
-                t = elements[i][-1]
-                row_of[-t][i] = parent  # its one cancel
-                # its products lie in sphere radius - 1 or outside, and only
-                # flagged appends can land inside
-                for t in follow.get((keys[parent] * base + digits[t]) % suffix, ()):
-                    j = ids.get(encode(append(elements[i], t)))
-                    if j is not None:
-                        row_of[t][i] = j
+        for row in rows:
+            row += itertools.repeat(-1, len(elements) - i)
         self.group = group
         self.radius = radius
         self.elements = elements

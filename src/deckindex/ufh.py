@@ -410,10 +410,11 @@ def _ball_locator(group: MarkedGroup, ball):
     names, or -1 when it lies outside the ball.
 
     The spelled word is walked from the identity through the ball's rows,
-    which hold exact products.  A word that names an unknown symbol, or a
-    spelling that leaves the ball, is parsed (which refuses the unknown
-    symbol) and its element's canonical word walked instead: every prefix
-    of a ball element's canonical word lies in the ball."""
+    which hold exact products of ball(R - 1) and -1 on the last sphere.  A
+    word that names an unknown symbol, or a spelling that leaves ball(R - 1)
+    before its last step, is parsed (which refuses the unknown symbol) and
+    its element's canonical word walked instead: the prefixes of a ball
+    element's canonical word before its last step lie in ball(R - 1)."""
     row_of = dict(zip(group._signed_tokens(), ball.rows))
     by_name = {name: row_of[t] for name, t in group._token_table.items()}
 
@@ -452,9 +453,12 @@ def verify_certificate(cert: ClassCertificate) -> dict:
     word is located once (:func:`_ball_locator`); each row's edges are
     summed per unordered id pair, its boundary is an integer list compared
     with f on ``range(ends[R - 1])``, and an edge (i, j) is a generator
-    step when j is among the entries ``rows[k][i]``.  An edge with an end
-    outside the row's ball(R) fails "flow edges lie in ball(R)" and is left
-    out of the other checks.
+    step when j is among the entries ``rows[k][i]`` (i < j).  The rows of
+    the last sphere are -1, so an edge joining two of its vertices fails
+    that check; the Cayley graphs of F_n and the surface groups are
+    bipartite and have no such edge.  An edge with an end outside the
+    row's ball(R) fails "flow edges lie in ball(R)" and is left out of the
+    other checks.
     """
     group = cert.group
     f = cert.function

@@ -26,6 +26,7 @@ from deckindex.ufh import (
     flow_certificate,
     isoperimetric_probe,
     _arc_table,
+    _ball_locator,
     _capacity_search,
     _chain_to_payload,
     _generator_steps,
@@ -1081,3 +1082,51 @@ def test_flow_check_on_ids_matches_the_element_check(make, constant, radii):
     for radius, payload in _outside_edges(group, cert, rng):
         forged = ClassCertificate(cert.verdict, group, f, payload=payload)
         assert _failed(verify_certificate(forged)) == {f"flow edges lie in ball({radius})"}
+
+
+# ---------------------------------------------------------------------------
+# The decision ball's last sphere, whose row entries are all -1
+
+
+@pytest.mark.parametrize("make", [lambda: FreeGroup(2), lambda: SurfaceGroup(2)],
+                         ids=["free2", "surface2"])
+def test_forged_edges_at_the_last_sphere_fail(make):
+    # the verifier reads the rows of the decision's ball(R), whose last
+    # sphere is never expanded; an edge between two of its vertices is
+    # still no generator step, and one leaving it still leaves the ball
+    rng = random.Random("last-sphere")
+    group = make()
+    f = ClassFunction(group, 1, _unit_masses(group, rng))
+    cert = decide_class(group, f)
+    assert cert.verdict == "zero-by-truncated-flow" and cert.verifier_result["verified"]
+    radius = max(cert.payload["radii"])
+    ball = group.indexed_ball(radius)
+    assert ball.radius == radius
+    tokens = group._signed_tokens()
+    last = ball.elements[ball.ends[radius - 1]:]
+    u = rng.choice(last)
+    # a sibling: another last-sphere child of u's parent, two steps from u
+    parent = group.multiply_token(u, -group.element_word(u)[-1])
+    v = rng.choice([g for g in (group.multiply_token(parent, t) for t in tokens)
+                    if g != u and group.length(g) == radius])
+    w = rng.choice([g for g in (group.multiply_token(u, t) for t in tokens)
+                    if group.length(g) > radius])
+    for far, failed in ((v, f"flow edges are generator steps at R={radius}"),
+                        (w, f"flow edges lie in ball({radius})")):
+        payload = copy.deepcopy(cert.payload)
+        payload["flows"][-1]["chain"].append([group.word_of[u], group.word_of[far], 1])
+        forged = ClassCertificate(cert.verdict, group, f, payload=payload)
+        assert _failed(verify_certificate(forged)) == {failed}
+
+
+def test_locator_walks_back_from_past_the_last_sphere():
+    # a^6 lies on the last sphere of F2 ball(6), whose rows are -1, so the
+    # spelled walk stops there and the canonical word a^5 is walked instead
+    group = FreeGroup(2)
+    ball = group.indexed_ball(6)
+    locate = _ball_locator(group, ball)
+    a5 = ball.elements.index((1,) * 5)
+    assert locate("a a a a a a -a") == locate("a a a a a") == a5
+    assert locate("a a a a a a a -a -a") == a5
+    assert locate("a a a a a a") == ball.elements.index((1,) * 6)
+    assert locate("a a a a a a a") == -1
