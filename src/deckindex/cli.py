@@ -226,14 +226,7 @@ def cmd_amenability(args: argparse.Namespace) -> int:
     group = group_from_document(block)
     radii = list(range(1, args.radius + 1))
     scheme = group.folner_scheme()
-    flow_radii = () if scheme is not None else (2, 3) if group.kind == "surface" \
-        else (3, 4, 5, 6)
-    # one ball serves the probe, which reads ball(R - 1), and the flows: ask
-    # for the larger first, unless a radius is refused, which the probe or
-    # the flow that reads it then reports
-    if max([args.radius, *flow_radii]) <= group.ball_budget:
-        group.indexed_ball(max(args.radius - 1, 0, *flow_radii))
-    probe = isoperimetric_probe(group, radii)
+    probe = isoperimetric_probe(group, radii)  # counted, with no ball
     payload = {
         "group": block,
         "kind": group.kind,
@@ -259,6 +252,11 @@ def cmd_amenability(args: argparse.Namespace) -> int:
                                 [Fraction(r["ratio"]) for r in rows])
     else:
         one = ClassFunction(group, 1, {})
+        flow_radii = (2, 3) if group.kind == "surface" else (3, 4, 5, 6)
+        # one ball serves every flow radius: ask for the largest first,
+        # unless it is refused, which the flow that reads it then reports
+        if flow_radii[-1] <= group.ball_budget:
+            group.indexed_ball(flow_radii[-1])
         rows = []
         for r in flow_radii:
             res = flow_certificate(group, one, r, capacity=2,

@@ -7,8 +7,7 @@ element equality, word length and ball enumeration are exact:
 * free groups (freely reduced words),
 * surface groups of genus >= 2 with the standard one-relator presentation
   (Dehn-reduced words, ties resolved by shortlex descent on half-relator
-  replacements; checked canonical only through sphere 6, see
-  :class:`SurfaceGroup`),
+  replacements; not canonical from sphere 7 on, see :class:`SurfaceGroup`),
 * finite groups given by a multiplication table (elements are table
   indices; canonical words are shortlex geodesics from a BFS).
 
@@ -18,29 +17,29 @@ ints for the finite kind.  Words are sequences of signed integer tokens,
 string form uses generator names with a ``-`` prefix for inverses, e.g.
 ``"a -b a"``.
 
-A group's value is fixed at construction.  Three kinds of state are added
+A group's value is fixed at construction.  Four kinds of state are added
 later: token tables (the token of each name and the name of each signed
 generator), derived once on first use; the word string and the shortlex
 key of each element asked for (``word_of``, ``key_of``), so that every
 chain, certificate and report of a command formats and keys an element
-once; and the largest :class:`IndexedBall` asked of the group, replaced
-only by a larger one.  Threads may share a group: a race can compute a
-word or key twice, build a ball twice, or keep the smaller of two balls,
-but every ball handed out has at least the radius asked for.
+once; a word kind's suffix states, as its sphere counts reach them; and
+the largest :class:`IndexedBall` asked of the group, replaced only by a
+larger one.  Threads may share a group: a race can compute a word, a key
+or a suffix state's moves twice, build a ball twice, or keep the smaller
+of two balls, but every ball has at least the radius asked for.
 
 :class:`IndexedBall` is the one ball enumerator: it numbers a ball's
-elements in BFS order, so the flow networks and the isoperimetric probe
-work on integer ids, and ``ball``, ``sphere`` and ``ball_with_distances``
-read an id prefix of it.  One BFS loop serves every kind: it expands the
-elements of ball(R - 1) and finds the last sphere without expanding it.
-It keys a free or surface element by the integer code of its word
-(:class:`WordCodes`), so a product is one integer cancel or append, and a
-surface product is rewritten only when its last half-relator window is
-flagged.  Free-abelian and finite elements are their own keys, and their
-products are the kind's ``_append_token``.  The sizes of the two spheres
-past a ball, which the isoperimetric probe reads, are counted when first
-asked for (``IndexedBall.outer``), from the last sphere's words without
-building those spheres.
+elements in BFS order, so the flow networks work on integer ids, and
+``ball``, ``sphere`` and ``ball_with_distances`` read an id prefix of it.
+One BFS loop serves every kind: it expands the elements of ball(R - 1) and
+finds the last sphere without expanding it.  It keys a free or surface
+element by the integer code of its word (:class:`WordCodes`), so a product
+is one integer cancel or append, and a surface product is rewritten only
+when its last half-relator window is flagged.  Free-abelian and finite
+elements are their own keys, and their products are the kind's
+``_append_token``.  Sphere sizes, which the isoperimetric probe reads, are
+counted with no ball (``MarkedGroup.sphere_sizes``): a word kind's from
+the finite automaton of its canonical words (:class:`SuffixStates`).
 """
 
 from __future__ import annotations
@@ -189,10 +188,24 @@ class MarkedGroup:
     def multiply_token(self, a, token: Token):
         return self._append_token(a, token)  # each kind defines _append_token
 
-    # word kinds set this to the tables of their integer word codes
+    # word kinds set these to their word code tables and word automaton
     _word_codes: WordCodes | None = None
+    _suffix_states: SuffixStates | None = None
 
     # -- balls -------------------------------------------------------------
+
+    def sphere_sizes(self, radius: int) -> list[int]:
+        """``[|S_0|, ..., |S_radius|]``, with no ball and no budget.  A word
+        kind counts words (:class:`SuffixStates`); otherwise a sphere is the
+        products of the one before, less it and its predecessor."""
+        if self._suffix_states is not None:
+            return self._suffix_states.sphere_sizes(radius)
+        tokens, append = self._signed_tokens(), self._append_token
+        before, last, sizes = set(), {self.identity()}, [1]
+        for _ in range(radius):
+            before, last = last, {append(g, t) for g in last for t in tokens} - last - before
+            sizes.append(len(last))
+        return sizes
 
     def _signed_tokens(self):
         n = len(self.generator_names)
@@ -349,8 +362,9 @@ class FreeGroup(MarkedGroup):
     amenable = False
 
     def __init__(self, rank: int, names=None, ball_budget: int = 8):
-        if rank < 1:
-            raise InputError("free rank must be >= 1")
+        if rank < 2:  # F_1 is Z, which is amenable
+            raise InputError('free rank must be >= 2; the free group of rank 1 is '
+                             '{"kind": "free-abelian", "rank": 1}')
         self.rank = rank
         self.generator_names = tuple(names) if names else FreeAbelianGroup._default_names(rank)
         if len(self.generator_names) != rank:
@@ -379,6 +393,10 @@ class FreeGroup(MarkedGroup):
     def _word_codes(self) -> WordCodes:
         return WordCodes(self._signed_tokens(), (), 0)
 
+    @cached_property
+    def _suffix_states(self) -> SuffixStates:
+        return SuffixStates(self._signed_tokens(), {}, 0, None)
+
     def inverse(self, a):
         return tuple(_invert_word(a))
 
@@ -394,9 +412,9 @@ class SurfaceGroup(MarkedGroup):
     half length are replaced by the complementary half whenever that makes
     the word shortlex-smaller.  The fixed points of this rewriting are not a
     normal form in general: two distinct fixed points can name one element,
-    and a fixed point need not be geodesic.  Canonicity is verified only
-    through sphere 6: the genus-2 sphere sizes match Cannon's growth series
-    through radius 6, and at radius 7 they do not (930330 against 930328).
+    and a fixed point need not be geodesic.  The genus-2 sphere sizes match
+    Cannon's growth series through radius 6, and at radius 7 they do not
+    (930330 against 930328; ``test_growth_series_is_cannons``).
     """
 
     kind = "surface"
@@ -471,18 +489,25 @@ class SurfaceGroup(MarkedGroup):
         if a and a[-1] == -token:
             return a[:-1]
         w = a + (token,)
+        return w if self._keeps(w) else self._canonical(w)
+
+    def _keeps(self, w) -> bool:
+        """Whether no half swap of the last ``h`` tokens of ``w``, a fixed
+        point and one token, cancels ``w[-h - 1]`` or is shortlex-smaller."""
         h = self._half
-        for rho in self._half_index.get(w[-h:], ()):
-            swapped = _free_reduce(list(w[:-h]) + _invert_word(rho[h:]))
-            if _shortlex_key(swapped) < _shortlex_key(w):
-                return self._canonical(w)
-        return w
+        return not any(len(w) > h and w[-h - 1] == rho[-1]
+                       or _shortlex_key(_invert_word(rho[h:])) < _shortlex_key(w[-h:])
+                       for rho in self._half_index.get(w[-h:], ()))
 
     @cached_property
     def _word_codes(self) -> WordCodes:
         # a product needs the rewrite only if its last h tokens are a half
         # relator, the window _append_token checks
         return WordCodes(self._signed_tokens(), self._half_index, self._half)
+
+    @cached_property
+    def _suffix_states(self) -> SuffixStates:
+        return SuffixStates(self._signed_tokens(), self._half_index, self._half, self._keeps)
 
     def element_of(self, tokens):
         return self._canonical(list(tokens))
@@ -624,6 +649,73 @@ def trivial_group(ball_budget: int = 64) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# Sphere counts
+
+
+class SuffixStates:
+    """The canonical words of a free or surface group as a finite automaton
+    whose paths from the empty word count the spheres.
+
+    Sphere n holds the canonical words of length n, each the kept append of
+    its prefix (a prefix of a fixed point of the rewrite is one), and two
+    (word, token) pairs give two words, so |S_{n+1}| is the number of kept
+    appends of S_n.  An append ``w`` is kept when it does not cancel and,
+    if its last h tokens are a window, ``keeps(w)`` on its last h + 1.  A
+    word's state is its longest suffix ``s`` that is a proper prefix of a
+    window and the token ``b`` before ``s`` (0 if none).  Appending ``t`` is
+    flagged when ``s + (t,)`` is a window, and the next suffix is the
+    longest suffix of ``s + (t,)`` that is a proper prefix of one (a longer
+    one would have made ``s`` longer).  An F_n word's state is its last
+    token; genus 2 has 281 states, genus 3 1,189.  A state gets an id when
+    a count first reaches it, and its kept appends when one first leaves it.
+    """
+
+    def __init__(self, tokens, windows, h: int, keeps):
+        self.windows, self.keeps = windows, keeps
+        prefixes = {()} | {w[:k] for w in windows for k in range(1, h)}
+
+        def moves(s) -> list:
+            """``(t, s + (t,), c, suffix)`` per token not undoing ``s[-1]``."""
+            out = []
+            for t in tokens:
+                u = s + (t,)
+                k = next(k for k in range(len(u) + 1) if u[k:] in prefixes)
+                if not s or t != -s[-1]:
+                    out.append((t, u, u[k - 1] if k else 0, u[k:]))
+            return out
+        self.moves = _OncePerElement(moves)  # shared by the states of one suffix
+        self.fresh = itertools.count(1)
+        self.ids, self.states = {(0, ()): 0}, {0: (0, ())}
+        self.kept = _OncePerElement(self._leave)  # state id -> ids after a kept append
+
+    def _leave(self, i) -> list[int]:
+        b, s = self.states[i]
+        out = []
+        for t, u, c, suffix in self.moves[s]:
+            if t == -b and not s or u in self.windows and not self.keeps((b,) * bool(b) + u):
+                continue
+            state = (c or b, suffix)
+            j = self.ids.get(state)
+            if j is None:  # a racing thread may number the state first
+                j = next(self.fresh)
+                self.states[j] = state
+                j = self.ids.setdefault(state, j)
+            out.append(j)
+        return out
+
+    def sphere_sizes(self, radius: int) -> list[int]:
+        counts, sizes = {0: 1}, [1]  # words per state id
+        for _ in range(radius):
+            grown = collections.defaultdict(int)
+            for i, n in counts.items():
+                for j in self.kept[i]:
+                    grown[j] += n
+            counts = grown
+            sizes.append(sum(counts.values()))
+        return sizes
+
+
+# ---------------------------------------------------------------------------
 # Indexed balls
 
 
@@ -638,21 +730,15 @@ class WordCodes:
     token k; appending token k is ``c * base + k + 1``.  ``flagged`` holds
     the codes of the words ``keys`` of length ``h``: an appended product
     ``p`` whose last ``h`` tokens are one of them, ``p % window in
-    flagged``, may need the kind's rewrite.  ``follow[encode(s)]`` lists
-    the tokens whose append to a word ending in the ``h - 1`` tokens ``s``
-    is flagged, which :attr:`IndexedBall.outer` reads.
+    flagged``, may need the kind's rewrite.
     """
 
     def __init__(self, tokens, keys, h: int):
         self.base = len(tokens) + 1
         self.digit = {t: k + 1 for k, t in enumerate(tokens)}
         self.undo = [self.digit[-t] for t in tokens]
-        self.half = h
         self.window = self.base ** h
         self.flagged = frozenset(self.encode(key) for key in keys)
-        self.follow: dict[int, list[Token]] = {}
-        for key in keys:
-            self.follow.setdefault(self.encode(key[:-1]), []).append(key[-1])
 
     def encode(self, word) -> int:
         c = 0
@@ -670,8 +756,7 @@ class IndexedBall:
     ball(radius - 1), ``rows[k][i]`` is the id of ``elements[i]`` times the
     k-th signed generator token (in ``_signed_tokens`` order); every
     product of such an element lies in the ball.  The last sphere is found,
-    never expanded: all its row entries are -1.  ``outer`` gives the sizes
-    of the next two spheres, counted when first read (see :attr:`outer`).
+    never expanded: all its row entries are -1.
 
     One BFS serves every kind.  It keys an element of a free or surface
     group by its :class:`WordCodes` code, so a product is integer
@@ -738,83 +823,6 @@ class IndexedBall:
         self.dist = dist
         self.rows = rows
         self.ends = [bisect_right(dist, r) for r in range(radius + 1)]  # dist ascends
-
-    def _sphere(self, r: int) -> list:
-        """The elements at distance r, none for r < 0."""
-        return self.elements[self.ends[r - 1] if r else 0:self.ends[r]] if r >= 0 else []
-
-    @cached_property
-    def outer(self) -> tuple[int, int]:
-        """``(|S_{R+1}|, |S_{R+2}|)`` for R = ``radius``: the sphere sizes the
-        BFS of ball(R + 2) finds, counted without building those spheres.
-
-        Free-abelian and finite elements are their own keys: each sphere is
-        the set of products of the sphere before it, less that sphere and
-        the one before (a product moves at most one sphere).
-
-        A word kind counts words.  A sphere's words are the canonical words
-        of its length, and a canonical word is the kept append of its
-        prefix: a prefix of a fixed point of the rewrite is one, and
-        ``_append_token`` keeps a fixed point whole.  So a sphere's size is
-        the number of appends of the sphere before it that ``_append_token``
-        keeps: a rewritten product is shortlex-smaller, so it is shorter,
-        and counted already, or the kept append of another prefix.  Distinct
-        (word, token) pairs give distinct words, so nothing is looked up or
-        deduplicated.  A plain append is always kept.  Whether a flagged
-        append is kept depends only on the word's last ``h`` tokens: its
-        swap window and the token before it, the only one the swap can
-        cancel.  So both counts are sums over the last sphere of numbers
-        fixed by each word's last ``h`` tokens (the last two for a free
-        group), and the last sphere is grouped by them.  A state, the last
-        ``max(h - 1, 1)`` tokens, fixes the plain appends and the flagged
-        tokens; its table holds the number of plain appends, the kept
-        appends of those children, and for each flagged token the kept
-        appends of its child.  Each flagged append is tried once, on its
-        last ``h + 1`` tokens: 112 tries, 64 of them rewritten, for genus 2
-        at any radius.
-        """
-        group, radius = self.group, self.radius
-        tokens, append, codes = group._signed_tokens(), group._append_token, group._word_codes
-        if codes is None:
-            before, last = set(self._sphere(radius - 1)), set(self._sphere(radius))
-            sizes = []
-            for _ in range(2):
-                before, last = last, {append(g, t) for g in last for t in tokens} - last - before
-                sizes.append(len(last))
-            return tuple(sizes)
-        k = max(codes.half - 1, 1)  # a state: the last k tokens
-        kept = _OncePerElement(lambda w: append(w[:-1], w[-1]) == w)
-
-        def plain_and_flagged(s) -> tuple:
-            """The plain appends after the state s and its flagged tokens."""
-            flags = codes.follow.get(codes.encode(s), ())
-            plain = [t for t in tokens if t not in flags and not (s and s[-1] == -t)]
-            return len(plain), plain, flags
-        state = _OncePerElement(plain_and_flagged)
-
-        def grow(v) -> int:
-            """The kept appends of a word ending in v, its last k + 1 tokens."""
-            n, _, flags = state[v[-k:]]
-            for t in flags:
-                n += kept[v + (t,)]
-            return n
-
-        def after(s) -> tuple:
-            """The state's table."""
-            n, plain, flags = state[s]
-            return n, sum([grow(s + (t,)) for t in plain]), [(t, grow(s + (t,))) for t in flags]
-        table = _OncePerElement(after)
-
-        one = two = 0
-        for u, n in collections.Counter(w[-k - 1:] for w in self._sphere(radius)).items():
-            a, b, flagged = table[u[-k:]]
-            for t, grown in flagged:
-                if kept[u + (t,)]:
-                    a += 1
-                    b += grown
-            one += n * a
-            two += n * b
-        return one, two
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ import functools
 import weakref
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import accumulate
 from operator import itemgetter
 
 from .classes import (ClassCertificate, ClassFunction, GraphChain, _chain_to_payload,
@@ -52,23 +53,16 @@ from .groups import FiniteGroup, MarkedGroup, folner_average
 def isoperimetric_probe(group: MarkedGroup, radii) -> list:
     """Exact outer vertex-boundary ratios |dB_r| / |B_r| per radius.
 
-    The outer boundary of B_r is the sphere S_{r+1}.  For the largest
-    radius R asked, the probe reads the group's indexed ball of radius at
-    least max(R - 1, 0): |B_r| and the spheres inside the ball from its
-    ``ends``, and the next two spheres from its ``outer`` count, so it never
-    builds ball(R) or ball(R + 1) itself.  A radius past the group's ball
-    budget is refused, as if the ball of that radius were asked for.
+    The outer boundary of B_r is the sphere S_{r+1}.  The sizes are sums of
+    the group's sphere counts (``MarkedGroup.sphere_sizes``), with no ball;
+    a radius past the group's ball budget is still refused.
     """
     radii = sorted(radii)
     if not radii:
         return []
-    group.check_radius(radii[0])  # a negative radius is no prefix
+    group.check_radius(radii[0])  # a negative radius is no ball
     group.check_radius(radii[-1])
-    ball = group.indexed_ball(max(radii[-1] - 1, 0))
-    ends = ball.ends
-    if radii[-1] >= ball.radius:  # S_{R+1} lies past the ball
-        one, two = ball.outer
-        ends = ends + [ends[-1] + one, ends[-1] + one + two]
+    ends = list(accumulate(group.sphere_sizes(radii[-1] + 1)))
     rows = []
     for r in radii:
         size = ends[r]

@@ -5,10 +5,12 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from deckindex import cli, complexes, fixpoint
+from deckindex import cli, complexes, fixpoint, groups
 from deckindex.cli import main
 from deckindex.fixpoint import SimplicialMapModel
 from deckindex.fixtures import fixture_complex, fixture_document, torus_grid
@@ -181,6 +183,50 @@ class TestAmenability:
                      "--out", torus]) == 0
         assert _read_report(out)["report"] == _read_report(torus)["report"]
 
+    # the probe counts its spheres; only the flows of a nonamenable kind
+    # build a ball, one of their largest radius
+    BALLS = {"surface2-r5": ({"kind": "surface", "genus": 2}, 5, [3]),
+             "surface2-r8": ({"kind": "surface", "genus": 2}, 8, [3]),
+             "free2-r6": ({"kind": "free", "rank": 2}, 6, [6]),
+             "free2-r1": ({"kind": "free", "rank": 2}, 1, [6]),
+             "abelian3-r5": ({"kind": "free-abelian", "rank": 3}, 5, []),
+             "cyclic7-r5": ({"kind": "finite", "cyclic": 7}, 5, [])}
+
+    @pytest.mark.parametrize("block,radius,built", BALLS.values(), ids=BALLS.keys())
+    def test_only_the_flows_build_a_ball(self, block, radius, built, tmp_path,
+                                         monkeypatch, capsys):
+        radii, init = [], groups.IndexedBall.__init__
+        monkeypatch.setattr(groups.IndexedBall, "__init__",
+                            lambda ball, group, r: radii.append(r) or init(ball, group, r))
+        assert main(["amenability", _write(tmp_path, "g.json", block),
+                     "--radius", str(radius)]) == 0
+        assert radii == built
+
+    def test_genus2_radius_8_runs_without_its_ball(self):
+        # ball(7) holds 1,085,907 elements, about 330 MB as an indexed
+        # ball; counted, the command stays far below.  Child max RSS is read
+        # in a fresh interpreter whose only child is the command
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", RADIUS_8_RUN], env=env,
+                             capture_output=True, text=True, check=True)
+        exit_code, rss_kib, stdout = json.loads(out.stdout)
+        assert exit_code == 0
+        assert rss_kib < 40 * 1024  # ru_maxrss is in KiB on Linux
+        rows = json.loads(stdout)["report"]["isoperimetric"]
+        assert [(r["radius"], r["ball"], r["boundary"]) for r in rows[-2:]] == \
+            [(7, 1085907, 6493562), (8, 7579469, 45324080)]
+
+
+RADIUS_8_RUN = """
+import json, resource, subprocess, sys
+run = subprocess.run([sys.executable, "-m", "deckindex.cli", "amenability",
+                      "fixture:genus2", "--radius", "8"], capture_output=True, text=True)
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([run.returncode, rss, run.stdout]))
+"""
+
 
 class TestDecideClass:
     def test_document_round(self, tmp_path):
@@ -201,6 +247,22 @@ class TestDecideClass:
         cert = _read_report(out)["report"]["certificate"]
         assert cert["verdict"] == "inconclusive"
         assert cert["payload"]["note"] == "no uniform capacity up to 1 (--capacity)"
+
+    def test_free_group_of_rank_1_is_refused_for_z(self, tmp_path, capsys):
+        # F_1 is Z: decided as a free group it read as nonamenable, and its
+        # constant 1 as zero; the refusal names the block that reads the
+        # same words, whose class is nonzero
+        doc = {"group": {"kind": "free", "rank": 1, "generators": ["a"]},
+               "constant": 1, "finite": []}
+        assert main(["decide-class", _write(tmp_path, "f1.json", doc)]) == 1
+        assert capsys.readouterr().err == (
+            "error: free rank must be >= 2; the free group of rank 1 is "
+            '{"kind": "free-abelian", "rank": 1}\n')
+        doc["group"]["kind"] = "free-abelian"
+        assert main(["decide-class", _write(tmp_path, "z.json", doc)]) == 0
+        cert = json.loads(capsys.readouterr().out)["report"]["certificate"]
+        assert (cert["verdict"], cert["payload"]["limit"]) == ("nonzero-by-mean", "1")
+        assert cert["verifier_result"]["verified"]
 
 
 class TestSelftestDeterminism:
@@ -277,8 +339,8 @@ class TestExitCodes:
         assert "ball_budget" in capsys.readouterr().err
 
     def test_probe_past_the_ball_budget_is_refused(self, tmp_path, capsys):
-        # the probe of radius R reads only ball(R - 1), but R past the
-        # budget is still refused and named
+        # the probe of radius R builds no ball, but R past the budget is
+        # still refused and named
         path = _write(tmp_path, "g.json", {"kind": "surface", "genus": 2,
                                            "ball_budget": 4})
         assert main(["amenability", path, "--radius", "5"]) == 2
@@ -291,9 +353,9 @@ class TestExitCodes:
             [(9, 56), (65, 392), (457, 2736), (3193, 19096)]
 
     def test_flow_past_the_ball_budget_is_named_in_order(self, tmp_path, capsys):
-        # the probe and the flows share one ball, asked for first only when
-        # every radius is within the budget; the first flow radius past it
-        # (3, 4, 5, 6 in turn) is the one refused
+        # the flows share one ball, asked for first only when every flow
+        # radius is within the budget; the first flow radius past it (3, 4,
+        # 5, 6 in turn) is the one refused
         path = _write(tmp_path, "g.json", {"kind": "free", "rank": 2, "ball_budget": 4})
         assert main(["amenability", path, "--radius", "3"]) == 2
         assert "error: radius 5 exceeds the ball budget 4" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,33 @@ def check_rows(ball):
 def sphere_sizes(ball):
     """Sphere sizes read off a built ball's ends."""
     return [b - a for a, b in zip([0] + ball.ends, ball.ends)]
+
+
+def close_suffix_states(group):
+    """Count a word kind's spheres until every suffix state reached has been
+    left, so that its states are the whole automaton, and return them."""
+    states, radius = group._suffix_states, 1
+    while set(states.kept) != set(states.states):
+        group.sphere_sizes(radius)
+        radius += 1
+    return states
+
+
+def counted_growth(group):
+    """The counter's sphere sizes through N + 4, for N the number of its
+    suffix states: the series it counts has a denominator of degree at most
+    N, so N + 5 coefficients decide it."""
+    return group.sphere_sizes(len(close_suffix_states(group).states) + 4)
+
+
+def lattice_spheres(rank, radius):
+    """|S_r| of Z^rank in the L1 metric, r <= radius: one coordinate has 1
+    value of size 0 and 2 of each size r > 0, and the sizes add."""
+    sizes = [1] + [0] * radius
+    for _ in range(rank):
+        sizes = [sum(sizes[j] * (1 if j == r else 2) for j in range(r + 1))
+                 for r in range(radius + 1)]
+    return sizes
 
 
 def symmetric_group_4():
@@ -263,6 +292,76 @@ class TestSurfaceNormalForm:
         u, v = SURFACE_DEFECT_PAIR
         assert S2GROUP.element_of(u) == S2GROUP.element_of(v)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the Dehn fixed points are not one per element: the counted spheres "
+        "leave Cannon's series at z^7 (930330 against 930328)"))
+    def test_growth_series_is_cannons(self):
+        # Cannon (1984): (1 + 2z + 2z^2 + 2z^3 + z^4) / (1 - 6z - 6z^2 -
+        # 6z^3 + z^4).  Two rational series whose denominators have degree
+        # at most N agree everywhere once they agree on N + 5 coefficients
+        counted = counted_growth(SurfaceGroup(2))
+        assert counted == growth_series([1, 2, 2, 2, 1], [1, -6, -6, -6, 1], len(counted))
+
+
+class TestGrowth:
+    """The sphere counter against closed forms of the growth series."""
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_free_group_spheres(self, rank):
+        n = 2 * rank
+        counted = counted_growth(FreeGroup(rank))
+        assert counted == [1] + [n * (n - 1) ** (r - 1) for r in range(1, len(counted))]
+        assert len(counted) == n + 1 + 5  # the last token's 2n + 1 states
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free_abelian_spheres(self, rank):
+        group = FreeAbelianGroup(rank)
+        assert group.sphere_sizes(group.ball_budget) == lattice_spheres(rank, group.ball_budget)
+
+    def test_lattice_spheres_have_their_closed_forms(self):
+        assert lattice_spheres(1, 16) == [1] + [2] * 16
+        assert lattice_spheres(2, 16) == [1] + [4 * r for r in range(1, 17)]
+        assert lattice_spheres(3, 16) == [1] + [4 * r * r + 2 for r in range(1, 17)]
+
+    # (states, keep tests, refusals) once every reached state is left
+    SURFACE_STATES = {2: (281, 120, 64), 3: (1189, 276, 144)}
+
+    @pytest.mark.parametrize("genus", SURFACE_STATES)
+    def test_surface_suffix_states_are_pinned(self, genus, monkeypatch):
+        group = SurfaceGroup(genus)
+        keeps, tests = group._keeps, []
+        monkeypatch.setattr(group, "_keeps", lambda w: tests.append(keeps(w)) or tests[-1])
+        states = close_suffix_states(group)
+        assert (len(states.states), len(tests), tests.count(False)) == \
+            self.SURFACE_STATES[genus]
+        assert len(states.ids) == len(states.states)
+
+    def test_threads_counting_at_once_share_one_numbering(self):
+        # a state reached by two threads at once keeps the id published
+        # first; every count is the one a single thread makes
+        expected = SurfaceGroup(3).sphere_sizes(8)
+        group, results = SurfaceGroup(3), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = threading.Barrier(6, timeout=60)
+
+            def count():
+                start.wait()
+                results.append(group.sphere_sizes(8))
+            threads = [threading.Thread(target=count) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 6
+        states = group._suffix_states
+        assert len(states.ids) == 1189
+        assert all(states.states[j] == state for state, j in states.ids.items())
+
 
 class TestWordMetric:
     @pytest.mark.parametrize("group", ALL_KINDS)
@@ -329,9 +428,9 @@ class TestBalls:
         # first outer sphere of ball(5) is the sphere of radius 6
         spheres = growth_series([1, 2, 2, 2, 1], [1, -6, -6, -6, 1], 7)
         assert spheres == [1, 8, 56, 392, 2736, 19096, 133288]
-        ball = SurfaceGroup(2).indexed_ball(5)
-        assert sphere_sizes(ball) == spheres[:6]
-        assert ball.outer[0] == spheres[6]
+        group = SurfaceGroup(2)
+        assert sphere_sizes(group.indexed_ball(5)) == spheres[:6]
+        assert group.sphere_sizes(6) == spheres
 
     def test_budget_error_names_flag(self):
         # --radius is the value that overflowed; the knob is the document's
@@ -348,8 +447,8 @@ class TestBalls:
         assert ball.elements == list(dist) and ball.dist == list(dist.values())
         assert list(group.ball_with_distances(radius).items()) == list(dist.items())
         assert ball.ends == [len(reference_ball(group, r)) for r in range(radius + 1)]
-        assert ball.outer[0] == \
-            list(reference_ball(group, radius + 1).values()).count(radius + 1)
+        assert group.sphere_sizes(radius + 1) == \
+            [list(reference_ball(group, radius + 1).values()).count(r) for r in range(radius + 2)]
         assert group.sphere(radius) == {g for g, d in dist.items() if d == radius}
         check_rows(ball)
         for t in group._signed_tokens():
@@ -358,7 +457,8 @@ class TestBalls:
 
     # sha256 of repr((elements, dist, rows of ball(R - 1), ends, |S_{R+1}|)),
     # taken from the BFS that also expanded the last sphere, whose full rows
-    # matched the tuple-keyed BFS that called multiply_token on every product
+    # matched the tuple-keyed BFS that called multiply_token on every product;
+    # |S_{R+1}| is now read off the sphere counter
     PINNED_BALLS = {
         "surface2-r5": (SurfaceGroup(2), 5,
          "12cf0b273ff066caccf47656b8c075ff757c3fc984b0d13dbe2a112ebeb5efa9"),
@@ -380,7 +480,7 @@ class TestBalls:
         ball = IndexedBall(group, radius)
         inner = ball.ends[radius - 1]
         blob = repr((ball.elements, ball.dist, [row[:inner] for row in ball.rows],
-                     ball.ends, ball.outer[0]))
+                     ball.ends, group.sphere_sizes(radius + 1)[-1]))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
         assert all(row[inner:] == [-1] * (len(ball.elements) - inner) for row in ball.rows)
 
@@ -389,10 +489,11 @@ class TestBalls:
         # expanded sphere R - 1 apart raised InternalError on genus-2
         # ball(7), whose sphere 7 holds rewritten products that end off a
         # half relator.  ball(7) (1085907 = 155577 + 930330 elements, about
-        # 330 MB) is left to `amenability fixture:genus2 --radius 8`
+        # 330 MB) is left to the counter, which
+        # `amenability fixture:genus2 --radius 8` reads
         group = SurfaceGroup(2)
         ball = IndexedBall(group, 6)
-        assert tuple(sphere_sizes(ball)[5:]) == IndexedBall(group, 4).outer == (19096, 133288)
+        assert sphere_sizes(ball)[5:] == group.sphere_sizes(6)[5:] == [19096, 133288]
         assert len(ball.elements) == 155577
 
     def test_outer_spheres_of_genus2_ball5(self):
@@ -403,11 +504,11 @@ class TestBalls:
         # 930336.  930330 is the current rewrite's sphere of radius 7, not
         # Cannon's 930328: two of its fixed points can name one element
         # (SURFACE_DEFECT_PAIR), and a normal form will move this pin.
-        assert IndexedBall(SurfaceGroup(2), 5).outer == (133288, 930330)
+        assert SurfaceGroup(2).sphere_sizes(7)[6:] == [133288, 930330]
 
     # every radius R whose ball(R + 2) stays under about 50k elements
     OUTER_GROUPS = {
-        "free1": (FreeGroup(1, ball_budget=12), 12),
+        "free4": (FreeGroup(4), 5),
         "free2": (FreeGroup(2, ball_budget=9), 9),
         "free3": (FreeGroup(3), 6),
         "surface2": (SurfaceGroup(2), 5),
@@ -421,9 +522,7 @@ class TestBalls:
 
     @pytest.mark.parametrize("group,top", OUTER_GROUPS.values(), ids=OUTER_GROUPS.keys())
     def test_outer_matches_the_built_spheres(self, group, top):
-        spheres = sphere_sizes(IndexedBall(group, top))
-        for radius in range(top - 1):
-            assert IndexedBall(group, radius).outer == tuple(spheres[radius + 1:radius + 3])
+        assert group.sphere_sizes(top) == sphere_sizes(IndexedBall(group, top))
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
@@ -431,7 +530,7 @@ class TestBalls:
         kind = data.draw(st.sampled_from(["free", "surface", "free-abelian", "finite"]))
         size = data.draw(st.integers(1, 3))
         group, top = {
-            "free": lambda: (FreeGroup(size, ball_budget=12), (10, 7, 4)[size - 1]),
+            "free": lambda: (FreeGroup(size + 1, ball_budget=12), (7, 4, 2)[size - 1]),
             "surface": lambda: (SurfaceGroup(size + 1), (3, 2, 1)[size - 1]),
             "free-abelian": lambda: (FreeAbelianGroup(size), (10, 8, 6)[size - 1]),
             "finite": lambda: (cyclic_group(data.draw(st.integers(1, 12))) if size < 3
@@ -439,9 +538,8 @@ class TestBalls:
         }[kind]()
         radius = data.draw(st.integers(0, top))
         built = IndexedBall(group, radius + 2)
-        ball = IndexedBall(group, radius)
-        assert ball.outer == tuple(sphere_sizes(built)[radius + 1:])
-        check_rows(ball)
+        assert group.sphere_sizes(radius + 2) == sphere_sizes(built)
+        check_rows(IndexedBall(group, radius))
         check_rows(built)
 
     LAST_SPHERES = {
@@ -466,26 +564,26 @@ class TestBalls:
     def test_last_sphere_matches_multiply_token(self, group, radius):
         # the ball finds its last sphere and never expands it; the distinct
         # products of that sphere outside the ball, taken directly, are the
-        # first outer sphere
+        # counted sphere past it
         ball = IndexedBall(group, radius)
         check_rows(ball)
         inside = set(ball.elements)
         beyond = {group.multiply_token(g, t)
                   for g in ball.elements[ball.ends[radius - 1] if radius else 0:]
                   for t in group._signed_tokens()} - inside
-        assert ball.outer[0] == len(beyond)
+        assert group.sphere_sizes(radius + 1)[-1] == len(beyond)
 
     def test_ball_work_skips_the_last_sphere(self, monkeypatch):
-        # only flagged appends of ball(R - 1) reach _append_token: 120 for
-        # ball(5), of which 64 are rewritten, and 16 for ball(4), 8 of them
-        # rewritten.  The count of the two outer spheres tries each flagged
-        # window once with the token before it, 16 half relators after 7
-        # tokens, whatever the radius, and 64 of those 112 are rewritten;
-        # the probe of radius 5 reads ball(4) and that count.  Sending more
-        # products through the rewrite, expanding the last sphere, or
-        # another rewrite order, moves the counts
+        # only flagged appends of ball(R - 1) reach _append_token, each with
+        # one keep test: 120 for ball(5), of which 64 are rewritten, and 16
+        # for ball(4), 8 of them rewritten.  The sphere counter keeps no
+        # word: it tests each flagged move of a suffix state once, 120 tests
+        # of which 64 refuse, when the probe of radius 5 counts through
+        # sphere 6, and none when it counts again, further or not.  Sending
+        # more products through the rewrite, expanding the last sphere,
+        # another rewrite order, or testing a move twice, moves the counts
         group = SurfaceGroup(2)
-        calls = {"_append_token": 0, "_canonical": 0}
+        calls = {"_append_token": 0, "_canonical": 0, "_keeps": 0}
         for name in calls:
             method = getattr(group, name)
 
@@ -494,11 +592,12 @@ class TestBalls:
                 return method(*args)
             monkeypatch.setattr(group, name, counted)
         IndexedBall(group, 5)
-        assert calls == {"_append_token": 120, "_canonical": 64}
-        ball = IndexedBall(group, 4)
-        assert calls == {"_append_token": 120 + 16, "_canonical": 64 + 8}
-        ball.outer
-        assert calls == {"_append_token": 120 + 16 + 112, "_canonical": 64 + 8 + 64}
+        assert calls == {"_append_token": 120, "_canonical": 64, "_keeps": 120}
+        IndexedBall(group, 4)
+        assert calls == {"_append_token": 120 + 16, "_canonical": 64 + 8, "_keeps": 120 + 16}
+        for radius in (6, 6, 9):
+            group.sphere_sizes(radius)
+            assert calls == {"_append_token": 136, "_canonical": 72, "_keeps": 136 + 120}
 
     def test_rewrites_only_in_flagged_window(self):
         # a product leaves the plain free append only when the last h tokens
