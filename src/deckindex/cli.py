@@ -244,7 +244,7 @@ def cmd_amenability(args: argparse.Namespace) -> int:
     if scheme is not None:
         rows = []
         for t in range(1, 9):
-            rows.append({"t": t, "size": len(scheme.set_at(t)),
+            rows.append({"t": t, "size": scheme.size(t),
                          "ratio": reports.fraction_str(scheme.ratio(t))})
         payload["folner"] = rows
         charts["folner.svg"] = ("Folner collar ratio vs index",

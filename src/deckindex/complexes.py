@@ -35,10 +35,12 @@ import collections.abc
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalError, OrientationError, ResourceError
+from .geometry import numerators
 from .groups import (FreeAbelianGroup, FiniteGroup, group_from_document, group_to_document,
                      integer_value)
 from .reports import fraction_str
@@ -124,9 +126,10 @@ class QuotientComplex:
             descents = (rows[:, :-1] >= rows[:, 1:]).any(axis=1)
             if descents.any():
                 raise _malformed_simplex(tuple(rows[descents.argmax()].tolist()), k)
-            # unique rows keep every lookup one-to-one
+            # unique rows keep every lookup one-to-one; rows that come
+            # strictly ascending, as a subdivision's do, need no sort
             keys = _row_keys(rows)
-            ordered = np.sort(keys)
+            ordered = keys if (keys[1:] > keys[:-1]).all() else np.sort(keys)
             twice = ordered[1:][ordered[1:] == ordered[:-1]]
             if len(twice):
                 s = tuple(rows[(keys == twice[0]).argmax()].tolist())
@@ -739,15 +742,16 @@ class Subdivision:
 
     ``complex`` is the subdivided quotient; ``cell_vertex[k][idx]`` is the
     new vertex id of the barycenter of the last subdivision's old cell.
-    ``levels`` holds one chain map per subdivision, first to last, as arrays
-    (see :func:`_subdivide_once`), and ``chain_map[k]`` sends an original
-    k-simplex index to its chain in the new complex as a list of
-    ``(new_index, coefficient)`` pairs.  For one subdivision the chain of s
-    has one term per full flag v_0 < e_1 < ... < s (one cell of each
-    dimension), whose coefficient is the sign of the order in which the flag
-    adds the vertices of s; the levels become dicts and are composed when
+    ``chain_map[k]`` sends an original k-simplex index to its chain in the
+    new complex as a list of ``(new_index, coefficient)`` pairs.  For one
+    subdivision the chain of s has one term per full flag v_0 < e_1 < ... <
+    s (one cell of each dimension), whose coefficient is the sign of the
+    order in which the flag adds the vertices of s.  ``levels`` holds what
+    each subdivision, first to last, already has of it: per dimension the
+    last cell and the sign of every flag (see :func:`_subdivide_once`).
+    The full flags are picked out per level and the levels composed when
     ``chain_map`` is first read, so a caller that reads only ``complex``
-    never builds them.
+    (``validate``, the analytic refinement) never builds a chain map.
     """
 
     complex: QuotientComplex
@@ -797,11 +801,16 @@ def barycentric_subdivide(q: QuotientComplex, times: int = 1) -> Subdivision:
 
 def _chain_map_tables(level):
     """One level's chain map as ``{old index: [(new index, coefficient)]}``
-    per dimension, from its ``(bounds, rows, coefficients)`` arrays."""
+    per dimension: old k-cell idx, new vertex ``start + idx``, goes to its
+    full flags (the nonzero signs) in row order."""
     tables = []
-    for bounds, rows, coefs in level:
-        bounds, terms = bounds.tolist(), list(zip(rows.tolist(), coefs.tolist()))
-        tables.append({idx: terms[a:b] for idx, (a, b) in enumerate(zip(bounds, bounds[1:]))})
+    for last, signs, start, stop in level:
+        full = signs.nonzero()[0]
+        table = {idx: [] for idx in range(stop - start)}
+        for row, cell, sign in zip(full.tolist(), (last[full] - start).tolist(),
+                                   signs[full].tolist()):
+            table[cell].append((row, sign))
+        tables.append(table)
     return tables
 
 
@@ -821,9 +830,10 @@ def _compose_chain_maps(first, second):
 
 def _subdivide_once(q: QuotientComplex):
     """One barycentric subdivision, read off the flag table of ``q``:
-    ``(complex, cell_vertex, level)``, where ``level[k]`` is the chain map
-    of dimension k as arrays ``(bounds, rows, coefficients)``: old k-cell
-    idx goes to the new rows ``rows[bounds[idx]:bounds[idx + 1]]``.
+    ``(complex, cell_vertex, level)``, where ``level[k]`` is ``(last,
+    signs, offset[k], offset[k + 1])``: the last cell of each new k-simplex
+    and its flag sign, 0 unless the flag is full, from which
+    :func:`_chain_map_tables` reads the chain map when it is asked for.
 
     The barycenter of old k-cell ``idx`` is new vertex ``offset[k] + idx``,
     so a face always has a smaller id than its cofaces and a flag is an
@@ -857,14 +867,15 @@ def _subdivide_once(q: QuotientComplex):
     distinct = {}
     remap = np.array([distinct.setdefault(g, len(distinct)) for g in
                       [group.identity()] + list(map(group.inverse, q.labels.table))], np.int64)
-    entries = []
+    entries, spokes = [], [np.zeros((q.count(0), 0), np.int64)]
     for k in range(1, n + 1):
         rows = q._rows[k]
         combos = [list(itertools.combinations(range(k + 1), m + 1)) for m in range(k)]
         faces = [np.stack([_compose_facets(q, k, c) for c in block], axis=1) for block in combos]
         # the edges (0, p) are the first k pairs of positions
-        edges = faces[1][:, :k] if k > 1 else np.arange(len(rows))[:, None]
-        back = np.concatenate([np.zeros((len(rows), 1), np.int64), 1 + q.labels.ids[edges]], 1)
+        spokes.append(faces[1][:, :k] if k > 1 else np.arange(len(rows))[:, None])
+        back = np.concatenate([np.zeros((len(rows), 1), np.int64),
+                               1 + q.labels.ids[spokes[k]]], 1)
         for m in range(k):
             steps = [(-1) ** t if m == k - 1 else 0 for t in range(len(combos[m]))]
             entries.append((offset[m] + faces[m],
@@ -872,10 +883,10 @@ def _subdivide_once(q: QuotientComplex):
                             np.tile(steps, len(rows)),
                             back[:, [c[0] for c in combos[m]]]))
     face, coface, step, label = (np.concatenate([e[i].ravel() for e in entries]) for i in range(4))
-    order = np.lexsort((coface, face))
-    face, coface, step, label = face[order], coface[order], step[order], label[order]
+    keys = face * offset[-1] + coface  # (face, coface) pairs are unique: one sort key
+    order = keys.argsort()
+    keys, coface, step, label = keys[order], coface[order], step[order], label[order]
     start = np.concatenate([[0], np.bincount(face, minlength=offset[-1]).cumsum()])
-    keys = face * offset[-1] + coface  # ascending: one key per entry
 
     # each flag level extends every flag by the coface entries of its last
     # cell; level 0 is every cell, and only the vertices start full flags.
@@ -905,29 +916,40 @@ def _subdivide_once(q: QuotientComplex):
                 up = skips[-2][facets[-1][parent]]
                 facets.append(np.concatenate([by + up, parent[:, None]], axis=1))
         simplices_by_dim.append(rows)
-        # the full flags of old k-cells, grouped by cell and in row order
-        full = signs.nonzero()[0]
-        cell = rows[full, -1] - offset[k]
-        by_cell = cell.argsort(kind="stable")
-        bounds = np.concatenate([[0], np.bincount(cell, minlength=q.count(k)).cumsum()])
-        level.append((bounds, full[by_cell], signs[full[by_cell]]))
+        level.append((rows[:, -1], signs, offset[k], offset[k + 1]))
 
-    coords = None
-    if q.coordinates is not None:
-        # the barycenter of each old cell, realized from its first vertex
-        coords = {offset[k] + idx: tuple(sum(col) / (k + 1) for col in zip(*q.realize(k, idx)))
-                  for k in range(n + 1) for idx in q.cells(k)}
-    # a new top simplex takes its cell's sign times its flag's, and new edge
-    # e is coface entry e: level 1 extends each cell in id order
+    coords = _barycenters(q, spokes) if q.coordinates is not None else None
+    # a new top simplex takes its cell's sign times its flag's (every top
+    # flag is full, so each is +1 or -1, table [-1, 1] when both occur), and
+    # new edge e is coface entry e: level 1 extends each cell in id order
     old_signs = np.array(q.orientation.table, np.int64)[q.orientation.ids]
-    values, sign_ids = np.unique(old_signs[rows[:, -1] - offset[n]] * signs, return_inverse=True)
+    positive = (old_signs[rows[:, -1] - offset[n]] * signs > 0).astype(np.int64)
+    low, high = int(positive.min()), int(positive.max())
     new = QuotientComplex(group, _BarycenterNames(q), simplices_by_dim,
-                          _CellValues(sign_ids, values.tolist()),
+                          _CellValues(positive - low, [-1, 1][low:high + 1]),
                           _CellValues(remap[label], distinct),
                           coordinates=coords, name=(q.name + "^sd") if q.name else "")
     new.facets = facets  # read off the flags above, never searched
     cell_vertex = [list(range(offset[k], offset[k + 1])) for k in range(n + 1)]
     return new, cell_vertex, level
+
+
+def _barycenters(q: QuotientComplex, spokes) -> dict:
+    """The barycenter of every cell by new vertex id, realized from its first
+    vertex (``spokes[k]``: the edges from it in each k-cell) in integer
+    numerators over one denominator, with one Fraction per coordinate."""
+    import numpy as np
+    points = [q.coordinates[v] for v in q.cells(0)]
+    shifts = [q.translation_vector(g) for g in q.labels.table]
+    width = min(len(points[0]), len(shifts[0]))  # realize zips a point with its shift
+    den = math.lcm(*(c.denominator for row in points + shifts for c in row[:width]))
+    points, shifts = (np.array(numerators((row[:width] for row in rows), den), object)
+                      for rows in (points, shifts))
+    out = []
+    for k, (rows, edges) in enumerate(zip(q._rows, spokes)):
+        sums = points[rows].sum(axis=1) + shifts[q.labels.ids[edges]].sum(axis=1)
+        out += [tuple(Fraction(x, den * (k + 1)) for x in row) for row in sums.tolist()]
+    return dict(enumerate(out))
 
 
 def _compose_facets(q: QuotientComplex, k: int, positions):
@@ -976,10 +998,13 @@ def gauge_normalize(q: QuotientComplex) -> QuotientComplex:
     tree = spanning_tree(q, q.cells(1))
     if len(tree) != len(q.vertices) - 1:
         raise InputError("quotient 1-skeleton is not connected")
+    # products append one token at a time; back(g) is the word of g^-1
+    word = group.element_word
+    back = lambda g: [-t for t in reversed(word(g))]
     h = {0: group.identity()}
-    for v, (u, _) in tree.items():
-        h[v] = group.multiply(h[u], q.edge_label(u, v))
-    labels = {e: group.multiply(group.multiply(h[u], q.labels[e]), group.inverse(h[v]))
+    for v, (u, e) in tree.items():
+        h[v] = functools.reduce(group.multiply_token, (back if u > v else word)(q.labels[e]), h[u])
+    labels = {e: functools.reduce(group.multiply_token, [*word(q.labels[e]), *back(h[v])], h[u])
               for e, (u, v) in enumerate(q.simplices[1])}
     return QuotientComplex(group, q.vertices, q._rows, q.orientation, labels,
                            {e for _, e in tree.values()}, name=q.name)

@@ -88,7 +88,7 @@ from .classes import ClassFunction, ingest_index_data  # noqa: F401 - read by ca
 from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
                         check_subdivision_count, euler_characteristic, permutation_sign)
 from .errors import InputError, InternalError, ResourceError, TamenessError
-from .geometry import (det, eliminate, numerators, reduce_integers, simplex_heights2,
+from .geometry import (det, numerators, reduce_integers, simplex_heights2,
                        sqrt_lower_bound)
 from .groups import FiniteGroup, FreeAbelianGroup, integer_value
 
@@ -852,18 +852,22 @@ class _HostTable:
         self._heights2: dict = {}
         for idx, verts in self.vertices.items():
             d = len(verts[0])
-            a = [[v[i] for v in verts] for i in range(d)] + [[1] * (n + 1)]
-            reduced, pivots, _ = eliminate(
-                [row + [int(i == j) for j in range(d + 1)] for i, row in enumerate(a)],
-                n + 1)
+            # [A | I] in integers: the coordinate rows times den, the row of
+            # ones as it is, with those scales handed to the reduction
+            box = [*zip(*numerators(verts, self.den))]
+            m = [[*row, *(self.den * (i == j) for j in range(d + 1))]
+                 for i, row in enumerate(box)] + [[1] * (n + 1) + [0] * d + [1]]
+            scales = [self.den] * d + [1]
+            pivots, _, p = reduce_integers(m, n + 1, scales)
             if len(pivots) <= n:
                 raise InputError(
                     f"top cell ({', '.join(q.vertices[v] for v in q.simplex(n, idx))}) "
                     f"is degenerate: its realized vertices are affinely dependent")
-            rows = [row[n + 1:] for row in reduced]
-            row_den = math.lcm(*(c.denominator for row in rows for c in row))
-            box = numerators(zip(*verts), self.den)
-            self.cells.append((idx, numerators(rows, row_den), row_den,
+            # E is each pivot row over p and each other row over p times its scale
+            rows = [(row[n + 1:], p) for row in m[:n + 1]] + \
+                [(row[n + 1:], p * s) for row, s in zip(m[n + 1:], scales[n + 1:])]
+            row_den = math.lcm(*(abs(b) // math.gcd(a, b) for row, b in rows for a in row))
+            self.cells.append((idx, [[a * row_den // b for a in row] for row, b in rows], row_den,
                                [min(col) for col in box], [max(col) for col in box]))
 
     def heights2(self, idx: int) -> list:

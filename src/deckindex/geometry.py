@@ -3,12 +3,12 @@
 Every small exact system is reduced by one Gauss–Jordan routine,
 :func:`eliminate`, which works in integers with fraction-free (Bareiss)
 steps and divides back into rationals once, at the end: :func:`solve_linear`
-and :func:`det` read it, and so do the host-cell table and the chart index
-of :mod:`deckindex.fixpoint`.  The squared heights of a simplex,
-``h_i² = det G / det G_i``, come from Gram determinants in any dimension
-(:func:`simplex_heights2`); the host-cell table reads them, and a point's
-depth in a simplex is ``min_i λ_i h_i``, its barycentric coordinates
-times those heights.
+and :func:`det` read it, and the host-cell table and the chart index of
+:mod:`deckindex.fixpoint` run its integer core, :func:`reduce_integers`.
+The squared heights of a simplex, ``h_i² = det G / det G_i``, come from
+Gram determinants in any dimension (:func:`simplex_heights2`); the
+host-cell table reads them, and a point's depth in a simplex is
+``min_i λ_i h_i``, its barycentric coordinates times those heights.
 """
 
 from __future__ import annotations

@@ -831,7 +831,9 @@ class IndexedBall:
 
 class BoxFolnerScheme:
     """Boxes F_t = [-t, t]^k in a free abelian group, a nested family of
-    finite sets witnessing amenability.
+    finite sets witnessing amenability.  A box is counted, never listed:
+    ``size(t)`` is (2t + 1)^k, and ``mass_inside`` keeps the masses whose
+    sup norm is at most t.
 
     ``ratio(t)`` is the outer r-collar ratio |{x not in F : d(x, F) <= r}| /
     |F|, an exact rational.  It equals the edge-boundary count divided by
@@ -843,12 +845,20 @@ class BoxFolnerScheme:
             raise InputError("neighborhood radius must be a positive integer")
         self.group = group
         self.radius = radius
+        self._norms = (None, [])
 
-    def set_at(self, t: int) -> frozenset:
+    def size(self, t: int) -> int:
         if t < 1:
             raise InputError("scheme index must be >= 1")
-        side = range(-t, t + 1)
-        return frozenset(itertools.product(side, repeat=self.group.rank))
+        return (2 * t + 1) ** self.group.rank
+
+    def mass_inside(self, masses: dict, t: int) -> int:
+        """The sum of the masses ``{element: value}`` that lie in F_t.  A
+        scheme is asked at several t in turn, so the sup norms of the last
+        masses asked about are kept."""
+        if self._norms[0] is not masses:
+            self._norms = (masses, [(max(map(abs, g)), v) for g, v in masses.items()])
+        return sum(v for norm, v in self._norms[1] if norm <= t)
 
     def ratio(self, t: int) -> Fraction:
         """Collar ratio counted from the word metric: the distance of x to
@@ -874,8 +884,11 @@ class WholeGroupFolnerScheme:
         self.group = group
         self.radius = radius
 
-    def set_at(self, t: int) -> frozenset:
-        return frozenset(self.group.elements())
+    def size(self, t: int) -> int:
+        return self.group.order
+
+    def mass_inside(self, masses: dict, t: int) -> int:
+        return sum(masses.values())
 
     def ratio(self, t: int) -> Fraction:
         return Fraction(0)
@@ -884,11 +897,9 @@ class WholeGroupFolnerScheme:
 def folner_average(scheme: BoxFolnerScheme | WholeGroupFolnerScheme, f,
                    t: int) -> Fraction:
     """Exact average over F_t of a bounded class function c + finite part:
-    c |F_t| plus the masses of the support that lie in F_t."""
-    members = scheme.set_at(t)
-    total = f.constant * len(members) + sum(
-        v for g, v in f.finite.items() if g in members)
-    return Fraction(total, len(members))
+    c |F_t| plus the masses of the support that lie in F_t, over |F_t|."""
+    size = scheme.size(t)
+    return Fraction(f.constant * size + scheme.mass_inside(f.finite, t), size)
 
 
 # ---------------------------------------------------------------------------

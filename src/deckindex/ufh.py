@@ -483,7 +483,7 @@ def verify_certificate(cert: ClassCertificate) -> dict:
             avg = folner_average(scheme, f, t)
             check(f"average at t={t} recomputed", Fraction(row["average"]) == avg,
                   str(avg))
-            size = len(scheme.set_at(t))
+            size = scheme.size(t)
             check(f"average at t={t} within mass bound",
                   abs(avg - limit) <= Fraction(mass, size))
     elif cert.verdict == "zero-by-boundary":

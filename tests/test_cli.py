@@ -609,6 +609,34 @@ class TestSubdivideFlag:
         with pytest.raises(AssertionError, match="composed"):
             complexes.barycentric_subdivide(fixture_complex("octahedron"), 2).chain_map
 
+    def test_chain_maps_are_built_on_first_read(self, tmp_path, monkeypatch):
+        # a level keeps its flag signs; only the Hopf trace of a map given on
+        # a subdivision reads chain_map, which builds each level's table once
+        built = []
+        tables = complexes._chain_map_tables
+        monkeypatch.setattr(complexes, "_chain_map_tables",
+                            lambda level: built.append(level) or tables(level))
+        out = str(tmp_path / "validate")
+        assert main(["validate", "fixture:genus2", "--subdivide", "3", "--out", out]) == 0
+        # --subdivide pushes an automorphism down level by level instead
+        out = str(tmp_path / "pushed")
+        assert main(["map-analyze", "fixture:octahedron-antipodal", "--subdivide", "1",
+                     "--out", out]) == 0
+        assert built == []
+        # every barycenter goes to the antipode of its cell's first vertex
+        octa = fixture_complex("octahedron")
+        sub = complexes.barycentric_subdivide(octa, 1)
+        antipode = fixture_document("octahedron-antipodal")["vertex_images"]
+        images = {str(sub.cell_vertex[k][idx]): antipode[octa.vertices[s[0]]]
+                  for k in range(3) for idx, s in enumerate(octa.simplices[k])}
+        path = _write(tmp_path, "map.json", {"variant": "simplicial", "fixture": "octahedron",
+                                             "subdivision": 1, "vertex_images": images})
+        out = str(tmp_path / "map")
+        assert main(["map-analyze", path, "--out", out]) == 0
+        oracle = _read_report(out)["report"]["oracle"]
+        assert (oracle["classical_lefschetz_number"], oracle["equal"]) == (0, True)
+        assert len(built) == 1
+
     def test_model_reads_the_composed_chain_map(self):
         # a map model at subdivision 2 reads the composition of its two
         # levels; barycenters go to the first vertex of their cell, twice

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deckindex import complexes
+from deckindex import complexes, groups
 from deckindex.complexes import (
     FundamentalDomain,
     PeriodicComplex,
@@ -29,7 +29,7 @@ from deckindex.fixtures import (
     torus_grid,
 )
 from deckindex.groups import trivial_group
-from deckindex.reports import canonical_json
+from deckindex.reports import canonical_json, fraction_str
 
 
 def _digest(doc) -> str:
@@ -361,6 +361,18 @@ class TestFaceTable:
         assert validate_quotient(genus2_surface()).valid
         assert calls.count((1, 144)) == 1 and calls.count((2, 96)) == 1
 
+    def test_genus2_gauge_multiplies_by_tokens(self, monkeypatch):
+        # the gauge appends one token at a time, so the full word rewrite
+        # runs only where an append needs it (557 times with full products);
+        # the labels it gives are pinned by the subdivision digests
+        calls = []
+        canonical = groups.SurfaceGroup._canonical
+        monkeypatch.setattr(groups.SurfaceGroup, "_canonical",
+                            lambda group, tokens: calls.append(tokens) or canonical(group, tokens))
+        q = genus2_surface()
+        assert len(calls) == 81
+        assert all(q.labels[e] == q.group.identity() for e in q.tree)
+
     def test_subdivision_searches_no_table_and_builds_no_name(self, monkeypatch):
         # as in "validate fixture:genus2 --subdivide 3": only the genus-2
         # document's complex searches its rows; the three subdivisions hand
@@ -596,6 +608,36 @@ class TestSubdivision:
         assert ("coordinates" in doc) == (name != "three-sphere")
         assert (_digest(doc), _digest(_chain_map_document(sub.chain_map))) == \
             self.SD2_DIGESTS[name]
+
+    # sha256 of every table a subdivision keeps (rows, face table, label and
+    # sign ids and tables, coordinates, cell_vertex) and of its chain map,
+    # pinned before the chain maps were built on first read
+    TABLE_DIGESTS = {
+        ("genus2", 1): "3613b9e1812d4af13f8de4e53078ecd6310806b413c36b8e78b1d3f6d231c4c4",
+        ("genus2", 2): "c6b8f1030cbfdc90a8461b2279b02a5753c70540f4be6daa2e89d4471cfaa5cc",
+        ("genus2", 3): "12f37b2ce82fdf89ea067ad438a00cf1173dc4dbdd5eeff3b92eb3b8174fa5b8",
+        ("octahedron", 1): "eebe52bb5ef932caa32e7b7c5ac8fa0d6d2a28f2fe0b0b420d0a09cf6ce061aa",
+        ("octahedron", 2): "0d56277abd3c2ed2196a8c8e6e431798772a8b10750d8f40858ae719d753f5be",
+        ("torus", 1): "8ee7912249373ec27dd8288cedbb6192aeb07a7dd00d7d6338f4c9c94b46b84e",
+        ("torus", 2): "7ce16c020eaf8e5aefb025661965c679bf783e8ff0a951503aedfe8e1294c498",
+    }
+
+    @pytest.mark.parametrize("name, times", sorted(TABLE_DIGESTS))
+    def test_tables_pinned(self, name, times):
+        sub = barycentric_subdivide(fixture_complex(name), times)
+        q = sub.complex
+        coordinates = None if q.coordinates is None else {
+            str(v): [fraction_str(c) for c in cs] for v, cs in sorted(q.coordinates.items())}
+        doc = {
+            "rows": [rows.tolist() for rows in q._rows],
+            "facets": [f.tolist() for f in q.facets],
+            "labels": [q.labels.ids.tolist(), list(map(q.group.format_element, q.labels.table))],
+            "signs": [q.orientation.ids.tolist(), list(q.orientation.table)],
+            "coordinates": coordinates,
+            "cell_vertex": sub.cell_vertex,
+            "chain_map": _chain_map_document(sub.chain_map),
+        }
+        assert _digest(doc) == self.TABLE_DIGESTS[name, times]
 
     def test_corrupted_label_breaks_cocycle_after_subdivision(self):
         q = barycentric_subdivide(GENUS2, 2).complex

@@ -721,9 +721,12 @@ class TestFolner:
         for radius in (1, 2, 3):
             scheme = group.folner_scheme(radius)
             for t in range(1, 6):
-                box = scheme.set_at(t)
-                assert len(box) == (2 * t + 1) ** rank
+                box = set(itertools.product(range(-t, t + 1), repeat=rank))
+                assert scheme.size(t) == len(box) == (2 * t + 1) ** rank
                 assert all(max(map(abs, x)) <= t for x in box)
+                if radius == 1:  # the box and its collar, one mass at a time
+                    wider = itertools.product(range(-t - 1, t + 2), repeat=rank)
+                    assert all(scheme.mass_inside({x: 1}, t) == (x in box) for x in wider)
                 collar = bfs_collar(group, box, radius)
                 assert scheme.ratio(t) == Fraction(len(collar), len(box))
 
@@ -736,7 +739,7 @@ class TestFolner:
                   (0, -9, 2): -2, (6, 6, 6): 0}
         f = _ConstPlusFinite(Z3, -2, finite)
         for t in (1, 2, 3, 5, 6):
-            box = scheme.set_at(t)
+            box = set(itertools.product(range(-t, t + 1), repeat=3))
             assert folner_average(scheme, f, t) == \
                 Fraction(sum(f.value(g) for g in box), len(box))
 
