@@ -25,8 +25,8 @@ otherwise, and ``cofacets`` is its transpose.  Validation, face data,
 orientation, the fundamental domain, the chain boundaries and subdivision
 all read it.  Both depend only on the read-only rows; deck shifts are read
 from the current labels at call time, since labels, orientation and tree
-may be set after construction.  numpy is imported inside the functions
-that use it, so importing this module does not load it.
+may be set after construction, and a Euclidean cover's integer ``lattice``
+on its first read.  numpy is imported inside the functions that use it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 from .errors import InputError, InternalError, OrientationError, ResourceError
 from .geometry import numerators
 from .groups import (FreeAbelianGroup, FiniteGroup, group_from_document, group_to_document,
-                     integer_value)
+                     integer_value, rational_row)
 from .reports import fraction_str
 
 
@@ -231,30 +231,31 @@ class QuotientComplex:
 
     # -- cover geometry --------------------------------------------------------
 
-    def translation_vector(self, g):
-        """Euclidean translation of a deck element, for Euclidean models."""
-        if isinstance(self.group, FreeAbelianGroup):
-            return tuple(Fraction(x) for x in g)
-        if isinstance(self.group, FiniteGroup):
-            d = len(next(iter(self.coordinates.values()))) if self.coordinates else 0
-            return (Fraction(0),) * d
-        raise InputError("complex has no Euclidean model for this deck group")
-
-    def realize(self, k: int, idx: int, g=None):
-        """Exact vertex positions of the cover cell (g, simplex).
-
-        Requires coordinates.  Vertex i of the lift sits at
-        ``coord(v_i) + vec(g * shift)`` where the shift is the label from
-        the simplex anchor to that vertex.
-        """
+    @functools.cached_property
+    def lattice(self) -> tuple:
+        """``(den, points, shifts)``: vertex v at ``points[v]`` over ``den``,
+        the coordinates' least common denominator, and ``shifts[g]``, g times
+        den, for the identity and each edge label; None on a finite deck,
+        which moves nothing.  Read once coordinates and labels are set."""
         if self.coordinates is None:
             raise InputError("complex carries no coordinates")
-        if g is None:
-            g = self.group.identity()
+        free = isinstance(self.group, FreeAbelianGroup)
+        if not (free or isinstance(self.group, FiniteGroup)):
+            raise InputError("complex has no Euclidean model for this deck group")
+        den = math.lcm(*(c.denominator for row in self.coordinates.values() for c in row))
+        points = tuple(map(tuple, numerators(map(self.coordinates.get, self.cells(0)), den)))
+        return den, points, ({g: tuple(den * x for x in g) for g in
+                              [self.group.identity(), *self.labels.table]} if free else None)
+
+    def lift(self, k: int, idx: int, g=None) -> list:
+        """Vertex rows over ``lattice[0]`` of the cover cell (g, simplex): each
+        vertex moved by g times the label from the simplex anchor to it."""
+        den, points, shifts = self.lattice
         s = self.simplex(k, idx)
-        vecs = (self.translation_vector(self.group.multiply(g, self.shift(s, (v,)))) for v in s)
-        return [tuple(c + w for c, w in zip(self.coordinates[v], vec))
-                for v, vec in zip(s, vecs)]
+        if shifts is None:
+            return [points[v] for v in s]
+        rows = [tuple(a + b for a, b in zip(points[v], shifts[self.shift(s, (v,))])) for v in s]
+        return rows if g is None else [tuple(a + den * t for a, t in zip(row, g)) for row in rows]
 
     # -- documents ---------------------------------------------------------------
 
@@ -344,13 +345,18 @@ class QuotientComplex:
                 if (a, b) in edges:
                     tree.add(edges[(a, b)])
             if "coordinates" in doc:
-                c.coordinates = coords = {
-                    vid[v]: tuple(Fraction(str(x)) for x in row)
-                    for v, row in _entry(doc, "coordinates", dict).items()}
-                if len(coords) != len(names) or \
-                        len({len(row) for row in coords.values()}) != 1:
+                try:
+                    c.coordinates = coords = {vid[v]: rational_row(row) for v, row in
+                                              _entry(doc, "coordinates", dict).items()}
+                except (ValueError, TypeError) as e:
+                    raise InputError(f"malformed complex document: 'coordinates': {e}") from None
+                widths = {len(row) for row in coords.values()}
+                if len(coords) != len(names) or len(widths) != 1:
                     raise InputError("malformed complex document: 'coordinates' must "
                                      "give every vertex the same number of coordinates")
+                if isinstance(group, FreeAbelianGroup) and widths != {group.rank}:
+                    raise InputError(f"malformed complex document: 'coordinates' must give "
+                                     f"every vertex {group.rank} entries over Z^{group.rank}")
             c.tree = frozenset(tree)
             return c
         except (KeyError, ValueError, TypeError) as e:
@@ -935,19 +941,17 @@ def _subdivide_once(q: QuotientComplex):
 
 
 def _barycenters(q: QuotientComplex, spokes) -> dict:
-    """The barycenter of every cell by new vertex id, realized from its first
-    vertex (``spokes[k]``: the edges from it in each k-cell) in integer
-    numerators over one denominator, with one Fraction per coordinate."""
+    """The barycenter of every cell by new vertex id, summed in the lattice
+    of ``q`` from its first vertex (``spokes[k]``: the edges from it in each
+    k-cell), with one Fraction per coordinate."""
     import numpy as np
-    points = [q.coordinates[v] for v in q.cells(0)]
-    shifts = [q.translation_vector(g) for g in q.labels.table]
-    width = min(len(points[0]), len(shifts[0]))  # realize zips a point with its shift
-    den = math.lcm(*(c.denominator for row in points + shifts for c in row[:width]))
-    points, shifts = (np.array(numerators((row[:width] for row in rows), den), object)
-                      for rows in (points, shifts))
+    den, points, shifts = q.lattice
+    points = np.array(points, object)
+    zero = [0] * points.shape[1]  # a finite deck moves nothing
+    moves = np.array([shifts[g] if shifts else zero for g in q.labels.table], object)
     out = []
     for k, (rows, edges) in enumerate(zip(q._rows, spokes)):
-        sums = points[rows].sum(axis=1) + shifts[q.labels.ids[edges]].sum(axis=1)
+        sums = points[rows].sum(axis=1) + moves[q.labels.ids[edges]].sum(axis=1)
         out += [tuple(Fraction(x, den * (k + 1)) for x in row) for row in sums.tolist()]
     return dict(enumerate(out))
 

@@ -90,7 +90,7 @@ from .complexes import (PeriodicComplex, QuotientComplex, barycentric_subdivide,
 from .errors import InputError, InternalError, ResourceError, TamenessError
 from .geometry import (det, numerators, reduce_integers, simplex_heights2,
                        sqrt_lower_bound)
-from .groups import FiniteGroup, FreeAbelianGroup, integer_value
+from .groups import FiniteGroup, FreeAbelianGroup, integer_value, rational_value
 
 NEWTON_GRID = 32
 TAMENESS_GRID = 32  # tameness samples per axis: the default and the floor
@@ -699,40 +699,32 @@ class SimplicialMapModel(AffineCellModel):
                         f"map is not simplicial: image of source cell "
                         f"{self.source.simplex(k, idx)} spans no simplex")
 
-    @functools.cached_property
+    @property
     def den(self) -> int:
-        """The least common denominator of all vertex coordinates."""
-        return math.lcm(*(c.denominator for q in (self.source, self.complex)
-                          for row in q.coordinates.values() for c in row))
+        """The denominator of the source's lattice, which every vertex of the
+        target shares: a subdivision keeps the vertices of its complex."""
+        return self.source.lattice[0]
 
     @functools.cached_property
-    def _numerators(self) -> tuple:
-        """The source and target vertex coordinates over ``den``, by id."""
-        return tuple(numerators(map(q.coordinates.get, q.cells(0)), self.den)
-                     for q in (self.source, self.complex))
+    def _displacements(self) -> dict:
+        """T_v - S_v of every source vertex v over ``den``: its image, lifted
+        at its deck element, minus its point.  A cell lifted along its edge
+        labels moves both by the same label, so every cell reads these."""
+        target = self.complex
+        scale = self.den // target.lattice[0]
+        points = self.source.lattice[1]
+        out = {}
+        for v, (deck, w) in self.vertex_images.items():
+            image = target.lift(0, target.index_of(0, (w,)), deck)[0]
+            out[v] = tuple(scale * t - c for t, c in zip(image, points[v]))
+        return out
 
     def affine_cell(self, idx: int):
         """Vertex ids, positions S_j and displacements T_j - S_j of the
-        source top cell ``idx`` lifted at the identity, over ``den``.
-
-        Each image T_j is lifted along the cell's edge labels, so the
-        images of one cell lie in one lift of the target cell.
-        """
-        src, group, den = self.source, self.group, self.den
-        source, target = self._numerators
-        free = isinstance(group, FreeAbelianGroup)  # a finite deck moves nothing
+        source top cell ``idx`` lifted at the identity, over ``den``."""
+        src = self.source
         s = src.simplex(src.dimension, idx)
-        positions, vectors = [], []
-        for v in s:
-            shift = group.identity() if v == s[0] else src.edge_label(s[0], v)
-            deck_shift, w = self.vertex_images[v]
-            p, image = source[v], target[w]
-            if free:
-                p = [c + den * t for c, t in zip(p, shift)]
-                image = [c + den * t for c, t in zip(image, group.multiply(shift, deck_shift))]
-            positions.append(p)
-            vectors.append([t - c for t, c in zip(image, p)])
-        return s, positions, vectors
+        return s, src.lift(src.dimension, idx), [self._displacements[v] for v in s]
 
     def chain_image(self, k: int, idx: int):
         """The map's chain image of the quotient k-cell ``idx``, through the
@@ -836,25 +828,24 @@ class _HostTable:
     with A the cell's vertices as columns over a row of ones: for a point
     p, ``E [p; 1]`` holds the n + 1 barycentric coordinates, then residuals
     that all vanish exactly when p lies in the cell's affine hull.  They
-    are kept as integers over their least common denominator.  The box
-    corners are integers over ``den``, the least common denominator of
-    every vertex coordinate of the complex.  A degenerate top cell is
-    refused.  :meth:`heights2` gives a cell's squared facet heights,
-    computed on the first request for that cell.
+    are kept as integers over their least common denominator.  ``lifts``
+    holds each cell's vertex rows over ``den``, the complex's lattice
+    denominator, and so does the box.  A degenerate top cell is refused.
+    :meth:`heights2` gives a cell's squared facet heights, computed on the
+    first request for that cell.
     """
 
     def __init__(self, q: QuotientComplex):
         n = q.dimension
-        self.vertices = {idx: q.realize(n, idx) for idx in q.cells(n)}
-        self.den = math.lcm(*(c.denominator for verts in self.vertices.values()
-                              for v in verts for c in v))
+        self.den = q.lattice[0]
+        self.lifts = [q.lift(n, idx) for idx in q.cells(n)]
         self.cells = []
         self._heights2: dict = {}
-        for idx, verts in self.vertices.items():
+        for idx, verts in enumerate(self.lifts):
             d = len(verts[0])
             # [A | I] in integers: the coordinate rows times den, the row of
             # ones as it is, with those scales handed to the reduction
-            box = [*zip(*numerators(verts, self.den))]
+            box = [*zip(*verts)]
             m = [[*row, *(self.den * (i == j) for j in range(d + 1))]
                  for i, row in enumerate(box)] + [[1] * (n + 1) + [0] * d + [1]]
             scales = [self.den] * d + [1]
@@ -872,9 +863,10 @@ class _HostTable:
 
     def heights2(self, idx: int) -> list:
         """Squared heights of top cell ``idx`` over its facets, in vertex
-        order (:func:`geometry.simplex_heights2`); a translate has the same."""
+        order (:func:`geometry.simplex_heights2`), from its rows over den²;
+        a translate has the same."""
         if idx not in self._heights2:
-            self._heights2[idx] = simplex_heights2(self.vertices[idx])
+            self._heights2[idx] = [h / self.den ** 2 for h in simplex_heights2(self.lifts[idx])]
         return self._heights2[idx]
 
 
@@ -1213,7 +1205,7 @@ def analytic_model_from_document(model_class, q: QuotientComplex, doc: dict):
 
     return model_class(
         q, document_value(doc, "components", expressions),
-        document_value(doc, "bound", lambda b: Fraction(str(b))),
+        document_value(doc, "bound", rational_value),
         overrides=document_value(doc, "overrides",
                                  lambda ovs: [override(ov) for ov in ovs], []),
         grid=document_value(doc, "grid", integer_value, NEWTON_GRID))

@@ -915,6 +915,25 @@ def integer_value(v) -> int:
     return int(v)
 
 
+def rational_value(v) -> Fraction:
+    """A rational document value, a number or a string such as ``"-3/4"``,
+    as a Fraction; a boolean and a zero denominator are rejected."""
+    if isinstance(v, bool):
+        raise ValueError(f"{v!r} is not a rational number")
+    try:
+        return Fraction(str(v))
+    except ZeroDivisionError:
+        raise ValueError(f"{v!r} has a zero denominator") from None
+
+
+def rational_row(v) -> tuple:
+    """A document list of rationals as a tuple of Fractions; a string, which
+    iteration would split into characters, is rejected like any non-list."""
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of rationals, not {type(v).__name__}")
+    return tuple(map(rational_value, v))
+
+
 def group_from_document(doc: dict) -> MarkedGroup:
     """Build a group from its JSON specification block."""
     if not isinstance(doc, dict) or "kind" not in doc:

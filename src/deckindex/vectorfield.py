@@ -16,7 +16,6 @@ pipeline's entry points into those stages.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -37,7 +36,7 @@ from .fixpoint import (
     vertex_id_reader,
 )
 from .geometry import numerators
-from .groups import FiniteGroup
+from .groups import FiniteGroup, rational_row, rational_value
 
 
 class AnalyticFieldModel(AnalyticModel):
@@ -51,7 +50,8 @@ class PLFieldModel(AffineCellModel):
 
     The field value inside a top simplex is the affine interpolation of
     the vertex vectors projected into the simplex plane (per-chart affine
-    identification of the tangent space).
+    identification of the tangent space).  The vectors and the bound are
+    rationals, as :func:`field_model_from_document` reads them.
     """
 
     variant = "pl"
@@ -67,8 +67,7 @@ class PLFieldModel(AffineCellModel):
                              "periodic fields use the analytic model")
         self.complex = self.source = complex
         self.group = complex.group
-        self.vertex_vectors = {int(v): tuple(Fraction(str(c)) for c in vec)
-                               for v, vec in vertex_vectors.items()}
+        self.vertex_vectors = dict(vertex_vectors)
         if set(self.vertex_vectors) != set(range(complex.count(0))):
             raise InputError("vertex vectors must cover exactly the vertices")
         d = len(complex.coordinates[0])
@@ -76,43 +75,43 @@ class PLFieldModel(AffineCellModel):
             if len(vec) != d:
                 raise InputError(f"the vertex vector of {complex.vertices[v]!r} has "
                                  f"{len(vec)} components; the complex has {d} coordinates")
-        self.bound = Fraction(str(bound))
+        self.bound = bound
         if self.bound < 0:
             raise InputError(f"'bound' must be nonnegative, not {self.bound}")
-        # each top cell is projected once; only its numerators over the one
-        # least common denominator are kept
+        # each top cell is projected once; its positions are lifted over the
+        # lattice and put over one denominator with its projected vectors
         planar = [self._project(idx) for idx in complex.cells(complex.dimension)]
-        self.den = math.lcm(*(c.denominator for _, *rows in planar
-                              for row in itertools.chain(*rows) for c in row))
-        self.cells = [(s, numerators(positions, self.den), numerators(vectors, self.den))
-                      for s, positions, vectors in planar]
+        den = complex.lattice[0]
+        self.den = math.lcm(den, *(c.denominator for *_, vectors in planar
+                                   for w in vectors for c in w))
+        self.cells = [(s, [[self.den // den * c for c in row] for row in rows],
+                       numerators(vectors, self.den)) for s, rows, vectors in planar]
         self.validate_bound()
 
     def _project(self, idx: int):
-        """Vertex ids, exact positions and the vertex vectors projected into
+        """Vertex ids, lattice rows and the vertex vectors projected into
         the plane of the top cell ``idx`` lifted at the identity."""
         q = self.complex
         n = q.dimension
         s = q.simplex(n, idx)
-        verts = q.realize(n, idx)
-        d = len(verts[0])
+        rows = q.lift(n, idx)
         vectors = [self.vertex_vectors[v] for v in s]
-        if n == d:
-            return s, verts, vectors
-        if not (n == 2 and d == 3):
+        if n == len(rows[0]):
+            return s, rows, vectors
+        if not (n == 2 and len(rows[0]) == 3):
             raise InputError("PL fields support surfaces in R^3 or full-"
                              "dimensional complexes")
-        u = [verts[1][i] - verts[0][i] for i in range(3)]
-        v = [verts[2][i] - verts[0][i] for i in range(3)]
+        # the projection is the same for any multiple of the normal
+        u, v = ([a - b for a, b in zip(p, rows[0])] for p in rows[1:])
         normal = (u[1] * v[2] - u[2] * v[1],
                   u[2] * v[0] - u[0] * v[2],
                   u[0] * v[1] - u[1] * v[0])
         nn = sum(x * x for x in normal)
         out = []
         for w in vectors:
-            coeff = sum(a * b for a, b in zip(w, normal)) / nn
+            coeff = Fraction(sum(a * b for a, b in zip(w, normal)), nn)
             out.append(tuple(a - coeff * b for a, b in zip(w, normal)))
-        return s, verts, out
+        return s, rows, out
 
     def validate_bound(self):
         limit = (self.bound * self.den) ** 2
@@ -185,7 +184,7 @@ def field_model_from_document(doc: dict, complex_resolver=None):
     if variant == "pl":
         as_vid = vertex_id_reader(q)
         vectors = document_value(doc, "vertex_vectors", lambda vv: {
-            as_vid(k): [Fraction(str(c)) for c in vec] for k, vec in vv.items()})
-        bound = document_value(doc, "bound", lambda b: Fraction(str(b)))
+            as_vid(k): rational_row(vec) for k, vec in vv.items()})
+        bound = document_value(doc, "bound", rational_value)
         return PLFieldModel(q, vectors, bound)
     raise InputError(f"unknown field variant {variant!r}")

@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cover_reference import fraction_cell
 from deckindex import complexes, groups
 from deckindex.complexes import (
     FundamentalDomain,
@@ -658,8 +660,37 @@ class TestSubdivision:
         q = sub.complex
         assert q.coordinates is not None
         # barycenter of a top cell is the average of its realized vertices
-        pts = q.realize(0, q.count(0) - 1)
-        assert len(pts) == 1
+        pts = fraction_cell(q, 0, q.count(0) - 1)
+        top = fraction_cell(TORUS, 2, TORUS.count(2) - 1)
+        assert pts == [tuple(sum(c) / 3 for c in zip(*top))]
+
+
+class TestLattice:
+    """The integer realization of a cover against the Fraction reference."""
+
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["octahedron", "tetrahedron", "torus"])
+    def test_lift_over_den_is_the_fraction_cell(self, name, times):
+        # every cell of every dimension, at every deck element of ball(1)
+        q = fixture_complex(name)
+        if times:
+            q = barycentric_subdivide(q, times).complex
+        den = q.lattice[0]
+        assert den == math.lcm(*(Fraction(c).denominator
+                                 for row in q.coordinates.values() for c in row))
+        for g in q.group.ball(1):
+            for k in range(q.dimension + 1):
+                for idx in q.cells(k):
+                    assert [tuple(Fraction(c, den) for c in row)
+                            for row in q.lift(k, idx, g)] == fraction_cell(q, k, idx, g)
+
+    def test_a_complex_without_a_euclidean_model_is_refused(self):
+        with pytest.raises(InputError, match="carries no coordinates"):
+            GENUS2.lift(2, 0)
+        q = genus2_surface()
+        q.coordinates = {v: (0, 0) for v in q.cells(0)}
+        with pytest.raises(InputError, match="no Euclidean model for this deck group"):
+            q.lift(2, 0)
 
 
 class TestCellTables:

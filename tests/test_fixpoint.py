@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from cover_reference import fraction_cell
 
 from deckindex import exprs, fixpoint, geometry
 from deckindex.cli import main
@@ -32,6 +35,7 @@ from deckindex.fixpoint import (
     tameness_check,
 )
 from deckindex.fixtures import (
+    fixture_complex,
     fixture_document,
     octahedron_sphere,
     torus_grid,
@@ -43,6 +47,7 @@ from deckindex.geometry import (
     sqrt_lower_bound,
 )
 from deckindex.groups import trivial_group
+from deckindex.reports import canonical_json, fraction_str
 from deckindex.vectorfield import PLFieldModel, field_model_from_document
 
 
@@ -321,7 +326,7 @@ def _fraction_cell(model, idx):
     src = model.source
     n = src.dimension
     s = src.simplex(n, idx)
-    positions = src.realize(n, idx)
+    positions = fraction_cell(src, n, idx)
     if isinstance(model, PLFieldModel):
         vectors = [model.vertex_vectors[v] for v in s]
         if len(positions[0]) == n:
@@ -337,9 +342,10 @@ def _fraction_cell(model, idx):
     for v, p in zip(s, positions):
         shift = src.group.identity() if v == s[0] else src.edge_label(s[0], v)
         deck, w = model.vertex_images[v]
-        move = model.complex.translation_vector(model.group.multiply(shift, deck))
-        vectors.append(tuple(Fraction(c) + t - a
-                             for c, t, a in zip(model.complex.coordinates[w], move, p)))
+        target = model.complex
+        image, = fraction_cell(target, 0, target.index_of(0, (w,)),
+                               model.group.multiply(shift, deck))
+        vectors.append(tuple(c - a for c, a in zip(image, p)))
     return s, positions, vectors
 
 
@@ -661,7 +667,33 @@ class TestHostCellsAndGrids:
         record = resolve_record(q, point)
         g, idx = record.host
         assert record.isolation == sqrt_lower_bound(
-            _boundary_squared_distance(point, q.realize(2, idx, g)))
+            _boundary_squared_distance(point, fraction_cell(q, 2, idx, g)))
+
+    # digests of the host table (denominator, cells and every top cell's
+    # heights), equal to those of the table built in Fractions before it
+    HOST_TABLE_DIGESTS = {
+        ("octahedron", 0): "f5cc22b97c94bd3cadf289c52362f985c87cb53b255751652c91e4932e302db4",
+        ("octahedron", 1): "1336ffde68255baf5bf24c6b8b3aa1ac513a3876ccd0c76c5241b7f7faf3c860",
+        ("octahedron", 2): "fc4f3fa65d9e9b5ce3488639b20812e383646ba8fb472404d7281c5e55d3b060",
+        ("tetrahedron", 0): "c8bfb895dded3a5088d684f044ae908bdcf8a6d9dad7a5bfd2530f154e9e813c",
+        ("tetrahedron", 1): "dbf98c5f98b8b2eadcc0e397fd0a4c71a2e511c6ec01810ec551916d8204f639",
+        ("tetrahedron", 2): "02480c7b4885b9afeb3d36252c656fb0922a34118fc51e1b1345c31ca7688619",
+        ("torus", 0): "4b05e14376c25656cf777929df908587d9ac238b044f20c5d851e4a6a62067b7",
+        ("torus", 1): "f13951217676d2bdfce731c29ea38f1db322db20bcd02eb1db9d1fb20c8aa764",
+        ("torus", 2): "e86a8444dd701ac5dc423c7f695da23ca602051d22e676ab96670953c3237199",
+    }
+
+    @pytest.mark.parametrize("name, times", sorted(HOST_TABLE_DIGESTS))
+    def test_host_table_pinned(self, name, times):
+        q = fixture_complex(name)
+        if times:
+            q = barycentric_subdivide(q, times).complex
+        table = _HostTable(q)
+        doc = {"den": table.den, "cells": table.cells,
+               "heights2": [[fraction_str(h) for h in table.heights2(idx)]
+                            for idx, *_ in table.cells]}
+        digest = hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+        assert digest == self.HOST_TABLE_DIGESTS[name, times]
 
     @pytest.mark.parametrize("centred", [False, True])
     @pytest.mark.parametrize("per_axis", [1, 32, 33])

@@ -103,6 +103,14 @@ MALFORMED = [
      lambda: _vertex_vector(["1", "0"])),
     ("vertex vector of four components", ("field-analyze",),
      lambda: _vertex_vector(["1", "0", "0", "0"])),
+    ("vertex vector with a zero denominator", ("field-analyze",),
+     lambda: _vertex_vector(["1/0", "0", "0"])),
+    ("vertex vector as a string", ("field-analyze",), lambda: _vertex_vector("011")),
+    ("boolean vertex vector entry", ("field-analyze",),
+     lambda: _vertex_vector([True, "0", "0"])),
+    ("bound with a zero denominator", COMMANDS, lambda: _with("sin-map", bound="1/0")),
+    ("PL bound with a zero denominator", ("field-analyze",),
+     lambda: _with("octahedron-polar-field", bound="1/0")),
     ("PL field without vertex vectors", ("field-analyze",),
      lambda: _with("octahedron-polar-field", vertex_vectors=None)),
     ("inline complex without labels", ("map-analyze",),
@@ -127,6 +135,11 @@ NAMED = {
     "image pair of three entries": "'vertex_images'",
     "vertex vector of two components": "'px'",
     "vertex vector of four components": "'px'",
+    "vertex vector with a zero denominator": "'vertex_vectors'",
+    "vertex vector as a string": "'vertex_vectors'",
+    "boolean vertex vector entry": "'vertex_vectors'",
+    "bound with a zero denominator": "'bound'",
+    "PL bound with a zero denominator": "'bound'",
 }
 
 
@@ -224,6 +237,35 @@ def test_wrongly_typed_complex_entry_is_named(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: malformed complex document: ")
     assert repr(key) in err
+
+
+def _torus_under_b(row):
+    """The fixed-point-free simplicial map v -> (b, v) on the inline torus,
+    each coordinate row replaced by ``row(it)``."""
+    doc = fixture_complex("torus").to_document()
+    doc["coordinates"] = {v: row(r) for v, r in doc["coordinates"].items()}
+    return {"variant": "simplicial", "complex": doc,
+            "vertex_images": {v: ["b", v] for v in doc["vertices"]}}
+
+
+@pytest.mark.parametrize("row", [lambda r: r[:1], lambda r: r + ["7/3"]],
+                         ids=["x-entry-only", "third-entry"])
+def test_coordinates_of_the_wrong_width_over_z2_are_refused(row, tmp_path, capsys):
+    # a point and its deck translation have one entry per generator
+    assert _run("map-analyze", _torus_under_b(row), str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed complex document: 'coordinates' ")
+    assert "2 entries over Z^2" in err
+
+
+@pytest.mark.parametrize("row", [["1/0", "0", "0"], "100", [True, "0", "0"]],
+                         ids=["zero-denominator", "string", "boolean"])
+def test_unreadable_coordinate_row_is_named(row, tmp_path, capsys):
+    doc = fixture_complex("octahedron").to_document()
+    doc["coordinates"]["px"] = row
+    assert _run("validate", doc, str(tmp_path), "--subdivide", "1") == 1
+    assert capsys.readouterr().err.startswith(
+        "error: malformed complex document: 'coordinates': ")
 
 
 # malformed keys of a complex document, each refused and named: a list of

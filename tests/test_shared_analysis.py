@@ -20,6 +20,7 @@ import json
 import numpy as np
 import pytest
 
+from cover_reference import fraction_cell
 from deckindex import exprs
 from deckindex.cli import main
 from deckindex.fixpoint import (AffineCellModel, AnalyticModel, SimplicialMapModel,
@@ -237,7 +238,7 @@ def _brute_force_hosts(q, position):
     out = []
     for idx in q.cells(n):
         for g in near:
-            status = point_in_simplex(position, q.realize(n, idx, g))
+            status = point_in_simplex(position, fraction_cell(q, n, idx, g))
             if status != "outside":
                 out.append((g, idx, status))
     return out
@@ -259,7 +260,7 @@ def _octahedron_points(level):
     q = octahedron_sphere()
     if level:
         q = barycentric_subdivide(q, level).complex
-    points = [tuple(sum(c) / (k + 1) for c in zip(*q.realize(k, idx)))
+    points = [tuple(sum(c) / (k + 1) for c in zip(*fraction_cell(q, k, idx)))
               for k in range(3) for idx in q.cells(k)]
     return q, points + [tuple(c / 2 for c in p) for p in points[-q.count(2):]]
 
@@ -280,7 +281,7 @@ def test_table_host_location_matches_brute_force(case, statuses):
         hosts = locate_host_cells(q, p)
         assert [h[:3] for h in hosts] == _brute_force_hosts(q, p)
         for g, idx, _, lam in hosts:
-            assert lam == barycentric_coordinates(p, q.realize(q.dimension, idx, g))
+            assert lam == barycentric_coordinates(p, fraction_cell(q, q.dimension, idx, g))
         seen.update([h[2] for h in hosts] or ["none"])
     assert seen == statuses
 
